@@ -1,9 +1,9 @@
 """Homogenized electrostatics of lattice charge distributions on thin films.
 
 Microscopic lattice charges on a curved film, their exact potentials, the
-per-cell polarization/charge descriptors, and the three homogenized limit
-potentials (thin-over-wide, proportional, wide-over-thin), together with
-convergence and unit-cell-invariance studies.
+per-cell polarization/charge descriptors, and the homogenized limit
+potential of each regime (thin-over-wide, proportional, wide-over-thin),
+together with convergence and unit-cell-invariance studies.
 """
 
 from .charge import Modulation, Motif, MotifPoint, Regime, ScaledChargeDistribution, realize, total_charge
@@ -51,9 +51,7 @@ from .potential import (
     field_to_csv,
     finite_t_double_layer,
     green,
-    homogenized_potential_r1,
-    homogenized_potential_r2,
-    homogenized_potential_r3,
+    homogenized_potential,
 )
 from .study import (
     ConvergenceReport,

@@ -22,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, check_tol, parse_config
 from .errors import (
     ConfigError,
     DegenerateFrame,
@@ -33,11 +33,10 @@ from .errors import (
     SingularEvaluation,
     StandoffViolation,
 )
-from .charge import realize
 from .lattice import tessellate
-from .moments import moment_fields, moment_table, moments_to_csv
-from .potential import FieldSample, direct_potential
-from .study import homogenized_for_regime, rebin_motif, run_convergence, run_gauge
+from .moments import moment_table, moments_to_csv
+from .potential import FieldSample, field_to_csv
+from .study import ConvergenceReport, rebin_motif, run_convergence, run_gauge
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,28 +73,28 @@ def _write_summary(cfg: ScenarioConfig, out_dir: Path, payload: dict) -> None:
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_potential(cfg: ScenarioConfig, out_dir: Path, threads: int) -> int:
-    scale = _green_scale(cfg)
+def _convergence(cfg: ScenarioConfig, threads: int) -> ConvergenceReport:
     cfg.pmap.check_valid()
-    samples = []
-    for l, h in cfg.schedule:
-        tess = tessellate(cfg.pmap.domain, l, cfg.choice_a)
-        dist = realize(cfg.motif, tess, cfg.pmap, l, h, cfg.regime)
-        samples.append(
-            _scaled(direct_potential(dist, cfg.grid, standoff_factor=0.0, threads=threads), scale)
-        )
-    finest = min(cfg.schedule, key=lambda lh: max(lh))
-    tess = tessellate(cfg.pmap.domain, finest[0], cfg.choice_a)
-    fields = moment_fields(tess, cfg.motif, cfg.pmap)
-    homog = homogenized_for_regime(cfg.regime, fields, cfg.pmap, cfg.grid, cfg.tol, cfg.max_depth)
-    samples.append(_scaled(homog, scale))
+    return run_convergence(
+        cfg.motif,
+        cfg.pmap,
+        cfg.choice_a,
+        cfg.regime,
+        cfg.schedule,
+        cfg.grid,
+        tol=cfg.tol,
+        max_depth=cfg.max_depth,
+        order_threshold=cfg.thresholds.order_min,
+        threads=threads,
+    )
+
+
+def _cmd_potential(cfg: ScenarioConfig, out_dir: Path, threads: int) -> int:
+    report = _convergence(cfg, threads)
+    scale = _green_scale(cfg)
+    samples = [_scaled(s, scale) for s in report.micro + [report.homogenized]]
     with open(out_dir / "potential.csv", "w") as fh:
-        fh.write(f"# {_comment(cfg)}\n")
-        fh.write("x,y,z,phi,provenance\n")
-        for sample in samples:
-            for p, v in zip(sample.grid.points, sample.values):
-                coords = ",".join(repr(float(c)) for c in p)
-                fh.write(f"{coords},{float(v)!r},{sample.provenance}\n")
+        field_to_csv(samples, fh, comment=_comment(cfg))
     return EXIT_OK
 
 
@@ -115,18 +114,7 @@ def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool, threads: int) -> int:
-    report = run_convergence(
-        cfg.motif,
-        cfg.pmap,
-        cfg.choice_a,
-        cfg.regime,
-        cfg.schedule,
-        cfg.grid,
-        tol=cfg.tol,
-        max_depth=cfg.max_depth,
-        order_threshold=cfg.thresholds.order_min,
-        threads=threads,
-    )
+    report = _convergence(cfg, threads)
     with open(out_dir / "convergence.csv", "w") as fh:
         report.to_csv(fh, comment=_comment(cfg))
     _write_summary(cfg, out_dir, report.summary())
@@ -213,14 +201,14 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.tolerance is not None:
-        cfg.tol = args.tolerance
     if args.green_4pi:
         cfg.green_4pi = True
-    out_dir = Path(args.out) if args.out else cfg.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
+        if args.tolerance is not None:
+            cfg.tol = check_tol(args.tolerance)
+        out_dir = Path(args.out) if args.out else cfg.out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
         threads = max(1, args.threads)
         if args.command == "potential":
             return _cmd_potential(cfg, out_dir, threads)

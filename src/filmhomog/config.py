@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -53,6 +54,13 @@ class ScenarioConfig:
     green_4pi: bool
     scenario_hash: str
     raw: dict = field(repr=False, default_factory=dict)
+
+
+def check_tol(tol: float) -> float:
+    """Quadrature tolerance must be finite and positive (JSON admits NaN)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
 
 
 def _build_map(spec: dict, domain: Rectangle) -> ParametricMap:
@@ -219,10 +227,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         grid = attempt("grid", build_grid)
 
     quad = raw.get("quadrature", {})
-    tol = float(quad.get("tol", DEFAULT_TOL))
+    tol = attempt("quadrature", lambda: check_tol(float(quad.get("tol", DEFAULT_TOL))))
     max_depth = int(quad.get("max_depth", DEFAULT_MAX_DEPTH))
-    if tol <= 0:
-        violations.append("quadrature: tol must be positive")
     if max_depth < 1:
         violations.append("quadrature: max_depth must be >= 1")
 

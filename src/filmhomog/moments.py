@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charge import Motif
-from .geometry import ParametricMap, surface_frame
+from .geometry import ParametricMap, surface_divergence_term, surface_frame
 from .lattice import Cell, Tessellation, UnitCellChoice
 
 
@@ -170,24 +170,15 @@ class MomentFields:
     no Jacobian in them); the plain q/p_p/p3 accessors divide by J0 of the
     supplied map.  ``sigma_segments`` holds the limit boundary density used
     by the homogenized boundary integral (corner-cell spans inherit their
-    edge's nearest interior value); ``sigma_segments_raw`` keeps the pre-limit
-    per-cell values.
+    edge's nearest interior value).
     """
 
-    tess: Optional[Tessellation]
-    motif: Optional[Motif]
     pmap: ParametricMap
-    order: tuple[int, int]
     charge_weighted: Callable[[np.ndarray], np.ndarray]
     pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     pol_normal_weighted: Callable[[np.ndarray], np.ndarray]
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     sigma_segments: dict
-    sigma_segments_raw: dict
-
-    def bulk_source_weighted(self, x_p: np.ndarray) -> np.ndarray:
-        """J0 * (q - div_p(J0 p_p)/J0) = q*J0 - div_p(J0 p_p)."""
-        return self.charge_weighted(x_p) - self.div_pol_planar_weighted(x_p)
 
     def q(self, x_p: np.ndarray) -> np.ndarray:
         return self.charge_weighted(x_p) / _j0_at(self.pmap, x_p)
@@ -203,7 +194,6 @@ def moment_fields(
     tess: Tessellation,
     motif: Motif,
     pmap: ParametricMap,
-    order: Optional[tuple[int, int]] = None,
 ) -> MomentFields:
     """Continuum limit of the per-cell moments for catalog-modulated motifs.
 
@@ -214,7 +204,6 @@ def moment_fields(
     weight vanishes in the limit, inherit the nearest interior value of the
     same edge.
     """
-    order = order if order is not None else motif.free_charge_order
     B = tess.choice.basis
     y_param = [B @ np.asarray(pt.y, float) for pt in motif.points]
 
@@ -246,7 +235,6 @@ def moment_fields(
             total = total + pt.w * (pt.modulation.gradient(x_p) @ yv)
         return total
 
-    raw: dict = {}
     corrected: dict = {}
     corner_idx = tess.corner_touching_indices()
     for edge in tess.domain.edges():
@@ -254,7 +242,6 @@ def moment_fields(
         for s_lo, s_hi, cell in tess.boundary_spans(edge):
             value = 0.0 if cell.is_full else partial_cell_sigma(cell, motif, tess, pmap)
             spans.append((s_lo, s_hi, value, cell.index in corner_idx))
-        raw[edge.name] = [SigmaSegment(a, b, v) for a, b, v, _ in spans]
         interior = [(a, b, v) for a, b, v, is_corner in spans if not is_corner]
         fixed = []
         for a, b, v, is_corner in spans:
@@ -265,16 +252,12 @@ def moment_fields(
         corrected[edge.name] = fixed
 
     return MomentFields(
-        tess=tess,
-        motif=motif,
         pmap=pmap,
-        order=order,
         charge_weighted=charge_weighted,
         pol_planar_weighted=pol_planar_weighted,
         pol_normal_weighted=pol_normal_weighted,
         div_pol_planar_weighted=div_pol_planar_weighted,
         sigma_segments=corrected,
-        sigma_segments_raw=raw,
     )
 
 
@@ -291,9 +274,9 @@ def prescribed_fields(
     ``q``, ``p3`` map (..., 2) parameter points to scalars, ``p_p`` to planar
     vectors, all in the un-weighted (per-area) normalization; the Jacobian
     factor is applied here.  The bound-charge divergence of a prescribed
-    planar polarization is central-differenced with a step of 1e-5 * diam(T).
+    planar polarization is central-differenced by ``surface_divergence_term``
+    (default step 1e-5 * diam(T)).
     """
-    step = div_step if div_step is not None else 1e-5 * pmap.domain.diameter
 
     def zero_scalar(x_p):
         return np.zeros(np.asarray(x_p, float).shape[:-1])
@@ -311,31 +294,19 @@ def prescribed_fields(
         return np.asarray(p_p(x_p), float) * _j0_at(pmap, x_p)[..., None]
 
     def div_pol_planar_weighted(x_p):
-        x_p = np.asarray(x_p, float)
         if p_p is None:
-            return np.zeros(x_p.shape[:-1])
-        out = np.zeros(x_p.shape[:-1])
-        for axis in range(2):
-            dx = np.zeros(2)
-            dx[axis] = step
-            out = out + (
-                pol_planar_weighted(x_p + dx)[..., axis] - pol_planar_weighted(x_p - dx)[..., axis]
-            ) / (2.0 * step)
-        return out
+            return zero_scalar(x_p)
+        return surface_divergence_term(pmap, p_p, x_p, step=div_step) * _j0_at(pmap, x_p)
 
     edge_names = [e.name for e in pmap.domain.edges()]
     segments = sigma_segments if sigma_segments is not None else {name: [] for name in edge_names}
     return MomentFields(
-        tess=None,
-        motif=None,
         pmap=pmap,
-        order=(0, 0),
         charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
         pol_planar_weighted=pol_planar_weighted,
         pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
         div_pol_planar_weighted=div_pol_planar_weighted,
         sigma_segments=segments,
-        sigma_segments_raw=segments,
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact microscopic potentials and the three homogenized limit potentials.
+"""Exact microscopic potentials and the homogenized limit potential.
 
 Everything uses the bare-Coulomb kernel G(r, r') = 1/|r - r'| (no 1/4pi; a
 physics-convention rescale is applied at the CLI layer only, which is exact
@@ -6,18 +6,17 @@ by linearity).
 
 The microscopic potential is the exact finite Green's sum over all realized
 point charges, accumulated with exactly-rounded summation.  The homogenized
-potentials are parameter-space integrals over the film domain T and its
+potential is a parameter-space integral over the film domain T and its
 boundary, with all source fields premultiplied by the surface Jacobian:
 
-    thin-over-wide limit (R1):
-        Phi(r) = INT_T G * (q*J0 - div_p(J0 p_p)) dx
-               + INT_dT G * (sigma*J0 + (J0 p_p).n) ds
+    Phi(r) = INT_T [G * (c_q q*J0 - c_p div_p(J0 p_p)) + c_n dG/dnu' * p3*J0] dx
+           + c_p INT_dT G * (sigma*J0 + (J0 p_p).n) ds
 
-    proportional limit (R2, h = alpha l):
-        Phi(r) = alpha * [R1 form] + alpha^2 * INT_T dG/dnu' * (p3*J0) dx
+The three limits differ only in the weights (c_q, c_p, c_n):
 
-    wide-over-thin limit (R3):
-        Phi(r) = INT_T [G * q*J0 + dG/dnu' * p3*J0] dx
+    thin-over-wide (R1):              (1, 1, 0)
+    proportional (R2, h = alpha l):   (alpha, alpha, alpha^2)
+    wide-over-thin (R3):              (1, 0, 1)
 
 with dG/dnu' = nu(r') . (r - r') / |r - r'|^3 evaluated analytically.  The
 boundary integral runs in parameter arc length with the parameter-space
@@ -29,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charge import ScaledChargeDistribution
+from .charge import Regime, ScaledChargeDistribution
 from .errors import SingularEvaluation, StandoffViolation
 from .geometry import ParametricMap, Rectangle, surface_frame
 from .moments import MomentFields
@@ -200,31 +199,6 @@ def _kernel_parts(pmap: ParametricMap, x_p: np.ndarray, obs: np.ndarray, need_no
     return G, dot / d**3, fr
 
 
-def _bulk_integral(
-    fields: MomentFields,
-    pmap: ParametricMap,
-    grid: ObservationGrid,
-    coef_single: float,
-    coef_double: float,
-    tol: float,
-    max_depth: int,
-) -> np.ndarray:
-    """INT_T [c1 G (q J0 - div(J0 p)) + c2 dG/dnu' p3 J0] dx."""
-    obs = grid.points
-
-    def integrand(x_p):
-        G, dGn, _ = _kernel_parts(pmap, x_p, obs, need_normal=coef_double != 0.0)
-        out = np.zeros_like(G)
-        if coef_single != 0.0:
-            out += coef_single * G * fields.bulk_source_weighted(x_p)[:, None]
-        if coef_double != 0.0:
-            out += coef_double * dGn * fields.pol_normal_weighted(x_p)[:, None]
-        return out
-
-    dom = pmap.domain
-    return adaptive_rectangle(integrand, dom.lo, dom.hi, tol=tol, max_depth=max_depth)
-
-
 def _boundary_integral(
     fields: MomentFields,
     pmap: ParametricMap,
@@ -270,55 +244,49 @@ def _boundary_integral(
     return total
 
 
-def homogenized_potential_r1(
+# Per-regime weights of the three limit terms: (free-charge single layer,
+# in-plane polarization, normal double layer).  The in-plane column weights
+# both the bound charge -div_p(J0 p_p) and the edge term sigma*J0 + (J0 p_p).n.
+_LIMIT_WEIGHTS = {
+    "R1": lambda alpha: (1.0, 1.0, 0.0),
+    "R2": lambda alpha: (alpha, alpha, alpha**2),
+    "R3": lambda alpha: (1.0, 0.0, 1.0),
+}
+
+
+def homogenized_potential(
     fields: MomentFields,
+    regime: Regime,
     pmap: ParametricMap,
     grid: ObservationGrid,
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> FieldSample:
-    """Limit potential when the thickness shrinks faster than the lattice."""
-    values = _bulk_integral(fields, pmap, grid, 1.0, 0.0, 0.5 * tol, max_depth)
-    values = values + _boundary_integral(fields, pmap, grid, 1.0, 0.5 * tol, max_depth)
-    return FieldSample(grid=grid, values=values, provenance="homogenized(R1)")
+    """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
 
-
-def homogenized_potential_r2(
-    fields: MomentFields,
-    alpha: float,
-    pmap: ParametricMap,
-    grid: ObservationGrid,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> FieldSample:
-    """Limit potential at proportional thickness h = alpha * l."""
-    values = _bulk_integral(fields, pmap, grid, alpha, alpha**2, 0.5 * tol, max_depth)
-    values = values + _boundary_integral(fields, pmap, grid, alpha, 0.5 * tol, max_depth)
-    return FieldSample(grid=grid, values=values, provenance=f"homogenized(R2 alpha={alpha:g})")
-
-
-def homogenized_potential_r3(
-    fields: MomentFields,
-    pmap: ParametricMap,
-    grid: ObservationGrid,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> FieldSample:
-    """Limit potential when the lattice shrinks faster than the thickness.
-
-    Single layer of the free charge plus the double layer of the normal
-    polarization; no boundary term survives this limit.
+    The edge integral runs only when c_p is non-zero; it then takes half of
+    ``tol`` and the bulk integral the other half.
     """
-
+    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     obs = grid.points
 
     def integrand(x_p):
-        G, dGn, _ = _kernel_parts(pmap, x_p, obs, need_normal=True)
-        return G * fields.charge_weighted(x_p)[:, None] + dGn * fields.pol_normal_weighted(x_p)[:, None]
+        G, dGn, _ = _kernel_parts(pmap, x_p, obs, need_normal=c_n != 0.0)
+        density = fields.charge_weighted(x_p)
+        if c_p != 0.0:  # c_q * G * (q J0 - (c_p / c_q) div_p(J0 p_p)); every row has c_q > 0
+            density = density - (c_p / c_q) * fields.div_pol_planar_weighted(x_p)
+        out = c_q * G * density[:, None]
+        if c_n != 0.0:
+            out = out + c_n * dGn * fields.pol_normal_weighted(x_p)[:, None]
+        return out
 
     dom = pmap.domain
-    values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=tol, max_depth=max_depth)
-    return FieldSample(grid=grid, values=values, provenance="homogenized(R3)")
+    bulk_tol = 0.5 * tol if c_p != 0.0 else tol
+    values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
+    if c_p != 0.0:
+        values = values + _boundary_integral(fields, pmap, grid, c_p, 0.5 * tol, max_depth)
+    alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
+    return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")
 
 
 def finite_t_double_layer(
@@ -361,13 +329,16 @@ def finite_t_double_layer(
     return FieldSample(grid=grid, values=values, provenance=f"double-layer-finite-t(t={t:g})")
 
 
-def field_to_csv(sample: FieldSample, fileobj, comment: Optional[str] = None) -> None:
-    """Write (x, y, z, Phi, provenance) rows."""
+def field_to_csv(samples: Sequence[FieldSample], fileobj, comment: Optional[str] = None) -> None:
+    """Write (x, y, z, Phi, provenance) rows, one block per sample."""
     import csv
 
     if comment:
         fileobj.write(f"# {comment}\n")
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["x", "y", "z", "phi", "provenance"])
-    for p, v in zip(sample.grid.points, sample.values):
-        writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(v)), sample.provenance])
+    for sample in samples:
+        for p, v in zip(sample.grid.points, sample.values):
+            writer.writerow(
+                [repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(v)), sample.provenance]
+            )

@@ -26,15 +26,8 @@ import numpy as np
 from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
 from .lattice import UnitCellChoice, cell_index, tessellate
-from .moments import CellMoments, MomentFields, moment_fields, moment_table
-from .potential import (
-    FieldSample,
-    ObservationGrid,
-    direct_potential,
-    homogenized_potential_r1,
-    homogenized_potential_r2,
-    homogenized_potential_r3,
-)
+from .moments import CellMoments, moment_fields, moment_table
+from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential
 
 DEFAULT_ORDER_THRESHOLD = 0.9
 DECAY_RADII = (10.0, 20.0, 40.0)
@@ -64,21 +57,6 @@ def make_schedule(
     if h_values is None:
         raise ValueError("R3 schedule needs h values")
     return [(float(h) ** 2, float(h)) for h in h_values]
-
-
-def homogenized_for_regime(
-    regime: Regime,
-    fields: MomentFields,
-    pmap: ParametricMap,
-    grid: ObservationGrid,
-    tol: float,
-    max_depth: int,
-) -> FieldSample:
-    if regime.kind == "R1":
-        return homogenized_potential_r1(fields, pmap, grid, tol=tol, max_depth=max_depth)
-    if regime.kind == "R2":
-        return homogenized_potential_r2(fields, regime.alpha, pmap, grid, tol=tol, max_depth=max_depth)
-    return homogenized_potential_r3(fields, pmap, grid, tol=tol, max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +182,7 @@ def run_convergence(
     finest = min(schedule, key=lambda lh: max(lh))
     ref_tess = tessellate(pmap.domain, finest[0], choice)
     fields = moment_fields(ref_tess, motif, pmap)
-    homog = homogenized_for_regime(regime, fields, pmap, grid, tol, max_depth)
+    homog = homogenized_potential(fields, regime, pmap, grid, tol, max_depth)
 
     steps: list[ConvergenceStep] = []
     micro_samples: list[FieldSample] = []
@@ -374,12 +352,12 @@ def run_gauge(
 
     tess_a = tessellate(pmap.domain, l, choice_a)
     fields_a = moment_fields(tess_a, motif, pmap)
-    field_a = homogenized_for_regime(regime, fields_a, pmap, grid, tol, max_depth)
+    field_a = homogenized_potential(fields_a, regime, pmap, grid, tol, max_depth)
 
     motif_b = rebin_motif(motif, choice_a, choice_b, l)
     tess_b = tessellate(pmap.domain, l, choice_b)
     fields_b = moment_fields(tess_b, motif_b, pmap)
-    field_b = homogenized_for_regime(regime, fields_b, pmap, grid, tol, max_depth)
+    field_b = homogenized_potential(fields_b, regime, pmap, grid, tol, max_depth)
 
     atoms_ok = _atoms_match(
         realize(motif, tess_a, pmap, l, h, regime),

@@ -22,8 +22,7 @@ from filmhomog import (
     cell_polarization,
     direct_potential,
     finite_t_double_layer,
-    homogenized_potential_r1,
-    homogenized_potential_r3,
+    homogenized_potential,
     jacobian_full,
     make_schedule,
     moment_fields,
@@ -78,8 +77,8 @@ def test_criterion_2_regime1_convergence(grid):
     # the normal-polarization content must be absent from this limit
     mixed = Motif(points=PLANAR_DIPOLE.points + VERTICAL_DIPOLE.points)
     tess = tessellate(UNIT, 1 / 32, SQUARE)
-    phi_plain = homogenized_potential_r1(moment_fields(tess, PLANAR_DIPOLE, IDENT), IDENT, grid)
-    phi_mixed = homogenized_potential_r1(moment_fields(tess, mixed, IDENT), IDENT, grid)
+    phi_plain = homogenized_potential(moment_fields(tess, PLANAR_DIPOLE, IDENT), Regime("R1"), IDENT, grid)
+    phi_mixed = homogenized_potential(moment_fields(tess, mixed, IDENT), Regime("R1"), IDENT, grid)
     homog_change = float(np.max(np.abs(phi_plain.values - phi_mixed.values)))
 
     t_coarse = tessellate(UNIT, 1 / 4, SQUARE)
@@ -116,7 +115,7 @@ def test_criterion_3_regime3_convergence_and_sign(grid):
     fields = moment_fields(tess, VERTICAL_DIPOLE, IDENT)
     flipped = FieldSample(
         grid=grid,
-        values=-homogenized_potential_r3(fields, IDENT, grid).values,
+        values=-homogenized_potential(fields, Regime("R3"), IDENT, grid).values,
         provenance="sign-flipped",
     )
     last = rep.micro[-1]
@@ -159,8 +158,8 @@ def test_criterion_5_double_layer_closed_forms():
     axis = ObservationGrid.from_points([[0.0, 0.0, 1.0]], disk)
     ones = lambda x: np.ones(np.asarray(x).shape[:-1])
 
-    double = homogenized_potential_r3(prescribed_fields(disk, p3=ones), disk, axis).values[0]
-    single = homogenized_potential_r3(prescribed_fields(disk, q=ones), disk, axis).values[0]
+    double = homogenized_potential(prescribed_fields(disk, p3=ones), Regime("R3"), disk, axis).values[0]
+    single = homogenized_potential(prescribed_fields(disk, q=ones), Regime("R3"), disk, axis).values[0]
     exact_double = 2 * math.pi * (1 - 1 / math.sqrt(2))
     exact_single = 2 * math.pi * (math.sqrt(2) - 1)
 

@@ -174,6 +174,11 @@ class TestExitCodes:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_override_exit_2(self, tmp_path, r2_config, tol, capsys):
+        assert main(["converge", "--config", r2_config, "--tolerance", tol]) == 2
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
     def test_gauge_without_cell_b_exit_2(self, tmp_path, r2_config):
         assert main(["gauge", "--config", r2_config]) == 2
 

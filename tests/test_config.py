@@ -72,6 +72,13 @@ class TestParse:
         labels = {v.split(":")[0] for v in err.value.violations}
         assert {"motif", "regime", "quadrature"} <= labels
 
+    def test_nan_tolerance_rejected(self, tmp_path):
+        payload = dict(MINIMAL_R2)
+        payload["quadrature"] = {"tol": float("nan")}  # json writes and reads NaN
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, payload))
+        assert any(v.startswith("quadrature:") for v in err.value.violations)
+
     def test_cylinder_map_and_offset_grid(self, tmp_path):
         payload = dict(MINIMAL_R2)
         payload["map"] = {"kind": "cylinder", "radius": 2.0}

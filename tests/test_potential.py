@@ -24,14 +24,12 @@ from filmhomog import (
     direct_potential,
     finite_t_double_layer,
     green,
-    homogenized_potential_r1,
-    homogenized_potential_r2,
-    homogenized_potential_r3,
+    homogenized_potential,
     moment_fields,
     realize,
     tessellate,
 )
-from filmhomog.moments import prescribed_fields
+from filmhomog.moments import SigmaSegment, prescribed_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -125,7 +123,7 @@ class TestHomogenizedR1:
         t = tessellate(UNIT, 0.25, SQUARE)
         fields = moment_fields(t, PLANAR_DIPOLE, IDENT)
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], IDENT)
-        phi = homogenized_potential_r1(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         assert abs(phi.values[0]) <= 1e-10
 
     def test_against_dense_line_quadrature(self):
@@ -133,7 +131,7 @@ class TestHomogenizedR1:
         fields = moment_fields(t, PLANAR_DIPOLE, IDENT)
         r = np.array([1.5, 0.5, 0.5])
         grid = ObservationGrid.from_points([r], IDENT)
-        phi = homogenized_potential_r1(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         # constant p => only the two x1-edges contribute, density +/- 0.5
         s, w = gauss_nodes(400, 0.0, 1.0)
         right = sum(wi * 0.5 / math.dist(r, (1.0, si, 0.0)) for si, wi in zip(s, w))
@@ -144,7 +142,7 @@ class TestHomogenizedR1:
         """q = 1 on the unit square vs closed-form disk potentials bracketing it."""
         fields = prescribed_fields(IDENT, q=lambda x: np.ones(np.asarray(x).shape[:-1]))
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], IDENT)
-        phi = homogenized_potential_r1(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         # dense 100x100 tensor-Gauss oracle for the same integral
         s, w = gauss_nodes(100, 0.0, 1.0)
         X, Y = np.meshgrid(s, s, indexing="ij")
@@ -168,7 +166,7 @@ class TestHomogenizedR1:
         fields = moment_fields(t, mod_motif, IDENT)
         pts = np.array([[0.3, 0.8, 1.2], [1.4, 0.1, 0.8]])
         grid = ObservationGrid.from_points(pts, IDENT)
-        phi = homogenized_potential_r1(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         s, w = gauss_nodes(150, 0.0, 1.0)
         X, Y = np.meshgrid(s, s, indexing="ij")
         W = np.outer(w, w)
@@ -192,18 +190,18 @@ class TestHomogenizedR2:
     def test_alpha_one_reduces_to_r1_plus_double_layer(self):
         fields = self.make_fields()
         grid = ObservationGrid.from_points([[1.2, 0.3, 0.9], [0.5, 0.5, 2.0]], IDENT)
-        r2 = homogenized_potential_r2(fields, 1.0, IDENT, grid)
-        r1 = homogenized_potential_r1(fields, IDENT, grid)
-        r3 = homogenized_potential_r3(fields, IDENT, grid)  # q = 0 here: pure double layer
+        r2 = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid)
+        r1 = homogenized_potential(fields, Regime("R1"), IDENT, grid)
+        r3 = homogenized_potential(fields, Regime("R3"), IDENT, grid)  # q = 0 here: pure double layer
         np.testing.assert_allclose(r2.values, r1.values + r3.values, atol=1e-12)
 
     def test_alpha_scaling(self):
         fields = self.make_fields()
         grid = ObservationGrid.from_points([[1.2, 0.3, 0.9]], IDENT)
-        v1 = homogenized_potential_r2(fields, 1.0, IDENT, grid).values
-        v2 = homogenized_potential_r2(fields, 2.0, IDENT, grid).values
-        single = homogenized_potential_r1(fields, IDENT, grid).values
-        double = homogenized_potential_r3(fields, IDENT, grid).values
+        v1 = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid).values
+        v2 = homogenized_potential(fields, Regime("R2", alpha=2.0), IDENT, grid).values
+        single = homogenized_potential(fields, Regime("R1"), IDENT, grid).values
+        double = homogenized_potential(fields, Regime("R3"), IDENT, grid).values
         np.testing.assert_allclose(v1, single + double, atol=1e-12)
         np.testing.assert_allclose(v2, 2 * single + 4 * double, atol=1e-12)
 
@@ -216,22 +214,39 @@ class TestHomogenizedR3Disk:
         disk = ParametricMap.polar_disk(1.0)
         fields = prescribed_fields(disk, p3=lambda x: np.ones(np.asarray(x).shape[:-1]))
         grid = ObservationGrid.from_points([[0.0, 0.0, 1.0]], disk)
-        phi = homogenized_potential_r3(fields, disk, grid)
+        phi = homogenized_potential(fields, Regime("R3"), disk, grid)
         assert phi.values[0] == pytest.approx(self.AXIS_DOUBLE, abs=1e-6)
 
     def test_single_layer_closed_form(self):
         disk = ParametricMap.polar_disk(1.0)
         fields = prescribed_fields(disk, q=lambda x: np.ones(np.asarray(x).shape[:-1]))
         grid = ObservationGrid.from_points([[0.0, 0.0, 1.0]], disk)
-        phi = homogenized_potential_r3(fields, disk, grid)
+        phi = homogenized_potential(fields, Regime("R3"), disk, grid)
         assert phi.values[0] == pytest.approx(self.AXIS_SINGLE, abs=1e-6)
 
     def test_double_layer_antisymmetry(self):
         disk = ParametricMap.polar_disk(1.0)
         fields = prescribed_fields(disk, p3=lambda x: np.ones(np.asarray(x).shape[:-1]))
-        above = homogenized_potential_r3(fields, disk, ObservationGrid.from_points([[0.3, -0.2, 0.8]], disk))
-        below = homogenized_potential_r3(fields, disk, ObservationGrid.from_points([[0.3, -0.2, -0.8]], disk))
+        above = homogenized_potential(fields, Regime("R3"), disk, ObservationGrid.from_points([[0.3, -0.2, 0.8]], disk))
+        below = homogenized_potential(fields, Regime("R3"), disk, ObservationGrid.from_points([[0.3, -0.2, -0.8]], disk))
         assert above.values[0] == pytest.approx(-below.values[0], rel=1e-9)
+
+
+class TestHomogenizedR3ZeroColumn:
+    def test_in_plane_sources_do_not_enter(self):
+        """R3 weights the in-plane polarization by zero: bound and edge charge drop out."""
+        q = lambda x: 1.0 + 0.5 * np.asarray(x)[..., 0]
+        p3 = lambda x: np.cos(np.asarray(x)[..., 1])
+        p_p = lambda x: np.stack([np.sin(np.pi * np.asarray(x)[..., 0]), np.asarray(x)[..., 1] ** 2], axis=-1)
+        sigma = {"right": [SigmaSegment(0.0, 1.0, 0.7)], "left": [SigmaSegment(0.0, 0.5, -0.3)]}
+        grid = ObservationGrid.from_points([[1.2, 0.3, 0.9], [0.5, 0.5, 2.0]], IDENT)
+        plain = homogenized_potential(prescribed_fields(IDENT, q=q, p3=p3), Regime("R3"), IDENT, grid)
+        loaded = homogenized_potential(
+            prescribed_fields(IDENT, q=q, p_p=p_p, p3=p3, sigma_segments=sigma), Regime("R3"), IDENT, grid
+        )
+        np.testing.assert_array_equal(loaded.values, plain.values)
+        r1 = homogenized_potential(prescribed_fields(IDENT, p_p=p_p, sigma_segments=sigma), Regime("R1"), IDENT, grid)
+        assert np.all(np.abs(r1.values) > 1e-3)  # the same sources do act in R1
 
 
 class TestFiniteTDoubleLayer:
@@ -286,7 +301,7 @@ class TestFieldCsv:
         grid = ObservationGrid.from_points([[0.5, 0.5, 3.0], [1.0, 2.0, 1.0]], IDENT)
         sample = direct_potential(d, grid, standoff_factor=0.0)
         buf = io.StringIO()
-        field_to_csv(sample, buf, comment="scenario=abc")
+        field_to_csv([sample], buf, comment="scenario=abc")
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# scenario=abc"
         assert lines[1] == "x,y,z,phi,provenance"

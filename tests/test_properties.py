@@ -16,9 +16,7 @@ from filmhomog import (
     Regime,
     UnitCellChoice,
     direct_potential,
-    homogenized_potential_r1,
-    homogenized_potential_r2,
-    homogenized_potential_r3,
+    homogenized_potential,
     moment_fields,
     realize,
     tessellate,
@@ -45,8 +43,8 @@ class TestSuperposition:
         m_b = Motif(points=vertical(0.6))
         m_ab = Motif(points=dipole(1.0) + vertical(0.6))
         for op in (
-            lambda f: homogenized_potential_r2(f, 1.0, IDENT, grid),
-            lambda f: homogenized_potential_r3(f, IDENT, grid),
+            lambda f: homogenized_potential(f, Regime("R2", alpha=1.0), IDENT, grid),
+            lambda f: homogenized_potential(f, Regime("R3"), IDENT, grid),
         ):
             va = op(moment_fields(tess, m_a, IDENT)).values
             vb = op(moment_fields(tess, m_b, IDENT)).values
@@ -78,7 +76,7 @@ class TestFlatLimitConsistency:
         fields = moment_fields(tess, Motif(points=vertical(1.0)), IDENT)
         pts = np.array([[0.2, 0.6, 1.1], [1.5, 1.5, -0.9]])
         grid = ObservationGrid.from_points(pts, IDENT)
-        phi = homogenized_potential_r3(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R3"), IDENT, grid)
         x, w = np.polynomial.legendre.leggauss(150)
         s = 0.5 * (x + 1)
         W = np.outer(w, w) * 0.25
@@ -93,7 +91,7 @@ class TestFlatLimitConsistency:
         fields = moment_fields(tess, Motif(points=dipole(1.0)), IDENT)
         r = np.array([-0.4, 0.3, 0.6])
         grid = ObservationGrid.from_points([r], IDENT)
-        phi = homogenized_potential_r1(fields, IDENT, grid)
+        phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         x, w = np.polynomial.legendre.leggauss(300)
         s = 0.5 * (x + 1)
         ws = 0.5 * w
@@ -131,6 +129,6 @@ class TestDeterminism:
         tess = tessellate(UNIT, 0.25, SQUARE)
         fields = moment_fields(tess, Motif(points=dipole(1.0)), IDENT)
         grid = ObservationGrid.offset_surface(IDENT, 3, 3, 1.0)
-        a = homogenized_potential_r2(fields, 1.0, IDENT, grid).values
-        b = homogenized_potential_r2(fields, 1.0, IDENT, grid).values
+        a = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid).values
+        b = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid).values
         np.testing.assert_array_equal(a, b)
