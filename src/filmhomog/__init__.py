@@ -22,26 +22,21 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
-    BoundaryFrame,
     Edge,
     ParametricMap,
     Rectangle,
     SurfaceFrame,
-    boundary_frame,
     jacobian_full,
     surface_divergence_term,
     surface_frame,
 )
-from .lattice import Cell, Tessellation, UnitCellChoice, cell_index, corner_map, tessellate
+from .lattice import Tessellation, UnitCellChoice, cell_index, corner_map, tessellate
 from .moments import (
-    CellMoments,
     MomentFields,
-    cell_free_charge,
-    cell_polarization,
+    MomentTable,
     moment_fields,
     moment_table,
     moments_to_csv,
-    partial_cell_sigma,
     prescribed_fields,
 )
 from .potential import (

@@ -204,8 +204,9 @@ class Regime:
 class ScaledChargeDistribution:
     """All physical point charges of one (l, h) member of the family.
 
-    Arrays are ordered cell-major (cells sorted by lattice index, motif
-    points in declaration order) so enumeration is deterministic.
+    Arrays are ordered motif-entry major (points, then free points, in
+    declaration order); within an entry, full cells then partial cells, each
+    by ascending lattice index, so enumeration is deterministic.
     """
 
     motif: Motif
@@ -248,38 +249,19 @@ def realize(
         raise ValueError("tessellation was built for a different scale l")
     pref = regime.prefactor(l, h)
     eps = motif.imbalance_factor(l, h)
-    B = tessellation.choice.basis
-    domain = tessellation.domain
-    keep_tol = 1e-12 * max(1.0, domain.diameter)
     entries = [(pt, 1.0) for pt in motif.points] + [(pt, eps) for pt in motif.free_points]
 
     planar_chunks, ref_chunks, z_chunks = [], [], []
-
-    full_corners = np.asarray([c.corner for c in tessellation.full_cells], float).reshape(-1, 2)
     for pt, scale in entries:
-        if len(full_corners):
-            planar = full_corners + l * (B @ np.asarray(pt.y, float))
-            planar_chunks.append(planar)
-            ref_chunks.append(scale * pt.w * pt.modulation(full_corners))
-            z_chunks.append(np.full(len(planar), pt.z))
-        for cell in tessellation.partial_cells:
-            p = cell.corner + l * (B @ np.asarray(pt.y, float))
-            if bool(domain.contains(p, tol=keep_tol)):
-                planar_chunks.append(p.reshape(1, 2))
-                ref_chunks.append(np.array([scale * float(pt.weight_at(cell.corner))]))
-                z_chunks.append(np.array([pt.z]))
+        planar, kept = tessellation.place(pt.y)
+        planar_chunks.append(planar[kept])
+        ref_chunks.append(scale * pt.w * pt.modulation(tessellation.corners[kept]))
+        z_chunks.append(np.full(np.count_nonzero(kept), pt.z))
 
-    if planar_chunks:
-        planar_params = np.concatenate(planar_chunks, axis=0)
-        ref_weights = np.concatenate(ref_chunks)
-        z_params = np.concatenate(z_chunks)
-        params = np.concatenate([planar_params, h * z_params[:, None]], axis=1)
-        positions = pmap.evaluate(params)
-    else:
-        planar_params = np.zeros((0, 2))
-        ref_weights = np.zeros(0)
-        z_params = np.zeros(0)
-        positions = np.zeros((0, 3))
+    planar_params = np.concatenate(planar_chunks, axis=0)
+    ref_weights = np.concatenate(ref_chunks)
+    z_params = np.concatenate(z_chunks)
+    positions = pmap.evaluate(np.concatenate([planar_params, h * z_params[:, None]], axis=1))
     return ScaledChargeDistribution(
         motif=motif,
         tessellation=tessellation,

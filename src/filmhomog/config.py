@@ -228,15 +228,22 @@ def build_config(raw: dict) -> ScenarioConfig:
 
     quad = raw.get("quadrature", {})
     tol = attempt("quadrature", lambda: check_tol(float(quad.get("tol", DEFAULT_TOL))))
-    max_depth = int(quad.get("max_depth", DEFAULT_MAX_DEPTH))
-    if max_depth < 1:
-        violations.append("quadrature: max_depth must be >= 1")
+    def build_max_depth():
+        depth = int(quad.get("max_depth", DEFAULT_MAX_DEPTH))
+        if depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        return depth
+
+    max_depth = attempt("quadrature", build_max_depth)
 
     th_spec = raw.get("thresholds", {})
-    thresholds = Thresholds(
-        order_min=float(th_spec.get("order_min", 0.9)),
-        gauge_phi_tol=float(th_spec.get("gauge_phi_tol", 1e-6)),
-        gauge_moment_min=float(th_spec.get("gauge_moment_min", 0.1)),
+    thresholds = attempt(
+        "thresholds",
+        lambda: Thresholds(
+            order_min=float(th_spec.get("order_min", 0.9)),
+            gauge_phi_tol=float(th_spec.get("gauge_phi_tol", 1e-6)),
+            gauge_moment_min=float(th_spec.get("gauge_moment_min", 0.1)),
+        ),
     )
 
     if violations:

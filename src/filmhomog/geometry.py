@@ -8,8 +8,6 @@ needed downstream are:
     J(x)   = sqrt(det(Dpsi^T Dpsi))        volume Jacobian at a 3D parameter point
     J0(xp) = |d1 psi0 x d2 psi0|           surface Jacobian of the mid-surface
     nu     = unit normal of the mid-surface (oriented by the parameterization)
-    n      = outward co-normal on the film edge (tangent to the surface,
-             orthogonal to the boundary curve)
 
 Maps carry either an analytic differential or fall back to central finite
 differences with a step relative to the domain diameter.
@@ -114,16 +112,6 @@ class SurfaceFrame:
     tangent2: np.ndarray     # (..., 3) d psi0 / d x2
     normal: np.ndarray       # (..., 3) unit normal
     j0: np.ndarray           # (...,)  surface Jacobian
-
-
-@dataclass(frozen=True)
-class BoundaryFrame:
-    """Edge frame: physical boundary point, outward co-normal, line Jacobian."""
-
-    point: np.ndarray          # (..., 3)
-    conormal: np.ndarray       # (..., 3) unit, tangent to the surface, outward
-    line_jacobian: np.ndarray  # (...,)  |d psi0 / ds| along the boundary curve
-    normal: np.ndarray         # (..., 3) surface normal at the same points
 
 
 class ParametricMap:
@@ -355,35 +343,6 @@ def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
         tangent2=t2,
         normal=normal,
         j0=j0 if j0.ndim else float(j0),
-    )
-
-
-def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFrame:
-    """Outward co-normal and line Jacobian along one film edge.
-
-    ``s`` is the free parameter coordinate along the rectangle edge.  The
-    co-normal is the unit tangent vector of the surface orthogonal to the
-    boundary curve, pointing out of the film; the line Jacobian converts
-    parameter arc length to physical arc length.
-    """
-    s = np.asarray(s, float)
-    x_p = edge.points(s)
-    fr = surface_frame(pmap, x_p)
-    tangents = (fr.tangent1, fr.tangent2)
-    tau = tangents[1 - edge.axis]          # along the boundary curve
-    outward = tangents[edge.axis]          # crosses the boundary
-    sign = edge.normal[edge.axis]
-    line_jac = np.linalg.norm(tau, axis=-1)
-    tau_hat = tau / line_jac[..., None]
-    n = sign * (outward - np.sum(outward * tau_hat, axis=-1)[..., None] * tau_hat)
-    n_norm = np.linalg.norm(n, axis=-1)
-    if np.any(n_norm <= _FRAME_TOL):
-        raise DegenerateFrame("boundary co-normal degenerate (tangents parallel)")
-    return BoundaryFrame(
-        point=fr.point,
-        conormal=n / n_norm[..., None],
-        line_jacobian=line_jac if line_jac.ndim else float(line_jac),
-        normal=fr.normal,
     )
 
 

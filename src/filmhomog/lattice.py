@@ -16,9 +16,7 @@ rectangle-parallelogram clip polygon.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
-
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTessellation
@@ -27,6 +25,7 @@ from .geometry import Edge, Rectangle
 _CONTAIN_TOL = 1e-12   # absolute slack for full-cell containment tests
 _SNAP_TOL = 1e-9       # snap basis coordinates sitting on a cell boundary
 _AREA_TOL_REL = 1e-12  # clip areas below this fraction of a cell are dropped
+_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,10 @@ class UnitCellChoice:
     def cell_area(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
-    def corner(self, index: tuple[int, int], l: float) -> np.ndarray:
+    def corner(self, index, l: float) -> np.ndarray:
+        """Corner of the cell with integer index (2,), or of each row of (N, 2)."""
         m = np.asarray(index, float)
-        return np.asarray(self.origin, float) + l * self.basis @ (m + np.asarray(self.f, float))
+        return np.asarray(self.origin, float) + (m + np.asarray(self.f, float)) @ (l * self.basis).T
 
     def basis_coords(self, x_p: np.ndarray, l: float) -> np.ndarray:
         """Continuous cell coordinates: integer parts index the cell lattice."""
@@ -83,71 +83,78 @@ def cell_index(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
     return np.floor(choice.basis_coords(x_p, l)).astype(int)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One tile of the tessellation (full, or clipped against the domain)."""
-
-    index: tuple[int, int]
-    corner: np.ndarray          # (2,)
-    polygon: np.ndarray         # (K, 2) CCW vertices of the part inside T
-    area: float
-    is_full: bool
-
-    def edge_span(self, edge: Edge, tol: float) -> Optional[tuple[float, float]]:
-        """Interval of the domain edge covered by this cell, or None.
-
-        The clip polygon has vertices exactly on the edge wherever it touches
-        it with positive length; collect them and return their extent.
-        """
-        on_edge = np.abs(self.polygon[:, edge.axis] - edge.value) <= tol
-        if np.count_nonzero(on_edge) < 2:
-            return None
-        s = self.polygon[on_edge, 1 - edge.axis]
-        lo, hi = float(s.min()), float(s.max())
-        if hi - lo <= tol:
-            return None
-        return lo, hi
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Tessellation:
-    """Full and partial cells tiling a rectangular parameter domain."""
+    """Cells tiling a rectangular parameter domain, as arrays.
+
+    Row k of ``indices`` and ``corners`` is one cell: the ``n_full`` full
+    cells come first, then the partial cells, each in ascending lattice
+    index.  Partial cells also carry the CCW clip polygon of their part
+    inside the domain and its area.
+    """
 
     domain: Rectangle
     l: float
     choice: UnitCellChoice
-    full_cells: list[Cell] = field(default_factory=list)
-    partial_cells: list[Cell] = field(default_factory=list)
-    _by_index: dict = field(default_factory=dict, repr=False)
+    indices: np.ndarray                     # (N, 2) int lattice indices
+    corners: np.ndarray                     # (N, 2) cell corners
+    n_full: int
+    clip_polygons: tuple[np.ndarray, ...]   # (K, 2) per partial cell
+    clip_areas: np.ndarray                  # (N - n_full,)
 
     @property
-    def cells(self) -> list[Cell]:
-        return self.full_cells + self.partial_cells
+    def full_cells(self) -> np.ndarray:
+        """Lattice indices of the full cells."""
+        return self.indices[: self.n_full]
+
+    @property
+    def partial_cells(self) -> np.ndarray:
+        """Lattice indices of the partial cells."""
+        return self.indices[self.n_full :]
 
     @property
     def has_full_cells(self) -> bool:
-        return bool(self.full_cells)
+        return self.n_full > 0
+
+    @property
+    def _tol(self) -> float:
+        return _CONTAIN_TOL * max(1.0, self.domain.diameter)
 
     def total_area(self) -> float:
-        return float(sum(c.area for c in self.cells))
+        full_area = self.n_full * self.choice.cell_area * self.l * self.l
+        return full_area + float(np.sum(self.clip_areas))
 
-    def locate(self, x_p: np.ndarray) -> Optional[Cell]:
-        """Cell containing a single point under the half-open convention."""
-        idx = tuple(cell_index(np.asarray(x_p, float), self.l, self.choice))
-        return self._by_index.get(idx)
+    def place(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Planar position of motif point ``y`` in every cell, and which are kept.
 
-    def boundary_spans(self, edge: Edge) -> list[tuple[float, float, Cell]]:
-        """Sorted intervals of a domain edge covered by cells of the tiling.
+        ``y`` is in basis coordinates.  Full cells keep every point; partial
+        cells keep the points lying in the closed domain (1e-12 slack).
+        """
+        planar = self.corners + self.l * (self.choice.basis @ np.asarray(y, float))
+        kept = np.ones(len(planar), bool)
+        kept[self.n_full :] = self.domain.contains(planar[self.n_full :], tol=self._tol)
+        return planar, kept
+
+    def boundary_spans(self, edge: Edge) -> list[tuple[float, float, int]]:
+        """Sorted intervals of a domain edge covered by cells, with each cell's row.
 
         Consecutive spans share endpoints only (cells overlap on measure-zero
-        sets); both full and partial cells appear.
+        sets).  Partial cells, and full cells with a side on the edge line,
+        can cover positive length.
         """
-        tol = _CONTAIN_TOL * max(1.0, self.domain.diameter)
+        tol = self._tol
+        full = _cell_polygons(self.corners[: self.n_full], self.l, self.choice)
+        on_line = np.abs(full[..., edge.axis] - edge.value) <= tol
+        rows = np.flatnonzero(np.count_nonzero(on_line, axis=1) >= 2)
+        candidates = [(int(r), full[r]) for r in rows]
+        candidates += [(self.n_full + k, poly) for k, poly in enumerate(self.clip_polygons)]
         spans = []
-        for cell in self.cells:
-            span = cell.edge_span(edge, tol)
-            if span is not None:
-                spans.append((span[0], span[1], cell))
+        for row, poly in candidates:
+            # a clip polygon has vertices exactly on the edge wherever it
+            # covers positive length of it
+            s = poly[np.abs(poly[:, edge.axis] - edge.value) <= tol, 1 - edge.axis]
+            if len(s) >= 2 and s.max() - s.min() > tol:
+                spans.append((float(s.min()), float(s.max()), row))
         spans.sort(key=lambda t: (t[0], t[1]))
         return spans
 
@@ -155,9 +162,14 @@ class Tessellation:
         """Indices of cells covering positive length on two or more edges."""
         counts: dict = {}
         for edge in self.domain.edges():
-            for _, _, cell in self.boundary_spans(edge):
-                counts[cell.index] = counts.get(cell.index, 0) + 1
-        return {idx for idx, n in counts.items() if n >= 2}
+            for _, _, row in self.boundary_spans(edge):
+                counts[row] = counts.get(row, 0) + 1
+        return {tuple(int(m) for m in self.indices[row]) for row, n in counts.items() if n >= 2}
+
+
+def _cell_polygons(corners: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
+    """Uncut cells as (N, 4, 2) CCW parallelograms."""
+    return corners[:, None, :] + l * _UNIT_SQUARE @ choice.basis.T
 
 
 def _clip_polygon_to_rectangle(poly: np.ndarray, rect: Rectangle) -> np.ndarray:
@@ -198,15 +210,17 @@ def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    return float(0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    nxt = np.arange(1, len(poly) + 1) % len(poly)
+    return float(0.5 * abs(np.dot(x, y[nxt]) - np.dot(x[nxt], y)))
 
 
 def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellation:
     """Enumerate full and partial cells of the scaled tiling over the domain.
 
     Candidate indices come from the basis-coordinate bounding box of the
-    domain inflated by one cell; classification is exact up to a containment
-    tolerance of 1e-12 (absolute, domain units).
+    domain inflated by one cell.  One vectorized containment test, exact up
+    to a tolerance of 1e-12 (absolute, domain units), finds the full cells;
+    only the candidates meeting the domain's boundary band are clipped.
     """
     if not (0.0 < l <= 1.0):
         raise ValueError(f"scale l must lie in (0, 1], got {l}")
@@ -216,40 +230,33 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
     coords = choice.basis_coords(domain.corners(), l)
     m_lo = np.floor(coords.min(axis=0)).astype(int) - 1
     m_hi = np.ceil(coords.max(axis=0)).astype(int) + 1
+    m1, m2 = np.meshgrid(
+        np.arange(m_lo[0], m_hi[0] + 1), np.arange(m_lo[1], m_hi[1] + 1), indexing="ij"
+    )
+    indices = np.column_stack([m1.ravel(), m2.ravel()])  # ascending, as (m1, m2) tuples sort
+    corners = choice.corner(indices, l)
+    polys = _cell_polygons(corners, l, choice)
 
-    unit_square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    B = choice.basis
-    tess = Tessellation(domain=domain, l=l, choice=choice)
-    for m1 in range(m_lo[0], m_hi[0] + 1):
-        for m2 in range(m_lo[1], m_hi[1] + 1):
-            corner = choice.corner((m1, m2), l)
-            poly = corner + l * unit_square @ B.T
-            if np.all(domain.contains(poly, tol=tol)):
-                cell = Cell(
-                    index=(m1, m2),
-                    corner=corner,
-                    polygon=poly,
-                    area=_polygon_area(poly),
-                    is_full=True,
-                )
-                tess.full_cells.append(cell)
-            else:
-                clipped = _clip_polygon_to_rectangle(poly, domain)
-                area = _polygon_area(clipped)
-                if area > area_floor:
-                    cell = Cell(
-                        index=(m1, m2),
-                        corner=corner,
-                        polygon=clipped,
-                        area=area,
-                        is_full=False,
-                    )
-                    tess.partial_cells.append(cell)
+    full = np.all(domain.contains(polys, tol=tol), axis=1)
+    # a polygon strictly outside one side of the domain clips to nothing
+    meets = np.all(polys.max(axis=1) >= domain.lo, axis=1) & np.all(polys.min(axis=1) <= domain.hi, axis=1)
+    band = np.flatnonzero(~full & meets)
+    clipped = [_clip_polygon_to_rectangle(polys[k], domain) for k in band]
+    areas = np.array([_polygon_area(p) for p in clipped])
+    keep = np.flatnonzero(areas > area_floor)
+    rows = np.concatenate([np.flatnonzero(full), band[keep]])
 
-    tess.full_cells.sort(key=lambda c: c.index)
-    tess.partial_cells.sort(key=lambda c: c.index)
-    tess._by_index = {c.index: c for c in tess.cells}
-    if not tess.full_cells:
+    tess = Tessellation(
+        domain=domain,
+        l=l,
+        choice=choice,
+        indices=indices[rows],
+        corners=corners[rows],
+        n_full=int(np.count_nonzero(full)),
+        clip_polygons=tuple(clipped[k] for k in keep),
+        clip_areas=areas[keep],
+    )
+    if not tess.has_full_cells:
         warnings.warn(
             "no full cell fits in the domain; partial cells still tile it",
             EmptyTessellation,

@@ -25,127 +25,88 @@ import numpy as np
 
 from .charge import Motif
 from .geometry import ParametricMap, surface_divergence_term, surface_frame
-from .lattice import Cell, Tessellation, UnitCellChoice
+from .lattice import Tessellation
 
 
-@dataclass(frozen=True)
-class CellMoments:
-    """Moment row for one cell; sigma is None on full cells."""
+@dataclass(frozen=True, eq=False)
+class MomentTable:
+    """Per-cell moments as columns, one row per cell of a tessellation.
 
-    index: tuple[int, int]
-    corner: np.ndarray
-    is_full: bool
-    q: Optional[float]
-    p_p: Optional[np.ndarray]
-    p3: Optional[float]
-    sigma: Optional[float]
-    j0: float
+    Rows follow the tessellation: full cells, then partial cells, each by
+    ascending lattice index.  q, p_p and p3 are defined on full rows and
+    sigma on partial rows; the other entries are NaN.
+    """
+
+    indices: np.ndarray  # (N, 2) int lattice indices
+    corners: np.ndarray  # (N, 2)
+    is_full: np.ndarray  # (N,) bool
+    q: np.ndarray        # (N,)
+    p_p: np.ndarray      # (N, 2) parameter components
+    p3: np.ndarray       # (N,)
+    sigma: np.ndarray    # (N,)
+    j0: np.ndarray       # (N,) surface Jacobian at the corner
+
+    def __len__(self) -> int:
+        return len(self.indices)
 
 
 def _j0_at(pmap: ParametricMap, x_p: np.ndarray) -> np.ndarray:
     return np.asarray(surface_frame(pmap, x_p).j0)
 
 
-def _cell_weights(motif: Motif, corner: np.ndarray, l: Optional[float], h: Optional[float]):
-    """(weight, y, z) triples at a corner; imbalance included only with (l, h)."""
-    out = [(float(pt.weight_at(corner)), pt.y, pt.z) for pt in motif.points]
-    if l is not None and h is not None and motif.free_points:
-        eps = motif.imbalance_factor(l, h)
-        out += [(eps * float(pt.weight_at(corner)), pt.y, pt.z) for pt in motif.free_points]
-    return out
+def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional[float]):
+    """Per cell, sums of w, w * B y and w * z over the motif points it keeps.
 
-
-def cell_free_charge(
-    cell: Cell,
-    motif: Motif,
-    pmap: ParametricMap,
-    order: tuple[int, int],
-    l: float,
-    h: float,
-) -> float:
-    """Net cell charge normalized by l^a h^b and the corner Jacobian."""
-    if not cell.is_full:
-        raise ValueError("free charge is defined on full cells")
-    a, b = order
-    total = sum(w for w, _, _ in _cell_weights(motif, cell.corner, l, h))
-    return total / (l**a * h**b * float(_j0_at(pmap, cell.corner)))
-
-
-def cell_polarization(
-    cell: Cell,
-    motif: Motif,
-    pmap: ParametricMap,
-    choice: UnitCellChoice,
-    l: Optional[float] = None,
-    h: Optional[float] = None,
-) -> tuple[np.ndarray, float]:
-    """First in-plane and out-of-plane moments of the cell's reference charge.
-
-    y enters in parameter components (basis matrix applied), measured from
-    the cell corner.  Independent of the regime prefactor by construction.
+    Weights are modulated at the cell corner; imbalance points enter, scaled
+    by l^a h^b, only when (l, h) are given.  Sums run from +0.0 in motif
+    declaration order.
     """
-    if not cell.is_full:
-        raise ValueError("polarization is defined on full cells")
-    j0 = float(_j0_at(pmap, cell.corner))
-    B = choice.basis
-    p_p = np.zeros(2)
-    p3 = 0.0
-    for w, y, z in _cell_weights(motif, cell.corner, l, h):
-        p_p += w * (B @ np.asarray(y, float))
-        p3 += w * z
-    return p_p / j0, p3 / j0
-
-
-def partial_cell_sigma(
-    cell: Cell,
-    motif: Motif,
-    tess: Tessellation,
-    pmap: ParametricMap,
-    l: Optional[float] = None,
-    h: Optional[float] = None,
-) -> float:
-    """Boundary charge of a partial cell: weights of points kept by the clip."""
-    if cell.is_full:
-        raise ValueError("sigma is defined on partial cells")
-    B = tess.choice.basis
-    keep_tol = 1e-12 * max(1.0, tess.domain.diameter)
-    total = 0.0
-    for w, y, z in _cell_weights(motif, cell.corner, l, h):
-        planar = cell.corner + tess.l * (B @ np.asarray(y, float))
-        if bool(tess.domain.contains(planar, tol=keep_tol)):
-            total += w
-    return total / float(_j0_at(pmap, cell.corner))
+    entries = [(pt, 1.0) for pt in motif.points]
+    if l is not None and h is not None:
+        eps = motif.imbalance_factor(l, h)
+        entries += [(pt, eps) for pt in motif.free_points]
+    n = len(tess.corners)
+    charge, p_p, p3 = np.zeros(n), np.zeros((n, 2)), np.zeros(n)
+    for pt, scale in entries:
+        _, kept = tess.place(pt.y)
+        w = np.where(kept, scale * pt.weight_at(tess.corners), 0.0)
+        charge += w
+        p_p += w[:, None] * (tess.choice.basis @ np.asarray(pt.y, float))
+        p3 += w * pt.z
+    return charge, p_p, p3
 
 
 def moment_table(
     tess: Tessellation,
     motif: Motif,
     pmap: ParametricMap,
-    order: Optional[tuple[int, int]] = None,
     l: Optional[float] = None,
     h: Optional[float] = None,
-) -> list[CellMoments]:
+) -> MomentTable:
     """Moments for every cell: q/p on full cells, sigma on partial cells.
 
     Without (l, h) the rows carry the limit values (imbalance enters q only,
     through its stated order).
     """
-    order = order if order is not None else motif.free_charge_order
-    rows = []
-    for cell in tess.full_cells:
-        j0 = float(_j0_at(pmap, cell.corner))
-        if l is not None and h is not None:
-            q = cell_free_charge(cell, motif, pmap, order, l, h)
-        else:
-            # limit value: only the imbalance part survives the normalization
-            q = sum(float(pt.weight_at(cell.corner)) for pt in motif.free_points) / j0
-        p_p, p3 = cell_polarization(cell, motif, pmap, tess.choice, l, h)
-        rows.append(CellMoments(cell.index, cell.corner, True, q, p_p, p3, None, j0))
-    for cell in tess.partial_cells:
-        j0 = float(_j0_at(pmap, cell.corner))
-        sigma = partial_cell_sigma(cell, motif, tess, pmap, l, h)
-        rows.append(CellMoments(cell.index, cell.corner, False, None, None, None, sigma, j0))
-    return rows
+    j0 = _j0_at(pmap, tess.corners)
+    charge, p_p, p3 = _kept_sums(tess, motif, l, h)
+    if l is not None and h is not None:
+        a, b = motif.free_charge_order
+        q = charge / (l**a * h**b * j0)
+    else:
+        # limit value: only the imbalance part survives the normalization
+        q = sum((pt.weight_at(tess.corners) for pt in motif.free_points), np.zeros(len(j0))) / j0
+    full = np.arange(len(j0)) < tess.n_full
+    return MomentTable(
+        indices=tess.indices,
+        corners=tess.corners,
+        is_full=full,
+        q=np.where(full, q, np.nan),
+        p_p=np.where(full[:, None], p_p / j0[:, None], np.nan),
+        p3=np.where(full, p3 / j0, np.nan),
+        sigma=np.where(full, np.nan, charge / j0),
+        j0=j0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +196,16 @@ def moment_fields(
             total = total + pt.w * (pt.modulation.gradient(x_p) @ yv)
         return total
 
-    corrected: dict = {}
+    charge, _, _ = _kept_sums(tess, motif, None, None)
+    n_full = tess.n_full
+    sigma = charge[n_full:] / _j0_at(pmap, tess.corners[n_full:])
     corner_idx = tess.corner_touching_indices()
+    corrected: dict = {}
     for edge in tess.domain.edges():
         spans = []
-        for s_lo, s_hi, cell in tess.boundary_spans(edge):
-            value = 0.0 if cell.is_full else partial_cell_sigma(cell, motif, tess, pmap)
-            spans.append((s_lo, s_hi, value, cell.index in corner_idx))
+        for s_lo, s_hi, row in tess.boundary_spans(edge):
+            value = 0.0 if row < n_full else float(sigma[row - n_full])
+            spans.append((s_lo, s_hi, value, tuple(tess.indices[row]) in corner_idx))
         interior = [(a, b, v) for a, b, v, is_corner in spans if not is_corner]
         fixed = []
         for a, b, v, is_corner in spans:
@@ -310,24 +274,19 @@ def prescribed_fields(
     )
 
 
-def moments_to_csv(rows: list[CellMoments], fileobj, comment: Optional[str] = None) -> None:
+def moments_to_csv(table: MomentTable, fileobj, comment: Optional[str] = None) -> None:
     """Write a moment table as CSV (empty fields where a moment is undefined)."""
     if comment:
         fileobj.write(f"# {comment}\n")
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["index1", "index2", "corner_x1", "corner_x2", "kind", "q", "p_p1", "p_p2", "p3", "sigma"])
-    for row in rows:
+    for k in range(len(table)):
+        full = bool(table.is_full[k])
+        on_full = [table.q[k], table.p_p[k, 0], table.p_p[k, 1], table.p3[k]]
         writer.writerow(
-            [
-                row.index[0],
-                row.index[1],
-                repr(float(row.corner[0])),
-                repr(float(row.corner[1])),
-                "full" if row.is_full else "partial",
-                repr(row.q) if row.q is not None else "",
-                repr(float(row.p_p[0])) if row.p_p is not None else "",
-                repr(float(row.p_p[1])) if row.p_p is not None else "",
-                repr(row.p3) if row.p3 is not None else "",
-                repr(row.sigma) if row.sigma is not None else "",
-            ]
+            [int(m) for m in table.indices[k]]
+            + [repr(float(x)) for x in table.corners[k]]
+            + ["full" if full else "partial"]
+            + [repr(float(x)) if full else "" for x in on_full]
+            + ["" if full else repr(float(table.sigma[k]))]
         )

@@ -26,7 +26,7 @@ import numpy as np
 from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
 from .lattice import UnitCellChoice, cell_index, tessellate
-from .moments import CellMoments, moment_fields, moment_table
+from .moments import MomentTable, moment_fields, moment_table
 from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential
 
 DEFAULT_ORDER_THRESHOLD = 0.9
@@ -289,8 +289,8 @@ def rebin_motif(
 class GaugeReport:
     choice_a: UnitCellChoice
     choice_b: UnitCellChoice
-    moments_a: list[CellMoments]
-    moments_b: list[CellMoments]
+    moments_a: MomentTable
+    moments_b: MomentTable
     field_a: FieldSample
     field_b: FieldSample
     max_moment_diff: float
@@ -366,13 +366,9 @@ def run_gauge(
 
     rows_a = moment_table(tess_a, motif, pmap)
     rows_b = moment_table(tess_b, motif_b, pmap)
-    diffs = [0.0]
-    for row in rows_b:
-        if not row.is_full:
-            continue
-        p_a = fields_a.p_p(row.corner)
-        diffs.append(float(np.linalg.norm(np.asarray(p_a) - row.p_p)))
-    max_moment = max(diffs)
+    full = rows_b.is_full
+    diffs = np.linalg.norm(fields_a.p_p(rows_b.corners[full]) - rows_b.p_p[full], axis=-1)
+    max_moment = float(np.max(diffs, initial=0.0))
     max_potential = float(np.max(np.abs(field_a.values - field_b.values)))
     return GaugeReport(
         choice_a=choice_a,

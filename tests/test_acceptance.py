@@ -18,15 +18,13 @@ from filmhomog import (
     Rectangle,
     Regime,
     UnitCellChoice,
-    cell_free_charge,
-    cell_polarization,
     direct_potential,
     finite_t_double_layer,
     homogenized_potential,
     jacobian_full,
     make_schedule,
     moment_fields,
-    partial_cell_sigma,
+    moment_table,
     realize,
     run_convergence,
     run_gauge,
@@ -199,26 +197,32 @@ def test_criterion_7_exactness_suite():
 
     # moment operations against hand values
     tess = tessellate(UNIT, 1 / 4, SQUARE)
-    cell = tess.full_cells[0]
-    p_p, p3 = cell_polarization(cell, PLANAR_DIPOLE, IDENT, SQUARE)
+    planar = moment_table(tess, PLANAR_DIPOLE, IDENT)
+    p_p, p3 = planar.p_p[0], planar.p3[0]
     checks.append(abs(p_p[0] - 0.5) <= 1e-12 and abs(p_p[1]) <= 1e-12 and abs(p3) <= 1e-12)
-    p_pv, p3v = cell_polarization(cell, VERTICAL_DIPOLE, IDENT, SQUARE)
-    checks.append(np.linalg.norm(p_pv) <= 1e-12 and abs(p3v - 1.0) <= 1e-12)
+    vertical = moment_table(tess, VERTICAL_DIPOLE, IDENT)
+    checks.append(np.linalg.norm(vertical.p_p[0]) <= 1e-12 and abs(vertical.p3[0] - 1.0) <= 1e-12)
     cyl = ParametricMap.cylinder(UNIT, 2.0)
-    p_pc, _ = cell_polarization(cell, PLANAR_DIPOLE, cyl, SQUARE)
-    checks.append(abs(p_pc[0] - 0.5) <= 1e-12)
-    checks.append(cell_free_charge(cell, PLANAR_DIPOLE, IDENT, (1, 0), 1 / 4, 1 / 16) == 0.0)
+    checks.append(abs(moment_table(tess, PLANAR_DIPOLE, cyl).p_p[0, 0] - 0.5) <= 1e-12)
+    checks.append(moment_table(tess, PLANAR_DIPOLE, IDENT, l=1 / 4, h=1 / 16).q[0] == 0.0)
     imbalanced = Motif(
         points=PLANAR_DIPOLE.points,
         free_points=(MotifPoint(2.0, (0.5, 0.5), 0.0),),
         free_charge_order=(1, 0),
     )
-    checks.append(abs(cell_free_charge(cell, imbalanced, IDENT, (1, 0), 1 / 4, 1 / 16) - 2.0) <= 1e-12)
+    checks.append(abs(moment_table(tess, imbalanced, IDENT, l=1 / 4, h=1 / 16).q[0] - 2.0) <= 1e-12)
     shifted = tessellate(UNIT, 1 / 4, HALF_SHIFT)
-    checks.append(abs(partial_cell_sigma(shifted._by_index[(-1, 1)], PLANAR_DIPOLE, shifted, IDENT) - 1.0) <= 1e-12)
-    checks.append(abs(partial_cell_sigma(shifted._by_index[(1, 3)], PLANAR_DIPOLE, shifted, IDENT)) <= 1e-12)
+    sigma = moment_table(shifted, PLANAR_DIPOLE, IDENT).sigma
     stretched = ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0))
-    checks.append(abs(partial_cell_sigma(shifted._by_index[(3, 1)], PLANAR_DIPOLE, shifted, stretched) + 0.5) <= 1e-12)
+    sigma_stretched = moment_table(shifted, PLANAR_DIPOLE, stretched).sigma
+
+    def row(index):
+        (k,) = np.flatnonzero(np.all(shifted.indices == index, axis=1))
+        return k
+
+    checks.append(abs(sigma[row((-1, 1))] - 1.0) <= 1e-12)
+    checks.append(abs(sigma[row((1, 3))]) <= 1e-12)
+    checks.append(abs(sigma_stretched[row((3, 1))] + 0.5) <= 1e-12)
 
     # tessellation partition identity
     for l, choice in [(1 / 4, SQUARE), (0.3, SQUARE), (1 / 4, HALF_SHIFT), (0.17, HALF_SHIFT)]:

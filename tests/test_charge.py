@@ -102,6 +102,31 @@ class TestRealize:
         n_full_atoms = 2 * len(t.full_cells)
         assert d.n_charges > n_full_atoms
 
+    def test_enumeration_matches_cell_loop(self):
+        """Motif entry major; full cells, then the kept points of partial cells, each by ascending index."""
+        mod = Modulation(kind="sinusoid", value=1.3, coef=(2.1, -1.7), phase=0.4)
+        motif = Motif(
+            points=(MotifPoint(1.0, (0.7, 0.2), 0.3, mod), MotifPoint(-1.0, (0.2, 0.6), -0.4, mod)),
+            free_points=(MotifPoint(0.7, (0.45, 0.55), 0.1, mod),),
+            free_charge_order=(1, 0),
+        )
+        l, h = 0.17, 0.05
+        choice = UnitCellChoice(f=(0.5, 0.5))
+        t = tessellate(UNIT, l, choice)
+        d = realize(motif, t, IDENT, l, h, Regime("R1"))
+        planar, weights = [], []
+        for pt, scale in [(p, 1.0) for p in motif.points] + [(p, l) for p in motif.free_points]:
+            for full, cells in ((True, t.full_cells), (False, t.partial_cells)):
+                for index in sorted(map(tuple, cells.tolist())):
+                    corner = choice.corner(index, l)
+                    p = corner + l * (choice.basis @ np.asarray(pt.y))
+                    if full or UNIT.contains(p, tol=1e-12):
+                        planar.append(p)
+                        weights.append(scale * float(pt.weight_at(corner)))
+        np.testing.assert_array_equal(d.planar_params, planar)
+        atol = 4 * np.spacing(np.max(np.abs(weights)))
+        np.testing.assert_allclose(d.ref_weights, weights, rtol=0.0, atol=atol)
+
     def test_regime_mismatch_raises(self):
         t = tessellate(UNIT, 0.25, SQUARE)
         with pytest.raises(RegimeMismatch):

@@ -1,9 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from filmhomog.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 DIPOLE_POINTS = [
     {"w": 1.0, "y": [0.75, 0.5], "z": 0.0},
@@ -157,6 +161,16 @@ class TestMoments:
         lines_b = (tmp_path / "out" / "moments_b.csv").read_text().splitlines()
         assert len(lines_b) == 2 + 9 + 16  # shifted grid: 9 full + 16 partial
 
+    @pytest.mark.parametrize("name", ["moments.csv", "moments_b.csv"])
+    def test_golden_bytes(self, tmp_path, name):
+        """Row order, signed zeros and repr formatting of the committed tables.
+
+        Every value of this scenario is dyadic, so the bytes do not depend
+        on the platform's floating-point library.
+        """
+        assert main(["moments", "--config", str(CONFIGS / "gauge_half_shift.json"), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "gauge_half_shift" / name).read_bytes()
+
 
 class TestExitCodes:
     def test_validation_exit_2(self, tmp_path, capsys):
@@ -181,6 +195,22 @@ class TestExitCodes:
 
     def test_gauge_without_cell_b_exit_2(self, tmp_path, r2_config):
         assert main(["gauge", "--config", r2_config]) == 2
+
+    @pytest.mark.parametrize("section,key,value", [("quadrature", "max_depth", "x"), ("thresholds", "order_min", "high")])
+    def test_unparsable_number_listed_exit_2(self, tmp_path, section, key, value, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "motif": {"points": DIPOLE_POINTS},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": [0.25]},
+                "grid": {"kind": "offset_surface", "n": [3, 3], "distance": 1.0},
+                section: {key: value},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["converge", "--config", cfg]) == 2
+        assert f"config violation: {section}:" in capsys.readouterr().err
 
 
 class TestGaugeUsageErrors:

@@ -1,18 +1,20 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from filmhomog import (
     DegenerateFrame,
+    Edge,
     NonPositiveJacobian,
     ParametricMap,
     Rectangle,
-    boundary_frame,
     jacobian_full,
     surface_divergence_term,
     surface_frame,
 )
+from filmhomog.moments import prescribed_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 
@@ -123,6 +125,72 @@ def _graph_diff(x):
     return D
 
 
+# Physical frame of a film edge.  The library integrates the edge term as
+# (J0 p_p) . n_param in parameter arc length; this frame is its independent
+# reference: the flux of P = p1 t1 + p2 t2 through the physical edge.
+
+_FRAME_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class BoundaryFrame:
+    """Edge frame: outward co-normal, line Jacobian, normal and tangents."""
+
+    conormal: np.ndarray       # (..., 3) unit, tangent to the surface, outward
+    line_jacobian: np.ndarray  # (...,)  |d psi0 / ds| along the boundary curve
+    normal: np.ndarray         # (..., 3) surface normal at the same points
+    tangent1: np.ndarray       # (..., 3) d psi0 / d x1
+    tangent2: np.ndarray       # (..., 3) d psi0 / d x2
+
+
+def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFrame:
+    """Outward co-normal and line Jacobian at arc coordinates ``s`` of one edge.
+
+    The co-normal is the unit tangent vector of the surface orthogonal to the
+    boundary curve, pointing out of the film; the line Jacobian converts
+    parameter arc length to physical arc length.
+    """
+    fr = surface_frame(pmap, edge.points(np.asarray(s, float)))
+    tangents = (fr.tangent1, fr.tangent2)
+    tau = tangents[1 - edge.axis]          # along the boundary curve
+    outward = tangents[edge.axis]          # crosses the boundary
+    sign = edge.normal[edge.axis]
+    line_jac = np.linalg.norm(tau, axis=-1)
+    tau_hat = tau / line_jac[..., None]
+    n = sign * (outward - np.sum(outward * tau_hat, axis=-1)[..., None] * tau_hat)
+    n_norm = np.linalg.norm(n, axis=-1)
+    if np.any(n_norm <= _FRAME_TOL):
+        raise DegenerateFrame("boundary co-normal degenerate (tangents parallel)")
+    return BoundaryFrame(
+        conormal=n / n_norm[..., None],
+        line_jacobian=line_jac,
+        normal=fr.normal,
+        tangent1=fr.tangent1,
+        tangent2=fr.tangent2,
+    )
+
+
+def _sheared(x):
+    x = np.asarray(x, float)
+    return np.stack(
+        [x[..., 0] + 0.5 * x[..., 1], x[..., 1] + 0.1 * x[..., 0] ** 2, 0.3 * x[..., 0] * x[..., 1] + x[..., 2]],
+        axis=-1,
+    )
+
+
+def _sheared_diff(x):
+    x = np.asarray(x, float)
+    D = np.zeros(x.shape[:-1] + (3, 3))
+    D[..., 0, 0] = 1.0
+    D[..., 0, 1] = 0.5
+    D[..., 1, 0] = 0.2 * x[..., 0]
+    D[..., 1, 1] = 1.0
+    D[..., 2, 0] = 0.3 * x[..., 1]
+    D[..., 2, 1] = 0.3 * x[..., 0]
+    D[..., 2, 2] = 1.0
+    return D
+
+
 class TestBoundaryFrame:
     @pytest.mark.parametrize(
         "edge_name,expected",
@@ -155,6 +223,35 @@ class TestBoundaryFrame:
         )
         with pytest.raises(DegenerateFrame):
             boundary_frame(collapse, UNIT.edges()[0], np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "pmap",
+        [
+            ParametricMap.identity(UNIT),
+            ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0)),
+            ParametricMap.cylinder(UNIT, 2.0),
+            ParametricMap.custom(UNIT, _sheared, differential=_sheared_diff),
+        ],
+        ids=["identity", "scaled", "cylinder", "sheared"],
+    )
+    def test_edge_term_is_conormal_flux(self, pmap):
+        """(J0 p_p) . n_param, the integrand of the homogenized edge term, is the
+        physical flux (P . conormal) * line Jacobian of P = p1 t1 + p2 t2."""
+
+        def p_field(x):
+            x = np.asarray(x, float)
+            return np.stack([1.0 + 0.3 * x[..., 0], -0.7 + 0.2 * x[..., 1]], axis=-1)
+
+        fields = prescribed_fields(pmap, p_p=p_field)
+        s = np.linspace(0.05, 0.95, 11)
+        for edge in UNIT.edges():
+            x = edge.points(s)
+            lhs = fields.pol_planar_weighted(x) @ np.asarray(edge.normal, float)
+            bf = boundary_frame(pmap, edge, s)
+            p = p_field(x)
+            P = p[:, :1] * bf.tangent1 + p[:, 1:] * bf.tangent2
+            rhs = np.sum(P * bf.conormal, axis=-1) * bf.line_jacobian
+            np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-14)
 
 
 class TestSurfaceDivergence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, corner_map, tessellate
+from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, cell_index, corner_map, tessellate
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -48,8 +48,9 @@ class TestTessellate:
         assert t.total_area() == pytest.approx(UNIT.area, rel=1e-10)
 
     def test_partial_cells_meet_complement(self):
-        for cell in tessellate(UNIT, 0.3, SQUARE).partial_cells:
-            uncut = cell.corner + 0.3 * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+        t = tessellate(UNIT, 0.3, SQUARE)
+        for corner in t.corners[t.n_full :]:
+            uncut = corner + 0.3 * np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
             assert not np.all(UNIT.contains(uncut, tol=1e-12))
 
     def test_refinement_quadruples_full_cells(self):
@@ -106,6 +107,13 @@ class TestCornerMap:
             assert np.all(rel < 1.0 + 1e-9)
 
 
+def listed_rows(t, pts):
+    """Row of the tessellation listing each point's cell; exactly one must match."""
+    match = np.all(cell_index(pts, t.l, t.choice)[:, None, :] == t.indices[None, :, :], axis=-1)
+    assert np.all(np.count_nonzero(match, axis=1) == 1)
+    return np.argmax(match, axis=1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     l=st.floats(0.05, 0.9),
@@ -120,11 +128,8 @@ def test_partition_property(l, fx, fy):
         t = tessellate(UNIT, l, choice)
     rng = np.random.default_rng(42)
     pts = UNIT.sample(200, rng)
-    for p in pts:
-        cell = t.locate(p)
-        assert cell is not None
-        rel = np.linalg.inv(choice.basis) @ (p - cell.corner) / l
-        assert np.all(rel >= -1e-9) and np.all(rel < 1 + 1e-9)
+    rel = (pts - t.corners[listed_rows(t, pts)]) @ np.linalg.inv(choice.basis).T / l
+    assert np.all(rel >= -1e-9) and np.all(rel < 1 + 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,12 +147,8 @@ def test_partition_ten_thousand_points():
     pts = UNIT.sample(10_000, rng)
     for choice, l in [(SQUARE, 0.3), (HALF_SHIFT, 0.25)]:
         t = tessellate(UNIT, l, choice)
-        Binv = np.linalg.inv(choice.basis)
-        for p in pts:
-            cell = t.locate(p)
-            assert cell is not None
-            rel = Binv @ (p - cell.corner) / l
-            assert np.all(rel >= -1e-9) and np.all(rel < 1 + 1e-9)
+        rel = (pts - t.corners[listed_rows(t, pts)]) @ np.linalg.inv(choice.basis).T / l
+        assert np.all(rel >= -1e-9) and np.all(rel < 1 + 1e-9)
 
 
 def test_gauge_pair_same_coverage():
@@ -162,7 +163,7 @@ class TestBoundarySpans:
         edge = {e.name: e for e in UNIT.edges()}["right"]
         spans = t.boundary_spans(edge)
         assert [s[:2] for s in spans] == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
-        assert all(c.is_full for _, _, c in spans)
+        assert all(row < t.n_full for _, _, row in spans)
 
     def test_shifted_edges_covered_fully(self):
         t = tessellate(UNIT, 0.25, HALF_SHIFT)

@@ -11,13 +11,11 @@ from filmhomog import (
     Rectangle,
     Regime,
     UnitCellChoice,
-    cell_free_charge,
-    cell_polarization,
     moment_fields,
     moment_table,
     moments_to_csv,
-    partial_cell_sigma,
     realize,
+    surface_frame,
     tessellate,
 )
 
@@ -35,9 +33,15 @@ def tess():
     return tessellate(UNIT, 0.25, SQUARE)
 
 
+def row_of(table, index):
+    """Row of a moment table holding the cell with this lattice index."""
+    (row,) = np.flatnonzero(np.all(table.indices == index, axis=1))
+    return row
+
+
 class TestCellFreeCharge:
     def test_neutral(self, tess):
-        q = cell_free_charge(tess.full_cells[0], PLANAR_DIPOLE, IDENT, (1, 0), 0.25, 1 / 64)
+        q = moment_table(tess, PLANAR_DIPOLE, IDENT, l=0.25, h=1 / 64).q[0]
         assert q == 0.0
 
     def test_matched_order_cancels_scale(self, tess):
@@ -48,91 +52,65 @@ class TestCellFreeCharge:
         )
         for l in (0.25, 0.125):
             t = tessellate(UNIT, l, SQUARE)
-            q = cell_free_charge(t.full_cells[0], motif, IDENT, (1, 0), l, l**2)
+            q = moment_table(t, motif, IDENT, l=l, h=l**2).q[0]
             assert q == pytest.approx(3.0, rel=1e-12)
-
-    def test_mismatched_order_diverges(self):
-        # imbalance of order (1,0) read with order (0,1) and h = l^2 scales like 1/l
-        motif = Motif(
-            points=PLANAR_DIPOLE.points,
-            free_points=(MotifPoint(1.0, (0.5, 0.5), 0.0),),
-            free_charge_order=(1, 0),
-        )
-        vals = []
-        for l in (0.25, 0.125):
-            t = tessellate(UNIT, l, SQUARE)
-            vals.append(cell_free_charge(t.full_cells[0], motif, IDENT, (0, 1), l, l**2))
-        assert vals[0] == pytest.approx(1.0 / 0.25, rel=1e-12)
-        assert vals[1] == pytest.approx(2 * vals[0], rel=1e-12)
-
-    def test_requires_full_cell(self):
-        t = tessellate(UNIT, 0.3, SQUARE)
-        with pytest.raises(ValueError):
-            cell_free_charge(t.partial_cells[0], PLANAR_DIPOLE, IDENT, (1, 0), 0.3, 0.3)
 
 
 class TestCellPolarization:
     def test_planar_dipole(self, tess):
-        p_p, p3 = cell_polarization(tess.full_cells[0], PLANAR_DIPOLE, IDENT, SQUARE)
-        np.testing.assert_allclose(p_p, [0.5, 0.0], atol=1e-15)
-        assert p3 == 0.0
+        table = moment_table(tess, PLANAR_DIPOLE, IDENT)
+        np.testing.assert_allclose(table.p_p[0], [0.5, 0.0], atol=1e-15)
+        assert table.p3[0] == 0.0
 
     def test_vertical_dipole(self, tess):
-        p_p, p3 = cell_polarization(tess.full_cells[0], VERTICAL_DIPOLE, IDENT, SQUARE)
-        np.testing.assert_allclose(p_p, [0.0, 0.0], atol=1e-15)
-        assert p3 == pytest.approx(1.0)
+        table = moment_table(tess, VERTICAL_DIPOLE, IDENT)
+        np.testing.assert_allclose(table.p_p[0], [0.0, 0.0], atol=1e-15)
+        assert table.p3[0] == pytest.approx(1.0)
 
     def test_cylinder_isometric(self, tess):
         cyl = ParametricMap.cylinder(UNIT, 2.0)
-        p_p, p3 = cell_polarization(tess.full_cells[0], PLANAR_DIPOLE, cyl, SQUARE)
-        np.testing.assert_allclose(p_p, [0.5, 0.0], atol=1e-12)
-        assert p3 == pytest.approx(0.0, abs=1e-15)
+        table = moment_table(tess, PLANAR_DIPOLE, cyl)
+        np.testing.assert_allclose(table.p_p[0], [0.5, 0.0], atol=1e-12)
+        assert table.p3[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_regime_independence(self, tess):
         """Moments are taken of the reference charge; the regime never enters."""
-        cell = tess.full_cells[3]
-        base = cell_polarization(cell, PLANAR_DIPOLE, IDENT, SQUARE)
+        base = moment_table(tess, PLANAR_DIPOLE, IDENT)
         for regime in (Regime("R1"), Regime("R2", alpha=2.0), Regime("R3")):
             d = realize(PLANAR_DIPOLE, tess, IDENT, 0.25, 0.5 if regime.kind == "R2" else 0.0625, regime)
-            again = cell_polarization(cell, PLANAR_DIPOLE, IDENT, SQUARE)
-            np.testing.assert_array_equal(base[0], again[0])
-            assert base[1] == again[1]
+            again = moment_table(tess, PLANAR_DIPOLE, IDENT)
+            np.testing.assert_array_equal(base.p_p[3], again.p_p[3])
+            assert base.p3[3] == again.p3[3]
 
     def test_linearity_in_weights(self, tess):
         rng = np.random.default_rng(2)
-        cell = tess.full_cells[0]
         pts = [(rng.uniform(-1, 1), tuple(rng.uniform(0.1, 0.9, 2)), rng.uniform(-0.9, 0.9)) for _ in range(4)]
         m1 = Motif(points=tuple(MotifPoint(w, y, z) for w, y, z in pts))
         m2 = Motif(points=tuple(MotifPoint(2 * w, y, z) for w, y, z in pts))
-        p1, p31 = cell_polarization(cell, m1, IDENT, SQUARE)
-        p2, p32 = cell_polarization(cell, m2, IDENT, SQUARE)
-        np.testing.assert_allclose(2 * p1, p2, atol=1e-14)
-        assert 2 * p31 == pytest.approx(p32, abs=1e-14)
+        t1 = moment_table(tess, m1, IDENT)
+        t2 = moment_table(tess, m2, IDENT)
+        np.testing.assert_allclose(2 * t1.p_p[0], t2.p_p[0], atol=1e-14)
+        assert 2 * t1.p3[0] == pytest.approx(t2.p3[0], abs=1e-14)
 
 
 class TestPartialCellSigma:
     def test_plus_point_survives(self):
         # half-shifted grid: left-edge clips keep only the plus point at (0.75, 0.5)
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        cell = t._by_index[(-1, 1)]
-        assert partial_cell_sigma(cell, PLANAR_DIPOLE, t, IDENT) == pytest.approx(1.0)
+        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT)
+        assert table.sigma[row_of(table, (-1, 1))] == pytest.approx(1.0)
 
     def test_neutral_clip(self):
         # top-edge clips keep both points
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        cell = t._by_index[(1, 3)]
-        assert partial_cell_sigma(cell, PLANAR_DIPOLE, t, IDENT) == pytest.approx(0.0)
+        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT)
+        assert table.sigma[row_of(table, (1, 3))] == pytest.approx(0.0)
 
     def test_jacobian_division(self):
         stretched = ParametricMap.scaled(Rectangle((0.0, 0.0), (1.0, 1.0)), (2.0, 1.0, 1.0))
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        cell = t._by_index[(3, 1)]  # right-edge clip keeps only the minus point
-        assert partial_cell_sigma(cell, PLANAR_DIPOLE, t, IDENT) == pytest.approx(-1.0)
-        assert partial_cell_sigma(cell, PLANAR_DIPOLE, t, stretched) == pytest.approx(-0.5)
-
-    def test_requires_partial_cell(self, tess):
-        with pytest.raises(ValueError):
-            partial_cell_sigma(tess.full_cells[0], PLANAR_DIPOLE, tessellate(UNIT, 0.25, SQUARE), IDENT)
+        flat = moment_table(t, PLANAR_DIPOLE, IDENT)
+        row = row_of(flat, (3, 1))  # right-edge clip keeps only the minus point
+        assert flat.sigma[row] == pytest.approx(-1.0)
+        assert moment_table(t, PLANAR_DIPOLE, stretched).sigma[row] == pytest.approx(-0.5)
 
 
 class TestMomentFields:
@@ -192,7 +170,7 @@ class TestMomentTable:
     def test_table_and_csv(self, tess):
         rows = moment_table(tess, PLANAR_DIPOLE, IDENT, l=0.25, h=0.25)
         assert len(rows) == 16
-        assert all(r.sigma is None for r in rows)
+        assert np.all(np.isnan(rows.sigma))
         buf = io.StringIO()
         moments_to_csv(rows, buf, comment="scenario=test")
         lines = buf.getvalue().splitlines()
@@ -200,10 +178,43 @@ class TestMomentTable:
         assert lines[1].startswith("index1,index2,corner_x1")
         assert len(lines) == 2 + 16
 
+    def test_matches_per_cell_loop(self):
+        """Columns equal a scalar loop over cells to 4 ulp of each column's largest value."""
+        mod = Modulation(kind="sinusoid", value=1.3, coef=(2.1, -1.7), phase=0.4)
+        motif = Motif(
+            points=(MotifPoint(1.0, (0.7, 0.2), 0.3, mod), MotifPoint(-1.0, (0.2, 0.6), -0.4, mod)),
+            free_points=(MotifPoint(0.7, (0.45, 0.55), 0.1, mod),),
+            free_charge_order=(1, 1),
+        )
+        cyl = ParametricMap.cylinder(UNIT, 2.0)
+        l, h = 0.17, 0.05
+        t = tessellate(UNIT, l, HALF_SHIFT)
+        table = moment_table(t, motif, cyl, l=l, h=h)
+        entries = [(p, 1.0) for p in motif.points] + [(p, l * h) for p in motif.free_points]
+        expected = {name: np.full(len(t.corners), np.nan) for name in ("q", "p1", "p2", "p3", "sigma")}
+        for k, corner in enumerate(t.corners):
+            j0 = float(surface_frame(cyl, corner).j0)
+            charge, p_p, p3 = 0.0, np.zeros(2), 0.0
+            for pt, scale in entries:
+                y = HALF_SHIFT.basis @ np.asarray(pt.y)
+                if k < t.n_full or UNIT.contains(corner + l * y, tol=1e-12):
+                    w = scale * float(pt.weight_at(corner))
+                    charge, p_p, p3 = charge + w, p_p + w * y, p3 + w * pt.z
+            if k < t.n_full:
+                expected["q"][k] = charge / (l * h * j0)
+                expected["p1"][k], expected["p2"][k] = p_p / j0
+                expected["p3"][k] = p3 / j0
+            else:
+                expected["sigma"][k] = charge / j0
+        got = {"q": table.q, "p1": table.p_p[:, 0], "p2": table.p_p[:, 1], "p3": table.p3, "sigma": table.sigma}
+        for name, col in expected.items():
+            atol = 4 * np.spacing(np.nanmax(np.abs(col)))
+            np.testing.assert_allclose(got[name], col, rtol=0.0, atol=atol, err_msg=name)
+
     def test_partial_rows(self):
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
         rows = moment_table(t, PLANAR_DIPOLE, IDENT)
-        partial = [r for r in rows if not r.is_full]
-        assert len(partial) == 16
-        assert all(r.q is None and r.p_p is None for r in partial)
-        assert all(r.sigma is not None for r in partial)
+        partial = ~rows.is_full
+        assert np.count_nonzero(partial) == 16
+        assert np.all(np.isnan(rows.q[partial])) and np.all(np.isnan(rows.p_p[partial]))
+        assert not np.any(np.isnan(rows.sigma[partial]))
