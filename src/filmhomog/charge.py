@@ -90,12 +90,6 @@ class Modulation:
         off = float(np.dot(self.coef, delta))
         return replace(self, phase=self.phase + off)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant" or (
-            self.coef[0] == 0.0 and self.coef[1] == 0.0 and self.kind == "linear"
-        )
-
 
 # ---------------------------------------------------------------------------
 # motifs
@@ -132,15 +126,10 @@ class Motif:
         if not self.points and not self.free_points:
             raise ValueError("motif has no points")
 
-    def validate_interior(self, strict: bool = True) -> None:
-        """Check every point lies in the (strictly interior) reference cell."""
-        lo, hi = (0.0, 1.0)
+    def validate_interior(self) -> None:
+        """Check every point lies strictly inside the reference cell."""
         for pt in self.points + self.free_points:
-            inside = (
-                (lo < pt.y[0] < hi and lo < pt.y[1] < hi)
-                if strict
-                else (lo <= pt.y[0] < hi and lo <= pt.y[1] < hi)
-            )
+            inside = 0.0 < pt.y[0] < 1.0 and 0.0 < pt.y[1] < 1.0
             if not inside or not (-1.0 < pt.z < 1.0):
                 raise ValueError(f"motif point outside reference cell: {pt}")
 

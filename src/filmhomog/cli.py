@@ -73,7 +73,7 @@ def _write_summary(cfg: ScenarioConfig, out_dir: Path, payload: dict) -> None:
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _convergence(cfg: ScenarioConfig, threads: int) -> ConvergenceReport:
+def _convergence(cfg: ScenarioConfig) -> ConvergenceReport:
     cfg.pmap.check_valid()
     return run_convergence(
         cfg.motif,
@@ -85,12 +85,11 @@ def _convergence(cfg: ScenarioConfig, threads: int) -> ConvergenceReport:
         tol=cfg.tol,
         max_depth=cfg.max_depth,
         order_threshold=cfg.thresholds.order_min,
-        threads=threads,
     )
 
 
-def _cmd_potential(cfg: ScenarioConfig, out_dir: Path, threads: int) -> int:
-    report = _convergence(cfg, threads)
+def _cmd_potential(cfg: ScenarioConfig, out_dir: Path) -> int:
+    report = _convergence(cfg)
     scale = _green_scale(cfg)
     samples = [_scaled(s, scale) for s in report.micro + [report.homogenized]]
     with open(out_dir / "potential.csv", "w") as fh:
@@ -113,8 +112,8 @@ def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool, threads: int) -> int:
-    report = _convergence(cfg, threads)
+def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
+    report = _convergence(cfg)
     with open(out_dir / "convergence.csv", "w") as fh:
         report.to_csv(fh, comment=_comment(cfg))
     _write_summary(cfg, out_dir, report.summary())
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--threads", type=int, default=1, help="cap on concurrent workers")
         p.add_argument("--tolerance", type=float, default=None, help="override quadrature tolerance")
         p.add_argument("--green-4pi", action="store_true", help="report potentials in the 1/(4 pi r) convention")
         if name in ("converge", "gauge"):
@@ -209,13 +207,12 @@ def main(argv=None) -> int:
             cfg.tol = check_tol(args.tolerance)
         out_dir = Path(args.out) if args.out else cfg.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = max(1, args.threads)
         if args.command == "potential":
-            return _cmd_potential(cfg, out_dir, threads)
+            return _cmd_potential(cfg, out_dir)
         if args.command == "moments":
             return _cmd_moments(cfg, out_dir)
         if args.command == "converge":
-            return _cmd_converge(cfg, out_dir, args.assert_, threads)
+            return _cmd_converge(cfg, out_dir, args.assert_)
         if args.command == "gauge":
             return _cmd_gauge(cfg, out_dir, args.assert_)
     except _NUMERICAL_ERRORS as exc:

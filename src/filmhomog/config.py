@@ -180,7 +180,7 @@ def build_config(raw: dict) -> ScenarioConfig:
             free_points=_build_points(spec.get("free_points", [])),
             free_charge_order=tuple(int(v) for v in spec.get("free_charge_order", (1, 0))),
         )
-        motif.validate_interior(strict=True)
+        motif.validate_interior()
         return motif
 
     motif = attempt("motif", build_motif)

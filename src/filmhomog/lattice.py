@@ -53,10 +53,21 @@ class UnitCellChoice:
     def cell_area(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
+    def planar(self, c, l: float) -> np.ndarray:
+        """Planar offset l * B @ c of basis coordinates c, shape (2,) or (N, 2).
+
+        Computed elementwise as c1 * (l e1) + c2 * (l e2): a matrix product
+        goes to BLAS, whose fused multiply-adds round differently from build
+        to build.
+        """
+        c = np.asarray(c, float)
+        lb = l * self.basis
+        return c[..., :1] * lb[:, 0] + c[..., 1:] * lb[:, 1]
+
     def corner(self, index, l: float) -> np.ndarray:
         """Corner of the cell with integer index (2,), or of each row of (N, 2)."""
         m = np.asarray(index, float)
-        return np.asarray(self.origin, float) + (m + np.asarray(self.f, float)) @ (l * self.basis).T
+        return np.asarray(self.origin, float) + self.planar(m + np.asarray(self.f, float), l)
 
     def basis_coords(self, x_p: np.ndarray, l: float) -> np.ndarray:
         """Continuous cell coordinates: integer parts index the cell lattice."""
@@ -71,11 +82,7 @@ class UnitCellChoice:
 
 def corner_map(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
     """Corner of the (half-open) cell containing each point; shape follows input."""
-    c = choice.basis_coords(x_p, l)
-    m = np.floor(c)
-    f = np.asarray(choice.f, float)
-    corner = np.asarray(choice.origin, float) + l * (m + f) @ choice.basis.T
-    return corner
+    return choice.corner(np.floor(choice.basis_coords(x_p, l)), l)
 
 
 def cell_index(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
@@ -130,7 +137,7 @@ class Tessellation:
         ``y`` is in basis coordinates.  Full cells keep every point; partial
         cells keep the points lying in the closed domain (1e-12 slack).
         """
-        planar = self.corners + self.l * (self.choice.basis @ np.asarray(y, float))
+        planar = self.corners + self.choice.planar(y, self.l)
         kept = np.ones(len(planar), bool)
         kept[self.n_full :] = self.domain.contains(planar[self.n_full :], tol=self._tol)
         return planar, kept

@@ -231,7 +231,6 @@ def prescribed_fields(
     p_p: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     p3: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     sigma_segments: Optional[dict] = None,
-    div_step: Optional[float] = None,
 ) -> MomentFields:
     """Moment fields from raw callables instead of a motif and tessellation.
 
@@ -260,7 +259,7 @@ def prescribed_fields(
     def div_pol_planar_weighted(x_p):
         if p_p is None:
             return zero_scalar(x_p)
-        return surface_divergence_term(pmap, p_p, x_p, step=div_step) * _j0_at(pmap, x_p)
+        return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
 
     edge_names = [e.name for e in pmap.domain.edges()]
     segments = sigma_segments if sigma_segments is not None else {name: [] for name in edge_names}

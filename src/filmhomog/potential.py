@@ -27,6 +27,8 @@ charge enters as per-segment constants from the tessellation data.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +43,7 @@ from .quadrature import adaptive_rectangle, adaptive_segment
 _SINGULAR_DIST = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DEPTH = 12
+_STANDOFF_SAMPLES = 201  # surface samples per parameter axis for the standoff estimate
 
 
 def green(r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
@@ -67,10 +70,10 @@ class ObservationGrid:
     standoff: float
 
     @classmethod
-    def from_points(cls, points: np.ndarray, pmap: ParametricMap, n_dense: int = 201) -> "ObservationGrid":
+    def from_points(cls, points: np.ndarray, pmap: ParametricMap) -> "ObservationGrid":
         """Wrap explicit points; standoff measured against a dense surface sample."""
         points = np.atleast_2d(np.asarray(points, float))
-        d = cls._min_distance(points, pmap, n_dense)
+        d = cls._min_distance(points, pmap)
         if d <= 0.0 or not math.isfinite(d):
             raise StandoffViolation(
                 f"observation grid touches the film (standoff {d:.3e}; must be positive)"
@@ -78,9 +81,7 @@ class ObservationGrid:
         return cls(points=points, standoff=d)
 
     @classmethod
-    def offset_surface(
-        cls, pmap: ParametricMap, n1: int, n2: int, distance: float, n_dense: int = 201
-    ) -> "ObservationGrid":
+    def offset_surface(cls, pmap: ParametricMap, n1: int, n2: int, distance: float) -> "ObservationGrid":
         """n1 x n2 grid pushed off the mid-surface along its normal."""
         dom = pmap.domain
         u = np.linspace(dom.lo[0], dom.hi[0], n1)
@@ -89,30 +90,22 @@ class ObservationGrid:
         x_p = np.stack([U.ravel(), V.ravel()], axis=-1)
         fr = surface_frame(pmap, x_p)
         pts = fr.point + distance * fr.normal
-        return cls.from_points(pts, pmap, n_dense)
+        return cls.from_points(pts, pmap)
 
     @classmethod
-    def plane(
-        cls,
-        pmap: ParametricMap,
-        n1: int,
-        n2: int,
-        extent: Rectangle,
-        height: float,
-        n_dense: int = 201,
-    ) -> "ObservationGrid":
+    def plane(cls, pmap: ParametricMap, n1: int, n2: int, extent: Rectangle, height: float) -> "ObservationGrid":
         """n1 x n2 grid on the physical plane z = height over the given extent."""
         u = np.linspace(extent.lo[0], extent.hi[0], n1)
         v = np.linspace(extent.lo[1], extent.hi[1], n2)
         U, V = np.meshgrid(u, v, indexing="ij")
         pts = np.stack([U.ravel(), V.ravel(), np.full(U.size, float(height))], axis=-1)
-        return cls.from_points(pts, pmap, n_dense)
+        return cls.from_points(pts, pmap)
 
     @staticmethod
-    def _min_distance(points: np.ndarray, pmap: ParametricMap, n_dense: int) -> float:
+    def _min_distance(points: np.ndarray, pmap: ParametricMap) -> float:
         dom = pmap.domain
-        u = np.linspace(dom.lo[0], dom.hi[0], n_dense)
-        v = np.linspace(dom.lo[1], dom.hi[1], n_dense)
+        u = np.linspace(dom.lo[0], dom.hi[0], _STANDOFF_SAMPLES)
+        v = np.linspace(dom.lo[1], dom.hi[1], _STANDOFF_SAMPLES)
         U, V = np.meshgrid(u, v, indexing="ij")
         surf = pmap.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1))
         d_min = math.inf
@@ -144,20 +137,36 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
+def point_potential(dist: ScaledChargeDistribution, point: np.ndarray) -> float:
+    """Exactly rounded Green's sum of all realized charges at one point (math.fsum)."""
+    d = np.sqrt(np.sum((dist.positions - point) ** 2, axis=-1))
+    if d.size and d.min() < _SINGULAR_DIST:
+        raise SingularEvaluation("observation point coincides with a charge")
+    return math.fsum((dist.magnitudes / d).tolist()) if d.size else 0.0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def direct_potential(
     dist: ScaledChargeDistribution,
     grid: ObservationGrid,
     standoff_factor: float = 10.0,
-    threads: int = 1,
 ) -> FieldSample:
     """Exact Green's sum of all realized charges at every observation point.
 
-    Per-point accumulation uses math.fsum, so values are exactly rounded and
-    independent of enumeration order; with ``threads`` > 1 observation points
-    are evaluated concurrently, which cannot change the result (each point is
-    reduced independently and written by index).  ``standoff_factor`` guards
-    the asymptotic regime (standoff >= factor * max(l, h)); convergence
-    studies pass 0 to evaluate coarse steps on purpose.
+    Each point is reduced independently by :func:`point_potential`, so values
+    are exactly rounded and independent of enumeration order.  Points are
+    evaluated on a thread pool with one worker per usable CPU (at most one
+    per point); each result is written by index, so the worker count cannot
+    change the values.  ``standoff_factor`` guards the asymptotic regime
+    (standoff >= factor * max(l, h)); convergence studies pass 0 to evaluate
+    coarse steps on purpose.
     """
     limit = standoff_factor * max(dist.l, dist.h)
     if grid.standoff < limit:
@@ -165,19 +174,10 @@ def direct_potential(
             f"grid standoff {grid.standoff:.4g} < {standoff_factor:g} * max(l, h) = {limit:.4g}"
         )
 
-    def at_point(p):
-        d = np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))
-        if d.size and d.min() < _SINGULAR_DIST:
-            raise SingularEvaluation("observation point coincides with a charge")
-        return math.fsum((dist.magnitudes / d).tolist()) if d.size else 0.0
-
-    if threads > 1 and grid.n_points > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(pool.map(at_point, grid.points), dtype=float, count=grid.n_points)
-    else:
-        values = np.fromiter((at_point(p) for p in grid.points), dtype=float, count=grid.n_points)
+    workers = max(1, min(_usable_cpus(), grid.n_points))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        sums = pool.map(lambda p: point_potential(dist, p), grid.points)
+        values = np.fromiter(sums, dtype=float, count=grid.n_points)
     tag = f"microscopic(l={dist.l:g} h={dist.h:g} {dist.regime.label()})"
     return FieldSample(grid=grid, values=values, provenance=tag)
 

@@ -10,42 +10,34 @@ and bitwise reproducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
 
-GAUSS_ORDER = 8
+# 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _panel_2d(f, lo, hi, order):
+def _panel_2d(f, lo, hi):
     """Tensor Gauss estimate of a vector integrand over [lo, hi]."""
-    x, w = _gauss_rule(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    n1 = mid[0] + half[0] * x
-    n2 = mid[1] + half[1] * x
+    n1 = mid[0] + half[0] * _NODES
+    n2 = mid[1] + half[1] * _NODES
     X1, X2 = np.meshgrid(n1, n2, indexing="ij")
     pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    W = np.outer(w, w).ravel() * (half[0] * half[1])
+    W = np.outer(_WEIGHTS, _WEIGHTS).ravel() * (half[0] * half[1])
     vals = np.asarray(f(pts))
     return np.tensordot(W, vals, axes=(0, 0))
 
 
-def _panel_1d(f, a, b, order):
-    x, w = _gauss_rule(order)
+def _panel_1d(f, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * x))
-    return half * np.tensordot(w, vals, axes=(0, 0))
+    vals = np.asarray(f(mid + half * _NODES))
+    return half * np.tensordot(_WEIGHTS, vals, axes=(0, 0))
 
 
 def adaptive_rectangle(
@@ -54,7 +46,6 @@ def adaptive_rectangle(
     hi,
     tol: float = 1e-9,
     max_depth: int = 12,
-    order: int = GAUSS_ORDER,
 ) -> np.ndarray:
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
@@ -74,14 +65,14 @@ def adaptive_rectangle(
         for j in range(n2):
             p_lo = lo + w * np.array([i / n1, j / n2])
             p_hi = lo + w * np.array([(i + 1) / n1, (j + 1) / n2])
-            part = _adapt_2d(f, p_lo, p_hi, tol / (n1 * n2), 0, max_depth, order)
+            part = _adapt_2d(f, p_lo, p_hi, tol / (n1 * n2), 0, max_depth)
             total = part if total is None else total + part
     return total
 
 
-def _adapt_2d(f, lo, hi, tol, depth, max_depth, order, coarse=None):
+def _adapt_2d(f, lo, hi, tol, depth, max_depth, coarse=None):
     if coarse is None:
-        coarse = _panel_2d(f, lo, hi, order)
+        coarse = _panel_2d(f, lo, hi)
     mid = 0.5 * (lo + hi)
     quads = [
         (lo, mid),
@@ -89,7 +80,7 @@ def _adapt_2d(f, lo, hi, tol, depth, max_depth, order, coarse=None):
         (np.array([lo[0], mid[1]]), np.array([mid[0], hi[1]])),
         (mid, hi),
     ]
-    fine_parts = [_panel_2d(f, a, b, order) for a, b in quads]
+    fine_parts = [_panel_2d(f, a, b) for a, b in quads]
     fine = sum(fine_parts)
     err = float(np.max(np.abs(fine - coarse)))
     if err <= tol:
@@ -102,7 +93,7 @@ def _adapt_2d(f, lo, hi, tol, depth, max_depth, order, coarse=None):
         )
     out = None
     for (a, b), part in zip(quads, fine_parts):
-        refined = _adapt_2d(f, a, b, tol / 4.0, depth + 1, max_depth, order, coarse=part)
+        refined = _adapt_2d(f, a, b, tol / 4.0, depth + 1, max_depth, coarse=part)
         out = refined if out is None else out + refined
     return out
 
@@ -113,17 +104,16 @@ def adaptive_segment(
     b: float,
     tol: float = 1e-9,
     max_depth: int = 12,
-    order: int = GAUSS_ORDER,
 ) -> np.ndarray:
     """Integrate a vector integrand over [a, b] to absolute tolerance."""
-    coarse = _panel_1d(f, a, b, order)
-    return _adapt_1d(f, a, b, coarse, tol, 0, max_depth, order)
+    coarse = _panel_1d(f, a, b)
+    return _adapt_1d(f, a, b, coarse, tol, 0, max_depth)
 
 
-def _adapt_1d(f, a, b, coarse, tol, depth, max_depth, order):
+def _adapt_1d(f, a, b, coarse, tol, depth, max_depth):
     mid = 0.5 * (a + b)
-    left = _panel_1d(f, a, mid, order)
-    right = _panel_1d(f, mid, b, order)
+    left = _panel_1d(f, a, mid)
+    right = _panel_1d(f, mid, b)
     fine = left + right
     err = float(np.max(np.abs(fine - coarse)))
     if err <= tol:
@@ -134,6 +124,6 @@ def _adapt_1d(f, a, b, coarse, tol, depth, max_depth, order):
             error_estimate=err,
             tolerance=tol,
         )
-    return _adapt_1d(f, a, mid, left, tol / 2.0, depth + 1, max_depth, order) + _adapt_1d(
-        f, mid, b, right, tol / 2.0, depth + 1, max_depth, order
+    return _adapt_1d(f, a, mid, left, tol / 2.0, depth + 1, max_depth) + _adapt_1d(
+        f, mid, b, right, tol / 2.0, depth + 1, max_depth
     )

@@ -27,10 +27,12 @@ from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
 from .lattice import UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
-from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential
+from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential, point_potential
 
 DEFAULT_ORDER_THRESHOLD = 0.9
-DECAY_RADII = (10.0, 20.0, 40.0)
+FIT_POINTS = 3  # schedule steps in the order fit, counted from the finest
+DECAY_RADII = (10.0, 20.0, 40.0)  # probe distances, in units of max(diam T, 1)
+DECAY_GROWTH_TOL = 1.5  # allowed growth of |Phi| r^2 over the first probe
 
 
 def make_schedule(
@@ -115,10 +117,10 @@ class ConvergenceReport:
         }
 
 
-def fit_order(ls: Sequence[float], errors: Sequence[float], n_fit: int = 3) -> float:
-    """Least-squares slope of log(error) vs log(l) over the last n_fit points."""
-    ls = np.asarray(ls, float)[-n_fit:]
-    errors = np.asarray(errors, float)[-n_fit:]
+def fit_order(ls: Sequence[float], errors: Sequence[float]) -> float:
+    """Least-squares slope of log(error) vs log(l) over the last FIT_POINTS points."""
+    ls = np.asarray(ls, float)[-FIT_POINTS:]
+    errors = np.asarray(errors, float)[-FIT_POINTS:]
     if len(ls) < 2 or np.any(errors <= 0.0):
         return math.nan
     logl = np.log(ls)
@@ -128,11 +130,7 @@ def fit_order(ls: Sequence[float], errors: Sequence[float], n_fit: int = 3) -> f
     return float(slope)
 
 
-def check_dipole_decay(
-    dist: ScaledChargeDistribution,
-    radii: Sequence[float] = DECAY_RADII,
-    growth_tol: float = 1.5,
-) -> bool:
+def check_dipole_decay(dist: ScaledChargeDistribution) -> bool:
     """|Phi| * r^2 stays bounded along a generic outgoing ray.
 
     A globally neutral distribution decays at least like a dipole, so the
@@ -147,14 +145,12 @@ def check_dipole_decay(
     direction = direction / np.linalg.norm(direction)
     scale = max(dom.diameter, 1.0)
     center = fr.point
-    vals = []
-    for rad in radii:
-        p = center + rad * scale * direction
-        d = np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))
-        phi = math.fsum((dist.magnitudes / d).tolist())
-        vals.append(abs(phi) * (rad * scale) ** 2)
+    vals = [
+        abs(point_potential(dist, center + rad * scale * direction)) * (rad * scale) ** 2
+        for rad in DECAY_RADII
+    ]
     floor = 1e-12 * float(np.sum(np.abs(dist.magnitudes))) + 1e-300
-    return all(v <= growth_tol * vals[0] + floor for v in vals[1:])
+    return all(v <= DECAY_GROWTH_TOL * vals[0] + floor for v in vals[1:])
 
 
 def run_convergence(
@@ -166,10 +162,7 @@ def run_convergence(
     grid: ObservationGrid,
     tol: float = 1e-9,
     max_depth: int = 12,
-    n_fit: int = 3,
     order_threshold: float = DEFAULT_ORDER_THRESHOLD,
-    standoff_factor: float = 0.0,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Compare the exact microscopic potentials along a schedule to the limit.
 
@@ -192,7 +185,8 @@ def run_convergence(
         dist = realize(motif, tess, pmap, l, h, regime)
         if i == 0:
             decay_ok = check_dipole_decay(dist)
-        sample = direct_potential(dist, grid, standoff_factor=standoff_factor, threads=threads)
+        # coarse steps sit inside the Taylor standoff on purpose (taylor_ok records it)
+        sample = direct_potential(dist, grid, standoff_factor=0.0)
         diff = sample.values - homog.values
         steps.append(
             ConvergenceStep(
@@ -205,7 +199,7 @@ def run_convergence(
         )
         micro_samples.append(sample)
 
-    p_hat = fit_order([s.l for s in steps], [s.err_max for s in steps], n_fit)
+    p_hat = fit_order([s.l for s in steps], [s.err_max for s in steps])
     return ConvergenceReport(
         regime=regime,
         steps=steps,
@@ -251,7 +245,7 @@ def rebin_motif(
                 for m2 in range(m_lo[1], m_hi[1] + 1):
                     corner_a = choice_a.corner((m1, m2), l)
                     for pt in pts:
-                        pos = corner_a + l * (choice_a.basis @ np.asarray(pt.y, float))
+                        pos = corner_a + choice_a.planar(pt.y, l)
                         if tuple(cell_index(pos, l, choice_b)) != b_index:
                             continue
                         y_new = choice_b.basis_coords(pos, l) - np.asarray(b_index, float)

@@ -186,8 +186,8 @@ class TestMotifValidation:
     def test_strict_interior(self):
         bad = Motif(points=(MotifPoint(1.0, (0.0, 0.5), 0.0),))
         with pytest.raises(ValueError):
-            bad.validate_interior(strict=True)
-        bad.validate_interior(strict=False)
+            bad.validate_interior()
+        PLANAR_DIPOLE.validate_interior()
 
     def test_neutrality_probe(self):
         rng = np.random.default_rng(0)

@@ -193,6 +193,11 @@ class TestExitCodes:
         assert main(["converge", "--config", r2_config, "--tolerance", tol]) == 2
         assert "tol must be finite and positive" in capsys.readouterr().err
 
+    def test_threads_flag_is_unknown_exit_2(self, r2_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", r2_config, "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_gauge_without_cell_b_exit_2(self, tmp_path, r2_config):
         assert main(["gauge", "--config", r2_config]) == 2
 

@@ -275,15 +275,6 @@ class TestSurfaceDivergence:
         val = surface_divergence_term(cylinder, field, np.array([0.5, 0.5]))
         assert val == pytest.approx(0.0, abs=1e-6)  # J0 constant on the isometric cylinder
 
-    def test_analytic_path(self, identity):
-        div = surface_divergence_term(
-            identity,
-            lambda x: np.zeros(np.asarray(x).shape[:-1] + (2,)),
-            np.array([0.5, 0.5]),
-            div_j0p=lambda x: np.full(np.asarray(x).shape[:-1], 2.5),
-        )
-        assert div == pytest.approx(2.5)
-
 
 class TestValidation:
     def test_identity_check_valid(self, identity):

@@ -81,6 +81,24 @@ class TestTessellate:
 
 
 class TestCornerMap:
+    def test_oblique_corners_match_plain_formula_bitwise(self):
+        """corner, corner_map and place compute O + (c1 * l B[:, 0] + c2 * l B[:, 1]) exactly."""
+        l = 0.13
+        choice = UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.6))
+        t = tessellate(UNIT, l, choice)
+        lb = [[l * choice.e1[0], l * choice.e2[0]], [l * choice.e1[1], l * choice.e2[1]]]
+
+        def plain(c0, c1, base):
+            return [base[i] + (c0 * lb[i][0] + c1 * lb[i][1]) for i in range(2)]
+
+        f0, f1 = choice.f
+        expected = [plain(m0 + f0, m1 + f1, choice.origin) for m0, m1 in t.indices.tolist()]
+        np.testing.assert_array_equal(t.corners, expected)
+        np.testing.assert_array_equal(choice.corner(t.indices, l), expected)
+        planar, _ = t.place((0.3, 0.7))
+        np.testing.assert_array_equal(planar, [plain(0.3, 0.7, c) for c in expected])
+        np.testing.assert_array_equal(corner_map(planar, l, choice), expected)
+
     def test_plain(self):
         np.testing.assert_allclose(corner_map(np.array([0.26, 0.01]), 0.25, SQUARE), [0.25, 0.0])
 

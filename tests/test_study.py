@@ -12,11 +12,14 @@ from filmhomog import (
     Rectangle,
     Regime,
     UnitCellChoice,
+    check_dipole_decay,
     fit_order,
     make_schedule,
+    realize,
     rebin_motif,
     run_convergence,
     run_gauge,
+    tessellate,
 )
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -58,7 +61,20 @@ class TestFitOrder:
     def test_uses_last_points_only(self):
         ls = [0.5, 0.25, 0.125, 0.0625]
         errs = [10.0] + [0.3 * l for l in ls[1:]]  # pre-asymptotic junk first
-        assert fit_order(ls, errs, n_fit=3) == pytest.approx(1.0, abs=1e-12)
+        assert fit_order(ls, errs) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDipoleDecay:
+    def test_neutral_dipole_decays(self):
+        regime = Regime("R2", alpha=1.0)
+        dist = realize(PLANAR_DIPOLE, tessellate(UNIT, 0.25, SQUARE), IDENT, 0.25, 0.25, regime)
+        assert check_dipole_decay(dist) is True
+
+    def test_monopole_fails(self):
+        monopole = Motif(points=(MotifPoint(1.0, (0.5, 0.5), 0.0),))
+        regime = Regime("R2", alpha=1.0)
+        dist = realize(monopole, tessellate(UNIT, 0.25, SQUARE), IDENT, 0.25, 0.25, regime)
+        assert check_dipole_decay(dist) is False
 
 
 class TestConvergence:
