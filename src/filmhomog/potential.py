@@ -107,12 +107,19 @@ class ObservationGrid:
         u = np.linspace(dom.lo[0], dom.hi[0], _STANDOFF_SAMPLES)
         v = np.linspace(dom.lo[1], dom.hi[1], _STANDOFF_SAMPLES)
         U, V = np.meshgrid(u, v, indexing="ij")
-        surf = pmap.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1))
-        d_min = math.inf
-        for p in points:
-            d = np.sqrt(np.sum((surf - p) ** 2, axis=-1)).min()
-            d_min = min(d_min, float(d))
-        return d_min
+        sx, sy, sz = pmap.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1)).T.copy()
+
+        def nearest(x, y, z):
+            """Least squared distance from (x, y, z) to the surface sample."""
+            d2 = (sx - x) ** 2
+            d2 += (sy - y) ** 2
+            d2 += (sz - z) ** 2
+            return d2.min()
+
+        # sqrt is monotone and correctly rounded: the root of the least squared
+        # distance is the least distance.  np.min keeps a NaN point's NaN, which
+        # from_points then rejects.
+        return math.sqrt(np.min([nearest(*p) for p in points]))
 
     @property
     def n_points(self) -> int:
@@ -187,15 +194,21 @@ def direct_potential(
 # ---------------------------------------------------------------------------
 
 
+def _distances(points: np.ndarray, obs: np.ndarray):
+    """Per-component differences obs - points, each (N, M), and the distances |obs - points|."""
+    dx, dy, dz = (obs[None, :, k] - points[:, k, None] for k in range(3))
+    return (dx, dy, dz), np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def _kernel_parts(pmap: ParametricMap, x_p: np.ndarray, obs: np.ndarray, need_normal: bool):
     """G and (optionally) dG/dnu' between surface points x_p and grid points."""
     fr = surface_frame(pmap, x_p)
-    diff = obs[None, :, :] - fr.point[:, None, :]  # (N, M, 3)
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    (dx, dy, dz), d = _distances(fr.point, obs)
     G = 1.0 / d
     if not need_normal:
         return G, None, fr
-    dot = np.sum(diff * fr.normal[:, None, :], axis=-1)
+    nu = fr.normal
+    dot = dx * nu[:, 0, None] + dy * nu[:, 1, None] + dz * nu[:, 2, None]
     return G, dot / d**3, fr
 
 
@@ -317,11 +330,8 @@ def finite_t_double_layer(
     def integrand(x_p):
         fr = surface_frame(pmap, x_p)
         sig = sigma_field(x_p) * np.asarray(fr.j0)
-        diff0 = obs[None, :, :] - fr.point[:, None, :]
-        d0 = np.sqrt(np.sum(diff0 * diff0, axis=-1))
-        shifted = fr.point - t * fr.normal
-        diff1 = obs[None, :, :] - shifted[:, None, :]
-        d1 = np.sqrt(np.sum(diff1 * diff1, axis=-1))
+        _, d0 = _distances(fr.point, obs)
+        _, d1 = _distances(fr.point - t * fr.normal, obs)
         return (1.0 / d0 - 1.0 / d1) * (sig[:, None] / t)
 
     dom = pmap.domain

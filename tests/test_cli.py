@@ -217,6 +217,20 @@ class TestExitCodes:
         assert main(["converge", "--config", cfg]) == 2
         assert f"config violation: {section}:" in capsys.readouterr().err
 
+    def test_nan_observation_point_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "motif": {"points": DIPOLE_POINTS},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": [0.25]},
+                "grid": {"kind": "points", "points": [[0.5, 0.5, 1.0], [math.nan, 0.5, 1.0]]},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["converge", "--config", cfg]) == 2
+        assert "config violation: grid:" in capsys.readouterr().err
+
 
 class TestGaugeUsageErrors:
     def test_r3_gauge_exit_2(self, tmp_path):

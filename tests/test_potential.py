@@ -29,7 +29,9 @@ from filmhomog import (
     realize,
     tessellate,
 )
+from filmhomog.geometry import surface_frame
 from filmhomog.moments import SigmaSegment, prescribed_fields
+from filmhomog.potential import _kernel_parts
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -103,6 +105,13 @@ class TestDirectPotential:
     def test_grid_on_film_rejected(self):
         with pytest.raises(StandoffViolation):
             ObservationGrid.from_points([[0.5, 0.5, 0.0]], IDENT)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_point_rejected(self, bad):
+        points = [[0.5, 0.5, 1.0], [0.25, 0.5, 2.0]]
+        points[bad][0] = math.nan
+        with pytest.raises(StandoffViolation, match="standoff nan"):
+            ObservationGrid.from_points(points, IDENT)
 
     def test_superposition(self):
         t = tessellate(UNIT, 0.25, SQUARE)
@@ -288,6 +297,40 @@ class TestDecay:
             p = center + rad * direction
             vals.append(abs(sum(q / math.dist(p, pos) for q, pos in zip(d.magnitudes, d.positions))) * rad**2)
         assert max(vals) <= 1.5 * vals[0]
+
+
+class TestComponentwiseDistances:
+    """Per-component distance arithmetic equals the (N, M, 3) np.sum formulas bitwise."""
+
+    CYL = ParametricMap.cylinder(UNIT, radius=2.0)
+
+    def test_kernel_parts_match_summed_formula(self):
+        rng = np.random.default_rng(3)
+        x_p = rng.uniform(0.0, 1.0, (200, 2))
+        obs = rng.uniform(-1.0, 2.0, (37, 3))
+        G, dGn, _ = _kernel_parts(self.CYL, x_p, obs, need_normal=True)
+        fr = surface_frame(self.CYL, x_p)
+        diff = obs[None, :, :] - fr.point[:, None, :]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        np.testing.assert_array_equal(G, 1.0 / d)
+        np.testing.assert_array_equal(dGn, np.sum(diff * fr.normal[:, None, :], axis=-1) / d**3)
+        G_only, none, _ = _kernel_parts(self.CYL, x_p, obs, need_normal=False)
+        assert none is None
+        np.testing.assert_array_equal(G_only, G)
+
+    def test_min_distance_matches_per_point_loop(self):
+        rng = np.random.default_rng(4)
+        points = np.vstack([rng.uniform(-0.5, 1.5, (30, 3)), [[0.5025, 0.5025, 2.0 + 1e-3]]])
+        dom = self.CYL.domain
+        u = np.linspace(dom.lo[0], dom.hi[0], 201)
+        v = np.linspace(dom.lo[1], dom.hi[1], 201)
+        U, V = np.meshgrid(u, v, indexing="ij")
+        surf = self.CYL.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1))
+        d_min = math.inf
+        for p in points:
+            d_min = min(d_min, float(np.sqrt(np.sum((surf - p) ** 2, axis=-1)).min()))
+        assert ObservationGrid._min_distance(points, self.CYL) == d_min
+        assert ObservationGrid.from_points(points, self.CYL).standoff == d_min
 
 
 class TestFieldCsv:

@@ -62,3 +62,29 @@ class TestSegment:
     def test_depth_cap(self):
         with pytest.raises(QuadratureNotConverged):
             adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), 0.0, 1.0, tol=1e-10, max_depth=4)
+
+
+class TestFailureContext:
+    def test_rectangle_message_names_panel_depth_and_column(self):
+        obs_x = np.array([0.9, 0.37, 0.1])
+
+        def nasty(p):
+            return 1.0 / (np.abs(p[:, 0, None] - obs_x) + 1e-9)
+
+        with pytest.raises(QuadratureNotConverged) as info:
+            adaptive_rectangle(nasty, (0, 0), (1, 1), tol=1e-12, max_depth=3)
+        err = info.value
+        assert err.error_estimate > err.tolerance
+        msg = str(err)
+        # the first failing panel in depth-first order holds the singular line x = 0.1
+        assert "2D panel [[0.0, 0.0], [0.125, 0.125]] at depth 3 (the cap)" in msg
+        assert "largest in value column 2" in msg
+        assert f"error {err.error_estimate:.3e} > {err.tolerance:.3e}" in msg
+
+    def test_segment_message(self):
+        with pytest.raises(QuadratureNotConverged) as info:
+            adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), 0.0, 1.0, tol=1e-10, max_depth=4)
+        err = info.value
+        assert err.error_estimate > err.tolerance
+        assert "1D panel [0.25, 0.3125] at depth 4 (the cap)" in str(err)
+        assert "largest in value column 0" in str(err)
