@@ -6,7 +6,7 @@ potential of each regime (thin-over-wide, proportional, wide-over-thin),
 together with convergence and unit-cell-invariance studies.
 """
 
-from .charge import Modulation, Motif, MotifPoint, Regime, ScaledChargeDistribution, realize, total_charge
+from .charge import Modulation, Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .errors import (
     ConfigError,
     DegenerateFrame,
@@ -26,26 +26,21 @@ from .geometry import (
     ParametricMap,
     Rectangle,
     SurfaceFrame,
-    jacobian_full,
-    surface_divergence_term,
     surface_frame,
 )
-from .lattice import Tessellation, UnitCellChoice, cell_index, corner_map, tessellate
+from .lattice import Tessellation, UnitCellChoice, cell_index, tessellate
 from .moments import (
     MomentFields,
     MomentTable,
     moment_fields,
     moment_table,
     moments_to_csv,
-    prescribed_fields,
 )
 from .potential import (
     FieldSample,
     ObservationGrid,
     direct_potential,
     field_to_csv,
-    finite_t_double_layer,
-    green,
     homogenized_potential,
 )
 from .study import (

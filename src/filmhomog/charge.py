@@ -23,7 +23,6 @@ substitution gives the physical per-atom prefactors l, alpha*l and l^2/h.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -133,13 +132,6 @@ class Motif:
             if not inside or not (-1.0 < pt.z < 1.0):
                 raise ValueError(f"motif point outside reference cell: {pt}")
 
-    def is_neutral(self, corners: np.ndarray, tol: float = 1e-12) -> bool:
-        """Neutral part sums to zero at every sampled corner."""
-        total = np.zeros(np.asarray(corners).shape[:-1])
-        for pt in self.points:
-            total = total + pt.weight_at(corners)
-        return bool(np.all(np.abs(total) <= tol))
-
     def imbalance_factor(self, l: float, h: float) -> float:
         a, b = self.free_charge_order
         return l**a * h**b
@@ -198,8 +190,6 @@ class ScaledChargeDistribution:
     by ascending lattice index, so enumeration is deterministic.
     """
 
-    motif: Motif
-    tessellation: Tessellation
     pmap: ParametricMap
     l: float
     h: float
@@ -208,7 +198,6 @@ class ScaledChargeDistribution:
     magnitudes: np.ndarray       # (N,)   physical charges
     ref_weights: np.ndarray      # (N,)   unscaled reference weights (incl. imbalance factor)
     planar_params: np.ndarray    # (N, 2) planar parameter positions
-    z_params: np.ndarray         # (N,)   normalized thickness coordinates
 
     @property
     def n_charges(self) -> int:
@@ -252,8 +241,6 @@ def realize(
     z_params = np.concatenate(z_chunks)
     positions = pmap.evaluate(np.concatenate([planar_params, h * z_params[:, None]], axis=1))
     return ScaledChargeDistribution(
-        motif=motif,
-        tessellation=tessellation,
         pmap=pmap,
         l=l,
         h=h,
@@ -262,10 +249,4 @@ def realize(
         magnitudes=pref * ref_weights,
         ref_weights=ref_weights,
         planar_params=planar_params,
-        z_params=z_params,
     )
-
-
-def total_charge(dist: ScaledChargeDistribution) -> float:
-    """Exactly-rounded sum of all physical charges (global neutrality check)."""
-    return math.fsum(dist.magnitudes.tolist())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,17 +21,16 @@ from .errors import ParseError, UnsupportedModulation, ValidationError
 from .geometry import ParametricMap, Rectangle
 from .lattice import UnitCellChoice
 from .potential import ObservationGrid
-from .study import make_schedule
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
+from .study import DEFAULT_ORDER_THRESHOLD, make_schedule
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_DEPTH = 12
 DEFAULT_GRID_N = (5, 5)
 DEFAULT_GRID_DISTANCE = 1.0
 
 
 @dataclass
 class Thresholds:
-    order_min: float = 0.9
+    order_min: float = DEFAULT_ORDER_THRESHOLD
     gauge_phi_tol: float = 1e-6
     gauge_moment_min: float = 0.1
 
@@ -239,12 +238,25 @@ def build_config(raw: dict) -> ScenarioConfig:
     th_spec = raw.get("thresholds", {})
     thresholds = attempt(
         "thresholds",
-        lambda: Thresholds(
-            order_min=float(th_spec.get("order_min", 0.9)),
-            gauge_phi_tol=float(th_spec.get("gauge_phi_tol", 1e-6)),
-            gauge_moment_min=float(th_spec.get("gauge_moment_min", 0.1)),
-        ),
+        lambda: Thresholds(**{f.name: float(th_spec.get(f.name, f.default)) for f in fields(Thresholds)}),
     )
+
+    def build_out_dir():
+        spec = raw.get("output", {})
+        out = spec.get("dir", "out") if isinstance(spec, dict) else None
+        if not isinstance(out, str):
+            raise ValueError(f'must be an object with a string "dir", got {spec!r}')
+        return Path(out)
+
+    out_dir = attempt("output", build_out_dir)
+
+    def build_green_4pi():
+        flag = raw.get("green_4pi", False)
+        if not isinstance(flag, bool):
+            raise ValueError(f"must be true or false, got {flag!r}")
+        return flag
+
+    green_4pi = attempt("green_4pi", build_green_4pi)
 
     if violations:
         raise ValidationError(violations)
@@ -261,9 +273,9 @@ def build_config(raw: dict) -> ScenarioConfig:
         grid=grid,
         tol=tol,
         max_depth=max_depth,
-        out_dir=Path(raw.get("output", {}).get("dir", "out")),
+        out_dir=out_dir,
         thresholds=thresholds,
-        green_4pi=bool(raw.get("green_4pi", False)),
+        green_4pi=green_4pi,
         scenario_hash=scenario_hash,
         raw=raw,
     )

@@ -1,16 +1,14 @@
-"""Film parameterization: maps, Jacobians, frames, surface divergence.
+"""Film parameterization: maps, surface Jacobians and frames.
 
 A film is described by a smooth map psi : T x R -> R^3 over a rectangular
 parameter domain T in R^2.  The mid-surface is the image of x3 = 0.  All
 homogenized sources are integrated in parameter space, so the quantities
 needed downstream are:
 
-    J(x)   = sqrt(det(Dpsi^T Dpsi))        volume Jacobian at a 3D parameter point
     J0(xp) = |d1 psi0 x d2 psi0|           surface Jacobian of the mid-surface
     nu     = unit normal of the mid-surface (oriented by the parameterization)
 
-Maps carry either an analytic differential or fall back to central finite
-differences with a step relative to the domain diameter.
+Every map carries its analytic differential.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from .errors import DegenerateFrame, NonPositiveJacobian
 
 _JACOBIAN_FLOOR = 1e-14
 _FRAME_TOL = 1e-12
-_FD_STEP_REL = 1e-6  # central-difference step relative to domain diameter
-_DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
 _VALIDITY_SAMPLES = 200  # sampled points per validity check, from a fixed seed
 
 
@@ -120,16 +116,16 @@ class ParametricMap:
     """Smooth parameterization of the film with its differential.
 
     Use the factory constructors (:meth:`identity`, :meth:`cylinder`,
-    :meth:`polar_disk`, :meth:`scaled`, :meth:`custom`).  Instances are
-    immutable and safe to share across workers.
+    :meth:`polar_disk`, :meth:`scaled`), or pass a mapping together with its
+    analytic differential (..., 3) -> (..., 3, 3).  Instances are immutable.
     """
 
     def __init__(
         self,
         domain: Rectangle,
         mapping: Callable[[np.ndarray], np.ndarray],
-        differential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        kind: str = "custom",
+        differential: Callable[[np.ndarray], np.ndarray],
+        kind: str = "general",
         h_max: float = math.inf,
     ):
         self.domain = domain
@@ -234,17 +230,6 @@ class ParametricMap:
 
         return cls(domain, mapping, differential, kind="scaled")
 
-    @classmethod
-    def custom(
-        cls,
-        domain: Rectangle,
-        mapping: Callable[[np.ndarray], np.ndarray],
-        differential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        h_max: float = math.inf,
-    ) -> "ParametricMap":
-        """Analytic evaluator with an analytic or finite-difference differential."""
-        return cls(domain, mapping, differential, kind="custom", h_max=h_max)
-
     # ---------------- evaluation ----------------
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -256,17 +241,8 @@ class ParametricMap:
         return self.evaluate(self._embed(x_p))
 
     def differential(self, x: np.ndarray) -> np.ndarray:
-        """D psi as (..., 3, 3); analytic if available, else central differences."""
-        x = np.asarray(x, float)
-        if self._diff is not None:
-            return self._diff(x)
-        step = _FD_STEP_REL * self.domain.diameter
-        D = np.empty(x.shape[:-1] + (3, 3))
-        for j in range(3):
-            dx = np.zeros(3)
-            dx[j] = step
-            D[..., :, j] = (self._map(x + dx) - self._map(x - dx)) / (2.0 * step)
-        return D
+        """D psi as (..., 3, 3) at 3D parameter points."""
+        return self._diff(np.asarray(x, float))
 
     @staticmethod
     def _embed(x_p: np.ndarray) -> np.ndarray:
@@ -303,24 +279,6 @@ class ParametricMap:
             raise ValueError("map is not injective on the sampled validity region")
 
 
-def jacobian_full(pmap: ParametricMap, x: np.ndarray) -> np.ndarray:
-    """Volume Jacobian sqrt(det(Dpsi^T Dpsi)) at 3D parameter points.
-
-    Scalar in, scalar out; batches of shape (..., 3) are supported.
-    Raises NonPositiveJacobian if any value falls to <= 1e-14.
-    """
-    x = np.asarray(x, float)
-    D = pmap.differential(x)
-    G = np.einsum("...ki,...kj->...ij", D, D)
-    det = np.linalg.det(G)
-    if np.any(det <= _JACOBIAN_FLOOR**2):
-        raise NonPositiveJacobian(
-            f"Jacobian not positive at parameter point(s); min det(G) = {det.min():.3e}"
-        )
-    out = np.sqrt(det)
-    return out if out.ndim else float(out)
-
-
 def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
     """Tangents, unit normal and surface Jacobian of the mid-surface at x_p.
 
@@ -346,29 +304,3 @@ def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
         j0=j0 if j0.ndim else float(j0),
     )
 
-
-def surface_divergence_term(
-    pmap: ParametricMap,
-    p_field: Callable[[np.ndarray], np.ndarray],
-    x_p: np.ndarray,
-) -> np.ndarray:
-    """Surface-divergence source div_p(J0 * p) / J0 at planar points.
-
-    ``p_field`` maps (..., 2) parameter points to planar vectors (..., 2) in
-    parameter components.  The product J0*p is differenced centrally with a
-    step of 1e-5 * diam(T).
-    """
-    x_p = np.asarray(x_p, float)
-    j0 = np.asarray(surface_frame(pmap, x_p).j0)
-    hstep = _DIV_STEP_REL * pmap.domain.diameter
-
-    def weighted(x):
-        return np.asarray(p_field(x)) * np.asarray(surface_frame(pmap, x).j0)[..., None]
-
-    div = np.zeros(x_p.shape[:-1])
-    for axis in range(2):
-        dx = np.zeros(2)
-        dx[axis] = hstep
-        div = div + (weighted(x_p + dx)[..., axis] - weighted(x_p - dx)[..., axis]) / (2.0 * hstep)
-    out = div / j0
-    return out if out.ndim else float(out)

@@ -80,11 +80,6 @@ class UnitCellChoice:
         return np.where(snap, nearest, c)
 
 
-def corner_map(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
-    """Corner of the (half-open) cell containing each point; shape follows input."""
-    return choice.corner(np.floor(choice.basis_coords(x_p, l)), l)
-
-
 def cell_index(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
     """Integer lattice index of the cell containing each point."""
     return np.floor(choice.basis_coords(x_p, l)).astype(int)
@@ -127,10 +122,6 @@ class Tessellation:
     def _tol(self) -> float:
         return _CONTAIN_TOL * max(1.0, self.domain.diameter)
 
-    def total_area(self) -> float:
-        full_area = self.n_full * self.choice.cell_area * self.l * self.l
-        return full_area + float(np.sum(self.clip_areas))
-
     def place(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Planar position of motif point ``y`` in every cell, and which are kept.
 
@@ -164,14 +155,6 @@ class Tessellation:
                 spans.append((float(s.min()), float(s.max()), row))
         spans.sort(key=lambda t: (t[0], t[1]))
         return spans
-
-    def corner_touching_indices(self) -> set:
-        """Indices of cells covering positive length on two or more edges."""
-        counts: dict = {}
-        for edge in self.domain.edges():
-            for _, _, row in self.boundary_spans(edge):
-                counts[row] = counts.get(row, 0) + 1
-        return {tuple(int(m) for m in self.indices[row]) for row, n in counts.items() if n >= 2}
 
 
 def _cell_polygons(corners: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:

@@ -18,13 +18,14 @@ the quadrature path.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .charge import Motif
-from .geometry import ParametricMap, surface_divergence_term, surface_frame
+from .geometry import ParametricMap, surface_frame
 from .lattice import Tessellation
 
 
@@ -128,10 +129,10 @@ class MomentFields:
     """Closed-form continuum moment fields plus boundary-charge segment data.
 
     The *_weighted callables are premultiplied by J0 (exact catalog sums with
-    no Jacobian in them); the plain q/p_p/p3 accessors divide by J0 of the
-    supplied map.  ``sigma_segments`` holds the limit boundary density used
-    by the homogenized boundary integral (corner-cell spans inherit their
-    edge's nearest interior value).
+    no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map.
+    ``sigma_segments`` holds the limit boundary density used by the
+    homogenized boundary integral (corner-cell spans inherit their edge's
+    nearest interior value).
     """
 
     pmap: ParametricMap
@@ -141,14 +142,8 @@ class MomentFields:
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     sigma_segments: dict
 
-    def q(self, x_p: np.ndarray) -> np.ndarray:
-        return self.charge_weighted(x_p) / _j0_at(self.pmap, x_p)
-
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
-
-    def p3(self, x_p: np.ndarray) -> np.ndarray:
-        return self.pol_normal_weighted(x_p) / _j0_at(self.pmap, x_p)
 
 
 def moment_fields(
@@ -199,13 +194,15 @@ def moment_fields(
     charge, _, _ = _kept_sums(tess, motif, None, None)
     n_full = tess.n_full
     sigma = charge[n_full:] / _j0_at(pmap, tess.corners[n_full:])
-    corner_idx = tess.corner_touching_indices()
+    edge_spans = {edge.name: tess.boundary_spans(edge) for edge in tess.domain.edges()}
+    # a cell covering positive length of two or more edges straddles a corner
+    edges_covered = Counter(row for spans in edge_spans.values() for _, _, row in spans)
     corrected: dict = {}
-    for edge in tess.domain.edges():
-        spans = []
-        for s_lo, s_hi, row in tess.boundary_spans(edge):
-            value = 0.0 if row < n_full else float(sigma[row - n_full])
-            spans.append((s_lo, s_hi, value, tuple(tess.indices[row]) in corner_idx))
+    for name, raw in edge_spans.items():
+        spans = [
+            (s_lo, s_hi, 0.0 if row < n_full else float(sigma[row - n_full]), edges_covered[row] >= 2)
+            for s_lo, s_hi, row in raw
+        ]
         interior = [(a, b, v) for a, b, v, is_corner in spans if not is_corner]
         fixed = []
         for a, b, v, is_corner in spans:
@@ -213,7 +210,7 @@ def moment_fields(
                 mid = 0.5 * (a + b)
                 _, _, v = min(interior, key=lambda t: abs(0.5 * (t[0] + t[1]) - mid))
             fixed.append(SigmaSegment(a, b, v))
-        corrected[edge.name] = fixed
+        corrected[name] = fixed
 
     return MomentFields(
         pmap=pmap,
@@ -222,54 +219,6 @@ def moment_fields(
         pol_normal_weighted=pol_normal_weighted,
         div_pol_planar_weighted=div_pol_planar_weighted,
         sigma_segments=corrected,
-    )
-
-
-def prescribed_fields(
-    pmap: ParametricMap,
-    q: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    p_p: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    p3: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    sigma_segments: Optional[dict] = None,
-) -> MomentFields:
-    """Moment fields from raw callables instead of a motif and tessellation.
-
-    ``q``, ``p3`` map (..., 2) parameter points to scalars, ``p_p`` to planar
-    vectors, all in the un-weighted (per-area) normalization; the Jacobian
-    factor is applied here.  The bound-charge divergence of a prescribed
-    planar polarization is central-differenced by ``surface_divergence_term``
-    (default step 1e-5 * diam(T)).
-    """
-
-    def zero_scalar(x_p):
-        return np.zeros(np.asarray(x_p, float).shape[:-1])
-
-    def weighted_scalar(fn):
-        def inner(x_p):
-            return fn(x_p) * _j0_at(pmap, x_p)
-
-        return inner
-
-    def pol_planar_weighted(x_p):
-        x_p = np.asarray(x_p, float)
-        if p_p is None:
-            return np.zeros(x_p.shape[:-1] + (2,))
-        return np.asarray(p_p(x_p), float) * _j0_at(pmap, x_p)[..., None]
-
-    def div_pol_planar_weighted(x_p):
-        if p_p is None:
-            return zero_scalar(x_p)
-        return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
-
-    edge_names = [e.name for e in pmap.domain.edges()]
-    segments = sigma_segments if sigma_segments is not None else {name: [] for name in edge_names}
-    return MomentFields(
-        pmap=pmap,
-        charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
-        pol_planar_weighted=pol_planar_weighted,
-        pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
-        div_pol_planar_weighted=div_pol_planar_weighted,
-        sigma_segments=segments,
     )
 
 

@@ -27,10 +27,8 @@ charge enters as per-segment constants from the tessellation data.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,23 +36,10 @@ from .charge import Regime, ScaledChargeDistribution
 from .errors import SingularEvaluation, StandoffViolation
 from .geometry import ParametricMap, Rectangle, surface_frame
 from .moments import MomentFields
-from .quadrature import adaptive_rectangle, adaptive_segment
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle, adaptive_segment
 
 _SINGULAR_DIST = 1e-12
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_DEPTH = 12
 _STANDOFF_SAMPLES = 201  # surface samples per parameter axis for the standoff estimate
-
-
-def green(r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
-    """Free-space kernel 1/|r - r'|; batched inputs broadcast."""
-    r = np.asarray(r, float)
-    r_prime = np.asarray(r_prime, float)
-    dist = np.linalg.norm(r - r_prime, axis=-1)
-    if np.any(dist < _SINGULAR_DIST):
-        raise SingularEvaluation("kernel evaluated at coincident points")
-    out = 1.0 / dist
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +137,6 @@ def point_potential(dist: ScaledChargeDistribution, point: np.ndarray) -> float:
     return math.fsum((dist.magnitudes / d).tolist()) if d.size else 0.0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def direct_potential(
     dist: ScaledChargeDistribution,
     grid: ObservationGrid,
@@ -168,12 +145,10 @@ def direct_potential(
     """Exact Green's sum of all realized charges at every observation point.
 
     Each point is reduced independently by :func:`point_potential`, so values
-    are exactly rounded and independent of enumeration order.  Points are
-    evaluated on a thread pool with one worker per usable CPU (at most one
-    per point); each result is written by index, so the worker count cannot
-    change the values.  ``standoff_factor`` guards the asymptotic regime
-    (standoff >= factor * max(l, h)); convergence studies pass 0 to evaluate
-    coarse steps on purpose.
+    are exactly rounded and independent of enumeration order.
+    ``standoff_factor`` guards the asymptotic regime (standoff >= factor *
+    max(l, h)); convergence studies pass 0 to evaluate coarse steps on
+    purpose.
     """
     limit = standoff_factor * max(dist.l, dist.h)
     if grid.standoff < limit:
@@ -181,10 +156,7 @@ def direct_potential(
             f"grid standoff {grid.standoff:.4g} < {standoff_factor:g} * max(l, h) = {limit:.4g}"
         )
 
-    workers = max(1, min(_usable_cpus(), grid.n_points))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sums = pool.map(lambda p: point_potential(dist, p), grid.points)
-        values = np.fromiter(sums, dtype=float, count=grid.n_points)
+    values = np.fromiter((point_potential(dist, p) for p in grid.points), float, grid.n_points)
     tag = f"microscopic(l={dist.l:g} h={dist.h:g} {dist.regime.label()})"
     return FieldSample(grid=grid, values=values, provenance=tag)
 
@@ -300,43 +272,6 @@ def homogenized_potential(
         values = values + _boundary_integral(fields, pmap, grid, c_p, 0.5 * tol, max_depth)
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
     return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")
-
-
-def finite_t_double_layer(
-    sigma_field: Callable[[np.ndarray], np.ndarray],
-    pmap: ParametricMap,
-    t: float,
-    grid: ObservationGrid,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> FieldSample:
-    """Two charged sheets a distance t apart, approaching the dipole limit.
-
-    Phi_t(r) = (1/t) INT_T [G(r, psi0(x)) - G(r, psi0(x) - t nu(x))]
-               * sigma(x) J0(x) dx
-
-    The offset sheet reuses the mid-surface quadrature nodes and Jacobian
-    (the O(t) Jacobian mismatch folds into the O(t) convergence).  Converges
-    to the double-layer potential at first order in t.
-    """
-    if t <= 0.0:
-        raise ValueError("sheet separation t must be positive")
-    if grid.standoff < 10.0 * t:
-        raise StandoffViolation(
-            f"grid standoff {grid.standoff:.4g} < 10 * t = {10 * t:.4g}"
-        )
-    obs = grid.points
-
-    def integrand(x_p):
-        fr = surface_frame(pmap, x_p)
-        sig = sigma_field(x_p) * np.asarray(fr.j0)
-        _, d0 = _distances(fr.point, obs)
-        _, d1 = _distances(fr.point - t * fr.normal, obs)
-        return (1.0 / d0 - 1.0 / d1) * (sig[:, None] / t)
-
-    dom = pmap.domain
-    values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=tol, max_depth=max_depth)
-    return FieldSample(grid=grid, values=values, provenance=f"double-layer-finite-t(t={t:g})")
 
 
 def field_to_csv(samples: Sequence[FieldSample], fileobj, comment: Optional[str] = None) -> None:

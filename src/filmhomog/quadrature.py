@@ -4,11 +4,10 @@ Integrands are vector-valued (one component per observation point); a panel
 is accepted when the difference between its one-shot Gauss estimate and the
 sum over its children is below the panel's share of the absolute tolerance.
 Children estimates are kept, so the returned value is the refined one.
-Panel traversal order is fixed, making results independent of thread count
-and bitwise reproducible.  Each panel is one integrand call of 8 (1D) or
-64 (2D) nodes.  At the depth cap, QuadratureNotConverged names the failing
-panel, its depth and the value column (observation point) with the largest
-error.
+Panel traversal order is fixed, making results bitwise reproducible.  Each
+panel is one integrand call of 8 (1D) or 64 (2D) nodes.  At the depth cap,
+QuadratureNotConverged names the failing panel, its depth and the value
+column (observation point) with the largest error.
 """
 
 from __future__ import annotations
@@ -18,6 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureNotConverged
+
+# default absolute tolerance and depth cap of every adaptive integral
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_DEPTH = 12
 
 # 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -58,8 +61,8 @@ def adaptive_rectangle(
     f: Callable[[np.ndarray], np.ndarray],
     lo,
     hi,
-    tol: float = 1e-9,
-    max_depth: int = 12,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
@@ -112,8 +115,8 @@ def adaptive_segment(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    tol: float = 1e-9,
-    max_depth: int = 12,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
     """Integrate a vector integrand over [a, b] to absolute tolerance."""
     coarse = _panel_1d(f, a, b)

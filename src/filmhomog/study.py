@@ -28,6 +28,7 @@ from .geometry import ParametricMap, surface_frame
 from .lattice import UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
 from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential, point_potential
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
 DEFAULT_ORDER_THRESHOLD = 0.9
 FIT_POINTS = 3  # schedule steps in the order fit, counted from the finest
@@ -160,8 +161,8 @@ def run_convergence(
     regime: Regime,
     schedule: Sequence[tuple[float, float]],
     grid: ObservationGrid,
-    tol: float = 1e-9,
-    max_depth: int = 12,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     order_threshold: float = DEFAULT_ORDER_THRESHOLD,
 ) -> ConvergenceReport:
     """Compare the exact microscopic potentials along a schedule to the limit.
@@ -331,8 +332,8 @@ def run_gauge(
     h: float,
     regime: Regime,
     grid: ObservationGrid,
-    tol: float = 1e-9,
-    max_depth: int = 12,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> GaugeReport:
     """Homogenized potentials from two unit-cell analyses of one structure.
 

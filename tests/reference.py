@@ -1,0 +1,181 @@
+"""Independent references that tests compare the library against.
+
+Nothing here is part of filmhomog: these are the closed-form checks and
+brute-force constructions the acceptance criteria and unit tests use.
+
+- ``finite_t_double_layer``: two charged sheets a distance t apart, which
+  converge to the double layer at first order in t.
+- ``jacobian_full``: the volume Jacobian of a map from its differential.
+- ``prescribed_fields``: moment fields from raw callables instead of a motif
+  and tessellation, with the bound-charge divergence differenced centrally.
+- ``covered_area``: the area the cells of a tessellation cover.
+- ``fsum_potential``: the exactly rounded Green's sum, one ``math.fsum`` per
+  observation point.
+"""
+
+import math
+from typing import Callable, Optional
+
+import numpy as np
+
+from filmhomog import (
+    FieldSample,
+    MomentFields,
+    NonPositiveJacobian,
+    ObservationGrid,
+    ParametricMap,
+    ScaledChargeDistribution,
+    StandoffViolation,
+    Tessellation,
+    surface_frame,
+)
+from filmhomog.moments import _j0_at
+from filmhomog.potential import _distances
+from filmhomog.quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
+
+_JACOBIAN_FLOOR = 1e-14
+_DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
+
+
+def finite_t_double_layer(
+    sigma_field: Callable[[np.ndarray], np.ndarray],
+    pmap: ParametricMap,
+    t: float,
+    grid: ObservationGrid,
+    tol: float = DEFAULT_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> FieldSample:
+    """Two charged sheets a distance t apart, approaching the dipole limit.
+
+    Phi_t(r) = (1/t) INT_T [G(r, psi0(x)) - G(r, psi0(x) - t nu(x))]
+               * sigma(x) J0(x) dx
+
+    The offset sheet reuses the mid-surface quadrature nodes and Jacobian
+    (the O(t) Jacobian mismatch folds into the O(t) convergence).  Converges
+    to the double-layer potential at first order in t.
+    """
+    if t <= 0.0:
+        raise ValueError("sheet separation t must be positive")
+    if grid.standoff < 10.0 * t:
+        raise StandoffViolation(
+            f"grid standoff {grid.standoff:.4g} < 10 * t = {10 * t:.4g}"
+        )
+    obs = grid.points
+
+    def integrand(x_p):
+        fr = surface_frame(pmap, x_p)
+        sig = sigma_field(x_p) * np.asarray(fr.j0)
+        _, d0 = _distances(fr.point, obs)
+        _, d1 = _distances(fr.point - t * fr.normal, obs)
+        return (1.0 / d0 - 1.0 / d1) * (sig[:, None] / t)
+
+    dom = pmap.domain
+    values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=tol, max_depth=max_depth)
+    return FieldSample(grid=grid, values=values, provenance=f"double-layer-finite-t(t={t:g})")
+
+
+def jacobian_full(pmap: ParametricMap, x: np.ndarray) -> np.ndarray:
+    """Volume Jacobian sqrt(det(Dpsi^T Dpsi)) at 3D parameter points.
+
+    Scalar in, scalar out; batches of shape (..., 3) are supported.
+    Raises NonPositiveJacobian if any value falls to <= 1e-14.
+    """
+    x = np.asarray(x, float)
+    D = pmap.differential(x)
+    G = np.einsum("...ki,...kj->...ij", D, D)
+    det = np.linalg.det(G)
+    if np.any(det <= _JACOBIAN_FLOOR**2):
+        raise NonPositiveJacobian(
+            f"Jacobian not positive at parameter point(s); min det(G) = {det.min():.3e}"
+        )
+    out = np.sqrt(det)
+    return out if out.ndim else float(out)
+
+
+def surface_divergence_term(
+    pmap: ParametricMap,
+    p_field: Callable[[np.ndarray], np.ndarray],
+    x_p: np.ndarray,
+) -> np.ndarray:
+    """Surface-divergence source div_p(J0 * p) / J0 at planar points.
+
+    ``p_field`` maps (..., 2) parameter points to planar vectors (..., 2) in
+    parameter components.  The product J0*p is differenced centrally with a
+    step of 1e-5 * diam(T).
+    """
+    x_p = np.asarray(x_p, float)
+    j0 = np.asarray(surface_frame(pmap, x_p).j0)
+    hstep = _DIV_STEP_REL * pmap.domain.diameter
+
+    def weighted(x):
+        return np.asarray(p_field(x)) * np.asarray(surface_frame(pmap, x).j0)[..., None]
+
+    div = np.zeros(x_p.shape[:-1])
+    for axis in range(2):
+        dx = np.zeros(2)
+        dx[axis] = hstep
+        div = div + (weighted(x_p + dx)[..., axis] - weighted(x_p - dx)[..., axis]) / (2.0 * hstep)
+    out = div / j0
+    return out if out.ndim else float(out)
+
+
+def prescribed_fields(
+    pmap: ParametricMap,
+    q: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    p_p: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    p3: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    sigma_segments: Optional[dict] = None,
+) -> MomentFields:
+    """Moment fields from raw callables instead of a motif and tessellation.
+
+    ``q``, ``p3`` map (..., 2) parameter points to scalars, ``p_p`` to planar
+    vectors, all in the un-weighted (per-area) normalization; the Jacobian
+    factor is applied here.  The bound-charge divergence of a prescribed
+    planar polarization is central-differenced by ``surface_divergence_term``
+    (step 1e-5 * diam(T)).
+    """
+
+    def zero_scalar(x_p):
+        return np.zeros(np.asarray(x_p, float).shape[:-1])
+
+    def weighted_scalar(fn):
+        def inner(x_p):
+            return fn(x_p) * _j0_at(pmap, x_p)
+
+        return inner
+
+    def pol_planar_weighted(x_p):
+        x_p = np.asarray(x_p, float)
+        if p_p is None:
+            return np.zeros(x_p.shape[:-1] + (2,))
+        return np.asarray(p_p(x_p), float) * _j0_at(pmap, x_p)[..., None]
+
+    def div_pol_planar_weighted(x_p):
+        if p_p is None:
+            return zero_scalar(x_p)
+        return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
+
+    edge_names = [e.name for e in pmap.domain.edges()]
+    segments = sigma_segments if sigma_segments is not None else {name: [] for name in edge_names}
+    return MomentFields(
+        pmap=pmap,
+        charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
+        pol_planar_weighted=pol_planar_weighted,
+        pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
+        div_pol_planar_weighted=div_pol_planar_weighted,
+        sigma_segments=segments,
+    )
+
+
+def covered_area(tess: Tessellation) -> float:
+    """Area of all cells: n_full whole cells plus the partial cells' clip areas."""
+    full_area = tess.n_full * tess.choice.cell_area * tess.l * tess.l
+    return full_area + float(np.sum(tess.clip_areas))
+
+
+def fsum_potential(dist: ScaledChargeDistribution, grid: ObservationGrid) -> list:
+    """Per-point math.fsum of q / r over all charges."""
+    return [
+        math.fsum((dist.magnitudes / np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))).tolist())
+        for p in grid.points
+    ]

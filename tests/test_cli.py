@@ -217,6 +217,24 @@ class TestExitCodes:
         assert main(["converge", "--config", cfg]) == 2
         assert f"config violation: {section}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("green_4pi", "false"), ("green_4pi", 1), ("output", "x"), ("output", {"dir": 5})],
+        ids=["green_4pi-string", "green_4pi-number", "output-string", "output-dir-number"],
+    )
+    def test_mistyped_field_listed_exit_2(self, tmp_path, key, value, capsys):
+        payload = {
+            "motif": {"points": DIPOLE_POINTS},
+            "regime": {"kind": "R2", "alpha": 1.0},
+            "schedule": {"l": [0.25]},
+            "grid": {"kind": "offset_surface", "n": [3, 3], "distance": 1.0},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        payload[key] = value
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        assert f"config violation: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_observation_point_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -1,11 +1,13 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, cell_index, corner_map, tessellate
+from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, cell_index, tessellate
+from reference import covered_area
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -45,7 +47,7 @@ class TestTessellate:
     @pytest.mark.parametrize("l,choice", [(0.25, SQUARE), (0.3, SQUARE), (0.25, HALF_SHIFT), (0.17, HALF_SHIFT)])
     def test_area_partition(self, l, choice):
         t = tessellate(UNIT, l, choice)
-        assert t.total_area() == pytest.approx(UNIT.area, rel=1e-10)
+        assert covered_area(t) == pytest.approx(UNIT.area, rel=1e-10)
 
     def test_partial_cells_meet_complement(self):
         t = tessellate(UNIT, 0.3, SQUARE)
@@ -62,12 +64,12 @@ class TestTessellate:
         with pytest.warns(EmptyTessellation):
             t = tessellate(Rectangle((0.0, 0.0), (0.4, 0.4)), 0.9, SQUARE)
         assert not t.has_full_cells
-        assert t.total_area() == pytest.approx(0.16, rel=1e-10)
+        assert covered_area(t) == pytest.approx(0.16, rel=1e-10)
 
     def test_oblique_basis_area(self):
         oblique = UnitCellChoice(e1=(1.0, 0.0), e2=(0.5, 1.0))
         t = tessellate(UNIT, 0.25, oblique)
-        assert t.total_area() == pytest.approx(1.0, rel=1e-10)
+        assert covered_area(t) == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
@@ -82,7 +84,8 @@ class TestTessellate:
 
 class TestCornerMap:
     def test_oblique_corners_match_plain_formula_bitwise(self):
-        """corner, corner_map and place compute O + (c1 * l B[:, 0] + c2 * l B[:, 1]) exactly."""
+        """corner, the corner of each point's containing cell, and place compute
+        O + (c1 * l B[:, 0] + c2 * l B[:, 1]) exactly."""
         l = 0.13
         choice = UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.6))
         t = tessellate(UNIT, l, choice)
@@ -97,29 +100,29 @@ class TestCornerMap:
         np.testing.assert_array_equal(choice.corner(t.indices, l), expected)
         planar, _ = t.place((0.3, 0.7))
         np.testing.assert_array_equal(planar, [plain(0.3, 0.7, c) for c in expected])
-        np.testing.assert_array_equal(corner_map(planar, l, choice), expected)
+        np.testing.assert_array_equal(choice.corner(cell_index(planar, l, choice), l), expected)
 
     def test_plain(self):
-        np.testing.assert_allclose(corner_map(np.array([0.26, 0.01]), 0.25, SQUARE), [0.25, 0.0])
+        np.testing.assert_allclose(SQUARE.corner(cell_index(np.array([0.26, 0.01]), 0.25, SQUARE), 0.25), [0.25, 0.0])
 
     def test_on_corner_half_open(self):
-        np.testing.assert_allclose(corner_map(np.array([0.25, 0.25]), 0.25, SQUARE), [0.25, 0.25])
+        np.testing.assert_allclose(SQUARE.corner(cell_index(np.array([0.25, 0.25]), 0.25, SQUARE), 0.25), [0.25, 0.25])
 
     def test_shifted_origin_cell(self):
         np.testing.assert_allclose(
-            corner_map(np.array([0.05, 0.05]), 0.25, HALF_SHIFT), [-0.125, -0.125]
+            HALF_SHIFT.corner(cell_index(np.array([0.05, 0.05]), 0.25, HALF_SHIFT), 0.25), [-0.125, -0.125]
         )
 
     def test_batch(self):
         pts = np.array([[0.26, 0.01], [0.77, 0.52]])
-        corners = corner_map(pts, 0.25, SQUARE)
+        corners = SQUARE.corner(cell_index(pts, 0.25, SQUARE), 0.25)
         np.testing.assert_allclose(corners, [[0.25, 0.0], [0.75, 0.5]])
 
     def test_point_minus_corner_in_cell(self):
         rng = np.random.default_rng(0)
         pts = UNIT.sample(1000, rng)
         for choice, l in [(SQUARE, 0.3), (HALF_SHIFT, 0.25), (UnitCellChoice(e1=(1, 0.2), e2=(-0.1, 1)), 0.21)]:
-            corners = corner_map(pts, l, choice)
+            corners = choice.corner(cell_index(pts, l, choice), l)
             rel = (pts - corners) @ np.linalg.inv(choice.basis).T / l
             assert np.all(rel >= -1e-9)
             assert np.all(rel < 1.0 + 1e-9)
@@ -156,7 +159,7 @@ def test_area_identity_property(l, fx):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyTessellation)
         t = tessellate(UNIT, l, UnitCellChoice(f=(fx, 0.25)))
-    assert abs(t.total_area() - 1.0) < 1e-10
+    assert abs(covered_area(t) - 1.0) < 1e-10
 
 
 def test_partition_ten_thousand_points():
@@ -172,7 +175,7 @@ def test_partition_ten_thousand_points():
 def test_gauge_pair_same_coverage():
     ta = tessellate(UNIT, 0.25, SQUARE)
     tb = tessellate(UNIT, 0.25, HALF_SHIFT)
-    assert ta.total_area() == pytest.approx(tb.total_area(), rel=1e-12)
+    assert covered_area(ta) == pytest.approx(covered_area(tb), rel=1e-12)
 
 
 class TestBoundarySpans:
@@ -192,5 +195,6 @@ class TestBoundarySpans:
 
     def test_corner_cells_detected(self):
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        corners = t.corner_touching_indices()
+        edges_covered = Counter(row for edge in UNIT.edges() for _, _, row in t.boundary_spans(edge))
+        corners = {tuple(t.indices[row].tolist()) for row, n in edges_covered.items() if n >= 2}
         assert corners == {(-1, -1), (-1, 3), (3, -1), (3, 3)}

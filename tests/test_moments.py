@@ -118,8 +118,9 @@ class TestMomentFields:
         fields = moment_fields(tess, PLANAR_DIPOLE, IDENT)
         pts = np.array([[0.1, 0.2], [0.9, 0.7]])
         np.testing.assert_allclose(fields.p_p(pts), [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(fields.q(pts), [0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(fields.p3(pts), [0.0, 0.0], atol=1e-15)
+        # identity map, J0 = 1: the weighted fields are q and p3
+        np.testing.assert_allclose(fields.charge_weighted(pts), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(fields.pol_normal_weighted(pts), [0.0, 0.0], atol=1e-15)
         bulk_source = fields.charge_weighted(pts) - fields.div_pol_planar_weighted(pts)
         np.testing.assert_allclose(bulk_source, [0.0, 0.0], atol=1e-15)
 
@@ -163,7 +164,7 @@ class TestMomentFields:
             free_charge_order=(1, 0),
         )
         fields = moment_fields(tess, motif, IDENT)
-        np.testing.assert_allclose(fields.q(np.array([[0.5, 0.5]])), [2.0])
+        np.testing.assert_allclose(fields.charge_weighted(np.array([[0.5, 0.5]])), [2.0])  # J0 = 1
 
 
 class TestMomentTable:

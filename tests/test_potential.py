@@ -18,20 +18,20 @@ from filmhomog import (
     ParametricMap,
     Rectangle,
     Regime,
+    ScaledChargeDistribution,
     SingularEvaluation,
     StandoffViolation,
     UnitCellChoice,
     direct_potential,
-    finite_t_double_layer,
-    green,
     homogenized_potential,
     moment_fields,
     realize,
     tessellate,
 )
 from filmhomog.geometry import surface_frame
-from filmhomog.moments import SigmaSegment, prescribed_fields
+from filmhomog.moments import SigmaSegment
 from filmhomog.potential import _kernel_parts
+from reference import finite_t_double_layer, fsum_potential, prescribed_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -44,24 +44,20 @@ def gauss_nodes(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-class TestGreen:
-    def test_values(self):
-        assert green([0, 0, 1], [0, 0, 0]) == 1.0
-        assert green([2, 0, 0], [0, 0, 0]) == 0.5
-        assert green([1, 1, 1], [0, 0, 0]) == pytest.approx(1 / math.sqrt(3), rel=1e-12)
-
-    def test_symmetry_and_scaling(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            r, rp = rng.normal(size=3), rng.normal(size=3)
-            if np.linalg.norm(r - rp) < 1e-6:
-                continue
-            assert green(r, rp) == green(rp, r)
-            assert green(rp + 2 * (r - rp), rp) == pytest.approx(0.5 * green(r, rp), rel=1e-12)
-
-    def test_singular(self):
-        with pytest.raises(SingularEvaluation):
-            green([0, 0, 0], [0, 0, 1e-13])
+def charges(positions, magnitudes):
+    """Distribution of the given point charges, built without a motif."""
+    positions = np.asarray(positions, float).reshape(-1, 3)
+    magnitudes = np.asarray(magnitudes, float)
+    return ScaledChargeDistribution(
+        pmap=IDENT,
+        l=1.0,
+        h=1.0,
+        regime=Regime("R1"),
+        positions=positions,
+        magnitudes=magnitudes,
+        ref_weights=magnitudes,
+        planar_params=positions[:, :2],
+    )
 
 
 class TestDirectPotential:
@@ -112,6 +108,42 @@ class TestDirectPotential:
         points[bad][0] = math.nan
         with pytest.raises(StandoffViolation, match="standoff nan"):
             ObservationGrid.from_points(points, IDENT)
+
+    def test_charge_on_observation_point_is_singular(self):
+        t = tessellate(UNIT, 1.0, SQUARE)
+        lifted = Motif(points=(MotifPoint(1.0, (0.5, 0.5), 0.5),))
+        d = realize(lifted, t, IDENT, 1.0, 1.0, Regime("R1"))  # one charge at (0.5, 0.5, 0.5)
+        grid = ObservationGrid.from_points([[0.2, 0.2, 1.0], d.positions[0]], IDENT)
+        with pytest.raises(SingularEvaluation):
+            direct_potential(d, grid, standoff_factor=0.0)
+
+    def test_empty_distribution_is_zero(self):
+        grid = ObservationGrid.from_points([[0.5, 0.5, 1.0], [0.1, 0.9, 2.0]], IDENT)
+        empty = charges(np.empty((0, 3)), [])
+        values = direct_potential(empty, grid, standoff_factor=0.0).values
+        assert values.tolist() == [0.0, 0.0] == fsum_potential(empty, grid)
+
+    def test_signed_cancellation_is_exactly_zero(self):
+        """Each charge has an opposite twin at its position; left-to-right summation leaves a residue."""
+        grid = ObservationGrid.from_points([[0.0, 0.0, 1.0]], IDENT)
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.1, 10.0, 50) * 2.0 ** rng.integers(-40, 40, 50)
+        ring = np.column_stack([np.cos(np.arange(50)), np.sin(np.arange(50)), np.full(50, 3.0)])
+        dist = charges(np.vstack([ring, ring]), np.concatenate([q, -q]))
+        values = direct_potential(dist, grid, standoff_factor=0.0).values
+        assert values.tolist() == [0.0] == fsum_potential(dist, grid)
+        terms = dist.magnitudes / np.linalg.norm(dist.positions - grid.points[0], axis=-1)
+        assert sum(terms.tolist()) != 0.0
+
+    def test_magnitudes_spanning_two_to_the_300(self):
+        grid = ObservationGrid.from_points([[0.5, 0.5, 1.0], [2.0, -1.0, 0.5]], IDENT)
+        q = [2.0**300, 1.0, -(2.0**300), 2.0**-300, 3.0, -(2.0**-299)]
+        pos = [[0.1 * k, 0.2, 2.0 + 0.1 * k] for k in (0, 1, 0, 3, 4, 5)]  # the 2^300 pair coincides
+        dist = charges(pos, q)
+        values = direct_potential(dist, grid, standoff_factor=0.0).values
+        np.testing.assert_array_equal(values, fsum_potential(dist, grid))
+        for v, p in zip(values, grid.points):  # the charge 1.0 survives the 2^300 pair
+            assert v == pytest.approx(1.0 / math.dist(p, pos[1]) + 3.0 / math.dist(p, pos[4]), rel=1e-15)
 
     def test_superposition(self):
         t = tessellate(UNIT, 0.25, SQUARE)
