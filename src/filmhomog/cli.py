@@ -26,7 +26,6 @@ from .config import ScenarioConfig, check_tol, parse_config
 from .errors import (
     ConfigError,
     DegenerateFrame,
-    FilmHomogError,
     NonPositiveJacobian,
     QuadratureNotConverged,
     RegimeMismatch,

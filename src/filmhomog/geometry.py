@@ -125,11 +125,9 @@ class ParametricMap:
         domain: Rectangle,
         mapping: Callable[[np.ndarray], np.ndarray],
         differential: Callable[[np.ndarray], np.ndarray],
-        kind: str = "general",
         h_max: float = math.inf,
     ):
         self.domain = domain
-        self.kind = kind
         self.h_max = float(h_max)
         self._map = mapping
         self._diff = differential
@@ -148,7 +146,7 @@ class ParametricMap:
             x = np.asarray(x, float)
             return np.broadcast_to(eye, x.shape[:-1] + (3, 3)).copy()
 
-        return cls(domain, mapping, differential, kind="identity")
+        return cls(domain, mapping, differential)
 
     @classmethod
     def cylinder(cls, domain: Rectangle, radius: float, h_max: Optional[float] = None) -> "ParametricMap":
@@ -181,7 +179,7 @@ class ParametricMap:
             return D
 
         hm = 0.5 * R if h_max is None else float(h_max)
-        return cls(domain, mapping, differential, kind="cylinder", h_max=hm)
+        return cls(domain, mapping, differential, h_max=hm)
 
     @classmethod
     def polar_disk(cls, radius: float = 1.0) -> "ParametricMap":
@@ -211,7 +209,7 @@ class ParametricMap:
             D[..., 2, 2] = 1.0
             return D
 
-        return cls(domain, mapping, differential, kind="disk")
+        return cls(domain, mapping, differential)
 
     @classmethod
     def scaled(cls, domain: Rectangle, factors: Sequence[float]) -> "ParametricMap":
@@ -228,7 +226,7 @@ class ParametricMap:
             x = np.asarray(x, float)
             return np.broadcast_to(D0, x.shape[:-1] + (3, 3)).copy()
 
-        return cls(domain, mapping, differential, kind="scaled")
+        return cls(domain, mapping, differential)
 
     # ---------------- evaluation ----------------
 

@@ -40,6 +40,7 @@ from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle, adap
 
 _SINGULAR_DIST = 1e-12
 _STANDOFF_SAMPLES = 201  # surface samples per parameter axis for the standoff estimate
+_BLOCK_VALUES = 1 << 17  # charge-point pairs per block of the direct sum
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +130,62 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
-def point_potential(dist: ScaledChargeDistribution, point: np.ndarray) -> float:
-    """Exactly rounded Green's sum of all realized charges at one point (math.fsum)."""
-    d = np.sqrt(np.sum((dist.positions - point) ** 2, axis=-1))
-    if d.size and d.min() < _SINGULAR_DIST:
-        raise SingularEvaluation("observation point coincides with a charge")
-    return math.fsum((dist.magnitudes / d).tolist()) if d.size else 0.0
+def _distances(points: np.ndarray, obs: np.ndarray):
+    """Per-component differences obs - points, each (N, M), and the distances |obs - points|."""
+    dx, dy, dz = (obs[None, :, k] - points[:, k, None] for k in range(3))
+    return (dx, dy, dz), np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of ``v`` (consumed), bitwise equal to math.fsum.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008):
+    with |v| < 2^e on a row and sigma = 1.5 * 2^(e + k), hi = (v + sigma) - sigma
+    rounds every value to a multiple of ulp(sigma) without error and v - hi is
+    exact.  As 2^k >= 2 (N + 2), every partial sum of hi is exact, so numpy may
+    add it in any order.  Each pass strips 52 - k leading bits until the
+    remainder is zero; math.fsum then rounds the row's few slice sums.  A
+    non-finite row, or one whose sigma would leave the safe exponent window,
+    hands its remainder to math.fsum instead.
+    """
+    k = (v.shape[1] + 1).bit_length() + 1  # ceil(log2(N + 2)) + 1
+    terms = [[] for _ in range(len(v))]
+    while True:
+        m = np.abs(v).max(axis=1)
+        e = np.frexp(m)[1]
+        whole = ~np.isfinite(m) | (e + k > 1023) | (e - 52 < k - 1021)
+        for i in np.flatnonzero(whole):
+            terms[i] += v[i].tolist()
+        v[whole], e[whole] = 0.0, 0
+        if not m[~whole].any():
+            return np.array([math.fsum(t) for t in terms])
+        sigma = np.ldexp(1.5, e + k)[:, None]
+        hi = v + sigma
+        hi -= sigma
+        v -= hi
+        for t, s in zip(terms, hi.sum(axis=1).tolist()):
+            t.append(s)
+
+
+def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray:
+    """Exactly rounded Green's sum of all realized charges at each of ``points`` (M, 3).
+
+    Points go in blocks of about _BLOCK_VALUES charge-point pairs; each row of
+    q / |r_j - r| is reduced by :func:`_row_sums`.  The values are bitwise equal
+    to one math.fsum per point, whatever the block size or charge order.
+    """
+    values = np.zeros(len(points))
+    n = dist.n_charges
+    if n == 0:
+        return values
+    rows = max(1, _BLOCK_VALUES // n)
+    for start in range(0, len(points), rows):
+        _, d = _distances(points[start : start + rows], dist.positions)
+        if d.min() < _SINGULAR_DIST:
+            raise SingularEvaluation("observation point coincides with a charge")
+        np.divide(dist.magnitudes, d, out=d)
+        values[start : start + rows] = _row_sums(d)
+    return values
 
 
 def direct_potential(
@@ -144,8 +195,9 @@ def direct_potential(
 ) -> FieldSample:
     """Exact Green's sum of all realized charges at every observation point.
 
-    Each point is reduced independently by :func:`point_potential`, so values
-    are exactly rounded and independent of enumeration order.
+    :func:`green_sums` reduces each point by error-free extraction, so values
+    are exactly rounded: bitwise equal to one math.fsum per point, and
+    independent of the block size and of the charge enumeration order.
     ``standoff_factor`` guards the asymptotic regime (standoff >= factor *
     max(l, h)); convergence studies pass 0 to evaluate coarse steps on
     purpose.
@@ -156,7 +208,7 @@ def direct_potential(
             f"grid standoff {grid.standoff:.4g} < {standoff_factor:g} * max(l, h) = {limit:.4g}"
         )
 
-    values = np.fromiter((point_potential(dist, p) for p in grid.points), float, grid.n_points)
+    values = green_sums(dist, grid.points)
     tag = f"microscopic(l={dist.l:g} h={dist.h:g} {dist.regime.label()})"
     return FieldSample(grid=grid, values=values, provenance=tag)
 
@@ -164,12 +216,6 @@ def direct_potential(
 # ---------------------------------------------------------------------------
 # homogenized potentials
 # ---------------------------------------------------------------------------
-
-
-def _distances(points: np.ndarray, obs: np.ndarray):
-    """Per-component differences obs - points, each (N, M), and the distances |obs - points|."""
-    dx, dy, dz = (obs[None, :, k] - points[:, k, None] for k in range(3))
-    return (dx, dy, dz), np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def _kernel_parts(pmap: ParametricMap, x_p: np.ndarray, obs: np.ndarray, need_normal: bool):

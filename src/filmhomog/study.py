@@ -27,7 +27,7 @@ from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
 from .lattice import UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
-from .potential import FieldSample, ObservationGrid, direct_potential, homogenized_potential, point_potential
+from .potential import FieldSample, ObservationGrid, direct_potential, green_sums, homogenized_potential
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
 DEFAULT_ORDER_THRESHOLD = 0.9
@@ -145,13 +145,10 @@ def check_dipole_decay(dist: ScaledChargeDistribution) -> bool:
     direction = fr.normal + fr.tangent1 / np.linalg.norm(fr.tangent1) + fr.tangent2 / np.linalg.norm(fr.tangent2)
     direction = direction / np.linalg.norm(direction)
     scale = max(dom.diameter, 1.0)
-    center = fr.point
-    vals = [
-        abs(point_potential(dist, center + rad * scale * direction)) * (rad * scale) ** 2
-        for rad in DECAY_RADII
-    ]
+    radii = np.asarray(DECAY_RADII) * scale
+    vals = np.abs(green_sums(dist, fr.point + radii[:, None] * direction)) * radii**2
     floor = 1e-12 * float(np.sum(np.abs(dist.magnitudes))) + 1e-300
-    return all(v <= DECAY_GROWTH_TOL * vals[0] + floor for v in vals[1:])
+    return bool(np.all(vals[1:] <= DECAY_GROWTH_TOL * vals[0] + floor))
 
 
 def run_convergence(

@@ -32,7 +32,9 @@ class TestParse:
         assert cfg.grid.n_points == 25  # 5x5 default
         assert cfg.grid.standoff == pytest.approx(1.0)
         assert cfg.schedule == [(0.25, 0.25), (0.125, 0.125)]
-        assert cfg.pmap.kind == "identity"
+        x = np.array([[0.25, 0.75, 0.125], [1.0, 0.0, -0.5]])
+        np.testing.assert_array_equal(cfg.pmap.evaluate(x), x)  # the default map is the identity
+        np.testing.assert_array_equal(cfg.pmap.midsurface(x[:, :2]), [[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
         assert len(cfg.scenario_hash) == 12
 
     def test_missing_file(self, tmp_path):

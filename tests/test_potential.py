@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmhomog import (
     Motif,
@@ -30,7 +32,7 @@ from filmhomog import (
 )
 from filmhomog.geometry import surface_frame
 from filmhomog.moments import SigmaSegment
-from filmhomog.potential import _kernel_parts
+from filmhomog.potential import _BLOCK_VALUES, _kernel_parts, _row_sums, green_sums
 from reference import finite_t_double_layer, fsum_potential, prescribed_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -157,6 +159,86 @@ class TestDirectPotential:
         )
         v_both = direct_potential(realize(PLANAR_DIPOLE, t, IDENT, 0.25, 0.25, r2), grid, standoff_factor=0.0).values
         np.testing.assert_allclose(v_both, v_sum, rtol=1e-12)
+
+    def test_blocks_with_ragged_tail_match_per_point_fsum(self):
+        t = tessellate(UNIT, 1 / 50, SQUARE)
+        d = realize(PLANAR_DIPOLE, t, IDENT, 1 / 50, 1 / 50, Regime("R2", alpha=1.0))
+        rows = _BLOCK_VALUES // d.n_charges
+        xy = np.stack(np.meshgrid(np.linspace(-0.5, 1.5, 10), np.linspace(-0.5, 1.5, 7)), axis=-1).reshape(-1, 2)
+        pts = np.column_stack([xy, 0.3 + 0.01 * np.arange(len(xy))])
+        grid = ObservationGrid.from_points(pts, IDENT)
+        assert rows > 1 and grid.n_points > 2 * rows and grid.n_points % rows != 0
+        values = direct_potential(d, grid, standoff_factor=0.0).values
+        np.testing.assert_array_equal(values, fsum_potential(d, grid))
+
+    def test_charge_on_point_of_second_block_is_singular(self):
+        rng = np.random.default_rng(3)
+        n = _BLOCK_VALUES // 3 + 1  # two points per block
+        dist = charges(rng.uniform(1.0, 2.0, (n, 3)), rng.uniform(-1.0, 1.0, n))
+        points = np.vstack([[[0.5, 0.5, 3.0], [0.0, 1.0, 4.0], [1.0, 0.0, 5.0]], dist.positions[7]])
+        assert _BLOCK_VALUES // n == 2
+        assert np.all(np.isfinite(green_sums(dist, points[:2])))
+        with pytest.raises(SingularEvaluation):
+            green_sums(dist, points)
+
+
+def _fsum_outcome(row):
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestRowSums:
+    """Error-free extraction against one math.fsum per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        j=st.integers(1, 11),
+        short=st.sampled_from([3, 2, 1]),  # N = 2^j - 3, 2^j - 2, 2^j - 1: where k steps
+        n_rows=st.integers(1, 4),
+        span=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+        mirrored=st.floats(0.0, 0.5),
+        subnormal=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_fsum(self, j, short, n_rows, span, mirrored, subnormal, seed):
+        n = max(1, 2**j - short)
+        rng = np.random.default_rng(seed)
+        v = np.ldexp(rng.uniform(-1.0, 1.0, (n_rows, n)), rng.integers(min(span), max(span) + 1, (n_rows, n)))
+        tiny = rng.random((n_rows, n)) < subnormal
+        v[tiny] = np.ldexp(rng.uniform(-1.0, 1.0, tiny.sum()), -1022)
+        pairs = int(mirrored * n)
+        v[:, n - pairs :] = -v[:, :pairs]  # exact cancellation partners
+        v = rng.permuted(v, axis=1)
+        expected = [math.fsum(row) for row in v.tolist()]
+        assert _row_sums(v.copy()).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.7e308, 1.7e308],
+            [1.5e308, 1.5e308, -1.5e308],
+            [1.7e308, -1.7e308, 1.0],
+            [1.7e308, -1e292, 2.0**-1074],
+            [2.0**-1000, -3.0 * 2.0**-1070, 2.0**-1074],
+            [1.0, 2.0**-53, 2.0**-1000],  # the remainder 2^-1000 leaves the window late and breaks a tie
+            [math.inf, 1.0],
+            [math.inf, -math.inf],
+            [-0.0, -0.0],
+        ],
+    )
+    def test_out_of_window_rows_match_fsum(self, row):
+        live = [0.1 * (j + 1) for j in range(len(row))]  # extracted in the same block
+        block = np.array([row, live, row[::-1]])
+        expected = _fsum_outcome(row)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                _row_sums(block)
+        else:
+            got = _row_sums(block)
+            assert got.tolist() == [expected, math.fsum(live), expected]
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, got[2]) == math.copysign(1.0, expected)
 
 
 class TestHomogenizedR1:
