@@ -196,8 +196,6 @@ class ScaledChargeDistribution:
     regime: Regime
     positions: np.ndarray        # (N, 3) physical positions
     magnitudes: np.ndarray       # (N,)   physical charges
-    ref_weights: np.ndarray      # (N,)   unscaled reference weights (incl. imbalance factor)
-    planar_params: np.ndarray    # (N, 2) planar parameter positions
 
     @property
     def n_charges(self) -> int:
@@ -247,6 +245,4 @@ def realize(
         regime=regime,
         positions=positions,
         magnitudes=pref * ref_weights,
-        ref_weights=ref_weights,
-        planar_params=planar_params,
     )

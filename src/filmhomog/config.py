@@ -199,6 +199,8 @@ def build_config(raw: dict) -> ScenarioConfig:
     def build_schedule():
         spec = raw.get("schedule", {})
         sched = make_schedule(regime, spec.get("l"), spec.get("h"))
+        if not sched:
+            raise ValueError("schedule is empty")
         for l, h in sched:
             if not (0.0 < l <= 1.0):
                 raise ValueError(f"schedule scale l={l} outside (0, 1]")

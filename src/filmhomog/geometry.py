@@ -45,11 +45,6 @@ class Rectangle:
     def diameter(self) -> float:
         return float(np.hypot(*self.widths))
 
-    @property
-    def area(self) -> float:
-        w = self.widths
-        return float(w[0] * w[1])
-
     def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         p = np.asarray(points, float)
         lo = np.asarray(self.lo, float) - tol
@@ -87,10 +82,6 @@ class Edge:
     s_range: tuple[float, float]
     normal: tuple[float, float]
 
-    @property
-    def length(self) -> float:
-        return self.s_range[1] - self.s_range[0]
-
     def points(self, s: np.ndarray) -> np.ndarray:
         """Parameter-space points at arc coordinates ``s`` along the edge."""
         s = np.asarray(s, float)
@@ -104,7 +95,6 @@ class Edge:
 class SurfaceFrame:
     """Mid-surface frame at one or many parameter points."""
 
-    point_param: np.ndarray  # (..., 2)
     point: np.ndarray        # (..., 3) physical position on the mid-surface
     tangent1: np.ndarray     # (..., 3) d psi0 / d x1
     tangent2: np.ndarray     # (..., 3) d psi0 / d x2
@@ -294,7 +284,6 @@ def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
         raise DegenerateFrame("surface tangents are parallel within tolerance")
     normal = cross / j0[..., None]
     return SurfaceFrame(
-        point_param=x_p,
         point=pmap.evaluate(x),
         tangent1=t1,
         tangent2=t2,

@@ -115,10 +115,6 @@ class Tessellation:
         return self.indices[self.n_full :]
 
     @property
-    def has_full_cells(self) -> bool:
-        return self.n_full > 0
-
-    @property
     def _tol(self) -> float:
         return _CONTAIN_TOL * max(1.0, self.domain.diameter)
 
@@ -246,7 +242,7 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
         clip_polygons=tuple(clipped[k] for k in keep),
         clip_areas=areas[keep],
     )
-    if not tess.has_full_cells:
+    if tess.n_full == 0:
         warnings.warn(
             "no full cell fits in the domain; partial cells still tile it",
             EmptyTessellation,

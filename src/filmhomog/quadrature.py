@@ -1,17 +1,21 @@
-"""Adaptive Gauss-Legendre quadrature on rectangles and segments.
+"""Adaptive tensor Gauss-Legendre quadrature: one engine over boxes [lo, hi].
 
-Integrands are vector-valued (one component per observation point); a panel
-is accepted when the difference between its one-shot Gauss estimate and the
-sum over its children is below the panel's share of the absolute tolerance.
-Children estimates are kept, so the returned value is the refined one.
-Panel traversal order is fixed, making results bitwise reproducible.  Each
-panel is one integrand call of 8 (1D) or 64 (2D) nodes.  At the depth cap,
-QuadratureNotConverged names the failing panel, its depth and the value
+A segment is a box with scalar bounds, a rectangle one with (2,) bounds.
+Integrands are vector-valued (one component per observation point); a box is
+accepted when its one-shot Gauss estimate and the sum over its 2^d children
+differ by at most its tolerance, else each child is refined with tol / 2^d.
+Children estimates are kept, and children are visited depth-first with axis 0
+fastest, so results are bitwise reproducible.  Each panel is one integrand
+call of 8 flat nodes (segment) or (64, 2) points (rectangle).  At the depth
+cap, QuadratureNotConverged names the failing panel, its depth and the value
 column (observation point) with the largest error.
 """
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -26,35 +30,48 @@ DEFAULT_MAX_DEPTH = 12
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _panel_2d(f, lo, hi):
-    """Tensor Gauss estimate of a vector integrand over [lo, hi]."""
+def _rule(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node offsets, weights and child masks (child k is upper on axis a if bit a of k is set)."""
+    d = int(np.prod(shape))
+    offsets = np.stack(np.meshgrid(*[_NODES] * d, indexing="ij"), axis=-1).reshape((-1,) + shape)
+    weights = np.prod(np.meshgrid(*[_WEIGHTS] * d, indexing="ij"), axis=0).ravel()
+    masks = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool).reshape((-1,) + shape)
+    return offsets, weights, masks
+
+
+_RULES = {shape: _rule(shape) for shape in [(), (2,)]}
+
+
+def _panel(f, lo, hi):
+    """Tensor Gauss estimate of a vector integrand over the box [lo, hi]."""
+    offsets, weights, _ = _RULES[lo.shape]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    n1 = mid[0] + half[0] * _NODES
-    n2 = mid[1] + half[1] * _NODES
-    X1, X2 = np.meshgrid(n1, n2, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-    W = np.outer(_WEIGHTS, _WEIGHTS).ravel() * (half[0] * half[1])
-    vals = np.asarray(f(pts))
-    return np.tensordot(W, vals, axes=(0, 0))
+    vals = np.asarray(f(mid + half * offsets))
+    return np.tensordot(weights * math.prod(half.flat), vals, axes=(0, 0))
 
 
-def _panel_1d(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * _NODES))
-    return half * np.tensordot(_WEIGHTS, vals, axes=(0, 0))
-
-
-def _not_converged(panel: str, depth: int, diff: np.ndarray, tol: float) -> QuadratureNotConverged:
-    """Depth-cap failure of ``panel``, whose children minus coarse estimate is ``diff``."""
+def _adapt(f, lo, hi, tol, depth, max_depth, coarse=None):
+    if coarse is None:
+        coarse = _panel(f, lo, hi)
+    masks = _RULES[lo.shape][2]
+    mid = 0.5 * (lo + hi)
+    kids = list(zip(np.where(masks, mid, lo), np.where(masks, hi, mid)))
+    parts = [_panel(f, a, b) for a, b in kids]
+    fine = reduce(add, parts)
+    diff = np.abs(fine - coarse)
     err = float(np.max(diff))
-    return QuadratureNotConverged(
-        f"{panel} at depth {depth} (the cap): error {err:.3e} > {tol:.3e}, "
-        f"largest in value column {int(np.argmax(diff))}",
-        error_estimate=err,
-        tolerance=tol,
-    )
+    if err <= tol:
+        return fine
+    if depth >= max_depth:
+        raise QuadratureNotConverged(
+            f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {depth} (the cap): "
+            f"error {err:.3e} > {tol:.3e}, largest in value column {int(np.argmax(diff))}",
+            error_estimate=err,
+            tolerance=tol,
+        )
+    tol /= len(kids)
+    return reduce(add, (_adapt(f, a, b, tol, depth + 1, max_depth, part) for (a, b), part in zip(kids, parts)))
 
 
 def adaptive_rectangle(
@@ -77,38 +94,9 @@ def adaptive_rectangle(
     # balance strongly anisotropic domains before going adaptive
     n1 = max(1, int(np.ceil(w[0] / w[1]))) if w[1] > 0 else 1
     n2 = max(1, int(np.ceil(w[1] / w[0]))) if w[0] > 0 else 1
-    total = None
-    for i in range(n1):
-        for j in range(n2):
-            p_lo = lo + w * np.array([i / n1, j / n2])
-            p_hi = lo + w * np.array([(i + 1) / n1, (j + 1) / n2])
-            part = _adapt_2d(f, p_lo, p_hi, tol / (n1 * n2), 0, max_depth)
-            total = part if total is None else total + part
-    return total
-
-
-def _adapt_2d(f, lo, hi, tol, depth, max_depth, coarse=None):
-    if coarse is None:
-        coarse = _panel_2d(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    quads = [
-        (lo, mid),
-        (np.array([mid[0], lo[1]]), np.array([hi[0], mid[1]])),
-        (np.array([lo[0], mid[1]]), np.array([mid[0], hi[1]])),
-        (mid, hi),
-    ]
-    fine_parts = [_panel_2d(f, a, b) for a, b in quads]
-    fine = sum(fine_parts)
-    diff = np.abs(fine - coarse)
-    if float(np.max(diff)) <= tol:
-        return fine
-    if depth >= max_depth:
-        raise _not_converged(f"2D panel [{lo.tolist()}, {hi.tolist()}]", depth, diff, tol)
-    out = None
-    for (a, b), part in zip(quads, fine_parts):
-        refined = _adapt_2d(f, a, b, tol / 4.0, depth + 1, max_depth, coarse=part)
-        out = refined if out is None else out + refined
-    return out
+    n = np.array([n1, n2])
+    boxes = [(lo + w * (k / n), lo + w * ((k + 1) / n)) for k in map(np.array, np.ndindex(n1, n2))]
+    return reduce(add, (_adapt(f, a, b, tol / (n1 * n2), 0, max_depth) for a, b in boxes))
 
 
 def adaptive_segment(
@@ -118,21 +106,5 @@ def adaptive_segment(
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
-    """Integrate a vector integrand over [a, b] to absolute tolerance."""
-    coarse = _panel_1d(f, a, b)
-    return _adapt_1d(f, a, b, coarse, tol, 0, max_depth)
-
-
-def _adapt_1d(f, a, b, coarse, tol, depth, max_depth):
-    mid = 0.5 * (a + b)
-    left = _panel_1d(f, a, mid)
-    right = _panel_1d(f, mid, b)
-    fine = left + right
-    diff = np.abs(fine - coarse)
-    if float(np.max(diff)) <= tol:
-        return fine
-    if depth >= max_depth:
-        raise _not_converged(f"1D panel [{float(a)}, {float(b)}]", depth, diff, tol)
-    return _adapt_1d(f, a, mid, left, tol / 2.0, depth + 1, max_depth) + _adapt_1d(
-        f, mid, b, right, tol / 2.0, depth + 1, max_depth
-    )
+    """Integrate a vector integrand over [a, b]; ``f`` gets each panel's 8 nodes flat."""
+    return _adapt(f, np.float64(a), np.float64(b), tol, 0, max_depth)

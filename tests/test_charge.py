@@ -79,7 +79,7 @@ class TestRealize:
         assert set(np.round(d.magnitudes, 15)) == {0.25, -0.25}
         assert np.all(d.positions[:, 2] == 0.0)
         # atom offsets within the cell
-        plus = d.planar_params[d.magnitudes > 0]
+        plus = d.positions[d.magnitudes > 0, :2]
         rel = plus - 0.25 * np.floor(plus / 0.25)
         expected = np.tile(0.25 * np.array([0.75, 0.5]), (len(rel), 1))
         np.testing.assert_allclose(rel, expected, atol=1e-14)
@@ -98,7 +98,7 @@ class TestRealize:
     def test_partial_cells_keep_only_points_inside(self):
         t = tessellate(UNIT, 0.3, SQUARE)
         d = realize(PLANAR_DIPOLE, t, IDENT, 0.3, 0.3, Regime("R2", alpha=1.0))
-        assert np.all(UNIT.contains(d.planar_params, tol=1e-12))
+        assert np.all(UNIT.contains(d.positions[:, :2], tol=1e-12))
         # right-edge partial cells keep the minus point (x = 0.975) and drop the plus
         n_full_atoms = 2 * len(t.full_cells)
         assert d.n_charges > n_full_atoms
@@ -124,9 +124,11 @@ class TestRealize:
                     if full or UNIT.contains(p, tol=1e-12):
                         planar.append(p)
                         weights.append(scale * float(pt.weight_at(corner)))
-        np.testing.assert_array_equal(d.planar_params, planar)
-        atol = 4 * np.spacing(np.max(np.abs(weights)))
-        np.testing.assert_allclose(d.ref_weights, weights, rtol=0.0, atol=atol)
+        # the identity map copies the planar positions bitwise
+        np.testing.assert_array_equal(d.positions[:, :2], planar)
+        expected = Regime("R1").prefactor(l, h) * np.asarray(weights)
+        atol = 4 * np.spacing(np.max(np.abs(expected)))
+        np.testing.assert_allclose(d.magnitudes, expected, rtol=0.0, atol=atol)
 
     def test_regime_mismatch_raises(self):
         t = tessellate(UNIT, 0.25, SQUARE)

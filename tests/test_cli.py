@@ -235,6 +235,22 @@ class TestExitCodes:
         assert f"config violation: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["gauge", "moments", "converge", "potential"])
+    def test_empty_schedule_exit_2(self, tmp_path, command, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "motif": {"points": DIPOLE_POINTS},
+                "cell_b": {"f": [0.5, 0.5]},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": []},
+                "grid": {"kind": "offset_surface", "n": [3, 3], "distance": 1.0},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert "config violation: schedule: schedule is empty" in capsys.readouterr().err
+
     def test_nan_observation_point_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -57,8 +57,6 @@ def charges(positions, magnitudes):
         regime=Regime("R1"),
         positions=positions,
         magnitudes=magnitudes,
-        ref_weights=magnitudes,
-        planar_params=positions[:, :2],
     )
 
 

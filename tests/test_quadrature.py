@@ -88,3 +88,29 @@ class TestFailureContext:
         assert err.error_estimate > err.tolerance
         assert "1D panel [0.25, 0.3125] at depth 4 (the cap)" in str(err)
         assert "largest in value column 0" in str(err)
+
+
+class TestCallContract:
+    """One integrand call is one panel: 8 flat nodes (segment) or (64, 2) points (rectangle)."""
+
+    def test_rectangle_calls(self):
+        shapes = []
+
+        def peaked(p):
+            shapes.append(p.shape)
+            return 1.0 / ((p[:, 0] - 0.3) ** 2 + (p[:, 1] - 0.6) ** 2 + 1e-2)
+
+        adaptive_rectangle(peaked, (0.0, 0.0), (1.0, 1.0), tol=1e-8)
+        assert set(shapes) == {(64, 2)}
+        assert len(shapes) == 133  # root + 4 children per split, 33 splits
+
+    def test_segment_calls(self):
+        shapes = []
+
+        def peaked(s):
+            shapes.append(s.shape)
+            return 1.0 / ((s - 0.3) ** 2 + 1e-4)
+
+        adaptive_segment(peaked, 0.0, 1.0, tol=1e-10)
+        assert set(shapes) == {(8,)}
+        assert len(shapes) == 87  # root + 2 children per split, 43 splits
