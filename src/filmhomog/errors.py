@@ -26,7 +26,13 @@ class StandoffViolation(FilmHomogError):
 
 
 class QuadratureNotConverged(FilmHomogError):
-    """Adaptive quadrature hit the depth cap before reaching its tolerance."""
+    """Adaptive quadrature stopped above its tolerance.
+
+    Raised when the leaf to split sits at the depth cap or when the live
+    leaves reach the leaf budget.  ``error_estimate`` is the summed error
+    estimate (the largest per-column sum over the leaves) and ``tolerance``
+    the integral's ``tol``.
+    """
 
     def __init__(self, message, error_estimate=None, tolerance=None):
         super().__init__(message)

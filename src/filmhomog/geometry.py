@@ -270,19 +270,23 @@ class ParametricMap:
 def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
     """Tangents, unit normal and surface Jacobian of the mid-surface at x_p.
 
-    J0 = |t1 x t2| equals sqrt(det(Dpsi0^T Dpsi0)) by the Gram identity.
+    J0 = |t1 x t2| equals sqrt(det(Dpsi0^T Dpsi0)) by the Gram identity.  The
+    cross product and norms are taken per component, in the operation order
+    of np.cross and np.linalg.norm, so the frame is bitwise the same.
     """
     x_p = np.asarray(x_p, float)
     x = ParametricMap._embed(x_p)
     D = pmap.differential(x)
     t1 = D[..., :, 0]
     t2 = D[..., :, 1]
-    cross = np.cross(t1, t2)
-    j0 = np.linalg.norm(cross, axis=-1)
-    scale = np.linalg.norm(t1, axis=-1) * np.linalg.norm(t2, axis=-1)
+    a0, a1, a2 = t1[..., 0], t1[..., 1], t1[..., 2]
+    b0, b1, b2 = t2[..., 0], t2[..., 1], t2[..., 2]
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    j0 = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    scale = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) * np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
     if np.any(j0 <= _FRAME_TOL * np.maximum(scale, 1.0)):
         raise DegenerateFrame("surface tangents are parallel within tolerance")
-    normal = cross / j0[..., None]
+    normal = np.stack([c0, c1, c2], axis=-1) / j0[..., None]
     return SurfaceFrame(
         point=pmap.evaluate(x),
         tangent1=t1,

@@ -1,20 +1,30 @@
 """Adaptive tensor Gauss-Legendre quadrature: one engine over boxes [lo, hi].
 
 A segment is a box with scalar bounds, a rectangle one with (2,) bounds.
-Integrands are vector-valued (one component per observation point); a box is
-accepted when its one-shot Gauss estimate and the sum over its 2^d children
-differ by at most its tolerance, else each child is refined with tol / 2^d.
-Children estimates are kept, and children are visited depth-first with axis 0
-fastest, so results are bitwise reproducible.  Each panel is one integrand
-call of 8 flat nodes (segment) or (64, 2) points (rectangle).  At the depth
-cap, QuadratureNotConverged names the failing panel, its depth and the value
-column (observation point) with the largest error.
+Integrands are vector-valued (one component per observation point).  Every
+leaf of the refinement tree holds its 2^d child panels; its error is the
+difference between its one-shot Gauss estimate and the sum of its children,
+per value column.  The whole integral runs under one error budget: while the
+largest per-column sum of leaf errors is above ``tol``, the leaf with the
+largest error (ties to the older leaf) is replaced by its 2^d children.  A
+leaf whose error is within its local share ``tol * |box| / |domain|`` is
+frozen and never split, so the tree is a subtree of the one that splits
+every box above its share, and hits the depth cap only where that one would.
+
+Leaves are summed back in nested order, children with axis 0 fastest, so
+results are bitwise reproducible.  Each panel is one integrand call of 8 flat
+nodes (segment) or (64, 2) points (rectangle).  QuadratureNotConverged is
+raised when the leaf to split sits at the depth cap, or when the live leaves
+reach the leaf budget ``LEAF_BUDGET``; it names the panel, its depth and the
+value column (observation point) with the largest error.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import reduce
+from itertools import count
 from operator import add
 from typing import Callable
 
@@ -25,6 +35,9 @@ from .errors import QuadratureNotConverged
 # default absolute tolerance and depth cap of every adaptive integral
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DEPTH = 12
+# live leaves at which one adaptive integral gives up: bounds time and memory
+# when the tolerance is out of reach (roundoff), which would refine breadth first
+LEAF_BUDGET = 2**11
 
 # 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -51,27 +64,60 @@ def _panel(f, lo, hi):
     return np.tensordot(weights * math.prod(half.flat), vals, axes=(0, 0))
 
 
-def _adapt(f, lo, hi, tol, depth, max_depth, coarse=None):
-    if coarse is None:
-        coarse = _panel(f, lo, hi)
-    masks = _RULES[lo.shape][2]
-    mid = 0.5 * (lo + hi)
-    kids = list(zip(np.where(masks, mid, lo), np.where(masks, hi, mid)))
-    parts = [_panel(f, a, b) for a, b in kids]
-    fine = reduce(add, parts)
-    diff = np.abs(fine - coarse)
-    err = float(np.max(diff))
-    if err <= tol:
-        return fine
-    if depth >= max_depth:
-        raise QuadratureNotConverged(
-            f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {depth} (the cap): "
-            f"error {err:.3e} > {tol:.3e}, largest in value column {int(np.argmax(diff))}",
-            error_estimate=err,
+def _adapt(f, boxes, tol, max_depth):
+    """Integrate f over the union of equal boxes under one error budget ``tol``."""
+    nkids = 2 ** np.size(boxes[0][0])
+    fine = {}  # path (box index, child indices...) -> fine estimate of each live leaf
+    errs = {}  # path -> |fine - coarse| per value column
+    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, [(child box, panel)])
+    order = count()
+
+    def grow(path, lo, hi, share, coarse):
+        masks = _RULES[lo.shape][2]
+        mid = 0.5 * (lo + hi)
+        kids = list(zip(np.where(masks, mid, lo), np.where(masks, hi, mid)))
+        parts = [_panel(f, a, b) for a, b in kids]
+        fine[path] = reduce(add, parts)
+        errs[path] = err = np.abs(fine[path] - coarse)
+        worst = float(np.max(err))
+        if math.isnan(worst):  # a NaN integrand value is the worst error, never frozen
+            worst = math.inf
+        if worst > share:
+            heapq.heappush(heap, (-worst, next(order), path, lo, hi, share, list(zip(kids, parts))))
+        return err
+
+    def failure(path, lo, hi, reason, error):
+        summed = float(np.max(total))
+        return QuadratureNotConverged(
+            f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {len(path) - 1} ({reason}): "
+            f"error {error}, largest in value column {int(np.argmax(errs[path]))}; "
+            f"summed error {summed:.3e} > {tol:.3e}",
+            error_estimate=summed,
             tolerance=tol,
         )
-    tol /= len(kids)
-    return reduce(add, (_adapt(f, a, b, tol, depth + 1, max_depth, part) for (a, b), part in zip(kids, parts)))
+
+    share = tol / len(boxes)
+    total = reduce(add, [grow((i,), a, b, share, _panel(f, a, b)) for i, (a, b) in enumerate(boxes)])
+    while heap:
+        if np.max(total) <= tol:
+            total = reduce(add, errs.values())  # drop the drift of the running updates
+            if np.max(total) <= tol:
+                break
+        neg_worst, _, path, lo, hi, share, kids = heapq.heappop(heap)
+        if len(path) > max_depth:
+            raise failure(path, lo, hi, "the cap", f"{-neg_worst:.3e} > its share {share:.3e}")
+        if len(fine) >= LEAF_BUDGET:
+            raise failure(path, lo, hi, f"worst of {LEAF_BUDGET} live leaves, the leaf budget", f"{-neg_worst:.3e}")
+        del fine[path]
+        total = total - errs.pop(path)
+        for k, ((a, b), part) in enumerate(kids):
+            total = total + grow(path + (k,), a, b, share / nkids, part)
+
+    # fold the leaves in nested order: deepest sibling groups first, each from child 0
+    while (depth := max(map(len, fine))) > 1:
+        for parent in sorted({p[:-1] for p in fine if len(p) == depth}):
+            fine[parent] = reduce(add, [fine.pop(parent + (k,)) for k in range(nkids)])
+    return reduce(add, [fine[(i,)] for i in range(len(boxes))])
 
 
 def adaptive_rectangle(
@@ -84,9 +130,11 @@ def adaptive_rectangle(
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
     ``f`` maps parameter points (N, 2) to values (N, ...); the error control
-    is on the max-norm across trailing dimensions.  Raises
-    QuadratureNotConverged when the depth cap is hit with the local error
-    still above its tolerance share.
+    is on the max-norm across trailing dimensions.  Strongly anisotropic
+    rectangles are first cut into near-square boxes, which become the first
+    leaves of one global error budget: refinement stops once every value
+    column's summed leaf error is within ``tol``.  Raises
+    QuadratureNotConverged at the depth cap or the leaf budget.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
@@ -96,7 +144,7 @@ def adaptive_rectangle(
     n2 = max(1, int(np.ceil(w[1] / w[0]))) if w[0] > 0 else 1
     n = np.array([n1, n2])
     boxes = [(lo + w * (k / n), lo + w * ((k + 1) / n)) for k in map(np.array, np.ndindex(n1, n2))]
-    return reduce(add, (_adapt(f, a, b, tol / (n1 * n2), 0, max_depth) for a, b in boxes))
+    return _adapt(f, boxes, tol, max_depth)
 
 
 def adaptive_segment(
@@ -107,4 +155,4 @@ def adaptive_segment(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
     """Integrate a vector integrand over [a, b]; ``f`` gets each panel's 8 nodes flat."""
-    return _adapt(f, np.float64(a), np.float64(b), tol, 0, max_depth)
+    return _adapt(f, [(np.float64(a), np.float64(b))], tol, max_depth)

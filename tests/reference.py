@@ -11,9 +11,15 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``covered_area``: the area the cells of a tessellation cover.
 - ``fsum_potential``: the exactly rounded Green's sum, one ``math.fsum`` per
   observation point.
+- ``recursive_rectangle`` / ``recursive_segment``: adaptive Gauss quadrature
+  that splits every box whose error is above its share tol / 2^depth, depth
+  first.  The global-budget engine's tree is a subtree of this one, and its
+  values are bitwise equal wherever the two trees coincide.
 """
 
 import math
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +30,7 @@ from filmhomog import (
     NonPositiveJacobian,
     ObservationGrid,
     ParametricMap,
+    QuadratureNotConverged,
     ScaledChargeDistribution,
     StandoffViolation,
     Tessellation,
@@ -31,7 +38,7 @@ from filmhomog import (
 )
 from filmhomog.moments import _j0_at
 from filmhomog.potential import _distances
-from filmhomog.quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
+from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
 
 _JACOBIAN_FLOOR = 1e-14
 _DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
@@ -179,3 +186,37 @@ def fsum_potential(dist: ScaledChargeDistribution, grid: ObservationGrid) -> lis
         math.fsum((dist.magnitudes / np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))).tolist())
         for p in grid.points
     ]
+
+
+def _adapt(f, lo, hi, tol, depth, max_depth, coarse=None):
+    if coarse is None:
+        coarse = _panel(f, lo, hi)
+    masks = _RULES[lo.shape][2]
+    mid = 0.5 * (lo + hi)
+    kids = list(zip(np.where(masks, mid, lo), np.where(masks, hi, mid)))
+    parts = [_panel(f, a, b) for a, b in kids]
+    fine = reduce(add, parts)
+    err = float(np.max(np.abs(fine - coarse)))
+    if err <= tol:
+        return fine
+    if depth >= max_depth:
+        raise QuadratureNotConverged(f"{np.size(lo)}D panel at depth {depth}", error_estimate=err, tolerance=tol)
+    tol /= len(kids)
+    return reduce(add, (_adapt(f, a, b, tol, depth + 1, max_depth, part) for (a, b), part in zip(kids, parts)))
+
+
+def recursive_rectangle(f, lo, hi, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """Depth-first adaptive rectangle rule after the same anisotropy pre-split as the library."""
+    lo = np.asarray(lo, float)
+    hi = np.asarray(hi, float)
+    w = hi - lo
+    n1 = max(1, int(np.ceil(w[0] / w[1]))) if w[1] > 0 else 1
+    n2 = max(1, int(np.ceil(w[1] / w[0]))) if w[0] > 0 else 1
+    n = np.array([n1, n2])
+    boxes = [(lo + w * (k / n), lo + w * ((k + 1) / n)) for k in map(np.array, np.ndindex(n1, n2))]
+    return reduce(add, (_adapt(f, a, b, tol / (n1 * n2), 0, max_depth) for a, b in boxes))
+
+
+def recursive_segment(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
+    """Depth-first adaptive segment rule."""
+    return _adapt(f, np.float64(a), np.float64(b), tol, 0, max_depth)

@@ -91,6 +91,29 @@ class TestSurfaceFrame:
         fr = surface_frame(cylinder, UNIT.sample(200, rng))
         np.testing.assert_allclose(fr.j0, 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "make_map",
+        [
+            lambda: ParametricMap.identity(UNIT),
+            lambda: ParametricMap.scaled(UNIT, (1.7, 0.3, 1.0)),
+            lambda: ParametricMap.cylinder(UNIT, 2.0),
+            lambda: ParametricMap.polar_disk(1.5),
+            lambda: ParametricMap(UNIT, _sheared, _sheared_diff),  # all three normal components non-zero
+        ],
+        ids=["identity", "scaled", "cylinder", "polar_disk", "sheared"],
+    )
+    def test_bitwise_equal_to_numpy_cross_and_norm(self, make_map):
+        pmap = make_map()
+        rng = np.random.default_rng(5)
+        x_p = pmap.domain.sample(500, rng)
+        D = pmap.differential(np.concatenate([x_p, np.zeros((500, 1))], axis=1))
+        cross = np.cross(D[..., :, 0], D[..., :, 1])
+        j0 = np.linalg.norm(cross, axis=-1)
+        fr = surface_frame(pmap, x_p)
+        assert fr.j0.tobytes() == j0.tobytes()
+        assert fr.normal.tobytes() == (cross / j0[..., None]).tobytes()
+        assert surface_frame(pmap, x_p[7]).j0 == j0[7]
+
 
 def _collapse(x):
     """Degenerate map (x1, x1, x3): both planar tangents are parallel."""

@@ -4,7 +4,51 @@ import numpy as np
 import pytest
 
 from filmhomog import QuadratureNotConverged
-from filmhomog.quadrature import adaptive_rectangle, adaptive_segment
+from filmhomog.quadrature import LEAF_BUDGET, adaptive_rectangle, adaptive_segment
+from reference import recursive_rectangle, recursive_segment
+
+_GAUSS_8_LAST_NODE = float(np.polynomial.legendre.leggauss(8)[0][-1])
+
+
+def segment_box(s):
+    """The panel [a, b] (rounded to 9 digits) whose 8 Gauss nodes are s."""
+    mid, half = 0.5 * (s[-1] + s[0]), 0.5 * (s[-1] - s[0]) / _GAUSS_8_LAST_NODE
+    return (round(mid - half, 9), round(mid + half, 9))
+
+
+# three observation points (x, y, height) over the unit square: one value column each
+OBS = np.array([[0.2, 0.3, 0.05], [0.7, 0.6, 0.2], [0.5, 0.5, 1.0]])
+
+
+def kernel_2d(p):
+    return 1.0 / np.sqrt((p[:, 0, None] - OBS[:, 0]) ** 2 + (p[:, 1, None] - OBS[:, 1]) ** 2 + OBS[:, 2] ** 2)
+
+
+def kernel_1d(s):
+    return 1.0 / np.sqrt((s[:, None] - OBS[:, 0]) ** 2 + OBS[:, 2] ** 2)
+
+
+def peaked_2d(p):
+    return 1.0 / ((p[:, 0] - 0.3) ** 2 + (p[:, 1] - 0.6) ** 2 + 1e-2)
+
+
+def peaked_1d(s):
+    return 1.0 / ((s - 0.3) ** 2 + 1e-4)
+
+
+def two_columns_2d(p):
+    return np.stack([np.exp(p[:, 0] * p[:, 1]), np.cos(3.0 * p[:, 0]) / (1.2 - p[:, 1])], axis=-1)
+
+
+def recorded(f):
+    """f and the list of raw inputs of its calls: one entry per panel."""
+    calls = []
+
+    def g(x):
+        calls.append(np.asarray(x).tobytes())
+        return f(x)
+
+    return g, calls
 
 
 class TestRectangle:
@@ -76,9 +120,9 @@ class TestFailureContext:
         err = info.value
         assert err.error_estimate > err.tolerance
         msg = str(err)
-        # the first failing panel in depth-first order holds the singular line x = 0.1
-        assert "2D panel [[0.0, 0.0], [0.125, 0.125]] at depth 3 (the cap)" in msg
-        assert "largest in value column 2" in msg
+        # the worst leaf, split first, holds the singular line x = 0.9
+        assert "2D panel [[0.875, 0.0], [1.0, 0.125]] at depth 3 (the cap)" in msg
+        assert "largest in value column 0" in msg
         assert f"error {err.error_estimate:.3e} > {err.tolerance:.3e}" in msg
 
     def test_segment_message(self):
@@ -102,7 +146,7 @@ class TestCallContract:
 
         adaptive_rectangle(peaked, (0.0, 0.0), (1.0, 1.0), tol=1e-8)
         assert set(shapes) == {(64, 2)}
-        assert len(shapes) == 133  # root + 4 children per split, 33 splits
+        assert len(shapes) == 117  # root + 4 child panels for each of 29 leaves, 7 of them split
 
     def test_segment_calls(self):
         shapes = []
@@ -113,4 +157,176 @@ class TestCallContract:
 
         adaptive_segment(peaked, 0.0, 1.0, tol=1e-10)
         assert set(shapes) == {(8,)}
-        assert len(shapes) == 87  # root + 2 children per split, 43 splits
+        assert len(shapes) == 79  # root + 2 child panels for each of 39 leaves, 19 of them split
+
+
+class TestGlobalBudget:
+    """Against the depth-first recursion that splits every box above its share tol / 2^depth."""
+
+    CASES = {
+        "rect_smooth": (adaptive_rectangle, recursive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 1e-9),
+        "rect_peaked": (adaptive_rectangle, recursive_rectangle, peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-8),
+        "rect_two_columns": (adaptive_rectangle, recursive_rectangle, two_columns_2d, (0.0, 0.0), (1.0, 1.0), 1e-9),
+        "rect_anisotropic": (
+            adaptive_rectangle,
+            recursive_rectangle,
+            lambda p: np.sin(p[:, 1]) ** 2 * p[:, 0],
+            (0.0, 0.0),
+            (1.0, 2 * math.pi),
+            1e-11,
+        ),
+        "seg_smooth": (adaptive_segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-10),
+        "seg_peaked": (adaptive_segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-10),
+    }
+    EXACT = {
+        "rect_anisotropic": math.pi / 2,
+        "rect_two_columns": np.array(
+            [math.fsum(1.0 / (math.factorial(n) * (n + 1) ** 2) for n in range(30)), math.sin(3.0) / 3.0 * math.log(6.0)]
+        ),
+        "seg_peaked": 100.0 * (math.atan(70.0) + math.atan(30.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_within_tol(self, name):
+        engine, reference, f, lo, hi, tol = self.CASES[name]
+        exact = self.EXACT.get(name)
+        if exact is None:
+            exact = reference(f, lo, hi, tol=1e-3 * tol)
+        assert np.max(np.abs(engine(f, lo, hi, tol=tol) - exact)) <= tol
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tree_is_a_subtree_of_the_recursion(self, name):
+        engine, reference, f, lo, hi, tol = self.CASES[name]
+        g, calls = recorded(f)
+        ref_g, ref_calls = recorded(f)
+        value = engine(g, lo, hi, tol=tol)
+        ref_value = reference(ref_g, lo, hi, tol=tol)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= set(ref_calls)
+        assert len(calls) <= len(ref_calls)
+        if set(calls) == set(ref_calls):
+            assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+
+    @pytest.mark.parametrize("name", ["rect_two_columns", "rect_anisotropic", "seg_smooth"])
+    def test_bitwise_equal_where_the_trees_coincide(self, name):
+        engine, reference, f, lo, hi, tol = self.CASES[name]
+        g, calls = recorded(f)
+        ref_g, ref_calls = recorded(f)
+        value = engine(g, lo, hi, tol=tol)
+        ref_value = reference(ref_g, lo, hi, tol=tol)
+        assert sorted(calls) == sorted(ref_calls) and len(calls) > 3  # refined, same tree
+        assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+
+    @pytest.mark.parametrize("name", ["rect_peaked", "seg_peaked"])
+    def test_fewer_panels_on_peaked_integrands(self, name):
+        engine, reference, f, lo, hi, tol = self.CASES[name]
+        g, calls = recorded(f)
+        ref_g, ref_calls = recorded(f)
+        engine(g, lo, hi, tol=tol)
+        reference(ref_g, lo, hi, tol=tol)
+        assert len(calls) < len(ref_calls)
+
+    def test_worst_leaf_first_and_frozen_leaf_never_split(self):
+        # A piecewise-constant sampler: each panel [a, b] sees the value I / (b - a) at all its
+        # nodes, so the panel estimate is I and every leaf error is set by the table below
+        # (tol 1: shares 1/2 at depth 1, 1/4 at depth 2).  Errors: root 2; [0, 1/2] 0.45
+        # (frozen, within its share 1/2); [1/2, 1] 0.6; its halves 0.3 each (a tie).
+        integral = {
+            (0.5, 1.0): 2.0,
+            (0.0, 0.25): 0.45,
+            (0.5, 0.75): 0.7,
+            (0.75, 1.0): 0.7,
+            (0.5, 0.625): 0.4,
+            (0.75, 0.875): 0.4,
+            (0.5, 0.5625): 0.4,
+            (0.75, 0.8125): 0.4,
+        }
+
+        def sampler(s):
+            box = segment_box(s)
+            return np.full(s.shape, integral.get(box, 0.0) / (box[1] - box[0]))
+
+        g, calls = recorded(sampler)
+        ref_g, ref_calls = recorded(sampler)
+        value = adaptive_segment(g, 0.0, 1.0, tol=1.0)
+        recursive_segment(ref_g, 0.0, 1.0, tol=1.0)
+        boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
+        # root, its halves, their children; then [1/2, 3/4] (older of the tie) is split, not
+        # the frozen [0, 1/2], and the summed error 0.45 + 0.3 is within tol
+        assert sorted(boxes) == sorted(
+            [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+            + [(0.5, 0.625), (0.625, 0.75), (0.75, 0.875), (0.875, 1.0)]
+            + [(0.5, 0.5625), (0.5625, 0.625), (0.625, 0.6875), (0.6875, 0.75)]
+        )
+        assert set(calls) < set(ref_calls)
+        assert value == pytest.approx(0.45 + 0.4 + 0.4, abs=1e-12)
+
+    def test_small_leaf_error_is_not_lost_beside_a_large_one(self):
+        # A constant power of two per panel makes every panel a power of two times the
+        # rule's weight sum S, so each leaf error is exact: root 1024 S, [0, 1/2] 1024 S,
+        # [1/2, 1] 2^-47 S ~ 1.4e-14 > tol, which vanishes when added to 2048.  Once
+        # [0, 1/2] is split the summed estimate is 1.4e-14, so [1/2, 1] must split too.
+        value = {(0.0, 0.5): 4096.0, (0.5, 0.75): 2.0**-44, (0.5, 0.625): 2.0**-43}
+
+        def sampler(s):
+            return np.full(s.shape, value.get(segment_box(s), 0.0))
+
+        g, calls = recorded(sampler)
+        adaptive_segment(g, 0.0, 1.0, tol=1e-14)
+        boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
+        assert sorted(boxes) == sorted([(k / 2**j, (k + 1) / 2**j) for j in range(4) for k in range(2**j)])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_reproducible_bytes(self, name):
+        engine, _, f, lo, hi, tol = self.CASES[name]
+        assert np.asarray(engine(f, lo, hi, tol=tol)).tobytes() == np.asarray(engine(f, lo, hi, tol=tol)).tobytes()
+
+    @pytest.mark.parametrize(
+        "engine, reference, f, lo, hi, tol",
+        [
+            (adaptive_segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-15),
+            (adaptive_segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-12),
+            (adaptive_rectangle, recursive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 1e-15),
+        ],
+        ids=["seg_smooth", "seg_peaked", "rect_smooth"],
+    )
+    def test_no_share_below_roundoff(self, engine, reference, f, lo, hi, tol):
+        # the recursion's share at the depth cap, tol / 2^(d * 12), is below the panels' roundoff
+        with pytest.raises(QuadratureNotConverged, match="at depth 12"):
+            reference(f, lo, hi, tol=tol)
+        value = engine(f, lo, hi, tol=tol)
+        assert np.max(np.abs(value - reference(f, lo, hi, tol=1e-11))) <= 1e-11
+
+
+class TestNaN:
+    @pytest.mark.parametrize(
+        "engine, f, lo, hi",
+        [
+            (adaptive_segment, lambda s: np.where(s > 0.6, np.nan, s), 0.0, 1.0),
+            (adaptive_rectangle, lambda p: np.where(p[:, 0] > 0.6, np.nan, p[:, 1]), (0, 0), (1, 1)),
+        ],
+        ids=["segment", "rectangle"],
+    )
+    def test_nan_integrand_raises(self, engine, f, lo, hi):
+        with pytest.raises(QuadratureNotConverged):
+            engine(f, lo, hi)
+
+
+class TestLeafBudget:
+    """A tolerance below roundoff stops at the leaf budget, with the summed estimate in the message."""
+
+    @pytest.mark.parametrize(
+        "engine, f, lo, hi",
+        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0)), (adaptive_segment, kernel_1d, 0.0, 1.0)],
+        ids=["rectangle", "segment"],
+    )
+    def test_unreachable_tolerance_raises_at_the_budget(self, engine, f, lo, hi):
+        with pytest.raises(QuadratureNotConverged) as info:
+            engine(f, lo, hi, tol=1e-18, max_depth=40)
+        err = info.value
+        msg = str(err)
+        assert err.tolerance == 1e-18
+        assert err.error_estimate > err.tolerance
+        assert f"(worst of {LEAF_BUDGET} live leaves, the leaf budget)" in msg
+        assert f"summed error {err.error_estimate:.3e} > {err.tolerance:.3e}" in msg
+        assert "D panel [" in msg and "largest in value column 0" in msg
