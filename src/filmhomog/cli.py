@@ -6,8 +6,8 @@
     filmhomog moments   --config scenario.json
 
 Exit codes: 0 success, 2 config parse/validation failure, 3 numerical
-failure (quadrature depth cap or leaf budget, bad Jacobian, singular
-evaluation, ...), 4 threshold failure under --assert.
+failure (quadrature depth cap, bad Jacobian, singular evaluation, ...),
+4 threshold failure under --assert.
 
 Output CSVs are bitwise reproducible for a given config (fixed summation
 order, repr-formatted floats, no wall-clock data) and start with a comment

@@ -28,10 +28,9 @@ class StandoffViolation(FilmHomogError):
 class QuadratureNotConverged(FilmHomogError):
     """Adaptive quadrature stopped above its tolerance.
 
-    Raised when the leaf to split sits at the depth cap or when the live
-    leaves reach the leaf budget.  ``error_estimate`` is the summed error
-    estimate (the largest per-column sum over the leaves) and ``tolerance``
-    the integral's ``tol``.
+    Raised when the leaf to split sits at the depth cap.  ``error_estimate``
+    is the summed error estimate (the largest per-column sum over the
+    leaves) and ``tolerance`` the integral's ``tol``.
     """
 
     def __init__(self, message, error_estimate=None, tolerance=None):

@@ -9,14 +9,18 @@ largest per-column sum of leaf errors is above ``tol``, the leaf with the
 largest error (ties to the older leaf) is replaced by its 2^d children.  A
 leaf whose error is within its local share ``tol * |box| / |domain|`` is
 frozen and never split, so the tree is a subtree of the one that splits
-every box above its share, and hits the depth cap only where that one would.
+every box above its share: it converges wherever that one does, with no
+more panels, and hits the depth cap only where that one would.  Past
+``BEST_FIRST_LEAVES`` live leaves, and for a NaN or infinite error, new
+leaves are split newest first (depth first), so a tolerance out of reach
+meets the cap after a few splits instead of refining breadth first.
 
 Leaves are summed back in nested order, children with axis 0 fastest, so
 results are bitwise reproducible.  Each panel is one integrand call of 8 flat
 nodes (segment) or (64, 2) points (rectangle).  QuadratureNotConverged is
-raised when the leaf to split sits at the depth cap, or when the live leaves
-reach the leaf budget ``LEAF_BUDGET``; it names the panel, its depth and the
-value column (observation point) with the largest error.
+raised only when the leaf to split sits at the depth cap; it names the
+panel, its depth and the value column (observation point) with the largest
+error, and the summed error against ``tol``.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from .errors import QuadratureNotConverged
 # default absolute tolerance and depth cap of every adaptive integral
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DEPTH = 12
-# live leaves at which one adaptive integral gives up: bounds time and memory
-# when the tolerance is out of reach (roundoff), which would refine breadth first
-LEAF_BUDGET = 2**11
+# live leaves past which new leaves are split newest first (depth first, as a
+# recursion would) instead of worst first: an out-of-reach tolerance then meets
+# the depth cap after a few splits instead of refining breadth first
+BEST_FIRST_LEAVES = 2**12
 
 # 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -80,34 +85,32 @@ def _adapt(f, boxes, tol, max_depth):
         fine[path] = reduce(add, parts)
         errs[path] = err = np.abs(fine[path] - coarse)
         worst = float(np.max(err))
-        if math.isnan(worst):  # a NaN integrand value is the worst error, never frozen
-            worst = math.inf
-        if worst > share:
-            heapq.heappush(heap, (-worst, next(order), path, lo, hi, share, list(zip(kids, parts))))
+        if not worst <= share:  # a NaN error is above every share
+            if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
+                key = (-worst, next(order))
+            else:  # newest first, ahead of every finite error: depth first
+                key = (-math.inf, -next(order))
+            heapq.heappush(heap, (*key, path, lo, hi, share, list(zip(kids, parts))))
         return err
-
-    def failure(path, lo, hi, reason, error):
-        summed = float(np.max(total))
-        return QuadratureNotConverged(
-            f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {len(path) - 1} ({reason}): "
-            f"error {error}, largest in value column {int(np.argmax(errs[path]))}; "
-            f"summed error {summed:.3e} > {tol:.3e}",
-            error_estimate=summed,
-            tolerance=tol,
-        )
 
     share = tol / len(boxes)
     total = reduce(add, [grow((i,), a, b, share, _panel(f, a, b)) for i, (a, b) in enumerate(boxes)])
     while heap:
-        if np.max(total) <= tol:
-            total = reduce(add, errs.values())  # drop the drift of the running updates
+        if not tol < np.max(total) < math.inf or len(heap[0][2]) > max_depth:
+            # before stopping or failing at the cap, re-sum: no drift of the running updates, no inf - inf
+            total = reduce(add, errs.values())
             if np.max(total) <= tol:
                 break
-        neg_worst, _, path, lo, hi, share, kids = heapq.heappop(heap)
+        _, _, path, lo, hi, share, kids = heapq.heappop(heap)
         if len(path) > max_depth:
-            raise failure(path, lo, hi, "the cap", f"{-neg_worst:.3e} > its share {share:.3e}")
-        if len(fine) >= LEAF_BUDGET:
-            raise failure(path, lo, hi, f"worst of {LEAF_BUDGET} live leaves, the leaf budget", f"{-neg_worst:.3e}")
+            summed = float(np.max(total))
+            raise QuadratureNotConverged(
+                f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {len(path) - 1} (the cap): "
+                f"error {np.max(errs[path]):.3e} > its share {share:.3e}, "
+                f"largest in value column {int(np.argmax(errs[path]))}; summed error {summed:.3e} > {tol:.3e}",
+                error_estimate=summed,
+                tolerance=tol,
+            )
         del fine[path]
         total = total - errs.pop(path)
         for k, ((a, b), part) in enumerate(kids):
@@ -134,7 +137,7 @@ def adaptive_rectangle(
     rectangles are first cut into near-square boxes, which become the first
     leaves of one global error budget: refinement stops once every value
     column's summed leaf error is within ``tol``.  Raises
-    QuadratureNotConverged at the depth cap or the leaf budget.
+    QuadratureNotConverged at the depth cap.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)

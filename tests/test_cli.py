@@ -1,12 +1,10 @@
 import json
 import math
-import time
 from pathlib import Path
 
 import pytest
 
 from filmhomog.cli import main
-from filmhomog.quadrature import LEAF_BUDGET
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -76,14 +74,12 @@ class TestToleranceNearRoundoff:
         cfg = str(CONFIGS / "converge_r2.json")
         assert main(["converge", "--config", cfg, "--tolerance", "1e-15", "--out", str(tmp_path)]) == 0
 
-    def test_converge_at_1e_16_stops_at_the_leaf_budget_exit_3(self, tmp_path, capsys):
+    def test_converge_at_1e_16_stops_at_the_depth_cap_exit_3(self, tmp_path, capsys):
         cfg = str(CONFIGS / "converge_r2.json")
-        start = time.perf_counter()
         assert main(["converge", "--config", cfg, "--tolerance", "1e-16", "--out", str(tmp_path)]) == 3
-        assert time.perf_counter() - start < 30.0
         err = capsys.readouterr().err
         assert "QuadratureNotConverged" in err
-        assert f"worst of {LEAF_BUDGET} live leaves, the leaf budget" in err
+        assert "at depth 12 (the cap)" in err
         assert "1D panel [" in err and "largest in value column" in err
         assert "summed error" in err and "> 6.250e-18" in err  # edges get tol / 2, split over 4 edges x 2 integrals
 

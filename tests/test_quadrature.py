@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from filmhomog import QuadratureNotConverged
-from filmhomog.quadrature import LEAF_BUDGET, adaptive_rectangle, adaptive_segment
+from filmhomog import QuadratureNotConverged, quadrature
+from filmhomog.quadrature import BEST_FIRST_LEAVES, adaptive_rectangle, adaptive_segment
 from reference import recursive_rectangle, recursive_segment
 
 _GAUSS_8_LAST_NODE = float(np.polynomial.legendre.leggauss(8)[0][-1])
@@ -49,6 +49,12 @@ def recorded(f):
         return f(x)
 
     return g, calls
+
+
+def live_leaves(ncalls, d):
+    """Live leaves of a one-box tree after ncalls integrand calls: a root panel, 2^d per leaf, 2^d leaves per split."""
+    splits = ((ncalls - 1) // 2**d - 1) // 2**d
+    return 1 + (2**d - 1) * splits
 
 
 class TestRectangle:
@@ -178,6 +184,8 @@ class TestGlobalBudget:
         "seg_smooth": (adaptive_segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-10),
         "seg_peaked": (adaptive_segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-10),
     }
+    # cases whose tree equals the recursion's: there the values are bitwise equal
+    SAME_TREE = {"rect_two_columns", "rect_anisotropic", "seg_smooth"}
     EXACT = {
         "rect_anisotropic": math.pi / 2,
         "rect_two_columns": np.array(
@@ -204,18 +212,22 @@ class TestGlobalBudget:
         assert len(set(calls)) == len(calls)
         assert set(calls) <= set(ref_calls)
         assert len(calls) <= len(ref_calls)
-        if set(calls) == set(ref_calls):
+        assert (set(calls) == set(ref_calls)) == (name in self.SAME_TREE)
+        if name in self.SAME_TREE:
+            assert len(calls) > 3  # refined
             assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
 
-    @pytest.mark.parametrize("name", ["rect_two_columns", "rect_anisotropic", "seg_smooth"])
-    def test_bitwise_equal_where_the_trees_coincide(self, name):
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_depth_first_past_the_best_first_leaves(self, name, monkeypatch):
+        # with the switch after 4 live leaves, every case still converges inside the recursion's tree
+        monkeypatch.setattr(quadrature, "BEST_FIRST_LEAVES", 4)
         engine, reference, f, lo, hi, tol = self.CASES[name]
         g, calls = recorded(f)
         ref_g, ref_calls = recorded(f)
         value = engine(g, lo, hi, tol=tol)
         ref_value = reference(ref_g, lo, hi, tol=tol)
-        assert sorted(calls) == sorted(ref_calls) and len(calls) > 3  # refined, same tree
-        assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+        assert set(calls) <= set(ref_calls)
+        assert np.max(np.abs(value - ref_value)) <= 2 * tol
 
     @pytest.mark.parametrize("name", ["rect_peaked", "seg_peaked"])
     def test_fewer_panels_on_peaked_integrands(self, name):
@@ -311,22 +323,69 @@ class TestNaN:
         with pytest.raises(QuadratureNotConverged):
             engine(f, lo, hi)
 
+    @pytest.mark.parametrize(
+        "engine, f, lo, hi, tol",
+        [
+            (adaptive_segment, peaked_1d, 0.0, 1.0, 1e-10),
+            (adaptive_rectangle, peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-8),
+        ],
+        ids=["segment", "rectangle"],
+    )
+    def test_nan_at_a_root_panel_node_only(self, engine, f, lo, hi, tol):
+        # the root's one-shot estimate is NaN, its children are finite: after the root split the
+        # summed error is finite again, so the run is the one without the NaN, panel for panel
+        root_node = []
 
-class TestLeafBudget:
-    """A tolerance below roundoff stops at the leaf budget, with the summed estimate in the message."""
+        def nan_at_root_node(x):
+            if not root_node:
+                root_node.append(x[3].copy())
+            hit = np.all(x == root_node[0], axis=-1) if x.ndim > 1 else x == root_node[0]
+            return np.where(hit, np.nan, f(x))
+
+        g, calls = recorded(nan_at_root_node)
+        clean_g, clean_calls = recorded(f)
+        value = engine(g, lo, hi, tol=tol)
+        clean_value = engine(clean_g, lo, hi, tol=tol)
+        assert np.isfinite(value).all()
+        assert calls == clean_calls
+        assert np.asarray(value).tobytes() == np.asarray(clean_value).tobytes()
+
+
+class TestOutOfReachTolerance:
+    """A tolerance below roundoff meets the depth cap after a few depth-first splits."""
 
     @pytest.mark.parametrize(
-        "engine, f, lo, hi",
-        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0)), (adaptive_segment, kernel_1d, 0.0, 1.0)],
+        "engine, f, lo, hi, d",
+        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 2), (adaptive_segment, kernel_1d, 0.0, 1.0, 1)],
         ids=["rectangle", "segment"],
     )
-    def test_unreachable_tolerance_raises_at_the_budget(self, engine, f, lo, hi):
+    def test_unreachable_tolerance_raises_at_the_cap(self, engine, f, lo, hi, d):
+        g, calls = recorded(f)
         with pytest.raises(QuadratureNotConverged) as info:
-            engine(f, lo, hi, tol=1e-18, max_depth=40)
+            engine(g, lo, hi, tol=1e-18, max_depth=40)
         err = info.value
         msg = str(err)
         assert err.tolerance == 1e-18
         assert err.error_estimate > err.tolerance
-        assert f"(worst of {LEAF_BUDGET} live leaves, the leaf budget)" in msg
+        assert f"{d}D panel [" in msg and "at depth 40 (the cap)" in msg and "largest in value column" in msg
         assert f"summed error {err.error_estimate:.3e} > {err.tolerance:.3e}" in msg
-        assert "D panel [" in msg and "largest in value column 0" in msg
+        # breadth first would need 2^(40 d) leaves; past BEST_FIRST_LEAVES one chain goes down to the cap
+        assert live_leaves(len(calls), d) <= BEST_FIRST_LEAVES + (2**d - 1) * 41
+
+
+class TestDenseNearFilmGrid:
+    def test_converges_where_the_recursion_does(self):
+        # 64 observation points 0.002 above the unit square: 3328 live leaves at the end
+        g = (np.arange(8) + 0.5) / 8
+        x, y = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+
+        def grid_kernel(p):
+            return 1.0 / np.sqrt((p[:, 0, None] - x) ** 2 + (p[:, 1, None] - y) ** 2 + 0.002**2)
+
+        f, calls = recorded(grid_kernel)
+        ref_f, ref_calls = recorded(grid_kernel)
+        value = adaptive_rectangle(f, (0.0, 0.0), (1.0, 1.0))
+        ref_value = recursive_rectangle(ref_f, (0.0, 0.0), (1.0, 1.0))
+        assert live_leaves(len(calls), 2) > 2048
+        assert len(calls) < len(ref_calls)
+        assert np.max(np.abs(value - ref_value)) <= 2e-9
