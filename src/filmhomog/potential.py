@@ -40,7 +40,7 @@ from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle, adap
 
 _SINGULAR_DIST = 1e-12
 _STANDOFF_SAMPLES = 201  # surface samples per parameter axis for the standoff estimate
-_BLOCK_VALUES = 1 << 17  # charge-point pairs per block of the direct sum
+_BLOCK_VALUES = 1 << 16  # charge-point pairs per block of the direct sum (fits in L2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +173,38 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
     Points go in blocks of about _BLOCK_VALUES charge-point pairs; each row of
     q / |r_j - r| is reduced by :func:`_row_sums`.  The values are bitwise equal
     to one math.fsum per point, whatever the block size or charge order.
+
+    A block holds one (B, N) buffer and one scratch buffer: the squared
+    distance accumulates in place as (dx*dx + dy*dy) + dz*dz, the order of
+    :func:`_distances`, so no per-component arrays are kept.  At 2^16 pairs a
+    block's live arrays stay in one core's L2 cache.
     """
     values = np.zeros(len(points))
     n = dist.n_charges
     if n == 0:
         return values
+    columns = np.ascontiguousarray(dist.positions.T)  # (3, N): one contiguous row per component
     rows = max(1, _BLOCK_VALUES // n)
+    buf = np.empty((min(rows, len(points)), n))
+    tmp = np.empty_like(buf)
     for start in range(0, len(points), rows):
-        _, d = _distances(points[start : start + rows], dist.positions)
-        if d.min() < _SINGULAR_DIST:
-            raise SingularEvaluation("observation point coincides with a charge")
+        block = points[start : start + rows]
+        d, t = buf[: len(block)], tmp[: len(block)]
+        np.subtract(columns[0], block[:, 0, None], out=d)
+        d *= d
+        for k in (1, 2):
+            np.subtract(columns[k], block[:, k, None], out=t)
+            t *= t
+            d += t
+        np.sqrt(d, out=d)
+        close = d.min(axis=1) < _SINGULAR_DIST  # per row, so a NaN row cannot hide a coinciding point
+        if close.any():
+            i = int(np.argmax(close))
+            x, y, z = points[start + i].tolist()
+            raise SingularEvaluation(
+                f"observation point {start + i} at ({x!r}, {y!r}, {z!r}) lies {d[i].min():.3e} "
+                f"from its nearest charge, below the singular threshold {_SINGULAR_DIST:g}"
+            )
         np.divide(dist.magnitudes, d, out=d)
         values[start : start + rows] = _row_sums(d)
     return values

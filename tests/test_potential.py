@@ -30,6 +30,7 @@ from filmhomog import (
     realize,
     tessellate,
 )
+from filmhomog import potential
 from filmhomog.geometry import surface_frame
 from filmhomog.moments import SigmaSegment
 from filmhomog.potential import _BLOCK_VALUES, _kernel_parts, _row_sums, green_sums
@@ -176,8 +177,37 @@ class TestDirectPotential:
         points = np.vstack([[[0.5, 0.5, 3.0], [0.0, 1.0, 4.0], [1.0, 0.0, 5.0]], dist.positions[7]])
         assert _BLOCK_VALUES // n == 2
         assert np.all(np.isfinite(green_sums(dist, points[:2])))
-        with pytest.raises(SingularEvaluation):
+        x, y, z = dist.positions[7].tolist()
+        with pytest.raises(SingularEvaluation) as err:
             green_sums(dist, points)
+        assert str(err.value).startswith(f"observation point 3 at ({x!r}, {y!r}, {z!r}) lies 0.000e+00 ")
+        assert str(err.value).endswith(f"below the singular threshold {potential._SINGULAR_DIST:g}")
+
+    def test_nan_point_does_not_hide_a_coinciding_one(self):
+        dist = charges([[0.5, 0.5, 0.0], [0.2, 0.2, 0.0]], [1.0, -1.0])
+        with pytest.raises(SingularEvaluation, match=r"^observation point 1 at \(0\.5, 0\.5, 0\.0\)"):
+            green_sums(dist, np.array([[math.nan, 0.0, 1.0], [0.5, 0.5, 0.0]]))
+
+    @pytest.mark.parametrize("block_values", [1, 3, 1 << 10, 1 << 16, 1 << 17])
+    def test_block_size_does_not_change_values(self, monkeypatch, block_values):
+        t = tessellate(UNIT, 1 / 8, SQUARE)
+        d = realize(PLANAR_DIPOLE, t, IDENT, 1 / 8, 1 / 8, Regime("R2", alpha=1.0))
+        xy = np.stack(np.meshgrid(np.linspace(-0.3, 1.3, 5), np.linspace(-0.3, 1.3, 4)), axis=-1).reshape(-1, 2)
+        grid = ObservationGrid.from_points(np.column_stack([xy, 0.2 + 0.05 * np.arange(len(xy))]), IDENT)
+        expected = np.array(fsum_potential(d, grid))
+        monkeypatch.setattr(potential, "_BLOCK_VALUES", block_values)
+        np.testing.assert_array_equal(green_sums(d, grid.points), expected)
+
+    def test_one_row_per_block_leaves_inputs_unchanged(self):
+        l = 1 / 150
+        d = realize(PLANAR_DIPOLE, tessellate(UNIT, l, SQUARE), IDENT, l, l, Regime("R2", alpha=1.0))
+        assert d.n_charges > _BLOCK_VALUES // 2  # every block is a single row
+        grid = ObservationGrid.from_points([[0.5, 0.5, 0.3], [-0.2, 1.1, 0.7], [0.9, 0.1, 0.05]], IDENT)
+        before = [a.copy() for a in (d.positions, d.magnitudes, grid.points)]
+        values = green_sums(d, grid.points)
+        np.testing.assert_array_equal(values, fsum_potential(d, grid))
+        for a, b in zip(before, (d.positions, d.magnitudes, grid.points)):
+            np.testing.assert_array_equal(a, b)
 
 
 def _fsum_outcome(row):
