@@ -22,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, check_tol, parse_config
+from .config import ScenarioConfig, parse_config
 from .errors import (
     ConfigError,
     DegenerateFrame,
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, tol=args.tolerance)
     except ConfigError as exc:
         if hasattr(exc, "violations"):
             for v in exc.violations:
@@ -202,8 +202,6 @@ def main(argv=None) -> int:
         cfg.green_4pi = True
 
     try:
-        if args.tolerance is not None:
-            cfg.tol = check_tol(args.tolerance)
         out_dir = Path(args.out) if args.out else cfg.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "potential":

@@ -132,8 +132,8 @@ def _build_grid(spec: dict, pmap: ParametricMap) -> ObservationGrid:
     raise ValueError(f"unknown grid kind {kind!r} (expected offset_surface/plane/points)")
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Load and validate a scenario file.
+def parse_config(path, tol: Optional[float] = None) -> ScenarioConfig:
+    """Load and validate a scenario file; a given ``tol`` is validated and hashed as if the file set it.
 
     Raises ParseError for unreadable/malformed files, ValidationError with
     the full violation list otherwise.
@@ -149,6 +149,8 @@ def parse_config(path) -> ScenarioConfig:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config {path} must contain a JSON object")
+    if tol is not None and isinstance(raw.get("quadrature", {}), dict):
+        raw["quadrature"] = {**raw.get("quadrature", {}), "tol": tol}
     return build_config(raw)
 
 

@@ -115,7 +115,8 @@ class Tessellation:
         return self.indices[self.n_full :]
 
     @property
-    def _tol(self) -> float:
+    def tol(self) -> float:
+        """Containment slack: lengths up to it count as zero on the domain boundary."""
         return _CONTAIN_TOL * max(1.0, self.domain.diameter)
 
     def place(self, y) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +127,7 @@ class Tessellation:
         """
         planar = self.corners + self.choice.planar(y, self.l)
         kept = np.ones(len(planar), bool)
-        kept[self.n_full :] = self.domain.contains(planar[self.n_full :], tol=self._tol)
+        kept[self.n_full :] = self.domain.contains(planar[self.n_full :], tol=self.tol)
         return planar, kept
 
     def boundary_spans(self, edge: Edge) -> list[tuple[float, float, int]]:
@@ -136,7 +137,7 @@ class Tessellation:
         sets).  Partial cells, and full cells with a side on the edge line,
         can cover positive length.
         """
-        tol = self._tol
+        tol = self.tol
         full = _cell_polygons(self.corners[: self.n_full], self.l, self.choice)
         on_line = np.abs(full[..., edge.axis] - edge.value) <= tol
         rows = np.flatnonzero(np.count_nonzero(on_line, axis=1) >= 2)

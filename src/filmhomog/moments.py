@@ -116,23 +116,14 @@ def moment_table(
 
 
 @dataclass(frozen=True)
-class SigmaSegment:
-    """Piece of a domain edge carrying a constant limit boundary charge."""
-
-    s_lo: float
-    s_hi: float
-    value: float
-
-
-@dataclass(frozen=True)
 class MomentFields:
-    """Closed-form continuum moment fields plus boundary-charge segment data.
+    """Closed-form continuum moment fields plus the boundary charge.
 
     The *_weighted callables are premultiplied by J0 (exact catalog sums with
     no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map.
-    ``sigma_segments`` holds the limit boundary density used by the
-    homogenized boundary integral (corner-cell spans inherit their edge's
-    nearest interior value).
+    ``boundary_charge`` maps each edge name to the limit boundary density as
+    a step function over the whole edge: increasing break points (k + 1,),
+    from ``s_range[0]`` to ``s_range[1]``, and the value on each piece (k,).
     """
 
     pmap: ParametricMap
@@ -140,10 +131,31 @@ class MomentFields:
     pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     pol_normal_weighted: Callable[[np.ndarray], np.ndarray]
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
-    sigma_segments: dict
+    boundary_charge: dict  # edge name -> (break points, values)
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
+
+
+def _step_function(spans, s_range, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Break points over all of ``s_range`` and piece values, from an edge's sorted (s_lo, s_hi, value) spans.
+
+    A gap wider than ``tol`` between spans carries 0; a narrower gap or
+    overlap (roundoff between two cells' clip polygons) closes at the later
+    span's start; neighbours with exactly equal values merge.
+    """
+    lo, hi = s_range
+    pieces, end = [], lo  # (start, value), gaps included
+    for a, b, v in spans:
+        if a - end > tol:
+            pieces.append((end, 0.0))
+        pieces.append((a, v))
+        end = b
+    if hi - end > tol:
+        pieces.append((end, 0.0))
+    starts, values = np.array(pieces).T
+    new = np.r_[True, values[1:] != values[:-1]]
+    return np.r_[lo, starts[new][1:], hi], values[new]
 
 
 def moment_fields(
@@ -158,7 +170,7 @@ def moment_fields(
     is assembled from the tessellation's partial cells: each edge is split
     into the spans its cells cover; spans of corner-straddling cells, whose
     weight vanishes in the limit, inherit the nearest interior value of the
-    same edge.
+    same edge; the spans then become one step function per edge.
     """
     B = tess.choice.basis
     y_param = [B @ np.asarray(pt.y, float) for pt in motif.points]
@@ -193,24 +205,21 @@ def moment_fields(
 
     charge, _, _ = _kept_sums(tess, motif, None, None)
     n_full = tess.n_full
-    sigma = charge[n_full:] / _j0_at(pmap, tess.corners[n_full:])
-    edge_spans = {edge.name: tess.boundary_spans(edge) for edge in tess.domain.edges()}
+    sigma = np.r_[np.zeros(n_full), charge[n_full:] / _j0_at(pmap, tess.corners[n_full:])]
+    edges = tess.domain.edges()
+    edge_spans = [tess.boundary_spans(edge) for edge in edges]
     # a cell covering positive length of two or more edges straddles a corner
-    edges_covered = Counter(row for spans in edge_spans.values() for _, _, row in spans)
-    corrected: dict = {}
-    for name, raw in edge_spans.items():
-        spans = [
-            (s_lo, s_hi, 0.0 if row < n_full else float(sigma[row - n_full]), edges_covered[row] >= 2)
-            for s_lo, s_hi, row in raw
-        ]
-        interior = [(a, b, v) for a, b, v, is_corner in spans if not is_corner]
-        fixed = []
-        for a, b, v, is_corner in spans:
-            if is_corner and interior:
-                mid = 0.5 * (a + b)
-                _, _, v = min(interior, key=lambda t: abs(0.5 * (t[0] + t[1]) - mid))
-            fixed.append(SigmaSegment(a, b, v))
-        corrected[name] = fixed
+    edges_covered = Counter(row for spans in edge_spans for _, _, row in spans)
+    boundary_charge = {}
+    for edge, spans in zip(edges, edge_spans):
+        values = [float(sigma[row]) for _, _, row in spans]
+        mids = [0.5 * (a + b) for a, b, _ in spans]
+        interior = [k for k, (_, _, row) in enumerate(spans) if edges_covered[row] < 2]
+        for k, (_, _, row) in enumerate(spans):
+            if edges_covered[row] >= 2 and interior:
+                values[k] = values[min(interior, key=lambda j: abs(mids[j] - mids[k]))]
+        steps = [(a, b, v) for (a, b, _), v in zip(spans, values)]
+        boundary_charge[edge.name] = _step_function(steps, edge.s_range, tess.tol)
 
     return MomentFields(
         pmap=pmap,
@@ -218,7 +227,7 @@ def moment_fields(
         pol_planar_weighted=pol_planar_weighted,
         pol_normal_weighted=pol_normal_weighted,
         div_pol_planar_weighted=div_pol_planar_weighted,
-        sigma_segments=corrected,
+        boundary_charge=boundary_charge,
     )
 
 

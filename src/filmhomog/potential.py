@@ -21,7 +21,8 @@ The three limits differ only in the weights (c_q, c_p, c_n):
 with dG/dnu' = nu(r') . (r - r') / |r - r'|^3 evaluated analytically.  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
-charge enters as per-segment constants from the tessellation data.
+charge sigma enters as a step function per edge from the tessellation data,
+and each edge is one adaptive integral with a panel break at every jump.
 """
 
 from __future__ import annotations
@@ -260,40 +261,19 @@ def _boundary_integral(
     tol: float,
     max_depth: int,
 ) -> np.ndarray:
-    """INT_dT G (sigma J0 + (J0 p_p).n) ds in parameter arc length."""
+    """coef * INT_dT G (sigma J0 + (J0 p_p).n) ds: one integral per edge at ``tol``, broken where sigma jumps."""
     obs = grid.points
-    edges = pmap.domain.edges()
     total = np.zeros(grid.n_points)
-    edge_tol = tol / (2 * len(edges))
-    for edge in edges:
-        n_param = np.asarray(edge.normal, float)
+    for edge in pmap.domain.edges():
+        breaks, sigma = fields.boundary_charge[edge.name]
 
-        def pn_integrand(s, edge=edge, n_param=n_param):
+        def integrand(s, edge=edge, inner=breaks[1:-1], sigma=sigma):
             x_p = edge.points(s)
-            G, _, _ = _kernel_parts(pmap, x_p, obs, need_normal=False)
-            pn = fields.pol_planar_weighted(x_p) @ n_param
-            return G * pn[:, None]
+            G, _, fr = _kernel_parts(pmap, x_p, obs, need_normal=False)
+            pn = fields.pol_planar_weighted(x_p) @ np.asarray(edge.normal, float)
+            return G * (sigma[np.searchsorted(inner, s, side="right")] * fr.j0 + pn)[:, None]
 
-        total += coef * adaptive_segment(
-            pn_integrand, edge.s_range[0], edge.s_range[1], tol=edge_tol, max_depth=max_depth
-        )
-
-        segments = [seg for seg in fields.sigma_segments.get(edge.name, []) if seg.value != 0.0]
-        if not segments:
-            continue
-        seg_tol = edge_tol / len(segments)
-        for seg in segments:
-
-            def sig_integrand(s, edge=edge):
-                x_p = edge.points(s)
-                G, _, fr = _kernel_parts(pmap, x_p, obs, need_normal=False)
-                return G * np.asarray(fr.j0)[:, None]
-
-            total += (
-                coef
-                * seg.value
-                * adaptive_segment(sig_integrand, seg.s_lo, seg.s_hi, tol=seg_tol, max_depth=max_depth)
-            )
+        total += coef * adaptive_segment(integrand, breaks, tol=tol, max_depth=max_depth)
     return total
 
 
@@ -317,8 +297,8 @@ def homogenized_potential(
 ) -> FieldSample:
     """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
 
-    The edge integral runs only when c_p is non-zero; it then takes half of
-    ``tol`` and the bulk integral the other half.
+    The edge integrals run only when c_p is non-zero; the bulk integral then
+    takes tol/2 and each edge's integral tol/8 (four edges).
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     obs = grid.points
@@ -337,7 +317,7 @@ def homogenized_potential(
     bulk_tol = 0.5 * tol if c_p != 0.0 else tol
     values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
     if c_p != 0.0:
-        values = values + _boundary_integral(fields, pmap, grid, c_p, 0.5 * tol, max_depth)
+        values = values + _boundary_integral(fields, pmap, grid, c_p, tol / 8, max_depth)
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
     return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")
 

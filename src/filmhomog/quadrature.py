@@ -1,16 +1,17 @@
 """Adaptive tensor Gauss-Legendre quadrature: one engine over boxes [lo, hi].
 
 A segment is a box with scalar bounds, a rectangle one with (2,) bounds.
-Integrands are vector-valued (one component per observation point).  Every
-leaf of the refinement tree holds its 2^d child panels; its error is the
-difference between its one-shot Gauss estimate and the sum of its children,
-per value column.  The whole integral runs under one error budget: while the
-largest per-column sum of leaf errors is above ``tol``, the leaf with the
-largest error (ties to the older leaf) is replaced by its 2^d children.  A
-leaf whose error is within its local share ``tol * |box| / |domain|`` is
-frozen and never split, so the tree is a subtree of the one that splits
-every box above its share: it converges wherever that one does, with no
-more panels, and hits the depth cap only where that one would.  Past
+Integrands are vector-valued (one component per observation point).  The
+root boxes of a domain may differ in size.  Every leaf of the refinement
+tree holds its 2^d child panels; its error is the difference between its
+one-shot Gauss estimate and the sum of its children, per value column.  The
+whole integral runs under one error budget: while the largest per-column
+sum of leaf errors is above ``tol``, the leaf with the largest error (ties
+to the older leaf) is replaced by its 2^d children.  A leaf within its local
+share (``tol`` over the number of root boxes, over 2^d per level) is frozen
+and never split, so the tree is a subtree of the one that splits every box
+above its share: it converges wherever that one does, with no more panels,
+and hits the depth cap only where that one would.  Past
 ``BEST_FIRST_LEAVES`` live leaves, and for a NaN or infinite error, new
 leaves are split newest first (depth first), so a tolerance out of reach
 meets the cap after a few splits instead of refining breadth first.
@@ -70,7 +71,7 @@ def _panel(f, lo, hi):
 
 
 def _adapt(f, boxes, tol, max_depth):
-    """Integrate f over the union of equal boxes under one error budget ``tol``."""
+    """Integrate f over the union of root boxes, unequal or not, each with an equal share of ``tol``."""
     nkids = 2 ** np.size(boxes[0][0])
     fine = {}  # path (box index, child indices...) -> fine estimate of each live leaf
     errs = {}  # path -> |fine - coarse| per value column
@@ -152,10 +153,13 @@ def adaptive_rectangle(
 
 def adaptive_segment(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    points,
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
-    """Integrate a vector integrand over [a, b]; ``f`` gets each panel's 8 nodes flat."""
-    return _adapt(f, [(np.float64(a), np.float64(b))], tol, max_depth)
+    """Integrate a vector integrand over [points[0], points[-1]] with a panel break at every point.
+
+    Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat.
+    """
+    s = np.asarray(points, float)
+    return _adapt(f, list(zip(s[:-1], s[1:])), tol, max_depth)

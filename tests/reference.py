@@ -131,7 +131,7 @@ def prescribed_fields(
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     p_p: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     p3: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    sigma_segments: Optional[dict] = None,
+    boundary_charge: Optional[dict] = None,
 ) -> MomentFields:
     """Moment fields from raw callables instead of a motif and tessellation.
 
@@ -139,7 +139,8 @@ def prescribed_fields(
     vectors, all in the un-weighted (per-area) normalization; the Jacobian
     factor is applied here.  The bound-charge divergence of a prescribed
     planar polarization is central-differenced by ``surface_divergence_term``
-    (step 1e-5 * diam(T)).
+    (step 1e-5 * diam(T)).  ``boundary_charge`` maps edge names to
+    (break points, values) step functions; edges it leaves out carry 0.
     """
 
     def zero_scalar(x_p):
@@ -162,15 +163,15 @@ def prescribed_fields(
             return zero_scalar(x_p)
         return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
 
-    edge_names = [e.name for e in pmap.domain.edges()]
-    segments = sigma_segments if sigma_segments is not None else {name: [] for name in edge_names}
+    steps = {e.name: (np.array(e.s_range, float), np.zeros(1)) for e in pmap.domain.edges()}
+    steps.update({name: tuple(map(np.asarray, step)) for name, step in (boundary_charge or {}).items()})
     return MomentFields(
         pmap=pmap,
         charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
         pol_planar_weighted=pol_planar_weighted,
         pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
         div_pol_planar_weighted=div_pol_planar_weighted,
-        sigma_segments=segments,
+        boundary_charge=steps,
     )
 
 

@@ -81,7 +81,21 @@ class TestToleranceNearRoundoff:
         assert "QuadratureNotConverged" in err
         assert "at depth 12 (the cap)" in err
         assert "1D panel [" in err and "largest in value column" in err
-        assert "summed error" in err and "> 6.250e-18" in err  # edges get tol / 2, split over 4 edges x 2 integrals
+        assert "summed error" in err and "> 1.250e-17" in err  # edges get tol / 2, one integral per edge of 4
+
+
+class TestScenarioHash:
+    @staticmethod
+    def first_line(tmp_path, *args):
+        out = tmp_path / "_".join(args or ("default",))
+        assert main(["potential", "--config", str(CONFIGS / "converge_r2.json"), "--out", str(out), *args]) == 0
+        return (out / "potential.csv").read_text().splitlines()[0]
+
+    def test_tolerance_override_changes_the_hash(self, tmp_path):
+        default = self.first_line(tmp_path)
+        assert default == "# scenario=9c3c0143854f green=1/r"  # the hash of the file itself
+        assert self.first_line(tmp_path, "--tolerance", "1e-9") == default  # the file's own tol
+        assert self.first_line(tmp_path, "--tolerance", "1e-10") != default
 
 
 class TestGauge:
@@ -209,6 +223,19 @@ class TestExitCodes:
     def test_bad_tolerance_override_exit_2(self, tmp_path, r2_config, tol, capsys):
         assert main(["converge", "--config", r2_config, "--tolerance", tol]) == 2
         assert "tol must be finite and positive" in capsys.readouterr().err
+
+    def test_tolerance_override_on_a_malformed_quadrature_entry_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "motif": {"points": DIPOLE_POINTS},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": [0.25]},
+                "quadrature": "fine",
+            },
+        )
+        assert main(["converge", "--config", cfg, "--tolerance", "1e-9"]) == 2
+        assert "config violation: quadrature" in capsys.readouterr().err
 
     def test_threads_flag_is_unknown_exit_2(self, r2_config):
         with pytest.raises(SystemExit) as exc:

@@ -18,6 +18,7 @@ from filmhomog import (
     surface_frame,
     tessellate,
 )
+from filmhomog.moments import _step_function
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -142,20 +143,22 @@ class TestMomentFields:
         )
 
     def test_aligned_grid_has_zero_sigma(self, tess):
+        # one zero piece per edge
         fields = moment_fields(tess, PLANAR_DIPOLE, IDENT)
-        for name, segs in fields.sigma_segments.items():
-            assert all(s.value == 0.0 for s in segs)
+        for edge in UNIT.edges():
+            breaks, values = fields.boundary_charge[edge.name]
+            assert breaks.tolist() == list(edge.s_range)
+            assert values.tolist() == [0.0]
 
     def test_shifted_grid_sigma_pattern(self):
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
         motif_b = Motif(points=(MotifPoint(+1.0, (0.25, 0.0), 0.0), MotifPoint(-1.0, (0.75, 0.0), 0.0)))
         fields = moment_fields(t, motif_b, IDENT)
-        # interior values extend over the corner spans: uniform density per edge
-        values = {name: {round(s.value, 12) for s in segs} for name, segs in fields.sigma_segments.items()}
-        assert values["right"] == {1.0}
-        assert values["left"] == {-1.0}
-        assert values["top"] == {0.0}
-        assert values["bottom"] == {0.0}
+        # interior values extend over the corner spans: one uniform piece per edge
+        for name, value in [("right", 1.0), ("left", -1.0), ("top", 0.0), ("bottom", 0.0)]:
+            breaks, values = fields.boundary_charge[name]
+            assert breaks.tolist() == [0.0, 1.0]
+            assert values == pytest.approx([value], abs=1e-12)
 
     def test_free_charge_field(self, tess):
         motif = Motif(
@@ -165,6 +168,48 @@ class TestMomentFields:
         )
         fields = moment_fields(tess, motif, IDENT)
         np.testing.assert_allclose(fields.charge_weighted(np.array([[0.5, 0.5]])), [2.0])  # J0 = 1
+
+
+class TestBoundaryChargeSteps:
+    """moment_fields gives each edge's boundary charge as one step function over the whole edge."""
+
+    def test_distinct_values_keep_their_breaks(self):
+        # a weight linear in x2 gives every right-edge cell its own sigma; the corner spans
+        # [0, 1/8] and [7/8, 1] take their neighbour's value and merge with it
+        mod = Modulation(kind="linear", value=1.0, coef=(0.0, 0.5))
+        motif_b = Motif(
+            points=(
+                MotifPoint(+1.0, (0.25, 0.0), 0.0, modulation=mod),
+                MotifPoint(-1.0, (0.75, 0.0), 0.0, modulation=mod),
+            )
+        )
+        t = tessellate(UNIT, 0.25, HALF_SHIFT)
+        breaks, values = moment_fields(t, motif_b, IDENT).boundary_charge["right"]
+        table = moment_table(t, motif_b, IDENT)
+        assert breaks.tolist() == [0.0, 0.375, 0.625, 1.0]
+        assert values.tolist() == [table.sigma[row_of(table, (3, k))] for k in range(3)]
+        assert len(set(values.tolist())) == 3
+
+    def test_gaps_carry_zero_and_equal_neighbours_merge(self):
+        # spans (s_lo, s_hi, value): a roundoff gap closes and its equal neighbours merge;
+        # gaps wider than the tolerance, at both ends and inside, carry 0
+        spans = [(0.25, 0.5, 1.5), (0.5 + 2**-53, 0.7, 1.5), (0.75, 0.9, -2.0)]
+        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
+        assert breaks.tolist() == [0.0, 0.25, 0.7, 0.75, 0.9, 1.0]
+        assert values.tolist() == [0.0, 1.5, 0.0, -2.0, 0.0]
+
+    def test_zero_spans_merge_with_gaps(self):
+        spans = [(0.0, 0.4, 0.0), (0.6, 1.0, 0.0)]
+        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
+        assert breaks.tolist() == [0.0, 1.0] and values.tolist() == [0.0]
+        breaks, values = _step_function([], (0.0, 2.0), 1e-12)
+        assert breaks.tolist() == [0.0, 2.0] and values.tolist() == [0.0]
+
+    def test_distinct_neighbours_keep_their_break(self):
+        spans = [(0.0, 0.5, 1.0), (0.5, 1.0, 1.0 + 2**-52)]
+        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
+        assert breaks.tolist() == [0.0, 0.5, 1.0]
+        assert values.tolist() == [1.0, 1.0 + 2**-52]
 
 
 class TestMomentTable:

@@ -32,7 +32,6 @@ from filmhomog import (
 )
 from filmhomog import potential
 from filmhomog.geometry import surface_frame
-from filmhomog.moments import SigmaSegment
 from filmhomog.potential import _BLOCK_VALUES, _kernel_parts, _row_sums, green_sums
 from reference import finite_t_double_layer, fsum_potential, prescribed_fields
 
@@ -389,15 +388,38 @@ class TestHomogenizedR3ZeroColumn:
         q = lambda x: 1.0 + 0.5 * np.asarray(x)[..., 0]
         p3 = lambda x: np.cos(np.asarray(x)[..., 1])
         p_p = lambda x: np.stack([np.sin(np.pi * np.asarray(x)[..., 0]), np.asarray(x)[..., 1] ** 2], axis=-1)
-        sigma = {"right": [SigmaSegment(0.0, 1.0, 0.7)], "left": [SigmaSegment(0.0, 0.5, -0.3)]}
+        sigma = {"right": ([0.0, 1.0], [0.7]), "left": ([0.0, 0.5, 1.0], [-0.3, 0.0])}
         grid = ObservationGrid.from_points([[1.2, 0.3, 0.9], [0.5, 0.5, 2.0]], IDENT)
         plain = homogenized_potential(prescribed_fields(IDENT, q=q, p3=p3), Regime("R3"), IDENT, grid)
         loaded = homogenized_potential(
-            prescribed_fields(IDENT, q=q, p_p=p_p, p3=p3, sigma_segments=sigma), Regime("R3"), IDENT, grid
+            prescribed_fields(IDENT, q=q, p_p=p_p, p3=p3, boundary_charge=sigma), Regime("R3"), IDENT, grid
         )
         np.testing.assert_array_equal(loaded.values, plain.values)
-        r1 = homogenized_potential(prescribed_fields(IDENT, p_p=p_p, sigma_segments=sigma), Regime("R1"), IDENT, grid)
+        r1 = homogenized_potential(prescribed_fields(IDENT, p_p=p_p, boundary_charge=sigma), Regime("R1"), IDENT, grid)
         assert np.all(np.abs(r1.values) > 1e-3)  # the same sources do act in R1
+
+
+class TestBoundaryIntegral:
+    def test_step_sigma_against_dense_per_piece_sums(self):
+        """One edge integral per edge over a sigma with a gap and two values, against dense Gauss sums."""
+        stretched = ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0))  # psi = (2 x1, x2, 0), J0 = 2
+        p_p = lambda x: np.stack([np.cos(np.asarray(x)[..., 1]), np.asarray(x)[..., 0] ** 2], axis=-1)
+        steps = {"right": ([0.0, 0.3, 0.45, 1.0], [0.7, 0.0, -0.4]), "left": ([0.0, 1.0], [0.25])}
+        obs = np.array([[2.3, 0.4, 0.3], [1.0, 0.5, 0.6], [-0.2, 0.9, 0.25]])
+        grid = ObservationGrid.from_points(obs, stretched)
+        fields = prescribed_fields(stretched, p_p=p_p, boundary_charge=steps)
+        value = potential._boundary_integral(fields, stretched, grid, 1.5, 1e-13, 12)
+
+        expected = np.zeros(len(obs))
+        for edge in UNIT.edges():
+            breaks, sigma = steps.get(edge.name, (edge.s_range, [0.0]))
+            for a, b, v in zip(breaks, breaks[1:], sigma):
+                s, w = gauss_nodes(200, a, b)
+                x_p = edge.points(s)
+                point = np.stack([2.0 * x_p[:, 0], x_p[:, 1], np.zeros(len(s))], axis=-1)
+                density = 2.0 * (v + p_p(x_p) @ np.asarray(edge.normal))
+                expected += (w * density) @ (1.0 / np.linalg.norm(obs[None] - point[:, None], axis=-1))
+        np.testing.assert_allclose(value, 1.5 * expected, rtol=0, atol=1e-12)
 
 
 class TestFiniteTDoubleLayer:

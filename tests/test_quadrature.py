@@ -40,6 +40,11 @@ def two_columns_2d(p):
     return np.stack([np.exp(p[:, 0] * p[:, 1]), np.cos(3.0 * p[:, 0]) / (1.2 - p[:, 1])], axis=-1)
 
 
+def segment(f, a, b, **kwargs):
+    """adaptive_segment over [a, b] with no inner break, called like adaptive_rectangle."""
+    return adaptive_segment(f, (a, b), **kwargs)
+
+
 def recorded(f):
     """f and the list of raw inputs of its calls: one entry per panel."""
     calls = []
@@ -99,19 +104,70 @@ class TestRectangle:
 
 class TestSegment:
     def test_polynomial(self):
-        assert adaptive_segment(lambda s: s**5, 0.0, 1.0, tol=1e-13) == pytest.approx(1 / 6, abs=1e-13)
+        assert adaptive_segment(lambda s: s**5, (0.0, 1.0), tol=1e-13) == pytest.approx(1 / 6, abs=1e-13)
 
     def test_kernel(self):
-        val = adaptive_segment(lambda s: 1.0 / np.sqrt(s**2 + 1.0), 0.0, 1.0, tol=1e-12)
+        val = adaptive_segment(lambda s: 1.0 / np.sqrt(s**2 + 1.0), (0.0, 1.0), tol=1e-12)
         assert val == pytest.approx(math.asinh(1.0), abs=1e-12)
 
     def test_vector_valued(self):
-        val = adaptive_segment(lambda s: np.stack([s, np.cos(s)], axis=-1), 0.0, math.pi, tol=1e-12)
+        val = adaptive_segment(lambda s: np.stack([s, np.cos(s)], axis=-1), (0.0, math.pi), tol=1e-12)
         np.testing.assert_allclose(val, [math.pi**2 / 2, 0.0], atol=1e-12)
 
     def test_depth_cap(self):
         with pytest.raises(QuadratureNotConverged):
-            adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), 0.0, 1.0, tol=1e-10, max_depth=4)
+            adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), (0.0, 1.0), tol=1e-10, max_depth=4)
+
+
+class TestBreakPoints:
+    """adaptive_segment(f, points): each piece between neighbouring points is one root box."""
+
+    BREAKS = (0.0, 0.3, 0.55, 1.0)
+    STEPS = np.array([2.0, -1.0, 0.5])
+
+    def step_exp(self, s):
+        """exp(s) times a step that jumps at the inner break points."""
+        return self.STEPS[np.searchsorted(self.BREAKS[1:-1], s, side="right")] * np.exp(s)
+
+    def test_smooth_times_step(self):
+        pieces = zip(self.BREAKS, self.BREAKS[1:], self.STEPS)
+        exact = math.fsum(v * (math.exp(b) - math.exp(a)) for a, b, v in pieces)
+        assert abs(adaptive_segment(self.step_exp, self.BREAKS, tol=1e-14) - exact) <= 1e-15
+
+    def test_one_call_per_panel_inside_one_piece(self):
+        g, calls = recorded(self.step_exp)
+        adaptive_segment(g, self.BREAKS, tol=1e-14)
+        assert {np.frombuffer(raw).shape for raw in calls} == {(8,)}
+        boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
+        # each piece is smooth: its root panel and its two halves, nothing straddles a break
+        expected = []
+        for a, b in zip(self.BREAKS, self.BREAKS[1:]):
+            m = 0.5 * (a + b)
+            expected += [(a, b), (a, m), (m, b)]
+        assert sorted(boxes) == sorted((round(a, 9), round(b, 9)) for a, b in expected)
+
+    def test_the_jump_inside_a_panel_meets_the_cap(self):
+        with pytest.raises(QuadratureNotConverged, match="at depth 12"):
+            adaptive_segment(self.step_exp, (0.0, 1.0), tol=1e-14)
+
+    def test_unequal_pieces_get_equal_shares(self):
+        # Panel estimates from a table, as in TestGlobalBudget (tol 1, two roots: share 1/2
+        # each).  [0, 1/4] has error 0.45 and is frozen; [1/4, 1] has error 0.6, above its
+        # share although within a share by length (3/4), so it is split; its halves are exact.
+        integral = {(0.0, 0.125): 0.45, (0.25, 0.625): 0.6, (0.25, 0.4375): 0.6}
+
+        def sampler(s):
+            box = segment_box(s)
+            return np.full(s.shape, integral.get(box, 0.0) / (box[1] - box[0]))
+
+        g, calls = recorded(sampler)
+        value = adaptive_segment(g, (0.0, 0.25, 1.0), tol=1.0)
+        boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
+        assert sorted(boxes) == sorted(
+            [(0.0, 0.25), (0.0, 0.125), (0.125, 0.25), (0.25, 1.0), (0.25, 0.625), (0.625, 1.0)]
+            + [(0.25, 0.4375), (0.4375, 0.625), (0.625, 0.8125), (0.8125, 1.0)]
+        )
+        assert value == pytest.approx(0.45 + 0.6, abs=1e-12)
 
 
 class TestFailureContext:
@@ -133,7 +189,7 @@ class TestFailureContext:
 
     def test_segment_message(self):
         with pytest.raises(QuadratureNotConverged) as info:
-            adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), 0.0, 1.0, tol=1e-10, max_depth=4)
+            adaptive_segment(lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12), (0.0, 1.0), tol=1e-10, max_depth=4)
         err = info.value
         assert err.error_estimate > err.tolerance
         assert "1D panel [0.25, 0.3125] at depth 4 (the cap)" in str(err)
@@ -161,7 +217,7 @@ class TestCallContract:
             shapes.append(s.shape)
             return 1.0 / ((s - 0.3) ** 2 + 1e-4)
 
-        adaptive_segment(peaked, 0.0, 1.0, tol=1e-10)
+        adaptive_segment(peaked, (0.0, 1.0), tol=1e-10)
         assert set(shapes) == {(8,)}
         assert len(shapes) == 79  # root + 2 child panels for each of 39 leaves, 19 of them split
 
@@ -181,8 +237,8 @@ class TestGlobalBudget:
             (1.0, 2 * math.pi),
             1e-11,
         ),
-        "seg_smooth": (adaptive_segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-10),
-        "seg_peaked": (adaptive_segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-10),
+        "seg_smooth": (segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-10),
+        "seg_peaked": (segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-10),
     }
     # cases whose tree equals the recursion's: there the values are bitwise equal
     SAME_TREE = {"rect_two_columns", "rect_anisotropic", "seg_smooth"}
@@ -260,7 +316,7 @@ class TestGlobalBudget:
 
         g, calls = recorded(sampler)
         ref_g, ref_calls = recorded(sampler)
-        value = adaptive_segment(g, 0.0, 1.0, tol=1.0)
+        value = adaptive_segment(g, (0.0, 1.0), tol=1.0)
         recursive_segment(ref_g, 0.0, 1.0, tol=1.0)
         boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
         # root, its halves, their children; then [1/2, 3/4] (older of the tie) is split, not
@@ -284,7 +340,7 @@ class TestGlobalBudget:
             return np.full(s.shape, value.get(segment_box(s), 0.0))
 
         g, calls = recorded(sampler)
-        adaptive_segment(g, 0.0, 1.0, tol=1e-14)
+        adaptive_segment(g, (0.0, 1.0), tol=1e-14)
         boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
         assert sorted(boxes) == sorted([(k / 2**j, (k + 1) / 2**j) for j in range(4) for k in range(2**j)])
 
@@ -296,8 +352,8 @@ class TestGlobalBudget:
     @pytest.mark.parametrize(
         "engine, reference, f, lo, hi, tol",
         [
-            (adaptive_segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-15),
-            (adaptive_segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-12),
+            (segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-15),
+            (segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-12),
             (adaptive_rectangle, recursive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 1e-15),
         ],
         ids=["seg_smooth", "seg_peaked", "rect_smooth"],
@@ -314,7 +370,7 @@ class TestNaN:
     @pytest.mark.parametrize(
         "engine, f, lo, hi",
         [
-            (adaptive_segment, lambda s: np.where(s > 0.6, np.nan, s), 0.0, 1.0),
+            (segment, lambda s: np.where(s > 0.6, np.nan, s), 0.0, 1.0),
             (adaptive_rectangle, lambda p: np.where(p[:, 0] > 0.6, np.nan, p[:, 1]), (0, 0), (1, 1)),
         ],
         ids=["segment", "rectangle"],
@@ -326,7 +382,7 @@ class TestNaN:
     @pytest.mark.parametrize(
         "engine, f, lo, hi, tol",
         [
-            (adaptive_segment, peaked_1d, 0.0, 1.0, 1e-10),
+            (segment, peaked_1d, 0.0, 1.0, 1e-10),
             (adaptive_rectangle, peaked_2d, (0.0, 0.0), (1.0, 1.0), 1e-8),
         ],
         ids=["segment", "rectangle"],
@@ -356,7 +412,7 @@ class TestOutOfReachTolerance:
 
     @pytest.mark.parametrize(
         "engine, f, lo, hi, d",
-        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 2), (adaptive_segment, kernel_1d, 0.0, 1.0, 1)],
+        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 2), (segment, kernel_1d, 0.0, 1.0, 1)],
         ids=["rectangle", "segment"],
     )
     def test_unreachable_tolerance_raises_at_the_cap(self, engine, f, lo, hi, d):
