@@ -107,7 +107,14 @@ class ParametricMap:
 
     Use the factory constructors (:meth:`identity`, :meth:`cylinder`,
     :meth:`polar_disk`, :meth:`scaled`), or pass a mapping together with its
-    analytic differential (..., 3) -> (..., 3, 3).  Instances are immutable.
+    analytic differential (..., 3) -> (..., 3, 3) and ``lipschitz``, a bound
+    on the spectral norm of D psi0 over T.  The bound makes the standoff of
+    an observation grid certifiable (|psi0(x) - psi0(y)| <= lipschitz *
+    |x - y| on every parameter cell); it is never sampled, as a sampled
+    bound certifies nothing.  A map whose tangents differ much in length, or
+    vary over T, may also pass ``cell_lipschitz``: (lo, hi) boxes (K, 2) ->
+    per-axis bounds (K, 2) with |D psi0(x) v| <= |(L1 v1, L2 v2)| for every
+    x in the box (see :meth:`cell_bounds`).  Instances are immutable.
     """
 
     def __init__(
@@ -115,12 +122,18 @@ class ParametricMap:
         domain: Rectangle,
         mapping: Callable[[np.ndarray], np.ndarray],
         differential: Callable[[np.ndarray], np.ndarray],
+        lipschitz: float,
         h_max: float = math.inf,
+        cell_lipschitz: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     ):
+        if not (math.isfinite(lipschitz) and lipschitz > 0):
+            raise ValueError(f"lipschitz bound must be finite and positive, got {lipschitz!r}")
         self.domain = domain
+        self.lipschitz = float(lipschitz)
         self.h_max = float(h_max)
         self._map = mapping
         self._diff = differential
+        self._cell_lipschitz = cell_lipschitz
 
     # ---------------- factories ----------------
 
@@ -136,7 +149,7 @@ class ParametricMap:
             x = np.asarray(x, float)
             return np.broadcast_to(eye, x.shape[:-1] + (3, 3)).copy()
 
-        return cls(domain, mapping, differential)
+        return cls(domain, mapping, differential, lipschitz=1.0)
 
     @classmethod
     def cylinder(cls, domain: Rectangle, radius: float, h_max: Optional[float] = None) -> "ParametricMap":
@@ -169,7 +182,7 @@ class ParametricMap:
             return D
 
         hm = 0.5 * R if h_max is None else float(h_max)
-        return cls(domain, mapping, differential, h_max=hm)
+        return cls(domain, mapping, differential, lipschitz=1.0, h_max=hm)  # orthonormal tangents
 
     @classmethod
     def polar_disk(cls, radius: float = 1.0) -> "ParametricMap":
@@ -199,7 +212,10 @@ class ParametricMap:
             D[..., 2, 2] = 1.0
             return D
 
-        return cls(domain, mapping, differential)
+        def cell_lipschitz(lo, hi):  # orthogonal tangents of norms 1 and x1 >= 0
+            return np.stack([np.ones(len(hi)), hi[:, 0]], axis=-1)
+
+        return cls(domain, mapping, differential, lipschitz=max(1.0, R), cell_lipschitz=cell_lipschitz)
 
     @classmethod
     def scaled(cls, domain: Rectangle, factors: Sequence[float]) -> "ParametricMap":
@@ -216,7 +232,7 @@ class ParametricMap:
             x = np.asarray(x, float)
             return np.broadcast_to(D0, x.shape[:-1] + (3, 3)).copy()
 
-        return cls(domain, mapping, differential)
+        return cls(domain, mapping, differential, lipschitz=max(abs(a[0]), abs(a[1])))
 
     # ---------------- evaluation ----------------
 
@@ -231,6 +247,16 @@ class ParametricMap:
     def differential(self, x: np.ndarray) -> np.ndarray:
         """D psi as (..., 3, 3) at 3D parameter points."""
         return self._diff(np.asarray(x, float))
+
+    def cell_bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per-axis Lipschitz bounds (K, 2) of psi0 over parameter boxes [lo, hi] (K, 2).
+
+        For every x in a box and every v, |D psi0(x) v| <= |(L1 v1, L2 v2)|;
+        without ``cell_lipschitz`` both are the global ``lipschitz``.
+        """
+        if self._cell_lipschitz is None:
+            return np.full(np.shape(lo), self.lipschitz)
+        return self._cell_lipschitz(lo, hi)
 
     @staticmethod
     def _embed(x_p: np.ndarray) -> np.ndarray:

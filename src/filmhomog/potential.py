@@ -23,6 +23,13 @@ boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge sigma enters as a step function per edge from the tessellation data,
 and each edge is one adaptive integral with a panel break at every jump.
+
+Both are asymptotic statements for observation points off the film.  An
+:class:`ObservationGrid` is admitted only if every point has a certified
+positive lower bound on its distance to the mid-surface (branch and bound
+with the map's Lipschitz bounds); its ``standoff`` is the least distance
+attained by a foot point on the mid-surface (Gauss-Newton from the best
+cell centre).
 """
 
 from __future__ import annotations
@@ -40,7 +47,20 @@ from .moments import MomentFields
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle, adaptive_segment
 
 _SINGULAR_DIST = 1e-12
-_STANDOFF_SAMPLES = 201  # surface samples per parameter axis for the standoff estimate
+# standoff branch and bound: coarse cells per parameter axis; levels of
+# splits past them (about sqrt(eps) of T per axis on square cells); the most
+# live (point, cell) pairs of one pass, which bounds its memory; the share of
+# the best centre distance below which a cell's bound makes it split; the
+# share of a cell's larger axis term that an axis needs to be split too; and
+# the Gauss-Newton steps that refine the best centre into a foot point
+_STANDOFF_CELLS = 8
+_STANDOFF_LEVELS = 23
+_STANDOFF_PAIRS = 1 << 16
+_SPLIT_SHARE = 0.5
+_AXIS_SHARE = 0.5
+_FOOT_STEPS = 32
+_ROUNDOFF = 8.0 * np.finfo(float).eps  # relative slack of a computed centre distance
+_CHILDREN = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 _BLOCK_VALUES = 1 << 16  # charge-point pairs per block of the direct sum (fits in L2)
 
 
@@ -49,23 +69,160 @@ _BLOCK_VALUES = 1 << 16  # charge-point pairs per block of the direct sum (fits 
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (K, 3) arrays."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distances |a - b| of two (K, 3) arrays."""
+    e = a - b
+    return np.sqrt(_dot(e, e))
+
+
+def _coords(p: np.ndarray) -> str:
+    return "(" + ", ".join(repr(float(c)) for c in p) + ")"
+
+
+def _standoff(points: np.ndarray, pmap: ParametricMap):
+    """Per point: a certified lower bound on its distance to the mid-surface, an
+    attained distance, and the parameter point attaining it.
+
+    The bound comes from :func:`_bound_cells`.  Its best cell centre is then
+    refined by box-projected Gauss-Newton on |psi0(x) - r|, which also finds
+    feet on an edge or a corner of T.  A step is kept only if it lowers the
+    distance, so the value stays attained.
+    """
+    lower, attained, foot = _bound_cells(points, pmap)
+    lo, hi = np.asarray(pmap.domain.lo, float), np.asarray(pmap.domain.hi, float)
+    live = np.arange(len(points))
+    for _ in range(_FOOT_STEPS):
+        x, r = foot[live], points[live]
+        J = pmap.differential(ParametricMap._embed(x))
+        t1, t2, e = J[:, :, 0], J[:, :, 1], r - pmap.midsurface(x)
+        # normal equations of J dx = e, 2x2 by Cramer's rule; the tiny shift keeps
+        # a vanishing tangent (the polar axis) from dividing by zero
+        a11, a12, a22 = _dot(t1, t1), _dot(t1, t2), _dot(t2, t2)
+        g1, g2 = _dot(t1, e), _dot(t2, e)
+        shift = 1e-14 * (a11 + a22)
+        a11, a22 = a11 + shift, a22 + shift
+        det = a11 * a22 - a12 * a12
+        step = np.stack([a22 * g1 - a12 * g2, a11 * g2 - a12 * g1], axis=-1) / det[:, None]
+        trial = np.clip(x + step, lo, hi)
+        d = _distance(pmap.midsurface(trial), r)
+        old = attained[live]
+        keep = d < old
+        foot[live[keep]], attained[live[keep]] = trial[keep], d[keep]
+        live = live[d < old - 4.0 * np.spacing(old)]  # a gain of a few ulps ends the point's steps
+        if not len(live):
+            break
+    return lower, attained, foot
+
+
+def _bound_cells(points: np.ndarray, pmap: ParametricMap):
+    """Branch and bound over parameter cells: per point a certified lower bound
+    on its distance to the mid-surface, the best cell-centre distance and that
+    centre.
+
+    Piyavskii 1972; Shubert 1972.  On a cell of centre c and half-widths
+    (h1, h2), every mid-surface point is at least |psi0(c) - r| -
+    |(L1 h1, L2 h2)| from r, with (L1, L2) = ``pmap.cell_bounds`` of the
+    cell.  Each level scores all live (point, cell) pairs at once; a pair
+    whose bound is below _SPLIT_SHARE of the point's best centre distance is
+    split, the others are settled, and a point's lower bound is the least
+    bound of its settled cells.  A split halves each axis whose term Li hi is
+    at least _AXIS_SHARE of the larger one, so cells where one tangent
+    vanishes (the polar axis) are cut across the other axis only.  Without
+    the caps the bound is at least half the attained distance.  At
+    _STANDOFF_LEVELS, or when one point alone would need more than
+    _STANDOFF_PAIRS live pairs, the pairs still splitting count as
+    unresolved: they certify nothing (bound <= 0), and the point is rejected.
+    A pass over several points that would exceed _STANDOFF_PAIRS is redone
+    on each half of the points.
+    """
+    n = len(points)
+    if n > 1 and n * _STANDOFF_CELLS**2 > _STANDOFF_PAIRS:
+        return _bound_halves(points, pmap)
+    dom = pmap.domain
+    half = 0.5 * dom.widths / _STANDOFF_CELLS
+    offsets = np.stack(np.meshgrid(*[np.arange(_STANDOFF_CELLS) + 0.5] * 2, indexing="ij"), axis=-1)
+    coarse = np.asarray(dom.lo, float) + offsets.reshape(-1, 2) * (2.0 * half)
+    owner = np.repeat(np.arange(n), len(coarse))  # live (point, cell) pairs
+    centre = np.tile(coarse, (n, 1))
+    half = np.tile(half, (len(owner), 1))
+    image = np.tile(pmap.midsurface(coarse), (n, 1))
+    scale = 2.0 * np.sqrt(_dot(points, points))  # |r| + |psi0(c)| <= 2 |r| + d
+    lower = np.full(n, np.inf)
+    best = np.full(n, np.inf)
+    foot = np.zeros((n, 2))
+    for level in range(_STANDOFF_LEVELS + 1):
+        d = _distance(image, points[owner])
+        prev = best.copy()
+        np.minimum.at(best, owner, d)
+        better = (d == best[owner]) & (d < prev[owner])
+        foot[owner[better]] = centre[better]
+        terms = pmap.cell_bounds(centre - half, centre + half) * half
+        bound = d - np.hypot(terms[:, 0], terms[:, 1]) - _ROUNDOFF * (d + scale[owner])
+        split = bound < _SPLIT_SHARE * best[owner]
+        axes = terms[split] >= _AXIS_SHARE * terms[split].max(axis=1, keepdims=True)
+        if level == _STANDOFF_LEVELS or np.sum(2 ** axes.sum(axis=1)) > _STANDOFF_PAIRS:
+            if n > 1 and level < _STANDOFF_LEVELS:
+                return _bound_halves(points, pmap)
+            bound[split] = np.minimum(bound[split], 0.0)  # unresolved cells certify nothing
+            split[:] = False
+        np.minimum.at(lower, owner[~split], bound[~split])
+        if not split.any():
+            break
+        # one child per sign pattern of the split axes: keep the -1 side of the others
+        kept = np.all(axes[:, None, :] | (_CHILDREN < 0.0), axis=-1).ravel()
+        h = np.where(axes, 0.5 * half[split], half[split])
+        owner = np.repeat(owner[split], 4)[kept]
+        centre = (centre[split, None, :] + _CHILDREN * np.where(axes, h, 0.0)[:, None, :]).reshape(-1, 2)[kept]
+        half = np.repeat(h, 4, axis=0)[kept]
+        image = pmap.midsurface(centre)
+    return lower, best, foot
+
+
+def _bound_halves(points: np.ndarray, pmap: ParametricMap):
+    k = len(points) // 2
+    return tuple(np.concatenate(parts) for parts in zip(_bound_cells(points[:k], pmap), _bound_cells(points[k:], pmap)))
+
+
 @dataclass(frozen=True)
 class ObservationGrid:
-    """Observation points with their minimum distance to the mid-surface."""
+    """Observation points with their distance to the mid-surface.
+
+    Construction certifies that every point keeps a positive distance from
+    the mid-surface (a lower bound from :func:`_standoff`, not a sample);
+    ``standoff`` is the least attained distance over the points, the value
+    the Taylor-regime checks compare against.
+    """
 
     points: np.ndarray  # (M, 3)
     standoff: float
 
     @classmethod
     def from_points(cls, points: np.ndarray, pmap: ParametricMap) -> "ObservationGrid":
-        """Wrap explicit points; standoff measured against a dense surface sample."""
-        points = np.atleast_2d(np.asarray(points, float))
-        d = cls._min_distance(points, pmap)
-        if d <= 0.0 or not math.isfinite(d):
+        """Wrap explicit points of shape (M, 3); each must be certified off the film."""
+        points = np.asarray(points, float)
+        if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
+            raise ValueError(f"observation points must be a non-empty (M, 3) array, got shape {points.shape}")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            d = math.sqrt(float(points[i] @ points[i]))  # nan, or inf for an infinite point
             raise StandoffViolation(
-                f"observation grid touches the film (standoff {d:.3e}; must be positive)"
+                f"observation point {i} at {_coords(points[i])} is not finite (standoff {d:.3e})"
             )
-        return cls(points=points, standoff=d)
+        lower, attained, foot = _standoff(points, pmap)
+        i = int(np.argmin(lower))
+        if not lower[i] > 0.0:
+            raise StandoffViolation(
+                f"observation point {i} at {_coords(points[i])} may touch the film: certified "
+                f"standoff bound {lower[i]:.3e} is not positive (attained distance {attained[i]:.3e} "
+                f"at parameter point {_coords(foot[i])}; standoff must be positive)"
+            )
+        return cls(points=points, standoff=float(attained.min()))
 
     @classmethod
     def offset_surface(cls, pmap: ParametricMap, n1: int, n2: int, distance: float) -> "ObservationGrid":
@@ -87,26 +244,6 @@ class ObservationGrid:
         U, V = np.meshgrid(u, v, indexing="ij")
         pts = np.stack([U.ravel(), V.ravel(), np.full(U.size, float(height))], axis=-1)
         return cls.from_points(pts, pmap)
-
-    @staticmethod
-    def _min_distance(points: np.ndarray, pmap: ParametricMap) -> float:
-        dom = pmap.domain
-        u = np.linspace(dom.lo[0], dom.hi[0], _STANDOFF_SAMPLES)
-        v = np.linspace(dom.lo[1], dom.hi[1], _STANDOFF_SAMPLES)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        sx, sy, sz = pmap.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1)).T.copy()
-
-        def nearest(x, y, z):
-            """Least squared distance from (x, y, z) to the surface sample."""
-            d2 = (sx - x) ** 2
-            d2 += (sy - y) ** 2
-            d2 += (sz - z) ** 2
-            return d2.min()
-
-        # sqrt is monotone and correctly rounded: the root of the least squared
-        # distance is the least distance.  np.min keeps a NaN point's NaN, which
-        # from_points then rejects.
-        return math.sqrt(np.min([nearest(*p) for p in points]))
 
     @property
     def n_points(self) -> int:

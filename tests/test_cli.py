@@ -310,6 +310,37 @@ class TestExitCodes:
         assert "config violation: grid:" in capsys.readouterr().err
 
 
+    def test_point_on_film_exit_2(self, tmp_path, capsys):
+        # the first point lies on the flat film; a 201^2 surface sample put it 0.0035 away
+        payload = json.loads((CONFIGS / "converge_r2.json").read_text())
+        payload["grid"] = {"kind": "points", "points": [[0.5025, 0.5025, 0.0], [0.5, 0.5, 1.0]]}
+        payload["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "config violation: grid: observation point 0 at (0.5025, 0.5025, 0.0)" in err
+        assert "(standoff rule: observation points must keep a positive distance from the film)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"kind": "points", "points": []}, {"kind": "offset_surface", "n": [0, 5], "distance": 1.0}],
+        ids=["no-points", "empty-offset-grid"],
+    )
+    def test_empty_grid_exit_2(self, tmp_path, grid, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "motif": {"points": DIPOLE_POINTS},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": [0.25]},
+                "grid": grid,
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["converge", "--config", cfg]) == 2
+        assert "config violation: grid: observation points must be a non-empty (M, 3) array" in capsys.readouterr().err
+
+
 class TestGaugeUsageErrors:
     def test_r3_gauge_exit_2(self, tmp_path):
         cfg = write_config(

@@ -57,7 +57,7 @@ class TestJacobianFull:
             assert jacobian_full(cylinder, x) == pytest.approx(expected, rel=1e-6)
 
     def test_degenerate_map_raises(self):
-        flat = ParametricMap(UNIT, _collapse, _collapse_diff)
+        flat = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
         with pytest.raises(NonPositiveJacobian):
             jacobian_full(flat, [0.5, 0.5, 0.0])
 
@@ -98,7 +98,7 @@ class TestSurfaceFrame:
             lambda: ParametricMap.scaled(UNIT, (1.7, 0.3, 1.0)),
             lambda: ParametricMap.cylinder(UNIT, 2.0),
             lambda: ParametricMap.polar_disk(1.5),
-            lambda: ParametricMap(UNIT, _sheared, _sheared_diff),  # all three normal components non-zero
+            lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),  # all three normal components non-zero
         ],
         ids=["identity", "scaled", "cylinder", "polar_disk", "sheared"],
     )
@@ -175,6 +175,10 @@ def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFr
     )
 
 
+# Frobenius norm of D psi0 at x = (1, 1), its largest on UNIT; it bounds the spectral norm
+SHEARED_LIPSCHITZ = math.sqrt(1.0 + 0.25 + 0.2**2 + 1.0 + 0.3**2 + 0.3**2)
+
+
 def _sheared(x):
     x = np.asarray(x, float)
     return np.stack(
@@ -223,7 +227,7 @@ class TestBoundaryFrame:
             assert np.max(np.abs(np.sum(bf.conormal * tau, axis=-1))) < 1e-10
 
     def test_degenerate_raises(self):
-        collapse = ParametricMap(UNIT, _collapse, _collapse_diff)
+        collapse = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
         with pytest.raises(DegenerateFrame):
             boundary_frame(collapse, UNIT.edges()[0], np.array([0.5]))
 
@@ -233,7 +237,7 @@ class TestBoundaryFrame:
             ParametricMap.identity(UNIT),
             ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0)),
             ParametricMap.cylinder(UNIT, 2.0),
-            ParametricMap(UNIT, _sheared, _sheared_diff),
+            ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),
         ],
         ids=["identity", "scaled", "cylinder", "sheared"],
     )
@@ -295,6 +299,66 @@ class TestValidation:
             x = np.asarray(x, float)
             return np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)).copy()
 
-        quantized = ParametricMap(UNIT, mapping, differential)
+        quantized = ParametricMap(UNIT, mapping, differential, lipschitz=1.0)
         with pytest.raises(ValueError):
             quantized.check_valid()
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize(
+        "make_map,expected",
+        [
+            (lambda: ParametricMap.identity(UNIT), 1.0),
+            (lambda: ParametricMap.scaled(UNIT, (1.7, -0.3, 1.0)), 1.7),
+            (lambda: ParametricMap.cylinder(UNIT, 2.0), 1.0),
+            (lambda: ParametricMap.polar_disk(1.5), 1.5),
+            (lambda: ParametricMap.polar_disk(0.5), 1.0),
+            (lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ), None),
+        ],
+        ids=["identity", "scaled", "cylinder", "disk", "small-disk", "sheared"],
+    )
+    def test_bound_covers_the_spectral_norm(self, make_map, expected):
+        pmap = make_map()
+        x_p = np.vstack([pmap.domain.corners(), pmap.domain.sample(500, np.random.default_rng(9))])
+        D0 = pmap.differential(np.concatenate([x_p, np.zeros((len(x_p), 1))], axis=1))[..., :2]
+        largest = np.linalg.norm(D0, ord=2, axis=(-2, -1)).max()
+        assert largest <= pmap.lipschitz * (1 + 1e-15)
+        if expected is not None:  # the factories' closed forms are attained, at a corner for the disk
+            assert pmap.lipschitz == expected
+            assert largest == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_map",
+        [
+            lambda: ParametricMap.identity(UNIT),
+            lambda: ParametricMap.scaled(UNIT, (1.7, -0.3, 1.0)),
+            lambda: ParametricMap.cylinder(UNIT, 2.0),
+            lambda: ParametricMap.polar_disk(1.5),
+            lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),
+        ],
+        ids=["identity", "scaled", "cylinder", "disk", "sheared"],
+    )
+    def test_cell_bounds_cover_each_axis(self, make_map):
+        # |D psi0(x) v| <= |(L1 v1, L2 v2)| on random boxes, including boxes
+        # on the disk's polar axis, where the angular bound goes to zero
+        pmap = make_map()
+        rng = np.random.default_rng(4)
+        a, b = pmap.domain.sample(400, rng), pmap.domain.sample(400, rng)
+        a[:100, 0] = pmap.domain.lo[0]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        hi[:50] = lo[:50] + 1e-6 * (hi[:50] - lo[:50])
+        L = pmap.cell_bounds(lo, hi)
+        x_p = lo + rng.random(lo.shape) * (hi - lo)
+        D0 = pmap.differential(np.concatenate([x_p, np.zeros((len(x_p), 1))], axis=1))[..., :2]
+        largest = np.linalg.norm(D0 / L[:, None, :], ord=2, axis=(-2, -1)).max()
+        assert L.shape == (400, 2)
+        assert largest <= 1 + 1e-15
+
+    def test_direct_construction_needs_a_bound(self):
+        with pytest.raises(TypeError):
+            ParametricMap(UNIT, _collapse, _collapse_diff)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bound_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="lipschitz"):
+            ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=bad)

@@ -482,19 +482,156 @@ class TestComponentwiseDistances:
         assert none is None
         np.testing.assert_array_equal(G_only, G)
 
-    def test_min_distance_matches_per_point_loop(self):
-        rng = np.random.default_rng(4)
-        points = np.vstack([rng.uniform(-0.5, 1.5, (30, 3)), [[0.5025, 0.5025, 2.0 + 1e-3]]])
-        dom = self.CYL.domain
-        u = np.linspace(dom.lo[0], dom.hi[0], 201)
-        v = np.linspace(dom.lo[1], dom.hi[1], 201)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        surf = self.CYL.midsurface(np.stack([U.ravel(), V.ravel()], axis=-1))
-        d_min = math.inf
-        for p in points:
-            d_min = min(d_min, float(np.sqrt(np.sum((surf - p) ** 2, axis=-1)).min()))
-        assert ObservationGrid._min_distance(points, self.CYL) == d_min
-        assert ObservationGrid.from_points(points, self.CYL).standoff == d_min
+
+def _on_cylinder(rho, phi, z):
+    return [rho * math.cos(phi), rho * math.sin(phi), z]
+
+
+def _chord(rho, dphi, radius=2.0):
+    """In-plane distance from (rho, phi) to the circle point at angle phi - dphi."""
+    return math.sqrt(rho * rho + radius * radius - 2.0 * rho * radius * math.cos(dphi))
+
+
+# (map, [(point, closed-form distance to the mid-surface)]): points above T,
+# beside an edge and beyond a corner.  The radius-2 cylinder over UNIT spans
+# angles [0, 0.5] and heights [0, 1]; the scaled map's image is [0, 2] x [0, 0.5].
+STANDOFF_CASES = {
+    "identity": (
+        IDENT,
+        [
+            ([0.3, 0.6, 0.7], 0.7),
+            ([0.9, 0.2, -0.05], 0.05),
+            ([1.2, 0.4, 0.3], math.hypot(0.2, 0.3)),
+            ([0.5, -0.1, 0.0], 0.1),
+            ([-0.3, 1.4, 0.2], math.sqrt(0.09 + 0.16 + 0.04)),
+        ],
+    ),
+    "cylinder": (
+        ParametricMap.cylinder(UNIT, radius=2.0),
+        [
+            (_on_cylinder(2.3, 0.2, 0.6), 0.3),
+            (_on_cylinder(1.6, 0.35, 0.1), 0.4),
+            (_on_cylinder(2.1, 0.7, 0.5), _chord(2.1, 0.2)),
+            (_on_cylinder(2.2, 0.25, 1.3), math.hypot(0.2, 0.3)),
+            (_on_cylinder(2.1, -0.2, -0.25), math.hypot(_chord(2.1, 0.2), 0.25)),
+        ],
+    ),
+    "disk": (
+        ParametricMap.polar_disk(1.5),
+        [
+            ([0.4, -0.3, 0.8], 0.8),
+            ([0.0, 0.0, 0.5], 0.5),  # above the polar axis, where the angular tangent vanishes
+            ([1.8, 0.6, 0.2], math.hypot(math.hypot(1.8, 0.6) - 1.5, 0.2)),
+            ([1.9, 0.0, 0.3], 0.5),  # nearest to the corner (R, 0), on the angular seam
+        ],
+    ),
+    "scaled": (
+        ParametricMap.scaled(UNIT, (2.0, 0.5, 3.0)),
+        [
+            ([1.2, 0.3, 0.4], 0.4),
+            ([2.3, 0.25, -0.4], 0.5),
+            ([-0.6, 0.9, 0.0], math.hypot(0.6, 0.4)),
+        ],
+    ),
+}
+
+
+class TestStandoff:
+    """Certified lower bound and attained distance against closed-form distances."""
+
+    @pytest.mark.parametrize("name", sorted(STANDOFF_CASES))
+    def test_bounds_bracket_closed_form_distance(self, name):
+        pmap, cases = STANDOFF_CASES[name]
+        points = np.array([p for p, _ in cases])
+        exact = np.array([d for _, d in cases])
+        lower, attained, foot = potential._standoff(points, pmap)
+        assert np.all(lower <= exact)
+        # the closed forms are themselves rounded: allow the attained value 4 ulps below them
+        assert np.all(exact * (1 - 4 * np.finfo(float).eps) <= attained)
+        assert np.all(attained <= exact * (1 + 1e-12))
+        assert np.all(lower >= 0.5 * attained)  # settled cells sit above half the best distance
+        assert pmap.domain.contains(foot).all()
+        np.testing.assert_allclose(np.linalg.norm(pmap.midsurface(foot) - points, axis=1), attained, rtol=1e-15)
+        grid = ObservationGrid.from_points(points, pmap)
+        assert grid.standoff == attained.min()
+
+    def test_point_beyond_an_edge_in_the_film_plane_passes(self):
+        grid = ObservationGrid.from_points([[1.001, 0.5, 0.0]], IDENT)  # 1e-3 beyond the right edge
+        assert grid.standoff == pytest.approx(1e-3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "point,pmap",
+        [
+            ([0.5025, 0.5025, 0.0], IDENT),
+            ([0.3, 0.7, 1e-9], IDENT),
+            (_on_cylinder(2.0, 0.3, 0.4), ParametricMap.cylinder(UNIT, radius=2.0)),
+        ],
+        ids=["on-flat-film", "1e-9-above-flat-film", "on-cylinder"],
+    )
+    def test_point_on_or_at_the_film_rejected(self, point, pmap):
+        with pytest.raises(StandoffViolation, match="certified standoff bound"):
+            ObservationGrid.from_points([[0.5, 0.5, 1.0], point], pmap)
+
+    def test_violation_names_point_bounds_and_foot(self):
+        with pytest.raises(StandoffViolation) as err:
+            ObservationGrid.from_points([[0.5, 0.5, 1.0], [0.5025, 0.5025, 0.0]], IDENT)
+        message = str(err.value)
+        assert "observation point 1 at (0.5025, 0.5025, 0.0)" in message
+        assert "attained distance 0.000e+00 at parameter point (0.5025, 0.5025)" in message
+        bound = float(message.split("certified standoff bound ")[1].split()[0])
+        assert bound <= 0.0
+
+    def test_grid_beyond_one_pass(self):
+        # 1 200 points start 76 800 coarse pairs, past the 2^16 of one pass: each
+        # half goes alone, and the on-film point sits in the second half
+        points = ObservationGrid.offset_surface(IDENT, 40, 30, 0.3).points
+        lower, attained, _ = potential._standoff(points, IDENT)
+        assert ObservationGrid.from_points(points, IDENT).standoff == attained.min() == 0.3
+        points[1100, 2] = 0.0
+        with pytest.raises(StandoffViolation, match=f"observation point 1100 at \\({float(points[1100, 0])!r}, "):
+            ObservationGrid.from_points(points, IDENT)
+
+    def test_halved_passes_give_the_same_values(self, monkeypatch):
+        points = ObservationGrid.offset_surface(IDENT, 4, 3, 0.05).points
+        whole = potential._standoff(points, IDENT)
+        monkeypatch.setattr(potential, "_STANDOFF_PAIRS", 4 * potential._STANDOFF_CELLS**2)
+        for got, want in zip(potential._standoff(points, IDENT), whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_point_alone_past_the_pair_cap_is_unresolved(self, monkeypatch):
+        point = [[0.5, 0.5, 0.01]]  # on a corner of four coarse cells: 16 children per level
+        assert ObservationGrid.from_points(point, IDENT).standoff == pytest.approx(0.01, rel=1e-15)
+        monkeypatch.setattr(potential, "_STANDOFF_PAIRS", 8)
+        with pytest.raises(StandoffViolation, match="certified standoff bound 0.000e\\+00 is not positive"):
+            ObservationGrid.from_points(point, IDENT)
+
+    @pytest.mark.parametrize("height", [0.0, 1e-6])
+    def test_disk_centre_stays_small(self, height):
+        # the angular tangent vanishes on the polar axis: cells there are cut
+        # across x1 only, so the live pairs stay few down to the level cap
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            if height == 0.0:
+                with pytest.raises(StandoffViolation, match="observation point 0 at \\(0.0, 0.0, 0.0\\)"):
+                    ObservationGrid.from_points([[0.0, 0.0, height]], ParametricMap.polar_disk())
+            else:
+                grid = ObservationGrid.from_points([[0.0, 0.0, height]], ParametricMap.polar_disk())
+                assert grid.standoff == height
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("points", [[], [[]], [0.5, 0.5, 1.0], [[0.5, 0.5]], np.zeros((0, 3))])
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(ValueError, match=r"non-empty \(M, 3\) array"):
+            ObservationGrid.from_points(points, IDENT)
+
+    def test_infinite_point_rejected(self):
+        with pytest.raises(StandoffViolation, match="observation point 0 .* not finite \\(standoff inf\\)"):
+            ObservationGrid.from_points([[math.inf, 0.5, 1.0]], IDENT)
 
 
 class TestFieldCsv:
