@@ -9,8 +9,8 @@ integer index m = (m1, m2) has corner
 and occupies corner + l * B @ [0,1)^2 (half-open, so the plane is an exact
 partition and atom-to-cell assignment is deterministic).  Cells fully inside
 the domain are "full"; cells whose closed translate meets the complement but
-still overlap the domain with positive area are "partial" and carry an exact
-rectangle-parallelogram clip polygon.
+still overlap the domain with positive area are "partial" and carry the area
+of their exact rectangle-parallelogram clip.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .geometry import Edge, Rectangle
 _CONTAIN_TOL = 1e-12   # absolute slack for full-cell containment tests
 _SNAP_TOL = 1e-9       # snap basis coordinates sitting on a cell boundary
 _AREA_TOL_REL = 1e-12  # clip areas below this fraction of a cell are dropped
+_MAX_PERIOD = 1000     # largest integer component of an edge's lattice period
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
@@ -91,8 +92,8 @@ class Tessellation:
 
     Row k of ``indices`` and ``corners`` is one cell: the ``n_full`` full
     cells come first, then the partial cells, each in ascending lattice
-    index.  Partial cells also carry the CCW clip polygon of their part
-    inside the domain and its area.
+    index.  Partial cells also carry the area of their part inside the
+    domain.
     """
 
     domain: Rectangle
@@ -101,7 +102,6 @@ class Tessellation:
     indices: np.ndarray                     # (N, 2) int lattice indices
     corners: np.ndarray                     # (N, 2) cell corners
     n_full: int
-    clip_polygons: tuple[np.ndarray, ...]   # (K, 2) per partial cell
     clip_areas: np.ndarray                  # (N - n_full,)
 
     @property
@@ -117,7 +117,7 @@ class Tessellation:
     @property
     def tol(self) -> float:
         """Containment slack: lengths up to it count as zero on the domain boundary."""
-        return _CONTAIN_TOL * max(1.0, self.domain.diameter)
+        return containment_tol(self.domain)
 
     def place(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Planar position of motif point ``y`` in every cell, and which are kept.
@@ -130,28 +130,46 @@ class Tessellation:
         kept[self.n_full :] = self.domain.contains(planar[self.n_full :], tol=self.tol)
         return planar, kept
 
-    def boundary_spans(self, edge: Edge) -> list[tuple[float, float, int]]:
-        """Sorted intervals of a domain edge covered by cells, with each cell's row.
 
-        Consecutive spans share endpoints only (cells overlap on measure-zero
-        sets).  Partial cells, and full cells with a side on the edge line,
-        can cover positive length.
-        """
-        tol = self.tol
-        full = _cell_polygons(self.corners[: self.n_full], self.l, self.choice)
-        on_line = np.abs(full[..., edge.axis] - edge.value) <= tol
-        rows = np.flatnonzero(np.count_nonzero(on_line, axis=1) >= 2)
-        candidates = [(int(r), full[r]) for r in rows]
-        candidates += [(self.n_full + k, poly) for k, poly in enumerate(self.clip_polygons)]
-        spans = []
-        for row, poly in candidates:
-            # a clip polygon has vertices exactly on the edge wherever it
-            # covers positive length of it
-            s = poly[np.abs(poly[:, edge.axis] - edge.value) <= tol, 1 - edge.axis]
-            if len(s) >= 2 and s.max() - s.min() > tol:
-                spans.append((float(s.min()), float(s.max()), row))
-        spans.sort(key=lambda t: (t[0], t[1]))
-        return spans
+def containment_tol(domain: Rectangle) -> float:
+    """Absolute slack of the closed-domain tests: 1e-12 of the domain's diameter, at least 1e-12."""
+    return _CONTAIN_TOL * max(1.0, domain.diameter)
+
+
+def edge_counts(edge: Edge, ys, l: float, choice: UnitCellChoice, tol: float) -> tuple[np.ndarray, float]:
+    """Per point of ``ys``, how many cells of one lattice period along ``edge``
+    straddle its line and keep the point; and that period P in cells.
+
+    With beta the row of B along the edge's normal axis a, cell m's corner
+    sits at the inward level phi(m) = -n (x_a(corner) - value) / l, n the
+    outward normal's component.  The levels are phi0 + j lam; each recurs
+    once per P = |B t| cells along the edge, t the primitive integer vector
+    with beta . t = 0, so lam = |det B| / P.  A straddling cell has vertex
+    levels below -tol / l and above 0 and keeps the points whose level is at
+    least -tol / l, as :meth:`Tessellation.place` does.  Raises ValueError
+    naming the edge when no t has components up to _MAX_PERIOD.
+    """
+    a = edge.axis
+    beta = choice.basis[a]
+    # t[small] = 1, 2, ...: the first near-integer t[big] gives the primitive t
+    big = int(np.argmax(np.abs(beta)))
+    ts = np.empty((_MAX_PERIOD, 2))
+    ts[:, 1 - big] = np.arange(1, _MAX_PERIOD + 1)
+    ts[:, big] = np.round(-beta[1 - big] * ts[:, 1 - big] / beta[big])
+    hits = np.flatnonzero(np.abs(ts @ beta) <= _SNAP_TOL * (np.abs(ts) @ np.abs(beta)))
+    if not len(hits):
+        raise ValueError(f"edge {edge.name!r} has no lattice period of at most {_MAX_PERIOD} cells per basis vector")
+    t, along = ts[hits[0]], choice.basis[1 - a]
+    period = abs(along[0] * t[0] + along[1] * t[1])
+    lam = choice.cell_area / period
+    inward, f = -edge.normal[a], choice.f
+    phi0 = (inward * ((choice.origin[a] - edge.value) / l + (beta[0] * f[0] + beta[1] * f[1]))) % lam
+    vertex = inward * np.array([0.0, beta[0], beta[1], beta[0] + beta[1]])
+    eps = tol / l
+    levels = phi0 + lam * np.arange(np.floor((-vertex.max() - phi0) / lam), np.ceil((-vertex.min() - phi0) / lam) + 1)
+    levels = levels[(levels + vertex.min() < -eps) & (levels + vertex.max() > 0.0)]
+    offsets = [inward * (beta[0] * y[0] + beta[1] * y[1]) for y in ys]
+    return np.array([np.count_nonzero(levels + off >= -eps) for off in offsets], float), period
 
 
 def _cell_polygons(corners: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
@@ -211,7 +229,7 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
     """
     if not (0.0 < l <= 1.0):
         raise ValueError(f"scale l must lie in (0, 1], got {l}")
-    tol = _CONTAIN_TOL * max(1.0, domain.diameter)
+    tol = containment_tol(domain)
     area_floor = _AREA_TOL_REL * choice.cell_area * l * l
 
     coords = choice.basis_coords(domain.corners(), l)
@@ -240,7 +258,6 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
         indices=indices[rows],
         corners=corners[rows],
         n_full=int(np.count_nonzero(full)),
-        clip_polygons=tuple(clipped[k] for k in keep),
         clip_areas=areas[keep],
     )
     if tess.n_full == 0:

@@ -2,31 +2,33 @@
 
 With atomic motifs every moment is an exact finite sum over the cell's
 points, weighted by the modulation at the cell corner and normalized by the
-surface Jacobian at the same corner:
+cell area |det B| and the surface Jacobian at the same corner:
 
-    q     = sum(w) / (l^a h^b J0)        full cells, free charge of order (a, b)
-    p_p   = sum(w * y_param) / J0        planar polarization, parameter components
-    p_3   = sum(w * z) / J0              normal polarization
-    sigma = sum(w over clipped part)/J0  partial cells only
+    q     = sum(w) / (l^a h^b |det B| J0)   full cells, free charge of order (a, b)
+    p_p   = sum(w * y_param) / (|det B| J0) planar polarization, parameter components
+    p_3   = sum(w * z) / (|det B| J0)       normal polarization
+    sigma = sum(w over clipped part) / J0   partial cells only
 
 The continuum fields returned by :func:`moment_fields` are the l -> 0 limits
 of these sums; they come J0-premultiplied as well (the form every
 homogenized integral actually consumes), so no Jacobian division appears in
-the quadrature path.
+the quadrature path.  The limit boundary charge is a line density per unit
+parameter length along each edge, the period average of the straddling
+cells' kept charge (see :func:`filmhomog.lattice.edge_counts`); it carries
+no J0 and needs no tessellation.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .charge import Motif
 from .geometry import ParametricMap, surface_frame
-from .lattice import Tessellation
+from .lattice import Tessellation, UnitCellChoice, containment_tol, edge_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,8 +36,8 @@ class MomentTable:
     """Per-cell moments as columns, one row per cell of a tessellation.
 
     Rows follow the tessellation: full cells, then partial cells, each by
-    ascending lattice index.  q, p_p and p3 are defined on full rows and
-    sigma on partial rows; the other entries are NaN.
+    ascending lattice index.  q, p_p and p3 (per unit area) are defined on
+    full rows and sigma on partial rows; the other entries are NaN.
     """
 
     indices: np.ndarray  # (N, 2) int lattice indices
@@ -45,7 +47,6 @@ class MomentTable:
     p_p: np.ndarray      # (N, 2) parameter components
     p3: np.ndarray       # (N,)
     sigma: np.ndarray    # (N,)
-    j0: np.ndarray       # (N,) surface Jacobian at the corner
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -90,23 +91,23 @@ def moment_table(
     through its stated order).
     """
     j0 = _j0_at(pmap, tess.corners)
+    norm = j0 * tess.choice.cell_area
     charge, p_p, p3 = _kept_sums(tess, motif, l, h)
     if l is not None and h is not None:
         a, b = motif.free_charge_order
-        q = charge / (l**a * h**b * j0)
+        q = charge / (l**a * h**b * norm)
     else:
         # limit value: only the imbalance part survives the normalization
-        q = sum((pt.weight_at(tess.corners) for pt in motif.free_points), np.zeros(len(j0))) / j0
+        q = sum((pt.weight_at(tess.corners) for pt in motif.free_points), np.zeros(len(j0))) / norm
     full = np.arange(len(j0)) < tess.n_full
     return MomentTable(
         indices=tess.indices,
         corners=tess.corners,
         is_full=full,
         q=np.where(full, q, np.nan),
-        p_p=np.where(full[:, None], p_p / j0[:, None], np.nan),
-        p3=np.where(full, p3 / j0, np.nan),
+        p_p=np.where(full[:, None], p_p / norm[:, None], np.nan),
+        p3=np.where(full, p3 / norm, np.nan),
         sigma=np.where(full, np.nan, charge / j0),
-        j0=j0,
     )
 
 
@@ -121,9 +122,9 @@ class MomentFields:
 
     The *_weighted callables are premultiplied by J0 (exact catalog sums with
     no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map.
-    ``boundary_charge`` maps each edge name to the limit boundary density as
-    a step function over the whole edge: increasing break points (k + 1,),
-    from ``s_range[0]`` to ``s_range[1]``, and the value on each piece (k,).
+    ``boundary_charge`` maps each edge name to its limit line density per
+    unit parameter length, a callable on parameter points (..., 2) like the
+    bulk fields.
     """
 
     pmap: ParametricMap
@@ -131,102 +132,56 @@ class MomentFields:
     pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     pol_normal_weighted: Callable[[np.ndarray], np.ndarray]
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
-    boundary_charge: dict  # edge name -> (break points, values)
+    boundary_charge: dict  # edge name -> line density callable
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
 
 
-def _step_function(spans, s_range, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Break points over all of ``s_range`` and piece values, from an edge's sorted (s_lo, s_hi, value) spans.
+def _field(points, term, scale: float, shape: tuple = ()) -> Callable[[np.ndarray], np.ndarray]:
+    """x_p -> sum of term(pt, x_p) over ``points``, from +0.0 in order, over ``scale``."""
 
-    A gap wider than ``tol`` between spans carries 0; a narrower gap or
-    overlap (roundoff between two cells' clip polygons) closes at the later
-    span's start; neighbours with exactly equal values merge.
-    """
-    lo, hi = s_range
-    pieces, end = [], lo  # (start, value), gaps included
-    for a, b, v in spans:
-        if a - end > tol:
-            pieces.append((end, 0.0))
-        pieces.append((a, v))
-        end = b
-    if hi - end > tol:
-        pieces.append((end, 0.0))
-    starts, values = np.array(pieces).T
-    new = np.r_[True, values[1:] != values[:-1]]
-    return np.r_[lo, starts[new][1:], hi], values[new]
+    def field(x_p):
+        x_p = np.asarray(x_p, float)
+        total = np.zeros(x_p.shape[:-1] + shape)
+        for pt in points:
+            total = total + term(pt, x_p)
+        return total / scale
+
+    return field
 
 
-def moment_fields(
-    tess: Tessellation,
-    motif: Motif,
-    pmap: ParametricMap,
-) -> MomentFields:
+def _charge(pt, x_p):
+    return pt.w * pt.modulation(x_p)
+
+
+def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> MomentFields:
     """Continuum limit of the per-cell moments for catalog-modulated motifs.
 
-    Bulk fields are closed forms (moments are linear in the weights, and the
-    catalog is differentiable in closed form).  The boundary charge density
-    is assembled from the tessellation's partial cells: each edge is split
-    into the spans its cells cover; spans of corner-straddling cells, whose
-    weight vanishes in the limit, inherit the nearest interior value of the
-    same edge; the spans then become one step function per edge.
+    Bulk fields are closed forms per unit area (moments are linear in the
+    weights, and the catalog is differentiable in closed form).  Each edge's
+    boundary charge is the line density sum_k n_k w_k m_k(x) / P, with the
+    edge's lattice period P and the counts n_k of :func:`edge_counts`.  ``l``
+    sets only the phase at which an edge cuts the lattice.  Raises ValueError
+    for an edge with no lattice period.
     """
-    B = tess.choice.basis
-    y_param = [B @ np.asarray(pt.y, float) for pt in motif.points]
+    B, area = choice.basis, choice.cell_area
 
-    def charge_weighted(x_p):
-        x_p = np.asarray(x_p, float)
-        total = np.zeros(x_p.shape[:-1])
-        for pt in motif.free_points:
-            total = total + pt.w * pt.modulation(x_p)
-        return total
+    def arm(pt):
+        return B @ np.asarray(pt.y, float)
 
-    def pol_planar_weighted(x_p):
-        x_p = np.asarray(x_p, float)
-        total = np.zeros(x_p.shape[:-1] + (2,))
-        for pt, yv in zip(motif.points, y_param):
-            total = total + (pt.w * pt.modulation(x_p))[..., None] * yv
-        return total
-
-    def pol_normal_weighted(x_p):
-        x_p = np.asarray(x_p, float)
-        total = np.zeros(x_p.shape[:-1])
-        for pt in motif.points:
-            total = total + pt.w * pt.modulation(x_p) * pt.z
-        return total
-
-    def div_pol_planar_weighted(x_p):
-        x_p = np.asarray(x_p, float)
-        total = np.zeros(x_p.shape[:-1])
-        for pt, yv in zip(motif.points, y_param):
-            total = total + pt.w * (pt.modulation.gradient(x_p) @ yv)
-        return total
-
-    charge, _, _ = _kept_sums(tess, motif, None, None)
-    n_full = tess.n_full
-    sigma = np.r_[np.zeros(n_full), charge[n_full:] / _j0_at(pmap, tess.corners[n_full:])]
-    edges = tess.domain.edges()
-    edge_spans = [tess.boundary_spans(edge) for edge in edges]
-    # a cell covering positive length of two or more edges straddles a corner
-    edges_covered = Counter(row for spans in edge_spans for _, _, row in spans)
+    tol = containment_tol(pmap.domain)
     boundary_charge = {}
-    for edge, spans in zip(edges, edge_spans):
-        values = [float(sigma[row]) for _, _, row in spans]
-        mids = [0.5 * (a + b) for a, b, _ in spans]
-        interior = [k for k, (_, _, row) in enumerate(spans) if edges_covered[row] < 2]
-        for k, (_, _, row) in enumerate(spans):
-            if edges_covered[row] >= 2 and interior:
-                values[k] = values[min(interior, key=lambda j: abs(mids[j] - mids[k]))]
-        steps = [(a, b, v) for (a, b, _), v in zip(spans, values)]
-        boundary_charge[edge.name] = _step_function(steps, edge.s_range, tess.tol)
-
+    for edge in pmap.domain.edges():
+        counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, tol)
+        kept = [replace(pt, w=n * pt.w) for pt, n in zip(motif.points, counts)]
+        boundary_charge[edge.name] = _field(kept, _charge, period)
     return MomentFields(
         pmap=pmap,
-        charge_weighted=charge_weighted,
-        pol_planar_weighted=pol_planar_weighted,
-        pol_normal_weighted=pol_normal_weighted,
-        div_pol_planar_weighted=div_pol_planar_weighted,
+        charge_weighted=_field(motif.free_points, _charge, area),
+        pol_planar_weighted=_field(motif.points, lambda pt, x: _charge(pt, x)[..., None] * arm(pt), area, (2,)),
+        pol_normal_weighted=_field(motif.points, lambda pt, x: _charge(pt, x) * pt.z, area),
+        div_pol_planar_weighted=_field(motif.points, lambda pt, x: pt.w * (pt.modulation.gradient(x) @ arm(pt)), area),
         boundary_charge=boundary_charge,
     )
 

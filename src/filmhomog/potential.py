@@ -10,7 +10,7 @@ potential is a parameter-space integral over the film domain T and its
 boundary, with all source fields premultiplied by the surface Jacobian:
 
     Phi(r) = INT_T [G * (c_q q*J0 - c_p div_p(J0 p_p)) + c_n dG/dnu' * p3*J0] dx
-           + c_p INT_dT G * (sigma*J0 + (J0 p_p).n) ds
+           + c_p INT_dT G * (rho + (J0 p_p).n) ds
 
 The three limits differ only in the weights (c_q, c_p, c_n):
 
@@ -21,8 +21,9 @@ The three limits differ only in the weights (c_q, c_p, c_n):
 with dG/dnu' = nu(r') . (r - r') / |r - r'|^3 evaluated analytically.  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
-charge sigma enters as a step function per edge from the tessellation data,
-and each edge is one adaptive integral with a panel break at every jump.
+charge rho is each edge's closed-form line density per unit parameter length
+(no Jacobian in it), and each edge is one adaptive integral over the whole
+edge.
 
 Both are asymptotic statements for observation points off the film.  An
 :class:`ObservationGrid` is admitted only if every point has a certified
@@ -384,10 +385,10 @@ def _kernel_parts(pmap: ParametricMap, x_p: np.ndarray, obs: np.ndarray, need_no
     (dx, dy, dz), d = _distances(fr.point, obs)
     G = 1.0 / d
     if not need_normal:
-        return G, None, fr
+        return G, None
     nu = fr.normal
     dot = dx * nu[:, 0, None] + dy * nu[:, 1, None] + dz * nu[:, 2, None]
-    return G, dot / d**3, fr
+    return G, dot / d**3
 
 
 def _boundary_integral(
@@ -398,25 +399,24 @@ def _boundary_integral(
     tol: float,
     max_depth: int,
 ) -> np.ndarray:
-    """coef * INT_dT G (sigma J0 + (J0 p_p).n) ds: one integral per edge at ``tol``, broken where sigma jumps."""
+    """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``."""
     obs = grid.points
     total = np.zeros(grid.n_points)
     for edge in pmap.domain.edges():
-        breaks, sigma = fields.boundary_charge[edge.name]
 
-        def integrand(s, edge=edge, inner=breaks[1:-1], sigma=sigma):
+        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name]):
             x_p = edge.points(s)
-            G, _, fr = _kernel_parts(pmap, x_p, obs, need_normal=False)
+            _, d = _distances(pmap.midsurface(x_p), obs)
             pn = fields.pol_planar_weighted(x_p) @ np.asarray(edge.normal, float)
-            return G * (sigma[np.searchsorted(inner, s, side="right")] * fr.j0 + pn)[:, None]
+            return (1.0 / d) * (rho(x_p) + pn)[:, None]
 
-        total += coef * adaptive_segment(integrand, breaks, tol=tol, max_depth=max_depth)
+        total += coef * adaptive_segment(integrand, edge.s_range, tol=tol, max_depth=max_depth)
     return total
 
 
 # Per-regime weights of the three limit terms: (free-charge single layer,
 # in-plane polarization, normal double layer).  The in-plane column weights
-# both the bound charge -div_p(J0 p_p) and the edge term sigma*J0 + (J0 p_p).n.
+# both the bound charge -div_p(J0 p_p) and the edge term rho + (J0 p_p).n.
 _LIMIT_WEIGHTS = {
     "R1": lambda alpha: (1.0, 1.0, 0.0),
     "R2": lambda alpha: (alpha, alpha, alpha**2),
@@ -441,7 +441,7 @@ def homogenized_potential(
     obs = grid.points
 
     def integrand(x_p):
-        G, dGn, _ = _kernel_parts(pmap, x_p, obs, need_normal=c_n != 0.0)
+        G, dGn = _kernel_parts(pmap, x_p, obs, need_normal=c_n != 0.0)
         density = fields.charge_weighted(x_p)
         if c_p != 0.0:  # c_q * G * (q J0 - (c_p / c_q) div_p(J0 p_p)); every row has c_q > 0
             density = density - (c_p / c_q) * fields.div_pol_planar_weighted(x_p)

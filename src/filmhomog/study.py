@@ -164,23 +164,22 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Compare the exact microscopic potentials along a schedule to the limit.
 
-    The homogenized reference is assembled once, from the finest step's
-    tessellation (boundary-charge segment data closest to the limit).
+    The homogenized reference is computed once from the closed-form limit
+    fields; the finest step's l fixes only the phase at which each domain
+    edge cuts the lattice (see :func:`moment_fields`).
     """
     schedule = list(schedule)
     if not schedule:
         raise ValueError("empty schedule")
     finest = min(schedule, key=lambda lh: max(lh))
-    ref_tess = tessellate(pmap.domain, finest[0], choice)
-    fields = moment_fields(ref_tess, motif, pmap)
+    fields = moment_fields(motif, choice, pmap, finest[0])
     homog = homogenized_potential(fields, regime, pmap, grid, tol, max_depth)
 
     steps: list[ConvergenceStep] = []
     micro_samples: list[FieldSample] = []
     decay_ok = True
     for i, (l, h) in enumerate(schedule):
-        tess = ref_tess if (l, h) == tuple(finest) else tessellate(pmap.domain, l, choice)
-        dist = realize(motif, tess, pmap, l, h, regime)
+        dist = realize(motif, tessellate(pmap.domain, l, choice), pmap, l, h, regime)
         if i == 0:
             decay_ok = check_dipole_decay(dist)
         # coarse steps sit inside the Taylor standoff on purpose (taylor_ok records it)
@@ -342,14 +341,15 @@ def run_gauge(
     if regime.kind == "R3":
         raise ValueError("the gauge study compares the R1/R2 limit forms")
 
-    tess_a = tessellate(pmap.domain, l, choice_a)
-    fields_a = moment_fields(tess_a, motif, pmap)
+    fields_a = moment_fields(motif, choice_a, pmap, l)
     field_a = homogenized_potential(fields_a, regime, pmap, grid, tol, max_depth)
 
     motif_b = rebin_motif(motif, choice_a, choice_b, l)
-    tess_b = tessellate(pmap.domain, l, choice_b)
-    fields_b = moment_fields(tess_b, motif_b, pmap)
+    fields_b = moment_fields(motif_b, choice_b, pmap, l)
     field_b = homogenized_potential(fields_b, regime, pmap, grid, tol, max_depth)
+
+    tess_a = tessellate(pmap.domain, l, choice_a)
+    tess_b = tessellate(pmap.domain, l, choice_b)
 
     atoms_ok = _atoms_match(
         realize(motif, tess_a, pmap, l, h, regime),

@@ -6,9 +6,11 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``finite_t_double_layer``: two charged sheets a distance t apart, which
   converge to the double layer at first order in t.
 - ``jacobian_full``: the volume Jacobian of a map from its differential.
-- ``prescribed_fields``: moment fields from raw callables instead of a motif
-  and tessellation, with the bound-charge divergence differenced centrally.
+- ``prescribed_fields``: moment fields from raw callables instead of a motif,
+  with the bound-charge divergence differenced centrally.
 - ``covered_area``: the area the cells of a tessellation cover.
+- ``edge_line_charge``: an edge's boundary line density read off the partial
+  cells of a tessellation, which the closed form must reproduce.
 - ``fsum_potential``: the exactly rounded Green's sum, one ``math.fsum`` per
   observation point.
 - ``recursive_rectangle`` / ``recursive_segment``: adaptive Gauss quadrature
@@ -27,6 +29,7 @@ import numpy as np
 from filmhomog import (
     FieldSample,
     MomentFields,
+    Motif,
     NonPositiveJacobian,
     ObservationGrid,
     ParametricMap,
@@ -36,6 +39,7 @@ from filmhomog import (
     Tessellation,
     surface_frame,
 )
+from filmhomog.geometry import Edge
 from filmhomog.moments import _j0_at
 from filmhomog.potential import _distances
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
@@ -139,8 +143,9 @@ def prescribed_fields(
     vectors, all in the un-weighted (per-area) normalization; the Jacobian
     factor is applied here.  The bound-charge divergence of a prescribed
     planar polarization is central-differenced by ``surface_divergence_term``
-    (step 1e-5 * diam(T)).  ``boundary_charge`` maps edge names to
-    (break points, values) step functions; edges it leaves out carry 0.
+    (step 1e-5 * diam(T)).  ``boundary_charge`` maps edge names to line
+    densities, callables on parameter points (..., 2) with no Jacobian in
+    them; edges it leaves out carry 0.
     """
 
     def zero_scalar(x_p):
@@ -163,15 +168,15 @@ def prescribed_fields(
             return zero_scalar(x_p)
         return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
 
-    steps = {e.name: (np.array(e.s_range, float), np.zeros(1)) for e in pmap.domain.edges()}
-    steps.update({name: tuple(map(np.asarray, step)) for name, step in (boundary_charge or {}).items()})
+    densities = {e.name: zero_scalar for e in pmap.domain.edges()}
+    densities.update(boundary_charge or {})
     return MomentFields(
         pmap=pmap,
         charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
         pol_planar_weighted=pol_planar_weighted,
         pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
         div_pol_planar_weighted=div_pol_planar_weighted,
-        boundary_charge=steps,
+        boundary_charge=densities,
     )
 
 
@@ -179,6 +184,28 @@ def covered_area(tess: Tessellation) -> float:
     """Area of all cells: n_full whole cells plus the partial cells' clip areas."""
     full_area = tess.n_full * tess.choice.cell_area * tess.l * tess.l
     return full_area + float(np.sum(tess.clip_areas))
+
+
+def edge_line_charge(tess: Tessellation, motif: Motif, edge: Edge, lo: float, hi: float) -> float:
+    """Kept charge per unit length, times l, of the partial cells that straddle ``edge``'s
+    line with their corner's coordinate along the edge in [lo, hi).
+
+    Weights are taken at the cell corners.  With constant weights and a window
+    of a whole number of lattice periods away from the domain's corners, this
+    is the edge's limit line density.
+    """
+    rows = np.arange(tess.n_full, len(tess.corners))
+    corners = tess.corners[rows]
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    levels = corners[:, None, edge.axis] + tess.l * (unit @ tess.choice.basis.T)[None, :, edge.axis]
+    straddle = (levels.min(axis=1) < edge.value - tess.tol) & (levels.max(axis=1) > edge.value + tess.tol)
+    along = corners[:, 1 - edge.axis]
+    chosen = rows[straddle & (along >= lo) & (along < hi)]
+    charge = 0.0
+    for pt in motif.points:
+        _, kept = tess.place(pt.y)
+        charge += float(np.sum(pt.weight_at(tess.corners[chosen])[kept[chosen]]))
+    return charge * tess.l / (hi - lo)
 
 
 def fsum_potential(dist: ScaledChargeDistribution, grid: ObservationGrid) -> list:

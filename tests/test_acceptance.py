@@ -72,9 +72,8 @@ def test_criterion_2_regime1_convergence(grid):
 
     # the normal-polarization content must be absent from this limit
     mixed = Motif(points=PLANAR_DIPOLE.points + VERTICAL_DIPOLE.points)
-    tess = tessellate(UNIT, 1 / 32, SQUARE)
-    phi_plain = homogenized_potential(moment_fields(tess, PLANAR_DIPOLE, IDENT), Regime("R1"), IDENT, grid)
-    phi_mixed = homogenized_potential(moment_fields(tess, mixed, IDENT), Regime("R1"), IDENT, grid)
+    phi_plain = homogenized_potential(moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 1 / 32), Regime("R1"), IDENT, grid)
+    phi_mixed = homogenized_potential(moment_fields(mixed, SQUARE, IDENT, 1 / 32), Regime("R1"), IDENT, grid)
     homog_change = float(np.max(np.abs(phi_plain.values - phi_mixed.values)))
 
     t_coarse = tessellate(UNIT, 1 / 4, SQUARE)
@@ -107,8 +106,7 @@ def test_criterion_3_regime3_convergence_and_sign(grid):
 
     # the opposite double-layer sign must NOT converge: micro errors against the
     # sign-flipped limit stay O(1) relative to the field scale
-    tess = tessellate(UNIT, 1 / 256, SQUARE)
-    fields = moment_fields(tess, VERTICAL_DIPOLE, IDENT)
+    fields = moment_fields(VERTICAL_DIPOLE, SQUARE, IDENT, 1 / 256)
     flipped = FieldSample(
         grid=grid,
         values=-homogenized_potential(fields, Regime("R3"), IDENT, grid).values,

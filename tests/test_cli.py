@@ -321,6 +321,14 @@ class TestExitCodes:
         assert "(standoff rule: observation points must keep a positive distance from the film)" in err
         assert not (tmp_path / "out").exists()
 
+    def test_edge_without_lattice_period_exit_2(self, tmp_path, capsys):
+        # e2 = (sqrt(2) - 1, 1): the vertical edges cut the lattice at no period
+        payload = json.loads((CONFIGS / "converge_r2.json").read_text())
+        payload["cell"]["e2"] = [math.sqrt(2.0) - 1.0, 1.0]
+        payload["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        assert "edge 'left' has no lattice period" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "grid",
         [{"kind": "points", "points": []}, {"kind": "offset_surface", "n": [0, 5], "distance": 1.0}],

@@ -1,5 +1,4 @@
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -176,25 +175,3 @@ def test_gauge_pair_same_coverage():
     ta = tessellate(UNIT, 0.25, SQUARE)
     tb = tessellate(UNIT, 0.25, HALF_SHIFT)
     assert covered_area(ta) == pytest.approx(covered_area(tb), rel=1e-12)
-
-
-class TestBoundarySpans:
-    def test_aligned_right_edge_covered_by_full_cells(self):
-        t = tessellate(UNIT, 0.25, SQUARE)
-        edge = {e.name: e for e in UNIT.edges()}["right"]
-        spans = t.boundary_spans(edge)
-        assert [s[:2] for s in spans] == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
-        assert all(row < t.n_full for _, _, row in spans)
-
-    def test_shifted_edges_covered_fully(self):
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        for edge in UNIT.edges():
-            spans = t.boundary_spans(edge)
-            total = sum(b - a for a, b, _ in spans)
-            assert total == pytest.approx(edge.s_range[1] - edge.s_range[0], abs=1e-12)
-
-    def test_corner_cells_detected(self):
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        edges_covered = Counter(row for edge in UNIT.edges() for _, _, row in t.boundary_spans(edge))
-        corners = {tuple(t.indices[row].tolist()) for row, n in edges_covered.items() if n >= 2}
-        assert corners == {(-1, -1), (-1, 3), (3, -1), (3, 3)}

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from filmhomog import (
     surface_frame,
     tessellate,
 )
-from filmhomog.moments import _step_function
+from reference import edge_line_charge
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -27,6 +28,9 @@ IDENT = ParametricMap.identity(UNIT)
 
 PLANAR_DIPOLE = Motif(points=(MotifPoint(+1.0, (0.75, 0.5), 0.0), MotifPoint(-1.0, (0.25, 0.5), 0.0)))
 VERTICAL_DIPOLE = Motif(points=(MotifPoint(+1.0, (0.5, 0.5), 0.5), MotifPoint(-1.0, (0.5, 0.5), -0.5)))
+SHEARED = UnitCellChoice(e2=(0.5, 1.0))
+WIDE = UnitCellChoice(e1=(2.0, 0.0), f=(0.5, 0.5))  # 2x1 cells, half shifted
+X2_DIPOLE = Motif(points=(MotifPoint(+1.0, (0.5, 0.75), 0.0), MotifPoint(-1.0, (0.5, 0.25), 0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +118,15 @@ class TestPartialCellSigma:
         assert moment_table(t, PLANAR_DIPOLE, stretched).sigma[row] == pytest.approx(-0.5)
 
 
+def density(fields, name, s=(0.1, 0.5, 0.9)):
+    """An edge's boundary line density at arc coordinates ``s``."""
+    edge = {e.name: e for e in UNIT.edges()}[name]
+    return fields.boundary_charge[name](edge.points(np.asarray(s, float)))
+
+
 class TestMomentFields:
-    def test_constant_dipole_fields(self, tess):
-        fields = moment_fields(tess, PLANAR_DIPOLE, IDENT)
+    def test_constant_dipole_fields(self):
+        fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
         pts = np.array([[0.1, 0.2], [0.9, 0.7]])
         np.testing.assert_allclose(fields.p_p(pts), [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
         # identity map, J0 = 1: the weighted fields are q and p3
@@ -125,7 +135,7 @@ class TestMomentFields:
         bulk_source = fields.charge_weighted(pts) - fields.div_pol_planar_weighted(pts)
         np.testing.assert_allclose(bulk_source, [0.0, 0.0], atol=1e-15)
 
-    def test_sinusoidal_modulation(self, tess):
+    def test_sinusoidal_modulation(self):
         mod = Modulation(kind="sinusoid", value=1.0, coef=(np.pi, 0.0))
         motif = Motif(
             points=(
@@ -133,7 +143,7 @@ class TestMomentFields:
                 MotifPoint(-1.0, (0.25, 0.5), 0.0, modulation=mod),
             )
         )
-        fields = moment_fields(tess, motif, IDENT)
+        fields = moment_fields(motif, SQUARE, IDENT, 0.25)
         x = np.array([[0.3, 0.5], [0.8, 0.1]])
         np.testing.assert_allclose(fields.p_p(x)[:, 0], 0.5 * np.sin(np.pi * x[:, 0]), atol=1e-14)
         np.testing.assert_allclose(fields.p_p(x)[:, 1], 0.0, atol=1e-14)
@@ -142,40 +152,73 @@ class TestMomentFields:
             fields.div_pol_planar_weighted(x), 0.5 * np.pi * np.cos(np.pi * x[:, 0]), atol=1e-14
         )
 
-    def test_aligned_grid_has_zero_sigma(self, tess):
-        # one zero piece per edge
-        fields = moment_fields(tess, PLANAR_DIPOLE, IDENT)
+    def test_aligned_grid_has_zero_sigma(self):
+        # no cell straddles an edge on a lattice line
+        fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
         for edge in UNIT.edges():
-            breaks, values = fields.boundary_charge[edge.name]
-            assert breaks.tolist() == list(edge.s_range)
-            assert values.tolist() == [0.0]
+            assert density(fields, edge.name).tolist() == [0.0, 0.0, 0.0]
 
     def test_shifted_grid_sigma_pattern(self):
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
+        # half-shift: right +1, left -1, top and bottom 0, over the whole edge
         motif_b = Motif(points=(MotifPoint(+1.0, (0.25, 0.0), 0.0), MotifPoint(-1.0, (0.75, 0.0), 0.0)))
-        fields = moment_fields(t, motif_b, IDENT)
-        # interior values extend over the corner spans: one uniform piece per edge
+        fields = moment_fields(motif_b, HALF_SHIFT, IDENT, 0.25)
         for name, value in [("right", 1.0), ("left", -1.0), ("top", 0.0), ("bottom", 0.0)]:
-            breaks, values = fields.boundary_charge[name]
-            assert breaks.tolist() == [0.0, 1.0]
-            assert values == pytest.approx([value], abs=1e-12)
+            assert density(fields, name, (0.0, 0.05, 0.5, 1.0)).tolist() == [value] * 4
 
-    def test_free_charge_field(self, tess):
+    def test_free_charge_field(self):
         motif = Motif(
             points=PLANAR_DIPOLE.points,
             free_points=(MotifPoint(2.0, (0.5, 0.5), 0.0),),
             free_charge_order=(1, 0),
         )
-        fields = moment_fields(tess, motif, IDENT)
+        fields = moment_fields(motif, SQUARE, IDENT, 0.25)
         np.testing.assert_allclose(fields.charge_weighted(np.array([[0.5, 0.5]])), [2.0])  # J0 = 1
 
+    def test_bulk_fields_per_unit_area(self):
+        """A 2x1 cell holds the unit cell's charge on twice the area: every bulk field halves."""
+        mod = Modulation(kind="linear", value=1.0, coef=(0.3, -0.2))
+        motif = Motif(
+            points=(MotifPoint(1.0, (0.7, 0.2), 0.3, mod), MotifPoint(-1.0, (0.2, 0.6), -0.4, mod)),
+            free_points=(MotifPoint(0.7, (0.45, 0.55), 0.1, mod),),
+        )
+        unit = moment_fields(motif, SQUARE, IDENT, 0.25)
+        wide = moment_fields(motif, UnitCellChoice(e1=(2.0, 0.0)), IDENT, 0.25)
+        x = np.array([[0.3, 0.5], [0.8, 0.1]])
+        for name in ("charge_weighted", "pol_normal_weighted"):
+            np.testing.assert_array_equal(getattr(wide, name)(x), 0.5 * getattr(unit, name)(x))
+        # the x1 lever arm doubles too, so the x1 component of p_p and its divergence stay
+        p_wide, p_unit = wide.pol_planar_weighted(x), unit.pol_planar_weighted(x)
+        np.testing.assert_array_equal(p_wide[:, 1], 0.5 * p_unit[:, 1])
+        np.testing.assert_array_equal(p_wide[:, 0], p_unit[:, 0])
 
-class TestBoundaryChargeSteps:
-    """moment_fields gives each edge's boundary charge as one step function over the whole edge."""
+    def test_moment_table_per_unit_area(self):
+        l, h = 0.25, 0.0625
+        motif = Motif(points=X2_DIPOLE.points, free_points=(MotifPoint(3.0, (0.5, 0.5), 0.0),))
+        unit = moment_table(tessellate(UNIT, l, SQUARE), motif, IDENT, l=l, h=h)
+        wide = moment_table(tessellate(UNIT, l, UnitCellChoice(e1=(2.0, 0.0))), motif, IDENT, l=l, h=h)
+        assert wide.q[0] == 0.5 * unit.q[0] == 1.5
+        # the free point's x1 lever arm doubles with the cell, its x2 arm does not
+        assert wide.p_p[0, 1] == 0.5 * unit.p_p[0, 1] == 0.4375
 
-    def test_distinct_values_keep_their_breaks(self):
-        # a weight linear in x2 gives every right-edge cell its own sigma; the corner spans
-        # [0, 1/8] and [7/8, 1] take their neighbour's value and merge with it
+
+class TestBoundaryCharge:
+    """Each edge's limit line density in closed form: sum_k n_k w_k m_k(x) / P."""
+
+    def test_sheared_vertical_edges_carry_the_mean_of_two_rows(self):
+        # rows alternate: at the right edge even rows keep both points (0) and odd rows only
+        # the minus point (-1); at the left edge even rows keep the plus point (+1), odd rows both
+        fields = moment_fields(PLANAR_DIPOLE, SHEARED, IDENT, 1 / 16)
+        assert density(fields, "right").tolist() == [-0.5] * 3
+        assert density(fields, "left").tolist() == [0.5] * 3
+        assert density(fields, "top").tolist() == density(fields, "bottom").tolist() == [0.0] * 3
+
+    def test_wide_cell_halves_the_horizontal_density(self):
+        fields = moment_fields(X2_DIPOLE, WIDE, IDENT, 1 / 16)
+        assert density(fields, "top").tolist() == [-0.5] * 3
+        assert density(fields, "bottom").tolist() == [0.5] * 3
+        assert density(fields, "left").tolist() == density(fields, "right").tolist() == [0.0] * 3
+
+    def test_modulation_is_taken_on_the_edge(self):
         mod = Modulation(kind="linear", value=1.0, coef=(0.0, 0.5))
         motif_b = Motif(
             points=(
@@ -183,33 +226,54 @@ class TestBoundaryChargeSteps:
                 MotifPoint(-1.0, (0.75, 0.0), 0.0, modulation=mod),
             )
         )
-        t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        breaks, values = moment_fields(t, motif_b, IDENT).boundary_charge["right"]
-        table = moment_table(t, motif_b, IDENT)
-        assert breaks.tolist() == [0.0, 0.375, 0.625, 1.0]
-        assert values.tolist() == [table.sigma[row_of(table, (3, k))] for k in range(3)]
-        assert len(set(values.tolist())) == 3
+        fields = moment_fields(motif_b, HALF_SHIFT, IDENT, 0.25)
+        s = np.array([0.0, 0.3, 1.0])
+        assert density(fields, "right", s).tolist() == (1.0 + 0.5 * s).tolist()
 
-    def test_gaps_carry_zero_and_equal_neighbours_merge(self):
-        # spans (s_lo, s_hi, value): a roundoff gap closes and its equal neighbours merge;
-        # gaps wider than the tolerance, at both ends and inside, carry 0
-        spans = [(0.25, 0.5, 1.5), (0.5 + 2**-53, 0.7, 1.5), (0.75, 0.9, -2.0)]
-        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
-        assert breaks.tolist() == [0.0, 0.25, 0.7, 0.75, 0.9, 1.0]
-        assert values.tolist() == [0.0, 1.5, 0.0, -2.0, 0.0]
+    def test_same_density_at_every_dyadic_l(self):
+        mod = Modulation(kind="sinusoid", value=1.0, coef=(2.0, 0.5), phase=0.1)
+        motif = Motif(points=tuple(MotifPoint(p.w, p.y, p.z, mod) for p in PLANAR_DIPOLE.points))
+        s = np.linspace(0.0, 1.0, 7)
+        for choice in (HALF_SHIFT, SHEARED, WIDE):
+            ref = moment_fields(motif, choice, IDENT, 1 / 8)
+            for l in (1 / 32, 1 / 64):
+                fields = moment_fields(motif, choice, IDENT, l)
+                for edge in UNIT.edges():
+                    np.testing.assert_array_equal(density(fields, edge.name, s), density(ref, edge.name, s))
 
-    def test_zero_spans_merge_with_gaps(self):
-        spans = [(0.0, 0.4, 0.0), (0.6, 1.0, 0.0)]
-        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
-        assert breaks.tolist() == [0.0, 1.0] and values.tolist() == [0.0]
-        breaks, values = _step_function([], (0.0, 2.0), 1e-12)
-        assert breaks.tolist() == [0.0, 2.0] and values.tolist() == [0.0]
+    @pytest.mark.parametrize("l", [1 / 16, 0.1])
+    @pytest.mark.parametrize(
+        "choice",
+        [
+            HALF_SHIFT,
+            SHEARED,
+            UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.6)),
+            WIDE,
+            UnitCellChoice(e1=(0.5, 0.0), f=(0.2, 0.7)),
+            UnitCellChoice(e1=(1.0, 0.25), f=(0.4, 0.1), origin=(0.013, -0.02)),
+        ],
+        ids=["half-shift", "sheared", "sheared-offset", "wide", "narrow", "oblique"],
+    )
+    def test_matches_partial_cells_of_a_tessellation(self, choice, l):
+        """Kept charge per unit length of the straddling partial cells over four cells'
+        length (a whole number of periods, P = 1, 2 or 4), away from the corners."""
+        rng = np.random.default_rng(5)
+        motif = Motif(
+            points=tuple(
+                MotifPoint(float(rng.uniform(-1, 1)), tuple(rng.uniform(0.05, 0.95, 2)), 0.0) for _ in range(5)
+            )
+        )
+        t = tessellate(UNIT, l, choice)
+        fields = moment_fields(motif, choice, IDENT, l)
+        lo = 0.5 - 2 * l + 0.1234 * l
+        for edge in UNIT.edges():
+            cells = edge_line_charge(t, motif, edge, lo, lo + 4 * l)
+            assert density(fields, edge.name)[1] == pytest.approx(cells, abs=1e-12)
 
-    def test_distinct_neighbours_keep_their_break(self):
-        spans = [(0.0, 0.5, 1.0), (0.5, 1.0, 1.0 + 2**-52)]
-        breaks, values = _step_function(spans, (0.0, 1.0), 1e-12)
-        assert breaks.tolist() == [0.0, 0.5, 1.0]
-        assert values.tolist() == [1.0, 1.0 + 2**-52]
+    def test_edge_without_a_period_is_rejected(self):
+        irrational = UnitCellChoice(e2=(math.sqrt(2.0) - 1.0, 1.0))
+        with pytest.raises(ValueError, match="'left'"):
+            moment_fields(PLANAR_DIPOLE, irrational, IDENT, 0.25)
 
 
 class TestMomentTable:

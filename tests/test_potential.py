@@ -270,15 +270,13 @@ class TestRowSums:
 
 class TestHomogenizedR1:
     def test_mirror_symmetry_zero(self):
-        t = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(t, PLANAR_DIPOLE, IDENT)
+        fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], IDENT)
         phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
         assert abs(phi.values[0]) <= 1e-10
 
     def test_against_dense_line_quadrature(self):
-        t = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(t, PLANAR_DIPOLE, IDENT)
+        fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
         r = np.array([1.5, 0.5, 0.5])
         grid = ObservationGrid.from_points([r], IDENT)
         phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
@@ -312,8 +310,7 @@ class TestHomogenizedR1:
                 MotifPoint(-1.0, (0.25, 0.5), 0.0),
             )
         )
-        t = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(t, mod_motif, IDENT)
+        fields = moment_fields(mod_motif, SQUARE, IDENT, 0.25)
         pts = np.array([[0.3, 0.8, 1.2], [1.4, 0.1, 0.8]])
         grid = ObservationGrid.from_points(pts, IDENT)
         phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
@@ -334,8 +331,7 @@ class TestHomogenizedR2:
             points=PLANAR_DIPOLE.points
             + (MotifPoint(0.7, (0.5, 0.5), 0.5), MotifPoint(-0.7, (0.5, 0.5), -0.5))
         )
-        t = tessellate(UNIT, 0.25, SQUARE)
-        return moment_fields(t, mixed, IDENT)
+        return moment_fields(mixed, SQUARE, IDENT, 0.25)
 
     def test_alpha_one_reduces_to_r1_plus_double_layer(self):
         fields = self.make_fields()
@@ -388,7 +384,7 @@ class TestHomogenizedR3ZeroColumn:
         q = lambda x: 1.0 + 0.5 * np.asarray(x)[..., 0]
         p3 = lambda x: np.cos(np.asarray(x)[..., 1])
         p_p = lambda x: np.stack([np.sin(np.pi * np.asarray(x)[..., 0]), np.asarray(x)[..., 1] ** 2], axis=-1)
-        sigma = {"right": ([0.0, 1.0], [0.7]), "left": ([0.0, 0.5, 1.0], [-0.3, 0.0])}
+        sigma = {"right": lambda x: np.full(np.shape(x)[:-1], 0.7), "left": lambda x: -0.3 * np.asarray(x)[..., 1]}
         grid = ObservationGrid.from_points([[1.2, 0.3, 0.9], [0.5, 0.5, 2.0]], IDENT)
         plain = homogenized_potential(prescribed_fields(IDENT, q=q, p3=p3), Regime("R3"), IDENT, grid)
         loaded = homogenized_potential(
@@ -400,25 +396,27 @@ class TestHomogenizedR3ZeroColumn:
 
 
 class TestBoundaryIntegral:
-    def test_step_sigma_against_dense_per_piece_sums(self):
-        """One edge integral per edge over a sigma with a gap and two values, against dense Gauss sums."""
+    def test_smooth_density_against_dense_gauss_sums(self):
+        """One edge integral per edge over a smooth, non-constant line density, against dense Gauss sums."""
         stretched = ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0))  # psi = (2 x1, x2, 0), J0 = 2
         p_p = lambda x: np.stack([np.cos(np.asarray(x)[..., 1]), np.asarray(x)[..., 0] ** 2], axis=-1)
-        steps = {"right": ([0.0, 0.3, 0.45, 1.0], [0.7, 0.0, -0.4]), "left": ([0.0, 1.0], [0.25])}
+        rho = {
+            "right": lambda x: 0.7 * np.sin(3.0 * np.asarray(x)[..., 1]) - 0.2,
+            "left": lambda x: 0.25 + np.asarray(x)[..., 1] ** 2,
+        }
         obs = np.array([[2.3, 0.4, 0.3], [1.0, 0.5, 0.6], [-0.2, 0.9, 0.25]])
         grid = ObservationGrid.from_points(obs, stretched)
-        fields = prescribed_fields(stretched, p_p=p_p, boundary_charge=steps)
+        fields = prescribed_fields(stretched, p_p=p_p, boundary_charge=rho)
         value = potential._boundary_integral(fields, stretched, grid, 1.5, 1e-13, 12)
 
         expected = np.zeros(len(obs))
         for edge in UNIT.edges():
-            breaks, sigma = steps.get(edge.name, (edge.s_range, [0.0]))
-            for a, b, v in zip(breaks, breaks[1:], sigma):
-                s, w = gauss_nodes(200, a, b)
-                x_p = edge.points(s)
-                point = np.stack([2.0 * x_p[:, 0], x_p[:, 1], np.zeros(len(s))], axis=-1)
-                density = 2.0 * (v + p_p(x_p) @ np.asarray(edge.normal))
-                expected += (w * density) @ (1.0 / np.linalg.norm(obs[None] - point[:, None], axis=-1))
+            s, w = gauss_nodes(200, *edge.s_range)
+            x_p = edge.points(s)
+            point = np.stack([2.0 * x_p[:, 0], x_p[:, 1], np.zeros(len(s))], axis=-1)
+            line = rho[edge.name](x_p) if edge.name in rho else 0.0
+            density = line + 2.0 * (p_p(x_p) @ np.asarray(edge.normal))
+            expected += (w * density) @ (1.0 / np.linalg.norm(obs[None] - point[:, None], axis=-1))
         np.testing.assert_allclose(value, 1.5 * expected, rtol=0, atol=1e-12)
 
 
@@ -472,13 +470,13 @@ class TestComponentwiseDistances:
         rng = np.random.default_rng(3)
         x_p = rng.uniform(0.0, 1.0, (200, 2))
         obs = rng.uniform(-1.0, 2.0, (37, 3))
-        G, dGn, _ = _kernel_parts(self.CYL, x_p, obs, need_normal=True)
+        G, dGn = _kernel_parts(self.CYL, x_p, obs, need_normal=True)
         fr = surface_frame(self.CYL, x_p)
         diff = obs[None, :, :] - fr.point[:, None, :]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
         np.testing.assert_array_equal(G, 1.0 / d)
         np.testing.assert_array_equal(dGn, np.sum(diff * fr.normal[:, None, :], axis=-1) / d**3)
-        G_only, none, _ = _kernel_parts(self.CYL, x_p, obs, need_normal=False)
+        G_only, none = _kernel_parts(self.CYL, x_p, obs, need_normal=False)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
 

@@ -39,7 +39,6 @@ def vertical(w=1.0):
 class TestSuperposition:
     def test_homogenized_linear_in_source(self):
         grid = ObservationGrid.from_points([[1.3, 0.2, 0.8], [0.5, 0.5, 1.5]], IDENT)
-        tess = tessellate(UNIT, 0.25, SQUARE)
         m_a = Motif(points=dipole(1.0))
         m_b = Motif(points=vertical(0.6))
         m_ab = Motif(points=dipole(1.0) + vertical(0.6))
@@ -47,9 +46,9 @@ class TestSuperposition:
             lambda f: homogenized_potential(f, Regime("R2", alpha=1.0), IDENT, grid),
             lambda f: homogenized_potential(f, Regime("R3"), IDENT, grid),
         ):
-            va = op(moment_fields(tess, m_a, IDENT)).values
-            vb = op(moment_fields(tess, m_b, IDENT)).values
-            vab = op(moment_fields(tess, m_ab, IDENT)).values
+            va = op(moment_fields(m_a, SQUARE, IDENT, 0.25)).values
+            vb = op(moment_fields(m_b, SQUARE, IDENT, 0.25)).values
+            vab = op(moment_fields(m_ab, SQUARE, IDENT, 0.25)).values
             scale = np.max(np.abs(vab)) + 1e-30
             np.testing.assert_allclose(vab, va + vb, atol=1e-12 * max(1.0, scale))
 
@@ -73,8 +72,7 @@ class TestFlatLimitConsistency:
     def test_r3_matches_flat_double_layer_integrand(self):
         """Identity map: the general normal-derivative kernel reduces to the
         flat-film z / |r - r'|^3 double-layer integrand."""
-        tess = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(tess, Motif(points=vertical(1.0)), IDENT)
+        fields = moment_fields(Motif(points=vertical(1.0)), SQUARE, IDENT, 0.25)
         pts = np.array([[0.2, 0.6, 1.1], [1.5, 1.5, -0.9]])
         grid = ObservationGrid.from_points(pts, IDENT)
         phi = homogenized_potential(fields, Regime("R3"), IDENT, grid)
@@ -88,8 +86,7 @@ class TestFlatLimitConsistency:
             assert phi.values[k] == pytest.approx(oracle, abs=1e-7)
 
     def test_r1_matches_flat_boundary_integrand(self):
-        tess = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(tess, Motif(points=dipole(1.0)), IDENT)
+        fields = moment_fields(Motif(points=dipole(1.0)), SQUARE, IDENT, 0.25)
         r = np.array([-0.4, 0.3, 0.6])
         grid = ObservationGrid.from_points([r], IDENT)
         phi = homogenized_potential(fields, Regime("R1"), IDENT, grid)
@@ -127,8 +124,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(values, fsum_potential(d, grid))
 
     def test_repeat_runs_bitwise_identical(self):
-        tess = tessellate(UNIT, 0.25, SQUARE)
-        fields = moment_fields(tess, Motif(points=dipole(1.0)), IDENT)
+        fields = moment_fields(Motif(points=dipole(1.0)), SQUARE, IDENT, 0.25)
         grid = ObservationGrid.offset_surface(IDENT, 3, 3, 1.0)
         a = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid).values
         b = homogenized_potential(fields, Regime("R2", alpha=1.0), IDENT, grid).values

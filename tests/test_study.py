@@ -206,3 +206,28 @@ class TestGauge:
         lines = buf.getvalue().splitlines()
         assert lines[1] == "x,y,z,phi_a,phi_b,diff"
         assert len(lines) == 2 + grid.n_points
+
+
+class TestLimitIndependentOfSchedule:
+    def test_modulated_half_shift_limit_bitwise_equal(self):
+        """The homogenized reference is the same whether the schedule ends at l = 1/32 or 1/64."""
+        mod = Modulation(kind="sinusoid", value=1.0, coef=(2.0, 0.5), phase=0.1)
+        motif = Motif(points=tuple(MotifPoint(p.w, p.y, p.z, mod) for p in PLANAR_DIPOLE.points))
+        regime = Regime("R2", alpha=1.0)
+        grid = ObservationGrid.offset_surface(IDENT, 3, 3, 1.0)
+        limits = [
+            run_convergence(motif, IDENT, HALF_SHIFT, regime, make_schedule(regime, l_values=[1 / 8, l]), grid)
+            for l in (1 / 32, 1 / 64)
+        ]
+        np.testing.assert_array_equal(limits[0].homogenized.values, limits[1].homogenized.values)
+
+
+class TestPolarDisk:
+    def test_r3_study_runs(self):
+        """Partial cells on the polar axis (J0 = 0 at their corners) do not enter the limit fields."""
+        disk = ParametricMap.polar_disk(1.0)
+        vertical = Motif(points=(MotifPoint(+1.0, (0.5, 0.5), 0.5), MotifPoint(-1.0, (0.5, 0.5), -0.5)))
+        grid = ObservationGrid.plane(disk, 3, 3, Rectangle((-0.5, -0.5), (0.5, 0.5)), 1.0)
+        regime = Regime("R3")
+        rep = run_convergence(vertical, disk, SQUARE, regime, make_schedule(regime, h_values=[1 / 4, 1 / 8]), grid)
+        assert rep.errors_decrease
