@@ -146,8 +146,9 @@ class ParametricMap:
             return np.array(x, float, copy=True)
 
         def differential(x):
-            x = np.asarray(x, float)
-            return np.broadcast_to(eye, x.shape[:-1] + (3, 3)).copy()
+            D = np.empty(np.shape(x)[:-1] + (3, 3))
+            D[...] = eye
+            return D
 
         return cls(domain, mapping, differential, lipschitz=1.0)
 
@@ -156,11 +157,15 @@ class ParametricMap:
         """Isometric wrap onto a cylinder of the given radius.
 
         psi(x) = ((R + x3) cos(x1/R), (R + x3) sin(x1/R), x2); the mid-surface
-        Jacobian is exactly 1 (bending without stretch).
+        Jacobian is exactly 1 (bending without stretch).  A domain wider than
+        2 pi R in x1 would overlap itself: ValueError.
         """
         R = float(radius)
         if R <= 0:
             raise ValueError("cylinder radius must be positive")
+        if domain.widths[0] / R > 2.0 * math.pi:
+            turn = domain.widths[0] / R
+            raise ValueError(f"cylinder of radius {R!r} wraps {turn:.4g} rad > 2 pi, so the film overlaps itself")
 
         def mapping(x):
             x = np.asarray(x, float)
@@ -310,9 +315,11 @@ def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     j0 = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
     scale = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) * np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-    if np.any(j0 <= _FRAME_TOL * np.maximum(scale, 1.0)):
+    if (j0 <= _FRAME_TOL * np.maximum(scale, 1.0)).any():
         raise DegenerateFrame("surface tangents are parallel within tolerance")
-    normal = np.stack([c0, c1, c2], axis=-1) / j0[..., None]
+    normal = np.empty(j0.shape + (3,))
+    for k, c in enumerate((c0, c1, c2)):
+        np.divide(c, j0, out=normal[..., k])
     return SurfaceFrame(
         point=pmap.evaluate(x),
         tangent1=t1,

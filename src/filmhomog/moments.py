@@ -16,12 +16,16 @@ the quadrature path.  The limit boundary charge is a line density per unit
 parameter length along each edge, the period average of the straddling
 cells' kept charge (see :func:`filmhomog.lattice.edge_counts`); it carries
 no J0 and needs no tessellation.
+
+Every catalog modulation is one row m_k(x) = a_k + b_k.x + v_k sin(c_k.x +
+phi_k), so each field is a fixed weight vector against [1, x, sin Theta]
+(cos Theta for the bound-charge divergence), Theta = x C^T + phi.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,21 +142,31 @@ class MomentFields:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
 
 
-def _field(points, term, scale: float, shape: tuple = ()) -> Callable[[np.ndarray], np.ndarray]:
-    """x_p -> sum of term(pt, x_p) over ``points``, from +0.0 in order, over ``scale``."""
+def _catalog(points) -> np.ndarray:
+    """Rows (a, b1, b2, v, c1, c2, phi) of m_k(x) = a_k + b_k.x + v_k sin(c_k.x + phi_k), one per point."""
+    rows = np.zeros((len(points), 7))
+    for row, m in zip(rows, (pt.modulation for pt in points)):
+        if m.kind == "sinusoid":
+            row[3:] = (m.value, *m.coef, m.phase)
+        else:
+            row[:3] = (m.value, *(m.coef if m.kind == "linear" else (0.0, 0.0)))
+    return rows
+
+
+def _catalog_field(rows: np.ndarray, weights: np.ndarray, trig=np.sin) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> sum_k weights_k (a_k + b_k.x + v_k trig(Theta_k)), Theta = x C^T + phi,
+    for catalog ``rows`` (K, 7) and weights (K,) or (K, 2): one fixed weight
+    vector against [1, x, trig Theta], so one small matmul and one trig per call."""
+    const, lin, amp = rows[:, 0] @ weights, rows[:, 1:3].T @ weights, (rows[:, 3] * weights.T).T
+    freq, phase = rows[:, 4:6].T, rows[:, 6]
 
     def field(x_p):
-        x_p = np.asarray(x_p, float)
-        total = np.zeros(x_p.shape[:-1] + shape)
-        for pt in points:
-            total = total + term(pt, x_p)
-        return total / scale
+        x = np.asarray(x_p, float)
+        theta = x @ freq
+        theta += phase
+        return trig(theta, out=theta) @ amp + x @ lin + const
 
     return field
-
-
-def _charge(pt, x_p):
-    return pt.w * pt.modulation(x_p)
 
 
 def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> MomentFields:
@@ -163,25 +177,27 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
     boundary charge is the line density sum_k n_k w_k m_k(x) / P, with the
     edge's lattice period P and the counts n_k of :func:`edge_counts`.  ``l``
     sets only the phase at which an edge cuts the lattice.  Raises ValueError
-    for an edge with no lattice period.
+    for an edge with no lattice period.  No field loops over points.
     """
-    B, area = choice.basis, choice.cell_area
-
-    def arm(pt):
-        return B @ np.asarray(pt.y, float)
-
+    area, rows = choice.cell_area, _catalog(motif.points)
+    w = np.array([pt.w for pt in motif.points], float)
+    arms = np.array([pt.y for pt in motif.points], float).reshape(-1, 2) @ choice.basis.T  # B y_k
+    # grad m_k . B y_k = b_k . B y_k + v_k (c_k . B y_k) cos Theta_k: the same form, with cos
+    slopes = rows.copy()
+    slopes[:, 0], slopes[:, 1:3] = np.sum(rows[:, 1:3] * arms, axis=1), 0.0
+    slopes[:, 3] *= np.sum(rows[:, 4:6] * arms, axis=1)
     tol = containment_tol(pmap.domain)
     boundary_charge = {}
     for edge in pmap.domain.edges():
         counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, tol)
-        kept = [replace(pt, w=n * pt.w) for pt, n in zip(motif.points, counts)]
-        boundary_charge[edge.name] = _field(kept, _charge, period)
+        boundary_charge[edge.name] = _catalog_field(rows, counts * w / period)
+    free = motif.free_points
     return MomentFields(
         pmap=pmap,
-        charge_weighted=_field(motif.free_points, _charge, area),
-        pol_planar_weighted=_field(motif.points, lambda pt, x: _charge(pt, x)[..., None] * arm(pt), area, (2,)),
-        pol_normal_weighted=_field(motif.points, lambda pt, x: _charge(pt, x) * pt.z, area),
-        div_pol_planar_weighted=_field(motif.points, lambda pt, x: pt.w * (pt.modulation.gradient(x) @ arm(pt)), area),
+        charge_weighted=_catalog_field(_catalog(free), np.array([pt.w for pt in free], float) / area),
+        pol_planar_weighted=_catalog_field(rows, w[:, None] * arms / area),
+        pol_normal_weighted=_catalog_field(rows, w * np.array([pt.z for pt in motif.points], float) / area),
+        div_pol_planar_weighted=_catalog_field(slopes, w / area, np.cos),
         boundary_charge=boundary_charge,
     )
 

@@ -18,7 +18,7 @@ The three limits differ only in the weights (c_q, c_p, c_n):
     proportional (R2, h = alpha l):   (alpha, alpha, alpha^2)
     wide-over-thin (R3):              (1, 0, 1)
 
-with dG/dnu' = nu(r') . (r - r') / |r - r'|^3 evaluated analytically.  The
+with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -269,12 +269,6 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
-def _distances(points: np.ndarray, obs: np.ndarray):
-    """Per-component differences obs - points, each (N, M), and the distances |obs - points|."""
-    dx, dy, dz = (obs[None, :, k] - points[:, k, None] for k in range(3))
-    return (dx, dy, dz), np.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 def _row_sums(v: np.ndarray) -> np.ndarray:
     """Exactly rounded sum of each row of ``v`` (consumed), bitwise equal to math.fsum.
 
@@ -315,7 +309,7 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
 
     A block holds one (B, N) buffer and one scratch buffer: the squared
     distance accumulates in place as (dx*dx + dy*dy) + dz*dz, the order of
-    :func:`_distances`, so no per-component arrays are kept.  At 2^16 pairs a
+    :func:`_kernel`, so no per-component arrays are kept.  At 2^16 pairs a
     block's live arrays stay in one core's L2 cache.
     """
     values = np.zeros(len(points))
@@ -379,36 +373,48 @@ def direct_potential(
 # ---------------------------------------------------------------------------
 
 
-def _kernel_parts(pmap: ParametricMap, x_p: np.ndarray, obs: np.ndarray, need_normal: bool):
-    """G and (optionally) dG/dnu' between surface points x_p and grid points."""
-    fr = surface_frame(pmap, x_p)
-    (dx, dy, dz), d = _distances(fr.point, obs)
-    G = 1.0 / d
-    if not need_normal:
+def _kernel(point: np.ndarray, normal: Optional[np.ndarray], rows: np.ndarray):
+    """G = 1/|r - r'| (N, M) between surface points r' (N, 3) and observation
+    points r as contiguous component rows (3, M); with unit normals nu (N, 3)
+    also dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z), else None.  The
+    squared distance accumulates in place as (dx*dx + dy*dy) + dz*dz."""
+    dx, dy, dz = (row - col[:, None] for row, col in zip(rows, point.T))
+    G = dx * dx
+    t = dy * dy
+    G += t
+    G += np.multiply(dz, dz, out=t)
+    np.sqrt(G, out=G)
+    np.divide(1.0, G, out=G)
+    if normal is None:
         return G, None
-    nu = fr.normal
-    dot = dx * nu[:, 0, None] + dy * nu[:, 1, None] + dz * nu[:, 2, None]
-    return G, dot / d**3
+    for d, n in zip((dx, dy, dz), normal.T):
+        d *= n[:, None]
+    dx += dy
+    dx += dz
+    np.multiply(G, G, out=t)
+    t *= G
+    t *= dx
+    return G, t
 
 
 def _boundary_integral(
     fields: MomentFields,
     pmap: ParametricMap,
-    grid: ObservationGrid,
+    rows: np.ndarray,
     coef: float,
     tol: float,
     max_depth: int,
 ) -> np.ndarray:
     """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``."""
-    obs = grid.points
-    total = np.zeros(grid.n_points)
+    total = np.zeros(rows.shape[-1])
     for edge in pmap.domain.edges():
 
         def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name]):
             x_p = edge.points(s)
-            _, d = _distances(pmap.midsurface(x_p), obs)
-            pn = fields.pol_planar_weighted(x_p) @ np.asarray(edge.normal, float)
-            return (1.0 / d) * (rho(x_p) + pn)[:, None]
+            G, _ = _kernel(pmap.midsurface(x_p), None, rows)
+            density = rho(x_p) + fields.pol_planar_weighted(x_p) @ np.asarray(edge.normal, float)
+            G *= density[:, None]
+            return G
 
         total += coef * adaptive_segment(integrand, edge.s_range, tol=tol, max_depth=max_depth)
     return total
@@ -435,26 +441,30 @@ def homogenized_potential(
     """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
 
     The edge integrals run only when c_p is non-zero; the bulk integral then
-    takes tol/2 and each edge's integral tol/8 (four edges).
+    takes tol/2 and each edge's integral tol/8 (four edges).  A panel is one
+    surface frame, the densities c_q q J0 - c_p div_p(J0 p_p) and c_n p3 J0
+    once per node, and one :func:`_kernel` call, scaled by them in place.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
-    obs = grid.points
+    rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
 
     def integrand(x_p):
-        G, dGn = _kernel_parts(pmap, x_p, obs, need_normal=c_n != 0.0)
-        density = fields.charge_weighted(x_p)
-        if c_p != 0.0:  # c_q * G * (q J0 - (c_p / c_q) div_p(J0 p_p)); every row has c_q > 0
-            density = density - (c_p / c_q) * fields.div_pol_planar_weighted(x_p)
-        out = c_q * G * density[:, None]
+        fr = surface_frame(pmap, x_p)
+        G, dGn = _kernel(fr.point, fr.normal if c_n != 0.0 else None, rows)
+        density = c_q * fields.charge_weighted(x_p)
+        if c_p != 0.0:
+            density -= c_p * fields.div_pol_planar_weighted(x_p)
+        G *= density[:, None]
         if c_n != 0.0:
-            out = out + c_n * dGn * fields.pol_normal_weighted(x_p)[:, None]
-        return out
+            dGn *= (c_n * fields.pol_normal_weighted(x_p))[:, None]
+            G += dGn
+        return G
 
     dom = pmap.domain
     bulk_tol = 0.5 * tol if c_p != 0.0 else tol
     values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
     if c_p != 0.0:
-        values = values + _boundary_integral(fields, pmap, grid, c_p, tol / 8, max_depth)
+        values = values + _boundary_integral(fields, pmap, rows, c_p, tol / 8, max_depth)
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
     return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")
 

@@ -66,8 +66,7 @@ def _panel(f, lo, hi):
     offsets, weights, _ = _RULES[lo.shape]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    vals = np.asarray(f(mid + half * offsets))
-    return np.tensordot(weights * math.prod(half.flat), vals, axes=(0, 0))
+    return (weights * math.prod(half.flat)) @ np.asarray(f(mid + half * offsets))
 
 
 def _adapt(f, boxes, tol, max_depth):
@@ -133,8 +132,8 @@ def adaptive_rectangle(
 ) -> np.ndarray:
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
-    ``f`` maps parameter points (N, 2) to values (N, ...); the error control
-    is on the max-norm across trailing dimensions.  Strongly anisotropic
+    ``f`` maps parameter points (N, 2) to values (N,) or (N, M); the error
+    control is on the max-norm across the M columns.  Strongly anisotropic
     rectangles are first cut into near-square boxes, which become the first
     leaves of one global error budget: refinement stops once every value
     column's summed leaf error is within ``tol``.  Raises

@@ -8,6 +8,9 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``jacobian_full``: the volume Jacobian of a map from its differential.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
   with the bound-charge divergence differenced centrally.
+- ``loop_fields``: the limit moment fields as one loop over motif points,
+  each point's term summed in declaration order, which the catalog form of
+  ``moment_fields`` must reproduce.
 - ``covered_area``: the area the cells of a tessellation cover.
 - ``edge_line_charge``: an edge's boundary line density read off the partial
   cells of a tessellation, which the closed form must reproduce.
@@ -40,8 +43,8 @@ from filmhomog import (
     surface_frame,
 )
 from filmhomog.geometry import Edge
+from filmhomog.lattice import UnitCellChoice, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
-from filmhomog.potential import _distances
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
 
 _JACOBIAN_FLOOR = 1e-14
@@ -73,11 +76,14 @@ def finite_t_double_layer(
         )
     obs = grid.points
 
+    def distances(points):
+        return np.sqrt(np.sum((obs[None, :, :] - points[:, None, :]) ** 2, axis=-1))
+
     def integrand(x_p):
         fr = surface_frame(pmap, x_p)
         sig = sigma_field(x_p) * np.asarray(fr.j0)
-        _, d0 = _distances(fr.point, obs)
-        _, d1 = _distances(fr.point - t * fr.normal, obs)
+        d0 = distances(fr.point)
+        d1 = distances(fr.point - t * fr.normal)
         return (1.0 / d0 - 1.0 / d1) * (sig[:, None] / t)
 
     dom = pmap.domain
@@ -178,6 +184,51 @@ def prescribed_fields(
         div_pol_planar_weighted=div_pol_planar_weighted,
         boundary_charge=densities,
     )
+
+
+def loop_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> dict:
+    """The J0-weighted limit fields of ``moment_fields`` as per-point loops.
+
+    Each field is x -> sum over points of its term, from +0.0 in declaration
+    order, over the cell area (bulk) or the edge's lattice period (boundary):
+    w m(x) for the free charge, w m(x) B y, w m(x) z and w grad m(x) . B y for
+    the polarization fields, and n_k w_k m_k(x) for each edge with the counts
+    of ``edge_counts``.  Returns the four bulk fields by their MomentFields
+    names and ``boundary_charge``, a dict of edge callables.
+    """
+    area = choice.cell_area
+
+    def field(points, term, scale, shape=()):
+        def inner(x_p):
+            x_p = np.asarray(x_p, float)
+            total = np.zeros(x_p.shape[:-1] + shape)
+            for pt in points:
+                total = total + term(pt, x_p)
+            return total / scale
+
+        return inner
+
+    def charge(pt, x_p):
+        return pt.w * pt.modulation(x_p)
+
+    def arm(pt):
+        return choice.basis @ np.asarray(pt.y, float)
+
+    boundary = {}
+    for edge in pmap.domain.edges():
+        counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, containment_tol(pmap.domain))
+        boundary[edge.name] = field(
+            list(zip(motif.points, counts)), lambda pair, x: pair[1] * pair[0].w * pair[0].modulation(x), period
+        )
+    return {
+        "charge_weighted": field(motif.free_points, charge, area),
+        "pol_planar_weighted": field(motif.points, lambda pt, x: charge(pt, x)[..., None] * arm(pt), area, (2,)),
+        "pol_normal_weighted": field(motif.points, lambda pt, x: charge(pt, x) * pt.z, area),
+        "div_pol_planar_weighted": field(
+            motif.points, lambda pt, x: pt.w * (pt.modulation.gradient(x) @ arm(pt)), area
+        ),
+        "boundary_charge": boundary,
+    }
 
 
 def covered_area(tess: Tessellation) -> float:

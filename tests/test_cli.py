@@ -242,6 +242,20 @@ class TestExitCodes:
             main(["converge", "--config", r2_config, "--threads", "2"])
         assert exc.value.code == 2
 
+    def test_self_overlapping_cylinder_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "map": {"kind": "cylinder", "radius": 0.1},
+                "motif": {"points": DIPOLE_POINTS},
+                "regime": {"kind": "R2", "alpha": 1.0},
+                "schedule": {"l": [0.25]},
+                "output": {"dir": str(tmp_path / "out")},
+            },
+        )
+        assert main(["converge", "--config", cfg]) == 2
+        assert "overlaps itself" in capsys.readouterr().err
+
     def test_gauge_without_cell_b_exit_2(self, tmp_path, r2_config):
         assert main(["gauge", "--config", r2_config]) == 2
 

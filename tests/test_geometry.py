@@ -290,6 +290,16 @@ class TestValidation:
     def test_polar_disk_passes_sampled_checks(self):
         ParametricMap.polar_disk(1.0).check_valid()
 
+    def test_cylinder_wrapping_past_a_turn_is_rejected(self):
+        # radius 0.1 over a unit-wide domain wraps 10 rad, about 1.6 turns
+        with pytest.raises(ValueError, match="overlaps itself"):
+            ParametricMap.cylinder(UNIT, 0.1)
+
+    def test_cylinder_just_under_a_turn_is_valid(self):
+        R = 0.5
+        width = R * (2.0 * math.pi - 1e-9)
+        ParametricMap.cylinder(Rectangle((0.0, 0.0), (width, 1.0)), R).check_valid()
+
     def test_noninjective_map_fails(self):
         # quantizing map: many parameters share an image, sampled pairs collide
         def mapping(x):

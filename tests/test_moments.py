@@ -19,7 +19,7 @@ from filmhomog import (
     surface_frame,
     tessellate,
 )
-from reference import edge_line_charge
+from reference import edge_line_charge, loop_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -199,6 +199,78 @@ class TestMomentFields:
         assert wide.q[0] == 0.5 * unit.q[0] == 1.5
         # the free point's x1 lever arm doubles with the cell, its x2 arm does not
         assert wide.p_p[0, 1] == 0.5 * unit.p_p[0, 1] == 0.4375
+
+
+_CONST = Modulation()
+_LINEAR = Modulation(kind="linear", value=0.8, coef=(0.3, -0.7))
+_WAVE = Modulation(kind="sinusoid", value=1.3, coef=(2.0 * np.pi, np.pi), phase=0.3)
+_WAVE_B = Modulation(kind="sinusoid", value=-0.6, coef=(-1.1, 3.2), phase=-1.2)
+CATALOG_MOTIFS = {
+    "constant": (
+        Motif(
+            points=(MotifPoint(1.0, (0.7, 0.3), 0.2), MotifPoint(-1.0, (0.2, 0.6), -0.4)),
+            free_points=(MotifPoint(0.5, (0.4, 0.4), 0.0),),
+        ),
+        HALF_SHIFT,
+    ),
+    "linear": (
+        Motif(
+            points=(MotifPoint(1.0, (0.7, 0.3), 0.2, _LINEAR), MotifPoint(-1.0, (0.2, 0.6), -0.4, _LINEAR)),
+            free_points=(MotifPoint(0.5, (0.4, 0.4), 0.0, _LINEAR),),
+        ),
+        SHEARED,
+    ),
+    "sinusoid": (
+        Motif(
+            points=(MotifPoint(1.0, (0.7, 0.3), 0.2, _WAVE), MotifPoint(-1.0, (0.2, 0.6), -0.4, _WAVE_B)),
+            free_points=(MotifPoint(0.5, (0.4, 0.4), 0.0, _WAVE),),
+        ),
+        HALF_SHIFT,
+    ),
+    "mixed": (
+        Motif(
+            points=(
+                MotifPoint(1.5, (0.1, 0.9), 0.5, _CONST),
+                MotifPoint(-0.5, (0.6, 0.2), -0.1, _LINEAR),
+                MotifPoint(-1.0, (0.3, 0.7), 0.3, _WAVE),
+                MotifPoint(0.25, (0.8, 0.5), -0.6, _WAVE_B),
+            ),
+            free_points=(MotifPoint(0.5, (0.4, 0.4), 0.0, _LINEAR), MotifPoint(-0.2, (0.6, 0.6), 0.0, _WAVE_B)),
+        ),
+        WIDE,
+    ),
+}
+CATALOG_MAPS = {
+    "identity": IDENT,
+    "cylinder": ParametricMap.cylinder(UNIT, 1.0),
+    "polar_disk": ParametricMap.polar_disk(1.0),
+}
+
+
+class TestCatalogFields:
+    """Each field, a weight vector against [1, x, sin Theta, cos Theta], equals the
+    per-motif-point loop of reference.loop_fields to 1e-14 of the field's size."""
+
+    @staticmethod
+    def assert_close(value, ref):
+        assert value.shape == ref.shape
+        assert np.max(np.abs(value - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("map_name", sorted(CATALOG_MAPS))
+    @pytest.mark.parametrize("motif_name", sorted(CATALOG_MOTIFS))
+    def test_fields_match_the_point_loop(self, motif_name, map_name):
+        motif, choice = CATALOG_MOTIFS[motif_name]
+        pmap = CATALOG_MAPS[map_name]
+        fields = moment_fields(motif, choice, pmap, 1 / 16)
+        ref = loop_fields(motif, choice, pmap, 1 / 16)
+        dom = pmap.domain
+        x = np.random.default_rng(5).uniform(dom.lo, dom.hi, (4, 6, 2))  # any leading shape
+        for name in ("charge_weighted", "pol_planar_weighted", "pol_normal_weighted", "div_pol_planar_weighted"):
+            self.assert_close(getattr(fields, name)(x), ref[name](x))
+        assert sorted(fields.boundary_charge) == sorted(ref["boundary_charge"])
+        for edge in dom.edges():
+            on_edge = edge.points(np.linspace(*edge.s_range, 9))
+            self.assert_close(fields.boundary_charge[edge.name](on_edge), ref["boundary_charge"][edge.name](on_edge))
 
 
 class TestBoundaryCharge:

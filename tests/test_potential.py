@@ -32,7 +32,7 @@ from filmhomog import (
 )
 from filmhomog import potential
 from filmhomog.geometry import surface_frame
-from filmhomog.potential import _BLOCK_VALUES, _kernel_parts, _row_sums, green_sums
+from filmhomog.potential import _BLOCK_VALUES, _kernel, _row_sums, green_sums
 from reference import finite_t_double_layer, fsum_potential, prescribed_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -405,9 +405,9 @@ class TestBoundaryIntegral:
             "left": lambda x: 0.25 + np.asarray(x)[..., 1] ** 2,
         }
         obs = np.array([[2.3, 0.4, 0.3], [1.0, 0.5, 0.6], [-0.2, 0.9, 0.25]])
-        grid = ObservationGrid.from_points(obs, stretched)
         fields = prescribed_fields(stretched, p_p=p_p, boundary_charge=rho)
-        value = potential._boundary_integral(fields, stretched, grid, 1.5, 1e-13, 12)
+        rows = np.ascontiguousarray(obs.T)  # the kernel's (3, M) component rows
+        value = potential._boundary_integral(fields, stretched, rows, 1.5, 1e-13, 12)
 
         expected = np.zeros(len(obs))
         for edge in UNIT.edges():
@@ -462,21 +462,23 @@ class TestDecay:
 
 
 class TestComponentwiseDistances:
-    """Per-component distance arithmetic equals the (N, M, 3) np.sum formulas bitwise."""
+    """The kernel's per-component arithmetic equals the (N, M, 3) np.sum formulas bitwise:
+    G = 1 / sqrt(sum(diff**2)) and dG/dnu' = G*G*G * sum(diff * nu)."""
 
     CYL = ParametricMap.cylinder(UNIT, radius=2.0)
 
-    def test_kernel_parts_match_summed_formula(self):
+    def test_kernel_matches_summed_formula(self):
         rng = np.random.default_rng(3)
         x_p = rng.uniform(0.0, 1.0, (200, 2))
         obs = rng.uniform(-1.0, 2.0, (37, 3))
-        G, dGn = _kernel_parts(self.CYL, x_p, obs, need_normal=True)
         fr = surface_frame(self.CYL, x_p)
+        rows = np.ascontiguousarray(obs.T)
+        G, dGn = _kernel(fr.point, fr.normal, rows)
         diff = obs[None, :, :] - fr.point[:, None, :]
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.testing.assert_array_equal(G, 1.0 / d)
-        np.testing.assert_array_equal(dGn, np.sum(diff * fr.normal[:, None, :], axis=-1) / d**3)
-        G_only, none = _kernel_parts(self.CYL, x_p, obs, need_normal=False)
+        G_ref = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1))
+        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(dGn, G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1))
+        G_only, none = _kernel(fr.point, None, rows)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
 
