@@ -68,16 +68,6 @@ class Modulation:
             return self.value + dot
         return self.value * np.sin(dot + self.phase)
 
-    def gradient(self, x_p: np.ndarray) -> np.ndarray:
-        x_p = np.asarray(x_p, float)
-        coef = np.asarray(self.coef, float)
-        if self.kind == "constant":
-            return np.zeros(x_p.shape[:-1] + (2,))
-        if self.kind == "linear":
-            return np.broadcast_to(coef, x_p.shape[:-1] + (2,)).copy()
-        dot = x_p @ coef
-        return self.value * np.cos(dot + self.phase)[..., None] * coef
-
     def shifted(self, delta: np.ndarray) -> "Modulation":
         """Same modulation re-anchored: shifted(d)(x) == self(x + d)."""
         delta = np.asarray(delta, float)

@@ -11,6 +11,15 @@ partition and atom-to-cell assignment is deterministic).  Cells fully inside
 the domain are "full"; cells whose closed translate meets the complement but
 still overlap the domain with positive area are "partial" and carry the area
 of their exact rectangle-parallelogram clip.
+
+:func:`tessellate` has no per-cell loop.  Full cells and the boundary band
+(cells that meet the domain but are not full) are classified on per-vertex
+arrays, and the band is clipped at once: one Sutherland-Hodgman pass per
+side of the domain over a (K, W, 2) vertex array with per-row vertex counts.
+Clip areas are shoelace sums relative to each polygon's first vertex, so
+their roundoff scales with the cell, not with the domain's distance from the
+origin; a cell that touches the domain only at a point or along a side has
+area 0 and is not a partial cell, wherever the domain sits.
 """
 
 from __future__ import annotations
@@ -172,51 +181,54 @@ def edge_counts(edge: Edge, ys, l: float, choice: UnitCellChoice, tol: float) ->
     return np.array([np.count_nonzero(levels + off >= -eps) for off in offsets], float), period
 
 
-def _cell_polygons(corners: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:
-    """Uncut cells as (N, 4, 2) CCW parallelograms."""
-    return corners[:, None, :] + l * _UNIT_SQUARE @ choice.basis.T
+def _clip_to_rectangle(polys: np.ndarray, rect: Rectangle) -> tuple[np.ndarray, np.ndarray]:
+    """Sutherland-Hodgman clip of K convex polygons (K, V, 2) against the rectangle at once.
 
-
-def _clip_polygon_to_rectangle(poly: np.ndarray, rect: Rectangle) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against the rectangle."""
-    result = [tuple(p) for p in np.asarray(poly, float)]
-    halfplanes = [
-        (0, rect.lo[0], +1.0),
-        (0, rect.hi[0], -1.0),
-        (1, rect.lo[1], +1.0),
-        (1, rect.hi[1], -1.0),
-    ]
+    Each half-plane pass, in the order x >= lo, x <= hi, y >= lo, y <= hi,
+    walks every edge (cur, nxt) of every row: it keeps cur if inside and,
+    where the edge crosses the line, adds cur + t (nxt - cur) with t = (value
+    - cur) / (nxt - cur) along the axis and the clipped coordinate set to the
+    line.  Survivors are compacted in their order into rows as wide as the
+    largest count, so convex 4-gons end at most 8 wide.  Returns the clipped
+    rows (K, W, 2), each with its vertices first, and their vertex counts.
+    """
+    halfplanes = [(0, rect.lo[0], +1.0), (0, rect.hi[0], -1.0), (1, rect.lo[1], +1.0), (1, rect.hi[1], -1.0)]
+    k, rows = len(polys), np.arange(len(polys))[:, None]
+    count = np.full(k, polys.shape[1])
     for axis, value, sign in halfplanes:
-        if not result:
-            break
-        clipped = []
-        n = len(result)
-        for i in range(n):
-            cur = result[i]
-            nxt = result[(i + 1) % n]
-            cur_in = sign * (cur[axis] - value) >= 0.0
-            nxt_in = sign * (nxt[axis] - value) >= 0.0
-            if cur_in:
-                clipped.append(cur)
-            if cur_in != nxt_in:
-                t = (value - cur[axis]) / (nxt[axis] - cur[axis])
-                pt = (
-                    cur[0] + t * (nxt[0] - cur[0]),
-                    cur[1] + t * (nxt[1] - cur[1]),
-                )
-                # the clipped coordinate is exactly on the clip line
-                pt = (value, pt[1]) if axis == 0 else (pt[0], value)
-                clipped.append(pt)
-        result = clipped
-    return np.asarray(result, float).reshape(-1, 2)
+        width = polys.shape[1]
+        slot = np.arange(width)
+        valid = slot < count[:, None]
+        nxt = polys[rows, (slot + 1) % np.maximum(count, 1)[:, None]]
+        cur_in = sign * (polys[..., axis] - value) >= 0.0
+        nxt_in = sign * (nxt[..., axis] - value) >= 0.0
+        cross = valid & (cur_in != nxt_in)
+        cur, to = polys[cross], nxt[cross]
+        t = (value - cur[:, axis]) / (to[:, axis] - cur[:, axis])
+        pt = cur + t[:, None] * (to - cur)
+        pt[:, axis] = value  # exactly on the clip line
+        # each edge emits cur (if inside), then its crossing point (if any)
+        cand = np.stack([polys, np.zeros_like(polys)], axis=2)
+        cand[cross, 1] = pt
+        emit = np.stack([valid & cur_in, cross], axis=2).reshape(k, 2 * width)
+        count = np.count_nonzero(emit, axis=1)
+        polys = np.zeros((k, max(1, int(count.max(initial=0))), 2))
+        polys[np.nonzero(emit)[0], (np.cumsum(emit, axis=1) - 1)[emit]] = cand.reshape(k, 2 * width, 2)[emit]
+    return polys, count
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    nxt = np.arange(1, len(poly) + 1) % len(poly)
-    return float(0.5 * abs(np.dot(x, y[nxt]) - np.dot(x[nxt], y)))
+def _polygon_areas(polys: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace areas of rows of ``polys`` (K, W, 2) with ``count`` vertices each.
+
+    Coordinates are taken relative to each row's first vertex, so roundoff
+    scales with the polygon and not with its distance from the origin: a clip
+    that collapsed to one repeated point has area exactly 0.  Slots past the
+    count become that first vertex, whose terms vanish.
+    """
+    rel = polys - polys[:, :1]
+    rel[np.arange(polys.shape[1]) >= count[:, None]] = 0.0
+    x, y = rel[..., 0], rel[..., 1]
+    return 0.5 * np.abs(np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1))
 
 
 def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellation:
@@ -225,7 +237,9 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
     Candidate indices come from the basis-coordinate bounding box of the
     domain inflated by one cell.  One vectorized containment test, exact up
     to a tolerance of 1e-12 (absolute, domain units), finds the full cells;
-    only the candidates meeting the domain's boundary band are clipped.
+    the candidates of the domain's boundary band are clipped together by
+    :func:`_clip_to_rectangle` and kept when their area exceeds 1e-12 of a
+    cell.
     """
     if not (0.0 < l <= 1.0):
         raise ValueError(f"scale l must lie in (0, 1], got {l}")
@@ -240,14 +254,22 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
     )
     indices = np.column_stack([m1.ravel(), m2.ravel()])  # ascending, as (m1, m2) tuples sort
     corners = choice.corner(indices, l)
-    polys = _cell_polygons(corners, l, choice)
 
-    full = np.all(domain.contains(polys, tol=tol), axis=1)
-    # a polygon strictly outside one side of the domain clips to nothing
-    meets = np.all(polys.max(axis=1) >= domain.lo, axis=1) & np.all(polys.min(axis=1) <= domain.hi, axis=1)
+    # corner + offset rounds monotonically in the offset, so every cell's
+    # extreme vertex along an axis is the one with the extreme offset
+    offsets = choice.planar(_UNIT_SQUARE, l)  # (4, 2) cell vertices relative to the corner, in cycle order
+    lo = [corners[:, a] + offsets[:, a].min() for a in (0, 1)]
+    hi = [corners[:, a] + offsets[:, a].max() for a in (0, 1)]
+    full = np.ones(len(corners), bool)
+    meets = np.ones(len(corners), bool)
+    for a in (0, 1):
+        full &= (lo[a] >= domain.lo[a] - tol) & (hi[a] <= domain.hi[a] + tol)
+        # a cell outside one side of the domain, or touching it only on the
+        # side's line, clips to nothing or to points on that line: zero area
+        meets &= (hi[a] > domain.lo[a]) & (lo[a] < domain.hi[a])
     band = np.flatnonzero(~full & meets)
-    clipped = [_clip_polygon_to_rectangle(polys[k], domain) for k in band]
-    areas = np.array([_polygon_area(p) for p in clipped])
+    clipped, count = _clip_to_rectangle(corners[band, None, :] + offsets, domain)
+    areas = _polygon_areas(clipped, count)
     keep = np.flatnonzero(areas > area_floor)
     rows = np.concatenate([np.flatnonzero(full), band[keep]])
 
@@ -255,8 +277,8 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
         domain=domain,
         l=l,
         choice=choice,
-        indices=indices[rows],
-        corners=corners[rows],
+        indices=np.take(indices, rows, axis=0),  # np.take: fancy row indexing is slower here
+        corners=np.take(corners, rows, axis=0),
         n_full=int(np.count_nonzero(full)),
         clip_areas=areas[keep],
     )

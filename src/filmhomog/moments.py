@@ -128,7 +128,8 @@ class MomentFields:
     no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map.
     ``boundary_charge`` maps each edge name to its limit line density per
     unit parameter length, a callable on parameter points (..., 2) like the
-    bulk fields.
+    bulk fields.  ``has_free_charge`` is False when ``charge_weighted`` is
+    identically zero (a motif with no free points).
     """
 
     pmap: ParametricMap
@@ -137,6 +138,7 @@ class MomentFields:
     pol_normal_weighted: Callable[[np.ndarray], np.ndarray]
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     boundary_charge: dict  # edge name -> line density callable
+    has_free_charge: bool
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
@@ -199,6 +201,7 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         pol_normal_weighted=_catalog_field(rows, w * np.array([pt.z for pt in motif.points], float) / area),
         div_pol_planar_weighted=_catalog_field(slopes, w / area, np.cos),
         boundary_charge=boundary_charge,
+        has_free_charge=bool(free),
     )
 
 

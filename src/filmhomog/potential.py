@@ -443,7 +443,8 @@ def homogenized_potential(
     The edge integrals run only when c_p is non-zero; the bulk integral then
     takes tol/2 and each edge's integral tol/8 (four edges).  A panel is one
     surface frame, the densities c_q q J0 - c_p div_p(J0 p_p) and c_n p3 J0
-    once per node, and one :func:`_kernel` call, scaled by them in place.
+    once per node (q only when the fields have free charge), and one
+    :func:`_kernel` call, scaled by them in place.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
@@ -451,7 +452,7 @@ def homogenized_potential(
     def integrand(x_p):
         fr = surface_frame(pmap, x_p)
         G, dGn = _kernel(fr.point, fr.normal if c_n != 0.0 else None, rows)
-        density = c_q * fields.charge_weighted(x_p)
+        density = c_q * fields.charge_weighted(x_p) if fields.has_free_charge else np.zeros(len(x_p))
         if c_p != 0.0:
             density -= c_p * fields.div_pol_planar_weighted(x_p)
         G *= density[:, None]

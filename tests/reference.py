@@ -8,9 +8,14 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``jacobian_full``: the volume Jacobian of a map from its differential.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
   with the bound-charge divergence differenced centrally.
+- ``modulation_gradient``: the analytic planar gradient of a weight
+  modulation.
 - ``loop_fields``: the limit moment fields as one loop over motif points,
   each point's term summed in declaration order, which the catalog form of
   ``moment_fields`` must reproduce.
+- ``clip_polygon_to_rectangle`` / ``polygon_area`` / ``loop_tessellation``:
+  the tessellation as one scalar Sutherland-Hodgman clip per boundary cell,
+  which the array clip of ``tessellate`` must reproduce.
 - ``covered_area``: the area the cells of a tessellation cover.
 - ``edge_line_charge``: an edge's boundary line density read off the partial
   cells of a tessellation, which the closed form must reproduce.
@@ -31,6 +36,7 @@ import numpy as np
 
 from filmhomog import (
     FieldSample,
+    Modulation,
     MomentFields,
     Motif,
     NonPositiveJacobian,
@@ -42,7 +48,7 @@ from filmhomog import (
     Tessellation,
     surface_frame,
 )
-from filmhomog.geometry import Edge
+from filmhomog.geometry import Edge, Rectangle
 from filmhomog.lattice import UnitCellChoice, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
@@ -183,7 +189,19 @@ def prescribed_fields(
         pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
         div_pol_planar_weighted=div_pol_planar_weighted,
         boundary_charge=densities,
+        has_free_charge=q is not None,
     )
+
+
+def modulation_gradient(m: Modulation, x_p: np.ndarray) -> np.ndarray:
+    """Planar gradient of the modulation ``m`` at points (..., 2)."""
+    x_p = np.asarray(x_p, float)
+    coef = np.asarray(m.coef, float)
+    if m.kind == "constant":
+        return np.zeros(x_p.shape[:-1] + (2,))
+    if m.kind == "linear":
+        return np.broadcast_to(coef, x_p.shape[:-1] + (2,)).copy()
+    return m.value * np.cos(x_p @ coef + m.phase)[..., None] * coef
 
 
 def loop_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> dict:
@@ -225,10 +243,80 @@ def loop_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: fl
         "pol_planar_weighted": field(motif.points, lambda pt, x: charge(pt, x)[..., None] * arm(pt), area, (2,)),
         "pol_normal_weighted": field(motif.points, lambda pt, x: charge(pt, x) * pt.z, area),
         "div_pol_planar_weighted": field(
-            motif.points, lambda pt, x: pt.w * (pt.modulation.gradient(x) @ arm(pt)), area
+            motif.points, lambda pt, x: pt.w * (modulation_gradient(pt.modulation, x) @ arm(pt)), area
         ),
         "boundary_charge": boundary,
     }
+
+
+def clip_polygon_to_rectangle(poly: np.ndarray, rect: Rectangle) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon against the rectangle."""
+    result = [tuple(p) for p in np.asarray(poly, float)]
+    halfplanes = [
+        (0, rect.lo[0], +1.0),
+        (0, rect.hi[0], -1.0),
+        (1, rect.lo[1], +1.0),
+        (1, rect.hi[1], -1.0),
+    ]
+    for axis, value, sign in halfplanes:
+        if not result:
+            break
+        clipped = []
+        n = len(result)
+        for i in range(n):
+            cur = result[i]
+            nxt = result[(i + 1) % n]
+            cur_in = sign * (cur[axis] - value) >= 0.0
+            nxt_in = sign * (nxt[axis] - value) >= 0.0
+            if cur_in:
+                clipped.append(cur)
+            if cur_in != nxt_in:
+                t = (value - cur[axis]) / (nxt[axis] - cur[axis])
+                pt = (
+                    cur[0] + t * (nxt[0] - cur[0]),
+                    cur[1] + t * (nxt[1] - cur[1]),
+                )
+                # the clipped coordinate is exactly on the clip line
+                pt = (value, pt[1]) if axis == 0 else (pt[0], value)
+                clipped.append(pt)
+        result = clipped
+    return np.asarray(result, float).reshape(-1, 2)
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area, in coordinates relative to the first vertex."""
+    if len(poly) < 3:
+        return 0.0
+    rel = poly - poly[0]
+    x, y = rel[:, 0], rel[:, 1]
+    nxt = np.arange(1, len(poly) + 1) % len(poly)
+    return float(0.5 * abs(np.dot(x, y[nxt]) - np.dot(x[nxt], y)))
+
+
+def loop_tessellation(domain: Rectangle, l: float, choice: UnitCellChoice) -> tuple:
+    """(indices, corners, n_full, clip_areas) of ``tessellate``, clipping one cell at a time.
+
+    Candidates are the cells of the domain's basis-coordinate bounding box
+    inflated by one cell, in ascending index.  A cell is full when all four
+    vertices lie in the domain with its containment slack (a reduction over
+    the (N, 4, 2) vertex array); any other cell whose vertex bounding box
+    meets the domain is clipped by :func:`clip_polygon_to_rectangle` and kept
+    when its :func:`polygon_area` exceeds 1e-12 of a cell.
+    """
+    coords = choice.basis_coords(domain.corners(), l)
+    m_lo = np.floor(coords.min(axis=0)).astype(int) - 1
+    m_hi = np.ceil(coords.max(axis=0)).astype(int) + 1
+    indices = np.array([(m1, m2) for m1 in range(m_lo[0], m_hi[0] + 1) for m2 in range(m_lo[1], m_hi[1] + 1)])
+    corners = choice.corner(indices, l)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    polys = corners[:, None, :] + choice.planar(unit, l)
+    full = np.all(domain.contains(polys, tol=containment_tol(domain)), axis=1)
+    meets = np.all(polys.max(axis=1) >= domain.lo, axis=1) & np.all(polys.min(axis=1) <= domain.hi, axis=1)
+    band = np.flatnonzero(~full & meets)
+    areas = np.array([polygon_area(clip_polygon_to_rectangle(polys[k], domain)) for k in band])
+    keep = areas > 1e-12 * choice.cell_area * l * l
+    rows = np.concatenate([np.flatnonzero(full), band[keep]])
+    return indices[rows], corners[rows], int(np.count_nonzero(full)), areas[keep]
 
 
 def covered_area(tess: Tessellation) -> float:

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, cell_index, tessellate
-from reference import covered_area
+from filmhomog.lattice import _clip_to_rectangle
+from reference import clip_polygon_to_rectangle, covered_area, loop_tessellation
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
 HALF_SHIFT = UnitCellChoice(f=(0.5, 0.5))
+SHEARED = UnitCellChoice(e2=(0.5, 1.0))
+WIDE = UnitCellChoice(e1=(2.0, 0.0))
+GENERAL = UnitCellChoice(e1=(1.0, 0.3), e2=(-0.2, 1.1), f=(0.3, 0.1), origin=(0.05, -0.02))
 
 
 class TestTessellate:
@@ -79,6 +83,82 @@ class TestTessellate:
     def test_rejects_degenerate_basis(self):
         with pytest.raises(ValueError):
             UnitCellChoice(e1=(1.0, 0.0), e2=(2.0, 0.0))
+
+
+@pytest.mark.parametrize("l", [1 / 4, 0.13, 0.07, 1 / 32, 1 / 128, 0.01])
+@pytest.mark.parametrize("choice", [SQUARE, HALF_SHIFT, SHEARED, WIDE, GENERAL], ids=["square", "half", "sheared", "wide", "general"])
+@pytest.mark.parametrize(
+    "domain", [UNIT, Rectangle((0.0, 0.0), (0.9, 1.0)), Rectangle((1.0, 1.0), (3.0, 2.0))], ids=["unit", "narrow", "offset"]
+)
+def test_array_clip_matches_scalar_clip(domain, choice, l):
+    """The array clip keeps the cells, corners and order of one scalar clip per cell."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyTessellation)
+        t = tessellate(domain, l, choice)
+    indices, corners, n_full, areas = loop_tessellation(domain, l, choice)
+    np.testing.assert_array_equal(t.indices, indices)
+    np.testing.assert_array_equal(t.corners, corners)
+    assert t.n_full == n_full
+    np.testing.assert_allclose(t.clip_areas, areas, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "domain,choice,l",
+    [(UNIT, SHEARED, 0.13), (Rectangle((0.0, 0.0), (0.9, 1.0)), GENERAL, 0.07), (Rectangle((1.0, 1.0), (3.0, 2.0)), UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.6)), 0.3)],
+)
+def test_array_clip_vertices_match_scalar_clip(domain, choice, l):
+    """Every cell of the candidate box clips to the scalar clip's vertices, bitwise and in order."""
+    m_lo = np.floor(choice.basis_coords(domain.corners(), l).min(axis=0)).astype(int) - 1
+    m_hi = np.ceil(choice.basis_coords(domain.corners(), l).max(axis=0)).astype(int) + 1
+    index = np.stack(np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(m_lo, m_hi)), indexing="ij"), -1).reshape(-1, 2)
+    polys = choice.corner(index, l)[:, None, :] + choice.planar(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float), l)
+    clipped, count = _clip_to_rectangle(polys, domain)
+    assert set(count.tolist()) > {0, 4}  # outside, inside and cut cells alike
+    for poly, got, n in zip(polys, clipped, count):
+        np.testing.assert_array_equal(got[:n], clip_polygon_to_rectangle(poly, domain))
+
+
+class TestSliverCells:
+    """A cell that meets the domain in a point or a roundoff-thin strip has no area
+    and is not a partial cell, wherever the domain sits."""
+
+    @pytest.mark.parametrize(
+        "domain,l,choice,slivers",
+        [
+            (Rectangle((0.0, 0.0), (0.9, 1.0)), 0.01, SHEARED, [(48, 84)]),
+            (Rectangle((10.0, 10.0), (11.0, 11.0)), 0.1, SHEARED, [(46, 105), (48, 101)]),
+            (
+                Rectangle((1.0, 1.0), (3.0, 2.0)),
+                0.01,
+                GENERAL,
+                [(133, 55), (144, 52), (188, 40), (199, 37), (221, 31), (232, 28), (243, 25), (276, 16)],
+            ),
+        ],
+    )
+    def test_corner_touching_cells_dropped(self, domain, l, choice, slivers):
+        t = tessellate(domain, l, choice)
+        listed = {tuple(m) for m in t.indices.tolist()}
+        assert listed.isdisjoint(slivers)
+        # each named cell is a boundary-band candidate that touches the domain
+        polys = choice.corner(np.array(slivers), l)[:, None, :] + choice.planar(
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), l
+        )
+        assert np.all(np.any(domain.contains(polys, tol=t.tol), axis=1))
+        assert not np.any(np.all(domain.contains(polys, tol=t.tol), axis=1))
+
+    @pytest.mark.parametrize("shift", [(10.0, 10.0), (-3.7, 2.2), (1000.0, -50.0)])
+    def test_translation_keeps_cells(self, shift):
+        """Moving the domain and the cell origin together keeps every cell set."""
+        ls = [0.25, 0.13, 0.1, 0.07, 1 / 16, 0.05, 1 / 32, 0.03, 0.01, 1 / 64, 1 / 128]
+        cells = [SQUARE, HALF_SHIFT, SHEARED, WIDE, GENERAL, UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.6))]
+        moved = Rectangle(shift, (shift[0] + 1.0, shift[1] + 1.0))
+        for choice in cells:
+            origin = (choice.origin[0] + shift[0], choice.origin[1] + shift[1])
+            there = UnitCellChoice(e1=choice.e1, e2=choice.e2, f=choice.f, origin=origin)
+            for l in ls:
+                a, b = tessellate(UNIT, l, choice), tessellate(moved, l, there)
+                assert a.n_full == b.n_full, (choice, l)
+                np.testing.assert_array_equal(a.indices, b.indices, err_msg=f"{choice} l={l}")
 
 
 class TestCornerMap:
