@@ -66,13 +66,17 @@ class UnitCellChoice:
     def planar(self, c, l: float) -> np.ndarray:
         """Planar offset l * B @ c of basis coordinates c, shape (2,) or (N, 2).
 
-        Computed elementwise as c1 * (l e1) + c2 * (l e2): a matrix product
-        goes to BLAS, whose fused multiply-adds round differently from build
-        to build.
+        Computed elementwise as c1 * (l e1) + c2 * (l e2), one output column
+        at a time: a matrix product goes to BLAS, whose fused multiply-adds
+        round differently from build to build.
         """
         c = np.asarray(c, float)
         lb = l * self.basis
-        return c[..., :1] * lb[:, 0] + c[..., 1:] * lb[:, 1]
+        out = np.empty(c.shape)
+        for a in (0, 1):
+            np.multiply(c[..., 0], lb[a, 0], out=out[..., a])
+            out[..., a] += c[..., 1] * lb[a, 1]
+        return out
 
     def corner(self, index, l: float) -> np.ndarray:
         """Corner of the cell with integer index (2,), or of each row of (N, 2)."""

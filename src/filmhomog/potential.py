@@ -5,7 +5,9 @@ physics-convention rescale is applied at the CLI layer only, which is exact
 by linearity).
 
 The microscopic potential is the exact finite Green's sum over all realized
-point charges, accumulated with exactly-rounded summation.  The homogenized
+point charges, exactly rounded: one error-free extraction per point, a
+vectorized check that certifies the rounding of the result, and math.fsum
+for the points the check cannot decide.  The homogenized
 potential is a parameter-space integral over the film domain T and its
 boundary, with all source fields premultiplied by the surface Jacobian:
 
@@ -63,6 +65,8 @@ _FOOT_STEPS = 32
 _ROUNDOFF = 8.0 * np.finfo(float).eps  # relative slack of a computed centre distance
 _CHILDREN = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 _BLOCK_VALUES = 1 << 16  # charge-point pairs per block of the direct sum (fits in L2)
+_UNIT = 2.0**-53  # unit roundoff
+_TINY = np.finfo(float).tiny  # least normal double
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +273,43 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
-def _row_sums(v: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row of ``v`` (consumed), bitwise equal to math.fsum.
+def _row_sums(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exactly rounded sum of each row of ``v``, bitwise equal to math.fsum.
 
-    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008):
-    with |v| < 2^e on a row and sigma = 1.5 * 2^(e + k), hi = (v + sigma) - sigma
-    rounds every value to a multiple of ulp(sigma) without error and v - hi is
-    exact.  As 2^k >= 2 (N + 2), every partial sum of hi is exact, so numpy may
-    add it in any order.  Each pass strips 52 - k leading bits until the
-    remainder is zero; math.fsum then rounds the row's few slice sums.  A
-    non-finite row, or one whose sigma would leave the safe exponent window,
-    hands its remainder to math.fsum instead.
+    One error-free extraction and a certified rounding (AccSum, NearSum: Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008).  With |v| < 2^e on a row of
+    N values and sigma = 1.5 * 2^(e + k), hi = (v + sigma) - sigma and
+    r = v - hi are exact, |r| <= ulp(sigma) / 2, and as 2^k >= 2 (N + 2) the
+    slice sum tau = sum(hi) is exact in any order.  s = fl(sum(r)) is within
+    b = 2 gamma_N N 2^(e + k - 53) of sum(r) in any order (the 2 covers b's
+    own rounding), so the exact sum lies within |delta| + b of c =
+    fl(tau + s), delta its TwoSum residual.  If that is strictly below half
+    the gap from c to either neighbour, all of the interval rounds to c.  The
+    other rows go to math.fsum: near a rounding boundary, c = 0 (its half gap
+    rounds to 0), non-finite, sigma overflowing or b subnormal.  ``v`` is
+    kept; ``scratch`` (allocated if None) holds |v|, then hi, then r.
     """
-    k = (v.shape[1] + 1).bit_length() + 1  # ceil(log2(N + 2)) + 1
-    terms = [[] for _ in range(len(v))]
-    while True:
-        m = np.abs(v).max(axis=1)
-        e = np.frexp(m)[1]
-        whole = ~np.isfinite(m) | (e + k > 1023) | (e - 52 < k - 1021)
-        for i in np.flatnonzero(whole):
-            terms[i] += v[i].tolist()
-        v[whole], e[whole] = 0.0, 0
-        if not m[~whole].any():
-            return np.array([math.fsum(t) for t in terms])
-        sigma = np.ldexp(1.5, e + k)[:, None]
-        hi = v + sigma
-        hi -= sigma
-        v -= hi
-        for t, s in zip(terms, hi.sum(axis=1).tolist()):
-            t.append(s)
+    n = v.shape[1]
+    k = (n + 1).bit_length() + 1  # ceil(log2(N + 2)) + 1
+    pad = 2.0 * n * (n * _UNIT / (1.0 - n * _UNIT))  # 2 N gamma_N
+    r = np.empty_like(v) if scratch is None else scratch
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail the test below
+        ek = np.frexp(np.abs(v, out=r).max(axis=1))[1] + k  # e + k
+        sigma = np.ldexp(1.5, ek)[:, None]
+        np.add(v, sigma, out=r)
+        r -= sigma
+        tau = r.sum(axis=1)
+        np.subtract(v, r, out=r)
+        s = r.sum(axis=1)
+        c = tau + s
+        z = c - tau
+        delta = (tau - (c - z)) + (s - z)
+        half_gap = 0.5 * np.minimum(c - np.nextafter(c, -np.inf), np.nextafter(c, np.inf) - c)
+        b = np.ldexp(pad, ek - 53)
+        certified = (np.abs(delta) + b < half_gap) & (ek <= 1023) & (b >= _TINY)
+    for i in np.flatnonzero(~certified):
+        c[i] = math.fsum(memoryview(v[i]))
+    return c
 
 
 def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray:
@@ -307,10 +319,10 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
     q / |r_j - r| is reduced by :func:`_row_sums`.  The values are bitwise equal
     to one math.fsum per point, whatever the block size or charge order.
 
-    A block holds one (B, N) buffer and one scratch buffer: the squared
-    distance accumulates in place as (dx*dx + dy*dy) + dz*dz, the order of
-    :func:`_kernel`, so no per-component arrays are kept.  At 2^16 pairs a
-    block's live arrays stay in one core's L2 cache.
+    A block holds one (B, N) buffer and one scratch buffer, both reused: the
+    squared distance accumulates in place as (dx*dx + dy*dy) + dz*dz, the
+    order of :func:`_kernel`, and the scratch then takes the extraction's
+    slices and remainders.  At 2^16 pairs both stay in one core's L2 cache.
     """
     values = np.zeros(len(points))
     n = dist.n_charges
@@ -339,7 +351,7 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
                 f"from its nearest charge, below the singular threshold {_SINGULAR_DIST:g}"
             )
         np.divide(dist.magnitudes, d, out=d)
-        values[start : start + rows] = _row_sums(d)
+        values[start : start + rows] = _row_sums(d, t)
     return values
 
 

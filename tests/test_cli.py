@@ -172,6 +172,20 @@ class TestPotential:
         for a, b in zip(plain, scaled):
             assert b == pytest.approx(a / (4 * math.pi), rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("name", ["converge_r2", "converge_r3"])
+    def test_golden_microscopic_rows(self, tmp_path, name):
+        """The exactly rounded direct sums of the committed tables, byte for byte.
+
+        On the identity map the charges, the grid and each sum are built from
+        correctly rounded IEEE operations and one exact rounding per point,
+        so these rows do not depend on the platform.  The homogenized row
+        goes through BLAS and is left out.
+        """
+        assert main(["potential", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "potential.csv").read_bytes().splitlines(keepends=True)
+        micro = b"".join(line for line in lines if b",microscopic(" in line)
+        assert micro == (GOLDEN / name / "potential_microscopic.csv").read_bytes()
+
 
 class TestMoments:
     def test_moment_csv(self, tmp_path):

@@ -268,6 +268,94 @@ class TestRowSums:
             assert math.copysign(1.0, got[0]) == math.copysign(1.0, got[2]) == math.copysign(1.0, expected)
 
 
+FSUM = math.fsum  # unpatched, for expected values while fsum_rows counts calls
+
+
+@pytest.fixture
+def fsum_rows(monkeypatch):
+    """The rows that _row_sums hands to math.fsum, as lists."""
+    rows = []
+
+    def counting(values):
+        values = list(values)
+        rows.append(values)
+        return FSUM(values)
+
+    monkeypatch.setattr(potential.math, "fsum", counting)
+    return rows
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()  # keeps the sign of zero
+
+
+class TestCertifiedRounding:
+    """Rows the extraction certifies, and rows it must leave to math.fsum."""
+
+    def test_well_conditioned_row_needs_no_fsum(self, fsum_rows):
+        rng = np.random.default_rng(7)
+        v = rng.uniform(1.0, 2.0, (1, 2**15))
+        expected = FSUM(v[0].tolist())
+        got = _row_sums(v)
+        assert _bits(got[0]) == _bits(expected)
+        assert fsum_rows == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.1, -0.1],
+            [3.0, 2.0**-40, -3.0, -(2.0**-40)],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [1.0, 2.0**-53],  # a tie, rounded to even (down)
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie, rounded to even (up)
+            [2.0**60, 1.0, -(2.0**60), 2.0**-53, 0.5 * 2.0**-53],  # just above a tie: rounds up
+        ],
+    )
+    def test_zero_and_tied_sums_reach_fsum(self, row, fsum_rows):
+        expected = FSUM(row)
+        got = _row_sums(np.array([row]))
+        assert _bits(got[0]) == _bits(expected)
+        assert fsum_rows == [row]
+
+    def test_tie_among_cancelling_pairs_reaches_fsum(self, fsum_rows):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 500)
+        row = rng.permuted(np.concatenate([[1.0, 2.0**-53], x, -x]))
+        expected = FSUM(row.tolist())
+        assert expected == 1.0
+        got = _row_sums(row[None, :])
+        assert _bits(got[0]) == _bits(expected)
+        assert len(fsum_rows) == 1
+
+    def test_heavy_cancellation_reaches_fsum(self, fsum_rows):
+        rng = np.random.default_rng(11)
+        v = rng.uniform(0.5, 1.0, 4096)
+        rows = np.stack([np.concatenate([v, -v * (1.0 + 2.0**-40)]), rng.uniform(0.5, 1.0, 8192)])
+        expected = [FSUM(r) for r in rows.tolist()]
+        got = _row_sums(rows)
+        assert [_bits(g) for g in got] == [_bits(x) for x in expected]
+        assert len(fsum_rows) == 1 and fsum_rows[0] == rows[0].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        shift=st.integers(1, 60),
+        scale=st.integers(-60, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_cancelling_rows_match_fsum(self, n, shift, scale, seed):
+        rng = np.random.default_rng(seed)
+        v = np.ldexp(rng.uniform(-1.0, 1.0, n), scale)
+        near = -v * (1.0 + rng.choice([-1.0, 1.0], n) * 2.0**-shift)
+        row = rng.permuted(np.concatenate([v, near]))
+        unpaired = row.copy()
+        unpaired[0] = math.ldexp(1.0, scale)  # one term without its partner
+        rows = np.stack([row, row[::-1], unpaired])
+        expected = [_bits(FSUM(r)) for r in rows.tolist()]
+        assert [_bits(g) for g in _row_sums(rows)] == expected
+
+
 class TestHomogenizedR1:
     def test_mirror_symmetry_zero(self):
         fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
