@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import EmptyTessellation
@@ -51,32 +52,25 @@ class UnitCellChoice:
         if abs(np.linalg.det(self.basis)) <= 1e-12:
             raise ValueError("unit-cell basis vectors are linearly dependent")
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
-        return np.column_stack([self.e1, self.e2]).astype(float)
+        basis = np.column_stack([self.e1, self.e2]).astype(float)
+        basis.flags.writeable = False  # cached and shared by every caller
+        return basis
 
-    @property
+    @cached_property
     def basis_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.basis)
+        inv = np.linalg.inv(self.basis)
+        inv.flags.writeable = False
+        return inv
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
     def planar(self, c, l: float) -> np.ndarray:
-        """Planar offset l * B @ c of basis coordinates c, shape (2,) or (N, 2).
-
-        Computed elementwise as c1 * (l e1) + c2 * (l e2), one output column
-        at a time: a matrix product goes to BLAS, whose fused multiply-adds
-        round differently from build to build.
-        """
-        c = np.asarray(c, float)
-        lb = l * self.basis
-        out = np.empty(c.shape)
-        for a in (0, 1):
-            np.multiply(c[..., 0], lb[a, 0], out=out[..., a])
-            out[..., a] += c[..., 1] * lb[a, 1]
-        return out
+        """Planar offset l * B @ c of basis coordinates c, shape (..., 2)."""
+        return _matvec(l * self.basis, np.asarray(c, float))
 
     def corner(self, index, l: float) -> np.ndarray:
         """Corner of the cell with integer index (2,), or of each row of (N, 2)."""
@@ -87,11 +81,25 @@ class UnitCellChoice:
         """Continuous cell coordinates: integer parts index the cell lattice."""
         x_p = np.asarray(x_p, float)
         rel = x_p - np.asarray(self.origin, float)
-        c = rel @ self.basis_inv.T / l - np.asarray(self.f, float)
+        c = _matvec(self.basis_inv, rel) / l - np.asarray(self.f, float)
         # snap coordinates that sit on a cell boundary up to division fuzz
         nearest = np.round(c)
         snap = np.abs(c - nearest) <= _SNAP_TOL * np.maximum(1.0, np.abs(c))
         return np.where(snap, nearest, c)
+
+
+def _matvec(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """mat @ c for each row c of (..., 2), with the same bits whatever the shape.
+
+    Elementwise, c1 * mat[a, 0] + c2 * mat[a, 1] per output column a: BLAS's
+    fused multiply-adds round differently from build to build, and between
+    one point and a batch, so a point could change cell inside an array.
+    """
+    out = np.empty(c.shape)
+    for a in (0, 1):
+        np.multiply(c[..., 0], mat[a, 0], out=out[..., a])
+        out[..., a] += c[..., 1] * mat[a, 1]
+    return out
 
 
 def cell_index(x_p: np.ndarray, l: float, choice: UnitCellChoice) -> np.ndarray:

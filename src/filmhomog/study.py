@@ -9,23 +9,25 @@ few steps.
 
 The gauge study analyzes one fixed physical charge structure with two
 admissible unit-cell choices.  The second choice is handled by exact
-re-binning: the periodic structure generated by choice A is re-collected
-into one reference cell of choice B (the weight-modulation catalog is closed
-under translation, so this is exact even for modulated motifs).
+re-binning: the periodic structure generated by choice A is re-collected,
+in one array pass, into one reference cell of choice B (the weight-modulation
+catalog is closed under translation, so this is exact even for modulated
+motifs).  The choices must be commensurate: B's cells at its two basis steps
+from the reference cell must collect the same motif.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
-from .lattice import UnitCellChoice, cell_index, tessellate
+from .lattice import _UNIT_SQUARE, UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
 from .potential import FieldSample, ObservationGrid, direct_potential, green_sums, homogenized_potential
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
@@ -221,59 +223,42 @@ def rebin_motif(
 ) -> Motif:
     """Re-collect the periodic structure generated on choice A into B's cell.
 
-    Enumerates every A-translate whose points land in one reference B cell
-    and re-anchors weights and modulations there (the catalog is closed
-    under translation, so this is exact).  Raises if the two choices are not
-    commensurate, i.e. if different B cells would collect different motifs.
+    One array pass per B cell places every motif point of every A cell in
+    the cell's bounding box, keeps those that :func:`cell_index` puts in the
+    cell, and re-anchors their weights and modulations there (the catalog is
+    closed under translation, so this is exact).  B cell (0, 0) is compared
+    with (1, 0) and (0, 1), the two basis steps that generate B's lattice;
+    raises ValueError if either collects a different motif, i.e. if the two
+    choices are not commensurate.
     """
 
-    def collect(b_index: tuple[int, int]):
+    def collect(b_index: tuple[int, int]) -> list[tuple[MotifPoint, ...]]:
         corner_b = choice_b.corner(b_index, l)
-        cell_poly = corner_b + l * np.array(
-            [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-        ) @ choice_b.basis.T
-        coords = choice_a.basis_coords(cell_poly, l)
+        coords = choice_a.basis_coords(corner_b + choice_b.planar(_UNIT_SQUARE, l), l)
         m_lo = np.floor(coords.min(axis=0)).astype(int) - 1
         m_hi = np.ceil(coords.max(axis=0)).astype(int) + 1
-        groups = {"points": motif.points, "free_points": motif.free_points}
-        out = {"points": [], "free_points": []}
-        for name, pts in groups.items():
-            for m1 in range(m_lo[0], m_hi[0] + 1):
-                for m2 in range(m_lo[1], m_hi[1] + 1):
-                    corner_a = choice_a.corner((m1, m2), l)
-                    for pt in pts:
-                        pos = corner_a + choice_a.planar(pt.y, l)
-                        if tuple(cell_index(pos, l, choice_b)) != b_index:
-                            continue
-                        y_new = choice_b.basis_coords(pos, l) - np.asarray(b_index, float)
-                        y_new = np.clip(y_new, 0.0, np.nextafter(1.0, 0.0))
-                        delta = corner_a - corner_b
-                        out[name].append(
-                            MotifPoint(
-                                w=pt.w,
-                                y=(float(y_new[0]), float(y_new[1])),
-                                z=pt.z,
-                                modulation=pt.modulation.shifted(delta),
-                            )
-                        )
-        for name in out:
-            out[name].sort(key=lambda p: (p.y[0], p.y[1], p.z, p.w))
+        m1, m2 = np.meshgrid(np.arange(m_lo[0], m_hi[0] + 1), np.arange(m_lo[1], m_hi[1] + 1), indexing="ij")
+        corners = choice_a.corner(np.column_stack([m1.ravel(), m2.ravel()]), l)  # (K, 2)
+        out = []
+        for pts in (motif.points, motif.free_points):
+            pos = corners[:, None] + choice_a.planar(np.array([pt.y for pt in pts], float).reshape(-1, 2), l)
+            k, j = np.nonzero(np.all(cell_index(pos, l, choice_b) == b_index, axis=-1))
+            y_new = choice_b.basis_coords(pos[k, j], l) - np.asarray(b_index, float)
+            y_new = np.clip(y_new, 0.0, np.nextafter(1.0, 0.0))
+            hits = [
+                replace(pts[jj], y=tuple(y), modulation=pts[jj].modulation.shifted(corners[kk] - corner_b))
+                for kk, jj, y in zip(k, j, y_new.tolist())
+            ]
+            out.append(tuple(sorted(hits, key=lambda p: (p.y[0], p.y[1], p.z, p.w))))
         return out
 
     ref = collect((0, 0))
-    check = collect((1, 1))
-    for name in ("points", "free_points"):
-        got = np.asarray([p.y + (p.z, p.w) for p in ref[name]], float)
-        exp = np.asarray([p.y + (p.z, p.w) for p in check[name]], float)
-        if got.shape != exp.shape or (
-            got.size and not np.allclose(got, exp, atol=1e-12, rtol=0.0)
-        ):
-            raise ValueError("unit-cell choices are not commensurate; cannot re-bin the motif")
-    return Motif(
-        points=tuple(ref["points"]),
-        free_points=tuple(ref["free_points"]),
-        free_charge_order=motif.free_charge_order,
-    )
+    for step in ((1, 0), (0, 1)):
+        for got, exp in zip(ref, collect(step)):
+            got, exp = (np.array([p.y + (p.z, p.w) for p in g], float).reshape(-1, 4) for g in (got, exp))
+            if got.shape != exp.shape or not np.allclose(got, exp, atol=1e-12, rtol=0.0):
+                raise ValueError("unit-cell choices are not commensurate; cannot re-bin the motif")
+    return Motif(points=ref[0], free_points=ref[1], free_charge_order=motif.free_charge_order)
 
 
 @dataclass

@@ -16,6 +16,9 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``clip_polygon_to_rectangle`` / ``polygon_area`` / ``loop_tessellation``:
   the tessellation as one scalar Sutherland-Hodgman clip per boundary cell,
   which the array clip of ``tessellate`` must reproduce.
+- ``loop_rebin``: the re-binned motif of a second unit-cell choice, one
+  ``cell_index`` call per A cell and motif point, which the array pass of
+  ``rebin_motif`` must reproduce.
 - ``covered_area``: the area the cells of a tessellation cover.
 - ``edge_line_charge``: an edge's boundary line density read off the partial
   cells of a tessellation, which the closed form must reproduce.
@@ -39,6 +42,7 @@ from filmhomog import (
     Modulation,
     MomentFields,
     Motif,
+    MotifPoint,
     NonPositiveJacobian,
     ObservationGrid,
     ParametricMap,
@@ -49,7 +53,7 @@ from filmhomog import (
     surface_frame,
 )
 from filmhomog.geometry import Edge, Rectangle
-from filmhomog.lattice import UnitCellChoice, containment_tol, edge_counts
+from filmhomog.lattice import UnitCellChoice, cell_index, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
 
@@ -317,6 +321,56 @@ def loop_tessellation(domain: Rectangle, l: float, choice: UnitCellChoice) -> tu
     keep = areas > 1e-12 * choice.cell_area * l * l
     rows = np.concatenate([np.flatnonzero(full), band[keep]])
     return indices[rows], corners[rows], int(np.count_nonzero(full)), areas[keep]
+
+
+def loop_rebin(motif: Motif, choice_a: UnitCellChoice, choice_b: UnitCellChoice, l: float) -> Motif:
+    """``rebin_motif`` with one ``cell_index`` and one ``basis_coords`` call per
+    A cell and motif point.
+
+    Each B cell is scanned over the A cells of its basis-coordinate bounding
+    box inflated by one cell, in ascending index, and each hit is re-anchored
+    with ``Modulation.shifted``.  B cell (0, 0) must collect the same points
+    (y, z, w within 1e-12) as (1, 0) and (0, 1), or ValueError is raised.
+    """
+
+    def collect(b_index):
+        corner_b = choice_b.corner(b_index, l)
+        unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        coords = choice_a.basis_coords(corner_b + l * unit @ choice_b.basis.T, l)
+        m_lo = np.floor(coords.min(axis=0)).astype(int) - 1
+        m_hi = np.ceil(coords.max(axis=0)).astype(int) + 1
+        out = []
+        for pts in (motif.points, motif.free_points):
+            group = []
+            for m1 in range(m_lo[0], m_hi[0] + 1):
+                for m2 in range(m_lo[1], m_hi[1] + 1):
+                    corner_a = choice_a.corner((m1, m2), l)
+                    for pt in pts:
+                        pos = corner_a + choice_a.planar(pt.y, l)
+                        if tuple(cell_index(pos, l, choice_b)) != b_index:
+                            continue
+                        y_new = choice_b.basis_coords(pos, l) - np.asarray(b_index, float)
+                        y_new = np.clip(y_new, 0.0, np.nextafter(1.0, 0.0))
+                        group.append(
+                            MotifPoint(
+                                w=pt.w,
+                                y=(float(y_new[0]), float(y_new[1])),
+                                z=pt.z,
+                                modulation=pt.modulation.shifted(corner_a - corner_b),
+                            )
+                        )
+            group.sort(key=lambda p: (p.y[0], p.y[1], p.z, p.w))
+            out.append(group)
+        return out
+
+    ref = collect((0, 0))
+    for step in ((1, 0), (0, 1)):
+        for got, exp in zip(ref, collect(step)):
+            got = np.asarray([p.y + (p.z, p.w) for p in got], float)
+            exp = np.asarray([p.y + (p.z, p.w) for p in exp], float)
+            if got.shape != exp.shape or (got.size and not np.allclose(got, exp, atol=1e-12, rtol=0.0)):
+                raise ValueError("unit-cell choices are not commensurate; cannot re-bin the motif")
+    return Motif(points=tuple(ref[0]), free_points=tuple(ref[1]), free_charge_order=motif.free_charge_order)
 
 
 def covered_area(tess: Tessellation) -> float:

@@ -378,6 +378,17 @@ class TestExitCodes:
 
 
 class TestGaugeUsageErrors:
+    @pytest.mark.parametrize("command", ["gauge", "moments"])
+    def test_incommensurate_cell_b_exit_2(self, tmp_path, command, capsys):
+        # B cells (0, 0) and (1, 1) differ by the A-lattice vector e1 + e2 = (1, 1); e1 is not one
+        payload = json.loads((CONFIGS / "gauge_half_shift.json").read_text())
+        payload["cell_b"] = {"e1": [1.5, 0.5], "e2": [-0.5, 0.5]}
+        payload["output"] = {"dir": str(tmp_path / "out")}
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+        assert "unit-cell choices are not commensurate" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "moments_b.csv").exists()
+        assert not (tmp_path / "out" / "gauge.csv").exists()
+
     def test_r3_gauge_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

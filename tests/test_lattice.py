@@ -161,6 +161,23 @@ class TestSliverCells:
                 np.testing.assert_array_equal(a.indices, b.indices, err_msg=f"{choice} l={l}")
 
 
+class TestCachedBasis:
+    def test_basis_and_inverse_are_read_only(self):
+        choice = UnitCellChoice(e2=(0.5, 1.0))
+        for arr in (choice.basis, choice.basis_inv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 1] = 7.0
+        np.testing.assert_array_equal(choice.basis, [[1.0, 0.5], [0.0, 1.0]])
+        np.testing.assert_array_equal(choice.basis_inv, [[1.0, -0.5], [0.0, 1.0]])
+        assert choice.basis is choice.basis
+
+    def test_equal_choices_compare_and_hash_equal(self):
+        a, b = UnitCellChoice(e2=(0.5, 1.0)), UnitCellChoice(e2=(0.5, 1.0))
+        a.basis_inv, a.cell_area  # cached on one of the two only
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != UnitCellChoice()
+
+
 class TestCornerMap:
     def test_oblique_corners_match_plain_formula_bitwise(self):
         """corner, the corner of each point's containing cell, and place compute
@@ -180,6 +197,12 @@ class TestCornerMap:
         planar, _ = t.place((0.3, 0.7))
         np.testing.assert_array_equal(planar, [plain(0.3, 0.7, c) for c in expected])
         np.testing.assert_array_equal(choice.corner(cell_index(planar, l, choice), l), expected)
+
+    def test_basis_coords_of_a_point_alone_and_in_a_batch_are_bitwise_equal(self):
+        pts = UNIT.sample(200, np.random.default_rng(3))
+        batch = GENERAL.basis_coords(pts.reshape(20, 10, 2), 0.13)
+        alone = np.array([GENERAL.basis_coords(p, 0.13) for p in pts])
+        np.testing.assert_array_equal(batch.reshape(-1, 2), alone)
 
     def test_plain(self):
         np.testing.assert_allclose(SQUARE.corner(cell_index(np.array([0.26, 0.01]), 0.25, SQUARE), 0.25), [0.25, 0.0])

@@ -1,7 +1,9 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
+from reference import loop_rebin
 
 from filmhomog import (
     Modulation,
@@ -171,6 +173,63 @@ class TestRebin:
         rotated = UnitCellChoice(e1=(0.8, 0.0), e2=(0.0, 0.8))
         with pytest.raises(ValueError):
             rebin_motif(PLANAR_DIPOLE, SQUARE, rotated, 0.25)
+
+    def test_incommensurate_basis_step_rejected(self):
+        # e1 + e2 = (1, 1) is an A-lattice vector, so B cells (0, 0) and (1, 1)
+        # collect the same points; e1 alone is not, and (1, 0) differs
+        skew = UnitCellChoice(e1=(1.5, 0.5), e2=(-0.5, 0.5))
+        with pytest.raises(ValueError, match="not commensurate"):
+            rebin_motif(PLANAR_DIPOLE, SQUARE, skew, 0.25)
+
+
+REBIN_CHOICES = {
+    "square": SQUARE,
+    "half-shift": HALF_SHIFT,
+    "f-0.3": UnitCellChoice(f=(0.3, 0.0)),
+    "origin": UnitCellChoice(origin=(0.07, -0.03)),
+    "sheared": UnitCellChoice(e2=(0.5, 1.0)),
+    "sheared-f": UnitCellChoice(e2=(0.5, 1.0), f=(0.3, 0.0)),
+    "2x1": UnitCellChoice(e1=(2.0, 0.0)),
+    "scaled-0.8": UnitCellChoice(e1=(0.8, 0.0), e2=(0.0, 0.8)),
+    # inverse bases with inexact products; "oblique-sum" spans the same lattice by e1 + e2 and e2
+    "oblique": UnitCellChoice(e1=(1.0, 0.3), e2=(-0.2, 1.1), f=(0.3, 0.1), origin=(0.05, -0.02)),
+    "oblique-sum": UnitCellChoice(e1=(0.8, 1.4), e2=(-0.2, 1.1)),
+}
+REBIN_PAIRS = list(itertools.product(list(REBIN_CHOICES)[:8], repeat=2)) + [
+    ("oblique", "oblique-sum"),
+    ("oblique-sum", "oblique"),
+    ("square", "oblique"),
+]
+LINEAR = Modulation(kind="linear", value=1.0, coef=(0.5, 0.2))
+SINUSOID = Modulation(kind="sinusoid", value=1.0, coef=(2.0, 0.5), phase=0.1)
+MODULATED_FREE = Motif(
+    points=(
+        MotifPoint(+1.0, (0.7, 0.35), 0.2, LINEAR),
+        MotifPoint(-1.0, (0.15, 0.6), -0.3, SINUSOID),
+        MotifPoint(0.5, (0.45, 0.9), 0.0, LINEAR),
+    ),
+    free_points=(MotifPoint(0.3, (0.33, 0.21), 0.1, SINUSOID),),
+)
+
+
+@pytest.mark.parametrize("name_a, name_b", REBIN_PAIRS)
+def test_rebin_matches_loop_oracle(name_a, name_b):
+    """The array pass re-bins bitwise as the per-point loop, and raises exactly
+    when B's basis vectors are not A-lattice vectors."""
+    choice_a, choice_b = REBIN_CHOICES[name_a], REBIN_CHOICES[name_b]
+    steps = np.linalg.solve(choice_a.basis, choice_b.basis)  # B's basis in A's basis coordinates
+    commensurate = np.allclose(steps, np.round(steps), atol=1e-9, rtol=0.0)
+    for motif in (PLANAR_DIPOLE, MODULATED_FREE):
+        for l in (0.25, 1.0 / 64.0, 0.13, 0.1):
+            if not commensurate:
+                for rebin in (rebin_motif, loop_rebin):
+                    with pytest.raises(ValueError, match="not commensurate"):
+                        rebin(motif, choice_a, choice_b, l)
+                continue
+            got, exp = rebin_motif(motif, choice_a, choice_b, l), loop_rebin(motif, choice_a, choice_b, l)
+            assert got == exp
+            assert repr(got) == repr(exp)  # signed zeros too
+            assert len(got.points) == len(motif.points) * round(abs(np.linalg.det(steps)))
 
 
 class TestGauge:
