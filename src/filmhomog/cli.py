@@ -67,9 +67,17 @@ def _scaled(sample: FieldSample, scale: float) -> FieldSample:
     return FieldSample(grid=sample.grid, values=scale * sample.values, provenance=sample.provenance)
 
 
+def _open(out_dir: Path, name: str):
+    """Open ``out_dir / name`` for writing; commands call it only after every
+    result is computed, so a failed run creates no directory and no file."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return open(out_dir / name, "w")
+
+
 def _write_summary(cfg: ScenarioConfig, out_dir: Path, payload: dict) -> None:
     payload = {"scenario": cfg.scenario_hash, **payload}
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _open(out_dir, "summary.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _convergence(cfg: ScenarioConfig) -> ConvergenceReport:
@@ -91,7 +99,7 @@ def _cmd_potential(cfg: ScenarioConfig, out_dir: Path) -> int:
     report = _convergence(cfg)
     scale = _green_scale(cfg)
     samples = [_scaled(s, scale) for s in report.micro + [report.homogenized]]
-    with open(out_dir / "potential.csv", "w") as fh:
+    with _open(out_dir, "potential.csv") as fh:
         field_to_csv(samples, fh, comment=_comment(cfg))
     return EXIT_OK
 
@@ -99,21 +107,20 @@ def _cmd_potential(cfg: ScenarioConfig, out_dir: Path) -> int:
 def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
     l, h = cfg.schedule[0]
     tess = tessellate(cfg.pmap.domain, l, cfg.choice_a)
-    rows = moment_table(tess, cfg.motif, cfg.pmap, l=l, h=h)
-    with open(out_dir / "moments.csv", "w") as fh:
-        moments_to_csv(rows, fh, comment=_comment(cfg))
+    tables = {"moments.csv": moment_table(tess, cfg.motif, cfg.pmap, l=l, h=h)}
     if cfg.choice_b is not None:
         motif_b = rebin_motif(cfg.motif, cfg.choice_a, cfg.choice_b, l)
         tess_b = tessellate(cfg.pmap.domain, l, cfg.choice_b)
-        rows_b = moment_table(tess_b, motif_b, cfg.pmap, l=l, h=h)
-        with open(out_dir / "moments_b.csv", "w") as fh:
-            moments_to_csv(rows_b, fh, comment=_comment(cfg))
+        tables["moments_b.csv"] = moment_table(tess_b, motif_b, cfg.pmap, l=l, h=h)
+    for name, table in tables.items():
+        with _open(out_dir, name) as fh:
+            moments_to_csv(table, fh, comment=_comment(cfg))
     return EXIT_OK
 
 
 def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
     report = _convergence(cfg)
-    with open(out_dir / "convergence.csv", "w") as fh:
+    with _open(out_dir, "convergence.csv") as fh:
         report.to_csv(fh, comment=_comment(cfg))
     _write_summary(cfg, out_dir, report.summary())
     if assert_ and not report.converged:
@@ -142,11 +149,11 @@ def _cmd_gauge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
         tol=cfg.tol,
         max_depth=cfg.max_depth,
     )
-    with open(out_dir / "gauge.csv", "w") as fh:
+    with _open(out_dir, "gauge.csv") as fh:
         report.to_csv(fh, comment=_comment(cfg))
-    with open(out_dir / "gauge_moments_a.csv", "w") as fh:
+    with _open(out_dir, "gauge_moments_a.csv") as fh:
         moments_to_csv(report.moments_a, fh, comment=_comment(cfg))
-    with open(out_dir / "gauge_moments_b.csv", "w") as fh:
+    with _open(out_dir, "gauge_moments_b.csv") as fh:
         moments_to_csv(report.moments_b, fh, comment=_comment(cfg))
     _write_summary(cfg, out_dir, report.summary())
     ok = (
@@ -203,7 +210,6 @@ def main(argv=None) -> int:
 
     try:
         out_dir = Path(args.out) if args.out else cfg.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "potential":
             return _cmd_potential(cfg, out_dir)
         if args.command == "moments":

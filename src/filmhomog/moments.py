@@ -129,7 +129,9 @@ class MomentFields:
     ``boundary_charge`` maps each edge name to its limit line density per
     unit parameter length, a callable on parameter points (..., 2) like the
     bulk fields.  ``has_free_charge`` is False when ``charge_weighted`` is
-    identically zero (a motif with no free points).
+    identically zero (a motif with no free points), and ``has_normal_moment``
+    when ``pol_normal_weighted`` is (every motif point has w z = 0, e.g. all
+    on the mid-surface).
     """
 
     pmap: ParametricMap
@@ -139,6 +141,7 @@ class MomentFields:
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     boundary_charge: dict  # edge name -> line density callable
     has_free_charge: bool
+    has_normal_moment: bool
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
@@ -194,14 +197,16 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, tol)
         boundary_charge[edge.name] = _catalog_field(rows, counts * w / period)
     free = motif.free_points
+    normal = w * np.array([pt.z for pt in motif.points], float)
     return MomentFields(
         pmap=pmap,
         charge_weighted=_catalog_field(_catalog(free), np.array([pt.w for pt in free], float) / area),
         pol_planar_weighted=_catalog_field(rows, w[:, None] * arms / area),
-        pol_normal_weighted=_catalog_field(rows, w * np.array([pt.z for pt in motif.points], float) / area),
+        pol_normal_weighted=_catalog_field(rows, normal / area),
         div_pol_planar_weighted=_catalog_field(slopes, w / area, np.cos),
         boundary_charge=boundary_charge,
         has_free_charge=bool(free),
+        has_normal_moment=bool(np.any(normal != 0.0)),
     )
 
 

@@ -20,7 +20,9 @@ The three limits differ only in the weights (c_q, c_p, c_n):
     proportional (R2, h = alpha l):   (alpha, alpha, alpha^2)
     wide-over-thin (R3):              (1, 0, 1)
 
-with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  The
+with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A term whose
+effective weight is 0 (by the table, or because its field is identically
+zero) is skipped, so only the double layer builds surface frames.  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -421,10 +423,10 @@ def _boundary_integral(
     total = np.zeros(rows.shape[-1])
     for edge in pmap.domain.edges():
 
-        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name]):
+        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], normal=np.asarray(edge.normal, float)):
             x_p = edge.points(s)
             G, _ = _kernel(pmap.midsurface(x_p), None, rows)
-            density = rho(x_p) + fields.pol_planar_weighted(x_p) @ np.asarray(edge.normal, float)
+            density = rho(x_p) + fields.pol_planar_weighted(x_p) @ normal
             G *= density[:, None]
             return G
 
@@ -452,19 +454,27 @@ def homogenized_potential(
 ) -> FieldSample:
     """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
 
-    The edge integrals run only when c_p is non-zero; the bulk integral then
-    takes tol/2 and each edge's integral tol/8 (four edges).  A panel is one
-    surface frame, the densities c_q q J0 - c_p div_p(J0 p_p) and c_n p3 J0
-    once per node (q only when the fields have free charge), and one
-    :func:`_kernel` call, scaled by them in place.
+    A term the fields do not carry (no free charge, no normal moment) has
+    effective weight 0, and a term of weight 0 is never evaluated.  The edge
+    integrals run only when c_p is non-zero; the bulk integral then takes
+    tol/2 and each edge's integral tol/8 (four edges).  A panel is the
+    mid-surface points, the densities c_q q J0 - c_p div_p(J0 p_p) and c_n
+    p3 J0 once per node, and one :func:`_kernel` call, scaled by them in
+    place.  Only the double layer (c_n != 0) needs the normal, so only then
+    does a panel build its surface frame and dG/dnu'.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
+    c_q = c_q if fields.has_free_charge else 0.0
+    c_n = c_n if fields.has_normal_moment else 0.0
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
 
     def integrand(x_p):
-        fr = surface_frame(pmap, x_p)
-        G, dGn = _kernel(fr.point, fr.normal if c_n != 0.0 else None, rows)
-        density = c_q * fields.charge_weighted(x_p) if fields.has_free_charge else np.zeros(len(x_p))
+        if c_n != 0.0:
+            fr = surface_frame(pmap, x_p)
+            G, dGn = _kernel(fr.point, fr.normal, rows)
+        else:
+            G, _ = _kernel(pmap.midsurface(x_p), None, rows)
+        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(len(x_p))
         if c_p != 0.0:
             density -= c_p * fields.div_pol_planar_weighted(x_p)
         G *= density[:, None]

@@ -194,6 +194,7 @@ def prescribed_fields(
         div_pol_planar_weighted=div_pol_planar_weighted,
         boundary_charge=densities,
         has_free_charge=q is not None,
+        has_normal_moment=p3 is not None,
     )
 
 

@@ -156,6 +156,7 @@ class TestPotential:
         )
         assert main(["potential", "--config", cfg]) == 3
         assert "NonPositiveJacobian" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_green_4pi_scales_values(self, tmp_path, r2_config):
         assert main(["potential", "--config", r2_config, "--out", str(tmp_path / "plain")]) == 0
@@ -386,8 +387,7 @@ class TestGaugeUsageErrors:
         payload["output"] = {"dir": str(tmp_path / "out")}
         assert main([command, "--config", write_config(tmp_path, payload)]) == 2
         assert "unit-cell choices are not commensurate" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "moments_b.csv").exists()
-        assert not (tmp_path / "out" / "gauge.csv").exists()
+        assert not (tmp_path / "out").exists()  # not even choice A's moments.csv
 
     def test_r3_gauge_exit_2(self, tmp_path):
         cfg = write_config(

@@ -6,6 +6,7 @@ integrals, and the pre-integration-by-parts (kernel-gradient) form for the
 flat-film formulas.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filmhomog import (
+    DegenerateFrame,
+    Modulation,
     Motif,
     MotifPoint,
     ObservationGrid,
@@ -39,6 +42,7 @@ UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
 IDENT = ParametricMap.identity(UNIT)
 PLANAR_DIPOLE = Motif(points=(MotifPoint(+1.0, (0.75, 0.5), 0.0), MotifPoint(-1.0, (0.25, 0.5), 0.0)))
+MIXED = Motif(points=PLANAR_DIPOLE.points + (MotifPoint(0.7, (0.5, 0.5), 0.5), MotifPoint(-0.7, (0.5, 0.5), -0.5)))
 
 
 def gauss_nodes(n, a, b):
@@ -415,11 +419,7 @@ class TestHomogenizedR1:
 
 class TestHomogenizedR2:
     def make_fields(self):
-        mixed = Motif(
-            points=PLANAR_DIPOLE.points
-            + (MotifPoint(0.7, (0.5, 0.5), 0.5), MotifPoint(-0.7, (0.5, 0.5), -0.5))
-        )
-        return moment_fields(mixed, SQUARE, IDENT, 0.25)
+        return moment_fields(MIXED, SQUARE, IDENT, 0.25)
 
     def test_alpha_one_reduces_to_r1_plus_double_layer(self):
         fields = self.make_fields()
@@ -481,6 +481,98 @@ class TestHomogenizedR3ZeroColumn:
         np.testing.assert_array_equal(loaded.values, plain.values)
         r1 = homogenized_potential(prescribed_fields(IDENT, p_p=p_p, boundary_charge=sigma), Regime("R1"), IDENT, grid)
         assert np.all(np.abs(r1.values) > 1e-3)  # the same sources do act in R1
+
+
+_WAVE = Modulation(kind="sinusoid", value=1.0, coef=(2.0, 1.0), phase=0.3)
+# in-plane dipole on the mid-surface, modulated, with a free point: every term but the double layer
+PLANAR_FREE = Motif(
+    points=(MotifPoint(+1.0, (0.7, 0.4), 0.0, _WAVE), MotifPoint(-1.0, (0.3, 0.6), 0.0, _WAVE)),
+    free_points=(MotifPoint(0.5, (0.5, 0.5), 0.3),),
+)
+CYLINDER = ParametricMap.cylinder(UNIT, 2.0)
+FLAT_CASES = [
+    pytest.param(IDENT, Regime("R1"), [[1.2, 0.3, 0.9], [0.5, 0.5, 0.05]], id="identity-R1"),
+    pytest.param(IDENT, Regime("R2", alpha=1.5), [[1.2, 0.3, 0.9], [0.5, 0.5, 0.05]], id="identity-R2"),
+    pytest.param(CYLINDER, Regime("R2", alpha=1.0), [[0.0, 0.5, 2.4], [0.3, 0.2, 1.5]], id="cylinder-R2"),
+]
+
+
+def _frames_per_panel(monkeypatch, fields, regime, pmap, grid):
+    """(surface frames, bulk integrand calls) of one homogenized_potential call."""
+    calls = {"frames": 0, "panels": 0}
+    frame, rectangle = potential.surface_frame, potential.adaptive_rectangle
+
+    def counting_frame(*args, **kwargs):
+        calls["frames"] += 1
+        return frame(*args, **kwargs)
+
+    def counting_rectangle(f, *args, **kwargs):
+        def integrand(x_p):
+            calls["panels"] += 1
+            return f(x_p)
+
+        return rectangle(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "surface_frame", counting_frame)
+    monkeypatch.setattr(potential, "adaptive_rectangle", counting_rectangle)
+    homogenized_potential(fields, regime, pmap, grid)
+    return calls["frames"], calls["panels"]
+
+
+class TestSkippedTerms:
+    """A term of effective weight 0 is never evaluated; the values do not change."""
+
+    @pytest.mark.parametrize("pmap, regime, points", FLAT_CASES)
+    def test_no_normal_moment_builds_no_frame_and_changes_no_bit(self, monkeypatch, pmap, regime, points):
+        fields = moment_fields(PLANAR_FREE, SQUARE, pmap, 0.25)
+        assert not fields.has_normal_moment
+        grid = ObservationGrid.from_points(points, pmap)
+        full = homogenized_potential(dataclasses.replace(fields, has_normal_moment=True), regime, pmap, grid).values
+
+        def no_frame(*args, **kwargs):
+            raise AssertionError("surface frame built for a field without a normal moment")
+
+        monkeypatch.setattr(potential, "surface_frame", no_frame)
+        assert homogenized_potential(fields, regime, pmap, grid).values.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize(
+        "regime, pmap",
+        [(Regime("R3"), IDENT), (Regime("R2", alpha=1.0), IDENT), (Regime("R2", alpha=1.0), CYLINDER)],
+    )
+    def test_normal_moment_builds_one_frame_per_panel(self, monkeypatch, regime, pmap):
+        fields = moment_fields(MIXED, SQUARE, pmap, 0.25)
+        assert fields.has_normal_moment
+        grid = ObservationGrid.from_points([[0.2, 0.7, 2.5], [1.3, 0.4, 2.2]], pmap)
+        frames, panels = _frames_per_panel(monkeypatch, fields, regime, pmap, grid)
+        assert frames == panels > 0
+
+    def test_parallel_tangents_fail_only_where_the_double_layer_runs(self):
+        flat = ParametricMap.scaled(UNIT, (1.0, 0.0, 1.0))  # second tangent 0: no normal anywhere
+        grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], flat)
+        with pytest.raises(DegenerateFrame):
+            homogenized_potential(moment_fields(MIXED, SQUARE, flat, 0.25), Regime("R3"), flat, grid)
+        planar = moment_fields(PLANAR_FREE, SQUARE, flat, 0.25)
+        assert np.isfinite(homogenized_potential(planar, Regime("R2", alpha=1.0), flat, grid).values).all()
+
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            (PLANAR_DIPOLE.points, False),
+            (PLANAR_FREE.points, False),
+            ((MotifPoint(0.0, (0.5, 0.5), 0.4), MotifPoint(1.0, (0.2, 0.5), 0.0)), False),  # w z = 0 per point
+            ((MotifPoint(1.0, (0.5, 0.5), 0.4), MotifPoint(-1.0, (0.5, 0.5), 0.4)), True),  # w z cancels: not 0 each
+            (MIXED.points, True),
+            ((MotifPoint(1.0, (0.5, 0.5), -1e-300),), True),
+        ],
+    )
+    def test_normal_moment_flag(self, points, expected):
+        motif = Motif(points=points)
+        fields = moment_fields(motif, SQUARE, IDENT, 0.25)
+        assert fields.has_normal_moment is expected
+        assert expected == any(pt.w * pt.z != 0.0 for pt in motif.points)
+        x = np.random.default_rng(7).uniform(-1.0, 2.0, (50, 2))
+        if not expected:
+            assert np.all(fields.pol_normal_weighted(x) == 0.0)
 
 
 class TestBoundaryIntegral:
