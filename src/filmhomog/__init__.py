@@ -34,13 +34,11 @@ from .moments import (
     MomentTable,
     moment_fields,
     moment_table,
-    moments_to_csv,
 )
 from .potential import (
     FieldSample,
     ObservationGrid,
     direct_potential,
-    field_to_csv,
     homogenized_potential,
 )
 from .study import (

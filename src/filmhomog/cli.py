@@ -9,18 +9,25 @@ Exit codes: 0 success, 2 config parse/validation failure, 3 numerical
 failure (quadrature depth cap, bad Jacobian, singular evaluation, ...),
 4 threshold failure under --assert.
 
+This module is the only writer of files; the library returns reports.
 Output CSVs are bitwise reproducible for a given config (fixed summation
 order, repr-formatted floats, no wall-clock data) and start with a comment
-line carrying the scenario hash.
+line carrying the scenario hash and the Green's convention.  Under
+--green-4pi every potential-valued column (phi, phi_a, phi_b, diff,
+err_max, err_rms) is scaled by 1/(4 pi); summary.json and the --assert
+thresholds stay in the 1/r convention.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import ScenarioConfig, parse_config
 from .errors import (
@@ -33,8 +40,7 @@ from .errors import (
     StandoffViolation,
 )
 from .lattice import tessellate
-from .moments import moment_table, moments_to_csv
-from .potential import FieldSample, field_to_csv
+from .moments import MomentTable, moment_table
 from .study import ConvergenceReport, rebin_motif, run_convergence, run_gauge
 
 EXIT_OK = 0
@@ -52,19 +58,8 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _green_scale(cfg: ScenarioConfig) -> float:
-    return 1.0 / (4.0 * math.pi) if cfg.green_4pi else 1.0
-
-
-def _comment(cfg: ScenarioConfig) -> str:
-    convention = "1/(4pi r)" if cfg.green_4pi else "1/r"
-    return f"scenario={cfg.scenario_hash} green={convention}"
-
-
-def _scaled(sample: FieldSample, scale: float) -> FieldSample:
-    if scale == 1.0:
-        return sample
-    return FieldSample(grid=sample.grid, values=scale * sample.values, provenance=sample.provenance)
+_POTENTIAL_COLUMNS = frozenset({"phi", "phi_a", "phi_b", "diff", "err_max", "err_rms"})
+_MOMENT_HEADER = ["index1", "index2", "corner_x1", "corner_x2", "kind", "q", "p_p1", "p_p2", "p3", "sigma"]
 
 
 def _open(out_dir: Path, name: str):
@@ -72,6 +67,34 @@ def _open(out_dir: Path, name: str):
     result is computed, so a failed run creates no directory and no file."""
     out_dir.mkdir(parents=True, exist_ok=True)
     return open(out_dir / name, "w")
+
+
+def _cell(value) -> str:
+    """Text as is, ints and flags as digits, floats by repr, NaN (undefined) as empty."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):  # bool included
+        return str(int(value))
+    return "" if math.isnan(value) else repr(value)
+
+
+def _write_csv(cfg: ScenarioConfig, out_dir: Path, name: str, header: list, rows) -> None:
+    """The scenario line, the header, then ``rows``; potential-valued columns
+    are rescaled to the config's Green's convention."""
+    scale = 1.0 / (4.0 * math.pi) if cfg.green_4pi else 1.0
+    scaled = [col in _POTENTIAL_COLUMNS for col in header]
+    with _open(out_dir, name) as fh:
+        fh.write(f"# scenario={cfg.scenario_hash} green={'1/(4pi r)' if cfg.green_4pi else '1/r'}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(scale * v if s else v) for v, s in zip(row, scaled)])
+
+
+def _write_moments(cfg: ScenarioConfig, out_dir: Path, name: str, table: MomentTable) -> None:
+    kind = np.where(table.is_full, "full", "partial")
+    columns = [*table.indices.T, *table.corners.T, kind, table.q, *table.p_p.T, table.p3, table.sigma]
+    _write_csv(cfg, out_dir, name, _MOMENT_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def _write_summary(cfg: ScenarioConfig, out_dir: Path, payload: dict) -> None:
@@ -97,10 +120,12 @@ def _convergence(cfg: ScenarioConfig) -> ConvergenceReport:
 
 def _cmd_potential(cfg: ScenarioConfig, out_dir: Path) -> int:
     report = _convergence(cfg)
-    scale = _green_scale(cfg)
-    samples = [_scaled(s, scale) for s in report.micro + [report.homogenized]]
-    with _open(out_dir, "potential.csv") as fh:
-        field_to_csv(samples, fh, comment=_comment(cfg))
+    rows = [
+        (*p, v, s.provenance)
+        for s in report.micro + [report.homogenized]
+        for p, v in zip(s.grid.points.tolist(), s.values.tolist())
+    ]
+    _write_csv(cfg, out_dir, "potential.csv", ["x", "y", "z", "phi", "provenance"], rows)
     return EXIT_OK
 
 
@@ -113,15 +138,14 @@ def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
         tess_b = tessellate(cfg.pmap.domain, l, cfg.choice_b)
         tables["moments_b.csv"] = moment_table(tess_b, motif_b, cfg.pmap, l=l, h=h)
     for name, table in tables.items():
-        with _open(out_dir, name) as fh:
-            moments_to_csv(table, fh, comment=_comment(cfg))
+        _write_moments(cfg, out_dir, name, table)
     return EXIT_OK
 
 
 def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
     report = _convergence(cfg)
-    with _open(out_dir, "convergence.csv") as fh:
-        report.to_csv(fh, comment=_comment(cfg))
+    rows = [(s.l, s.h, s.err_max, s.err_rms, s.taylor_ok) for s in report.steps]
+    _write_csv(cfg, out_dir, "convergence.csv", ["l", "h", "err_max", "err_rms", "taylor_ok"], rows)
     _write_summary(cfg, out_dir, report.summary())
     if assert_ and not report.converged:
         print(
@@ -149,12 +173,11 @@ def _cmd_gauge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
         tol=cfg.tol,
         max_depth=cfg.max_depth,
     )
-    with _open(out_dir, "gauge.csv") as fh:
-        report.to_csv(fh, comment=_comment(cfg))
-    with _open(out_dir, "gauge_moments_a.csv") as fh:
-        moments_to_csv(report.moments_a, fh, comment=_comment(cfg))
-    with _open(out_dir, "gauge_moments_b.csv") as fh:
-        moments_to_csv(report.moments_b, fh, comment=_comment(cfg))
+    phi_a, phi_b = report.field_a.values, report.field_b.values
+    rows = zip(*report.field_a.grid.points.T.tolist(), phi_a.tolist(), phi_b.tolist(), (phi_a - phi_b).tolist())
+    _write_csv(cfg, out_dir, "gauge.csv", ["x", "y", "z", "phi_a", "phi_b", "diff"], rows)
+    _write_moments(cfg, out_dir, "gauge_moments_a.csv", report.moments_a)
+    _write_moments(cfg, out_dir, "gauge_moments_b.csv", report.moments_b)
     _write_summary(cfg, out_dir, report.summary())
     ok = (
         report.atoms_consistent

@@ -298,33 +298,37 @@ class ParametricMap:
             raise ValueError("map is not injective on the sampled validity region")
 
 
-def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
-    """Tangents, unit normal and surface Jacobian of the mid-surface at x_p.
+def _tangent_cross(pmap: ParametricMap, x_p: np.ndarray):
+    """Tangents t1, t2, the components of t1 x t2 and J0 = |t1 x t2| of the
+    mid-surface at x_p; raises DegenerateFrame where the tangents are parallel.
 
     J0 = |t1 x t2| equals sqrt(det(Dpsi0^T Dpsi0)) by the Gram identity.  The
     cross product and norms are taken per component, in the operation order
-    of np.cross and np.linalg.norm, so the frame is bitwise the same.
+    of np.cross and np.linalg.norm, so J0 and the frame are bitwise the same.
     """
-    x_p = np.asarray(x_p, float)
-    x = ParametricMap._embed(x_p)
-    D = pmap.differential(x)
+    D = pmap.differential(ParametricMap._embed(x_p))
     t1 = D[..., :, 0]
     t2 = D[..., :, 1]
     a0, a1, a2 = t1[..., 0], t1[..., 1], t1[..., 2]
     b0, b1, b2 = t2[..., 0], t2[..., 1], t2[..., 2]
-    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    j0 = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    j0 = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
     scale = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) * np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
     if (j0 <= _FRAME_TOL * np.maximum(scale, 1.0)).any():
         raise DegenerateFrame("surface tangents are parallel within tolerance")
+    return t1, t2, cross, j0
+
+
+def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
+    """Tangents, unit normal and surface Jacobian of the mid-surface at x_p."""
+    t1, t2, cross, j0 = _tangent_cross(pmap, x_p)
     normal = np.empty(j0.shape + (3,))
-    for k, c in enumerate((c0, c1, c2)):
+    for k, c in enumerate(cross):
         np.divide(c, j0, out=normal[..., k])
     return SurfaceFrame(
-        point=pmap.evaluate(x),
+        point=pmap.midsurface(x_p),
         tangent1=t1,
         tangent2=t2,
         normal=normal,
         j0=j0 if j0.ndim else float(j0),
     )
-

@@ -24,14 +24,13 @@ phi_k), so each field is a fixed weight vector against [1, x, sin Theta]
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .charge import Motif
-from .geometry import ParametricMap, surface_frame
+from .geometry import ParametricMap, _tangent_cross
 from .lattice import Tessellation, UnitCellChoice, containment_tol, edge_counts
 
 
@@ -57,7 +56,7 @@ class MomentTable:
 
 
 def _j0_at(pmap: ParametricMap, x_p: np.ndarray) -> np.ndarray:
-    return np.asarray(surface_frame(pmap, x_p).j0)
+    return _tangent_cross(pmap, x_p)[3]
 
 
 def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional[float]):
@@ -208,21 +207,3 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         has_free_charge=bool(free),
         has_normal_moment=bool(np.any(normal != 0.0)),
     )
-
-
-def moments_to_csv(table: MomentTable, fileobj, comment: Optional[str] = None) -> None:
-    """Write a moment table as CSV (empty fields where a moment is undefined)."""
-    if comment:
-        fileobj.write(f"# {comment}\n")
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["index1", "index2", "corner_x1", "corner_x2", "kind", "q", "p_p1", "p_p2", "p3", "sigma"])
-    for k in range(len(table)):
-        full = bool(table.is_full[k])
-        on_full = [table.q[k], table.p_p[k, 0], table.p_p[k, 1], table.p3[k]]
-        writer.writerow(
-            [int(m) for m in table.indices[k]]
-            + [repr(float(x)) for x in table.corners[k]]
-            + ["full" if full else "partial"]
-            + [repr(float(x)) if full else "" for x in on_full]
-            + ["" if full else repr(float(table.sigma[k]))]
-        )

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -490,18 +490,3 @@ def homogenized_potential(
         values = values + _boundary_integral(fields, pmap, rows, c_p, tol / 8, max_depth)
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
     return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")
-
-
-def field_to_csv(samples: Sequence[FieldSample], fileobj, comment: Optional[str] = None) -> None:
-    """Write (x, y, z, Phi, provenance) rows, one block per sample."""
-    import csv
-
-    if comment:
-        fileobj.write(f"# {comment}\n")
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["x", "y", "z", "phi", "provenance"])
-    for sample in samples:
-        for p, v in zip(sample.grid.points, sample.values):
-            writer.writerow(
-                [repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(v)), sample.provenance]
-            )

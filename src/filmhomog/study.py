@@ -18,7 +18,6 @@ from the reference cell must collect the same motif.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -96,14 +95,6 @@ class ConvergenceReport:
     @property
     def converged(self) -> bool:
         return self.errors_decrease and self.fitted_order >= self.order_threshold
-
-    def to_csv(self, fileobj, comment: Optional[str] = None) -> None:
-        if comment:
-            fileobj.write(f"# {comment}\n")
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["l", "h", "err_max", "err_rms", "taylor_ok"])
-        for s in self.steps:
-            writer.writerow([repr(s.l), repr(s.h), repr(s.err_max), repr(s.err_rms), int(s.taylor_ok)])
 
     def summary(self) -> dict:
         return {
@@ -279,16 +270,6 @@ class GaugeReport:
             "max_potential_diff": self.max_potential_diff,
             "atoms_consistent": self.atoms_consistent,
         }
-
-    def to_csv(self, fileobj, comment: Optional[str] = None) -> None:
-        if comment:
-            fileobj.write(f"# {comment}\n")
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["x", "y", "z", "phi_a", "phi_b", "diff"])
-        for p, va, vb in zip(self.field_a.grid.points, self.field_a.values, self.field_b.values):
-            writer.writerow(
-                [repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(va)), repr(float(vb)), repr(float(va - vb))]
-            )
 
 
 def _atoms_match(a: ScaledChargeDistribution, b: ScaledChargeDistribution, tol: float = 1e-12) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from filmhomog.cli import main
+from filmhomog.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -216,6 +217,72 @@ class TestMoments:
         """
         assert main(["moments", "--config", str(CONFIGS / "gauge_half_shift.json"), "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).read_bytes() == (GOLDEN / "gauge_half_shift" / name).read_bytes()
+
+
+MOMENT_HEADER = "index1,index2,corner_x1,corner_x2,kind,q,p_p1,p_p2,p3,sigma"
+HEADERS = {
+    "potential.csv": "x,y,z,phi,provenance",
+    "convergence.csv": "l,h,err_max,err_rms,taylor_ok",
+    "gauge.csv": "x,y,z,phi_a,phi_b,diff",
+    "moments.csv": MOMENT_HEADER,
+    "moments_b.csv": MOMENT_HEADER,
+    "gauge_moments_a.csv": MOMENT_HEADER,
+    "gauge_moments_b.csv": MOMENT_HEADER,
+}
+
+
+def read_table(path):
+    """(scenario line, header, rows of fields) of a CSV the CLI wrote."""
+    lines = path.read_text().splitlines()
+    return lines[0], lines[1].split(","), [row.split(",") for row in lines[2:]]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("potential", {"potential.csv"}),
+            ("converge", {"convergence.csv"}),
+            ("moments", {"moments.csv", "moments_b.csv"}),
+            ("gauge", {"gauge.csv", "gauge_moments_a.csv", "gauge_moments_b.csv"}),
+        ],
+    )
+    def test_every_csv_starts_with_the_scenario_line_then_its_header(self, tmp_path, command, names):
+        config = CONFIGS / "gauge_half_shift.json"
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert {p.name for p in tmp_path.glob("*.csv")} == names
+        scenario_line = f"# scenario={parse_config(config).scenario_hash} green=1/r"
+        for name in names:
+            assert (tmp_path / name).read_text().splitlines()[:2] == [scenario_line, HEADERS[name]]
+
+    def test_green_4pi_scales_exactly_the_potential_columns(self, tmp_path):
+        """Under --green-4pi each potential-valued column is the plain run's
+        value times 1/(4 pi); every other column, the moment tables (but for
+        their scenario line) and summary.json stay in the 1/r convention."""
+        config = str(CONFIGS / "gauge_half_shift.json")
+        for command in ("converge", "gauge"):
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+            assert main([command, "--config", config, "--out", str(tmp_path / f"{command}_4pi"), "--green-4pi"]) == 0
+        scale = 1.0 / (4.0 * math.pi)
+        for command, name, scaled in [
+            ("converge", "convergence.csv", {"err_max", "err_rms"}),
+            ("gauge", "gauge.csv", {"phi_a", "phi_b", "diff"}),
+        ]:
+            line, header, plain = read_table(tmp_path / command / name)
+            line_4pi, header_4pi, fourpi = read_table(tmp_path / f"{command}_4pi" / name)
+            assert line_4pi == line.replace("green=1/r", "green=1/(4pi r)") != line
+            assert header_4pi == header and scaled <= set(header)
+            for k, column in enumerate(header):
+                a, b = [row[k] for row in plain], [row[k] for row in fourpi]
+                if column in scaled:
+                    assert [float(x) for x in b] == pytest.approx([float(x) * scale for x in a], rel=1e-15, abs=0.0)
+                else:
+                    assert b == a
+            summary = (tmp_path / command / "summary.json").read_bytes()
+            assert (tmp_path / f"{command}_4pi" / "summary.json").read_bytes() == summary
+        assert any(float(row[2]) != 0.0 for row in read_table(tmp_path / "converge" / "convergence.csv")[2])
+        for name in ("gauge_moments_a.csv", "gauge_moments_b.csv"):
+            assert read_table(tmp_path / "gauge" / name)[1:] == read_table(tmp_path / "gauge_4pi" / name)[1:]
 
 
 class TestExitCodes:

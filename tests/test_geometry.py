@@ -12,6 +12,7 @@ from filmhomog import (
     Rectangle,
     surface_frame,
 )
+from filmhomog.moments import _j0_at
 from reference import jacobian_full, prescribed_fields, surface_divergence_term
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -113,6 +114,13 @@ class TestSurfaceFrame:
         assert fr.j0.tobytes() == j0.tobytes()
         assert fr.normal.tobytes() == (cross / j0[..., None]).tobytes()
         assert surface_frame(pmap, x_p[7]).j0 == j0[7]
+        assert _j0_at(pmap, x_p).tobytes() == j0.tobytes()  # the moment tables' J0, without a frame
+
+    def test_parallel_tangents_raise_with_and_without_a_frame(self):
+        collapse = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
+        for j0_of in (surface_frame, _j0_at):
+            with pytest.raises(DegenerateFrame, match="parallel"):
+                j0_of(collapse, np.array([[0.5, 0.5]]))
 
 
 def _collapse(x):

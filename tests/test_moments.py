@@ -1,4 +1,4 @@
-import io
+import json
 import math
 
 import numpy as np
@@ -14,11 +14,12 @@ from filmhomog import (
     UnitCellChoice,
     moment_fields,
     moment_table,
-    moments_to_csv,
     realize,
     surface_frame,
     tessellate,
 )
+from filmhomog.cli import main
+from filmhomog.config import parse_config
 from reference import edge_line_charge, loop_fields
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
@@ -349,16 +350,40 @@ class TestBoundaryCharge:
 
 
 class TestMomentTable:
-    def test_table_and_csv(self, tess):
+    def test_table_and_csv(self, tess, tmp_path):
+        """The table, and the CLI's moments.csv of the same scenario: scenario
+        line, header, one row per cell with the table's values, and empty
+        fields exactly where a moment is undefined."""
         rows = moment_table(tess, PLANAR_DIPOLE, IDENT, l=0.25, h=0.25)
         assert len(rows) == 16
         assert np.all(np.isnan(rows.sigma))
-        buf = io.StringIO()
-        moments_to_csv(rows, buf, comment="scenario=test")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# scenario=test"
-        assert lines[1].startswith("index1,index2,corner_x1")
+        config = tmp_path / "scenario.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "motif": {"points": [{"w": p.w, "y": list(p.y), "z": p.z} for p in PLANAR_DIPOLE.points]},
+                    "cell_b": {"f": [0.5, 0.5]},
+                    "regime": {"kind": "R2", "alpha": 1.0},
+                    "schedule": {"l": [0.25]},
+                    "output": {"dir": str(tmp_path / "out")},
+                }
+            )
+        )
+        assert main(["moments", "--config", str(config)]) == 0
+        lines = (tmp_path / "out" / "moments.csv").read_text().splitlines()
+        assert lines[0] == f"# scenario={parse_config(config).scenario_hash} green=1/r"
+        assert lines[1] == "index1,index2,corner_x1,corner_x2,kind,q,p_p1,p_p2,p3,sigma"
         assert len(lines) == 2 + 16
+        columns = np.column_stack([rows.indices, rows.corners, rows.q, rows.p_p, rows.p3])
+        for line, expected in zip(lines[2:], columns):
+            fields = line.split(",")
+            assert fields[4] == "full" and fields[9] == ""
+            assert [float(f) for f in fields[:4] + fields[5:9]] == expected.tolist()
+        shifted = [line.split(",") for line in (tmp_path / "out" / "moments_b.csv").read_text().splitlines()[2:]]
+        for fields in shifted:
+            defined = [f != "" for f in fields[5:]]
+            assert defined == ([True] * 4 + [False] if fields[4] == "full" else [False] * 4 + [True])
+        assert {f[4] for f in shifted} == {"full", "partial"}
 
     def test_matches_per_cell_loop(self):
         """Columns equal a scalar loop over cells to 4 ulp of each column's largest value."""

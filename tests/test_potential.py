@@ -7,6 +7,7 @@ flat-film formulas.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ from filmhomog import (
     tessellate,
 )
 from filmhomog import potential
+from filmhomog.cli import main
+from filmhomog.config import parse_config
 from filmhomog.geometry import surface_frame
 from filmhomog.potential import _BLOCK_VALUES, _kernel, _row_sums, green_sums
 from reference import finite_t_double_layer, fsum_potential, prescribed_fields
@@ -816,19 +819,30 @@ class TestStandoff:
 
 class TestFieldCsv:
     def test_round_trip_schema(self, tmp_path):
-        import io
-
-        from filmhomog import field_to_csv
-
+        """The CLI's potential.csv: scenario line, header, and each microscopic
+        row carrying its point, the direct sum's value and its provenance."""
+        points = [[0.5, 0.5, 3.0], [1.0, 2.0, 1.0]]
+        config = tmp_path / "scenario.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "motif": {"points": [{"w": p.w, "y": list(p.y), "z": p.z} for p in PLANAR_DIPOLE.points]},
+                    "regime": {"kind": "R2", "alpha": 1.0},
+                    "schedule": {"l": [0.25]},
+                    "grid": {"kind": "points", "points": points},
+                    "output": {"dir": str(tmp_path / "out")},
+                }
+            )
+        )
+        assert main(["potential", "--config", str(config)]) == 0
         t = tessellate(UNIT, 0.25, SQUARE)
         d = realize(PLANAR_DIPOLE, t, IDENT, 0.25, 0.25, Regime("R2", alpha=1.0))
-        grid = ObservationGrid.from_points([[0.5, 0.5, 3.0], [1.0, 2.0, 1.0]], IDENT)
-        sample = direct_potential(d, grid, standoff_factor=0.0)
-        buf = io.StringIO()
-        field_to_csv([sample], buf, comment="scenario=abc")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# scenario=abc"
+        sample = direct_potential(d, ObservationGrid.from_points(points, IDENT), standoff_factor=0.0)
+        lines = (tmp_path / "out" / "potential.csv").read_text().splitlines()
+        assert lines[0] == f"# scenario={parse_config(config).scenario_hash} green=1/r"
         assert lines[1] == "x,y,z,phi,provenance"
-        row = lines[2].split(",")
-        assert float(row[0]) == 0.5 and float(row[3]) == sample.values[0]
-        assert row[4] == sample.provenance
+        assert len(lines) == 2 + 2 * len(points)  # one microscopic block, then the homogenized one
+        for line, p, v in zip(lines[2:], points, sample.values):
+            row = line.split(",")
+            assert [float(x) for x in row[:4]] == p + [v]
+            assert row[4] == sample.provenance

@@ -1,5 +1,5 @@
-import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -23,12 +23,31 @@ from filmhomog import (
     run_gauge,
     tessellate,
 )
+from filmhomog.cli import main
+from filmhomog.config import parse_config
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
 HALF_SHIFT = UnitCellChoice(f=(0.5, 0.5))
 IDENT = ParametricMap.identity(UNIT)
 PLANAR_DIPOLE = Motif(points=(MotifPoint(+1.0, (0.75, 0.5), 0.0), MotifPoint(-1.0, (0.25, 0.5), 0.0)))
+
+
+def run_cli(tmp_path, command, **entries):
+    """Run ``command`` on the planar dipole (R2, alpha = 1, the ``grid``
+    fixture's 5x5 points) plus ``entries``; returns the output directory and
+    the scenario hash."""
+    config = tmp_path / "scenario.json"
+    payload = {
+        "motif": {"points": [{"w": p.w, "y": list(p.y), "z": p.z} for p in PLANAR_DIPOLE.points]},
+        "regime": {"kind": "R2", "alpha": 1.0},
+        "grid": {"kind": "offset_surface", "n": [5, 5], "distance": 1.0},
+        "output": {"dir": str(tmp_path / "out")},
+        **entries,
+    }
+    config.write_text(json.dumps(payload))
+    assert main([command, "--config", str(config)]) == 0
+    return tmp_path / "out", parse_config(config).scenario_hash
 
 
 @pytest.fixture(scope="module")
@@ -97,18 +116,24 @@ class TestConvergence:
         assert not rep.converged
         assert rep.fitted_order != rep.fitted_order or rep.fitted_order < 0.5  # nan or tiny
 
-    def test_report_csv_and_summary(self, grid):
+    def test_report_csv_and_summary(self, grid, tmp_path):
+        """The CLI's convergence.csv and summary.json carry the report's steps and summary."""
         regime = Regime("R2", alpha=1.0)
         sched = make_schedule(regime, l_values=[1 / 4, 1 / 8])
         rep = run_convergence(PLANAR_DIPOLE, IDENT, SQUARE, regime, sched, grid)
-        buf = io.StringIO()
-        rep.to_csv(buf, comment="scenario=x")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# scenario=x"
+        out, scenario = run_cli(tmp_path, "converge", schedule={"l": [1 / 4, 1 / 8]})
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines[0] == f"# scenario={scenario} green=1/r"
         assert lines[1] == "l,h,err_max,err_rms,taylor_ok"
         assert len(lines) == 2 + len(sched)
+        for line, s in zip(lines[2:], rep.steps):
+            row = line.split(",")
+            assert [float(x) for x in row[:4]] == [s.l, s.h, s.err_max, s.err_rms]
+            assert row[4] == str(int(s.taylor_ok))
         summary = rep.summary()
         assert set(summary) >= {"regime", "fitted_order", "converged", "steps", "decay_ok"}
+        written = json.loads((out / "summary.json").read_text())
+        assert written == {"scenario": scenario, **summary}
 
     def test_r2_mixed_motif_on_cylinder(self):
         """All three source pieces at once (bound charge, edge charge, double
@@ -258,13 +283,16 @@ class TestGauge:
         with pytest.raises(ValueError):
             run_gauge(PLANAR_DIPOLE, IDENT, SQUARE, HALF_SHIFT, 0.25, 0.0625, Regime("R3"), grid)
 
-    def test_gauge_csv(self, grid):
+    def test_gauge_csv(self, grid, tmp_path):
+        """The CLI's gauge.csv: scenario line, header, and per point both limit potentials and their difference."""
         rep = run_gauge(PLANAR_DIPOLE, IDENT, SQUARE, SQUARE, 0.25, 0.25, Regime("R2", alpha=1.0), grid)
-        buf = io.StringIO()
-        rep.to_csv(buf, comment="scenario=y")
-        lines = buf.getvalue().splitlines()
+        out, scenario = run_cli(tmp_path, "gauge", cell_b={"f": [0.0, 0.0]}, schedule={"l": [0.25]})
+        lines = (out / "gauge.csv").read_text().splitlines()
+        assert lines[0] == f"# scenario={scenario} green=1/r"
         assert lines[1] == "x,y,z,phi_a,phi_b,diff"
         assert len(lines) == 2 + grid.n_points
+        for line, p, va, vb in zip(lines[2:], grid.points, rep.field_a.values, rep.field_b.values):
+            assert [float(x) for x in line.split(",")] == [*p, va, vb, va - vb]
 
 
 class TestLimitIndependentOfSchedule:
