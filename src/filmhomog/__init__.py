@@ -13,6 +13,7 @@ from .errors import (
     EmptyTessellation,
     FilmHomogError,
     NonPositiveJacobian,
+    NumericalError,
     ParseError,
     QuadratureNotConverged,
     RegimeMismatch,

@@ -5,9 +5,11 @@
     filmhomog gauge     --config scenario.json [--assert]
     filmhomog moments   --config scenario.json
 
-Exit codes: 0 success, 2 config parse/validation failure, 3 numerical
-failure (quadrature depth cap, bad Jacobian, singular evaluation, ...),
-4 threshold failure under --assert.
+Exit codes: 0 success; 2 bad input (config parse/validation failure,
+standoff violation, incommensurate unit cells, any other library error);
+3 numerical failure, an ``errors.NumericalError`` (QuadratureNotConverged,
+NonPositiveJacobian, DegenerateFrame, SingularEvaluation); 4 threshold
+failure under --assert.
 
 This module is the only writer of files; the library returns reports.
 Output CSVs are bitwise reproducible for a given config (fixed summation
@@ -15,7 +17,8 @@ order, repr-formatted floats, no wall-clock data) and start with a comment
 line carrying the scenario hash and the Green's convention.  Under
 --green-4pi every potential-valued column (phi, phi_a, phi_b, diff,
 err_max, err_rms) is scaled by 1/(4 pi); summary.json and the --assert
-thresholds stay in the 1/r convention.
+thresholds stay in the 1/r convention.  summary.json is built here from
+report data; undefined (non-finite) values are written as null.
 """
 
 from __future__ import annotations
@@ -30,15 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, parse_config
-from .errors import (
-    ConfigError,
-    DegenerateFrame,
-    NonPositiveJacobian,
-    QuadratureNotConverged,
-    RegimeMismatch,
-    SingularEvaluation,
-    StandoffViolation,
-)
+from .errors import ConfigError, FilmHomogError, NumericalError
 from .lattice import tessellate
 from .moments import MomentTable, moment_table
 from .study import ConvergenceReport, rebin_motif, run_convergence, run_gauge
@@ -48,17 +43,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_ASSERT = 4
 
-_NUMERICAL_ERRORS = (
-    QuadratureNotConverged,
-    NonPositiveJacobian,
-    DegenerateFrame,
-    SingularEvaluation,
-    StandoffViolation,
-    RegimeMismatch,
-)
-
-
 _POTENTIAL_COLUMNS = frozenset({"phi", "phi_a", "phi_b", "diff", "err_max", "err_rms"})
+_STEP_HEADER = ["l", "h", "err_max", "err_rms", "taylor_ok"]
 _MOMENT_HEADER = ["index1", "index2", "corner_x1", "corner_x2", "kind", "q", "p_p1", "p_p2", "p3", "sigma"]
 
 
@@ -97,8 +83,10 @@ def _write_moments(cfg: ScenarioConfig, out_dir: Path, name: str, table: MomentT
     _write_csv(cfg, out_dir, name, _MOMENT_HEADER, zip(*(c.tolist() for c in columns)))
 
 
-def _write_summary(cfg: ScenarioConfig, out_dir: Path, payload: dict) -> None:
-    payload = {"scenario": cfg.scenario_hash, **payload}
+def _write_summary(cfg: ScenarioConfig, out_dir: Path, **fields) -> None:
+    """``fields`` plus the scenario hash as sorted JSON; NaN and infinities
+    (undefined results) are written as null."""
+    payload = json.loads(json.dumps({"scenario": cfg.scenario_hash, **fields}), parse_constant=lambda _: None)
     with _open(out_dir, "summary.json") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -145,8 +133,18 @@ def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
 def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
     report = _convergence(cfg)
     rows = [(s.l, s.h, s.err_max, s.err_rms, s.taylor_ok) for s in report.steps]
-    _write_csv(cfg, out_dir, "convergence.csv", ["l", "h", "err_max", "err_rms", "taylor_ok"], rows)
-    _write_summary(cfg, out_dir, report.summary())
+    _write_csv(cfg, out_dir, "convergence.csv", _STEP_HEADER, rows)
+    _write_summary(
+        cfg,
+        out_dir,
+        regime=report.regime.label(),
+        fitted_order=report.fitted_order,
+        order_threshold=report.order_threshold,
+        errors_decrease=report.errors_decrease,
+        decay_ok=report.decay_ok,
+        converged=report.converged,
+        steps=[dict(zip(_STEP_HEADER, row)) for row in rows],
+    )
     if assert_ and not report.converged:
         print(
             f"convergence assertion failed: p_hat={report.fitted_order:.3f}, "
@@ -178,7 +176,13 @@ def _cmd_gauge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
     _write_csv(cfg, out_dir, "gauge.csv", ["x", "y", "z", "phi_a", "phi_b", "diff"], rows)
     _write_moments(cfg, out_dir, "gauge_moments_a.csv", report.moments_a)
     _write_moments(cfg, out_dir, "gauge_moments_b.csv", report.moments_b)
-    _write_summary(cfg, out_dir, report.summary())
+    _write_summary(
+        cfg,
+        out_dir,
+        max_moment_diff=report.max_moment_diff,
+        max_potential_diff=report.max_potential_diff,
+        atoms_consistent=report.atoms_consistent,
+    )
     ok = (
         report.atoms_consistent
         and report.max_potential_diff <= cfg.thresholds.gauge_phi_tol
@@ -241,10 +245,10 @@ def main(argv=None) -> int:
             return _cmd_converge(cfg, out_dir, args.assert_)
         if args.command == "gauge":
             return _cmd_gauge(cfg, out_dir, args.assert_)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except (FilmHomogError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -52,7 +52,6 @@ class ScenarioConfig:
     thresholds: Thresholds
     green_4pi: bool
     scenario_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def check_tol(tol: float) -> float:
@@ -281,5 +280,4 @@ def build_config(raw: dict) -> ScenarioConfig:
         thresholds=thresholds,
         green_4pi=green_4pi,
         scenario_hash=scenario_hash,
-        raw=raw,
     )

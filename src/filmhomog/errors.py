@@ -5,11 +5,15 @@ class FilmHomogError(Exception):
     """Base class for all library errors."""
 
 
-class NonPositiveJacobian(FilmHomogError):
+class NumericalError(FilmHomogError):
+    """Base class for numerical failures on valid input (CLI exit 3)."""
+
+
+class NonPositiveJacobian(NumericalError):
     """A Jacobian evaluated to <= 1e-14: invalid parameterization or offset."""
 
 
-class DegenerateFrame(FilmHomogError):
+class DegenerateFrame(NumericalError):
     """Surface tangents are (numerically) parallel; no frame exists."""
 
 
@@ -17,7 +21,7 @@ class RegimeMismatch(FilmHomogError):
     """The (l, h) pair is inconsistent with the requested scaling regime."""
 
 
-class SingularEvaluation(FilmHomogError):
+class SingularEvaluation(NumericalError):
     """Kernel evaluation requested at (numerically) coincident points."""
 
 
@@ -25,7 +29,7 @@ class StandoffViolation(FilmHomogError):
     """Observation grid is too close to the film for the requested operation."""
 
 
-class QuadratureNotConverged(FilmHomogError):
+class QuadratureNotConverged(NumericalError):
     """Adaptive quadrature stopped above its tolerance.
 
     Raised when the leaf to split sits at the depth cap.  ``error_estimate``

@@ -299,8 +299,9 @@ class ParametricMap:
 
 
 def _tangent_cross(pmap: ParametricMap, x_p: np.ndarray):
-    """Tangents t1, t2, the components of t1 x t2 and J0 = |t1 x t2| of the
-    mid-surface at x_p; raises DegenerateFrame where the tangents are parallel.
+    """Tangents t1, t2, the components of t1 x t2, J0 = |t1 x t2| of the
+    mid-surface at x_p, and the mask of points where the tangents are
+    (numerically) parallel, so that no frame exists.
 
     J0 = |t1 x t2| equals sqrt(det(Dpsi0^T Dpsi0)) by the Gram identity.  The
     cross product and norms are taken per component, in the operation order
@@ -314,14 +315,15 @@ def _tangent_cross(pmap: ParametricMap, x_p: np.ndarray):
     cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     j0 = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
     scale = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) * np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-    if (j0 <= _FRAME_TOL * np.maximum(scale, 1.0)).any():
-        raise DegenerateFrame("surface tangents are parallel within tolerance")
-    return t1, t2, cross, j0
+    return t1, t2, cross, j0, j0 <= _FRAME_TOL * np.maximum(scale, 1.0)
 
 
 def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
-    """Tangents, unit normal and surface Jacobian of the mid-surface at x_p."""
-    t1, t2, cross, j0 = _tangent_cross(pmap, x_p)
+    """Tangents, unit normal and surface Jacobian of the mid-surface at x_p;
+    raises DegenerateFrame if the tangents are parallel at any point."""
+    t1, t2, cross, j0, degenerate = _tangent_cross(pmap, x_p)
+    if degenerate.any():
+        raise DegenerateFrame("surface tangents are parallel within tolerance")
     normal = np.empty(j0.shape + (3,))
     for k, c in enumerate(cross):
         np.divide(c, j0, out=normal[..., k])

@@ -40,7 +40,9 @@ class MomentTable:
 
     Rows follow the tessellation: full cells, then partial cells, each by
     ascending lattice index.  q, p_p and p3 (per unit area) are defined on
-    full rows and sigma on partial rows; the other entries are NaN.
+    full rows and sigma on partial rows; the other entries are NaN, and so
+    are all four on rows whose corner has no surface frame (parallel
+    tangents, e.g. on the axis of a polar disk).
     """
 
     indices: np.ndarray  # (N, 2) int lattice indices
@@ -56,7 +58,9 @@ class MomentTable:
 
 
 def _j0_at(pmap: ParametricMap, x_p: np.ndarray) -> np.ndarray:
-    return _tangent_cross(pmap, x_p)[3]
+    """J0 at x_p, NaN where the tangents are parallel (moments undefined there)."""
+    *_, j0, degenerate = _tangent_cross(pmap, x_p)
+    return np.where(degenerate, np.nan, j0)
 
 
 def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional[float]):
@@ -124,7 +128,8 @@ class MomentFields:
     """Closed-form continuum moment fields plus the boundary charge.
 
     The *_weighted callables are premultiplied by J0 (exact catalog sums with
-    no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map.
+    no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map
+    (NaN where the map has no frame).
     ``boundary_charge`` maps each edge name to its limit line density per
     unit parameter length, a callable on parameter points (..., 2) like the
     bulk fields.  ``has_free_charge`` is False when ``charge_weighted`` is

@@ -52,6 +52,7 @@ from .moments import MomentFields
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle, adaptive_segment
 
 _SINGULAR_DIST = 1e-12
+TAYLOR_STANDOFF = 10.0  # asymptotic regime: standoff >= TAYLOR_STANDOFF * max(l, h)
 # standoff branch and bound: coarse cells per parameter axis; levels of
 # splits past them (about sqrt(eps) of T per axis on square cells); the most
 # live (point, cell) pairs of one pass, which bounds its memory; the share of
@@ -360,7 +361,7 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
 def direct_potential(
     dist: ScaledChargeDistribution,
     grid: ObservationGrid,
-    standoff_factor: float = 10.0,
+    standoff_factor: float = TAYLOR_STANDOFF,
 ) -> FieldSample:
     """Exact Green's sum of all realized charges at every observation point.
 

@@ -28,7 +28,14 @@ from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap, surface_frame
 from .lattice import _UNIT_SQUARE, UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
-from .potential import FieldSample, ObservationGrid, direct_potential, green_sums, homogenized_potential
+from .potential import (
+    TAYLOR_STANDOFF,
+    FieldSample,
+    ObservationGrid,
+    direct_potential,
+    green_sums,
+    homogenized_potential,
+)
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
 DEFAULT_ORDER_THRESHOLD = 0.9
@@ -74,7 +81,7 @@ class ConvergenceStep:
     h: float
     err_max: float
     err_rms: float
-    taylor_ok: bool  # standoff >= 10 * max(l, h) at this step
+    taylor_ok: bool  # standoff >= TAYLOR_STANDOFF * max(l, h) at this step
 
 
 @dataclass
@@ -95,20 +102,6 @@ class ConvergenceReport:
     @property
     def converged(self) -> bool:
         return self.errors_decrease and self.fitted_order >= self.order_threshold
-
-    def summary(self) -> dict:
-        return {
-            "regime": self.regime.label(),
-            "fitted_order": self.fitted_order if math.isfinite(self.fitted_order) else None,
-            "order_threshold": self.order_threshold,
-            "errors_decrease": self.errors_decrease,
-            "decay_ok": self.decay_ok,
-            "converged": self.converged,
-            "steps": [
-                {"l": s.l, "h": s.h, "err_max": s.err_max, "err_rms": s.err_rms, "taylor_ok": s.taylor_ok}
-                for s in self.steps
-            ],
-        }
 
 
 def fit_order(ls: Sequence[float], errors: Sequence[float]) -> float:
@@ -184,7 +177,7 @@ def run_convergence(
                 h=h,
                 err_max=float(np.max(np.abs(diff))),
                 err_rms=float(np.sqrt(np.mean(diff**2))),
-                taylor_ok=grid.standoff >= 10.0 * max(l, h),
+                taylor_ok=grid.standoff >= TAYLOR_STANDOFF * max(l, h),
             )
         )
         micro_samples.append(sample)
@@ -254,8 +247,6 @@ def rebin_motif(
 
 @dataclass
 class GaugeReport:
-    choice_a: UnitCellChoice
-    choice_b: UnitCellChoice
     moments_a: MomentTable
     moments_b: MomentTable
     field_a: FieldSample
@@ -263,13 +254,6 @@ class GaugeReport:
     max_moment_diff: float
     max_potential_diff: float
     atoms_consistent: bool
-
-    def summary(self) -> dict:
-        return {
-            "max_moment_diff": self.max_moment_diff,
-            "max_potential_diff": self.max_potential_diff,
-            "atoms_consistent": self.atoms_consistent,
-        }
 
 
 def _atoms_match(a: ScaledChargeDistribution, b: ScaledChargeDistribution, tol: float = 1e-12) -> bool:
@@ -324,13 +308,11 @@ def run_gauge(
 
     rows_a = moment_table(tess_a, motif, pmap)
     rows_b = moment_table(tess_b, motif_b, pmap)
-    full = rows_b.is_full
-    diffs = np.linalg.norm(fields_a.p_p(rows_b.corners[full]) - rows_b.p_p[full], axis=-1)
+    defined = ~np.isnan(rows_b.p_p[:, 0])  # full rows with a surface frame at the corner
+    diffs = np.linalg.norm(fields_a.p_p(rows_b.corners[defined]) - rows_b.p_p[defined], axis=-1)
     max_moment = float(np.max(diffs, initial=0.0))
     max_potential = float(np.max(np.abs(field_a.values - field_b.values)))
     return GaugeReport(
-        choice_a=choice_a,
-        choice_b=choice_b,
         moments_a=rows_a,
         moments_b=rows_b,
         field_a=field_a,

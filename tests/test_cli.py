@@ -4,12 +4,17 @@ from pathlib import Path
 
 import pytest
 
+from filmhomog import cli, errors
 from filmhomog.cli import main
 from filmhomog.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+LIBRARY_ERRORS = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.FilmHomogError)),
+    key=lambda c: c.__name__,
+)
 DIPOLE_POINTS = [
     {"w": 1.0, "y": [0.75, 0.5], "z": 0.0},
     {"w": -1.0, "y": [0.25, 0.5], "z": 0.0},
@@ -217,6 +222,30 @@ class TestMoments:
         """
         assert main(["moments", "--config", str(CONFIGS / "gauge_half_shift.json"), "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).read_bytes() == (GOLDEN / "gauge_half_shift" / name).read_bytes()
+
+
+    def test_polar_disk_axis_rows_are_empty(self, tmp_path):
+        """J0 vanishes on the x1 = 0 axis: those rows are undefined, not a numerical failure."""
+        payload = json.loads((CONFIGS / "gauge_half_shift.json").read_text())
+        payload["map"] = {"kind": "disk", "radius": 1.0}
+        payload["grid"] = {"kind": "plane", "n": [3, 3], "extent": [[-0.5, -0.5], [0.5, 0.5]], "height": 1.0}
+        cfg = write_config(tmp_path, payload)
+        for command in ("moments", "gauge"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        paths = [*(tmp_path / "moments").glob("moments*.csv"), *(tmp_path / "gauge").glob("gauge_moments_*.csv")]
+        assert len(paths) == 4
+        axis_rows = 0
+        for path in paths:
+            for row in read_table(path)[2]:
+                if float(row[2]) == 0.0:  # corner on the axis
+                    assert row[5:] == [""] * 5, (path.name, row)
+                    axis_rows += 1
+                else:
+                    defined = row[5:9] if row[4] == "full" else row[9:]
+                    assert all(math.isfinite(float(v)) for v in defined), (path.name, row)
+        assert axis_rows > 0
+        summary = json.loads((tmp_path / "gauge" / "summary.json").read_text())
+        assert math.isfinite(summary["max_moment_diff"]) and summary["max_moment_diff"] > 0.0
 
 
 MOMENT_HEADER = "index1,index2,corner_x1,corner_x2,kind,q,p_p1,p_p2,p3,sigma"
@@ -443,6 +472,16 @@ class TestExitCodes:
         )
         assert main(["converge", "--config", cfg]) == 2
         assert "config violation: grid: observation points must be a non-empty (M, 3) array" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda c: c.__name__)
+    def test_exit_code_follows_the_error_type(self, tmp_path, r2_config, error, monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("raised inside the study")
+
+        monkeypatch.setattr(cli, "run_convergence", fail)
+        assert main(["converge", "--config", r2_config]) == (3 if issubclass(error, errors.NumericalError) else 2)
+        assert not (tmp_path / "out").exists()
 
 
 class TestGaugeUsageErrors:

@@ -117,7 +117,7 @@ class TestConvergence:
         assert rep.fitted_order != rep.fitted_order or rep.fitted_order < 0.5  # nan or tiny
 
     def test_report_csv_and_summary(self, grid, tmp_path):
-        """The CLI's convergence.csv and summary.json carry the report's steps and summary."""
+        """The CLI's convergence.csv and summary.json carry the report's steps and verdicts."""
         regime = Regime("R2", alpha=1.0)
         sched = make_schedule(regime, l_values=[1 / 4, 1 / 8])
         rep = run_convergence(PLANAR_DIPOLE, IDENT, SQUARE, regime, sched, grid)
@@ -130,10 +130,25 @@ class TestConvergence:
             row = line.split(",")
             assert [float(x) for x in row[:4]] == [s.l, s.h, s.err_max, s.err_rms]
             assert row[4] == str(int(s.taylor_ok))
-        summary = rep.summary()
-        assert set(summary) >= {"regime", "fitted_order", "converged", "steps", "decay_ok"}
-        written = json.loads((out / "summary.json").read_text())
-        assert written == {"scenario": scenario, **summary}
+        assert json.loads((out / "summary.json").read_text()) == {
+            "scenario": scenario,
+            "regime": "R2(alpha=1)",
+            "fitted_order": rep.fitted_order,
+            "order_threshold": rep.order_threshold,
+            "errors_decrease": rep.errors_decrease,
+            "decay_ok": rep.decay_ok,
+            "converged": rep.converged,
+            "steps": [
+                {"l": s.l, "h": s.h, "err_max": s.err_max, "err_rms": s.err_rms, "taylor_ok": s.taylor_ok}
+                for s in rep.steps
+            ],
+        }
+        # one step fits no order: NaN is written as null
+        (tmp_path / "one").mkdir()
+        out, _ = run_cli(tmp_path / "one", "converge", schedule={"l": [1 / 4]})
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fitted_order"] is None and summary["converged"] is False
+        assert [step["l"] for step in summary["steps"]] == [0.25]
 
     def test_r2_mixed_motif_on_cylinder(self):
         """All three source pieces at once (bound charge, edge charge, double
