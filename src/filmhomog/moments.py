@@ -2,7 +2,9 @@
 
 With atomic motifs every moment is an exact finite sum over the cell's
 points, weighted by the modulation at the cell corner and normalized by the
-cell area |det B| and the surface Jacobian at the same corner:
+cell area |det B| and the surface Jacobian J0, at the same corner on full
+cells and, on partial cells, at the centre of the cell's bounding box
+clipped to T (a partial cell's corner often lies outside T):
 
     q     = sum(w) / (l^a h^b |det B| J0)   full cells, free charge of order (a, b)
     p_p   = sum(w * y_param) / (|det B| J0) planar polarization, parameter components
@@ -31,7 +33,7 @@ import numpy as np
 
 from .charge import Motif
 from .geometry import ParametricMap, _tangent_cross
-from .lattice import Tessellation, UnitCellChoice, containment_tol, edge_counts
+from .lattice import _UNIT_SQUARE, Tessellation, UnitCellChoice, containment_tol, edge_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +43,8 @@ class MomentTable:
     Rows follow the tessellation: full cells, then partial cells, each by
     ascending lattice index.  q, p_p and p3 (per unit area) are defined on
     full rows and sigma on partial rows; the other entries are NaN, and so
-    are all four on rows whose corner has no surface frame (parallel
-    tangents, e.g. on the axis of a polar disk).
+    are all four on rows with no surface frame where they are normalized
+    (parallel tangents, e.g. on the axis of a polar disk).
     """
 
     indices: np.ndarray  # (N, 2) int lattice indices
@@ -61,6 +63,17 @@ def _j0_at(pmap: ParametricMap, x_p: np.ndarray) -> np.ndarray:
     """J0 at x_p, NaN where the tangents are parallel (moments undefined there)."""
     *_, j0, degenerate = _tangent_cross(pmap, x_p)
     return np.where(degenerate, np.nan, j0)
+
+
+def _norm_points(tess: Tessellation) -> np.ndarray:
+    """Where each row is normalized by J0: a full cell at its corner, a partial
+    cell at the centre of its bounding box clipped to T (its corner often
+    lies outside T)."""
+    offsets = tess.choice.planar(_UNIT_SQUARE, tess.l)
+    part = tess.corners[tess.n_full :]
+    lo = np.maximum(part + offsets.min(axis=0), tess.domain.lo)
+    hi = np.minimum(part + offsets.max(axis=0), tess.domain.hi)
+    return np.concatenate([tess.corners[: tess.n_full], 0.5 * (lo + hi)])
 
 
 def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional[float]):
@@ -97,7 +110,7 @@ def moment_table(
     Without (l, h) the rows carry the limit values (imbalance enters q only,
     through its stated order).
     """
-    j0 = _j0_at(pmap, tess.corners)
+    j0 = _j0_at(pmap, _norm_points(tess))
     norm = j0 * tess.choice.cell_area
     charge, p_p, p3 = _kept_sums(tess, motif, l, h)
     if l is not None and h is not None:
@@ -133,9 +146,11 @@ class MomentFields:
     ``boundary_charge`` maps each edge name to its limit line density per
     unit parameter length, a callable on parameter points (..., 2) like the
     bulk fields.  ``has_free_charge`` is False when ``charge_weighted`` is
-    identically zero (a motif with no free points), and ``has_normal_moment``
-    when ``pol_normal_weighted`` is (every motif point has w z = 0, e.g. all
-    on the mid-surface).
+    identically zero (a motif with no free points), ``has_bound_charge``
+    when ``div_pol_planar_weighted`` is (every weight of its catalog is 0,
+    e.g. constant-weight motifs), and ``has_normal_moment`` when
+    ``pol_normal_weighted`` is (every motif point has w z = 0, e.g. all on
+    the mid-surface).
     """
 
     pmap: ParametricMap
@@ -145,6 +160,7 @@ class MomentFields:
     div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
     boundary_charge: dict  # edge name -> line density callable
     has_free_charge: bool
+    has_bound_charge: bool
     has_normal_moment: bool
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
@@ -210,5 +226,6 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         div_pol_planar_weighted=_catalog_field(slopes, w / area, np.cos),
         boundary_charge=boundary_charge,
         has_free_charge=bool(free),
+        has_bound_charge=bool(np.any(slopes[:, :4] * (w / area)[:, None] != 0.0)),
         has_normal_moment=bool(np.any(normal != 0.0)),
     )

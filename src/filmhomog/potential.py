@@ -22,7 +22,11 @@ The three limits differ only in the weights (c_q, c_p, c_n):
 
 with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A term whose
 effective weight is 0 (by the table, or because its field is identically
-zero) is skipped, so only the double layer builds surface frames.  The
+zero) is skipped, so only the double layer builds surface frames, and the
+bulk integral does not run at all when its whole density is identically
+zero.  Each integral computes its kernel in buffers it reuses from panel to
+panel, one set per node count, so an integrand's return value is valid only
+until its next call (the quadrature reduces it before then).  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -388,28 +392,52 @@ def direct_potential(
 # ---------------------------------------------------------------------------
 
 
-def _kernel(point: np.ndarray, normal: Optional[np.ndarray], rows: np.ndarray):
-    """G = 1/|r - r'| (N, M) between surface points r' (N, 3) and observation
-    points r as contiguous component rows (3, M); with unit normals nu (N, 3)
-    also dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z), else None.  The
-    squared distance accumulates in place as (dx*dx + dy*dy) + dz*dz."""
-    dx, dy, dz = (row - col[:, None] for row, col in zip(rows, point.T))
-    G = dx * dx
-    t = dy * dy
-    G += t
-    G += np.multiply(dz, dz, out=t)
-    np.sqrt(G, out=G)
-    np.divide(1.0, G, out=G)
-    if normal is None:
-        return G, None
-    for d, n in zip((dx, dy, dz), normal.T):
-        d *= n[:, None]
-    dx += dy
-    dx += dz
-    np.multiply(G, G, out=t)
-    t *= G
-    t *= dx
-    return G, t
+def _kernel(rows: np.ndarray, normals: bool):
+    """The Green kernel towards observation points given as contiguous
+    component rows (3, M), as a function of surface points r' (N, 3) and,
+    with ``normals``, their unit normals nu (N, 3).  It returns G = 1/|r -
+    r'| (N, M), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z) or
+    None; the squared distance accumulates as (dx*dx + dy*dy) + dz*dz.
+
+    Both results are slabs of one buffer per node count N, made on first
+    use with the rows tiled to (3, N, M): the next call with the same N
+    overwrites them.  The points (and normals) are copied across the
+    columns, so every arithmetic step runs on contiguous slabs; a
+    broadcasting ufunc on (64, M) costs about three contiguous ones, a
+    broadcasting copy one.  Per element the arithmetic is the same."""
+    buffers = {}
+
+    def kernel(point, normal=None):
+        n, m = len(point), rows.shape[-1]
+        if n not in buffers:
+            tiled = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, n, m)))
+            buffers[n] = tiled, np.empty((6 if normals else 3, n, m))
+        tiled, out = buffers[n]
+        d = out[:3]
+        np.copyto(d, point.T[:, :, None])
+        np.subtract(tiled, d, out=d)  # dx, dy, dz
+        if normal is not None:
+            terms = out[3:]
+            np.copyto(terms, normal.T[:, :, None])
+            terms *= d
+            dot = terms[0]
+            dot += terms[1]
+            dot += terms[2]
+        d *= d
+        G = d[0]
+        G += d[1]
+        G += d[2]
+        np.sqrt(G, out=G)
+        np.divide(1.0, G, out=G)
+        if normal is None:
+            return G, None
+        dGn = terms[1]
+        np.multiply(G, G, out=dGn)
+        dGn *= G
+        dGn *= dot
+        return G, dGn
+
+    return kernel
 
 
 def _boundary_integral(
@@ -422,11 +450,12 @@ def _boundary_integral(
 ) -> np.ndarray:
     """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``."""
     total = np.zeros(rows.shape[-1])
+    kernel = _kernel(rows, normals=False)
     for edge in pmap.domain.edges():
 
         def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], normal=np.asarray(edge.normal, float)):
             x_p = edge.points(s)
-            G, _ = _kernel(pmap.midsurface(x_p), None, rows)
+            G, _ = kernel(pmap.midsurface(x_p))
             density = rho(x_p) + fields.pol_planar_weighted(x_p) @ normal
             G *= density[:, None]
             return G
@@ -455,29 +484,34 @@ def homogenized_potential(
 ) -> FieldSample:
     """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
 
-    A term the fields do not carry (no free charge, no normal moment) has
-    effective weight 0, and a term of weight 0 is never evaluated.  The edge
-    integrals run only when c_p is non-zero; the bulk integral then takes
-    tol/2 and each edge's integral tol/8 (four edges).  A panel is the
-    mid-surface points, the densities c_q q J0 - c_p div_p(J0 p_p) and c_n
-    p3 J0 once per node, and one :func:`_kernel` call, scaled by them in
-    place.  Only the double layer (c_n != 0) needs the normal, so only then
-    does a panel build its surface frame and dG/dnu'.
+    A term the fields do not carry (no free charge, no bound charge, no
+    normal moment) has effective weight 0, and a term of weight 0 is never
+    evaluated; with all three bulk terms at 0 the bulk integral is skipped
+    (its value would be exactly 0).  The edge integrals run only when c_p is
+    non-zero; the bulk integral then takes tol/2 and each edge's integral
+    tol/8 (four edges).  A panel is the mid-surface points, the densities
+    c_q q J0 - c_p div_p(J0 p_p) and c_n p3 J0 once per node, and one
+    :func:`_kernel` call into the integral's reused buffers, scaled by them
+    in place: the returned array is valid only until the next panel.  Only
+    the double layer (c_n != 0) needs the normal, so only then does a panel
+    build its surface frame and dG/dnu'.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     c_q = c_q if fields.has_free_charge else 0.0
+    c_b = c_p if fields.has_bound_charge else 0.0
     c_n = c_n if fields.has_normal_moment else 0.0
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
+    kernel = _kernel(rows, normals=c_n != 0.0)
 
     def integrand(x_p):
         if c_n != 0.0:
             fr = surface_frame(pmap, x_p)
-            G, dGn = _kernel(fr.point, fr.normal, rows)
+            G, dGn = kernel(fr.point, fr.normal)
         else:
-            G, _ = _kernel(pmap.midsurface(x_p), None, rows)
-        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(len(x_p))
-        if c_p != 0.0:
-            density -= c_p * fields.div_pol_planar_weighted(x_p)
+            G, _ = kernel(pmap.midsurface(x_p))
+        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)  # broadcasts over the nodes
+        if c_b != 0.0:
+            density = density - c_b * fields.div_pol_planar_weighted(x_p)
         G *= density[:, None]
         if c_n != 0.0:
             dGn *= (c_n * fields.pol_normal_weighted(x_p))[:, None]
@@ -485,8 +519,10 @@ def homogenized_potential(
         return G
 
     dom = pmap.domain
-    bulk_tol = 0.5 * tol if c_p != 0.0 else tol
-    values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
+    values = np.zeros(grid.n_points)
+    if c_q != 0.0 or c_b != 0.0 or c_n != 0.0:
+        bulk_tol = 0.5 * tol if c_p != 0.0 else tol
+        values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
     if c_p != 0.0:
         values = values + _boundary_integral(fields, pmap, rows, c_p, tol / 8, max_depth)
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""

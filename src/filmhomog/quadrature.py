@@ -17,8 +17,13 @@ leaves are split newest first (depth first), so a tolerance out of reach
 meets the cap after a few splits instead of refining breadth first.
 
 Leaves are summed back in nested order, children with axis 0 fastest, so
-results are bitwise reproducible.  Each panel is one integrand call of 8 flat
-nodes (segment) or (64, 2) points (rectangle).  QuadratureNotConverged is
+results are bitwise reproducible.  The 2^d children of a split (and the root
+boxes) get their nodes and weights together, one broadcast each, with the
+arithmetic of one box at a time per element.  Each panel is still one
+integrand call of 8 flat nodes (segment) or (64, 2) points (rectangle), and
+its values are reduced to the panel's estimate before the next call: an
+integrand's return value need only stay valid until its next call, so it may
+return one buffer that it overwrites every time.  QuadratureNotConverged is
 raised only when the leaf to split sits at the depth cap; it names the
 panel, its depth and the value column (observation point) with the largest
 error, and the summed error against ``tol``.
@@ -61,42 +66,50 @@ def _rule(shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _RULES = {shape: _rule(shape) for shape in [(), (2,)]}
 
 
-def _panel(f, lo, hi):
-    """Tensor Gauss estimate of a vector integrand over the box [lo, hi]."""
-    offsets, weights, _ = _RULES[lo.shape]
+def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (K, n, ...) and weights (K, n) of the K boxes [lo[k], hi[k]], one broadcast each.
+
+    Per element the same arithmetic as one box at a time: mid = 0.5 (lo +
+    hi), half = 0.5 (hi - lo), nodes mid + half * offsets, and the rule's
+    weights times the product of the half-widths.
+    """
+    offsets, weights, _ = _RULES[lo.shape[1:]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return (weights * math.prod(half.flat)) @ np.asarray(f(mid + half * offsets))
+    nodes = mid[:, None] + half[:, None] * offsets
+    return nodes, np.multiply.reduce(half.reshape(len(half), -1), axis=1)[:, None] * weights
 
 
-def _adapt(f, boxes, tol, max_depth):
-    """Integrate f over the union of root boxes, unequal or not, each with an equal share of ``tol``."""
-    nkids = 2 ** np.size(boxes[0][0])
+def _adapt(f, lo, hi, tol, max_depth):
+    """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each with an equal share of ``tol``."""
+    masks = _RULES[lo.shape[1:]][2]
+    nkids = len(masks)
     fine = {}  # path (box index, child indices...) -> fine estimate of each live leaf
     errs = {}  # path -> |fine - coarse| per value column
-    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, [(child box, panel)])
+    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, [(child lo, hi, panel)])
     order = count()
 
     def grow(path, lo, hi, share, coarse):
-        masks = _RULES[lo.shape][2]
         mid = 0.5 * (lo + hi)
-        kids = list(zip(np.where(masks, mid, lo), np.where(masks, hi, mid)))
-        parts = [_panel(f, a, b) for a, b in kids]
+        kid_lo, kid_hi = np.where(masks, mid, lo), np.where(masks, hi, mid)
+        parts = [w @ np.asarray(f(x)) for x, w in zip(*_panels(kid_lo, kid_hi))]
         fine[path] = reduce(add, parts)
         errs[path] = err = np.abs(fine[path] - coarse)
-        worst = float(np.max(err))
+        worst = float(err.max())
         if not worst <= share:  # a NaN error is above every share
             if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
                 key = (-worst, next(order))
             else:  # newest first, ahead of every finite error: depth first
                 key = (-math.inf, -next(order))
-            heapq.heappush(heap, (*key, path, lo, hi, share, list(zip(kids, parts))))
+            heapq.heappush(heap, (*key, path, lo, hi, share, list(zip(kid_lo, kid_hi, parts))))
         return err
 
-    share = tol / len(boxes)
-    total = reduce(add, [grow((i,), a, b, share, _panel(f, a, b)) for i, (a, b) in enumerate(boxes)])
+    nroots = len(lo)
+    share = tol / nroots
+    roots = zip(lo, hi, *_panels(lo, hi))
+    total = reduce(add, [grow((i,), a, b, share, w @ np.asarray(f(x))) for i, (a, b, x, w) in enumerate(roots)])
     while heap:
-        if not tol < np.max(total) < math.inf or len(heap[0][2]) > max_depth:
+        if not tol < total.max() < math.inf or len(heap[0][2]) > max_depth:
             # before stopping or failing at the cap, re-sum: no drift of the running updates, no inf - inf
             total = reduce(add, errs.values())
             if np.max(total) <= tol:
@@ -113,14 +126,14 @@ def _adapt(f, boxes, tol, max_depth):
             )
         del fine[path]
         total = total - errs.pop(path)
-        for k, ((a, b), part) in enumerate(kids):
+        for k, (a, b, part) in enumerate(kids):
             total = total + grow(path + (k,), a, b, share / nkids, part)
 
     # fold the leaves in nested order: deepest sibling groups first, each from child 0
     while (depth := max(map(len, fine))) > 1:
         for parent in sorted({p[:-1] for p in fine if len(p) == depth}):
             fine[parent] = reduce(add, [fine.pop(parent + (k,)) for k in range(nkids)])
-    return reduce(add, [fine[(i,)] for i in range(len(boxes))])
+    return reduce(add, [fine[(i,)] for i in range(nroots)])
 
 
 def adaptive_rectangle(
@@ -132,7 +145,8 @@ def adaptive_rectangle(
 ) -> np.ndarray:
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
-    ``f`` maps parameter points (N, 2) to values (N,) or (N, M); the error
+    ``f`` maps parameter points (N, 2) to values (N,) or (N, M), read
+    before its next call (so they may sit in a reused buffer); the error
     control is on the max-norm across the M columns.  Strongly anisotropic
     rectangles are first cut into near-square boxes, which become the first
     leaves of one global error budget: refinement stops once every value
@@ -146,8 +160,8 @@ def adaptive_rectangle(
     n1 = max(1, int(np.ceil(w[0] / w[1]))) if w[1] > 0 else 1
     n2 = max(1, int(np.ceil(w[1] / w[0]))) if w[0] > 0 else 1
     n = np.array([n1, n2])
-    boxes = [(lo + w * (k / n), lo + w * ((k + 1) / n)) for k in map(np.array, np.ndindex(n1, n2))]
-    return _adapt(f, boxes, tol, max_depth)
+    k = np.array(list(np.ndindex(n1, n2)))
+    return _adapt(f, lo + w * (k / n), lo + w * ((k + 1) / n), tol, max_depth)
 
 
 def adaptive_segment(
@@ -161,4 +175,4 @@ def adaptive_segment(
     Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat.
     """
     s = np.asarray(points, float)
-    return _adapt(f, list(zip(s[:-1], s[1:])), tol, max_depth)
+    return _adapt(f, s[:-1], s[1:], tol, max_depth)

@@ -55,7 +55,7 @@ from filmhomog import (
 from filmhomog.geometry import Edge, Rectangle
 from filmhomog.lattice import UnitCellChoice, cell_index, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
-from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, _panel, adaptive_rectangle
+from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
 
 _JACOBIAN_FLOOR = 1e-14
 _DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
@@ -194,6 +194,7 @@ def prescribed_fields(
         div_pol_planar_weighted=div_pol_planar_weighted,
         boundary_charge=densities,
         has_free_charge=q is not None,
+        has_bound_charge=p_p is not None,
         has_normal_moment=p3 is not None,
     )
 
@@ -408,6 +409,14 @@ def fsum_potential(dist: ScaledChargeDistribution, grid: ObservationGrid) -> lis
         math.fsum((dist.magnitudes / np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))).tolist())
         for p in grid.points
     ]
+
+
+def _panel(f, lo, hi):
+    """Tensor Gauss estimate of a vector integrand over the box [lo, hi], one box at a time."""
+    offsets, weights, _ = _RULES[lo.shape]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (weights * math.prod(half.flat)) @ np.asarray(f(mid + half * offsets))
 
 
 def _adapt(f, lo, hi, tol, depth, max_depth, coarse=None):

@@ -118,6 +118,28 @@ class TestPartialCellSigma:
         assert flat.sigma[row] == pytest.approx(-1.0)
         assert moment_table(t, PLANAR_DIPOLE, stretched).sigma[row] == pytest.approx(-0.5)
 
+    def test_polar_disk_partial_rows_are_normalized_inside_the_domain(self):
+        """Half-shifted cells on the polar disk (J0 = x1) have corners at x1 = -l/2, outside T:
+        sigma divides by J0 at the centre of the cell's bounding box clipped to T, never at the
+        corner (where it read -1/|x1|)."""
+        disk = ParametricMap.polar_disk(1.0)
+        l = 0.25
+        t = tessellate(disk.domain, l, HALF_SHIFT)
+        table = moment_table(t, PLANAR_DIPOLE, disk)
+        kept = moment_table(t, PLANAR_DIPOLE, ParametricMap.identity(disk.domain)).sigma  # J0 = 1: the kept charge
+        partial = ~table.is_full
+        behind = partial & (table.corners[:, 0] < 0.0)
+        assert behind.any()
+        assert np.all(np.isfinite(table.sigma[partial]))
+        assert not np.any(table.sigma[behind] == kept[behind] / np.abs(table.corners[behind, 0]))
+        charged = partial & (kept != 0.0)
+        x1 = kept[charged] / table.sigma[charged]  # J0 = x1 at each row's normalization point
+        assert np.all((x1 > 0.0) & (x1 <= 1.0))
+        c1 = table.corners[charged, 0]
+        centre = 0.5 * (np.maximum(c1, 0.0) + np.minimum(c1 + l, 1.0))
+        np.testing.assert_allclose(x1, centre, rtol=1e-15, atol=0.0)
+
+
 
 def density(fields, name, s=(0.1, 0.5, 0.9)):
     """An edge's boundary line density at arc coordinates ``s``."""
@@ -399,8 +421,13 @@ class TestMomentTable:
         table = moment_table(t, motif, cyl, l=l, h=h)
         entries = [(p, 1.0) for p in motif.points] + [(p, l * h) for p in motif.free_points]
         expected = {name: np.full(len(t.corners), np.nan) for name in ("q", "p1", "p2", "p3", "sigma")}
+        cell = l * (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) @ HALF_SHIFT.basis.T)
+        lo, hi = np.asarray(UNIT.lo), np.asarray(UNIT.hi)
         for k, corner in enumerate(t.corners):
-            j0 = float(surface_frame(cyl, corner).j0)
+            # partial cells: J0 at the centre of the cell's bounding box clipped to T
+            box = corner + cell
+            at = corner if k < t.n_full else 0.5 * (np.maximum(box.min(0), lo) + np.minimum(box.max(0), hi))
+            j0 = float(surface_frame(cyl, at).j0)
             charge, p_p, p3 = 0.0, np.zeros(2), 0.0
             for pt, scale in entries:
                 y = HALF_SHIFT.basis @ np.asarray(pt.y)

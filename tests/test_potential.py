@@ -538,6 +538,38 @@ class TestSkippedTerms:
         monkeypatch.setattr(potential, "surface_frame", no_frame)
         assert homogenized_potential(fields, regime, pmap, grid).values.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("pmap, regime, points", FLAT_CASES)
+    def test_no_bound_charge_skips_the_bulk_and_changes_no_bit(self, monkeypatch, pmap, regime, points):
+        fields = moment_fields(PLANAR_DIPOLE, SQUARE, pmap, 0.25)  # constant weights: no bulk density at all
+        assert not (fields.has_bound_charge or fields.has_free_charge or fields.has_normal_moment)
+        grid = ObservationGrid.from_points(points, pmap)
+        full = homogenized_potential(dataclasses.replace(fields, has_bound_charge=True), regime, pmap, grid).values
+
+        def no_bulk(*args, **kwargs):
+            raise AssertionError("bulk integral of an identically zero density")
+
+        monkeypatch.setattr(potential, "adaptive_rectangle", no_bulk)
+        assert homogenized_potential(fields, regime, pmap, grid).values.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            (PLANAR_DIPOLE.points, False),
+            (MIXED.points, False),
+            (PLANAR_FREE.points, True),
+            ((MotifPoint(1.0, (0.75, 0.5), 0.0, Modulation("linear", 1.0, (0.5, 0.0))),), True),
+            ((MotifPoint(1.0, (0.75, 0.5), 0.0, Modulation("linear", 1.0, (0.0, 0.5))),), True),
+            ((MotifPoint(1.0, (0.75, 0.5), 0.0, Modulation("linear", 1.0, (0.5, -0.75))),), False),  # b . B y = 0
+            ((MotifPoint(1.0, (0.75, 0.5), 0.0, Modulation("sinusoid", 2.0, (0.0, 0.0), 0.4)),), False),
+            ((MotifPoint(1.0, (0.0, 0.0), 0.0, _WAVE),), False),  # no arm: grad m . B y = 0
+        ],
+    )
+    def test_bound_charge_flag(self, points, expected):
+        fields = moment_fields(Motif(points=points), SQUARE, IDENT, 0.25)
+        assert fields.has_bound_charge is expected
+        x = np.random.default_rng(8).uniform(-1.0, 2.0, (50, 2))
+        assert np.all(fields.div_pol_planar_weighted(x) == 0.0) is not expected
+
     @pytest.mark.parametrize(
         "regime, pmap",
         [(Regime("R3"), IDENT), (Regime("R2", alpha=1.0), IDENT), (Regime("R2", alpha=1.0), CYLINDER)],
@@ -656,14 +688,29 @@ class TestComponentwiseDistances:
         obs = rng.uniform(-1.0, 2.0, (37, 3))
         fr = surface_frame(self.CYL, x_p)
         rows = np.ascontiguousarray(obs.T)
-        G, dGn = _kernel(fr.point, fr.normal, rows)
+        G, dGn = _kernel(rows, normals=True)(fr.point, fr.normal)
         diff = obs[None, :, :] - fr.point[:, None, :]
         G_ref = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1))
         np.testing.assert_array_equal(G, G_ref)
         np.testing.assert_array_equal(dGn, G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1))
-        G_only, none = _kernel(fr.point, None, rows)
+        G_only, none = _kernel(rows, normals=False)(fr.point)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
+
+    def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
+        """One kernel over several panels and node counts gives the bytes of a fresh kernel per
+        panel; the next call with the same node count overwrites the previous result."""
+        rng = np.random.default_rng(4)
+        rows = np.ascontiguousarray(rng.uniform(-1.0, 2.0, (9, 3)).T)
+        kernel = _kernel(rows, normals=True)
+        results = []
+        for n in (64, 8, 64):
+            fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
+            G, dGn = kernel(fr.point, fr.normal)
+            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, fr.normal)
+            assert G.tobytes() == G_ref.tobytes() and dGn.tobytes() == dGn_ref.tobytes()
+            results.append(G)
+        assert np.shares_memory(results[0], results[2]) and not np.shares_memory(results[0], results[1])
 
 
 def _on_cylinder(rho, phi, z):

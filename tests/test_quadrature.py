@@ -221,6 +221,29 @@ class TestCallContract:
         assert set(shapes) == {(8,)}
         assert len(shapes) == 79  # root + 2 child panels for each of 39 leaves, 19 of them split
 
+    @pytest.mark.parametrize(
+        "engine, f, lo, hi, tol",
+        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 1e-9), (segment, kernel_1d, 0.0, 1.0, 1e-10)],
+        ids=["rectangle", "segment"],
+    )
+    def test_a_returned_buffer_may_be_overwritten_by_the_next_call(self, engine, f, lo, hi, tol):
+        """Each call's values are reduced before the next call, so an integrand may return one
+        buffer that every call overwrites."""
+        buffer = np.empty(0)
+
+        def reused(x):
+            nonlocal buffer
+            values = f(x)
+            if buffer.shape != values.shape:
+                buffer = np.empty_like(values)
+            np.copyto(buffer, values)
+            return buffer
+
+        g, calls = recorded(reused)
+        value = engine(g, lo, hi, tol=tol)
+        assert len(calls) > 5
+        assert value.tobytes() == engine(f, lo, hi, tol=tol).tobytes()
+
 
 class TestGlobalBudget:
     """Against the depth-first recursion that splits every box above its share tol / 2^depth."""
