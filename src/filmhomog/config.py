@@ -238,11 +238,15 @@ def build_config(raw: dict) -> ScenarioConfig:
 
     max_depth = attempt("quadrature", build_max_depth)
 
-    th_spec = raw.get("thresholds", {})
-    thresholds = attempt(
-        "thresholds",
-        lambda: Thresholds(**{f.name: float(th_spec.get(f.name, f.default)) for f in fields(Thresholds)}),
-    )
+    def build_thresholds():
+        spec = raw.get("thresholds", {})
+        values = {f.name: float(spec.get(f.name, f.default)) for f in fields(Thresholds)}
+        nan = [name for name, value in values.items() if math.isnan(value)]
+        if nan:
+            raise ValueError(f"{', '.join(nan)} must not be NaN (every comparison with NaN is false)")
+        return Thresholds(**values)
+
+    thresholds = attempt("thresholds", build_thresholds)
 
     def build_out_dir():
         spec = raw.get("output", {})

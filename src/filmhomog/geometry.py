@@ -26,6 +26,10 @@ _FRAME_TOL = 1e-12
 _VALIDITY_SAMPLES = 200  # sampled points per validity check, from a fixed seed
 
 
+def _identity(x: np.ndarray) -> np.ndarray:
+    return np.array(x, float, copy=True)
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned parameter rectangle [lo1, hi1] x [lo2, hi2]."""
@@ -142,15 +146,12 @@ class ParametricMap:
         """Flat film: psi = id, mid-surface is T x {0}."""
         eye = np.eye(3)
 
-        def mapping(x):
-            return np.array(x, float, copy=True)
-
         def differential(x):
             D = np.empty(np.shape(x)[:-1] + (3, 3))
             D[...] = eye
             return D
 
-        return cls(domain, mapping, differential, lipschitz=1.0)
+        return cls(domain, _identity, differential, lipschitz=1.0)
 
     @classmethod
     def cylinder(cls, domain: Rectangle, radius: float, h_max: Optional[float] = None) -> "ParametricMap":
@@ -242,12 +243,14 @@ class ParametricMap:
     # ---------------- evaluation ----------------
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """psi at 3D parameter points (..., 3)."""
+        """psi at 3D parameter points (..., 3); on the identity map a copy of x."""
         return self._map(np.asarray(x, float))
 
     def midsurface(self, x_p: np.ndarray) -> np.ndarray:
-        """psi0 at planar parameter points (..., 2)."""
-        return self.evaluate(self._embed(x_p))
+        """psi0 at planar parameter points (..., 2); on the identity map the
+        embedded points (x1, x2, 0) themselves, a new array with no second copy."""
+        x = self._embed(x_p)
+        return x if self._map is _identity else self.evaluate(x)
 
     def differential(self, x: np.ndarray) -> np.ndarray:
         """D psi as (..., 3, 3) at 3D parameter points."""

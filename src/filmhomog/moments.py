@@ -26,7 +26,7 @@ phi_k), so each field is a fixed weight vector against [1, x, sin Theta]
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -150,7 +150,8 @@ class MomentFields:
     when ``div_pol_planar_weighted`` is (every weight of its catalog is 0,
     e.g. constant-weight motifs), and ``has_normal_moment`` when
     ``pol_normal_weighted`` is (every motif point has w z = 0, e.g. all on
-    the mid-surface).
+    the mid-surface).  ``catalogs`` holds the catalog rows, weights and trig
+    of the bulk fields :func:`moment_fields` builds, for :meth:`folded`.
     """
 
     pmap: ParametricMap
@@ -162,9 +163,24 @@ class MomentFields:
     has_free_charge: bool
     has_bound_charge: bool
     has_normal_moment: bool
+    catalogs: dict = field(default_factory=dict, repr=False)  # bulk field name -> (rows, weights, trig)
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
+
+    def folded(self, name: str, factor: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> ``factor`` times the bulk field ``name`` at x.
+
+        A catalog field folds ``factor`` into its weights, so a call is one
+        catalog evaluation; its values equal the field's times ``factor``
+        bitwise when the factor is a power of two, and within 2 ulp of the
+        terms' scale otherwise.  Other callables are evaluated, then scaled.
+        """
+        if name in self.catalogs:
+            rows, weights, trig = self.catalogs[name]
+            return _catalog_field(rows, factor * weights, trig)
+        bulk = getattr(self, name)
+        return lambda x_p: factor * bulk(x_p)
 
 
 def _catalog(points) -> np.ndarray:
@@ -181,17 +197,27 @@ def _catalog(points) -> np.ndarray:
 def _catalog_field(rows: np.ndarray, weights: np.ndarray, trig=np.sin) -> Callable[[np.ndarray], np.ndarray]:
     """x -> sum_k weights_k (a_k + b_k.x + v_k trig(Theta_k)), Theta = x C^T + phi,
     for catalog ``rows`` (K, 7) and weights (K,) or (K, 2): one fixed weight
-    vector against [1, x, trig Theta], so one small matmul and one trig per call."""
+    vector against [1, x, trig Theta], so one small matmul and one trig per call.
+
+    The linear term x.lin is left out when lin is all zero (always for the
+    bound-charge divergence) and the constant when it is 0 (sinusoids
+    only): adding them would change no value but the sign of a zero sum."""
     const, lin, amp = rows[:, 0] @ weights, rows[:, 1:3].T @ weights, (rows[:, 3] * weights.T).T
     freq, phase = rows[:, 4:6].T, rows[:, 6]
+    has_lin, has_const = bool(np.any(lin != 0.0)), bool(np.any(const != 0.0))
 
-    def field(x_p):
+    def at(x_p):
         x = np.asarray(x_p, float)
         theta = x @ freq
         theta += phase
-        return trig(theta, out=theta) @ amp + x @ lin + const
+        value = trig(theta, out=theta) @ amp
+        if has_lin:
+            value += x @ lin
+        if has_const:
+            value += const
+        return value
 
-    return field
+    return at
 
 
 def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> MomentFields:
@@ -218,14 +244,18 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         boundary_charge[edge.name] = _catalog_field(rows, counts * w / period)
     free = motif.free_points
     normal = w * np.array([pt.z for pt in motif.points], float)
+    catalogs = {
+        "charge_weighted": (_catalog(free), np.array([pt.w for pt in free], float) / area, np.sin),
+        "pol_planar_weighted": (rows, w[:, None] * arms / area, np.sin),
+        "pol_normal_weighted": (rows, normal / area, np.sin),
+        "div_pol_planar_weighted": (slopes, w / area, np.cos),
+    }
     return MomentFields(
         pmap=pmap,
-        charge_weighted=_catalog_field(_catalog(free), np.array([pt.w for pt in free], float) / area),
-        pol_planar_weighted=_catalog_field(rows, w[:, None] * arms / area),
-        pol_normal_weighted=_catalog_field(rows, normal / area),
-        div_pol_planar_weighted=_catalog_field(slopes, w / area, np.cos),
+        **{name: _catalog_field(*catalog) for name, catalog in catalogs.items()},
         boundary_charge=boundary_charge,
         has_free_charge=bool(free),
         has_bound_charge=bool(np.any(slopes[:, :4] * (w / area)[:, None] != 0.0)),
         has_normal_moment=bool(np.any(normal != 0.0)),
+        catalogs=catalogs,
     )

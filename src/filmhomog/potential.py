@@ -362,19 +362,15 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
     return values
 
 
-def direct_potential(
-    dist: ScaledChargeDistribution,
-    grid: ObservationGrid,
-    standoff_factor: float = TAYLOR_STANDOFF,
-) -> FieldSample:
+def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, standoff_factor: float) -> FieldSample:
     """Exact Green's sum of all realized charges at every observation point.
 
     :func:`green_sums` reduces each point by error-free extraction, so values
     are exactly rounded: bitwise equal to one math.fsum per point, and
     independent of the block size and of the charge enumeration order.
     ``standoff_factor`` guards the asymptotic regime (standoff >= factor *
-    max(l, h)); convergence studies pass 0 to evaluate coarse steps on
-    purpose.
+    max(l, h)); :data:`TAYLOR_STANDOFF` is the Taylor regime's factor, and
+    convergence studies pass 0 to evaluate coarse steps on purpose.
     """
     limit = standoff_factor * max(dist.l, dist.h)
     if grid.standoff < limit:
@@ -448,7 +444,12 @@ def _boundary_integral(
     tol: float,
     max_depth: int,
 ) -> np.ndarray:
-    """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``."""
+    """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``.
+
+    The polarization is evaluated as a planar vector and then dotted with the
+    edge's outward normal.  Folding the axis-aligned normal into its catalog
+    weights would save that product, but turns the catalog's matrix product
+    into a matrix-vector one, which numpy's BLAS rounds differently."""
     total = np.zeros(rows.shape[-1])
     kernel = _kernel(rows, normals=False)
     for edge in pmap.domain.edges():
@@ -489,12 +490,15 @@ def homogenized_potential(
     evaluated; with all three bulk terms at 0 the bulk integral is skipped
     (its value would be exactly 0).  The edge integrals run only when c_p is
     non-zero; the bulk integral then takes tol/2 and each edge's integral
-    tol/8 (four edges).  A panel is the mid-surface points, the densities
-    c_q q J0 - c_p div_p(J0 p_p) and c_n p3 J0 once per node, and one
-    :func:`_kernel` call into the integral's reused buffers, scaled by them
-    in place: the returned array is valid only until the next panel.  Only
-    the double layer (c_n != 0) needs the normal, so only then does a panel
-    build its surface frame and dG/dnu'.
+    tol/8 (four edges).  A panel is the mid-surface points, each density
+    once per node, and one :func:`_kernel` call into the integral's reused
+    buffers, scaled by them in place: the returned array is valid only
+    until the next panel.  Each density term is one catalog evaluation with
+    its weight folded in (:meth:`MomentFields.folded`): c_q q J0 and
+    -c_p div_p(J0 p_p), summed when both run, and c_n p3 J0.  Only the
+    double layer (c_n != 0) needs the normal, so only then does a panel
+    build its surface frame and dG/dnu'; a panel with no single layer
+    returns dG/dnu' c_n p3 J0 itself.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     c_q = c_q if fields.has_free_charge else 0.0
@@ -502,19 +506,23 @@ def homogenized_potential(
     c_n = c_n if fields.has_normal_moment else 0.0
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
     kernel = _kernel(rows, normals=c_n != 0.0)
+    single = [fields.folded(name, c) for name, c in (("charge_weighted", c_q), ("div_pol_planar_weighted", -c_b)) if c]
+    double = fields.folded("pol_normal_weighted", c_n) if c_n != 0.0 else None
 
     def integrand(x_p):
-        if c_n != 0.0:
+        if double is None:
+            G, _ = kernel(pmap.midsurface(x_p))
+        else:
             fr = surface_frame(pmap, x_p)
             G, dGn = kernel(fr.point, fr.normal)
-        else:
-            G, _ = kernel(pmap.midsurface(x_p))
-        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)  # broadcasts over the nodes
-        if c_b != 0.0:
-            density = density - c_b * fields.div_pol_planar_weighted(x_p)
+            dGn *= double(x_p)[:, None]
+            if not single:
+                return dGn
+        density = single[0](x_p)
+        if len(single) == 2:
+            density += single[1](x_p)
         G *= density[:, None]
-        if c_n != 0.0:
-            dGn *= (c_n * fields.pol_normal_weighted(x_p))[:, None]
+        if double is not None:
             G += dGn
         return G
 

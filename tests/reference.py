@@ -24,6 +24,10 @@ brute-force constructions the acceptance criteria and unit tests use.
   cells of a tessellation, which the closed form must reproduce.
 - ``fsum_potential``: the exactly rounded Green's sum, one ``math.fsum`` per
   observation point.
+- ``unfolded_bulk_integrand`` / ``unfolded_edge_integrand``: the panel
+  integrands of ``homogenized_potential`` with every density evaluated from
+  the public field callables and then scaled by its regime weight, which the
+  folded catalog evaluations must reproduce.
 - ``recursive_rectangle`` / ``recursive_segment``: adaptive Gauss quadrature
   that splits every box whose error is above its share tol / 2^depth, depth
   first.  The global-budget engine's tree is a subtree of this one, and its
@@ -55,6 +59,7 @@ from filmhomog import (
 from filmhomog.geometry import Edge, Rectangle
 from filmhomog.lattice import UnitCellChoice, cell_index, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
+from filmhomog.potential import _LIMIT_WEIGHTS, _kernel
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
 
 _JACOBIAN_FLOOR = 1e-14
@@ -409,6 +414,52 @@ def fsum_potential(dist: ScaledChargeDistribution, grid: ObservationGrid) -> lis
         math.fsum((dist.magnitudes / np.sqrt(np.sum((dist.positions - p) ** 2, axis=-1))).tolist())
         for p in grid.points
     ]
+
+
+def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, points: np.ndarray):
+    """The bulk integrand over observation ``points`` (M, 3): G (c_q q J0 -
+    c_b div_p(J0 p_p)) + c_n dG/dnu' p3 J0 on (N, 2) nodes, each density
+    from its field callable times the regime weight, the single layer built
+    from a zero, and a double layer added to it.  Returns the kernel's
+    buffer, valid until the next call."""
+    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
+    c_q = c_q if fields.has_free_charge else 0.0
+    c_b = c_p if fields.has_bound_charge else 0.0
+    c_n = c_n if fields.has_normal_moment else 0.0
+    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=c_n != 0.0)
+
+    def integrand(x_p):
+        if c_n != 0.0:
+            fr = surface_frame(pmap, x_p)
+            G, dGn = kernel(fr.point, fr.normal)
+        else:
+            G, _ = kernel(pmap.midsurface(x_p))
+        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)
+        if c_b != 0.0:
+            density = density - c_b * fields.div_pol_planar_weighted(x_p)
+        G *= density[:, None]
+        if c_n != 0.0:
+            dGn *= (c_n * fields.pol_normal_weighted(x_p))[:, None]
+            G += dGn
+        return G
+
+    return integrand
+
+
+def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: np.ndarray, edge: Edge):
+    """The edge integrand G (rho + (J0 p_p).n) in arc length ``s`` (N,)
+    along ``edge``, with the polarization dotted with the edge normal
+    after its evaluation.  Returns the kernel's buffer."""
+    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=False)
+    rho, normal = fields.boundary_charge[edge.name], np.asarray(edge.normal, float)
+
+    def integrand(s):
+        x_p = edge.points(s)
+        G, _ = kernel(pmap.midsurface(x_p))
+        G *= (rho(x_p) + fields.pol_planar_weighted(x_p) @ normal)[:, None]
+        return G
+
+    return integrand
 
 
 def _panel(f, lo, hi):

@@ -139,6 +139,14 @@ class TestGauge:
         assert summary["max_moment_diff"] >= 0.1
         assert summary["max_potential_diff"] <= 1e-6
 
+    def test_nan_threshold_is_bad_input(self, tmp_path, capsys):
+        raw = json.loads((CONFIGS / "gauge_half_shift.json").read_text())
+        raw["thresholds"] = {"gauge_phi_tol": float("nan")}
+        raw["output"] = {"dir": str(tmp_path / "out")}
+        assert main(["gauge", "--config", write_config(tmp_path, raw), "--assert"]) == 2
+        assert "gauge_phi_tol must not be NaN" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPotential:
     def test_writes_micro_and_homogenized(self, tmp_path, r2_config):

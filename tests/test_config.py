@@ -81,6 +81,21 @@ class TestParse:
             parse_config(write(tmp_path, payload))
         assert any(v.startswith("quadrature:") for v in err.value.violations)
 
+    @pytest.mark.parametrize("name", ["order_min", "gauge_phi_tol", "gauge_moment_min"])
+    def test_nan_threshold_rejected(self, tmp_path, name):
+        payload = dict(MINIMAL_R2, thresholds={name: float("nan")})
+        with pytest.raises(ValidationError) as err:
+            parse_config(write(tmp_path, payload))
+        assert err.value.violations == [f"thresholds: {name} must not be NaN (every comparison with NaN is false)"]
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_thresholds_kept(self, tmp_path, value):
+        # an infinite threshold compares as usual: -inf order_min, +inf gauge_phi_tol and
+        # -inf gauge_moment_min always pass, and the opposite signs always fail --assert
+        names = ("order_min", "gauge_phi_tol", "gauge_moment_min")
+        cfg = parse_config(write(tmp_path, dict(MINIMAL_R2, thresholds=dict.fromkeys(names, value))))
+        assert [getattr(cfg.thresholds, name) for name in names] == [value] * 3
+
     def test_cylinder_map_and_offset_grid(self, tmp_path):
         payload = dict(MINIMAL_R2)
         payload["map"] = {"kind": "cylinder", "radius": 2.0}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,7 @@ from filmhomog import (
     surface_frame,
     tessellate,
 )
+from filmhomog import moments
 from filmhomog.cli import main
 from filmhomog.config import parse_config
 from reference import edge_line_charge, loop_fields
@@ -294,6 +296,27 @@ class TestCatalogFields:
         for edge in dom.edges():
             on_edge = edge.points(np.linspace(*edge.s_range, 9))
             self.assert_close(fields.boundary_charge[edge.name](on_edge), ref["boundary_charge"][edge.name](on_edge))
+
+    @pytest.mark.parametrize("weights", [np.array([0.5, -2.0, 1.5]), np.array([[0.5, 1.0], [-2.0, 0.25], [1.5, -1.0]])])
+    def test_linear_and_constant_parts_are_added(self, weights):
+        points = [
+            MotifPoint(1.0, (0.5, 0.5), 0.0, Modulation("linear", 0.25, (3.0, -1.5))),
+            MotifPoint(1.0, (0.5, 0.5), 0.0, Modulation("constant", 2.0)),
+            MotifPoint(1.0, (0.5, 0.5), 0.0, Modulation("sinusoid", 0.5, (1.0, 2.0), 0.3)),
+        ]
+        x = np.random.default_rng(6).uniform(-1.0, 2.0, (9, 2))
+        terms = np.stack([pt.modulation(x) for pt in points], axis=-1)  # (9, 3)
+        value = moments._catalog_field(moments._catalog(points), weights)(x)
+        self.assert_close(value, terms @ weights)
+        sinusoid = moments._catalog_field(moments._catalog(points[2:]), weights[2:])(x)  # no linear or constant part
+        self.assert_close(sinusoid, terms[:, 2:] @ weights[2:])
+        assert np.max(np.abs(value - sinusoid)) > 1.0
+
+    def test_folded_callable_without_a_catalog_is_scaled_after_evaluation(self):
+        fields = dataclasses.replace(moment_fields(*CATALOG_MOTIFS["mixed"], IDENT, 1 / 16), catalogs={})
+        x = np.random.default_rng(10).uniform(0.0, 1.0, (8, 2))
+        for name in ("charge_weighted", "pol_planar_weighted", "div_pol_planar_weighted"):
+            assert fields.folded(name, 0.7)(x).tobytes() == (0.7 * getattr(fields, name)(x)).tobytes()
 
 
 class TestBoundaryCharge:

@@ -7,6 +7,7 @@ flat-film formulas.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -38,8 +39,15 @@ from filmhomog import potential
 from filmhomog.cli import main
 from filmhomog.config import parse_config
 from filmhomog.geometry import surface_frame
-from filmhomog.potential import _BLOCK_VALUES, _kernel, _row_sums, green_sums
-from reference import finite_t_double_layer, fsum_potential, prescribed_fields
+from filmhomog.potential import _BLOCK_VALUES, _LIMIT_WEIGHTS, TAYLOR_STANDOFF, _kernel, _row_sums, green_sums
+from filmhomog.quadrature import _panels
+from reference import (
+    finite_t_double_layer,
+    fsum_potential,
+    prescribed_fields,
+    unfolded_bulk_integrand,
+    unfolded_edge_integrand,
+)
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -83,7 +91,7 @@ class TestDirectPotential:
         t = tessellate(UNIT, 1.0, SQUARE)
         mirror = Motif(points=(MotifPoint(+1.0, (0.45, 0.5), 0.0), MotifPoint(-1.0, (0.55, 0.5), 0.0)))
         d = realize(mirror, t, IDENT, 1.0, 0.05, Regime("R1"))
-        sample = direct_potential(d, grid)
+        sample = direct_potential(d, grid, standoff_factor=TAYLOR_STANDOFF)
         assert abs(sample.values[0]) <= 1e-15
 
     def test_against_naive_double_loop(self):
@@ -102,7 +110,7 @@ class TestDirectPotential:
         d = realize(PLANAR_DIPOLE, t, IDENT, 0.25, 0.25, Regime("R2", alpha=1.0))
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], IDENT)
         with pytest.raises(StandoffViolation):
-            direct_potential(d, grid)  # default factor 10: needs standoff >= 2.5
+            direct_potential(d, grid, standoff_factor=TAYLOR_STANDOFF)  # factor 10: needs standoff >= 2.5
         direct_potential(d, grid, standoff_factor=0.0)
 
     def test_grid_on_film_rejected(self):
@@ -608,6 +616,144 @@ class TestSkippedTerms:
         x = np.random.default_rng(7).uniform(-1.0, 2.0, (50, 2))
         if not expected:
             assert np.all(fields.pol_normal_weighted(x) == 0.0)
+
+
+_LINEAR = Modulation(kind="linear", value=1.0, coef=(0.5, -0.25))
+# the motif points of each limit term: free charge (sinusoid and linear),
+# bound charge (sinusoid and linear arms) and a normal moment (constant weights)
+_TERM_MOTIFS = {
+    "free": ((), (MotifPoint(0.5, (0.5, 0.5), 0.3, _WAVE), MotifPoint(-0.2, (0.3, 0.7), 0.0, _LINEAR))),
+    "bound": (
+        (
+            MotifPoint(+1.0, (0.7, 0.4), 0.0, _WAVE),
+            MotifPoint(-1.0, (0.3, 0.6), 0.0, _WAVE),
+            MotifPoint(0.5, (0.8, 0.5), 0.0, _LINEAR),
+            MotifPoint(-0.5, (0.2, 0.5), 0.0, _LINEAR),
+        ),
+        (),
+    ),
+    "normal": ((MotifPoint(0.7, (0.5, 0.5), 0.5), MotifPoint(-0.7, (0.5, 0.5), -0.5)), ()),
+}
+_TERM_SETS = [terms for k in (1, 2, 3) for terms in itertools.combinations(("free", "bound", "normal"), k)]
+DISK = ParametricMap.polar_disk(1.0)
+_FOLD_MAPS = {
+    "identity": (IDENT, [[0.2, 0.7, 0.6], [1.3, 0.4, 0.2], [0.5, 0.5, -0.3]]),
+    "cylinder": (CYLINDER, [[0.0, 0.5, 2.4], [0.3, 0.2, 1.5], [1.9, 0.9, 0.1]]),
+    "disk": (DISK, [[0.2, 0.1, 0.5], [-0.9, 0.6, 0.3], [1.4, -0.2, 0.0]]),
+}
+
+
+def _term_fields(terms, pmap):
+    """Moment fields of the motif that carries exactly the given limit terms."""
+    points = sum((_TERM_MOTIFS[t][0] for t in terms), ())
+    free = sum((_TERM_MOTIFS[t][1] for t in terms), ())
+    fields = moment_fields(Motif(points=points, free_points=free), SQUARE, pmap, 0.25)
+    assert (fields.has_free_charge, fields.has_bound_charge, fields.has_normal_moment) == tuple(
+        t in terms for t in ("free", "bound", "normal")
+    )
+    return fields
+
+
+def _captured_integrands(monkeypatch, fields, regime, pmap, grid):
+    """The bulk integrand (None if the bulk is skipped) and the edge
+    integrands of one homogenized_potential call, captured, not integrated."""
+    captured = {"bulk": None, "edges": []}
+
+    def rectangle(f, lo, hi, **kwargs):
+        captured["bulk"] = f
+        return np.zeros(grid.n_points)
+
+    def segment(f, s_range, **kwargs):
+        captured["edges"].append(f)
+        return np.zeros(grid.n_points)
+
+    monkeypatch.setattr(potential, "adaptive_rectangle", rectangle)
+    monkeypatch.setattr(potential, "adaptive_segment", segment)
+    homogenized_potential(fields, regime, pmap, grid)
+    return captured["bulk"], captured["edges"]
+
+
+def _integrand_pairs(monkeypatch, terms, map_name, regime):
+    """(integrand, unfolded integrand, panel nodes) of the bulk, if it runs,
+    on the domain and four sub-boxes, then of each edge on the whole edge
+    and its two halves; and the fields and grid they integrate."""
+    pmap, points = _FOLD_MAPS[map_name]
+    fields = _term_fields(terms, pmap)
+    grid = ObservationGrid.from_points(points, pmap)
+    bulk, edges = _captured_integrands(monkeypatch, fields, regime, pmap, grid)
+    idle = {"R1": ("normal",), "R3": ("bound",)}.get(regime.kind)  # the one term the regime weights 0
+    assert (bulk is None) == (terms == idle)
+    assert len(edges) == (0 if regime.kind == "R3" else 4)  # R3 has no in-plane term
+    lo, hi = np.asarray(pmap.domain.lo, float), np.asarray(pmap.domain.hi, float)
+    t = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.5], [0.75, 0.75], [0.125, 0.375]])
+    u = np.array([[1.0, 1.0], [1.0, 0.5], [0.5, 1.0], [0.875, 0.875], [0.25, 0.5]])
+    triples = []
+    if bulk is not None:
+        oracle = unfolded_bulk_integrand(fields, regime, pmap, grid.points)
+        triples.append((bulk, oracle, _panels(lo + t * (hi - lo), lo + u * (hi - lo))[0]))
+    for edge, integrand in zip(pmap.domain.edges(), edges):
+        a, b = edge.s_range
+        nodes = _panels(np.array([a, a, 0.5 * (a + b)]), np.array([b, 0.5 * (a + b), b]))[0]
+        triples.append((integrand, unfolded_edge_integrand(fields, pmap, grid.points, edge), nodes))
+    return triples, fields, grid
+
+
+def _abs_terms(fields, name, x):
+    """sum_k |w_k| (|a_k| + |b_k|.|x| + |v_k trig(Theta_k)|) at points x, the
+    scale of the catalog terms that ``fields.folded(name, ...)`` sums."""
+    rows, weights, trig = fields.catalogs[name]
+    wave = np.abs(rows[:, 3] * trig(x @ rows[:, 4:6].T + rows[:, 6]))
+    return (np.abs(rows[:, 0]) + np.abs(x) @ np.abs(rows[:, 1:3]).T + wave) @ np.abs(weights)
+
+
+def _term_scale(fields, regime, pmap, grid, nodes):
+    """Per node and point: G times the weighted scale of the single-layer
+    terms plus |dG/dnu'| times that of the double layer."""
+    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
+    frame = surface_frame(pmap, nodes)
+    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(frame.point, frame.normal)
+    single = np.zeros(len(nodes))
+    if fields.has_free_charge:
+        single += c_q * _abs_terms(fields, "charge_weighted", nodes)
+    if fields.has_bound_charge:
+        single += c_p * _abs_terms(fields, "div_pol_planar_weighted", nodes)
+    scale = G * single[:, None]
+    if fields.has_normal_moment:
+        scale += np.abs(dGn) * (c_n * _abs_terms(fields, "pol_normal_weighted", nodes))[:, None]
+    return scale
+
+
+class TestFoldedIntegrands:
+    """Each density is one catalog evaluation with its regime weight folded
+    in; per panel this reproduces the unfolded integrands of
+    ``reference.py`` bit for bit when the weights are powers of two."""
+
+    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
+    @pytest.mark.parametrize(
+        "regime",
+        [Regime("R1"), Regime("R2", alpha=1.0), Regime("R2", alpha=0.5), Regime("R3")],
+        ids=["R1", "R2-1", "R2-0.5", "R3"],
+    )
+    def test_bitwise_per_panel(self, monkeypatch, terms, map_name, regime):
+        triples, _, _ = _integrand_pairs(monkeypatch, terms, map_name, regime)
+        for integrand, oracle, panels in triples:
+            for nodes in panels:
+                assert integrand(nodes).tobytes() == oracle(nodes).tobytes()
+
+    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
+    def test_within_two_ulps_of_the_term_scale_for_alpha_0_7(self, monkeypatch, terms, map_name):
+        # c = 0.7 and 0.49 round when folded into the weights; the largest
+        # difference measured over these panels is 2.0 ulp of the term scale
+        regime, pmap = Regime("R2", alpha=0.7), _FOLD_MAPS[map_name][0]
+        ((bulk, oracle, panels), *edges), fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
+        for nodes in panels:
+            diff = np.abs(bulk(nodes) - oracle(nodes))
+            assert np.all(diff <= 2.0 * np.spacing(_term_scale(fields, regime, pmap, grid, nodes)))
+        for integrand, oracle, panels in edges:  # the edges fold no weight
+            for nodes in panels:
+                assert integrand(nodes).tobytes() == oracle(nodes).tobytes()
 
 
 class TestBoundaryIntegral:
