@@ -24,8 +24,10 @@ with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A term whose
 effective weight is 0 (by the table, or because its field is identically
 zero) is skipped, so only the double layer builds surface frames, and the
 bulk integral does not run at all when its whole density is identically
-zero.  Each integral computes its kernel in buffers it reuses from panel to
-panel, one set per node count, so an integrand's return value is valid only
+zero.  Each integrand declares its value ``columns`` (one per observation
+point), so the quadrature hands it several panels' nodes per call.  Each
+integral computes its kernel in one buffer it reuses from call to call,
+sized for the largest call, so an integrand's return value is valid only
 until its next call (the quadrature reduces it before then).  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
@@ -395,25 +397,27 @@ def _kernel(rows: np.ndarray, normals: bool):
     r'| (N, M), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z) or
     None; the squared distance accumulates as (dx*dx + dy*dy) + dz*dz.
 
-    Both results are slabs of one buffer per node count N, made on first
-    use with the rows tiled to (3, N, M): the next call with the same N
-    overwrites them.  The points (and normals) are copied across the
-    columns, so every arithmetic step runs on contiguous slabs; a
-    broadcasting ufunc on (64, M) costs about three contiguous ones, a
-    broadcasting copy one.  Per element the arithmetic is the same."""
-    buffers = {}
+    Both results are views of one buffer, with the rows tiled to (3, N, M)
+    beside it: it is made for the first call and made again only for a call
+    with more nodes than it holds, so it is sized for the largest stacked
+    chunk of panels, and the next call overwrites its results.  The points
+    (and normals) are copied across the columns, so every arithmetic step
+    runs on contiguous (N, M) slabs; a broadcasting ufunc on (64, M) costs
+    about three contiguous ones, a broadcasting copy one.  Per element the
+    arithmetic is the same."""
+    tiled = out = np.empty((0, 0, 0))
 
     def kernel(point, normal=None):
+        nonlocal tiled, out
         n, m = len(point), rows.shape[-1]
-        if n not in buffers:
+        if n > tiled.shape[1]:
             tiled = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, n, m)))
-            buffers[n] = tiled, np.empty((6 if normals else 3, n, m))
-        tiled, out = buffers[n]
-        d = out[:3]
+            out = np.empty((6 if normals else 3, n, m))
+        d = out[:3, :n]
         np.copyto(d, point.T[:, :, None])
-        np.subtract(tiled, d, out=d)  # dx, dy, dz
+        np.subtract(tiled[:, :n], d, out=d)  # dx, dy, dz
         if normal is not None:
-            terms = out[3:]
+            terms = out[3:, :n]
             np.copyto(terms, normal.T[:, :, None])
             terms *= d
             dot = terms[0]
@@ -446,21 +450,25 @@ def _boundary_integral(
 ) -> np.ndarray:
     """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``.
 
-    The polarization is evaluated as a planar vector and then dotted with the
-    edge's outward normal.  Folding the axis-aligned normal into its catalog
-    weights would save that product, but turns the catalog's matrix product
-    into a matrix-vector one, which numpy's BLAS rounds differently."""
+    The outward normal is a signed coordinate axis, so (J0 p_p).n is that
+    column of the planar polarization times the sign, exactly the dot
+    product up to the sign of a zero.  Folding the normal into the catalog
+    weights would save evaluating the other column, but turns the catalog's
+    matrix product into a matrix-vector one, which numpy's BLAS rounds
+    differently.  Each integrand declares its value ``columns`` (one per
+    observation point), so the quadrature hands it stacked panels."""
     total = np.zeros(rows.shape[-1])
     kernel = _kernel(rows, normals=False)
     for edge in pmap.domain.edges():
 
-        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], normal=np.asarray(edge.normal, float)):
+        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
             x_p = edge.points(s)
             G, _ = kernel(pmap.midsurface(x_p))
-            density = rho(x_p) + fields.pol_planar_weighted(x_p) @ normal
+            density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
             G *= density[:, None]
             return G
 
+        integrand.columns = rows.shape[-1]
         total += coef * adaptive_segment(integrand, edge.s_range, tol=tol, max_depth=max_depth)
     return total
 
@@ -490,15 +498,17 @@ def homogenized_potential(
     evaluated; with all three bulk terms at 0 the bulk integral is skipped
     (its value would be exactly 0).  The edge integrals run only when c_p is
     non-zero; the bulk integral then takes tol/2 and each edge's integral
-    tol/8 (four edges).  A panel is the mid-surface points, each density
-    once per node, and one :func:`_kernel` call into the integral's reused
-    buffers, scaled by them in place: the returned array is valid only
-    until the next panel.  Each density term is one catalog evaluation with
-    its weight folded in (:meth:`MomentFields.folded`): c_q q J0 and
-    -c_p div_p(J0 p_p), summed when both run, and c_n p3 J0.  Only the
-    double layer (c_n != 0) needs the normal, so only then does a panel
-    build its surface frame and dG/dnu'; a panel with no single layer
-    returns dG/dnu' c_n p3 J0 itself.
+    tol/8 (four edges).  An integrand call takes the nodes of one or more
+    stacked panels (it declares its ``columns``, one per grid point): the
+    mid-surface points, each density once per node, and one :func:`_kernel`
+    call into the integral's reused buffer, scaled by them in place; every
+    step is per node, so each panel's rows are those of a call on it alone.
+    The returned array is valid only until the next call.  Each density
+    term is one catalog evaluation with its weight folded in
+    (:meth:`MomentFields.folded`): c_q q J0 and -c_p div_p(J0 p_p), summed
+    when both run, and c_n p3 J0.  Only the double layer (c_n != 0) needs
+    the normal, so only then does a call build its surface frame and
+    dG/dnu'; a call with no single layer returns dG/dnu' c_n p3 J0 itself.
     """
     c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
     c_q = c_q if fields.has_free_charge else 0.0
@@ -526,6 +536,7 @@ def homogenized_potential(
             G += dGn
         return G
 
+    integrand.columns = grid.n_points
     dom = pmap.domain
     values = np.zeros(grid.n_points)
     if c_q != 0.0 or c_b != 0.0 or c_n != 0.0:

@@ -17,11 +17,21 @@ leaves are split newest first (depth first), so a tolerance out of reach
 meets the cap after a few splits instead of refining breadth first.
 
 Leaves are summed back in nested order, children with axis 0 fastest, so
-results are bitwise reproducible.  The 2^d children of a split (and the root
-boxes) get their nodes and weights together, one broadcast each, with the
-arithmetic of one box at a time per element.  Each panel is still one
-integrand call of 8 flat nodes (segment) or (64, 2) points (rectangle), and
-its values are reduced to the panel's estimate before the next call: an
+results are bitwise reproducible.  A split makes 2^d new leaves, each with
+its 2^d child panels: those 4^d panels get their nodes and weights
+together, one broadcast each, as do the root boxes and then all their
+children, with the arithmetic of one box at a time per element.  The
+leaves are then made one by one in the order of one split at a time, so
+heap keys, creation order and the live-leaf count at each leaf are those of
+evaluating one panel at a time.  A plain integrand is
+called once per panel, on 8 flat nodes (segment) or (64, 2) points
+(rectangle).  An integrand with an int ``columns`` attribute, its values
+per node, is called on the panels' nodes stacked, as many panels per call
+as fit in STACK_PAIRS node x column pairs, and one panel per call when a
+single panel is larger; its values must be those of one call per panel,
+row for row.  Either way each panel's estimate is the same product of its
+weights with its rows, so the tree and the bytes do not depend on the
+stacking.  Values are reduced to panel estimates before the next call: an
 integrand's return value need only stay valid until its next call, so it may
 return one buffer that it overwrites every time.  QuadratureNotConverged is
 raised only when the leaf to split sits at the depth cap; it names the
@@ -49,6 +59,8 @@ DEFAULT_MAX_DEPTH = 12
 # recursion would) instead of worst first: an out-of-reach tolerance then meets
 # the depth cap after a few splits instead of refining breadth first
 BEST_FIRST_LEAVES = 2**12
+# node x value-column pairs per call of an integrand that takes stacked panels
+STACK_PAIRS = 2**15
 
 # 8-point Gauss-Legendre rule on [-1, 1], shared by every panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -80,41 +92,73 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.multiply.reduce(half.reshape(len(half), -1), axis=1)[:, None] * weights
 
 
+def _children(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (K, 2^d, ...) of the 2^d children of each of the K boxes [lo[k], hi[k]]."""
+    mid = 0.5 * (lo + hi)
+    return np.where(masks, mid[:, None], lo[:, None]), np.where(masks, hi[:, None], mid[:, None])
+
+
+def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> list:
+    """The one-shot estimate w @ f(nodes) of each box [lo[k], hi[k]], in order.
+
+    A plain integrand is called once per box.  One with an int ``columns``
+    attribute (its values per node) is called on the boxes' nodes stacked,
+    as many boxes per call as fit in STACK_PAIRS node x column pairs (at
+    least one); each box's estimate is the same product with its rows.
+    """
+    nodes, weights = _panels(lo, hi)
+    n = weights.shape[1]
+    columns = getattr(f, "columns", None)
+    per_call = 1 if columns is None else max(1, STACK_PAIRS // (n * columns))
+    flat = nodes.reshape((-1,) + nodes.shape[2:])
+    parts = []
+    for start in range(0, len(weights), per_call):
+        values = np.asarray(f(flat[start * n : (start + per_call) * n]))
+        parts += [w @ values[j * n : (j + 1) * n] for j, w in enumerate(weights[start : start + per_call])]
+    return parts
+
+
 def _adapt(f, lo, hi, tol, max_depth):
     """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each with an equal share of ``tol``."""
-    masks = _RULES[lo.shape[1:]][2]
+    shape = lo.shape[1:]
+    masks = _RULES[shape][2]
     nkids = len(masks)
     fine = {}  # path (box index, child indices...) -> fine estimate of each live leaf
     errs = {}  # path -> |fine - coarse| per value column
-    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, [(child lo, hi, panel)])
+    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, child lo, hi, estimates)
     order = count()
+    total = 0.0  # summed leaf errors per value column
 
-    def grow(path, lo, hi, share, coarse):
-        mid = 0.5 * (lo + hi)
-        kid_lo, kid_hi = np.where(masks, mid, lo), np.where(masks, hi, mid)
-        parts = [w @ np.asarray(f(x)) for x, w in zip(*_panels(kid_lo, kid_hi))]
-        fine[path] = reduce(add, parts)
-        errs[path] = err = np.abs(fine[path] - coarse)
-        worst = float(err.max())
-        if not worst <= share:  # a NaN error is above every share
-            if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
-                key = (-worst, next(order))
-            else:  # newest first, ahead of every finite error: depth first
-                key = (-math.inf, -next(order))
-            heapq.heappush(heap, (*key, path, lo, hi, share, list(zip(kid_lo, kid_hi, parts))))
-        return err
+    def spawn(path, lo, hi, share, coarse):
+        """Make leaves path + (k,) of the boxes [lo[k], hi[k]], whose one-shot
+        estimates are coarse[k]: all their child panels in one batch, then
+        each leaf in turn, its error added to the total."""
+        nonlocal total
+        kid_lo, kid_hi = _children(lo, hi, masks)
+        parts = _estimates(f, kid_lo.reshape((-1,) + shape), kid_hi.reshape((-1,) + shape))
+        for k in range(len(lo)):
+            kids = parts[k * nkids : (k + 1) * nkids]
+            leaf = path + (k,)
+            fine[leaf] = reduce(add, kids)
+            errs[leaf] = err = np.abs(fine[leaf] - coarse[k])
+            total = total + err
+            worst = float(err.max())
+            if not worst <= share:  # a NaN error is above every share
+                if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
+                    key = (-worst, next(order))
+                else:  # newest first, ahead of every finite error: depth first
+                    key = (-math.inf, -next(order))
+                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], kids))
 
     nroots = len(lo)
-    share = tol / nroots
-    roots = zip(lo, hi, *_panels(lo, hi))
-    total = reduce(add, [grow((i,), a, b, share, w @ np.asarray(f(x))) for i, (a, b, x, w) in enumerate(roots)])
+    spawn((), lo, hi, tol / nroots, _estimates(f, lo, hi))
     while heap:
         if not tol < total.max() < math.inf or len(heap[0][2]) > max_depth:
             # before stopping or failing at the cap, re-sum: no drift of the running updates, no inf - inf
             total = reduce(add, errs.values())
             if np.max(total) <= tol:
                 break
-        _, _, path, lo, hi, share, kids = heapq.heappop(heap)
+        _, _, path, lo, hi, share, kid_lo, kid_hi, kids = heapq.heappop(heap)
         if len(path) > max_depth:
             summed = float(np.max(total))
             raise QuadratureNotConverged(
@@ -126,8 +170,7 @@ def _adapt(f, lo, hi, tol, max_depth):
             )
         del fine[path]
         total = total - errs.pop(path)
-        for k, (a, b, part) in enumerate(kids):
-            total = total + grow(path + (k,), a, b, share / nkids, part)
+        spawn(path, kid_lo, kid_hi, share / nkids, kids)
 
     # fold the leaves in nested order: deepest sibling groups first, each from child 0
     while (depth := max(map(len, fine))) > 1:
@@ -147,7 +190,10 @@ def adaptive_rectangle(
 
     ``f`` maps parameter points (N, 2) to values (N,) or (N, M), read
     before its next call (so they may sit in a reused buffer); the error
-    control is on the max-norm across the M columns.  Strongly anisotropic
+    control is on the max-norm across the M columns.  ``f`` gets one
+    panel's (64, 2) points per call, or, if it has an int attribute
+    ``columns`` (M), several panels' points stacked, up to STACK_PAIRS
+    point x column pairs per call.  Strongly anisotropic
     rectangles are first cut into near-square boxes, which become the first
     leaves of one global error budget: refinement stops once every value
     column's summed leaf error is within ``tol``.  Raises
@@ -172,7 +218,8 @@ def adaptive_segment(
 ) -> np.ndarray:
     """Integrate a vector integrand over [points[0], points[-1]] with a panel break at every point.
 
-    Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat.
+    Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat,
+    or several panels' nodes stacked if it declares ``columns`` (see :func:`adaptive_rectangle`).
     """
     s = np.asarray(points, float)
     return _adapt(f, s[:-1], s[1:], tol, max_depth)

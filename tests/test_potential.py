@@ -35,7 +35,7 @@ from filmhomog import (
     realize,
     tessellate,
 )
-from filmhomog import potential
+from filmhomog import potential, quadrature
 from filmhomog.cli import main
 from filmhomog.config import parse_config
 from filmhomog.geometry import surface_frame
@@ -755,6 +755,36 @@ class TestFoldedIntegrands:
             for nodes in panels:
                 assert integrand(nodes).tobytes() == oracle(nodes).tobytes()
 
+    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
+    @pytest.mark.parametrize(
+        "regime",
+        [Regime("R1"), Regime("R2", alpha=1.0), Regime("R2", alpha=0.5), Regime("R2", alpha=0.7), Regime("R3")],
+        ids=["R1", "R2-1", "R2-0.5", "R2-0.7", "R3"],
+    )
+    def test_stacked_panels_give_the_bytes_of_one_call_per_panel(self, monkeypatch, terms, map_name, regime):
+        # The quadrature hands a declared integrand several panels' nodes at once: the
+        # domain's five panels, then random boxes up to STACK_PAIRS node x point pairs
+        # (the bulk) or 64 panels (an edge, which gets at most 4 per call in a study).
+        # Being the per-panel bytes, the alpha = 0.7 fold differs from the unfolded
+        # integrand as much as per panel: at most 2.0 ulp of the term scale measured on
+        # the five panels, 3.0 ulp on these random boxes.
+        triples, fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
+        rng = np.random.default_rng(11)
+        for integrand, _, panels in triples:
+            assert integrand.columns == grid.n_points
+            n, shape = panels.shape[1], panels.shape[2:]
+            count = quadrature.STACK_PAIRS // (n * grid.n_points) if shape else 64
+            a, b = panels.min(axis=(0, 1)), panels.max(axis=(0, 1))  # inside the domain or the edge
+            lo = a + (b - a) * rng.uniform(0.0, 0.9, (count - len(panels),) + shape)
+            hi = np.minimum(lo + (b - a) * rng.uniform(0.01, 0.5, lo.shape), b)
+            nodes = np.concatenate([panels, _panels(lo, hi)[0]])
+            for joined in (nodes[: len(panels)], nodes):
+                values = integrand(joined.reshape((-1,) + shape)).copy()
+                assert values.shape == (len(joined) * n, grid.n_points)
+                for k, panel in enumerate(joined):
+                    assert values[k * n : (k + 1) * n].tobytes() == integrand(panel).tobytes()
+
 
 class TestBoundaryIntegral:
     def test_smooth_density_against_dense_gauss_sums(self):
@@ -845,18 +875,21 @@ class TestComponentwiseDistances:
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
         """One kernel over several panels and node counts gives the bytes of a fresh kernel per
-        panel; the next call with the same node count overwrites the previous result."""
+        panel; every call writes into one buffer, made again only for more nodes than it holds."""
         rng = np.random.default_rng(4)
         rows = np.ascontiguousarray(rng.uniform(-1.0, 2.0, (9, 3)).T)
         kernel = _kernel(rows, normals=True)
         results = []
-        for n in (64, 8, 64):
+        for n in (64, 8, 64, 1024, 8, 320):
             fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
             G, dGn = kernel(fr.point, fr.normal)
             G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, fr.normal)
+            assert G.flags.c_contiguous and dGn.flags.c_contiguous
             assert G.tobytes() == G_ref.tobytes() and dGn.tobytes() == dGn_ref.tobytes()
             results.append(G)
-        assert np.shares_memory(results[0], results[2]) and not np.shares_memory(results[0], results[1])
+        assert all(np.shares_memory(results[0], G) for G in results[1:3])
+        assert all(np.shares_memory(results[3], G) for G in results[4:])
+        assert not np.shares_memory(results[0], results[3])
 
 
 def _on_cylinder(rho, phi, z):

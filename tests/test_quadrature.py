@@ -56,6 +56,29 @@ def recorded(f):
     return g, calls
 
 
+def root_node_nan(f):
+    """f with NaN at the fourth node of its first call, a node of the first root panel only."""
+    root_node = []
+
+    def g(x):
+        if not root_node:
+            root_node.append(x[3].copy())
+        hit = np.all(x == root_node[0], axis=-1) if x.ndim > 1 else x == root_node[0]
+        return np.where(hit, np.nan, f(x))
+
+    return g
+
+
+# Panel estimates of TestBreakPoints' unequal pieces, from a table as in TestGlobalBudget
+UNEQUAL_PIECES = {(0.0, 0.125): 0.45, (0.25, 0.625): 0.6, (0.25, 0.4375): 0.6}
+
+
+def unequal_pieces(s):
+    """At the 8 nodes of each panel [a, b] in s, its table value over b - a, so its estimate is the table value."""
+    boxes = [segment_box(nodes) for nodes in s.reshape(-1, 8)]
+    return np.repeat([UNEQUAL_PIECES.get(box, 0.0) / (box[1] - box[0]) for box in boxes], 8)
+
+
 def live_leaves(ncalls, d):
     """Live leaves of a one-box tree after ncalls integrand calls: a root panel, 2^d per leaf, 2^d leaves per split."""
     splits = ((ncalls - 1) // 2**d - 1) // 2**d
@@ -151,16 +174,10 @@ class TestBreakPoints:
             adaptive_segment(self.step_exp, (0.0, 1.0), tol=1e-14)
 
     def test_unequal_pieces_get_equal_shares(self):
-        # Panel estimates from a table, as in TestGlobalBudget (tol 1, two roots: share 1/2
-        # each).  [0, 1/4] has error 0.45 and is frozen; [1/4, 1] has error 0.6, above its
-        # share although within a share by length (3/4), so it is split; its halves are exact.
-        integral = {(0.0, 0.125): 0.45, (0.25, 0.625): 0.6, (0.25, 0.4375): 0.6}
-
-        def sampler(s):
-            box = segment_box(s)
-            return np.full(s.shape, integral.get(box, 0.0) / (box[1] - box[0]))
-
-        g, calls = recorded(sampler)
+        # UNEQUAL_PIECES (tol 1, two roots: share 1/2 each).  [0, 1/4] has error 0.45 and is
+        # frozen; [1/4, 1] has error 0.6, above its share although within a share by length
+        # (3/4), so it is split; its halves are exact.
+        g, calls = recorded(unequal_pieces)
         value = adaptive_segment(g, (0.0, 0.25, 1.0), tol=1.0)
         boxes = [segment_box(np.frombuffer(raw)) for raw in calls]
         assert sorted(boxes) == sorted(
@@ -413,15 +430,7 @@ class TestNaN:
     def test_nan_at_a_root_panel_node_only(self, engine, f, lo, hi, tol):
         # the root's one-shot estimate is NaN, its children are finite: after the root split the
         # summed error is finite again, so the run is the one without the NaN, panel for panel
-        root_node = []
-
-        def nan_at_root_node(x):
-            if not root_node:
-                root_node.append(x[3].copy())
-            hit = np.all(x == root_node[0], axis=-1) if x.ndim > 1 else x == root_node[0]
-            return np.where(hit, np.nan, f(x))
-
-        g, calls = recorded(nan_at_root_node)
+        g, calls = recorded(root_node_nan(f))
         clean_g, clean_calls = recorded(f)
         value = engine(g, lo, hi, tol=tol)
         clean_value = engine(clean_g, lo, hi, tol=tol)
@@ -468,3 +477,107 @@ class TestDenseNearFilmGrid:
         assert live_leaves(len(calls), 2) > 2048
         assert len(calls) < len(ref_calls)
         assert np.max(np.abs(value - ref_value)) <= 2e-9
+
+
+def declared(f, columns):
+    """f declared for stacked panels, with ``columns`` values per node, and the list of its calls' inputs."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    g.columns = columns
+    return g, calls
+
+
+def _nasty_columns(p):
+    return 1.0 / (np.abs(p[:, 0, None] - np.array([0.9, 0.37, 0.1])) + 1e-9)
+
+
+_COLUMNS = {kernel_2d: 3, kernel_1d: 3, two_columns_2d: 2}  # values per node; 1 for the others
+
+# name -> (the engine call, a fresh integrand, its values per node): the integrands of
+# TestGlobalBudget, TestBreakPoints, TestNaN, TestOutOfReachTolerance and TestFailureContext
+_STACK_CASES = {
+    **{
+        name: (lambda g, e=engine, lo=lo, hi=hi, tol=tol: e(g, lo, hi, tol=tol), lambda f=f: f, _COLUMNS.get(f, 1))
+        for name, (engine, _, f, lo, hi, tol) in TestGlobalBudget.CASES.items()
+    },
+    "breaks_step": (lambda g: adaptive_segment(g, TestBreakPoints.BREAKS, tol=1e-14), lambda: TestBreakPoints().step_exp, 1),
+    "breaks_jump_at_cap": (lambda g: adaptive_segment(g, (0.0, 1.0), tol=1e-14), lambda: TestBreakPoints().step_exp, 1),
+    "breaks_unequal_pieces": (lambda g: adaptive_segment(g, (0.0, 0.25, 1.0), tol=1.0), lambda: unequal_pieces, 1),
+    "nan_segment": (lambda g: segment(g, 0.0, 1.0), lambda: lambda s: np.where(s > 0.6, np.nan, s), 1),
+    "nan_rectangle": (
+        lambda g: adaptive_rectangle(g, (0, 0), (1, 1)),
+        lambda: lambda p: np.where(p[:, 0] > 0.6, np.nan, p[:, 1]),
+        1,
+    ),
+    "nan_root_node_segment": (lambda g: segment(g, 0.0, 1.0, tol=1e-10), lambda: root_node_nan(peaked_1d), 1),
+    "nan_root_node_rectangle": (
+        lambda g: adaptive_rectangle(g, (0.0, 0.0), (1.0, 1.0), tol=1e-8),
+        lambda: root_node_nan(peaked_2d),
+        1,
+    ),
+    "out_of_reach_rectangle": (
+        lambda g: adaptive_rectangle(g, (0.0, 0.0), (1.0, 1.0), tol=1e-18, max_depth=40),
+        lambda: kernel_2d,
+        3,
+    ),
+    "out_of_reach_segment": (lambda g: segment(g, 0.0, 1.0, tol=1e-18, max_depth=40), lambda: kernel_1d, 3),
+    "failure_rectangle": (
+        lambda g: adaptive_rectangle(g, (0, 0), (1, 1), tol=1e-12, max_depth=3),
+        lambda: _nasty_columns,
+        3,
+    ),
+    "failure_segment": (
+        lambda g: adaptive_segment(g, (0.0, 1.0), tol=1e-10, max_depth=4),
+        lambda: lambda s: 1.0 / (np.abs(s - 0.31) + 1e-12),
+        1,
+    ),
+}
+
+
+def _outcome(run, g):
+    """The result's bytes, or the type, message and figures of the QuadratureNotConverged raised."""
+    try:
+        return np.asarray(run(g)).tobytes()
+    except QuadratureNotConverged as err:
+        return type(err), str(err), repr(err.error_estimate), repr(err.tolerance)  # repr: NaN equals NaN
+
+
+class TestStackedPanels:
+    """An integrand that declares its ``columns`` gets several panels per call, at most
+    STACK_PAIRS node x column pairs unless one panel alone is larger, on the same tree:
+    the same panels, the same bytes and the same failure as one call per panel."""
+
+    RAISES = {
+        "breaks_jump_at_cap",
+        "nan_segment",
+        "nan_rectangle",
+        "out_of_reach_rectangle",
+        "out_of_reach_segment",
+        "failure_rectangle",
+        "failure_segment",
+    }
+
+    @pytest.mark.parametrize("best_first", [BEST_FIRST_LEAVES, 4], ids=["best_first", "depth_first_past_4"])
+    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
+    @pytest.mark.parametrize("name", sorted(_STACK_CASES))
+    def test_same_tree_bytes_and_failure_as_one_call_per_panel(self, name, cap, best_first, monkeypatch):
+        monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
+        monkeypatch.setattr(quadrature, "BEST_FIRST_LEAVES", best_first)
+        run, make, columns = _STACK_CASES[name]
+        plain, plain_calls = recorded(make())
+        g, calls = declared(make(), columns)
+        expected = _outcome(run, plain)
+        assert _outcome(run, g) == expected
+        assert isinstance(expected, tuple) == (name in self.RAISES)
+        n = 8 ** calls[0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
+        panels = [x[k : k + n].tobytes() for x in calls for k in range(0, len(x), n)]
+        assert sorted(panels) == sorted(plain_calls)
+        assert all(len(x) * columns <= cap or len(x) == n for x in calls)
+        if 2 * n * columns <= cap:
+            assert max(map(len, calls)) > n  # stacked: the 2^d children of a root are one call
+        else:
+            assert {len(x) for x in calls} == {n}  # one panel above the cap: a call of its own

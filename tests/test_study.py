@@ -23,8 +23,9 @@ from filmhomog import (
     run_gauge,
     tessellate,
 )
+from filmhomog import potential, quadrature
 from filmhomog.cli import main
-from filmhomog.config import parse_config
+from filmhomog.config import build_config, parse_config
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -333,3 +334,72 @@ class TestPolarDisk:
         regime = Regime("R3")
         rep = run_convergence(vertical, disk, SQUARE, regime, make_schedule(regime, h_values=[1 / 4, 1 / 8]), grid)
         assert rep.errors_decrease
+
+
+# the benchmark's near-film R2 scenario at seed 1, written out: a sinusoid-modulated
+# planar dipole and a 5 x 5 grid 0.02 above the unit square
+_SINUSOID = {"kind": "sinusoid", "value": 1.0, "coef": [6.064975476038687, 3.24458292300584], "phase": 0.37990987408248034}
+NEAR_FILM_R2_SEED_1 = {
+    "map": {"kind": "identity"},
+    "motif": {
+        "points": [
+            {"w": 1.0335503176475869, "y": [0.7691213121216359, 0.4565092367147251], "z": 0.0, "modulation": _SINUSOID},
+            {"w": -1.0335503176475869, "y": [0.20483789829034538, 0.4565092367147251], "z": 0.0, "modulation": _SINUSOID},
+        ]
+    },
+    "regime": {"kind": "R2", "alpha": 1.0},
+    "schedule": {"l": [0.25, 0.125, 0.0625, 0.03125]},
+    "grid": {"kind": "offset_surface", "n": [5, 5], "distance": 0.02},
+    "quadrature": {"tol": 1e-09},
+    "thresholds": {"order_min": 0.9},
+}
+
+
+class TestNearFilmTree:
+    """On stacked panels the near-film study evaluates the tree of one call per panel,
+    the panels, depth and kernel evaluations that the benchmark's traced run counts."""
+
+    @staticmethod
+    def study(monkeypatch, stacked):
+        """The study's report and the inputs of every bulk and edge integrand call, the
+        integrands declared for stacked panels or not."""
+        calls = {2: [], 1: []}
+
+        def recording(engine, d):
+            def run(f, *args, **kwargs):
+                def g(x):
+                    calls[d].append(np.array(x))
+                    return f(x)
+
+                if stacked:
+                    g.columns = f.columns
+                return engine(g, *args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(potential, "adaptive_rectangle", recording(quadrature.adaptive_rectangle, 2))
+        monkeypatch.setattr(potential, "adaptive_segment", recording(quadrature.adaptive_segment, 1))
+        cfg = build_config(NEAR_FILM_R2_SEED_1)
+        report = run_convergence(
+            cfg.motif, cfg.pmap, cfg.choice_a, cfg.regime, cfg.schedule, cfg.grid, tol=cfg.tol, max_depth=cfg.max_depth
+        )
+        return report, calls
+
+    def test_panels_depth_and_bytes_of_one_call_per_panel(self, monkeypatch):
+        report, calls = self.study(monkeypatch, stacked=True)
+        bulk = [x[k : k + 64, 0] for x in calls[2] for k in range(0, len(x), 64)]
+        widths = np.array([np.ptp(nodes) for nodes in bulk])
+        assert len(bulk) == 2389
+        assert round(float(np.log2(widths.max() / widths.min()))) == 6  # depth
+        assert sum(map(len, calls[1])) // 8 == 260
+        assert 25 * 64 * len(bulk) + 25 * sum(map(len, calls[1])) == 3874400  # kernel evaluations
+        assert max(len(x) for x in calls[2]) == 16 * 64  # a split's grandchildren in one call
+        assert len(calls[2]) < len(bulk) // 10
+
+        plain, plain_calls = self.study(monkeypatch, stacked=False)
+        assert {len(x) for x in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
+        assert [x.tobytes() for x in bulk] == [x[:, 0].tobytes() for x in plain_calls[2]]
+        edges = [x[k : k + 8].tobytes() for x in calls[1] for k in range(0, len(x), 8)]
+        assert edges == [x.tobytes() for x in plain_calls[1]]
+        assert report.homogenized.values.tobytes() == plain.homogenized.values.tobytes()
+
