@@ -242,6 +242,11 @@ class ParametricMap:
 
     # ---------------- evaluation ----------------
 
+    @property
+    def is_identity(self) -> bool:
+        """True for the flat film of :meth:`identity`: psi0(x) = (x1, x2, 0)."""
+        return self._map is _identity
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """psi at 3D parameter points (..., 3); on the identity map a copy of x."""
         return self._map(np.asarray(x, float))
@@ -250,7 +255,7 @@ class ParametricMap:
         """psi0 at planar parameter points (..., 2); on the identity map the
         embedded points (x1, x2, 0) themselves, a new array with no second copy."""
         x = self._embed(x_p)
-        return x if self._map is _identity else self.evaluate(x)
+        return x if self.is_identity else self.evaluate(x)
 
     def differential(self, x: np.ndarray) -> np.ndarray:
         """D psi as (..., 3, 3) at 3D parameter points."""

@@ -396,6 +396,9 @@ def _kernel(rows: np.ndarray, normals: bool):
     with ``normals``, their unit normals nu (N, 3).  It returns G = 1/|r -
     r'| (N, M), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z) or
     None; the squared distance accumulates as (dx*dx + dy*dy) + dz*dz.
+    Without normals r' may also be planar points (N, 2), the film z = 0 of
+    the identity map: dz is then the rows' z, exact as z - 0.0 = z for every
+    z (-0.0 included), so dz*dz is the rows' z*z, computed with the buffer.
 
     Both results are views of one buffer, with the rows tiled to (3, N, M)
     beside it: it is made for the first call and made again only for a call
@@ -406,16 +409,21 @@ def _kernel(rows: np.ndarray, normals: bool):
     about three contiguous ones, a broadcasting copy one.  Per element the
     arithmetic is the same."""
     tiled = out = np.empty((0, 0, 0))
+    squared_z = None
 
     def kernel(point, normal=None):
-        nonlocal tiled, out
+        nonlocal tiled, squared_z, out
         n, m = len(point), rows.shape[-1]
         if n > tiled.shape[1]:
             tiled = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, n, m)))
             out = np.empty((6 if normals else 3, n, m))
-        d = out[:3, :n]
+            squared_z = None
+        axes = point.shape[1]  # 3, or 2 for planar points
+        if axes == 2 and squared_z is None:
+            squared_z = tiled[2] * tiled[2]
+        d = out[:axes, :n]
         np.copyto(d, point.T[:, :, None])
-        np.subtract(tiled[:, :n], d, out=d)  # dx, dy, dz
+        np.subtract(tiled[:axes, :n], d, out=d)  # dx, dy (, dz)
         if normal is not None:
             terms = out[3:, :n]
             np.copyto(terms, normal.T[:, :, None])
@@ -426,7 +434,7 @@ def _kernel(rows: np.ndarray, normals: bool):
         d *= d
         G = d[0]
         G += d[1]
-        G += d[2]
+        G += d[2] if axes == 3 else squared_z[:n]
         np.sqrt(G, out=G)
         np.divide(1.0, G, out=G)
         if normal is None:
@@ -438,6 +446,13 @@ def _kernel(rows: np.ndarray, normals: bool):
         return G, dGn
 
     return kernel
+
+
+def _film_points(pmap: ParametricMap):
+    """The surface points the kernel takes for planar parameter points x_p:
+    on the identity map x_p themselves (the film is z = 0, so no (N, 3)
+    copy is made), otherwise psi0(x_p)."""
+    return (lambda x_p: x_p) if pmap.is_identity else pmap.midsurface
 
 
 def _boundary_integral(
@@ -456,14 +471,17 @@ def _boundary_integral(
     weights would save evaluating the other column, but turns the catalog's
     matrix product into a matrix-vector one, which numpy's BLAS rounds
     differently.  Each integrand declares its value ``columns`` (one per
-    observation point), so the quadrature hands it stacked panels."""
+    observation point), so the quadrature hands it stacked panels, and hands
+    the kernel the edge's surface points: on the identity map its planar
+    points themselves (:func:`_film_points`)."""
     total = np.zeros(rows.shape[-1])
     kernel = _kernel(rows, normals=False)
+    film_points = _film_points(pmap)
     for edge in pmap.domain.edges():
 
         def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
             x_p = edge.points(s)
-            G, _ = kernel(pmap.midsurface(x_p))
+            G, _ = kernel(film_points(x_p))
             density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
             G *= density[:, None]
             return G
@@ -500,9 +518,11 @@ def homogenized_potential(
     non-zero; the bulk integral then takes tol/2 and each edge's integral
     tol/8 (four edges).  An integrand call takes the nodes of one or more
     stacked panels (it declares its ``columns``, one per grid point): the
-    mid-surface points, each density once per node, and one :func:`_kernel`
-    call into the integral's reused buffer, scaled by them in place; every
-    step is per node, so each panel's rows are those of a call on it alone.
+    mid-surface points (on the identity map, without a double layer, the
+    planar nodes themselves, see :func:`_film_points`), each density once
+    per node, and one :func:`_kernel` call into the integral's reused
+    buffer, scaled by them in place; every step is per node, so each
+    panel's rows are those of a call on it alone.
     The returned array is valid only until the next call.  Each density
     term is one catalog evaluation with its weight folded in
     (:meth:`MomentFields.folded`): c_q q J0 and -c_p div_p(J0 p_p), summed
@@ -518,10 +538,11 @@ def homogenized_potential(
     kernel = _kernel(rows, normals=c_n != 0.0)
     single = [fields.folded(name, c) for name, c in (("charge_weighted", c_q), ("div_pol_planar_weighted", -c_b)) if c]
     double = fields.folded("pol_normal_weighted", c_n) if c_n != 0.0 else None
+    film_points = _film_points(pmap)
 
     def integrand(x_p):
         if double is None:
-            G, _ = kernel(pmap.midsurface(x_p))
+            G, _ = kernel(film_points(x_p))
         else:
             fr = surface_frame(pmap, x_p)
             G, dGn = kernel(fr.point, fr.normal)

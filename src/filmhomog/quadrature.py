@@ -20,23 +20,29 @@ Leaves are summed back in nested order, children with axis 0 fastest, so
 results are bitwise reproducible.  A split makes 2^d new leaves, each with
 its 2^d child panels: those 4^d panels get their nodes and weights
 together, one broadcast each, as do the root boxes and then all their
-children, with the arithmetic of one box at a time per element.  The
-leaves are then made one by one in the order of one split at a time, so
-heap keys, creation order and the live-leaf count at each leaf are those of
-evaluating one panel at a time.  A plain integrand is
-called once per panel, on 8 flat nodes (segment) or (64, 2) points
-(rectangle).  An integrand with an int ``columns`` attribute, its values
-per node, is called on the panels' nodes stacked, as many panels per call
-as fit in STACK_PAIRS node x column pairs, and one panel per call when a
-single panel is larger; its values must be those of one call per panel,
-row for row.  Either way each panel's estimate is the same product of its
-weights with its rows, so the tree and the bytes do not depend on the
-stacking.  Values are reduced to panel estimates before the next call: an
-integrand's return value need only stay valid until its next call, so it may
-return one buffer that it overwrites every time.  QuadratureNotConverged is
-raised only when the leaf to split sits at the depth cap; it names the
-panel, its depth and the value column (observation point) with the largest
-error, and the summed error against ``tol``.
+children, with the arithmetic of one box at a time per element.  Each new
+leaf's fine estimate (its children added child 0 first), its error
+|fine - coarse| and its worst column are then computed for all of them at
+once on arrays, per element the arithmetic of one leaf; the leaves are
+entered one by one in the order of one split at a time, each error added to
+the running total in turn, so heap keys, creation order and the live-leaf
+count at each leaf are those of evaluating one panel at a time.  A plain
+integrand is called once per panel, on 8 flat nodes (segment) or (64, 2)
+points (rectangle).  An integrand with an int ``columns`` attribute, its
+values per node, is called on the panels' nodes stacked, as many panels per
+call as fit in STACK_PAIRS node x column pairs, and one panel per call when
+a single panel is larger; its values must be those of one call per panel,
+row for row; ``columns`` below 1 is a ValueError.  Each call's values are
+reduced at once to its panels' estimates by one stacked product, weights
+(k, 1, n) with values (k, n, M): numpy runs the matrix product of each
+entry of the stack on its own, so every panel gets the bytes of the product
+w @ rows of that panel alone, and a plain integrand is the same code with a
+batch of one.  So the tree and the bytes do not depend on the stacking, and
+an integrand's return value need only stay valid until its next call: it
+may return one buffer that it overwrites every time.
+QuadratureNotConverged is raised only when the leaf to split sits at the
+depth cap; it names the panel, its depth and the value column (observation
+point) with the largest error, and the summed error against ``tol``.
 """
 
 from __future__ import annotations
@@ -98,24 +104,31 @@ def _children(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> tuple[np.nda
     return np.where(masks, mid[:, None], lo[:, None]), np.where(masks, hi[:, None], mid[:, None])
 
 
-def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> list:
-    """The one-shot estimate w @ f(nodes) of each box [lo[k], hi[k]], in order.
+def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The one-shot estimates w @ f(nodes) of the boxes [lo[k], hi[k]], stacked (K, ...) in order.
 
     A plain integrand is called once per box.  One with an int ``columns``
-    attribute (its values per node) is called on the boxes' nodes stacked,
-    as many boxes per call as fit in STACK_PAIRS node x column pairs (at
-    least one); each box's estimate is the same product with its rows.
+    attribute (its values per node; below 1 it is a ValueError) is called
+    on the boxes' nodes stacked, as many boxes per call as fit in
+    STACK_PAIRS node x column pairs (at least one).  Each call's values are
+    reduced at once by one stacked product, weights (k, 1, n) with values
+    (k, n, M), which gives every box the bytes of the product w @ rows of
+    that box alone, so a plain integrand is the same code as a batch of one.
     """
     nodes, weights = _panels(lo, hi)
     n = weights.shape[1]
     columns = getattr(f, "columns", None)
+    if columns is not None and columns < 1:
+        raise ValueError(f"an integrand's declared columns must be at least 1, got {columns!r}")
     per_call = 1 if columns is None else max(1, STACK_PAIRS // (n * columns))
     flat = nodes.reshape((-1,) + nodes.shape[2:])
     parts = []
     for start in range(0, len(weights), per_call):
-        values = np.asarray(f(flat[start * n : (start + per_call) * n]))
-        parts += [w @ values[j * n : (j + 1) * n] for j, w in enumerate(weights[start : start + per_call])]
-    return parts
+        w = weights[start : start + per_call]
+        values = np.asarray(f(flat[start * n : (start + len(w)) * n]))
+        part = np.matmul(w[:, None, :], values.reshape(len(w), n, -1))
+        parts.append(part.reshape((len(w),) + values.shape[1:]))
+    return np.concatenate(parts)
 
 
 def _adapt(f, lo, hi, tol, max_depth):
@@ -131,24 +144,27 @@ def _adapt(f, lo, hi, tol, max_depth):
 
     def spawn(path, lo, hi, share, coarse):
         """Make leaves path + (k,) of the boxes [lo[k], hi[k]], whose one-shot
-        estimates are coarse[k]: all their child panels in one batch, then
-        each leaf in turn, its error added to the total."""
+        estimates are coarse[k]: all their child panels in one batch, each
+        leaf's sum, error and worst error on arrays, then each leaf in turn,
+        its error added to the total."""
         nonlocal total
         kid_lo, kid_hi = _children(lo, hi, masks)
         parts = _estimates(f, kid_lo.reshape((-1,) + shape), kid_hi.reshape((-1,) + shape))
-        for k in range(len(lo)):
-            kids = parts[k * nkids : (k + 1) * nkids]
+        parts = parts.reshape((len(lo), nkids) + parts.shape[1:])
+        sums = reduce(add, [parts[:, j] for j in range(nkids)])  # children in order, as one leaf at a time
+        diffs = np.abs(sums - coarse)
+        worsts = diffs.reshape(len(lo), -1).max(axis=1).tolist()
+        for k, worst in enumerate(worsts):
             leaf = path + (k,)
-            fine[leaf] = reduce(add, kids)
-            errs[leaf] = err = np.abs(fine[leaf] - coarse[k])
-            total = total + err
-            worst = float(err.max())
+            fine[leaf] = sums[k]
+            errs[leaf] = diffs[k]
+            total = total + diffs[k]
             if not worst <= share:  # a NaN error is above every share
                 if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
                     key = (-worst, next(order))
                 else:  # newest first, ahead of every finite error: depth first
                     key = (-math.inf, -next(order))
-                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], kids))
+                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], parts[k]))
 
     nroots = len(lo)
     spawn((), lo, hi, tol / nroots, _estimates(f, lo, hi))
@@ -220,6 +236,9 @@ def adaptive_segment(
 
     Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat,
     or several panels' nodes stacked if it declares ``columns`` (see :func:`adaptive_rectangle`).
+    Fewer than two ``points`` make no piece and raise ValueError.
     """
     s = np.asarray(points, float)
+    if s.ndim != 1 or len(s) < 2:
+        raise ValueError(f"adaptive_segment needs at least two break points, got points of shape {s.shape}")
     return _adapt(f, s[:-1], s[1:], tol, max_depth)

@@ -28,6 +28,9 @@ brute-force constructions the acceptance criteria and unit tests use.
   integrands of ``homogenized_potential`` with every density evaluated from
   the public field callables and then scaled by its regime weight, which the
   folded catalog evaluations must reproduce.
+- ``per_panel_estimates``: the one-shot Gauss estimate w @ f(panel) of each
+  box, one box and one integrand call at a time, which the quadrature's
+  stacked reduction must reproduce byte for byte.
 - ``recursive_rectangle`` / ``recursive_segment``: adaptive Gauss quadrature
   that splits every box whose error is above its share tol / 2^depth, depth
   first.  The global-budget engine's tree is a subtree of this one, and its
@@ -468,6 +471,11 @@ def _panel(f, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return (weights * math.prod(half.flat)) @ np.asarray(f(mid + half * offsets))
+
+
+def per_panel_estimates(f, lo, hi) -> list:
+    """The estimate w @ f(panel) of each box [lo[k], hi[k]], one call per box."""
+    return [_panel(f, a, b) for a, b in zip(np.asarray(lo, float), np.asarray(hi, float))]
 
 
 def _adapt(f, lo, hi, tol, depth, max_depth, coarse=None):

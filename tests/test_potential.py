@@ -757,6 +757,45 @@ class TestFoldedIntegrands:
 
     @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
     @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
+    def test_within_four_ulps_of_the_term_scale_on_random_boxes_for_alpha_0_7(self, monkeypatch, terms, map_name):
+        # the README's bound: the largest difference measured on random
+        # sub-boxes is 3.0 ulp of the term scale (2 x 1000 boxes per case)
+        regime, pmap = Regime("R2", alpha=0.7), _FOLD_MAPS[map_name][0]
+        ((bulk, oracle, _), *_), fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
+        lo, hi = np.asarray(pmap.domain.lo, float), np.asarray(pmap.domain.hi, float)
+        rng = np.random.default_rng(3)
+        a = lo + (hi - lo) * rng.uniform(0.0, 0.9, (64, 2))
+        b = np.minimum(a + (hi - lo) * rng.uniform(0.01, 0.5, (64, 2)), hi)
+        for nodes in _panels(a, b)[0]:
+            diff = np.abs(bulk(nodes) - oracle(nodes))
+            assert np.all(diff <= 4.0 * np.spacing(_term_scale(fields, regime, pmap, grid, nodes)))
+
+    @pytest.mark.parametrize("terms", [("free",), ("bound",), ("free", "bound")], ids="+".join)
+    def test_identity_map_integrands_take_planar_nodes(self, monkeypatch, terms):
+        """Without a double layer the identity map's bulk and edge integrands
+        hand the kernel their planar nodes: no midsurface call, and the bytes
+        of the unfolded integrands, which embed each node as (x1, x2, 0)."""
+        calls, midsurface = [], ParametricMap.midsurface
+
+        def counted(self, x_p):
+            calls.append(len(x_p))
+            return midsurface(self, x_p)
+
+        monkeypatch.setattr(ParametricMap, "midsurface", counted)
+        triples, _, _ = _integrand_pairs(monkeypatch, terms, "identity", Regime("R1"))
+        ((cylinder_bulk, _, cylinder_panels), *_), _, _ = _integrand_pairs(monkeypatch, terms, "cylinder", Regime("R1"))
+        assert len(triples) == 5  # the bulk and four edges
+        for integrand, oracle, panels in triples:
+            for nodes in panels:
+                expected = oracle(nodes).copy()
+                calls.clear()
+                assert integrand(nodes).tobytes() == expected.tobytes()
+                assert calls == []
+        cylinder_bulk(cylinder_panels[0])
+        assert calls == [64]  # other maps still map their nodes
+
+    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
     @pytest.mark.parametrize(
         "regime",
         [Regime("R1"), Regime("R2", alpha=1.0), Regime("R2", alpha=0.5), Regime("R2", alpha=0.7), Regime("R3")],
@@ -872,6 +911,26 @@ class TestComponentwiseDistances:
         G_only, none = _kernel(rows, normals=False)(fr.point)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
+
+    def test_planar_points_give_the_bytes_of_embedded_ones(self):
+        """Planar points (N, 2) are the points (x1, x2, 0): dz is the rows' z, so G
+        is bitwise that of the embedded points for rows with z = +0.0, -0.0, < 0
+        and > 0, through one buffer shared with embedded calls and made again
+        for more nodes."""
+        rng = np.random.default_rng(5)
+        obs = rng.uniform(-1.0, 2.0, (16, 3))
+        obs[:4, 2], obs[4:8, 2], obs[8:12, 2] = 0.0, -0.0, -rng.uniform(0.01, 1.0, 4)
+        assert np.signbit(obs[4:8, 2]).all()
+        rows = np.ascontiguousarray(obs.T)
+        for normals in (False, True):
+            kernel = _kernel(rows, normals=normals)
+            for n in (64, 8, 1024, 64, 2048):
+                x_p = rng.uniform(0.0, 1.0, (n, 2))
+                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p))
+                G, none = kernel(x_p)
+                assert none is None and G.tobytes() == expected.tobytes()
+                G, _ = kernel(ParametricMap._embed(x_p))
+                assert G.tobytes() == expected.tobytes()
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
         """One kernel over several panels and node counts gives the bytes of a fresh kernel per

@@ -5,7 +5,7 @@ import pytest
 
 from filmhomog import QuadratureNotConverged, quadrature
 from filmhomog.quadrature import BEST_FIRST_LEAVES, adaptive_rectangle, adaptive_segment
-from reference import recursive_rectangle, recursive_segment
+from reference import per_panel_estimates, recursive_rectangle, recursive_segment
 
 _GAUSS_8_LAST_NODE = float(np.polynomial.legendre.leggauss(8)[0][-1])
 
@@ -581,3 +581,72 @@ class TestStackedPanels:
             assert max(map(len, calls)) > n  # stacked: the 2^d children of a root are one call
         else:
             assert {len(x) for x in calls} == {n}  # one panel above the cap: a call of its own
+
+
+def observed(m, d):
+    """An integrand over segments (d = 1) or rectangles (d = 2): the inverse
+    distances from each node (x, y, 0), y = 0 on a segment, to m seeded
+    points, values (N, m), or (N,) to one point for m = 0; each row depends
+    on its node alone."""
+    obs = np.random.default_rng(m).uniform(-0.5, 1.5, (max(m, 1), 3))
+
+    def f(x):
+        r2 = (np.reshape(x, (len(x), d))[:, :, None] - obs[:, :d].T) ** 2
+        v = 1.0 / np.sqrt(r2.sum(axis=1) + obs[:, 2] ** 2)
+        return v if m else np.ascontiguousarray(v[:, 0])
+
+    return f
+
+
+class TestStackedReduction:
+    """Each integrand call's values are reduced by one stacked product; every
+    box's estimate is byte for byte the per-panel product w @ f(panel) of
+    ``reference.per_panel_estimates``, plain or declared, in and above the cap."""
+
+    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "declared"])
+    @pytest.mark.parametrize("m", [0, 1, 3, 25, 400], ids=["(N,)", "M=1", "M=3", "M=25", "M=400"])
+    @pytest.mark.parametrize("d", [1, 2], ids=["segments", "rectangles"])
+    def test_estimates_are_the_per_panel_products(self, d, m, plain, cap, monkeypatch):
+        monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
+        rng = np.random.default_rng(10 * m + d)
+        lo = rng.uniform(0.0, 1.0, (37,) + (d,) * (d - 1))
+        hi = lo + rng.uniform(0.01, 0.5, lo.shape)
+        f = observed(m, d)
+        calls = []  # nodes per call
+
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+
+        if not plain:
+            g.columns = max(m, 1)
+        estimates = quadrature._estimates(g, lo, hi)
+        expected = np.stack(per_panel_estimates(f, lo, hi))
+        assert estimates.shape == expected.shape == (len(lo),) + (m,) * (m > 0)
+        assert estimates.tobytes() == expected.tobytes()
+        n = 8**d
+        assert sum(calls) == len(lo) * n
+        if plain or 2 * n * max(m, 1) > cap:
+            assert set(calls) == {n}  # one panel per call
+        else:
+            assert max(calls) > n and all(c * max(m, 1) <= cap for c in calls)
+
+
+class TestInvalidArguments:
+    """Inputs that make no integral are a ValueError naming the argument."""
+
+    @pytest.mark.parametrize("points", [[0.5], [], 0.5], ids=["one", "none", "scalar"])
+    def test_segment_needs_two_break_points(self, points):
+        with pytest.raises(ValueError, match="two break points"):
+            adaptive_segment(kernel_1d, points)
+
+    @pytest.mark.parametrize("columns", [0, -3])
+    @pytest.mark.parametrize("engine", ["segment", "rectangle"])
+    def test_declared_columns_below_one(self, engine, columns):
+        f, _ = declared(kernel_2d if engine == "rectangle" else kernel_1d, columns)
+        with pytest.raises(ValueError, match="columns must be at least 1"):
+            if engine == "rectangle":
+                adaptive_rectangle(f, (0.0, 0.0), (1.0, 1.0))
+            else:
+                segment(f, 0.0, 1.0)
