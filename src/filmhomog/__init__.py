@@ -12,7 +12,6 @@ from .errors import (
     DegenerateFrame,
     EmptyTessellation,
     FilmHomogError,
-    NonPositiveJacobian,
     NumericalError,
     ParseError,
     QuadratureNotConverged,
@@ -45,7 +44,6 @@ from .potential import (
 from .study import (
     ConvergenceReport,
     GaugeReport,
-    check_dipole_decay,
     fit_order,
     make_schedule,
     rebin_motif,

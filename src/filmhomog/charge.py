@@ -23,6 +23,7 @@ substitution gives the physical per-atom prefactors l, alpha*l and l^2/h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -114,6 +115,9 @@ class Motif:
     def __post_init__(self):
         if not self.points and not self.free_points:
             raise ValueError("motif has no points")
+        order = self.free_charge_order
+        if len(order) != 2 or not all(isinstance(v, int) for v in order):
+            raise ValueError(f"free_charge_order must be two ints (the powers of l and h), got {order!r}")
 
     def validate_interior(self) -> None:
         """Check every point lies strictly inside the reference cell."""
@@ -142,8 +146,11 @@ class Regime:
     def __post_init__(self):
         if self.kind not in ("R1", "R2", "R3"):
             raise ValueError(f"unknown regime {self.kind!r}")
-        if self.kind == "R2" and (self.alpha is None or self.alpha <= 0):
-            raise ValueError("regime R2 requires a positive alpha")
+        # a > 0 with a finite square excludes NaN, the infinities and an
+        # alpha whose limit weight alpha**2 overflows
+        a = self.alpha
+        if self.kind == "R2" and (a is None or not (a > 0 and math.isfinite(a * a))):
+            raise ValueError(f"regime R2 requires a finite positive alpha whose square is finite, got {a!r}")
 
     def check_pair(self, l: float, h: float) -> None:
         if self.kind == "R2" and abs(h - self.alpha * l) > 1e-12 * max(h, self.alpha * l):
@@ -180,7 +187,6 @@ class ScaledChargeDistribution:
     by ascending lattice index, so enumeration is deterministic.
     """
 
-    pmap: ParametricMap
     l: float
     h: float
     regime: Regime
@@ -230,7 +236,6 @@ def realize(
     z_params = np.concatenate(z_chunks)
     positions = pmap.evaluate(np.concatenate([planar_params, h * z_params[:, None]], axis=1))
     return ScaledChargeDistribution(
-        pmap=pmap,
         l=l,
         h=h,
         regime=regime,

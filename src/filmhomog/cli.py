@@ -6,9 +6,10 @@
     filmhomog moments   --config scenario.json
 
 Exit codes: 0 success; 2 bad input (config parse/validation failure,
-standoff violation, incommensurate unit cells, any other library error);
-3 numerical failure, an ``errors.NumericalError`` (QuadratureNotConverged,
-NonPositiveJacobian, DegenerateFrame, SingularEvaluation); 4 threshold
+including map parameters a factory rejects and an out-of-range regime or
+motif, standoff violation, incommensurate unit cells, any other library
+error); 3 numerical failure, an ``errors.NumericalError``
+(QuadratureNotConverged, DegenerateFrame, SingularEvaluation); 4 threshold
 failure under --assert.
 
 This module is the only writer of files; the library returns reports.
@@ -92,7 +93,6 @@ def _write_summary(cfg: ScenarioConfig, out_dir: Path, **fields) -> None:
 
 
 def _convergence(cfg: ScenarioConfig) -> ConvergenceReport:
-    cfg.pmap.check_valid()
     return run_convergence(
         cfg.motif,
         cfg.pmap,
@@ -141,7 +141,6 @@ def _cmd_converge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
         fitted_order=report.fitted_order,
         order_threshold=report.order_threshold,
         errors_decrease=report.errors_decrease,
-        decay_ok=report.decay_ok,
         converged=report.converged,
         steps=[dict(zip(_STEP_HEADER, row)) for row in rows],
     )

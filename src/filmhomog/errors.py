@@ -9,10 +9,6 @@ class NumericalError(FilmHomogError):
     """Base class for numerical failures on valid input (CLI exit 3)."""
 
 
-class NonPositiveJacobian(NumericalError):
-    """A Jacobian evaluated to <= 1e-14: invalid parameterization or offset."""
-
-
 class DegenerateFrame(NumericalError):
     """Surface tangents are (numerically) parallel; no frame exists."""
 

@@ -19,11 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFrame, NonPositiveJacobian
+from .errors import DegenerateFrame
 
-_JACOBIAN_FLOOR = 1e-14
 _FRAME_TOL = 1e-12
-_VALIDITY_SAMPLES = 200  # sampled points per validity check, from a fixed seed
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -67,9 +65,6 @@ class Rectangle:
             Edge("bottom", 1, b, (a, c), (0.0, -1.0)),
             Edge("top", 1, d, (a, c), (0.0, 1.0)),
         ]
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, 2))
 
 
 @dataclass(frozen=True)
@@ -119,6 +114,12 @@ class ParametricMap:
     vary over T, may also pass ``cell_lipschitz``: (lo, hi) boxes (K, 2) ->
     per-axis bounds (K, 2) with |D psi0(x) v| <= |(L1 v1, L2 v2)| for every
     x in the box (see :meth:`cell_bounds`).  Instances are immutable.
+
+    A factory map is valid by construction: its parameters alone decide
+    that it is smooth, injective and has J0 > 0 on T (up to measure-zero
+    degeneracies such as the polar axis), and a bad parameter raises
+    ValueError.  A map built with the constructor is the caller's
+    responsibility; nothing samples it.
     """
 
     def __init__(
@@ -158,12 +159,17 @@ class ParametricMap:
         """Isometric wrap onto a cylinder of the given radius.
 
         psi(x) = ((R + x3) cos(x1/R), (R + x3) sin(x1/R), x2); the mid-surface
-        Jacobian is exactly 1 (bending without stretch).  A domain wider than
-        2 pi R in x1 would overlap itself: ValueError.
+        Jacobian is exactly 1 (bending without stretch).  ValueError unless R
+        is finite and positive, 0 < h_max <= R (so r = R + x3 > 0 on the open
+        slab; default R / 2), and the domain is at most 2 pi R wide in x1
+        (a wider one would overlap itself).
         """
         R = float(radius)
-        if R <= 0:
-            raise ValueError("cylinder radius must be positive")
+        if not (math.isfinite(R) and R > 0):
+            raise ValueError(f"cylinder radius must be finite and positive, got {R!r}")
+        hm = 0.5 * R if h_max is None else float(h_max)
+        if not (0.0 < hm <= R):
+            raise ValueError(f"cylinder h_max must satisfy 0 < h_max <= radius {R!r}, got {hm!r}")
         if domain.widths[0] / R > 2.0 * math.pi:
             turn = domain.widths[0] / R
             raise ValueError(f"cylinder of radius {R!r} wraps {turn:.4g} rad > 2 pi, so the film overlaps itself")
@@ -187,7 +193,6 @@ class ParametricMap:
             D[..., 1, 2] = s
             return D
 
-        hm = 0.5 * R if h_max is None else float(h_max)
         return cls(domain, mapping, differential, lipschitz=1.0, h_max=hm)  # orthonormal tangents
 
     @classmethod
@@ -225,10 +230,11 @@ class ParametricMap:
 
     @classmethod
     def scaled(cls, domain: Rectangle, factors: Sequence[float]) -> "ParametricMap":
-        """Diagonal stretch psi(x) = (a1 x1, a2 x2, a3 x3)."""
+        """Diagonal stretch psi(x) = (a1 x1, a2 x2, a3 x3); ValueError unless
+        the three factors are finite and non-zero."""
         a = np.asarray(factors, float)
-        if a.shape != (3,):
-            raise ValueError("scaled map needs exactly three factors")
+        if a.shape != (3,) or not (np.isfinite(a).all() and a.all()):
+            raise ValueError(f"scaled map needs three finite, non-zero factors, got {a.tolist()!r}")
         D0 = np.diag(a)
 
         def mapping(x):
@@ -277,33 +283,6 @@ class ParametricMap:
         out = np.zeros(x_p.shape[:-1] + (3,))
         out[..., :2] = x_p
         return out
-
-    # ---------------- sampled validity checks ----------------
-
-    def check_valid(self) -> None:
-        """Sampled injectivity on T x (-h_max, h_max) and J0 > 0 on T.
-
-        Raises NonPositiveJacobian / ValueError on failure.  Probabilistic by
-        design: measure-zero degeneracies (polar axis, angular seam) pass.
-        The samples come from a fixed seed, so the verdict is reproducible.
-        """
-        rng = np.random.default_rng(0)
-        x_p = self.domain.sample(_VALIDITY_SAMPLES, rng)
-        D = self.differential(self._embed(x_p))
-        D0 = D[..., :, :2]
-        gram_det = np.linalg.det(np.einsum("...ki,...kj->...ij", D0, D0))
-        if np.any(gram_det <= _JACOBIAN_FLOOR**2):
-            raise NonPositiveJacobian(
-                f"sampled surface Jacobian not positive (min det(G0) = {gram_det.min():.3e})"
-            )
-        hm = self.h_max if math.isfinite(self.h_max) else 0.5
-        x3 = rng.uniform(-hm, hm, size=(_VALIDITY_SAMPLES, 1))
-        pts = np.concatenate([self.domain.sample(_VALIDITY_SAMPLES, rng), x3], axis=1)
-        img = self.evaluate(pts)
-        d2 = np.sum((img[:, None, :] - img[None, :, :]) ** 2, axis=-1)
-        iu = np.triu_indices(_VALIDITY_SAMPLES, k=1)
-        if np.any(d2[iu] < 1e-24):
-            raise ValueError("map is not injective on the sampled validity region")
 
 
 def _tangent_cross(pmap: ParametricMap, x_p: np.ndarray):

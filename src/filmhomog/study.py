@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
-from .geometry import ParametricMap, surface_frame
+from .geometry import ParametricMap
 from .lattice import _UNIT_SQUARE, UnitCellChoice, cell_index, tessellate
 from .moments import MomentTable, moment_fields, moment_table
 from .potential import (
@@ -33,15 +33,12 @@ from .potential import (
     FieldSample,
     ObservationGrid,
     direct_potential,
-    green_sums,
     homogenized_potential,
 )
 from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL
 
 DEFAULT_ORDER_THRESHOLD = 0.9
 FIT_POINTS = 3  # schedule steps in the order fit, counted from the finest
-DECAY_RADII = (10.0, 20.0, 40.0)  # probe distances, in units of max(diam T, 1)
-DECAY_GROWTH_TOL = 1.5  # allowed growth of |Phi| r^2 over the first probe
 
 
 def make_schedule(
@@ -91,7 +88,6 @@ class ConvergenceReport:
     fitted_order: float
     homogenized: FieldSample
     micro: list[FieldSample]
-    decay_ok: bool
     order_threshold: float = DEFAULT_ORDER_THRESHOLD
 
     @property
@@ -115,26 +111,6 @@ def fit_order(ls: Sequence[float], errors: Sequence[float]) -> float:
         return math.nan
     slope, _ = np.polyfit(logl, np.log(errors), 1)
     return float(slope)
-
-
-def check_dipole_decay(dist: ScaledChargeDistribution) -> bool:
-    """|Phi| * r^2 stays bounded along a generic outgoing ray.
-
-    A globally neutral distribution decays at least like a dipole, so the
-    scaled values must not grow with radius; a net monopole makes them grow
-    linearly and fails the check.
-    """
-    pmap = dist.pmap
-    dom = pmap.domain
-    center_p = 0.5 * (np.asarray(dom.lo) + np.asarray(dom.hi))
-    fr = surface_frame(pmap, center_p)
-    direction = fr.normal + fr.tangent1 / np.linalg.norm(fr.tangent1) + fr.tangent2 / np.linalg.norm(fr.tangent2)
-    direction = direction / np.linalg.norm(direction)
-    scale = max(dom.diameter, 1.0)
-    radii = np.asarray(DECAY_RADII) * scale
-    vals = np.abs(green_sums(dist, fr.point + radii[:, None] * direction)) * radii**2
-    floor = 1e-12 * float(np.sum(np.abs(dist.magnitudes))) + 1e-300
-    return bool(np.all(vals[1:] <= DECAY_GROWTH_TOL * vals[0] + floor))
 
 
 def run_convergence(
@@ -163,11 +139,8 @@ def run_convergence(
 
     steps: list[ConvergenceStep] = []
     micro_samples: list[FieldSample] = []
-    decay_ok = True
-    for i, (l, h) in enumerate(schedule):
+    for l, h in schedule:
         dist = realize(motif, tessellate(pmap.domain, l, choice), pmap, l, h, regime)
-        if i == 0:
-            decay_ok = check_dipole_decay(dist)
         # coarse steps sit inside the Taylor standoff on purpose (taylor_ok records it)
         sample = direct_potential(dist, grid, standoff_factor=0.0)
         diff = sample.values - homog.values
@@ -189,7 +162,6 @@ def run_convergence(
         fitted_order=p_hat,
         homogenized=homog,
         micro=micro_samples,
-        decay_ok=decay_ok,
         order_threshold=order_threshold,
     )
 

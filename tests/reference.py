@@ -5,7 +5,9 @@ brute-force constructions the acceptance criteria and unit tests use.
 
 - ``finite_t_double_layer``: two charged sheets a distance t apart, which
   converge to the double layer at first order in t.
-- ``jacobian_full``: the volume Jacobian of a map from its differential.
+- ``jacobian_full``: the volume Jacobian of a map from its differential,
+  raising ``NonPositiveJacobian`` where it is not positive.
+- ``sample``: uniform random points of a parameter rectangle.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
   with the bound-charge divergence differenced centrally.
 - ``modulation_gradient``: the analytic planar gradient of a weight
@@ -50,7 +52,6 @@ from filmhomog import (
     MomentFields,
     Motif,
     MotifPoint,
-    NonPositiveJacobian,
     ObservationGrid,
     ParametricMap,
     QuadratureNotConverged,
@@ -67,6 +68,15 @@ from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptiv
 
 _JACOBIAN_FLOOR = 1e-14
 _DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
+
+
+class NonPositiveJacobian(ValueError):
+    """A volume Jacobian evaluated to <= 1e-14."""
+
+
+def sample(rect: Rectangle, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` uniform random points (n, 2) of the rectangle."""
+    return rng.uniform(rect.lo, rect.hi, size=(n, 2))
 
 
 def finite_t_double_layer(

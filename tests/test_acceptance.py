@@ -29,7 +29,7 @@ from filmhomog import (
     tessellate,
 )
 from filmhomog.potential import FieldSample
-from reference import covered_area, finite_t_double_layer, jacobian_full, prescribed_fields
+from reference import covered_area, finite_t_double_layer, jacobian_full, prescribed_fields, sample
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -228,7 +228,7 @@ def test_criterion_7_exactness_suite():
     rng = np.random.default_rng(123)
     for pmap in (cyl, stretched, ParametricMap.polar_disk(1.0)):
         for _ in range(20):
-            x_p = pmap.domain.sample(1, rng)[0]
+            x_p = sample(pmap.domain, 1, rng)[0]
             x = np.append(x_p, rng.uniform(-0.05, 0.05))
             D = np.empty((3, 3))
             for j in range(3):

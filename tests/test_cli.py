@@ -156,7 +156,7 @@ class TestPotential:
         assert "homogenized(R2 alpha=1)" in tags
         assert any(t.startswith("microscopic(l=0.25") for t in tags)
 
-    def test_broken_map_exit_3(self, tmp_path, capsys):
+    def test_zero_scaled_factor_is_a_map_violation_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             {
@@ -168,8 +168,10 @@ class TestPotential:
                 "output": {"dir": str(tmp_path / "out")},
             },
         )
-        assert main(["potential", "--config", cfg]) == 3
-        assert "NonPositiveJacobian" in capsys.readouterr().err
+        assert main(["potential", "--config", cfg]) == 2
+        assert "config violation: map: scaled map needs three finite, non-zero factors, got [0.0, 1.0, 1.0]" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "out").exists()
 
     def test_green_4pi_scales_values(self, tmp_path, r2_config):
@@ -375,6 +377,39 @@ class TestExitCodes:
         )
         assert main(["converge", "--config", cfg]) == 2
         assert "overlaps itself" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("map", {"kind": "scaled", "factors": [1.0, 1.0, 0.0]}),
+            ("map", {"kind": "cylinder", "radius": 2.0, "h_max": 6.0}),
+            *[("regime", {"kind": "R2", "alpha": a}) for a in (math.nan, math.inf, -math.inf, 0.0, -1.0, 2e154)],
+            *[("motif", {"points": DIPOLE_POINTS, "free_charge_order": o}) for o in ([1], [1, 0, 2])],
+        ],
+        ids=[
+            "scaled-a3-zero",
+            "cylinder-h_max-above-radius",
+            *(f"alpha-{a}" for a in ("nan", "inf", "-inf", "0", "-1", "2e154")),
+            "order-one-value",
+            "order-three-values",
+        ],
+    )
+    def test_bad_parameter_listed_before_any_study_exit_2(self, tmp_path, monkeypatch, capsys, key, value):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran on a rejected config")
+
+        monkeypatch.setattr(cli, "run_convergence", no_study)
+        payload = {
+            "motif": {"points": DIPOLE_POINTS},
+            "regime": {"kind": "R2", "alpha": 1.0},
+            "schedule": {"l": [0.25]},
+            "grid": {"kind": "offset_surface", "n": [3, 3], "distance": 1.0},
+            "output": {"dir": str(tmp_path / "out")},
+            key: value,
+        }
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        assert f"config violation: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gauge_without_cell_b_exit_2(self, tmp_path, r2_config):
         assert main(["gauge", "--config", r2_config]) == 2

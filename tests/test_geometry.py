@@ -7,13 +7,12 @@ import pytest
 from filmhomog import (
     DegenerateFrame,
     Edge,
-    NonPositiveJacobian,
     ParametricMap,
     Rectangle,
     surface_frame,
 )
 from filmhomog.moments import _j0_at
-from reference import jacobian_full, prescribed_fields, surface_divergence_term
+from reference import NonPositiveJacobian, jacobian_full, prescribed_fields, sample, surface_divergence_term
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 
@@ -52,7 +51,7 @@ class TestJacobianFull:
     def test_matches_finite_differences(self, cylinder):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            x = np.append(UNIT.sample(1, rng)[0], rng.uniform(-0.2, 0.2))
+            x = np.append(sample(UNIT, 1, rng)[0], rng.uniform(-0.2, 0.2))
             D = fd_differential(cylinder, x)
             expected = math.sqrt(np.linalg.det(D.T @ D))
             assert jacobian_full(cylinder, x) == pytest.approx(expected, rel=1e-6)
@@ -81,7 +80,7 @@ class TestSurfaceFrame:
 
     def test_orthonormality_random_points(self, cylinder):
         rng = np.random.default_rng(3)
-        fr = surface_frame(cylinder, UNIT.sample(100, rng))
+        fr = surface_frame(cylinder, sample(UNIT, 100, rng))
         norms = np.linalg.norm(fr.normal, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
         assert np.max(np.abs(np.sum(fr.normal * fr.tangent1, axis=-1))) < 1e-10
@@ -89,7 +88,7 @@ class TestSurfaceFrame:
 
     def test_cylinder_j0_identically_one(self, cylinder):
         rng = np.random.default_rng(11)
-        fr = surface_frame(cylinder, UNIT.sample(200, rng))
+        fr = surface_frame(cylinder, sample(UNIT, 200, rng))
         np.testing.assert_allclose(fr.j0, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -106,7 +105,7 @@ class TestSurfaceFrame:
     def test_bitwise_equal_to_numpy_cross_and_norm(self, make_map):
         pmap = make_map()
         rng = np.random.default_rng(5)
-        x_p = pmap.domain.sample(500, rng)
+        x_p = sample(pmap.domain, 500, rng)
         D = pmap.differential(np.concatenate([x_p, np.zeros((500, 1))], axis=1))
         cross = np.cross(D[..., :, 0], D[..., :, 1])
         j0 = np.linalg.norm(cross, axis=-1)
@@ -292,12 +291,6 @@ class TestSurfaceDivergence:
 
 
 class TestValidation:
-    def test_identity_check_valid(self, identity):
-        identity.check_valid()
-
-    def test_polar_disk_passes_sampled_checks(self):
-        ParametricMap.polar_disk(1.0).check_valid()
-
     def test_cylinder_wrapping_past_a_turn_is_rejected(self):
         # radius 0.1 over a unit-wide domain wraps 10 rad, about 1.6 turns
         with pytest.raises(ValueError, match="overlaps itself"):
@@ -306,20 +299,30 @@ class TestValidation:
     def test_cylinder_just_under_a_turn_is_valid(self):
         R = 0.5
         width = R * (2.0 * math.pi - 1e-9)
-        ParametricMap.cylinder(Rectangle((0.0, 0.0), (width, 1.0)), R).check_valid()
+        ParametricMap.cylinder(Rectangle((0.0, 0.0), (width, 1.0)), R)
 
-    def test_noninjective_map_fails(self):
-        # quantizing map: many parameters share an image, sampled pairs collide
-        def mapping(x):
-            return np.round(2.0 * np.asarray(x, float)) / 2.0
+    @pytest.mark.parametrize(
+        "factors",
+        [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (math.inf, 1.0, 1.0), (1.0, 1.0)],
+        ids=["a1-zero", "a2-zero", "a3-zero", "a1-inf", "two-factors"],
+    )
+    def test_scaled_needs_three_finite_nonzero_factors(self, factors):
+        with pytest.raises(ValueError, match="three finite, non-zero factors"):
+            ParametricMap.scaled(UNIT, factors)
 
-        def differential(x):
-            x = np.asarray(x, float)
-            return np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)).copy()
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_cylinder_radius_must_be_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            ParametricMap.cylinder(UNIT, radius)
 
-        quantized = ParametricMap(UNIT, mapping, differential, lipschitz=1.0)
-        with pytest.raises(ValueError):
-            quantized.check_valid()
+    @pytest.mark.parametrize("h_max", [0.0, -1.0, 2.5, math.inf, math.nan])
+    def test_cylinder_h_max_within_the_radius(self, h_max):
+        # r = R + x3 > 0 on the open slab |x3| < h_max needs 0 < h_max <= R
+        with pytest.raises(ValueError, match="h_max"):
+            ParametricMap.cylinder(UNIT, 2.0, h_max)
+
+    def test_cylinder_h_max_may_reach_the_radius(self):
+        assert ParametricMap.cylinder(UNIT, 2.0, 2.0).h_max == 2.0
 
 
 class TestLipschitz:
@@ -337,7 +340,7 @@ class TestLipschitz:
     )
     def test_bound_covers_the_spectral_norm(self, make_map, expected):
         pmap = make_map()
-        x_p = np.vstack([pmap.domain.corners(), pmap.domain.sample(500, np.random.default_rng(9))])
+        x_p = np.vstack([pmap.domain.corners(), sample(pmap.domain, 500, np.random.default_rng(9))])
         D0 = pmap.differential(np.concatenate([x_p, np.zeros((len(x_p), 1))], axis=1))[..., :2]
         largest = np.linalg.norm(D0, ord=2, axis=(-2, -1)).max()
         assert largest <= pmap.lipschitz * (1 + 1e-15)
@@ -361,7 +364,7 @@ class TestLipschitz:
         # on the disk's polar axis, where the angular bound goes to zero
         pmap = make_map()
         rng = np.random.default_rng(4)
-        a, b = pmap.domain.sample(400, rng), pmap.domain.sample(400, rng)
+        a, b = sample(pmap.domain, 400, rng), sample(pmap.domain, 400, rng)
         a[:100, 0] = pmap.domain.lo[0]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         hi[:50] = lo[:50] + 1e-6 * (hi[:50] - lo[:50])

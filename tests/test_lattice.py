@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from filmhomog import EmptyTessellation, Rectangle, UnitCellChoice, cell_index, tessellate
 from filmhomog.lattice import _clip_to_rectangle
-from reference import clip_polygon_to_rectangle, covered_area, loop_tessellation
+from reference import clip_polygon_to_rectangle, covered_area, loop_tessellation, sample
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 SQUARE = UnitCellChoice()
@@ -199,7 +199,7 @@ class TestCornerMap:
         np.testing.assert_array_equal(choice.corner(cell_index(planar, l, choice), l), expected)
 
     def test_basis_coords_of_a_point_alone_and_in_a_batch_are_bitwise_equal(self):
-        pts = UNIT.sample(200, np.random.default_rng(3))
+        pts = sample(UNIT, 200, np.random.default_rng(3))
         batch = GENERAL.basis_coords(pts.reshape(20, 10, 2), 0.13)
         alone = np.array([GENERAL.basis_coords(p, 0.13) for p in pts])
         np.testing.assert_array_equal(batch.reshape(-1, 2), alone)
@@ -222,7 +222,7 @@ class TestCornerMap:
 
     def test_point_minus_corner_in_cell(self):
         rng = np.random.default_rng(0)
-        pts = UNIT.sample(1000, rng)
+        pts = sample(UNIT, 1000, rng)
         for choice, l in [(SQUARE, 0.3), (HALF_SHIFT, 0.25), (UnitCellChoice(e1=(1, 0.2), e2=(-0.1, 1)), 0.21)]:
             corners = choice.corner(cell_index(pts, l, choice), l)
             rel = (pts - corners) @ np.linalg.inv(choice.basis).T / l
@@ -250,7 +250,7 @@ def test_partition_property(l, fx, fy):
         warnings.simplefilter("ignore", EmptyTessellation)
         t = tessellate(UNIT, l, choice)
     rng = np.random.default_rng(42)
-    pts = UNIT.sample(200, rng)
+    pts = sample(UNIT, 200, rng)
     rel = (pts - t.corners[listed_rows(t, pts)]) @ np.linalg.inv(choice.basis).T / l
     assert np.all(rel >= -1e-9) and np.all(rel < 1 + 1e-9)
 
@@ -267,7 +267,7 @@ def test_area_identity_property(l, fx):
 def test_partition_ten_thousand_points():
     """Each of 1e4 random points lies in exactly one listed cell."""
     rng = np.random.default_rng(7)
-    pts = UNIT.sample(10_000, rng)
+    pts = sample(UNIT, 10_000, rng)
     for choice, l in [(SQUARE, 0.3), (HALF_SHIFT, 0.25)]:
         t = tessellate(UNIT, l, choice)
         rel = (pts - t.corners[listed_rows(t, pts)]) @ np.linalg.inv(choice.basis).T / l

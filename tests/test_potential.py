@@ -66,7 +66,6 @@ def charges(positions, magnitudes):
     positions = np.asarray(positions, float).reshape(-1, 3)
     magnitudes = np.asarray(magnitudes, float)
     return ScaledChargeDistribution(
-        pmap=IDENT,
         l=1.0,
         h=1.0,
         regime=Regime("R1"),
@@ -590,7 +589,15 @@ class TestSkippedTerms:
         assert frames == panels > 0
 
     def test_parallel_tangents_fail_only_where_the_double_layer_runs(self):
-        flat = ParametricMap.scaled(UNIT, (1.0, 0.0, 1.0))  # second tangent 0: no normal anywhere
+        # psi(x) = (x1, 0, x3), built directly since the scaled factory rejects
+        # a zero factor: the second tangent is 0, so no normal exists anywhere
+        a = np.array([1.0, 0.0, 1.0])
+        flat = ParametricMap(
+            UNIT,
+            lambda x: np.asarray(x, float) * a,
+            lambda x: np.broadcast_to(np.diag(a), np.shape(x)[:-1] + (3, 3)).copy(),
+            lipschitz=1.0,
+        )
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], flat)
         with pytest.raises(DegenerateFrame):
             homogenized_potential(moment_fields(MIXED, SQUARE, flat, 0.25), Regime("R3"), flat, grid)

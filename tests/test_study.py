@@ -14,14 +14,11 @@ from filmhomog import (
     Rectangle,
     Regime,
     UnitCellChoice,
-    check_dipole_decay,
     fit_order,
     make_schedule,
-    realize,
     rebin_motif,
     run_convergence,
     run_gauge,
-    tessellate,
 )
 from filmhomog import potential, quadrature
 from filmhomog.cli import main
@@ -86,19 +83,6 @@ class TestFitOrder:
         assert fit_order(ls, errs) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestDipoleDecay:
-    def test_neutral_dipole_decays(self):
-        regime = Regime("R2", alpha=1.0)
-        dist = realize(PLANAR_DIPOLE, tessellate(UNIT, 0.25, SQUARE), IDENT, 0.25, 0.25, regime)
-        assert check_dipole_decay(dist) is True
-
-    def test_monopole_fails(self):
-        monopole = Motif(points=(MotifPoint(1.0, (0.5, 0.5), 0.0),))
-        regime = Regime("R2", alpha=1.0)
-        dist = realize(monopole, tessellate(UNIT, 0.25, SQUARE), IDENT, 0.25, 0.25, regime)
-        assert check_dipole_decay(dist) is False
-
-
 class TestConvergence:
     def test_r2_planar_dipole(self, grid):
         regime = Regime("R2", alpha=1.0)
@@ -106,7 +90,6 @@ class TestConvergence:
         rep = run_convergence(PLANAR_DIPOLE, IDENT, SQUARE, regime, sched, grid)
         assert rep.errors_decrease
         assert rep.fitted_order >= 0.9
-        assert rep.decay_ok
         assert rep.converged
 
     def test_degenerate_schedule_flagged(self, grid):
@@ -137,7 +120,6 @@ class TestConvergence:
             "fitted_order": rep.fitted_order,
             "order_threshold": rep.order_threshold,
             "errors_decrease": rep.errors_decrease,
-            "decay_ok": rep.decay_ok,
             "converged": rep.converged,
             "steps": [
                 {"l": s.l, "h": s.h, "err_max": s.err_max, "err_rms": s.err_rms, "taylor_ok": s.taylor_ok}
