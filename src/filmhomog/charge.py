@@ -167,6 +167,16 @@ class Regime:
             return self.alpha * l
         return l * l / h
 
+    def limit_weights(self) -> tuple[float, float, float]:
+        """Weights (c_q, c_p, c_n) of the limit's free-charge single layer,
+        in-plane polarization and normal double layer.  c_p weights both the
+        bound charge -div_p(J0 p_p) and the edge term rho + (J0 p_p).n."""
+        if self.kind == "R1":
+            return 1.0, 1.0, 0.0
+        if self.kind == "R2":
+            return self.alpha, self.alpha, self.alpha**2
+        return 1.0, 0.0, 1.0
+
     def label(self) -> str:
         if self.kind == "R2":
             return f"R2(alpha={self.alpha:g})"

@@ -20,14 +20,14 @@ cells' kept charge (see :func:`filmhomog.lattice.edge_counts`); it carries
 no J0 and needs no tessellation.
 
 Every catalog modulation is one row m_k(x) = a_k + b_k.x + v_k sin(c_k.x +
-phi_k), so each field is a fixed weight vector against [1, x, sin Theta]
-(cos Theta for the bound-charge divergence), Theta = x C^T + phi.
+phi_k), so each field is a :class:`Catalog`, a fixed weight vector against
+[1, x, sin Theta] (cos Theta for the bound-charge divergence), Theta = x C^T + phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -136,54 +136,74 @@ def moment_table(
 # ---------------------------------------------------------------------------
 
 
+class Catalog:
+    """x -> sum_k weights_k (a_k + b_k.x + v_k trig(Theta_k)), Theta = x C^T + phi,
+    for catalog ``rows`` (K, 7) and weights (K,) or (K, 2): one fixed weight
+    vector against [1, x, trig Theta], so one small matmul and one trig per call.
+
+    The linear term x.lin is left out when lin is all zero (always for the
+    bound-charge divergence) and the constant when it is 0 (sinusoids
+    only): adding them would change no value but the sign of a zero sum.
+    """
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, trig=np.sin):
+        self.rows, self.weights, self.trig = rows, weights, trig
+        self._const, self._lin = rows[:, 0] @ weights, rows[:, 1:3].T @ weights
+        self._amp, self._freq, self._phase = (rows[:, 3] * weights.T).T, rows[:, 4:6].T, rows[:, 6]
+        self._has_lin, self._has_const = bool(np.any(self._lin != 0.0)), bool(np.any(self._const != 0.0))
+
+    def __call__(self, x_p: np.ndarray) -> np.ndarray:
+        x = np.asarray(x_p, float)
+        theta = x @ self._freq
+        theta += self._phase
+        value = self.trig(theta, out=theta) @ self._amp
+        if self._has_lin:
+            value += x @ self._lin
+        if self._has_const:
+            value += self._const
+        return value
+
+    def scaled(self, factor: float) -> "Catalog":
+        """The field times ``factor``, folded into the weights, so a call is
+        still one catalog evaluation.  Its values equal the field's times
+        ``factor`` bitwise when the factor is a power of two; otherwise they
+        differ by a few ulp of the terms' scale: in the bulk integrand at
+        alpha = 0.7, 2.0 ulp measured on the tests' five fixed panels and 3.0
+        on random sub-boxes, where the tests allow 4."""
+        return Catalog(self.rows, factor * self.weights, self.trig)
+
+    @property
+    def is_zero(self) -> bool:
+        """True when no row has both a non-zero weight and a non-zero
+        coefficient (a, b1, b2 or v): the field is then identically zero."""
+        live = np.any(self.rows[:, :4] != 0.0, axis=1)
+        return not np.any(self.weights[live] != 0.0)
+
+
 @dataclass(frozen=True)
 class MomentFields:
     """Closed-form continuum moment fields plus the boundary charge.
 
-    The *_weighted callables are premultiplied by J0 (exact catalog sums with
-    no Jacobian in them); :meth:`p_p` divides by J0 of the supplied map
-    (NaN where the map has no frame).
-    ``boundary_charge`` maps each edge name to its limit line density per
-    unit parameter length, a callable on parameter points (..., 2) like the
-    bulk fields.  ``has_free_charge`` is False when ``charge_weighted`` is
-    identically zero (a motif with no free points), ``has_bound_charge``
-    when ``div_pol_planar_weighted`` is (every weight of its catalog is 0,
-    e.g. constant-weight motifs), and ``has_normal_moment`` when
-    ``pol_normal_weighted`` is (every motif point has w z = 0, e.g. all on
-    the mid-surface).  ``catalogs`` holds the catalog rows, weights and trig
-    of the bulk fields :func:`moment_fields` builds, for :meth:`folded`.
+    Every field is a :class:`Catalog`.  The *_weighted fields are
+    premultiplied by J0 (exact catalog sums with no Jacobian in them);
+    :meth:`p_p` divides by J0 of the supplied map (NaN where the map has no
+    frame).  ``boundary_charge`` maps each edge name to its limit line
+    density per unit parameter length, a field on parameter points (..., 2)
+    like the bulk fields.  A field whose :attr:`Catalog.is_zero` holds (e.g. no
+    free points, constant weights for the bound-charge divergence, w z = 0
+    on every point for the normal moment) is skipped by the limit, and
+    :meth:`Catalog.scaled` folds a limit weight into a field.
     """
 
     pmap: ParametricMap
-    charge_weighted: Callable[[np.ndarray], np.ndarray]
-    pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
-    pol_normal_weighted: Callable[[np.ndarray], np.ndarray]
-    div_pol_planar_weighted: Callable[[np.ndarray], np.ndarray]
-    boundary_charge: dict  # edge name -> line density callable
-    has_free_charge: bool
-    has_bound_charge: bool
-    has_normal_moment: bool
-    catalogs: dict = field(default_factory=dict, repr=False)  # bulk field name -> (rows, weights, trig)
+    charge_weighted: Catalog
+    pol_planar_weighted: Catalog
+    pol_normal_weighted: Catalog
+    div_pol_planar_weighted: Catalog
+    boundary_charge: dict  # edge name -> line density Catalog
 
     def p_p(self, x_p: np.ndarray) -> np.ndarray:
         return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
-
-    def folded(self, name: str, factor: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> ``factor`` times the bulk field ``name`` at x.
-
-        A catalog field folds ``factor`` into its weights, so a call is one
-        catalog evaluation; its values equal the field's times ``factor``
-        bitwise when the factor is a power of two.  Otherwise they differ by
-        a few ulp of the terms' scale: in the bulk integrand at alpha = 0.7,
-        2.0 ulp measured on the tests' five fixed panels and 3.0 on random
-        sub-boxes, where the tests allow 4.  Other callables are evaluated,
-        then scaled.
-        """
-        if name in self.catalogs:
-            rows, weights, trig = self.catalogs[name]
-            return _catalog_field(rows, factor * weights, trig)
-        bulk = getattr(self, name)
-        return lambda x_p: factor * bulk(x_p)
 
 
 def _catalog(points) -> np.ndarray:
@@ -195,32 +215,6 @@ def _catalog(points) -> np.ndarray:
         else:
             row[:3] = (m.value, *(m.coef if m.kind == "linear" else (0.0, 0.0)))
     return rows
-
-
-def _catalog_field(rows: np.ndarray, weights: np.ndarray, trig=np.sin) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> sum_k weights_k (a_k + b_k.x + v_k trig(Theta_k)), Theta = x C^T + phi,
-    for catalog ``rows`` (K, 7) and weights (K,) or (K, 2): one fixed weight
-    vector against [1, x, trig Theta], so one small matmul and one trig per call.
-
-    The linear term x.lin is left out when lin is all zero (always for the
-    bound-charge divergence) and the constant when it is 0 (sinusoids
-    only): adding them would change no value but the sign of a zero sum."""
-    const, lin, amp = rows[:, 0] @ weights, rows[:, 1:3].T @ weights, (rows[:, 3] * weights.T).T
-    freq, phase = rows[:, 4:6].T, rows[:, 6]
-    has_lin, has_const = bool(np.any(lin != 0.0)), bool(np.any(const != 0.0))
-
-    def at(x_p):
-        x = np.asarray(x_p, float)
-        theta = x @ freq
-        theta += phase
-        value = trig(theta, out=theta) @ amp
-        if has_lin:
-            value += x @ lin
-        if has_const:
-            value += const
-        return value
-
-    return at
 
 
 def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: float) -> MomentFields:
@@ -244,21 +238,12 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
     boundary_charge = {}
     for edge in pmap.domain.edges():
         counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, tol)
-        boundary_charge[edge.name] = _catalog_field(rows, counts * w / period)
-    free = motif.free_points
-    normal = w * np.array([pt.z for pt in motif.points], float)
-    catalogs = {
-        "charge_weighted": (_catalog(free), np.array([pt.w for pt in free], float) / area, np.sin),
-        "pol_planar_weighted": (rows, w[:, None] * arms / area, np.sin),
-        "pol_normal_weighted": (rows, normal / area, np.sin),
-        "div_pol_planar_weighted": (slopes, w / area, np.cos),
-    }
+        boundary_charge[edge.name] = Catalog(rows, counts * w / period)
     return MomentFields(
         pmap=pmap,
-        **{name: _catalog_field(*catalog) for name, catalog in catalogs.items()},
+        charge_weighted=Catalog(_catalog(motif.free_points), np.array([p.w for p in motif.free_points], float) / area),
+        pol_planar_weighted=Catalog(rows, w[:, None] * arms / area),
+        pol_normal_weighted=Catalog(rows, w * np.array([pt.z for pt in motif.points], float) / area),
+        div_pol_planar_weighted=Catalog(slopes, w / area, np.cos),
         boundary_charge=boundary_charge,
-        has_free_charge=bool(free),
-        has_bound_charge=bool(np.any(slopes[:, :4] * (w / area)[:, None] != 0.0)),
-        has_normal_moment=bool(np.any(normal != 0.0)),
-        catalogs=catalogs,
     )

@@ -14,17 +14,19 @@ boundary, with all source fields premultiplied by the surface Jacobian:
     Phi(r) = INT_T [G * (c_q q*J0 - c_p div_p(J0 p_p)) + c_n dG/dnu' * p3*J0] dx
            + c_p INT_dT G * (rho + (J0 p_p).n) ds
 
-The three limits differ only in the weights (c_q, c_p, c_n):
+The three limits differ only in the weights (c_q, c_p, c_n) of
+:meth:`Regime.limit_weights`:
 
     thin-over-wide (R1):              (1, 1, 0)
     proportional (R2, h = alpha l):   (alpha, alpha, alpha^2)
     wide-over-thin (R3):              (1, 0, 1)
 
-with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A term whose
-effective weight is 0 (by the table, or because its field is identically
-zero) is skipped, so only the double layer builds surface frames, and the
-bulk integral does not run at all when its whole density is identically
-zero.  Each integrand declares its value ``columns`` (one per observation
+with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A bulk term
+is skipped when its weight is 0 or its field is :attr:`Catalog.is_zero` (no
+catalog row with both a non-zero weight and a non-zero coefficient), so
+only the double layer builds surface frames, and the bulk integral does not
+run at all when no bulk term is left; each weight that runs is folded into
+its field by :meth:`Catalog.scaled`.  Each integrand declares its value ``columns`` (one per observation
 point), so the quadrature hands it several panels' nodes per call.  Each
 integral computes its kernel in one buffer it reuses from call to call,
 sized for the largest call, so an integrand's return value is valid only
@@ -455,52 +457,6 @@ def _film_points(pmap: ParametricMap):
     return (lambda x_p: x_p) if pmap.is_identity else pmap.midsurface
 
 
-def _boundary_integral(
-    fields: MomentFields,
-    pmap: ParametricMap,
-    rows: np.ndarray,
-    coef: float,
-    tol: float,
-    max_depth: int,
-) -> np.ndarray:
-    """coef * INT_dT G (rho + (J0 p_p).n) ds: one integral per edge at ``tol``.
-
-    The outward normal is a signed coordinate axis, so (J0 p_p).n is that
-    column of the planar polarization times the sign, exactly the dot
-    product up to the sign of a zero.  Folding the normal into the catalog
-    weights would save evaluating the other column, but turns the catalog's
-    matrix product into a matrix-vector one, which numpy's BLAS rounds
-    differently.  Each integrand declares its value ``columns`` (one per
-    observation point), so the quadrature hands it stacked panels, and hands
-    the kernel the edge's surface points: on the identity map its planar
-    points themselves (:func:`_film_points`)."""
-    total = np.zeros(rows.shape[-1])
-    kernel = _kernel(rows, normals=False)
-    film_points = _film_points(pmap)
-    for edge in pmap.domain.edges():
-
-        def integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
-            x_p = edge.points(s)
-            G, _ = kernel(film_points(x_p))
-            density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
-            G *= density[:, None]
-            return G
-
-        integrand.columns = rows.shape[-1]
-        total += coef * adaptive_segment(integrand, edge.s_range, tol=tol, max_depth=max_depth)
-    return total
-
-
-# Per-regime weights of the three limit terms: (free-charge single layer,
-# in-plane polarization, normal double layer).  The in-plane column weights
-# both the bound charge -div_p(J0 p_p) and the edge term rho + (J0 p_p).n.
-_LIMIT_WEIGHTS = {
-    "R1": lambda alpha: (1.0, 1.0, 0.0),
-    "R2": lambda alpha: (alpha, alpha, alpha**2),
-    "R3": lambda alpha: (1.0, 0.0, 1.0),
-}
-
-
 def homogenized_potential(
     fields: MomentFields,
     regime: Regime,
@@ -509,35 +465,42 @@ def homogenized_potential(
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> FieldSample:
-    """Limit potential of the regime, with (c_q, c_p, c_n) from its table row.
+    """Limit potential of the regime: the weights (c_q, c_p, c_n) of
+    :meth:`Regime.limit_weights`, the bulk terms that run, the bulk
+    integral, then the edges.
 
-    A term the fields do not carry (no free charge, no bound charge, no
-    normal moment) has effective weight 0, and a term of weight 0 is never
-    evaluated; with all three bulk terms at 0 the bulk integral is skipped
-    (its value would be exactly 0).  The edge integrals run only when c_p is
-    non-zero; the bulk integral then takes tol/2 and each edge's integral
-    tol/8 (four edges).  An integrand call takes the nodes of one or more
-    stacked panels (it declares its ``columns``, one per grid point): the
-    mid-surface points (on the identity map, without a double layer, the
-    planar nodes themselves, see :func:`_film_points`), each density once
-    per node, and one :func:`_kernel` call into the integral's reused
-    buffer, scaled by them in place; every step is per node, so each
-    panel's rows are those of a call on it alone.
-    The returned array is valid only until the next call.  Each density
-    term is one catalog evaluation with its weight folded in
-    (:meth:`MomentFields.folded`): c_q q J0 and -c_p div_p(J0 p_p), summed
-    when both run, and c_n p3 J0.  Only the double layer (c_n != 0) needs
-    the normal, so only then does a call build its surface frame and
-    dG/dnu'; a call with no single layer returns dG/dnu' c_n p3 J0 itself.
+    A bulk term runs when its weight is non-zero and its field is not
+    :attr:`Catalog.is_zero`, as one catalog evaluation with the weight
+    folded in by :meth:`Catalog.scaled`: c_q q J0 and -c_p div_p(J0 p_p),
+    summed when both run, and c_n p3 J0.  With none the bulk integral is
+    skipped (its value would be exactly 0).  Only the double layer needs the
+    normal, so only then does a call build its surface frame and dG/dnu'; a
+    call with no single layer returns dG/dnu' c_n p3 J0 itself.  An
+    integrand call takes the nodes of one or more stacked panels (it
+    declares its ``columns``, one per grid point): the mid-surface points
+    (on the identity map, without a double layer, the planar nodes
+    themselves, see :func:`_film_points`), each density once per node, and
+    one :func:`_kernel` call into the integral's reused buffer, scaled by
+    them in place; every step is per node, so each panel's rows are those of
+    a call on it alone.  The returned array is valid only until the next
+    call.
+
+    The edges run only when c_p is non-zero; the bulk integral then takes
+    tol/2, and each edge is one adaptive integral of c_p G (rho + (J0
+    p_p).n) over the whole edge in parameter arc length at tol/8 (four
+    edges).  The outward normal is a signed coordinate axis, so (J0 p_p).n
+    is that column of the planar polarization times the sign, exactly the
+    dot product up to the sign of a zero.  Folding the normal into the
+    catalog weights would save evaluating the other column, but turns the
+    catalog's matrix product into a matrix-vector one, which numpy's BLAS
+    rounds differently.
     """
-    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
-    c_q = c_q if fields.has_free_charge else 0.0
-    c_b = c_p if fields.has_bound_charge else 0.0
-    c_n = c_n if fields.has_normal_moment else 0.0
+    c_q, c_p, c_n = regime.limit_weights()
+    charge, div, normal = fields.charge_weighted, fields.div_pol_planar_weighted, fields.pol_normal_weighted
+    single = [f.scaled(c) for f, c in ((charge, c_q), (div, -c_p)) if c != 0.0 and not f.is_zero]
+    double = normal.scaled(c_n) if c_n != 0.0 and not normal.is_zero else None
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
-    kernel = _kernel(rows, normals=c_n != 0.0)
-    single = [fields.folded(name, c) for name, c in (("charge_weighted", c_q), ("div_pol_planar_weighted", -c_b)) if c]
-    double = fields.folded("pol_normal_weighted", c_n) if c_n != 0.0 else None
+    kernel = _kernel(rows, normals=double is not None)
     film_points = _film_points(pmap)
 
     def integrand(x_p):
@@ -560,10 +523,22 @@ def homogenized_potential(
     integrand.columns = grid.n_points
     dom = pmap.domain
     values = np.zeros(grid.n_points)
-    if c_q != 0.0 or c_b != 0.0 or c_n != 0.0:
-        bulk_tol = 0.5 * tol if c_p != 0.0 else tol
-        values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=bulk_tol, max_depth=max_depth)
+    if single or double is not None:
+        values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=0.5 * tol if c_p else tol, max_depth=max_depth)
     if c_p != 0.0:
-        values = values + _boundary_integral(fields, pmap, rows, c_p, tol / 8, max_depth)
+        total = np.zeros(grid.n_points)
+        edge_kernel = _kernel(rows, normals=False)
+        for edge in dom.edges():
+
+            def edge_integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
+                x_p = edge.points(s)
+                G, _ = edge_kernel(film_points(x_p))
+                density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
+                G *= density[:, None]
+                return G
+
+            edge_integrand.columns = grid.n_points
+            total += c_p * adaptive_segment(edge_integrand, edge.s_range, tol=tol / 8, max_depth=max_depth)
+        values = values + total
     alpha = f" alpha={regime.alpha:g}" if regime.kind == "R2" else ""
     return FieldSample(grid=grid, values=values, provenance=f"homogenized({regime.kind}{alpha})")

@@ -9,7 +9,8 @@ brute-force constructions the acceptance criteria and unit tests use.
   raising ``NonPositiveJacobian`` where it is not positive.
 - ``sample``: uniform random points of a parameter rectangle.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
-  with the bound-charge divergence differenced centrally.
+  with the bound-charge divergence differenced centrally, each wrapped in a
+  ``RawField`` that scales its values after evaluating them.
 - ``modulation_gradient``: the analytic planar gradient of a weight
   modulation.
 - ``loop_fields``: the limit moment fields as one loop over motif points,
@@ -63,7 +64,7 @@ from filmhomog import (
 from filmhomog.geometry import Edge, Rectangle
 from filmhomog.lattice import UnitCellChoice, cell_index, containment_tol, edge_counts
 from filmhomog.moments import _j0_at
-from filmhomog.potential import _LIMIT_WEIGHTS, _kernel
+from filmhomog.potential import _kernel
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
 
 _JACOBIAN_FLOOR = 1e-14
@@ -164,6 +165,21 @@ def surface_divergence_term(
     return out if out.ndim else float(out)
 
 
+class RawField:
+    """A field from a raw callable with the ``scaled`` and ``is_zero`` of a
+    catalog field: ``scaled(c)`` evaluates the callable, then multiplies by
+    c, and ``is_zero`` is what the caller states."""
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], is_zero: bool):
+        self.fn, self.is_zero = fn, is_zero
+
+    def __call__(self, x_p: np.ndarray) -> np.ndarray:
+        return self.fn(x_p)
+
+    def scaled(self, factor: float) -> "RawField":
+        return RawField(lambda x_p: factor * self.fn(x_p), self.is_zero)
+
+
 def prescribed_fields(
     pmap: ParametricMap,
     q: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -179,7 +195,8 @@ def prescribed_fields(
     planar polarization is central-differenced by ``surface_divergence_term``
     (step 1e-5 * diam(T)).  ``boundary_charge`` maps edge names to line
     densities, callables on parameter points (..., 2) with no Jacobian in
-    them; edges it leaves out carry 0.
+    them; edges it leaves out carry 0.  Each field is a :class:`RawField`,
+    zero exactly when its callable is not given.
     """
 
     def zero_scalar(x_p):
@@ -202,18 +219,15 @@ def prescribed_fields(
             return zero_scalar(x_p)
         return surface_divergence_term(pmap, p_p, x_p) * _j0_at(pmap, x_p)
 
-    densities = {e.name: zero_scalar for e in pmap.domain.edges()}
-    densities.update(boundary_charge or {})
+    lines = boundary_charge or {}
+    edges = {e.name: RawField(lines.get(e.name, zero_scalar), e.name not in lines) for e in pmap.domain.edges()}
     return MomentFields(
         pmap=pmap,
-        charge_weighted=weighted_scalar(q) if q is not None else zero_scalar,
-        pol_planar_weighted=pol_planar_weighted,
-        pol_normal_weighted=weighted_scalar(p3) if p3 is not None else zero_scalar,
-        div_pol_planar_weighted=div_pol_planar_weighted,
-        boundary_charge=densities,
-        has_free_charge=q is not None,
-        has_bound_charge=p_p is not None,
-        has_normal_moment=p3 is not None,
+        charge_weighted=RawField(weighted_scalar(q) if q is not None else zero_scalar, q is None),
+        pol_planar_weighted=RawField(pol_planar_weighted, p_p is None),
+        pol_normal_weighted=RawField(weighted_scalar(p3) if p3 is not None else zero_scalar, p3 is None),
+        div_pol_planar_weighted=RawField(div_pol_planar_weighted, p_p is None),
+        boundary_charge=edges,
     )
 
 
@@ -433,12 +447,13 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     """The bulk integrand over observation ``points`` (M, 3): G (c_q q J0 -
     c_b div_p(J0 p_p)) + c_n dG/dnu' p3 J0 on (N, 2) nodes, each density
     from its field callable times the regime weight, the single layer built
-    from a zero, and a double layer added to it.  Returns the kernel's
-    buffer, valid until the next call."""
-    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
-    c_q = c_q if fields.has_free_charge else 0.0
-    c_b = c_p if fields.has_bound_charge else 0.0
-    c_n = c_n if fields.has_normal_moment else 0.0
+    from a zero, and a double layer added to it.  The weights are those of
+    ``regime.limit_weights()``, set to 0 for a field that ``is_zero``.
+    Returns the kernel's buffer, valid until the next call."""
+    c_q, c_p, c_n = regime.limit_weights()
+    c_q = 0.0 if fields.charge_weighted.is_zero else c_q
+    c_b = 0.0 if fields.div_pol_planar_weighted.is_zero else c_p
+    c_n = 0.0 if fields.pol_normal_weighted.is_zero else c_n
     kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=c_n != 0.0)
 
     def integrand(x_p):

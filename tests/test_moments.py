@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -306,17 +305,11 @@ class TestCatalogFields:
         ]
         x = np.random.default_rng(6).uniform(-1.0, 2.0, (9, 2))
         terms = np.stack([pt.modulation(x) for pt in points], axis=-1)  # (9, 3)
-        value = moments._catalog_field(moments._catalog(points), weights)(x)
+        value = moments.Catalog(moments._catalog(points), weights)(x)
         self.assert_close(value, terms @ weights)
-        sinusoid = moments._catalog_field(moments._catalog(points[2:]), weights[2:])(x)  # no linear or constant part
+        sinusoid = moments.Catalog(moments._catalog(points[2:]), weights[2:])(x)  # no linear or constant part
         self.assert_close(sinusoid, terms[:, 2:] @ weights[2:])
         assert np.max(np.abs(value - sinusoid)) > 1.0
-
-    def test_folded_callable_without_a_catalog_is_scaled_after_evaluation(self):
-        fields = dataclasses.replace(moment_fields(*CATALOG_MOTIFS["mixed"], IDENT, 1 / 16), catalogs={})
-        x = np.random.default_rng(10).uniform(0.0, 1.0, (8, 2))
-        for name in ("charge_weighted", "pol_planar_weighted", "div_pol_planar_weighted"):
-            assert fields.folded(name, 0.7)(x).tobytes() == (0.7 * getattr(fields, name)(x)).tobytes()
 
 
 class TestBoundaryCharge:

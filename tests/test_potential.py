@@ -6,7 +6,6 @@ integrals, and the pre-integration-by-parts (kernel-gradient) form for the
 flat-film formulas.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -39,7 +38,8 @@ from filmhomog import potential, quadrature
 from filmhomog.cli import main
 from filmhomog.config import parse_config
 from filmhomog.geometry import surface_frame
-from filmhomog.potential import _BLOCK_VALUES, _LIMIT_WEIGHTS, TAYLOR_STANDOFF, _kernel, _row_sums, green_sums
+from filmhomog.moments import Catalog
+from filmhomog.potential import _BLOCK_VALUES, TAYLOR_STANDOFF, _kernel, _row_sums, green_sums
 from filmhomog.quadrature import _panels
 from reference import (
     finite_t_double_layer,
@@ -507,6 +507,26 @@ FLAT_CASES = [
 ]
 
 
+# terms whose catalog rows are all zero although the motif has a free point
+# (of weight 0) or a point with w z != 0 (whose modulation is the constant 0):
+# (motif, field, the function the term would call)
+_ZERO_ROWS = {
+    "free-weight-0": (
+        Motif(points=PLANAR_DIPOLE.points, free_points=(MotifPoint(0.0, (0.5, 0.5), 0.3),)),
+        "charge_weighted",
+        "adaptive_rectangle",
+    ),
+    "normal-constant-0": (
+        Motif(
+            points=PLANAR_FREE.points + (MotifPoint(1.0, (0.5, 0.5), 0.4, Modulation("constant", 0.0)),),
+            free_points=PLANAR_FREE.free_points,
+        ),
+        "pol_normal_weighted",
+        "surface_frame",
+    ),
+}
+
+
 def _frames_per_panel(monkeypatch, fields, regime, pmap, grid):
     """(surface frames, bulk integrand calls) of one homogenized_potential call."""
     calls = {"frames": 0, "panels": 0}
@@ -529,15 +549,24 @@ def _frames_per_panel(monkeypatch, fields, regime, pmap, grid):
     return calls["frames"], calls["panels"]
 
 
+def _forced_values(monkeypatch, fields, regime, pmap, grid, *zero):
+    """homogenized_potential with the catalog fields ``zero`` evaluated anyway:
+    their ``is_zero`` reads False for this call only."""
+    is_zero = Catalog.is_zero.fget
+    with monkeypatch.context() as m:
+        m.setattr(Catalog, "is_zero", property(lambda self: not any(self is f for f in zero) and is_zero(self)))
+        return homogenized_potential(fields, regime, pmap, grid).values
+
+
 class TestSkippedTerms:
     """A term of effective weight 0 is never evaluated; the values do not change."""
 
     @pytest.mark.parametrize("pmap, regime, points", FLAT_CASES)
     def test_no_normal_moment_builds_no_frame_and_changes_no_bit(self, monkeypatch, pmap, regime, points):
         fields = moment_fields(PLANAR_FREE, SQUARE, pmap, 0.25)
-        assert not fields.has_normal_moment
+        assert fields.pol_normal_weighted.is_zero
         grid = ObservationGrid.from_points(points, pmap)
-        full = homogenized_potential(dataclasses.replace(fields, has_normal_moment=True), regime, pmap, grid).values
+        full = _forced_values(monkeypatch, fields, regime, pmap, grid, fields.pol_normal_weighted)
 
         def no_frame(*args, **kwargs):
             raise AssertionError("surface frame built for a field without a normal moment")
@@ -548,15 +577,36 @@ class TestSkippedTerms:
     @pytest.mark.parametrize("pmap, regime, points", FLAT_CASES)
     def test_no_bound_charge_skips_the_bulk_and_changes_no_bit(self, monkeypatch, pmap, regime, points):
         fields = moment_fields(PLANAR_DIPOLE, SQUARE, pmap, 0.25)  # constant weights: no bulk density at all
-        assert not (fields.has_bound_charge or fields.has_free_charge or fields.has_normal_moment)
+        bulk = (fields.charge_weighted, fields.div_pol_planar_weighted, fields.pol_normal_weighted)
+        assert all(f.is_zero for f in bulk)
         grid = ObservationGrid.from_points(points, pmap)
-        full = homogenized_potential(dataclasses.replace(fields, has_bound_charge=True), regime, pmap, grid).values
+        full = _forced_values(monkeypatch, fields, regime, pmap, grid, fields.div_pol_planar_weighted)
 
         def no_bulk(*args, **kwargs):
             raise AssertionError("bulk integral of an identically zero density")
 
         monkeypatch.setattr(potential, "adaptive_rectangle", no_bulk)
         assert homogenized_potential(fields, regime, pmap, grid).values.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("regime", [Regime("R2", alpha=1.5), Regime("R3")], ids=["R2", "R3"])
+    @pytest.mark.parametrize("case", sorted(_ZERO_ROWS))
+    def test_zero_rows_skip_the_term_and_change_no_bit(self, monkeypatch, case, regime):
+        motif, name, skipped = _ZERO_ROWS[case]
+        fields = moment_fields(motif, SQUARE, IDENT, 0.25)
+        assert getattr(fields, name).is_zero
+        grid = ObservationGrid.from_points([[1.2, 0.3, 0.9], [0.5, 0.5, 0.05]], IDENT)
+        calls, original = [], getattr(potential, skipped)
+
+        def counted(*args, **kwargs):
+            calls.append(skipped)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(potential, skipped, counted)
+        full = _forced_values(monkeypatch, fields, regime, IDENT, grid, getattr(fields, name))
+        assert calls  # the term runs when forced
+        calls.clear()
+        assert homogenized_potential(fields, regime, IDENT, grid).values.tobytes() == full.tobytes()
+        assert calls == []
 
     @pytest.mark.parametrize(
         "points, expected",
@@ -571,9 +621,9 @@ class TestSkippedTerms:
             ((MotifPoint(1.0, (0.0, 0.0), 0.0, _WAVE),), False),  # no arm: grad m . B y = 0
         ],
     )
-    def test_bound_charge_flag(self, points, expected):
+    def test_bound_charge_is_zero(self, points, expected):
         fields = moment_fields(Motif(points=points), SQUARE, IDENT, 0.25)
-        assert fields.has_bound_charge is expected
+        assert fields.div_pol_planar_weighted.is_zero is not expected
         x = np.random.default_rng(8).uniform(-1.0, 2.0, (50, 2))
         assert np.all(fields.div_pol_planar_weighted(x) == 0.0) is not expected
 
@@ -583,7 +633,7 @@ class TestSkippedTerms:
     )
     def test_normal_moment_builds_one_frame_per_panel(self, monkeypatch, regime, pmap):
         fields = moment_fields(MIXED, SQUARE, pmap, 0.25)
-        assert fields.has_normal_moment
+        assert not fields.pol_normal_weighted.is_zero
         grid = ObservationGrid.from_points([[0.2, 0.7, 2.5], [1.3, 0.4, 2.2]], pmap)
         frames, panels = _frames_per_panel(monkeypatch, fields, regime, pmap, grid)
         assert frames == panels > 0
@@ -615,10 +665,10 @@ class TestSkippedTerms:
             ((MotifPoint(1.0, (0.5, 0.5), -1e-300),), True),
         ],
     )
-    def test_normal_moment_flag(self, points, expected):
+    def test_normal_moment_is_zero(self, points, expected):
         motif = Motif(points=points)
         fields = moment_fields(motif, SQUARE, IDENT, 0.25)
-        assert fields.has_normal_moment is expected
+        assert fields.pol_normal_weighted.is_zero is not expected
         assert expected == any(pt.w * pt.z != 0.0 for pt in motif.points)
         x = np.random.default_rng(7).uniform(-1.0, 2.0, (50, 2))
         if not expected:
@@ -655,9 +705,8 @@ def _term_fields(terms, pmap):
     points = sum((_TERM_MOTIFS[t][0] for t in terms), ())
     free = sum((_TERM_MOTIFS[t][1] for t in terms), ())
     fields = moment_fields(Motif(points=points, free_points=free), SQUARE, pmap, 0.25)
-    assert (fields.has_free_charge, fields.has_bound_charge, fields.has_normal_moment) == tuple(
-        t in terms for t in ("free", "bound", "normal")
-    )
+    bulk = (fields.charge_weighted, fields.div_pol_planar_weighted, fields.pol_normal_weighted)
+    assert tuple(not f.is_zero for f in bulk) == tuple(t in terms for t in ("free", "bound", "normal"))
     return fields
 
 
@@ -705,10 +754,10 @@ def _integrand_pairs(monkeypatch, terms, map_name, regime):
     return triples, fields, grid
 
 
-def _abs_terms(fields, name, x):
+def _abs_terms(field, x):
     """sum_k |w_k| (|a_k| + |b_k|.|x| + |v_k trig(Theta_k)|) at points x, the
-    scale of the catalog terms that ``fields.folded(name, ...)`` sums."""
-    rows, weights, trig = fields.catalogs[name]
+    scale of the terms that the catalog ``field`` sums, scaled or not."""
+    rows, weights, trig = field.rows, field.weights, field.trig
     wave = np.abs(rows[:, 3] * trig(x @ rows[:, 4:6].T + rows[:, 6]))
     return (np.abs(rows[:, 0]) + np.abs(x) @ np.abs(rows[:, 1:3]).T + wave) @ np.abs(weights)
 
@@ -716,17 +765,17 @@ def _abs_terms(fields, name, x):
 def _term_scale(fields, regime, pmap, grid, nodes):
     """Per node and point: G times the weighted scale of the single-layer
     terms plus |dG/dnu'| times that of the double layer."""
-    c_q, c_p, c_n = _LIMIT_WEIGHTS[regime.kind](regime.alpha)
+    c_q, c_p, c_n = regime.limit_weights()
     frame = surface_frame(pmap, nodes)
     G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(frame.point, frame.normal)
     single = np.zeros(len(nodes))
-    if fields.has_free_charge:
-        single += c_q * _abs_terms(fields, "charge_weighted", nodes)
-    if fields.has_bound_charge:
-        single += c_p * _abs_terms(fields, "div_pol_planar_weighted", nodes)
+    if not fields.charge_weighted.is_zero:
+        single += c_q * _abs_terms(fields.charge_weighted, nodes)
+    if not fields.div_pol_planar_weighted.is_zero:
+        single += c_p * _abs_terms(fields.div_pol_planar_weighted, nodes)
     scale = G * single[:, None]
-    if fields.has_normal_moment:
-        scale += np.abs(dGn) * (c_n * _abs_terms(fields, "pol_normal_weighted", nodes))[:, None]
+    if not fields.pol_normal_weighted.is_zero:
+        scale += np.abs(dGn) * (c_n * _abs_terms(fields.pol_normal_weighted, nodes))[:, None]
     return scale
 
 
@@ -833,8 +882,11 @@ class TestFoldedIntegrands:
 
 
 class TestBoundaryIntegral:
-    def test_smooth_density_against_dense_gauss_sums(self):
-        """One edge integral per edge over a smooth, non-constant line density, against dense Gauss sums."""
+    def test_smooth_density_against_dense_gauss_sums(self, monkeypatch):
+        """One edge integral per edge over a smooth, non-constant line density,
+        against dense Gauss sums: the edges of homogenized_potential under R2
+        with alpha = 1.5 (c_p = 1.5), each at tol / 8 = 1e-13, with the bulk
+        integral captured away."""
         stretched = ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0))  # psi = (2 x1, x2, 0), J0 = 2
         p_p = lambda x: np.stack([np.cos(np.asarray(x)[..., 1]), np.asarray(x)[..., 0] ** 2], axis=-1)
         rho = {
@@ -843,8 +895,11 @@ class TestBoundaryIntegral:
         }
         obs = np.array([[2.3, 0.4, 0.3], [1.0, 0.5, 0.6], [-0.2, 0.9, 0.25]])
         fields = prescribed_fields(stretched, p_p=p_p, boundary_charge=rho)
-        rows = np.ascontiguousarray(obs.T)  # the kernel's (3, M) component rows
-        value = potential._boundary_integral(fields, stretched, rows, 1.5, 1e-13, 12)
+        bulk = []
+        monkeypatch.setattr(potential, "adaptive_rectangle", lambda f, *args, **kwargs: bulk.append(f) or 0.0)
+        grid = ObservationGrid.from_points(obs, stretched)
+        value = homogenized_potential(fields, Regime("R2", alpha=1.5), stretched, grid, tol=8e-13, max_depth=12).values
+        assert len(bulk) == 1
 
         expected = np.zeros(len(obs))
         for edge in UNIT.edges():
