@@ -9,17 +9,18 @@ integer index m = (m1, m2) has corner
 and occupies corner + l * B @ [0,1)^2 (half-open, so the plane is an exact
 partition and atom-to-cell assignment is deterministic).  Cells fully inside
 the domain are "full"; cells whose closed translate meets the complement but
-still overlap the domain with positive area are "partial" and carry the area
-of their exact rectangle-parallelogram clip.
+still overlap the domain with positive area are "partial".
 
-:func:`tessellate` has no per-cell loop.  Full cells and the boundary band
-(cells that meet the domain but are not full) are classified on per-vertex
-arrays, and the band is clipped at once: one Sutherland-Hodgman pass per
-side of the domain over a (K, W, 2) vertex array with per-row vertex counts.
-Clip areas are shoelace sums relative to each polygon's first vertex, so
-their roundoff scales with the cell, not with the domain's distance from the
-origin; a cell that touches the domain only at a point or along a side has
-area 0 and is not a partial cell, wherever the domain sits.
+:func:`tessellate` has no per-cell loop: it classifies every candidate cell
+on arrays.  A cell and the domain are convex, so they overlap exactly when
+no side normal of either separates them (the separating-axis theorem), and
+a parallelogram and a rectangle have four such axes.  Along the domain's
+two axes a cell's vertex extent is compared with the domain's sides; along
+the cell's two axes, in cell coordinates where cell m spans [m, m + 1), its
+index is compared with the extent of the domain's corners.  A partial cell
+must overlap the domain by more than the containment slack along all four,
+so a cell that touches it only at a point, along a side or in a
+roundoff-thin strip is not one, wherever the domain sits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .geometry import Edge, Rectangle
 
 _CONTAIN_TOL = 1e-12   # absolute slack for full-cell containment tests
 _SNAP_TOL = 1e-9       # snap basis coordinates sitting on a cell boundary
-_AREA_TOL_REL = 1e-12  # clip areas below this fraction of a cell are dropped
 _MAX_PERIOD = 1000     # largest integer component of an edge's lattice period
 _UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -113,8 +113,7 @@ class Tessellation:
 
     Row k of ``indices`` and ``corners`` is one cell: the ``n_full`` full
     cells come first, then the partial cells, each in ascending lattice
-    index.  Partial cells also carry the area of their part inside the
-    domain.
+    index.
     """
 
     domain: Rectangle
@@ -123,7 +122,6 @@ class Tessellation:
     indices: np.ndarray                     # (N, 2) int lattice indices
     corners: np.ndarray                     # (N, 2) cell corners
     n_full: int
-    clip_areas: np.ndarray                  # (N - n_full,)
 
     @property
     def full_cells(self) -> np.ndarray:
@@ -193,74 +191,27 @@ def edge_counts(edge: Edge, ys, l: float, choice: UnitCellChoice, tol: float) ->
     return np.array([np.count_nonzero(levels + off >= -eps) for off in offsets], float), period
 
 
-def _clip_to_rectangle(polys: np.ndarray, rect: Rectangle) -> tuple[np.ndarray, np.ndarray]:
-    """Sutherland-Hodgman clip of K convex polygons (K, V, 2) against the rectangle at once.
-
-    Each half-plane pass, in the order x >= lo, x <= hi, y >= lo, y <= hi,
-    walks every edge (cur, nxt) of every row: it keeps cur if inside and,
-    where the edge crosses the line, adds cur + t (nxt - cur) with t = (value
-    - cur) / (nxt - cur) along the axis and the clipped coordinate set to the
-    line.  Survivors are compacted in their order into rows as wide as the
-    largest count, so convex 4-gons end at most 8 wide.  Returns the clipped
-    rows (K, W, 2), each with its vertices first, and their vertex counts.
-    """
-    halfplanes = [(0, rect.lo[0], +1.0), (0, rect.hi[0], -1.0), (1, rect.lo[1], +1.0), (1, rect.hi[1], -1.0)]
-    k, rows = len(polys), np.arange(len(polys))[:, None]
-    count = np.full(k, polys.shape[1])
-    for axis, value, sign in halfplanes:
-        width = polys.shape[1]
-        slot = np.arange(width)
-        valid = slot < count[:, None]
-        nxt = polys[rows, (slot + 1) % np.maximum(count, 1)[:, None]]
-        cur_in = sign * (polys[..., axis] - value) >= 0.0
-        nxt_in = sign * (nxt[..., axis] - value) >= 0.0
-        cross = valid & (cur_in != nxt_in)
-        cur, to = polys[cross], nxt[cross]
-        t = (value - cur[:, axis]) / (to[:, axis] - cur[:, axis])
-        pt = cur + t[:, None] * (to - cur)
-        pt[:, axis] = value  # exactly on the clip line
-        # each edge emits cur (if inside), then its crossing point (if any)
-        cand = np.stack([polys, np.zeros_like(polys)], axis=2)
-        cand[cross, 1] = pt
-        emit = np.stack([valid & cur_in, cross], axis=2).reshape(k, 2 * width)
-        count = np.count_nonzero(emit, axis=1)
-        polys = np.zeros((k, max(1, int(count.max(initial=0))), 2))
-        polys[np.nonzero(emit)[0], (np.cumsum(emit, axis=1) - 1)[emit]] = cand.reshape(k, 2 * width, 2)[emit]
-    return polys, count
-
-
-def _polygon_areas(polys: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Shoelace areas of rows of ``polys`` (K, W, 2) with ``count`` vertices each.
-
-    Coordinates are taken relative to each row's first vertex, so roundoff
-    scales with the polygon and not with its distance from the origin: a clip
-    that collapsed to one repeated point has area exactly 0.  Slots past the
-    count become that first vertex, whose terms vanish.
-    """
-    rel = polys - polys[:, :1]
-    rel[np.arange(polys.shape[1]) >= count[:, None]] = 0.0
-    x, y = rel[..., 0], rel[..., 1]
-    return 0.5 * np.abs(np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1))
-
-
 def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellation:
     """Enumerate full and partial cells of the scaled tiling over the domain.
 
     Candidate indices come from the basis-coordinate bounding box of the
     domain inflated by one cell.  One vectorized containment test, exact up
-    to a tolerance of 1e-12 (absolute, domain units), finds the full cells;
-    the candidates of the domain's boundary band are clipped together by
-    :func:`_clip_to_rectangle` and kept when their area exceeds 1e-12 of a
-    cell.
+    to the containment slack (1e-12 of the domain's diameter, at least
+    1e-12), finds the full cells.  Any other candidate is a partial cell
+    when it overlaps the domain by more than that slack along the domain's
+    two axes and along the cell's two axes, the slack turned into cell units
+    there; the cell coordinates of the domain's corners are not snapped to
+    the lattice, so a real strip narrower than the snap window is kept.
     """
     if not (0.0 < l <= 1.0):
         raise ValueError(f"scale l must lie in (0, 1], got {l}")
     tol = containment_tol(domain)
-    area_floor = _AREA_TOL_REL * choice.cell_area * l * l
 
-    coords = choice.basis_coords(domain.corners(), l)
-    m_lo = np.floor(coords.min(axis=0)).astype(int) - 1
-    m_hi = np.ceil(coords.max(axis=0)).astype(int) + 1
+    # cell coordinates of the domain's corners, as basis_coords but unsnapped
+    rel = domain.corners() - np.asarray(choice.origin, float)
+    span = _matvec(choice.basis_inv, rel) / l - np.asarray(choice.f, float)
+    m_lo = np.floor(span.min(axis=0)).astype(int) - 1
+    m_hi = np.ceil(span.max(axis=0)).astype(int) + 1
     m1, m2 = np.meshgrid(
         np.arange(m_lo[0], m_hi[0] + 1), np.arange(m_lo[1], m_hi[1] + 1), indexing="ij"
     )
@@ -269,21 +220,18 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
 
     # corner + offset rounds monotonically in the offset, so every cell's
     # extreme vertex along an axis is the one with the extreme offset
-    offsets = choice.planar(_UNIT_SQUARE, l)  # (4, 2) cell vertices relative to the corner, in cycle order
+    offsets = choice.planar(_UNIT_SQUARE, l)  # (4, 2) cell vertices relative to the corner
     lo = [corners[:, a] + offsets[:, a].min() for a in (0, 1)]
     hi = [corners[:, a] + offsets[:, a].max() for a in (0, 1)]
     full = np.ones(len(corners), bool)
     meets = np.ones(len(corners), bool)
     for a in (0, 1):
         full &= (lo[a] >= domain.lo[a] - tol) & (hi[a] <= domain.hi[a] + tol)
-        # a cell outside one side of the domain, or touching it only on the
-        # side's line, clips to nothing or to points on that line: zero area
-        meets &= (hi[a] > domain.lo[a]) & (lo[a] < domain.hi[a])
-    band = np.flatnonzero(~full & meets)
-    clipped, count = _clip_to_rectangle(corners[band, None, :] + offsets, domain)
-    areas = _polygon_areas(clipped, count)
-    keep = np.flatnonzero(areas > area_floor)
-    rows = np.concatenate([np.flatnonzero(full), band[keep]])
+        # separating axes: the domain's side normal a, then the cell's
+        meets &= (hi[a] > domain.lo[a] + tol) & (lo[a] < domain.hi[a] - tol)
+        slack = tol * np.hypot(*choice.basis_inv[a]) / l  # tol off a side of cell axis a, in cell units
+        meets &= (indices[:, a] + 1 > span[:, a].min() + slack) & (indices[:, a] < span[:, a].max() - slack)
+    rows = np.concatenate([np.flatnonzero(full), np.flatnonzero(~full & meets)])
 
     tess = Tessellation(
         domain=domain,
@@ -292,7 +240,6 @@ def tessellate(domain: Rectangle, l: float, choice: UnitCellChoice) -> Tessellat
         indices=np.take(indices, rows, axis=0),  # np.take: fancy row indexing is slower here
         corners=np.take(corners, rows, axis=0),
         n_full=int(np.count_nonzero(full)),
-        clip_areas=areas[keep],
     )
     if tess.n_full == 0:
         warnings.warn(

@@ -89,12 +89,19 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Per element the same arithmetic as one box at a time: mid = 0.5 (lo +
     hi), half = 0.5 (hi - lo), nodes mid + half * offsets, and the rule's
-    weights times the product of the half-widths.
+    weights times the product of the half-widths.  Rectangle nodes are made
+    one axis at a time: broadcast over a last axis of length 2, numpy's
+    inner loop would run two elements at a time.
     """
     offsets, weights, _ = _RULES[lo.shape[1:]]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * offsets
+    if lo.ndim == 1:
+        nodes = mid[:, None] + half[:, None] * offsets
+    else:
+        nodes = np.empty((len(lo),) + offsets.shape)
+        for a in (0, 1):
+            np.add(mid[:, None, a], half[:, None, a] * offsets[:, a], out=nodes[..., a])
     return nodes, np.multiply.reduce(half.reshape(len(half), -1), axis=1)[:, None] * weights
 
 

@@ -18,11 +18,13 @@ brute-force constructions the acceptance criteria and unit tests use.
   ``moment_fields`` must reproduce.
 - ``clip_polygon_to_rectangle`` / ``polygon_area`` / ``loop_tessellation``:
   the tessellation as one scalar Sutherland-Hodgman clip per boundary cell,
-  which the array clip of ``tessellate`` must reproduce.
+  kept above an area floor, whose cells the separating-axis test of
+  ``tessellate`` must reproduce.
 - ``loop_rebin``: the re-binned motif of a second unit-cell choice, one
   ``cell_index`` call per A cell and motif point, which the array pass of
   ``rebin_motif`` must reproduce.
-- ``covered_area``: the area the cells of a tessellation cover.
+- ``covered_area``: the area the cells of a tessellation cover, each
+  partial cell clipped by ``clip_polygon_to_rectangle``.
 - ``edge_line_charge``: an edge's boundary line density read off the partial
   cells of a tessellation, which the closed form must reproduce.
 - ``fsum_potential``: the exactly rounded Green's sum, one ``math.fsum`` per
@@ -408,9 +410,11 @@ def loop_rebin(motif: Motif, choice_a: UnitCellChoice, choice_b: UnitCellChoice,
 
 
 def covered_area(tess: Tessellation) -> float:
-    """Area of all cells: n_full whole cells plus the partial cells' clip areas."""
+    """Area of all cells: n_full whole cells plus each partial cell's scalar clip to the domain."""
     full_area = tess.n_full * tess.choice.cell_area * tess.l * tess.l
-    return full_area + float(np.sum(tess.clip_areas))
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    polys = tess.corners[tess.n_full :, None, :] + tess.choice.planar(unit, tess.l)
+    return full_area + sum(polygon_area(clip_polygon_to_rectangle(poly, tess.domain)) for poly in polys)
 
 
 def edge_line_charge(tess: Tessellation, motif: Motif, edge: Edge, lo: float, hi: float) -> float:

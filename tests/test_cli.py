@@ -233,6 +233,23 @@ class TestMoments:
         assert main(["moments", "--config", str(CONFIGS / "gauge_half_shift.json"), "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).read_bytes() == (GOLDEN / "gauge_half_shift" / name).read_bytes()
 
+    def test_golden_bytes_sheared_cells(self, tmp_path):
+        """Parallelogram full and partial cells: converge_r2 with e2 = (0.5, 1), at l = 1/8.
+
+        The config is built as the CI's sheared variant builds it, so the
+        scenario hash is fixed too.  J0 = 1, p_p = (0.5, 0) and sigma is 0
+        or +-1: every value is dyadic and the bytes do not depend on the
+        platform.
+        """
+        payload = json.loads((CONFIGS / "converge_r2.json").read_text())
+        payload["cell"]["e2"] = [0.5, 1.0]
+        payload["schedule"] = {"l": [0.125, 0.0625, 0.03125, 0.015625]}
+        assert main(["moments", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "moments.csv").read_bytes()
+        assert got == (GOLDEN / "converge_r2_sheared" / "moments.csv").read_bytes()
+        kinds = [row[4] for row in read_table(tmp_path / "moments.csv")[2]]
+        assert (kinds.count("full"), kinds.count("partial")) == (56, 16)
+
 
     def test_polar_disk_axis_rows_are_empty(self, tmp_path):
         """J0 vanishes on the x1 = 0 axis: full rows with their corner there are undefined, not a
