@@ -117,15 +117,19 @@ def _cmd_potential(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
+def _moment_tables(cfg: ScenarioConfig) -> list:
+    """The moment tables of the first schedule step: choice A's, then
+    choice B's (on the re-binned motif) if the config has one."""
     l, h = cfg.schedule[0]
-    tess = tessellate(cfg.pmap.domain, l, cfg.choice_a)
-    tables = {"moments.csv": moment_table(tess, cfg.motif, cfg.pmap, l=l, h=h)}
+    tables = [moment_table(tessellate(cfg.pmap.domain, l, cfg.choice_a), cfg.motif, cfg.pmap, h)]
     if cfg.choice_b is not None:
         motif_b = rebin_motif(cfg.motif, cfg.choice_a, cfg.choice_b, l)
-        tess_b = tessellate(cfg.pmap.domain, l, cfg.choice_b)
-        tables["moments_b.csv"] = moment_table(tess_b, motif_b, cfg.pmap, l=l, h=h)
-    for name, table in tables.items():
+        tables.append(moment_table(tessellate(cfg.pmap.domain, l, cfg.choice_b), motif_b, cfg.pmap, h))
+    return tables
+
+
+def _cmd_moments(cfg: ScenarioConfig, out_dir: Path) -> int:
+    for name, table in zip(["moments.csv", "moments_b.csv"], _moment_tables(cfg)):
         _write_moments(cfg, out_dir, name, table)
     return EXIT_OK
 
@@ -170,11 +174,12 @@ def _cmd_gauge(cfg: ScenarioConfig, out_dir: Path, assert_: bool) -> int:
         tol=cfg.tol,
         max_depth=cfg.max_depth,
     )
+    tables = _moment_tables(cfg)
     phi_a, phi_b = report.field_a.values, report.field_b.values
     rows = zip(*report.field_a.grid.points.T.tolist(), phi_a.tolist(), phi_b.tolist(), (phi_a - phi_b).tolist())
     _write_csv(cfg, out_dir, "gauge.csv", ["x", "y", "z", "phi_a", "phi_b", "diff"], rows)
-    _write_moments(cfg, out_dir, "gauge_moments_a.csv", report.moments_a)
-    _write_moments(cfg, out_dir, "gauge_moments_b.csv", report.moments_b)
+    for name, table in zip(["gauge_moments_a.csv", "gauge_moments_b.csv"], tables):
+        _write_moments(cfg, out_dir, name, table)
     _write_summary(
         cfg,
         out_dir,

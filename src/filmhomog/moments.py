@@ -27,7 +27,6 @@ phi_k), so each field is a :class:`Catalog`, a fixed weight vector against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -76,17 +75,13 @@ def _norm_points(tess: Tessellation) -> np.ndarray:
     return np.concatenate([tess.corners[: tess.n_full], 0.5 * (lo + hi)])
 
 
-def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional[float]):
+def _kept_sums(tess: Tessellation, motif: Motif, eps: float):
     """Per cell, sums of w, w * B y and w * z over the motif points it keeps.
 
-    Weights are modulated at the cell corner; imbalance points enter, scaled
-    by l^a h^b, only when (l, h) are given.  Sums run from +0.0 in motif
-    declaration order.
+    Weights are modulated at the cell corner; imbalance points enter scaled
+    by ``eps`` = l^a h^b.  Sums run from +0.0 in motif declaration order.
     """
-    entries = [(pt, 1.0) for pt in motif.points]
-    if l is not None and h is not None:
-        eps = motif.imbalance_factor(l, h)
-        entries += [(pt, eps) for pt in motif.free_points]
+    entries = [(pt, 1.0) for pt in motif.points] + [(pt, eps) for pt in motif.free_points]
     n = len(tess.corners)
     charge, p_p, p3 = np.zeros(n), np.zeros((n, 2)), np.zeros(n)
     for pt, scale in entries:
@@ -98,33 +93,19 @@ def _kept_sums(tess: Tessellation, motif: Motif, l: Optional[float], h: Optional
     return charge, p_p, p3
 
 
-def moment_table(
-    tess: Tessellation,
-    motif: Motif,
-    pmap: ParametricMap,
-    l: Optional[float] = None,
-    h: Optional[float] = None,
-) -> MomentTable:
-    """Moments for every cell: q/p on full cells, sigma on partial cells.
-
-    Without (l, h) the rows carry the limit values (imbalance enters q only,
-    through its stated order).
-    """
+def moment_table(tess: Tessellation, motif: Motif, pmap: ParametricMap, h: float) -> MomentTable:
+    """Moments of the lattice at (tess.l, h) for every cell: q/p on full
+    cells, sigma on partial cells."""
     j0 = _j0_at(pmap, _norm_points(tess))
     norm = j0 * tess.choice.cell_area
-    charge, p_p, p3 = _kept_sums(tess, motif, l, h)
-    if l is not None and h is not None:
-        a, b = motif.free_charge_order
-        q = charge / (l**a * h**b * norm)
-    else:
-        # limit value: only the imbalance part survives the normalization
-        q = sum((pt.weight_at(tess.corners) for pt in motif.free_points), np.zeros(len(j0))) / norm
+    eps = motif.imbalance_factor(tess.l, h)
+    charge, p_p, p3 = _kept_sums(tess, motif, eps)
     full = np.arange(len(j0)) < tess.n_full
     return MomentTable(
         indices=tess.indices,
         corners=tess.corners,
         is_full=full,
-        q=np.where(full, q, np.nan),
+        q=np.where(full, charge / (eps * norm), np.nan),
         p_p=np.where(full[:, None], p_p / norm[:, None], np.nan),
         p3=np.where(full, p3 / norm, np.nan),
         sigma=np.where(full, np.nan, charge / j0),

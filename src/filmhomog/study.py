@@ -27,7 +27,7 @@ import numpy as np
 from .charge import Motif, MotifPoint, Regime, ScaledChargeDistribution, realize
 from .geometry import ParametricMap
 from .lattice import _UNIT_SQUARE, UnitCellChoice, cell_index, tessellate
-from .moments import MomentTable, moment_fields, moment_table
+from .moments import moment_fields
 from .potential import (
     TAYLOR_STANDOFF,
     FieldSample,
@@ -219,8 +219,6 @@ def rebin_motif(
 
 @dataclass
 class GaugeReport:
-    moments_a: MomentTable
-    moments_b: MomentTable
     field_a: FieldSample
     field_b: FieldSample
     max_moment_diff: float
@@ -256,8 +254,9 @@ def run_gauge(
     """Homogenized potentials from two unit-cell analyses of one structure.
 
     The physical atoms are generated once from the motif on choice A; choice
-    B sees them through exact re-binning.  The report carries both per-cell
-    moment tables (demonstrating that the moments differ) and both limit
+    B sees them through exact re-binning.  The report carries the largest
+    difference of the two planar polarization fields at B's full-cell
+    corners (demonstrating that the moments differ) and both limit
     potentials on the grid (demonstrating that the potential does not).
     """
     if regime.kind == "R3":
@@ -278,15 +277,11 @@ def run_gauge(
         realize(motif_b, tess_b, pmap, l, h, regime),
     )
 
-    rows_a = moment_table(tess_a, motif, pmap)
-    rows_b = moment_table(tess_b, motif_b, pmap)
-    defined = ~np.isnan(rows_b.p_p[:, 0])  # full rows with a surface frame at the corner
-    diffs = np.linalg.norm(fields_a.p_p(rows_b.corners[defined]) - rows_b.p_p[defined], axis=-1)
-    max_moment = float(np.max(diffs, initial=0.0))
+    corners = tess_b.corners[: tess_b.n_full]
+    diffs = np.linalg.norm(fields_a.p_p(corners) - fields_b.p_p(corners), axis=-1)
+    max_moment = float(np.max(diffs[~np.isnan(diffs)], initial=0.0))  # NaN: no frame at the corner
     max_potential = float(np.max(np.abs(field_a.values - field_b.values)))
     return GaugeReport(
-        moments_a=rows_a,
-        moments_b=rows_b,
         field_a=field_a,
         field_b=field_b,
         max_moment_diff=max_moment,

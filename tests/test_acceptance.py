@@ -193,24 +193,24 @@ def test_criterion_7_exactness_suite():
 
     # moment operations against hand values
     tess = tessellate(UNIT, 1 / 4, SQUARE)
-    planar = moment_table(tess, PLANAR_DIPOLE, IDENT)
+    planar = moment_table(tess, PLANAR_DIPOLE, IDENT, h=0.25)
     p_p, p3 = planar.p_p[0], planar.p3[0]
     checks.append(abs(p_p[0] - 0.5) <= 1e-12 and abs(p_p[1]) <= 1e-12 and abs(p3) <= 1e-12)
-    vertical = moment_table(tess, VERTICAL_DIPOLE, IDENT)
+    vertical = moment_table(tess, VERTICAL_DIPOLE, IDENT, h=0.25)
     checks.append(np.linalg.norm(vertical.p_p[0]) <= 1e-12 and abs(vertical.p3[0] - 1.0) <= 1e-12)
     cyl = ParametricMap.cylinder(UNIT, 2.0)
-    checks.append(abs(moment_table(tess, PLANAR_DIPOLE, cyl).p_p[0, 0] - 0.5) <= 1e-12)
-    checks.append(moment_table(tess, PLANAR_DIPOLE, IDENT, l=1 / 4, h=1 / 16).q[0] == 0.0)
+    checks.append(abs(moment_table(tess, PLANAR_DIPOLE, cyl, h=0.25).p_p[0, 0] - 0.5) <= 1e-12)
+    checks.append(moment_table(tess, PLANAR_DIPOLE, IDENT, h=1 / 16).q[0] == 0.0)
     imbalanced = Motif(
         points=PLANAR_DIPOLE.points,
         free_points=(MotifPoint(2.0, (0.5, 0.5), 0.0),),
         free_charge_order=(1, 0),
     )
-    checks.append(abs(moment_table(tess, imbalanced, IDENT, l=1 / 4, h=1 / 16).q[0] - 2.0) <= 1e-12)
+    checks.append(abs(moment_table(tess, imbalanced, IDENT, h=1 / 16).q[0] - 2.0) <= 1e-12)
     shifted = tessellate(UNIT, 1 / 4, HALF_SHIFT)
-    sigma = moment_table(shifted, PLANAR_DIPOLE, IDENT).sigma
+    sigma = moment_table(shifted, PLANAR_DIPOLE, IDENT, h=0.25).sigma
     stretched = ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0))
-    sigma_stretched = moment_table(shifted, PLANAR_DIPOLE, stretched).sigma
+    sigma_stretched = moment_table(shifted, PLANAR_DIPOLE, stretched, h=0.25).sigma
 
     def row(index):
         (k,) = np.flatnonzero(np.all(shifted.indices == index, axis=1))

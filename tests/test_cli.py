@@ -147,6 +147,22 @@ class TestGauge:
         assert "gauge_phi_tol must not be NaN" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_gauge_tables_are_the_moments_tables(self, tmp_path):
+        """gauge writes the moment tables of the first schedule step that moments writes,
+        byte for byte, also with a free point: its dipole times l enters p_p, so row (0, 0)
+        of choice A reads p_p1 = 0.5 + 0.5 * 0.5 * 0.25."""
+        payload = json.loads((CONFIGS / "gauge_half_shift.json").read_text())
+        payload["motif"]["free_points"] = [{"w": 0.5, "y": [0.5, 0.4]}]
+        cfg = write_config(tmp_path, payload)
+        for command in ("moments", "gauge"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        pairs = [("gauge_moments_a.csv", "moments.csv"), ("gauge_moments_b.csv", "moments_b.csv")]
+        for gauge_name, moments_name in pairs:
+            assert (tmp_path / "gauge" / gauge_name).read_bytes() == (tmp_path / "moments" / moments_name).read_bytes()
+        _, header, rows = read_table(tmp_path / "gauge" / "gauge_moments_a.csv")
+        (origin,) = [row for row in rows if row[:2] == ["0", "0"]]
+        assert float(origin[header.index("p_p1")]) == 0.5625
+
 
 class TestPotential:
     def test_writes_micro_and_homogenized(self, tmp_path, r2_config):

@@ -10,11 +10,9 @@ from filmhomog import (
     MotifPoint,
     ParametricMap,
     Rectangle,
-    Regime,
     UnitCellChoice,
     moment_fields,
     moment_table,
-    realize,
     surface_frame,
     tessellate,
 )
@@ -48,7 +46,7 @@ def row_of(table, index):
 
 class TestCellFreeCharge:
     def test_neutral(self, tess):
-        q = moment_table(tess, PLANAR_DIPOLE, IDENT, l=0.25, h=1 / 64).q[0]
+        q = moment_table(tess, PLANAR_DIPOLE, IDENT, h=1 / 64).q[0]
         assert q == 0.0
 
     def test_matched_order_cancels_scale(self, tess):
@@ -59,43 +57,43 @@ class TestCellFreeCharge:
         )
         for l in (0.25, 0.125):
             t = tessellate(UNIT, l, SQUARE)
-            q = moment_table(t, motif, IDENT, l=l, h=l**2).q[0]
+            q = moment_table(t, motif, IDENT, h=l**2).q[0]
             assert q == pytest.approx(3.0, rel=1e-12)
 
 
 class TestCellPolarization:
     def test_planar_dipole(self, tess):
-        table = moment_table(tess, PLANAR_DIPOLE, IDENT)
+        table = moment_table(tess, PLANAR_DIPOLE, IDENT, h=0.25)
         np.testing.assert_allclose(table.p_p[0], [0.5, 0.0], atol=1e-15)
         assert table.p3[0] == 0.0
 
     def test_vertical_dipole(self, tess):
-        table = moment_table(tess, VERTICAL_DIPOLE, IDENT)
+        table = moment_table(tess, VERTICAL_DIPOLE, IDENT, h=0.25)
         np.testing.assert_allclose(table.p_p[0], [0.0, 0.0], atol=1e-15)
         assert table.p3[0] == pytest.approx(1.0)
 
     def test_cylinder_isometric(self, tess):
         cyl = ParametricMap.cylinder(UNIT, 2.0)
-        table = moment_table(tess, PLANAR_DIPOLE, cyl)
+        table = moment_table(tess, PLANAR_DIPOLE, cyl, h=0.25)
         np.testing.assert_allclose(table.p_p[0], [0.5, 0.0], atol=1e-12)
         assert table.p3[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_regime_independence(self, tess):
-        """Moments are taken of the reference charge; the regime never enters."""
-        base = moment_table(tess, PLANAR_DIPOLE, IDENT)
-        for regime in (Regime("R1"), Regime("R2", alpha=2.0), Regime("R3")):
-            d = realize(PLANAR_DIPOLE, tess, IDENT, 0.25, 0.5 if regime.kind == "R2" else 0.0625, regime)
-            again = moment_table(tess, PLANAR_DIPOLE, IDENT)
-            np.testing.assert_array_equal(base.p_p[3], again.p_p[3])
-            assert base.p3[3] == again.p3[3]
+        """Moments are taken of the reference charge: without free points h never
+        enters, so the table is bitwise the same at each regime's h for l = 1/4."""
+        # h of the l = 1/4 step in R1 (h = l^2), R2 with alpha = 2 and R3 (both h = l^(1/2))
+        base, *others = (moment_table(tess, PLANAR_DIPOLE, IDENT, h) for h in (1 / 16, 1 / 2, 1 / 2))
+        for table in others:
+            for name in ("q", "p_p", "p3", "sigma"):
+                np.testing.assert_array_equal(getattr(table, name), getattr(base, name))
 
     def test_linearity_in_weights(self, tess):
         rng = np.random.default_rng(2)
         pts = [(rng.uniform(-1, 1), tuple(rng.uniform(0.1, 0.9, 2)), rng.uniform(-0.9, 0.9)) for _ in range(4)]
         m1 = Motif(points=tuple(MotifPoint(w, y, z) for w, y, z in pts))
         m2 = Motif(points=tuple(MotifPoint(2 * w, y, z) for w, y, z in pts))
-        t1 = moment_table(tess, m1, IDENT)
-        t2 = moment_table(tess, m2, IDENT)
+        t1 = moment_table(tess, m1, IDENT, h=0.25)
+        t2 = moment_table(tess, m2, IDENT, h=0.25)
         np.testing.assert_allclose(2 * t1.p_p[0], t2.p_p[0], atol=1e-14)
         assert 2 * t1.p3[0] == pytest.approx(t2.p3[0], abs=1e-14)
 
@@ -103,21 +101,21 @@ class TestCellPolarization:
 class TestPartialCellSigma:
     def test_plus_point_survives(self):
         # half-shifted grid: left-edge clips keep only the plus point at (0.75, 0.5)
-        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT)
+        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT, h=0.25)
         assert table.sigma[row_of(table, (-1, 1))] == pytest.approx(1.0)
 
     def test_neutral_clip(self):
         # top-edge clips keep both points
-        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT)
+        table = moment_table(tessellate(UNIT, 0.25, HALF_SHIFT), PLANAR_DIPOLE, IDENT, h=0.25)
         assert table.sigma[row_of(table, (1, 3))] == pytest.approx(0.0)
 
     def test_jacobian_division(self):
         stretched = ParametricMap.scaled(Rectangle((0.0, 0.0), (1.0, 1.0)), (2.0, 1.0, 1.0))
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        flat = moment_table(t, PLANAR_DIPOLE, IDENT)
+        flat = moment_table(t, PLANAR_DIPOLE, IDENT, h=0.25)
         row = row_of(flat, (3, 1))  # right-edge clip keeps only the minus point
         assert flat.sigma[row] == pytest.approx(-1.0)
-        assert moment_table(t, PLANAR_DIPOLE, stretched).sigma[row] == pytest.approx(-0.5)
+        assert moment_table(t, PLANAR_DIPOLE, stretched, h=0.25).sigma[row] == pytest.approx(-0.5)
 
     def test_polar_disk_partial_rows_are_normalized_inside_the_domain(self):
         """Half-shifted cells on the polar disk (J0 = x1) have corners at x1 = -l/2, outside T:
@@ -126,8 +124,8 @@ class TestPartialCellSigma:
         disk = ParametricMap.polar_disk(1.0)
         l = 0.25
         t = tessellate(disk.domain, l, HALF_SHIFT)
-        table = moment_table(t, PLANAR_DIPOLE, disk)
-        kept = moment_table(t, PLANAR_DIPOLE, ParametricMap.identity(disk.domain)).sigma  # J0 = 1: the kept charge
+        table = moment_table(t, PLANAR_DIPOLE, disk, h=0.25)
+        kept = moment_table(t, PLANAR_DIPOLE, ParametricMap.identity(disk.domain), h=0.25).sigma  # J0 = 1: the kept charge
         partial = ~table.is_full
         behind = partial & (table.corners[:, 0] < 0.0)
         assert behind.any()
@@ -218,8 +216,8 @@ class TestMomentFields:
     def test_moment_table_per_unit_area(self):
         l, h = 0.25, 0.0625
         motif = Motif(points=X2_DIPOLE.points, free_points=(MotifPoint(3.0, (0.5, 0.5), 0.0),))
-        unit = moment_table(tessellate(UNIT, l, SQUARE), motif, IDENT, l=l, h=h)
-        wide = moment_table(tessellate(UNIT, l, UnitCellChoice(e1=(2.0, 0.0))), motif, IDENT, l=l, h=h)
+        unit = moment_table(tessellate(UNIT, l, SQUARE), motif, IDENT, h=h)
+        wide = moment_table(tessellate(UNIT, l, UnitCellChoice(e1=(2.0, 0.0))), motif, IDENT, h=h)
         assert wide.q[0] == 0.5 * unit.q[0] == 1.5
         # the free point's x1 lever arm doubles with the cell, its x2 arm does not
         assert wide.p_p[0, 1] == 0.5 * unit.p_p[0, 1] == 0.4375
@@ -392,7 +390,7 @@ class TestMomentTable:
         """The table, and the CLI's moments.csv of the same scenario: scenario
         line, header, one row per cell with the table's values, and empty
         fields exactly where a moment is undefined."""
-        rows = moment_table(tess, PLANAR_DIPOLE, IDENT, l=0.25, h=0.25)
+        rows = moment_table(tess, PLANAR_DIPOLE, IDENT, h=0.25)
         assert len(rows) == 16
         assert np.all(np.isnan(rows.sigma))
         config = tmp_path / "scenario.json"
@@ -434,7 +432,7 @@ class TestMomentTable:
         cyl = ParametricMap.cylinder(UNIT, 2.0)
         l, h = 0.17, 0.05
         t = tessellate(UNIT, l, HALF_SHIFT)
-        table = moment_table(t, motif, cyl, l=l, h=h)
+        table = moment_table(t, motif, cyl, h=h)
         entries = [(p, 1.0) for p in motif.points] + [(p, l * h) for p in motif.free_points]
         expected = {name: np.full(len(t.corners), np.nan) for name in ("q", "p1", "p2", "p3", "sigma")}
         cell = l * (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) @ HALF_SHIFT.basis.T)
@@ -463,7 +461,7 @@ class TestMomentTable:
 
     def test_partial_rows(self):
         t = tessellate(UNIT, 0.25, HALF_SHIFT)
-        rows = moment_table(t, PLANAR_DIPOLE, IDENT)
+        rows = moment_table(t, PLANAR_DIPOLE, IDENT, h=0.25)
         partial = ~rows.is_full
         assert np.count_nonzero(partial) == 16
         assert np.all(np.isnan(rows.q[partial])) and np.all(np.isnan(rows.p_p[partial]))

@@ -16,9 +16,11 @@ from filmhomog import (
     UnitCellChoice,
     fit_order,
     make_schedule,
+    moment_table,
     rebin_motif,
     run_convergence,
     run_gauge,
+    tessellate,
 )
 from filmhomog import potential, quadrature
 from filmhomog.cli import main
@@ -273,7 +275,9 @@ class TestGauge:
         stacked = Motif(points=(MotifPoint(+1.0, (0.5, 0.5), 0.5), MotifPoint(-1.0, (0.5, 0.5), -0.5)))
         rep = run_gauge(stacked, IDENT, SQUARE, SQUARE, 0.25, 0.25, Regime("R2", alpha=1.0), grid)
         assert rep.max_potential_diff <= 1e-12
-        for table in (rep.moments_a, rep.moments_b):
+        tess = tessellate(UNIT, 0.25, SQUARE)
+        for motif in (stacked, rebin_motif(stacked, SQUARE, SQUARE, 0.25)):
+            table = moment_table(tess, motif, IDENT, 0.25)
             sigmas = table.sigma[~table.is_full]
             assert np.all(np.abs(sigmas) <= 1e-12)
 
@@ -291,6 +295,54 @@ class TestGauge:
         assert len(lines) == 2 + grid.n_points
         for line, p, va, vb in zip(lines[2:], grid.points, rep.field_a.values, rep.field_b.values):
             assert [float(x) for x in line.split(",")] == [*p, va, vb, va - vb]
+
+
+# configs/gauge_half_shift.json (planar dipole, square against half-shifted cells,
+# R2 alpha = 1, l = 1/4) with one change each; name: (entries, max_moment_diff,
+# relative tolerance).  Values through sin, cos or sqrt get 1e-14 for another libm.
+_GAUGE_SINUSOID = {"kind": "sinusoid", "value": 1.0, "coef": [6.28, 3.14], "phase": 0.3}
+_GAUGE_POINTS = [{"w": p.w, "y": list(p.y), "z": p.z} for p in PLANAR_DIPOLE.points]
+GAUGE_HALF_SHIFT = {
+    "motif": {"points": _GAUGE_POINTS},
+    "cell_b": {"f": [0.5, 0.5]},
+    "regime": {"kind": "R2", "alpha": 1.0},
+    "schedule": {"l": [0.25]},
+}
+GAUGE_VARIANTS = {
+    "scaled": ({"map": {"kind": "scaled", "factors": [2.0, 1.0, 1.0]}}, 0.5, 0.0),
+    "sheared": (
+        {"cell": {"e2": [0.5, 1.0]}, "cell_b": {"e2": [0.5, 1.0], "f": [0.5, 0.5]}, "schedule": {"l": [0.125]}},
+        1.0,
+        0.0,
+    ),
+    "two_by_one": (
+        {"cell": {"e1": [2.0, 0.0]}, "cell_b": {"e1": [2.0, 0.0], "f": [0.5, 0.5]}, "schedule": {"l": [0.125]}},
+        1.0,
+        0.0,
+    ),
+    "free_point": ({"motif": {"points": _GAUGE_POINTS, "free_points": [{"w": 0.5, "y": [0.5, 0.4]}]}}, 1.0, 0.0),
+    "cylinder": ({"map": {"kind": "cylinder", "radius": 2.0}}, 1.0000000000000002, 1e-14),
+    "disk": (
+        {"map": {"kind": "disk"}, "schedule": {"l": [0.125]}, "grid": {"kind": "plane", "n": [3, 3], "height": 1.0}},
+        16.000000000000004,
+        1e-14,
+    ),
+    "sinusoid": (
+        {"motif": {"points": [dict(p, modulation=_GAUGE_SINUSOID) for p in _GAUGE_POINTS]}},
+        1.1412809464127993,
+        1e-14,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GAUGE_VARIANTS))
+def test_gauge_max_moment_diff_of_variants(name):
+    """The two choices' planar polarization fields differ by these amounts at B's full-cell corners."""
+    entries, expected, rel = GAUGE_VARIANTS[name]
+    cfg = build_config({**GAUGE_HALF_SHIFT, **entries})
+    l, h = cfg.schedule[0]
+    rep = run_gauge(cfg.motif, cfg.pmap, cfg.choice_a, cfg.choice_b, l, h, cfg.regime, cfg.grid)
+    assert rep.max_moment_diff == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 class TestLimitIndependentOfSchedule:
