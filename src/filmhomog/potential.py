@@ -27,10 +27,11 @@ catalog row with both a non-zero weight and a non-zero coefficient), so
 only the double layer builds surface frames, and the bulk integral does not
 run at all when no bulk term is left; each weight that runs is folded into
 its field by :meth:`Catalog.scaled`.  Each integrand declares its value ``columns`` (one per observation
-point), so the quadrature hands it several panels' nodes per call.  Each
-integral computes its kernel in one buffer it reuses from call to call,
-sized for the largest call, so an integrand's return value is valid only
-until its next call (the quadrature reduces it before then).  The
+point), so the quadrature hands it several panels' nodes per call and the
+observation points it still refines there, each point refined on its own.
+Each integral computes its kernel in one buffer it reuses from call to
+call, sized for the largest call, so an integrand's return value is valid
+only until its next call (the quadrature reduces it before then).  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -394,40 +395,50 @@ def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, stan
 
 def _kernel(rows: np.ndarray, normals: bool):
     """The Green kernel towards observation points given as contiguous
-    component rows (3, M), as a function of surface points r' (N, 3) and,
-    with ``normals``, their unit normals nu (N, 3).  It returns G = 1/|r -
-    r'| (N, M), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z) or
-    None; the squared distance accumulates as (dx*dx + dy*dy) + dz*dz.
-    Without normals r' may also be planar points (N, 2), the film z = 0 of
-    the identity map: dz is then the rows' z, exact as z - 0.0 = z for every
-    z (-0.0 included), so dz*dz is the rows' z*z, computed with the buffer.
+    component rows (3, M), as a function of surface points r' (N, 3), the
+    ascending indices ``cols`` of the observation points wanted and, with
+    ``normals``, the unit normals nu (N, 3) of the points.  It returns G =
+    1/|r - r'| (N, len(cols)), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) +
+    dz*nu_z) or None; the squared distance accumulates as (dx*dx + dy*dy) +
+    dz*dz.  Without normals r' may also be planar points (N, 2), the film z
+    = 0 of the identity map: dz is then the rows' z, exact as z - 0.0 = z
+    for every z (-0.0 included), so dz*dz is the rows' z*z, computed with
+    the tiled rows.
 
-    Both results are views of one buffer, with the rows tiled to (3, N, M)
-    beside it: it is made for the first call and made again only for a call
-    with more nodes than it holds, so it is sized for the largest stacked
-    chunk of panels, and the next call overwrites its results.  The points
-    (and normals) are copied across the columns, so every arithmetic step
-    runs on contiguous (N, M) slabs; a broadcasting ufunc on (64, M) costs
-    about three contiguous ones, a broadcasting copy one.  Per element the
-    arithmetic is the same."""
-    tiled = out = np.empty((0, 0, 0))
-    squared_z = None
+    The rows[:, cols] are copied across the nodes into a reused buffer,
+    tiled (3, N, len(cols)), and copied again only for other columns or more
+    nodes; both results are views of a second reused buffer, made again only
+    for a call with more node x column pairs than it holds, so the next call
+    overwrites them.  The points (and normals) are copied across the
+    columns, so every arithmetic step runs on contiguous (N, len(cols))
+    slabs; a broadcasting ufunc on (64, M) costs about three contiguous
+    ones, a broadcasting copy one.  Per element the arithmetic is the same
+    for any ``cols``."""
+    slabs = 6 if normals else 3
+    store = tile_store = np.empty(0)
+    tiled = np.empty((3, 0, 0))
+    tiled_cols = squared_z = None
 
-    def kernel(point, normal=None):
-        nonlocal tiled, squared_z, out
-        n, m = len(point), rows.shape[-1]
-        if n > tiled.shape[1]:
-            tiled = np.ascontiguousarray(np.broadcast_to(rows[:, None, :], (3, n, m)))
-            out = np.empty((6 if normals else 3, n, m))
-            squared_z = None
+    def kernel(point, cols, normal=None):
+        nonlocal store, tile_store, tiled, tiled_cols, squared_z
+        n, m = len(point), len(cols)
+        if store.size < slabs * n * m:
+            store = np.empty(slabs * n * m)
+        out = store[: slabs * n * m].reshape(slabs, n, m)
+        if n > tiled.shape[1] or cols.tobytes() != tiled_cols:
+            if tile_store.size < 3 * n * m:
+                tile_store = np.empty(3 * n * m)
+            tiled = tile_store[: 3 * n * m].reshape(3, n, m)
+            np.copyto(tiled, rows[:, None, cols])
+            tiled_cols, squared_z = cols.tobytes(), None
         axes = point.shape[1]  # 3, or 2 for planar points
         if axes == 2 and squared_z is None:
             squared_z = tiled[2] * tiled[2]
-        d = out[:axes, :n]
+        d = out[:axes]
         np.copyto(d, point.T[:, :, None])
         np.subtract(tiled[:axes, :n], d, out=d)  # dx, dy (, dz)
         if normal is not None:
-            terms = out[3:, :n]
+            terms = out[3:]
             np.copyto(terms, normal.T[:, :, None])
             terms *= d
             dot = terms[0]
@@ -475,15 +486,17 @@ def homogenized_potential(
     summed when both run, and c_n p3 J0.  With none the bulk integral is
     skipped (its value would be exactly 0).  Only the double layer needs the
     normal, so only then does a call build its surface frame and dG/dnu'; a
-    call with no single layer returns dG/dnu' c_n p3 J0 itself.  An
-    integrand call takes the nodes of one or more stacked panels (it
-    declares its ``columns``, one per grid point): the mid-surface points
-    (on the identity map, without a double layer, the planar nodes
-    themselves, see :func:`_film_points`), each density once per node, and
-    one :func:`_kernel` call into the integral's reused buffer, scaled by
-    them in place; every step is per node, so each panel's rows are those of
-    a call on it alone.  The returned array is valid only until the next
-    call.
+    call with no single layer returns dG/dnu' c_n p3 J0 itself.  Each
+    integrand declares its ``columns``, one per grid point, and a call
+    f(x, cols) takes the nodes of one or more stacked panels and the
+    ascending indices of the grid points the quadrature still refines there
+    (every point when ``cols`` is left out): the mid-surface points (on the
+    identity map, without a double layer, the planar nodes themselves, see
+    :func:`_film_points`), each density once per node, and one
+    :func:`_kernel` call for those points into the integral's reused
+    buffer, scaled by them in place; every step is per node and point, so
+    each panel's rows are those of a call on it alone with every point.  The
+    returned array (N, len(cols)) is valid only until the next call.
 
     The edges run only when c_p is non-zero; the bulk integral then takes
     tol/2, and each edge is one adaptive integral of c_p G (rho + (J0
@@ -502,13 +515,14 @@ def homogenized_potential(
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
     kernel = _kernel(rows, normals=double is not None)
     film_points = _film_points(pmap)
+    every = np.arange(grid.n_points)
 
-    def integrand(x_p):
+    def integrand(x_p, cols=every):
         if double is None:
-            G, _ = kernel(film_points(x_p))
+            G, _ = kernel(film_points(x_p), cols)
         else:
             fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, fr.normal)
+            G, dGn = kernel(fr.point, cols, fr.normal)
             dGn *= double(x_p)[:, None]
             if not single:
                 return dGn
@@ -530,9 +544,9 @@ def homogenized_potential(
         edge_kernel = _kernel(rows, normals=False)
         for edge in dom.edges():
 
-            def edge_integrand(s, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
+            def edge_integrand(s, cols=every, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
                 x_p = edge.points(s)
-                G, _ = edge_kernel(film_points(x_p))
+                G, _ = edge_kernel(film_points(x_p), cols)
                 density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
                 G *= density[:, None]
                 return G

@@ -1,48 +1,55 @@
 """Adaptive tensor Gauss-Legendre quadrature: one engine over boxes [lo, hi].
 
 A segment is a box with scalar bounds, a rectangle one with (2,) bounds.
-Integrands are vector-valued (one component per observation point).  The
-root boxes of a domain may differ in size.  Every leaf of the refinement
-tree holds its 2^d child panels; its error is the difference between its
-one-shot Gauss estimate and the sum of its children, per value column.  The
-whole integral runs under one error budget: while the largest per-column
-sum of leaf errors is above ``tol``, the leaf with the largest error (ties
-to the older leaf) is replaced by its 2^d children.  A leaf within its local
-share (``tol`` over the number of root boxes, over 2^d per level) is frozen
-and never split, so the tree is a subtree of the one that splits every box
-above its share: it converges wherever that one does, with no more panels,
-and hits the depth cap only where that one would.  Past
-``BEST_FIRST_LEAVES`` live leaves, and for a NaN or infinite error, new
-leaves are split newest first (depth first), so a tolerance out of reach
-meets the cap after a few splits instead of refining breadth first.
+Integrands are vector-valued: one value column per observation point, each
+refined on its own (per-integral error control, as in DCUHRE: Berntsen,
+Espelid & Genz 1991).  The root boxes of a domain may differ in size.  Every
+leaf of the refinement tree holds its 2^d child panels; its error is the
+difference between its one-shot Gauss estimate and the sum of its children,
+per value column.  A leaf within its local share (``tol`` over the number of
+root boxes, over 2^d per level) is frozen for that column; its live columns
+are the others (a NaN error counts as above every share), and its heap key
+is its largest live error (ties to the older leaf).  The worst leaf is
+popped and split only for its live columns whose summed leaf error is still
+above ``tol``: each such sum is re-summed exactly before a column retires,
+and a retired column splits no more.  The leaf's other columns keep its fine
+estimates as final, and its children are evaluated for the split columns
+only, so each column's tree is a subtree of the one that splits every box
+above its share for that column alone: it converges wherever that one does,
+with no more panels, and hits the depth cap only where that one would.
+A box holds values only for the columns it was evaluated for, so memory
+grows with evaluated (box, column) pairs, not with boxes x columns.  Past
+``BEST_FIRST_LEAVES`` leaves (boxes that are a leaf of some column), and
+for a NaN or infinite error, new leaves are split newest first (depth
+first), so a tolerance out of reach meets the cap after a few splits instead
+of refining breadth first.
 
-Leaves are summed back in nested order, children with axis 0 fastest, so
-results are bitwise reproducible.  A split makes 2^d new leaves, each with
-its 2^d child panels: those 4^d panels get their nodes and weights
-together, one broadcast each, as do the root boxes and then all their
-children, with the arithmetic of one box at a time per element.  Each new
-leaf's fine estimate (its children added child 0 first), its error
-|fine - coarse| and its worst column are then computed for all of them at
-once on arrays, per element the arithmetic of one leaf; the leaves are
-entered one by one in the order of one split at a time, each error added to
-the running total in turn, so heap keys, creation order and the live-leaf
-count at each leaf are those of evaluating one panel at a time.  A plain
-integrand is called once per panel, on 8 flat nodes (segment) or (64, 2)
-points (rectangle).  An integrand with an int ``columns`` attribute, its
-values per node, is called on the panels' nodes stacked, as many panels per
-call as fit in STACK_PAIRS node x column pairs, and one panel per call when
-a single panel is larger; its values must be those of one call per panel,
-row for row; ``columns`` below 1 is a ValueError.  Each call's values are
-reduced at once to its panels' estimates by one stacked product, weights
-(k, 1, n) with values (k, n, M): numpy runs the matrix product of each
-entry of the stack on its own, so every panel gets the bytes of the product
-w @ rows of that panel alone, and a plain integrand is the same code with a
-batch of one.  So the tree and the bytes do not depend on the stacking, and
+Each column is summed back in nested order, children with axis 0 fastest:
+a split box's children, added child 0 first, replace its fine estimates of
+the columns it was split for, deepest boxes first, so results are bitwise
+reproducible.  A split makes 2^d new leaves, each with its 2^d child
+panels: those 4^d panels get their nodes and weights together, one
+broadcast each, as do the root boxes and then all their children, with the
+arithmetic of one box at a time per element.  A plain
+integrand f(x) is called once per panel, on 8 flat nodes (segment) or (64,
+2) points (rectangle), and the engine takes the split columns out of its
+values.  An integrand with an int ``columns`` attribute, its values per
+node, is called f(x, cols): the panels' nodes stacked and the ascending
+indices of the columns to evaluate, returning (N, len(cols)); each call
+stacks as many panels as fit in STACK_PAIRS node x column pairs, one panel
+when a single panel is larger; its values must be those of one call per
+panel and column, row for row; ``columns`` below 1 is a ValueError.  Each
+call's values times the weights are summed over the nodes by a fixed
+pairwise halving (first half plus second half, 6 elementwise adds for 64
+nodes, 3 for 8), so every (panel, column) estimate has the same bytes
+whatever the stacking and the other columns of the call: a matrix product
+would not, as BLAS sums a column differently beside other columns.  So the
+trees and the bytes are those of one call per panel, plain or declared, and
 an integrand's return value need only stay valid until its next call: it
 may return one buffer that it overwrites every time.
-QuadratureNotConverged is raised only when the leaf to split sits at the
-depth cap; it names the panel, its depth and the value column (observation
-point) with the largest error, and the summed error against ``tol``.
+QuadratureNotConverged is raised only when a leaf to split sits at the depth
+cap; it names the panel, its depth and the split value column (observation
+point) with the largest error, and the largest summed error against ``tol``.
 """
 
 from __future__ import annotations
@@ -111,95 +118,150 @@ def _children(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> tuple[np.nda
     return np.where(masks, mid[:, None], lo[:, None]), np.where(masks, hi[:, None], mid[:, None])
 
 
-def _estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The one-shot estimates w @ f(nodes) of the boxes [lo[k], hi[k]], stacked (K, ...) in order.
+def _halve(products: np.ndarray) -> np.ndarray:
+    """The sums (K, c) over the node axis of products (K, n, c), n a power of
+    two, by a fixed pairwise halving: the first half of the nodes plus the
+    second, until one is left (6 elementwise adds for 64 nodes, 3
+    for 8).  Every (box, column) sum is the same arithmetic on its own
+    products, whatever the other boxes and columns of the array."""
+    k, n, c = products.shape
+    products = products.reshape(k, n * c)
+    while n > 1:
+        n //= 2
+        products = products[:, : n * c] + products[:, n * c :]
+    return products
 
-    A plain integrand is called once per box.  One with an int ``columns``
-    attribute (its values per node; below 1 it is a ValueError) is called
-    on the boxes' nodes stacked, as many boxes per call as fit in
-    STACK_PAIRS node x column pairs (at least one).  Each call's values are
-    reduced at once by one stacked product, weights (k, 1, n) with values
-    (k, n, M), which gives every box the bytes of the product w @ rows of
-    that box alone, so a plain integrand is the same code as a batch of one.
+
+def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None) -> np.ndarray:
+    """The one-shot estimates of the boxes [lo[k], hi[k]] for the value columns ``cols``.
+
+    Returns (K, len(cols)), or with ``cols`` None every column, (K,) + the
+    trailing shape of f's values.  A plain integrand is called f(x) once per
+    box and its ``cols`` are sliced out of its values.  One with an int
+    ``columns`` attribute (its values per node; below 1 it is a ValueError)
+    is called f(x, cols) on the boxes' nodes stacked, as many boxes per call
+    as fit in STACK_PAIRS node x column pairs (at least one), ``cols`` the
+    ascending column indices.  Each call's values times the weights are
+    reduced by :func:`_halve`, so every (box, column) estimate has the same
+    bytes for any stacking and any column subset.
     """
     nodes, weights = _panels(lo, hi)
     n = weights.shape[1]
     columns = getattr(f, "columns", None)
     if columns is not None and columns < 1:
         raise ValueError(f"an integrand's declared columns must be at least 1, got {columns!r}")
-    per_call = 1 if columns is None else max(1, STACK_PAIRS // (n * columns))
+    asked = np.arange(columns) if columns is not None and cols is None else cols
+    per_call = 1 if columns is None else max(1, STACK_PAIRS // (n * len(asked)))
     flat = nodes.reshape((-1,) + nodes.shape[2:])
     parts = []
     for start in range(0, len(weights), per_call):
         w = weights[start : start + per_call]
-        values = np.asarray(f(flat[start * n : (start + len(w)) * n]))
-        part = np.matmul(w[:, None, :], values.reshape(len(w), n, -1))
-        parts.append(part.reshape((len(w),) + values.shape[1:]))
-    return np.concatenate(parts)
+        x = flat[start * n : (start + len(w)) * n]
+        values = np.asarray(f(x) if columns is None else f(x, asked))
+        trailing = values.shape[1:]
+        values = values.reshape(len(w), n, -1)
+        if columns is None and cols is not None and len(cols) < values.shape[2]:
+            values = values[:, :, cols]
+        parts.append(_halve(values * w[:, :, None]))
+    estimates = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return estimates.reshape((len(weights),) + trailing) if cols is None else estimates
 
 
 def _adapt(f, lo, hi, tol, max_depth):
-    """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each with an equal share of ``tol``."""
+    """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each
+    with an equal share of ``tol``, refining every value column on its own."""
     shape = lo.shape[1:]
     masks = _RULES[shape][2]
     nkids = len(masks)
-    fine = {}  # path (box index, child indices...) -> fine estimate of each live leaf
-    errs = {}  # path -> |fine - coarse| per value column
-    heap = []  # leaves above their share: (-max error, creation order, path, lo, hi, share, child lo, hi, estimates)
+    nroots = len(lo)
+    roots = _estimates(f, lo, hi)
+    scalar = roots.ndim == 1
+    roots = roots.reshape(nroots, -1)
+    ncols = roots.shape[1]
+    boxes = {}  # path (box index, child indices...) -> [its columns, as a list, fine estimates, positions split]
+    errs = [{} for _ in range(ncols)]  # per column: path -> |fine - coarse| of each of its leaves
+    total = [0.0] * ncols  # per column: running sum of its leaf errors
+    retired = [False] * ncols  # per column: its re-summed error is within tol, it splits no more
+    heap = []  # leaves with a live column: (-key, creation order, path, lo, hi, share, child lo, hi, their estimates, live)
     order = count()
-    total = 0.0  # summed leaf errors per value column
+    nleaves = 0  # boxes that are a leaf of some column
 
-    def spawn(path, lo, hi, share, coarse):
-        """Make leaves path + (k,) of the boxes [lo[k], hi[k]], whose one-shot
-        estimates are coarse[k]: all their child panels in one batch, each
-        leaf's sum, error and worst error on arrays, then each leaf in turn,
-        its error added to the total."""
-        nonlocal total
+    def spawn(path, lo, hi, share, coarse, cols):
+        """Make leaves path + (k,) of the boxes [lo[k], hi[k]] for the columns
+        ``cols``, whose one-shot estimates are coarse[k]: all their child
+        panels in one batch, each leaf's sums and errors on arrays, then each
+        leaf in turn, its errors added to the totals."""
+        nonlocal nleaves
         kid_lo, kid_hi = _children(lo, hi, masks)
-        parts = _estimates(f, kid_lo.reshape((-1,) + shape), kid_hi.reshape((-1,) + shape))
-        parts = parts.reshape((len(lo), nkids) + parts.shape[1:])
+        parts = _estimates(f, kid_lo.reshape((-1,) + shape), kid_hi.reshape((-1,) + shape), cols)
+        parts = parts.reshape(len(lo), nkids, len(cols))
         sums = reduce(add, [parts[:, j] for j in range(nkids)])  # children in order, as one leaf at a time
-        diffs = np.abs(sums - coarse)
-        worsts = diffs.reshape(len(lo), -1).max(axis=1).tolist()
-        for k, worst in enumerate(worsts):
+        names = cols.tolist()
+        column_errs = [errs[c] for c in names]
+        for k, diff in enumerate(np.abs(sums - coarse).tolist()):
             leaf = path + (k,)
-            fine[leaf] = sums[k]
-            errs[leaf] = diffs[k]
-            total = total + diffs[k]
-            if not worst <= share:  # a NaN error is above every share
-                if math.isfinite(worst) and len(fine) <= BEST_FIRST_LEAVES:
-                    key = (-worst, next(order))
+            boxes[leaf] = [cols, names, sums[k], None]
+            nleaves += 1
+            for c, e, held in zip(names, diff, column_errs):
+                held[leaf] = e
+                total[c] += e
+            live = [i for i, e in enumerate(diff) if not e <= share]  # a NaN error is above every share
+            if live:
+                errors = [diff[i] for i in live]
+                if math.isfinite(sum(errors)) and nleaves <= BEST_FIRST_LEAVES:
+                    key = (-max(errors), next(order))
                 else:  # newest first, ahead of every finite error: depth first
                     key = (-math.inf, -next(order))
-                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], parts[k]))
+                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], parts[k], live))
 
-    nroots = len(lo)
-    spawn((), lo, hi, tol / nroots, _estimates(f, lo, hi))
-    while heap:
-        if not tol < total.max() < math.inf or len(heap[0][2]) > max_depth:
-            # before stopping or failing at the cap, re-sum: no drift of the running updates, no inf - inf
-            total = reduce(add, errs.values())
-            if np.max(total) <= tol:
-                break
-        _, _, path, lo, hi, share, kid_lo, kid_hi, kids = heapq.heappop(heap)
-        if len(path) > max_depth:
-            summed = float(np.max(total))
+    spawn((), lo, hi, tol / nroots, roots, np.arange(ncols))
+    unretired = ncols
+    while heap and unretired:
+        *_, path, lo, hi, share, kid_lo, kid_hi, kids, live = heapq.heappop(heap)
+        box = boxes[path]
+        cols, names = box[0], box[1]
+        at_cap = len(path) > max_depth
+        split = []  # positions in cols of the live columns to split for
+        for i in live:
+            c = names[i]
+            if retired[c]:
+                continue
+            if at_cap or not tol < total[c] < math.inf:
+                # before retiring or failing at the cap, re-sum: no drift of the running updates, no inf - inf
+                total[c] = math.fsum(errs[c].values())
+                if total[c] <= tol:
+                    retired[c] = True
+                    unretired -= 1
+                    continue
+            split.append(i)
+        if not split:
+            continue
+        whole = len(split) == len(cols)
+        chosen = cols if whole else cols[split]
+        if at_cap:
+            errors = np.array([errs[c][path] for c in chosen.tolist()])
+            worst = int(np.argmax(errors))
+            summed = float(np.max([total[c] for c in chosen.tolist()]))
             raise QuadratureNotConverged(
                 f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {len(path) - 1} (the cap): "
-                f"error {np.max(errs[path]):.3e} > its share {share:.3e}, "
-                f"largest in value column {int(np.argmax(errs[path]))}; summed error {summed:.3e} > {tol:.3e}",
+                f"error {errors[worst]:.3e} > its share {share:.3e}, "
+                f"largest in value column {int(chosen[worst])}; summed error {summed:.3e} > {tol:.3e}",
                 error_estimate=summed,
                 tolerance=tol,
             )
-        del fine[path]
-        total = total - errs.pop(path)
-        spawn(path, kid_lo, kid_hi, share / nkids, kids)
+        box[3] = split  # the other columns keep this leaf's fine estimates as final
+        nleaves -= whole
+        for c in chosen.tolist():
+            total[c] -= errs[c].pop(path)
+        spawn(path, kid_lo, kid_hi, share / nkids, kids if whole else kids[:, split], chosen)
 
-    # fold the leaves in nested order: deepest sibling groups first, each from child 0
-    while (depth := max(map(len, fine))) > 1:
-        for parent in sorted({p[:-1] for p in fine if len(p) == depth}):
-            fine[parent] = reduce(add, [fine.pop(parent + (k,)) for k in range(nkids)])
-    return reduce(add, [fine[(i,)] for i in range(nroots)])
+    # fold each column in nested order, deepest boxes first: the sum of a box's children,
+    # child 0 first, replaces its fine estimates of the columns it was split for
+    for path in sorted((p for p, box in boxes.items() if box[3] is not None), key=len, reverse=True):
+        box = boxes[path]
+        box[2][box[3]] = reduce(add, [boxes[path + (k,)][2] for k in range(nkids)])
+    value = reduce(add, [boxes[(i,)][2] for i in range(nroots)])
+    return value[0] if scalar else value
 
 
 def adaptive_rectangle(
@@ -212,15 +274,16 @@ def adaptive_rectangle(
     """Integrate f over the rectangle [lo, hi] to absolute tolerance.
 
     ``f`` maps parameter points (N, 2) to values (N,) or (N, M), read
-    before its next call (so they may sit in a reused buffer); the error
-    control is on the max-norm across the M columns.  ``f`` gets one
-    panel's (64, 2) points per call, or, if it has an int attribute
-    ``columns`` (M), several panels' points stacked, up to STACK_PAIRS
-    point x column pairs per call.  Strongly anisotropic
-    rectangles are first cut into near-square boxes, which become the first
-    leaves of one global error budget: refinement stops once every value
-    column's summed leaf error is within ``tol``.  Raises
-    QuadratureNotConverged at the depth cap.
+    before its next call (so they may sit in a reused buffer); each of the
+    M value columns is refined on its own, under its own error budget.
+    ``f(x)`` gets one panel's (64, 2) points per call, or, if it has an int
+    attribute ``columns`` (M), it is called ``f(x, cols)`` on several
+    panels' points stacked and the ascending indices of the columns still
+    refined there, up to STACK_PAIRS point x column pairs per call, and
+    returns (N, len(cols)).  Strongly anisotropic rectangles are first cut
+    into near-square boxes, which become the first leaves of the budgets:
+    refinement stops once every value column's summed leaf error is within
+    ``tol``.  Raises QuadratureNotConverged at the depth cap.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
@@ -241,8 +304,9 @@ def adaptive_segment(
 ) -> np.ndarray:
     """Integrate a vector integrand over [points[0], points[-1]] with a panel break at every point.
 
-    Each piece between increasing ``points`` is a root box; ``f`` gets each panel's 8 nodes flat,
-    or several panels' nodes stacked if it declares ``columns`` (see :func:`adaptive_rectangle`).
+    Each piece between increasing ``points`` is a root box; ``f(x)`` gets each panel's 8 nodes
+    flat, or ``f(x, cols)`` several panels' nodes stacked and the value columns still refined
+    there if it declares ``columns`` (see :func:`adaptive_rectangle`).
     Fewer than two ``points`` make no piece and raise ValueError.
     """
     s = np.asarray(points, float)

@@ -33,13 +33,15 @@ brute-force constructions the acceptance criteria and unit tests use.
   integrands of ``homogenized_potential`` with every density evaluated from
   the public field callables and then scaled by its regime weight, which the
   folded catalog evaluations must reproduce.
-- ``per_panel_estimates``: the one-shot Gauss estimate w @ f(panel) of each
-  box, one box and one integrand call at a time, which the quadrature's
-  stacked reduction must reproduce byte for byte.
+- ``per_panel_estimates``: the one-shot Gauss estimate of each box, its
+  weighted values summed over the nodes by halving, one box and one
+  integrand call at a time, which the quadrature's stacked reduction must
+  reproduce byte for byte for any column subset.
 - ``recursive_rectangle`` / ``recursive_segment``: adaptive Gauss quadrature
   that splits every box whose error is above its share tol / 2^depth, depth
-  first.  The global-budget engine's tree is a subtree of this one, and its
-  values are bitwise equal wherever the two trees coincide.
+  first.  Run on one value column alone, it splits every box that the
+  engine splits for that column, and its value is bitwise the engine's
+  wherever the two trees of that column coincide.
 """
 
 import math
@@ -459,13 +461,14 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     c_b = 0.0 if fields.div_pol_planar_weighted.is_zero else c_p
     c_n = 0.0 if fields.pol_normal_weighted.is_zero else c_n
     kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=c_n != 0.0)
+    every = np.arange(len(points))
 
     def integrand(x_p):
         if c_n != 0.0:
             fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, fr.normal)
+            G, dGn = kernel(fr.point, every, fr.normal)
         else:
-            G, _ = kernel(pmap.midsurface(x_p))
+            G, _ = kernel(pmap.midsurface(x_p), every)
         density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)
         if c_b != 0.0:
             density = density - c_b * fields.div_pol_planar_weighted(x_p)
@@ -484,10 +487,11 @@ def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: n
     after its evaluation.  Returns the kernel's buffer."""
     kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=False)
     rho, normal = fields.boundary_charge[edge.name], np.asarray(edge.normal, float)
+    every = np.arange(len(points))
 
     def integrand(s):
         x_p = edge.points(s)
-        G, _ = kernel(pmap.midsurface(x_p))
+        G, _ = kernel(pmap.midsurface(x_p), every)
         G *= (rho(x_p) + fields.pol_planar_weighted(x_p) @ normal)[:, None]
         return G
 
@@ -495,15 +499,21 @@ def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: n
 
 
 def _panel(f, lo, hi):
-    """Tensor Gauss estimate of a vector integrand over the box [lo, hi], one box at a time."""
+    """Tensor Gauss estimate of a vector integrand over the box [lo, hi], one box at a time:
+    the weighted values summed over the nodes by halving, first half plus second half, until
+    one node is left."""
     offsets, weights, _ = _RULES[lo.shape]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return (weights * math.prod(half.flat)) @ np.asarray(f(mid + half * offsets))
+    values = np.asarray(f(mid + half * offsets))
+    terms = (weights * math.prod(half.flat)).reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    while len(terms) > 1:
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2 :]
+    return terms[0]
 
 
 def per_panel_estimates(f, lo, hi) -> list:
-    """The estimate w @ f(panel) of each box [lo[k], hi[k]], one call per box."""
+    """The halved Gauss estimate of each box [lo[k], hi[k]], one call per box."""
     return [_panel(f, a, b) for a, b in zip(np.asarray(lo, float), np.asarray(hi, float))]
 
 

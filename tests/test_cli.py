@@ -74,20 +74,27 @@ class TestConverge:
 
 
 class TestToleranceNearRoundoff:
-    """One error budget per integral: no panel is asked for an error below its roundoff."""
+    """One error budget per integral, refined per value column: no panel is asked for an
+    error below its roundoff."""
 
     def test_converge_at_1e_15_exit_0(self, tmp_path):
         cfg = str(CONFIGS / "converge_r2.json")
         assert main(["converge", "--config", cfg, "--tolerance", "1e-15", "--out", str(tmp_path)]) == 0
 
-    def test_converge_at_1e_16_stops_at_the_depth_cap_exit_3(self, tmp_path, capsys):
+    def test_converge_at_1e_16_exit_0(self, tmp_path):
+        # each observation point's edge integral stops once its own summed error is within
+        # the edge's share tol / 8, where a shared tree split on for the others' errors
         cfg = str(CONFIGS / "converge_r2.json")
-        assert main(["converge", "--config", cfg, "--tolerance", "1e-16", "--out", str(tmp_path)]) == 3
+        assert main(["converge", "--config", cfg, "--tolerance", "1e-16", "--out", str(tmp_path)]) == 0
+
+    def test_converge_at_1e_20_stops_at_the_depth_cap_exit_3(self, tmp_path, capsys):
+        cfg = str(CONFIGS / "converge_r2.json")
+        assert main(["converge", "--config", cfg, "--tolerance", "1e-20", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "QuadratureNotConverged" in err
         assert "at depth 12 (the cap)" in err
         assert "1D panel [" in err and "largest in value column" in err
-        assert "summed error" in err and "> 1.250e-17" in err  # edges get tol / 2, one integral per edge of 4
+        assert "summed error" in err and "> 1.250e-21" in err  # edges get tol / 2, one integral per edge of 4
 
 
 class TestScenarioHash:

@@ -767,7 +767,7 @@ def _term_scale(fields, regime, pmap, grid, nodes):
     terms plus |dG/dnu'| times that of the double layer."""
     c_q, c_p, c_n = regime.limit_weights()
     frame = surface_frame(pmap, nodes)
-    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(frame.point, frame.normal)
+    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(frame.point, np.arange(grid.n_points), frame.normal)
     single = np.zeros(len(nodes))
     if not fields.charge_weighted.is_zero:
         single += c_q * _abs_terms(fields.charge_weighted, nodes)
@@ -858,27 +858,33 @@ class TestFoldedIntegrands:
         ids=["R1", "R2-1", "R2-0.5", "R2-0.7", "R3"],
     )
     def test_stacked_panels_give_the_bytes_of_one_call_per_panel(self, monkeypatch, terms, map_name, regime):
-        # The quadrature hands a declared integrand several panels' nodes at once: the
-        # domain's five panels, then random boxes up to STACK_PAIRS node x point pairs
-        # (the bulk) or 64 panels (an edge, which gets at most 4 per call in a study).
-        # Being the per-panel bytes, the alpha = 0.7 fold differs from the unfolded
-        # integrand as much as per panel: at most 2.0 ulp of the term scale measured on
-        # the five panels, 3.0 ulp on these random boxes.
+        # The quadrature hands a declared integrand several panels' nodes at once and the
+        # ascending indices of the columns (observation points) it still refines: the
+        # domain's five panels, then random boxes up to STACK_PAIRS node x column pairs
+        # (the bulk) or 64 panels (an edge, which gets at most 4 per call in a study), on
+        # every column, one, and two.  Being the per-panel bytes of those columns, the
+        # alpha = 0.7 fold differs from the unfolded integrand as much as per panel: at most
+        # 2.0 ulp of the term scale measured on the five panels, 3.0 ulp on these random boxes.
         triples, fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
         rng = np.random.default_rng(11)
+        every = np.arange(grid.n_points)
         for integrand, _, panels in triples:
             assert integrand.columns == grid.n_points
             n, shape = panels.shape[1], panels.shape[2:]
-            count = quadrature.STACK_PAIRS // (n * grid.n_points) if shape else 64
-            a, b = panels.min(axis=(0, 1)), panels.max(axis=(0, 1))  # inside the domain or the edge
-            lo = a + (b - a) * rng.uniform(0.0, 0.9, (count - len(panels),) + shape)
-            hi = np.minimum(lo + (b - a) * rng.uniform(0.01, 0.5, lo.shape), b)
-            nodes = np.concatenate([panels, _panels(lo, hi)[0]])
-            for joined in (nodes[: len(panels)], nodes):
-                values = integrand(joined.reshape((-1,) + shape)).copy()
-                assert values.shape == (len(joined) * n, grid.n_points)
-                for k, panel in enumerate(joined):
-                    assert values[k * n : (k + 1) * n].tobytes() == integrand(panel).tobytes()
+            for cols in (every, np.array([1]), np.array([0, 2])):
+                count = quadrature.STACK_PAIRS // (n * len(cols)) if shape else 64
+                a, b = panels.min(axis=(0, 1)), panels.max(axis=(0, 1))  # inside the domain or the edge
+                lo = a + (b - a) * rng.uniform(0.0, 0.9, (count - len(panels),) + shape)
+                hi = np.minimum(lo + (b - a) * rng.uniform(0.01, 0.5, lo.shape), b)
+                nodes = np.concatenate([panels, _panels(lo, hi)[0]])
+                for joined in (nodes[: len(panels)], nodes):
+                    x = joined.reshape((-1,) + shape)
+                    values = integrand(x, cols).copy()
+                    assert values.shape == (len(joined) * n, len(cols))
+                    assert values.tobytes() == integrand(x)[:, cols].tobytes()  # every column by default
+                    if len(cols) == len(every):
+                        for k, panel in enumerate(joined):
+                            assert values[k * n : (k + 1) * n].tobytes() == integrand(panel, cols).tobytes()
 
 
 class TestBoundaryIntegral:
@@ -965,14 +971,33 @@ class TestComponentwiseDistances:
         obs = rng.uniform(-1.0, 2.0, (37, 3))
         fr = surface_frame(self.CYL, x_p)
         rows = np.ascontiguousarray(obs.T)
-        G, dGn = _kernel(rows, normals=True)(fr.point, fr.normal)
+        every = np.arange(37)
+        G, dGn = _kernel(rows, normals=True)(fr.point, every, fr.normal)
         diff = obs[None, :, :] - fr.point[:, None, :]
         G_ref = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1))
         np.testing.assert_array_equal(G, G_ref)
         np.testing.assert_array_equal(dGn, G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1))
-        G_only, none = _kernel(rows, normals=False)(fr.point)
+        G_only, none = _kernel(rows, normals=False)(fr.point, every)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
+
+    @pytest.mark.parametrize("normals", [False, True])
+    def test_a_column_subset_gives_those_columns_bytes(self, normals):
+        """The kernel on the ascending columns ``cols`` is bitwise those columns of the
+        kernel on every column: a single column, a few, and all of them, in one kernel
+        whose tiled rows change with the columns."""
+        rng = np.random.default_rng(6)
+        obs = rng.uniform(-1.0, 2.0, (25, 3))
+        rows = np.ascontiguousarray(obs.T)
+        fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (192, 2)))
+        normal = fr.normal if normals else None
+        full = [a.copy() for a in _kernel(rows, normals=normals)(fr.point, np.arange(25), normal) if a is not None]
+        kernel = _kernel(rows, normals=normals)
+        for cols in ([7], [0, 24], [3, 4, 5, 11, 20], list(range(25)), [7]):
+            cols = np.array(cols)
+            for n in (192, 64):  # as many nodes as the tiled rows hold, then fewer
+                got = [a for a in kernel(fr.point[:n], cols, None if normal is None else normal[:n]) if a is not None]
+                assert [a.tobytes() for a in got] == [a[:n, cols].tobytes() for a in full]
 
     def test_planar_points_give_the_bytes_of_embedded_ones(self):
         """Planar points (N, 2) are the points (x1, x2, 0): dz is the rows' z, so G
@@ -986,25 +1011,28 @@ class TestComponentwiseDistances:
         rows = np.ascontiguousarray(obs.T)
         for normals in (False, True):
             kernel = _kernel(rows, normals=normals)
-            for n in (64, 8, 1024, 64, 2048):
+            for n, cols in ((64, range(16)), (8, range(16)), (1024, [5]), (64, [4, 9]), (2048, range(16))):
+                cols = np.array(cols)
                 x_p = rng.uniform(0.0, 1.0, (n, 2))
-                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p))
-                G, none = kernel(x_p)
+                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols)
+                G, none = kernel(x_p, cols)
                 assert none is None and G.tobytes() == expected.tobytes()
-                G, _ = kernel(ParametricMap._embed(x_p))
+                G, _ = kernel(ParametricMap._embed(x_p), cols)
                 assert G.tobytes() == expected.tobytes()
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
-        """One kernel over several panels and node counts gives the bytes of a fresh kernel per
-        panel; every call writes into one buffer, made again only for more nodes than it holds."""
+        """One kernel over several panels, node counts and column subsets gives the bytes
+        of a fresh kernel per panel; every call writes into one buffer, made again only
+        for more node x column pairs than it holds."""
         rng = np.random.default_rng(4)
         rows = np.ascontiguousarray(rng.uniform(-1.0, 2.0, (9, 3)).T)
         kernel = _kernel(rows, normals=True)
         results = []
-        for n in (64, 8, 64, 1024, 8, 320):
+        for n, cols in ((64, range(9)), (8, [2]), (64, [0, 3, 5]), (1024, range(9)), (8, [1, 2]), (320, range(9))):
+            cols = np.array(cols)
             fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
-            G, dGn = kernel(fr.point, fr.normal)
-            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, fr.normal)
+            G, dGn = kernel(fr.point, cols, fr.normal)
+            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, cols, fr.normal)
             assert G.flags.c_contiguous and dGn.flags.c_contiguous
             assert G.tobytes() == G_ref.tobytes() and dGn.tobytes() == dGn_ref.tobytes()
             results.append(G)

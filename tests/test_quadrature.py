@@ -28,6 +28,12 @@ def kernel_1d(s):
     return 1.0 / np.sqrt((s[:, None] - OBS[:, 0]) ** 2 + OBS[:, 2] ** 2)
 
 
+def striped_1d(s):
+    """kernel_1d times 0 or 1 on alternate stripes of width 1/(1000 pi): thousands of jumps
+    inside panels, whose errors no refinement short of the cap brings to roundoff."""
+    return (np.floor(s * 1000.0 * np.pi) % 2.0)[:, None] * kernel_1d(s)
+
+
 def peaked_2d(p):
     return 1.0 / ((p[:, 0] - 0.3) ** 2 + (p[:, 1] - 0.6) ** 2 + 1e-2)
 
@@ -38,6 +44,9 @@ def peaked_1d(s):
 
 def two_columns_2d(p):
     return np.stack([np.exp(p[:, 0] * p[:, 1]), np.cos(3.0 * p[:, 0]) / (1.2 - p[:, 1])], axis=-1)
+
+
+_COLUMNS = {kernel_2d: 3, kernel_1d: 3, striped_1d: 3, two_columns_2d: 2}  # values per node; 1 for the others
 
 
 def segment(f, a, b, **kwargs):
@@ -77,6 +86,32 @@ def unequal_pieces(s):
     """At the 8 nodes of each panel [a, b] in s, its table value over b - a, so its estimate is the table value."""
     boxes = [segment_box(nodes) for nodes in s.reshape(-1, 8)]
     return np.repeat([UNEQUAL_PIECES.get(box, 0.0) / (box[1] - box[0]) for box in boxes], 8)
+
+
+def declared(f, columns):
+    """f declared for stacked panels with ``columns`` values per node, called g(x, cols)
+    with the columns of f's values that it returns, and the list of its calls'
+    (nodes, cols)."""
+    calls = []
+
+    def g(x, cols):
+        calls.append((np.array(x), np.array(cols)))
+        values = np.asarray(f(x))
+        return values[:, cols] if values.ndim > 1 else values
+
+    g.columns = columns
+    return g, calls
+
+
+def column_panels(calls, c):
+    """The raw inputs of the panels of declared ``calls`` that were evaluated for column c."""
+    n = 8 ** calls[0][0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
+    return [x[k : k + n].tobytes() for x, cols in calls if c in cols for k in range(0, len(x), n)]
+
+
+def column_of(f, c):
+    """Column c of f's values (N,) or (N, M), as an integrand of its own."""
+    return lambda x: np.asarray(f(x)).reshape(len(x), -1)[:, c]
 
 
 def live_leaves(ncalls, d):
@@ -280,8 +315,17 @@ class TestGlobalBudget:
         "seg_smooth": (segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-10),
         "seg_peaked": (segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-10),
     }
-    # cases whose tree equals the recursion's: there the values are bitwise equal
-    SAME_TREE = {"rect_two_columns", "rect_anisotropic", "seg_smooth"}
+    # (case, column) whose tree equals the recursion's on that column alone: there the values are bitwise equal
+    SAME_TREE = {
+        ("rect_anisotropic", 0),
+        ("rect_smooth", 1),
+        ("rect_smooth", 2),
+        ("rect_two_columns", 0),
+        ("rect_two_columns", 1),
+        ("seg_smooth", 0),
+        ("seg_smooth", 1),
+        ("seg_smooth", 2),
+    }
     EXACT = {
         "rect_anisotropic": math.pi / 2,
         "rect_two_columns": np.array(
@@ -300,30 +344,33 @@ class TestGlobalBudget:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_tree_is_a_subtree_of_the_recursion(self, name):
+        # per value column: every panel evaluated for column c is one that the recursion
+        # evaluates when run on column c alone, and where the two trees are equal so are the bytes
         engine, reference, f, lo, hi, tol = self.CASES[name]
-        g, calls = recorded(f)
-        ref_g, ref_calls = recorded(f)
-        value = engine(g, lo, hi, tol=tol)
-        ref_value = reference(ref_g, lo, hi, tol=tol)
-        assert len(set(calls)) == len(calls)
-        assert set(calls) <= set(ref_calls)
-        assert len(calls) <= len(ref_calls)
-        assert (set(calls) == set(ref_calls)) == (name in self.SAME_TREE)
-        if name in self.SAME_TREE:
-            assert len(calls) > 3  # refined
-            assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+        g, calls = declared(f, _COLUMNS.get(f, 1))
+        value = np.atleast_1d(engine(g, lo, hi, tol=tol))
+        for c in range(len(value)):
+            panels = column_panels(calls, c)
+            ref_g, ref_calls = recorded(column_of(f, c))
+            ref_value = reference(ref_g, lo, hi, tol=tol)
+            assert len(set(panels)) == len(panels)
+            assert set(panels) <= set(ref_calls)
+            assert (set(panels) == set(ref_calls)) == ((name, c) in self.SAME_TREE)
+            if (name, c) in self.SAME_TREE:
+                assert value[c].tobytes() == np.asarray(ref_value).tobytes()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_depth_first_past_the_best_first_leaves(self, name, monkeypatch):
-        # with the switch after 4 live leaves, every case still converges inside the recursion's tree
+        # with the switch after 4 live leaves, every column still converges inside its recursion's tree
         monkeypatch.setattr(quadrature, "BEST_FIRST_LEAVES", 4)
         engine, reference, f, lo, hi, tol = self.CASES[name]
-        g, calls = recorded(f)
-        ref_g, ref_calls = recorded(f)
-        value = engine(g, lo, hi, tol=tol)
-        ref_value = reference(ref_g, lo, hi, tol=tol)
-        assert set(calls) <= set(ref_calls)
-        assert np.max(np.abs(value - ref_value)) <= 2 * tol
+        g, calls = declared(f, _COLUMNS.get(f, 1))
+        value = np.atleast_1d(engine(g, lo, hi, tol=tol))
+        for c in range(len(value)):
+            ref_g, ref_calls = recorded(column_of(f, c))
+            ref_value = reference(ref_g, lo, hi, tol=tol)
+            assert set(column_panels(calls, c)) <= set(ref_calls)
+            assert abs(value[c] - ref_value) <= 2 * tol
 
     @pytest.mark.parametrize("name", ["rect_peaked", "seg_peaked"])
     def test_fewer_panels_on_peaked_integrands(self, name):
@@ -393,7 +440,7 @@ class TestGlobalBudget:
         "engine, reference, f, lo, hi, tol",
         [
             (segment, recursive_segment, kernel_1d, 0.0, 1.0, 1e-15),
-            (segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-12),
+            (segment, recursive_segment, peaked_1d, 0.0, 1.0, 1e-13),
             (adaptive_rectangle, recursive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 1e-15),
         ],
         ids=["seg_smooth", "seg_peaked", "rect_smooth"],
@@ -440,11 +487,13 @@ class TestNaN:
 
 
 class TestOutOfReachTolerance:
-    """A tolerance below roundoff meets the depth cap after a few depth-first splits."""
+    """A tolerance out of reach meets the depth cap after a few depth-first splits: below
+    the 2D kernel's roundoff, and below the errors of a segment striped with jumps (a
+    smooth segment's leaf errors fall to exactly 0 and meet any tolerance)."""
 
     @pytest.mark.parametrize(
         "engine, f, lo, hi, d",
-        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 2), (segment, kernel_1d, 0.0, 1.0, 1)],
+        [(adaptive_rectangle, kernel_2d, (0.0, 0.0), (1.0, 1.0), 2), (segment, striped_1d, 0.0, 1.0, 1)],
         ids=["rectangle", "segment"],
     )
     def test_unreachable_tolerance_raises_at_the_cap(self, engine, f, lo, hi, d):
@@ -479,23 +528,9 @@ class TestDenseNearFilmGrid:
         assert np.max(np.abs(value - ref_value)) <= 2e-9
 
 
-def declared(f, columns):
-    """f declared for stacked panels, with ``columns`` values per node, and the list of its calls' inputs."""
-    calls = []
-
-    def g(x):
-        calls.append(np.array(x))
-        return f(x)
-
-    g.columns = columns
-    return g, calls
-
-
 def _nasty_columns(p):
     return 1.0 / (np.abs(p[:, 0, None] - np.array([0.9, 0.37, 0.1])) + 1e-9)
 
-
-_COLUMNS = {kernel_2d: 3, kernel_1d: 3, two_columns_2d: 2}  # values per node; 1 for the others
 
 # name -> (the engine call, a fresh integrand, its values per node): the integrands of
 # TestGlobalBudget, TestBreakPoints, TestNaN, TestOutOfReachTolerance and TestFailureContext
@@ -524,7 +559,7 @@ _STACK_CASES = {
         lambda: kernel_2d,
         3,
     ),
-    "out_of_reach_segment": (lambda g: segment(g, 0.0, 1.0, tol=1e-18, max_depth=40), lambda: kernel_1d, 3),
+    "out_of_reach_segment": (lambda g: segment(g, 0.0, 1.0, tol=1e-18, max_depth=40), lambda: striped_1d, 3),
     "failure_rectangle": (
         lambda g: adaptive_rectangle(g, (0, 0), (1, 1), tol=1e-12, max_depth=3),
         lambda: _nasty_columns,
@@ -573,14 +608,15 @@ class TestStackedPanels:
         expected = _outcome(run, plain)
         assert _outcome(run, g) == expected
         assert isinstance(expected, tuple) == (name in self.RAISES)
-        n = 8 ** calls[0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
-        panels = [x[k : k + n].tobytes() for x in calls for k in range(0, len(x), n)]
+        n = 8 ** calls[0][0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
+        panels = [x[k : k + n].tobytes() for x, _ in calls for k in range(0, len(x), n)]
         assert sorted(panels) == sorted(plain_calls)
-        assert all(len(x) * columns <= cap or len(x) == n for x in calls)
+        assert all(np.array_equal(cols, np.unique(cols)) for _, cols in calls)  # ascending, distinct
+        assert np.array_equal(calls[0][1], np.arange(columns))  # the roots: every column
+        assert all(len(x) * len(cols) <= cap or len(x) == n for x, cols in calls)
+        assert all(len(x) == n for x, cols in calls if 2 * n * len(cols) > cap)  # a call of its own
         if 2 * n * columns <= cap:
-            assert max(map(len, calls)) > n  # stacked: the 2^d children of a root are one call
-        else:
-            assert {len(x) for x in calls} == {n}  # one panel above the cap: a call of its own
+            assert max(len(x) for x, _ in calls) > n  # stacked: the 2^d children of a root are one call
 
 
 def observed(m, d):
@@ -598,10 +634,32 @@ def observed(m, d):
     return f
 
 
+def reducing(f, m, plain):
+    """f as the engine calls it, plain g(x) or declared g(x, cols) with max(m, 1) columns,
+    and the node counts of its calls."""
+    calls = []
+
+    def g(x, *cols):
+        calls.append(len(x))
+        values = f(x)
+        return values[:, cols[0]] if cols and m else values
+
+    if not plain:
+        g.columns = max(m, 1)
+    return g, calls
+
+
 class TestStackedReduction:
-    """Each integrand call's values are reduced by one stacked product; every
-    box's estimate is byte for byte the per-panel product w @ f(panel) of
-    ``reference.per_panel_estimates``, plain or declared, in and above the cap."""
+    """Each integrand call's weighted values are summed over the nodes by halving; every
+    (box, column) estimate is byte for byte the per-panel estimate of
+    ``reference.per_panel_estimates``, plain or declared, in and above the cap, for every
+    column and for any subset of the columns."""
+
+    @staticmethod
+    def boxes(d, m):
+        rng = np.random.default_rng(10 * m + d)
+        lo = rng.uniform(0.0, 1.0, (37,) + (d,) * (d - 1))
+        return lo, lo + rng.uniform(0.01, 0.5, lo.shape)
 
     @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
     @pytest.mark.parametrize("plain", [True, False], ids=["plain", "declared"])
@@ -609,18 +667,9 @@ class TestStackedReduction:
     @pytest.mark.parametrize("d", [1, 2], ids=["segments", "rectangles"])
     def test_estimates_are_the_per_panel_products(self, d, m, plain, cap, monkeypatch):
         monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
-        rng = np.random.default_rng(10 * m + d)
-        lo = rng.uniform(0.0, 1.0, (37,) + (d,) * (d - 1))
-        hi = lo + rng.uniform(0.01, 0.5, lo.shape)
+        lo, hi = self.boxes(d, m)
         f = observed(m, d)
-        calls = []  # nodes per call
-
-        def g(x):
-            calls.append(len(x))
-            return f(x)
-
-        if not plain:
-            g.columns = max(m, 1)
+        g, calls = reducing(f, m, plain)
         estimates = quadrature._estimates(g, lo, hi)
         expected = np.stack(per_panel_estimates(f, lo, hi))
         assert estimates.shape == expected.shape == (len(lo),) + (m,) * (m > 0)
@@ -631,6 +680,32 @@ class TestStackedReduction:
             assert set(calls) == {n}  # one panel per call
         else:
             assert max(calls) > n and all(c * max(m, 1) <= cap for c in calls)
+
+    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
+    @pytest.mark.parametrize("plain", [True, False], ids=["plain", "declared"])
+    @pytest.mark.parametrize("m", [1, 3, 25, 400], ids=["M=1", "M=3", "M=25", "M=400"])
+    @pytest.mark.parametrize("d", [1, 2], ids=["segments", "rectangles"])
+    def test_any_column_subset_has_those_columns_bytes(self, d, m, plain, cap, monkeypatch):
+        """The estimates for ascending columns ``cols`` are bitwise those columns of the
+        per-panel estimates: a single column (the first, the last), a random subset and
+        every column.  A declared integrand gets as many boxes per call as fit in the cap
+        for len(cols) columns, a plain one each box alone."""
+        monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
+        lo, hi = self.boxes(d, m)
+        f = observed(m, d)
+        expected = np.stack(per_panel_estimates(f, lo, hi))
+        rng = np.random.default_rng(m)
+        subsets = [[0], [m - 1], np.sort(rng.choice(m, max(1, m // 2), replace=False)), np.arange(m)]
+        n = 8**d
+        for cols in map(np.asarray, subsets):
+            g, calls = reducing(f, m, plain)
+            estimates = quadrature._estimates(g, lo, hi, cols)
+            assert estimates.shape == (len(lo), len(cols))
+            assert estimates.tobytes() == expected[:, cols].tobytes()
+            if plain or 2 * n * len(cols) > cap:
+                assert set(calls) == {n}
+            else:
+                assert max(calls) > n and all(c * len(cols) <= cap for c in calls)
 
 
 class TestInvalidArguments:

@@ -272,14 +272,18 @@ class TestGauge:
         assert rep.max_potential_diff <= 1e-12
 
     def test_vertical_pair_trivially_invariant(self, grid):
+        # a neutral vertical pair at one planar point: each choice's partial cells keep both
+        # charges or neither, so every sigma is 0; the half-shifted cells have 16 partial rows
         stacked = Motif(points=(MotifPoint(+1.0, (0.5, 0.5), 0.5), MotifPoint(-1.0, (0.5, 0.5), -0.5)))
-        rep = run_gauge(stacked, IDENT, SQUARE, SQUARE, 0.25, 0.25, Regime("R2", alpha=1.0), grid)
+        rep = run_gauge(stacked, IDENT, SQUARE, HALF_SHIFT, 0.25, 0.25, Regime("R2", alpha=1.0), grid)
         assert rep.max_potential_diff <= 1e-12
-        tess = tessellate(UNIT, 0.25, SQUARE)
-        for motif in (stacked, rebin_motif(stacked, SQUARE, SQUARE, 0.25)):
-            table = moment_table(tess, motif, IDENT, 0.25)
+        partial_rows = []
+        for choice, motif in ((SQUARE, stacked), (HALF_SHIFT, rebin_motif(stacked, SQUARE, HALF_SHIFT, 0.25))):
+            table = moment_table(tessellate(UNIT, 0.25, choice), motif, IDENT, 0.25)
             sigmas = table.sigma[~table.is_full]
-            assert np.all(np.abs(sigmas) <= 1e-12)
+            partial_rows.append(len(sigmas))
+            assert np.all(sigmas == 0.0)
+        assert partial_rows == [0, 16]
 
     def test_r3_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -390,20 +394,21 @@ NEAR_FILM_R2_SEED_1 = {
 
 
 class TestNearFilmTree:
-    """On stacked panels the near-film study evaluates the tree of one call per panel,
-    the panels, depth and kernel evaluations that the benchmark's traced run counts."""
+    """On stacked panels, each refined for its own live columns, the near-film study
+    evaluates the panels of one call per panel: the panels and depth that the
+    benchmark's traced run counts, each panel once, with the same bytes."""
 
     @staticmethod
     def study(monkeypatch, stacked):
-        """The study's report and the inputs of every bulk and edge integrand call, the
-        integrands declared for stacked panels or not."""
+        """The study's report and the (nodes, columns) of every bulk and edge integrand
+        call, the integrands declared for stacked panels or not (called f(x): every column)."""
         calls = {2: [], 1: []}
 
         def recording(engine, d):
             def run(f, *args, **kwargs):
-                def g(x):
-                    calls[d].append(np.array(x))
-                    return f(x)
+                def g(x, *cols):
+                    calls[d].append((np.array(x), np.array(cols[0]) if cols else np.arange(f.columns)))
+                    return f(x, *cols)
 
                 if stacked:
                     g.columns = f.columns
@@ -419,21 +424,29 @@ class TestNearFilmTree:
         )
         return report, calls
 
-    def test_panels_depth_and_bytes_of_one_call_per_panel(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
+    def test_panels_depth_and_bytes_of_one_call_per_panel(self, monkeypatch, cap):
+        default = cap == quadrature.STACK_PAIRS
+        monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
         report, calls = self.study(monkeypatch, stacked=True)
-        bulk = [x[k : k + 64, 0] for x in calls[2] for k in range(0, len(x), 64)]
+        bulk = [x[k : k + 64, 0] for x, _ in calls[2] for k in range(0, len(x), 64)]
         widths = np.array([np.ptp(nodes) for nodes in bulk])
         assert len(bulk) == 2389
         assert round(float(np.log2(widths.max() / widths.min()))) == 6  # depth
-        assert sum(map(len, calls[1])) // 8 == 260
-        assert 25 * 64 * len(bulk) + 25 * sum(map(len, calls[1])) == 3874400  # kernel evaluations
-        assert max(len(x) for x in calls[2]) == 16 * 64  # a split's grandchildren in one call
-        assert len(calls[2]) < len(bulk) // 10
+        assert sum(len(x) for x, _ in calls[1]) // 8 == 260
+        # kernel evaluations, node x live column: 0.29 M, not 25 columns on every panel (3 874 400)
+        assert sum(len(x) * len(cols) for x, cols in calls[2]) == 291648  # 4 557 panel x column pairs
+        assert sum(len(x) * len(cols) for x, cols in calls[1]) == 6784
+        assert all(len(x) * len(cols) <= cap or len(x) in (8, 64) for d in (1, 2) for x, cols in calls[d])
+        if default:
+            assert max(len(x) for x, _ in calls[2]) == 16 * 64  # a split's grandchildren in one call
+            assert len(calls[2]) < len(bulk) // 10
 
         plain, plain_calls = self.study(monkeypatch, stacked=False)
-        assert {len(x) for x in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
-        assert [x.tobytes() for x in bulk] == [x[:, 0].tobytes() for x in plain_calls[2]]
-        edges = [x[k : k + 8].tobytes() for x in calls[1] for k in range(0, len(x), 8)]
-        assert edges == [x.tobytes() for x in plain_calls[1]]
+        assert {len(x) for x, _ in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
+        assert 25 * 64 * 2389 + 25 * 8 * 260 == 3874400  # the traced benchmark counts every column of a plain call
+        assert [x.tobytes() for x in bulk] == [x[:, 0].tobytes() for x, _ in plain_calls[2]]
+        edges = [x[k : k + 8].tobytes() for x, _ in calls[1] for k in range(0, len(x), 8)]
+        assert edges == [x.tobytes() for x, _ in plain_calls[1]]
         assert report.homogenized.values.tobytes() == plain.homogenized.values.tobytes()
 
