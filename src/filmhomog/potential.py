@@ -395,51 +395,43 @@ def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, stan
 
 def _kernel(rows: np.ndarray, normals: bool):
     """The Green kernel towards observation points given as contiguous
-    component rows (3, M), as a function of surface points r' (N, 3), the
-    ascending indices ``cols`` of the observation points wanted and, with
-    ``normals``, the unit normals nu (N, 3) of the points.  It returns G =
-    1/|r - r'| (N, len(cols)), and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) +
-    dz*nu_z) or None; the squared distance accumulates as (dx*dx + dy*dy) +
-    dz*dz.  Without normals r' may also be planar points (N, 2), the film z
-    = 0 of the identity map: dz is then the rows' z, exact as z - 0.0 = z
-    for every z (-0.0 included), so dz*dz is the rows' z*z, computed with
-    the tiled rows.
+    component rows (3, M), over (panel, column) pairs.  It takes the nodes
+    r' (K n, 3) of K panels stacked, n per panel, the ascending indices
+    ``cols`` of the observation points wanted, panel k's being the next
+    counts[k] of them, and, with ``normals``, the unit normals nu (K n, 3)
+    of the nodes.  It returns G = 1/|r - r'| (len(cols), n), row j the
+    point cols[j] at the n nodes of its panel, and dG/dnu' = G*G*G * ((dx*nu_x
+    + dy*nu_y) + dz*nu_z) or None; the squared distance accumulates as
+    (dx*dx + dy*dy) + dz*dz.  Without normals r' may also be planar points
+    (K n, 2), the film z = 0 of the identity map: dz is then the point's z,
+    exact as z - 0.0 = z for every z (-0.0 included), so dz*dz is z*z, one
+    per row.
 
-    The rows[:, cols] are copied across the nodes into a reused buffer,
-    tiled (3, N, len(cols)), and copied again only for other columns or more
-    nodes; both results are views of a second reused buffer, made again only
-    for a call with more node x column pairs than it holds, so the next call
-    overwrites them.  The points (and normals) are copied across the
-    columns, so every arithmetic step runs on contiguous (N, len(cols))
-    slabs; a broadcasting ufunc on (64, M) costs about three contiguous
-    ones, a broadcasting copy one.  Per element the arithmetic is the same
-    for any ``cols``."""
+    Each node's coordinates (and normal) are copied once into every row of
+    its panel, and each row's point is broadcast along the row's n nodes:
+    no gather per (node, point) pair.  Both results are views of one reused
+    buffer, made again only for a call with more pairs than it holds, so
+    the next call overwrites them.  Per element the arithmetic is the same
+    for any stacking and any ``cols``."""
     slabs = 6 if normals else 3
-    store = tile_store = np.empty(0)
-    tiled = np.empty((3, 0, 0))
-    tiled_cols = squared_z = None
+    store = np.empty(0)
 
-    def kernel(point, cols, normal=None):
-        nonlocal store, tile_store, tiled, tiled_cols, squared_z
-        n, m = len(point), len(cols)
-        if store.size < slabs * n * m:
-            store = np.empty(slabs * n * m)
-        out = store[: slabs * n * m].reshape(slabs, n, m)
-        if n > tiled.shape[1] or cols.tobytes() != tiled_cols:
-            if tile_store.size < 3 * n * m:
-                tile_store = np.empty(3 * n * m)
-            tiled = tile_store[: 3 * n * m].reshape(3, n, m)
-            np.copyto(tiled, rows[:, None, cols])
-            tiled_cols, squared_z = cols.tobytes(), None
+    def kernel(point, cols, counts, normal=None):
+        nonlocal store
+        k, p = len(counts), len(cols)
+        n = len(point) // k
+        if store.size < slabs * p * n:
+            store = np.empty(slabs * p * n)
+        out = store[: slabs * p * n].reshape(slabs, p, n)
+        panel = np.repeat(np.arange(k), counts)  # the panel of each row
         axes = point.shape[1]  # 3, or 2 for planar points
-        if axes == 2 and squared_z is None:
-            squared_z = tiled[2] * tiled[2]
+        obs = rows[:, cols]
         d = out[:axes]
-        np.copyto(d, point.T[:, :, None])
-        np.subtract(tiled[:axes, :n], d, out=d)  # dx, dy (, dz)
+        np.take(point.T.reshape(axes, k, n), panel, axis=1, out=d)
+        np.subtract(obs[:axes, :, None], d, out=d)  # dx, dy (, dz)
         if normal is not None:
             terms = out[3:]
-            np.copyto(terms, normal.T[:, :, None])
+            np.take(normal.T.reshape(3, k, n), panel, axis=1, out=terms)
             terms *= d
             dot = terms[0]
             dot += terms[1]
@@ -447,7 +439,10 @@ def _kernel(rows: np.ndarray, normals: bool):
         d *= d
         G = d[0]
         G += d[1]
-        G += d[2] if axes == 3 else squared_z[:n]
+        if axes == 3:
+            G += d[2]
+        else:
+            G += (obs[2] * obs[2])[:, None]
         np.sqrt(G, out=G)
         np.divide(1.0, G, out=G)
         if normal is None:
@@ -459,6 +454,12 @@ def _kernel(rows: np.ndarray, normals: bool):
         return G, dGn
 
     return kernel
+
+
+def _per_row(density: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A density at the nodes of len(counts) stacked panels, one row (n,) per
+    panel, repeated for each of its counts[k] (panel, column) rows."""
+    return np.repeat(density.reshape(len(counts), -1), counts, axis=0)
 
 
 def _film_points(pmap: ParametricMap):
@@ -515,24 +516,27 @@ def homogenized_potential(
     rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
     kernel = _kernel(rows, normals=double is not None)
     film_points = _film_points(pmap)
-    every = np.arange(grid.n_points)
+    every, one_panel = np.arange(grid.n_points), np.array([grid.n_points])
 
-    def integrand(x_p, cols=every):
+    def integrand(x_p, cols=None, counts=None):
+        plain = cols is None  # f(x): one panel, every point, values (n, M)
+        if plain:
+            cols, counts = every, one_panel
         if double is None:
-            G, _ = kernel(film_points(x_p), cols)
+            G, _ = kernel(film_points(x_p), cols, counts)
         else:
             fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, cols, fr.normal)
-            dGn *= double(x_p)[:, None]
+            G, dGn = kernel(fr.point, cols, counts, fr.normal)
+            dGn *= _per_row(double(x_p), counts)
             if not single:
-                return dGn
+                return dGn.T if plain else dGn
         density = single[0](x_p)
         if len(single) == 2:
             density += single[1](x_p)
-        G *= density[:, None]
+        G *= _per_row(density, counts)
         if double is not None:
             G += dGn
-        return G
+        return G.T if plain else G
 
     integrand.columns = grid.n_points
     dom = pmap.domain
@@ -544,12 +548,15 @@ def homogenized_potential(
         edge_kernel = _kernel(rows, normals=False)
         for edge in dom.edges():
 
-            def edge_integrand(s, cols=every, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
+            def edge_integrand(s, cols=None, counts=None, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
+                plain = cols is None
+                if plain:
+                    cols, counts = every, one_panel
                 x_p = edge.points(s)
-                G, _ = edge_kernel(film_points(x_p), cols)
+                G, _ = edge_kernel(film_points(x_p), cols, counts)
                 density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
-                G *= density[:, None]
-                return G
+                G *= _per_row(density, counts)
+                return G.T if plain else G
 
             edge_integrand.columns = grid.n_points
             total += c_p * adaptive_segment(edge_integrand, edge.s_range, tol=tol / 8, max_depth=max_depth)

@@ -119,57 +119,87 @@ def _children(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> tuple[np.nda
 
 
 def _halve(products: np.ndarray) -> np.ndarray:
-    """The sums (K, c) over the node axis of products (K, n, c), n a power of
-    two, by a fixed pairwise halving: the first half of the nodes plus the
-    second, until one is left (6 elementwise adds for 64 nodes, 3
-    for 8).  Every (box, column) sum is the same arithmetic on its own
-    products, whatever the other boxes and columns of the array."""
-    k, n, c = products.shape
-    products = products.reshape(k, n * c)
+    """The sums over the first axis (the nodes, n a power of two) of products
+    (n, ...), by a fixed pairwise halving: the first half of the nodes plus
+    the second, until one is left (6 elementwise adds for 64 nodes, 3 for
+    8).  Every sum is the same arithmetic on its own products, whatever the
+    other boxes and columns of the array."""
+    n = len(products)
     while n > 1:
         n //= 2
-        products = products[:, : n * c] + products[:, n * c :]
-    return products
+        products = products[:n] + products[n:]
+    return products[0]
 
 
-def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None) -> np.ndarray:
-    """The one-shot estimates of the boxes [lo[k], hi[k]] for the value columns ``cols``.
+def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.ndarray:
+    """The one-shot estimates of the boxes [lo[k], hi[k]], box k for its own value columns.
 
-    Returns (K, len(cols)), or with ``cols`` None every column, (K,) + the
-    trailing shape of f's values.  A plain integrand is called f(x) once per
-    box and its ``cols`` are sliced out of its values.  One with an int
+    Box k takes the next counts[k] of the ascending column indices ``cols``;
+    the estimates come back flat in (box, column) order.  With ``cols`` None
+    every box takes every column, and the result is (K,) + the trailing
+    shape of f's values.  A plain integrand is called f(x) once per box and
+    its columns are taken out of its values (n,) or (n, M).  One with an int
     ``columns`` attribute (its values per node; below 1 it is a ValueError)
-    is called f(x, cols) on the boxes' nodes stacked, as many boxes per call
-    as fit in STACK_PAIRS node x column pairs (at least one), ``cols`` the
-    ascending column indices.  Each call's values times the weights are
-    reduced by :func:`_halve`, so every (box, column) estimate has the same
-    bytes for any stacking and any column subset.
+    is called f(x, cols, counts) on the boxes' nodes stacked, as many boxes
+    per call as fit in STACK_PAIRS node x column pairs (at least one), and
+    returns its values in (box, column, node) order, (len(cols), n) or flat.
+    The values times the weights are summed over the nodes by
+    :func:`_halve`, so every (box, column) estimate has the same bytes for
+    any stacking and any columns beside it.
     """
     nodes, weights = _panels(lo, hi)
-    n = weights.shape[1]
-    columns = getattr(f, "columns", None)
-    if columns is not None and columns < 1:
-        raise ValueError(f"an integrand's declared columns must be at least 1, got {columns!r}")
-    asked = np.arange(columns) if columns is not None and cols is None else cols
-    per_call = 1 if columns is None else max(1, STACK_PAIRS // (n * len(asked)))
+    k, n = weights.shape
     flat = nodes.reshape((-1,) + nodes.shape[2:])
-    parts = []
-    for start in range(0, len(weights), per_call):
-        w = weights[start : start + per_call]
-        x = flat[start * n : (start + len(w)) * n]
-        values = np.asarray(f(x) if columns is None else f(x, asked))
-        trailing = values.shape[1:]
-        values = values.reshape(len(w), n, -1)
-        if columns is None and cols is not None and len(cols) < values.shape[2]:
-            values = values[:, :, cols]
-        parts.append(_halve(values * w[:, :, None]))
+    columns = getattr(f, "columns", None)
+    if columns is None:
+        parts, start = [], 0
+        for b in range(k):
+            values = np.asarray(f(flat[b * n : (b + 1) * n]))
+            trailing = values.shape[1:]
+            values = values.reshape(n, -1)
+            if cols is not None:
+                wanted = cols[start : start + counts[b]]
+                start += counts[b]
+                if len(wanted) < values.shape[1]:
+                    values = values[:, wanted]
+            parts.append(_halve(values * weights[b, :, None]))
+        estimates = np.concatenate(parts)
+        return estimates.reshape((k,) + trailing) if cols is None else estimates
+    if columns < 1:
+        raise ValueError(f"an integrand's declared columns must be at least 1, got {columns!r}")
+    every = cols is None
+    if every:
+        cols, counts = np.tile(np.arange(columns), k), np.full(k, columns)
+    ends = np.cumsum(counts)  # one past each box's last (box, column) row
+    rows = max(1, STACK_PAIRS // n)
+    parts, b = [], 0
+    while b < k:
+        first = ends[b] - counts[b]
+        e = max(b + 1, int(np.searchsorted(ends, first + rows, side="right")))
+        wanted, per_box = cols[first : ends[e - 1]], counts[b:e]
+        values = np.asarray(f(flat[b * n : e * n], wanted, per_box)).reshape(len(wanted), n)
+        products = np.ascontiguousarray(values.T)  # (n, rows): each halving step adds contiguous halves
+        products *= np.repeat(weights[b:e].T, per_box, axis=1)
+        parts.append(_halve(products))
+        b = e
     estimates = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return estimates.reshape((len(weights),) + trailing) if cols is None else estimates
+    return estimates.reshape(k, columns) if every else estimates
+
+
+def _put(store: np.ndarray, at: int, block: np.ndarray) -> np.ndarray:
+    """``store`` with ``block`` written to its rows [at, at + len(block)), grown by doubling."""
+    end = at + len(block)
+    if end > len(store):
+        grown = np.empty((max(end, 2 * len(store)),) + store.shape[1:])
+        grown[:at] = store[:at]
+        store = grown
+    store[at:end] = block
+    return store
 
 
 def _adapt(f, lo, hi, tol, max_depth):
     """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each
-    with an equal share of ``tol``, refining every value column on its own."""
+    with an equal share of ``tol``, refining every value column on its own, in rounds."""
     shape = lo.shape[1:]
     masks = _RULES[shape][2]
     nkids = len(masks)
@@ -178,89 +208,139 @@ def _adapt(f, lo, hi, tol, max_depth):
     scalar = roots.ndim == 1
     roots = roots.reshape(nroots, -1)
     ncols = roots.shape[1]
-    boxes = {}  # path (box index, child indices...) -> [its columns, as a list, fine estimates, positions split]
-    errs = [{} for _ in range(ncols)]  # per column: path -> |fine - coarse| of each of its leaves
+    # Leaves are numbered in creation order; a leaf's (leaf, column) slots are consecutive
+    leaves = []  # per leaf: (depth, its first slot, its columns, its share)
+    kid_lo = kid_hi = np.empty((0, nkids) + shape)  # per leaf: its children's bounds
+    fine = np.empty(0)  # per slot: the sum of the leaf's child estimates
+    kids = np.empty((0, nkids))  # per slot: the leaf's child estimates
+    slots = 0  # slots made
+    folds = []  # per round: (split slots, their children's first slots, the children's columns)
+    errs = [{} for _ in range(ncols)]  # per column: leaf -> |fine - coarse| of each of its leaves
     total = [0.0] * ncols  # per column: running sum of its leaf errors
+    held = [0] * ncols  # per column: its leaves
+    heaps = [[] for _ in range(ncols)]  # per column: (key, tie, leaf) of its live leaves
     retired = [False] * ncols  # per column: its re-summed error is within tol, it splits no more
-    heap = []  # leaves with a live column: (-key, creation order, path, lo, hi, share, child lo, hi, their estimates, live)
-    order = count()
-    nleaves = 0  # boxes that are a leaf of some column
 
-    def spawn(path, lo, hi, share, coarse, cols):
-        """Make leaves path + (k,) of the boxes [lo[k], hi[k]] for the columns
-        ``cols``, whose one-shot estimates are coarse[k]: all their child
-        panels in one batch, each leaf's sums and errors on arrays, then each
-        leaf in turn, its errors added to the totals."""
-        nonlocal nleaves
-        kid_lo, kid_hi = _children(lo, hi, masks)
-        parts = _estimates(f, kid_lo.reshape((-1,) + shape), kid_hi.reshape((-1,) + shape), cols)
-        parts = parts.reshape(len(lo), nkids, len(cols))
-        sums = reduce(add, [parts[:, j] for j in range(nkids)])  # children in order, as one leaf at a time
-        names = cols.tolist()
-        column_errs = [errs[c] for c in names]
-        for k, diff in enumerate(np.abs(sums - coarse).tolist()):
-            leaf = path + (k,)
-            boxes[leaf] = [cols, names, sums[k], None]
-            nleaves += 1
-            for c, e, held in zip(names, diff, column_errs):
-                held[leaf] = e
-                total[c] += e
-            live = [i for i, e in enumerate(diff) if not e <= share]  # a NaN error is above every share
-            if live:
-                errors = [diff[i] for i in live]
-                if math.isfinite(sum(errors)) and nleaves <= BEST_FIRST_LEAVES:
-                    key = (-max(errors), next(order))
-                else:  # newest first, ahead of every finite error: depth first
-                    key = (-math.inf, -next(order))
-                heapq.heappush(heap, (*key, leaf, lo[k], hi[k], share, kid_lo[k], kid_hi[k], parts[k], live))
+    def spawn(lo, hi, coarse, groups):
+        """Make the leaves of each group (columns, count, depth, share, split
+        slots): ``count`` boxes, the next of [lo, hi], each for ``columns``,
+        their one-shot estimates the next of ``coarse``, flat in (leaf,
+        column) order.  All their child panels go to the integrand together,
+        child index outermost, so each leaf's children sum, child 0 first, is
+        one add per child for the round; then each leaf in turn is made, its
+        errors added to its columns' totals and pushed on their heaps."""
+        nonlocal kid_lo, kid_hi, fine, kids, slots
+        child_lo, child_hi = _children(lo, hi, masks)
+        cols = np.array([c for names, k, *_ in groups for _ in range(k) for c in names])
+        counts = np.array([len(names) for names, k, *_ in groups for _ in range(k)])
+        parts = _estimates(
+            f,
+            child_lo.swapaxes(0, 1).reshape((-1,) + shape),
+            child_hi.swapaxes(0, 1).reshape((-1,) + shape),
+            np.concatenate([cols] * nkids),
+            np.concatenate([counts] * nkids),
+        ).reshape(nkids, -1)
+        sums = reduce(add, parts)  # children in order, as one leaf at a time
+        diffs = np.abs(sums - coarse).tolist()
+        first = slots
+        kid_lo, kid_hi = _put(kid_lo, len(leaves), child_lo), _put(kid_hi, len(leaves), child_hi)
+        fine, kids = _put(fine, first, sums), _put(kids, first, parts.T)
+        split_slots, child_slots, strides = [], [], []
+        slot = first
+        for names, k, depth, share, parent_slots in groups:
+            m = len(names)
+            if parent_slots is not None:
+                split_slots += parent_slots
+                child_slots += range(slot, slot + m)
+                strides += [m] * m
+            columns = [(c, errs[c], heaps[c]) for c in names]
+            for _ in range(k):
+                leaf = len(leaves)
+                leaves.append((depth, slot, names, share))
+                for (c, own, heap), e in zip(columns, diffs[slot - first : slot - first + m]):
+                    own[leaf] = e
+                    total[c] += e
+                    held[c] += 1
+                    if not e <= share:  # live; a NaN error is above every share
+                        if math.isfinite(e) and held[c] <= BEST_FIRST_LEAVES:
+                            heapq.heappush(heap, (-e, leaf, leaf))
+                        else:  # newest first, ahead of every finite error: depth first
+                            heapq.heappush(heap, (-math.inf, -leaf, leaf))
+                slot += m
+        slots = slot
+        folds.append((split_slots, child_slots, strides))
 
-    spawn((), lo, hi, tol / nroots, roots, np.arange(ncols))
-    unretired = ncols
-    while heap and unretired:
-        *_, path, lo, hi, share, kid_lo, kid_hi, kids, live = heapq.heappop(heap)
-        box = boxes[path]
-        cols, names = box[0], box[1]
-        at_cap = len(path) > max_depth
-        split = []  # positions in cols of the live columns to split for
-        for i in live:
-            c = names[i]
-            if retired[c]:
+    spawn(lo, hi, roots.ravel(), [(list(range(ncols)), nroots, 0, tol / nroots, None)])
+    active = list(range(ncols))  # unretired columns that still have a live leaf
+    while active:
+        popped = {}  # each column's worst leaf, distinct, in the order of the lowest column popping it
+        still = []
+        for c in active:
+            if retired[c]:  # at the cap, last round
                 continue
-            if at_cap or not tol < total[c] < math.inf:
-                # before retiring or failing at the cap, re-sum: no drift of the running updates, no inf - inf
+            if not tol < total[c] < math.inf:
+                # before retiring, re-sum: no drift of the running updates, no inf - inf
                 total[c] = math.fsum(errs[c].values())
                 if total[c] <= tol:
                     retired[c] = True
-                    unretired -= 1
                     continue
-            split.append(i)
-        if not split:
-            continue
-        whole = len(split) == len(cols)
-        chosen = cols if whole else cols[split]
-        if at_cap:
-            errors = np.array([errs[c][path] for c in chosen.tolist()])
-            worst = int(np.argmax(errors))
-            summed = float(np.max([total[c] for c in chosen.tolist()]))
-            raise QuadratureNotConverged(
-                f"{np.size(lo)}D panel [{lo.tolist()}, {hi.tolist()}] at depth {len(path) - 1} (the cap): "
-                f"error {errors[worst]:.3e} > its share {share:.3e}, "
-                f"largest in value column {int(chosen[worst])}; summed error {summed:.3e} > {tol:.3e}",
-                error_estimate=summed,
-                tolerance=tol,
-            )
-        box[3] = split  # the other columns keep this leaf's fine estimates as final
-        nleaves -= whole
-        for c in chosen.tolist():
-            total[c] -= errs[c].pop(path)
-        spawn(path, kid_lo, kid_hi, share / nkids, kids if whole else kids[:, split], chosen)
+            heap, own = heaps[c], errs[c]
+            while heap and heap[0][2] not in own:  # stale: already split for c
+                heapq.heappop(heap)
+            if heap:
+                popped[heapq.heappop(heap)[2]] = None
+                still.append(c)
+        active = still
+        splits = []
+        for leaf in popped:
+            depth, slot, names, share = leaves[leaf]
+            at_cap = depth >= max_depth
+            split = []  # positions in names of the columns to split for: live, unretired, above tol
+            for i, c in enumerate(names):
+                e = errs[c].get(leaf)
+                if retired[c] or e is None or e <= share:
+                    continue
+                if at_cap:
+                    # before failing at the cap, re-sum
+                    total[c] = math.fsum(errs[c].values())
+                    if total[c] <= tol:
+                        retired[c] = True
+                        continue
+                split.append(i)
+            if not split:
+                continue
+            chosen = [names[i] for i in split]
+            if at_cap:
+                box_lo, box_hi = kid_lo[leaf, 0], kid_hi[leaf, -1]  # child 0 is lower, the last upper on every axis
+                errors = [errs[c][leaf] for c in chosen]
+                worst = int(np.argmax(errors))
+                summed = max(total[c] for c in chosen)
+                raise QuadratureNotConverged(
+                    f"{np.size(box_lo)}D panel [{box_lo.tolist()}, {box_hi.tolist()}] at depth {depth} (the cap): "
+                    f"error {errors[worst]:.3e} > its share {share:.3e}, "
+                    f"largest in value column {chosen[worst]}; summed error {summed:.3e} > {tol:.3e}",
+                    error_estimate=summed,
+                    tolerance=tol,
+                )
+            for c in chosen:  # the other columns keep this leaf's fine estimates as final
+                total[c] -= errs[c].pop(leaf)
+                held[c] -= 1
+            splits.append((leaf, chosen, [slot + i for i in split], depth + 1, share / nkids))
+        if splits:
+            splits.sort()  # new leaves in the creation order of the boxes they split
+            split = [s[0] for s in splits]
+            coarse = kids.ravel()[[p * nkids + k for s in splits for k in range(nkids) for p in s[2]]]
+            groups = [(names, nkids, depth, share, slots) for _, names, slots, depth, share in splits]
+            spawn(kid_lo[split].reshape((-1,) + shape), kid_hi[split].reshape((-1,) + shape), coarse, groups)
 
-    # fold each column in nested order, deepest boxes first: the sum of a box's children,
-    # child 0 first, replaces its fine estimates of the columns it was split for
-    for path in sorted((p for p, box in boxes.items() if box[3] is not None), key=len, reverse=True):
-        box = boxes[path]
-        box[2][box[3]] = reduce(add, [boxes[path + (k,)][2] for k in range(nkids)])
-    value = reduce(add, [boxes[(i,)][2] for i in range(nroots)])
+    # fold each column in nested order, latest round first, so every child is final before
+    # its parent: the sum of a split box's children, child 0 first, replaces its fine
+    # estimates of the columns it was split for
+    for split_slots, child_slots, strides in reversed(folds):
+        if split_slots:
+            child, stride = np.array(child_slots), np.array(strides)
+            fine[split_slots] = reduce(add, [fine[child + k * stride] for k in range(nkids)])
+    value = reduce(add, [fine[i * ncols : (i + 1) * ncols] for i in range(nroots)])
     return value[0] if scalar else value
 
 
@@ -277,16 +357,20 @@ def adaptive_rectangle(
     before its next call (so they may sit in a reused buffer); each of the
     M value columns is refined on its own, under its own error budget.
     ``f(x)`` gets one panel's (64, 2) points per call, or, if it has an int
-    attribute ``columns`` (M), it is called ``f(x, cols)`` on several
-    panels' points stacked and the ascending indices of the columns still
-    refined there, up to STACK_PAIRS point x column pairs per call, and
-    returns (N, len(cols)).  Strongly anisotropic rectangles are first cut
-    into near-square boxes, which become the first leaves of the budgets:
-    refinement stops once every value column's summed leaf error is within
-    ``tol``.  Raises QuadratureNotConverged at the depth cap.
+    attribute ``columns`` (M), it is called ``f(x, cols, counts)`` on
+    several panels' points stacked: panel k is evaluated for the next
+    counts[k] of the ascending column indices ``cols``, up to STACK_PAIRS
+    point x column pairs per call, and the values come back (len(cols), n)
+    in (panel, column, node) order, n = 64 nodes per panel.  Strongly
+    anisotropic rectangles are first cut into near-square boxes, which
+    become the first leaves of the budgets: refinement stops once every
+    value column's summed leaf error is within ``tol``.  A non-finite bound
+    is a ValueError; QuadratureNotConverged is raised at the depth cap.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"adaptive_rectangle needs finite bounds, got lo {lo.tolist()} and hi {hi.tolist()}")
     w = hi - lo
     # balance strongly anisotropic domains before going adaptive
     n1 = max(1, int(np.ceil(w[0] / w[1]))) if w[1] > 0 else 1
@@ -304,12 +388,16 @@ def adaptive_segment(
 ) -> np.ndarray:
     """Integrate a vector integrand over [points[0], points[-1]] with a panel break at every point.
 
-    Each piece between increasing ``points`` is a root box; ``f(x)`` gets each panel's 8 nodes
-    flat, or ``f(x, cols)`` several panels' nodes stacked and the value columns still refined
-    there if it declares ``columns`` (see :func:`adaptive_rectangle`).
-    Fewer than two ``points`` make no piece and raise ValueError.
+    Each piece between strictly increasing, finite ``points`` is a root box; ``f(x)`` gets each
+    panel's 8 nodes flat, or ``f(x, cols, counts)`` several panels' nodes stacked with the value
+    columns of each if it declares ``columns`` (see :func:`adaptive_rectangle`).  Fewer than two
+    ``points``, a non-finite one or points that do not strictly increase raise ValueError.
     """
     s = np.asarray(points, float)
     if s.ndim != 1 or len(s) < 2:
         raise ValueError(f"adaptive_segment needs at least two break points, got points of shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError(f"adaptive_segment needs finite break points, got {s.tolist()}")
+    if not (s[1:] > s[:-1]).all():
+        raise ValueError(f"adaptive_segment needs strictly increasing break points, got {s.tolist()}")
     return _adapt(f, s[:-1], s[1:], tol, max_depth)

@@ -455,20 +455,21 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     from its field callable times the regime weight, the single layer built
     from a zero, and a double layer added to it.  The weights are those of
     ``regime.limit_weights()``, set to 0 for a field that ``is_zero``.
-    Returns the kernel's buffer, valid until the next call."""
+    Returns (N, M), a view of the kernel's buffer, valid until the next call."""
     c_q, c_p, c_n = regime.limit_weights()
     c_q = 0.0 if fields.charge_weighted.is_zero else c_q
     c_b = 0.0 if fields.div_pol_planar_weighted.is_zero else c_p
     c_n = 0.0 if fields.pol_normal_weighted.is_zero else c_n
     kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=c_n != 0.0)
-    every = np.arange(len(points))
+    every, one_panel = np.arange(len(points)), np.array([len(points)])
 
     def integrand(x_p):
         if c_n != 0.0:
             fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, every, fr.normal)
+            G, dGn = kernel(fr.point, every, one_panel, fr.normal)
+            G, dGn = G.T, dGn.T
         else:
-            G, _ = kernel(pmap.midsurface(x_p), every)
+            G = kernel(pmap.midsurface(x_p), every, one_panel)[0].T
         density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)
         if c_b != 0.0:
             density = density - c_b * fields.div_pol_planar_weighted(x_p)
@@ -484,14 +485,14 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
 def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: np.ndarray, edge: Edge):
     """The edge integrand G (rho + (J0 p_p).n) in arc length ``s`` (N,)
     along ``edge``, with the polarization dotted with the edge normal
-    after its evaluation.  Returns the kernel's buffer."""
+    after its evaluation.  Returns (N, M), a view of the kernel's buffer."""
     kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=False)
     rho, normal = fields.boundary_charge[edge.name], np.asarray(edge.normal, float)
-    every = np.arange(len(points))
+    every, one_panel = np.arange(len(points)), np.array([len(points)])
 
     def integrand(s):
         x_p = edge.points(s)
-        G, _ = kernel(pmap.midsurface(x_p), every)
+        G = kernel(pmap.midsurface(x_p), every, one_panel)[0].T
         G *= (rho(x_p) + fields.pol_planar_weighted(x_p) @ normal)[:, None]
         return G
 

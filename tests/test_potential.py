@@ -767,7 +767,10 @@ def _term_scale(fields, regime, pmap, grid, nodes):
     terms plus |dG/dnu'| times that of the double layer."""
     c_q, c_p, c_n = regime.limit_weights()
     frame = surface_frame(pmap, nodes)
-    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(frame.point, np.arange(grid.n_points), frame.normal)
+    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(
+        frame.point, np.arange(grid.n_points), np.array([grid.n_points]), frame.normal
+    )
+    G, dGn = G.T, dGn.T
     single = np.zeros(len(nodes))
     if not fields.charge_weighted.is_zero:
         single += c_q * _abs_terms(fields.charge_weighted, nodes)
@@ -858,33 +861,43 @@ class TestFoldedIntegrands:
         ids=["R1", "R2-1", "R2-0.5", "R2-0.7", "R3"],
     )
     def test_stacked_panels_give_the_bytes_of_one_call_per_panel(self, monkeypatch, terms, map_name, regime):
-        # The quadrature hands a declared integrand several panels' nodes at once and the
-        # ascending indices of the columns (observation points) it still refines: the
-        # domain's five panels, then random boxes up to STACK_PAIRS node x column pairs
-        # (the bulk) or 64 panels (an edge, which gets at most 4 per call in a study), on
-        # every column, one, and two.  Being the per-panel bytes of those columns, the
-        # alpha = 0.7 fold differs from the unfolded integrand as much as per panel: at most
-        # 2.0 ulp of the term scale measured on the five panels, 3.0 ulp on these random boxes.
+        # The quadrature hands a declared integrand a round's panels at once, each with the
+        # ascending indices of the columns (observation points) it still refines there, and
+        # takes the values back in (panel, column, node) order: the domain's five panels,
+        # then random boxes up to STACK_PAIRS node x column pairs (the bulk) or 64 panels
+        # (an edge), every panel on every column, one, two, or a random subset of its own.
+        # Being the per-panel bytes of those columns, the alpha = 0.7 fold differs from the
+        # unfolded integrand as much as per panel: at most 2.0 ulp of the term scale measured
+        # on the five panels, 3.0 ulp on these random boxes.
         triples, fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
         rng = np.random.default_rng(11)
         every = np.arange(grid.n_points)
         for integrand, _, panels in triples:
             assert integrand.columns == grid.n_points
             n, shape = panels.shape[1], panels.shape[2:]
-            for cols in (every, np.array([1]), np.array([0, 2])):
-                count = quadrature.STACK_PAIRS // (n * len(cols)) if shape else 64
+            for cols in (every, np.array([1]), np.array([0, 2]), None):
+                count = quadrature.STACK_PAIRS // (n * (2 if cols is None else len(cols))) if shape else 64
                 a, b = panels.min(axis=(0, 1)), panels.max(axis=(0, 1))  # inside the domain or the edge
                 lo = a + (b - a) * rng.uniform(0.0, 0.9, (count - len(panels),) + shape)
                 hi = np.minimum(lo + (b - a) * rng.uniform(0.01, 0.5, lo.shape), b)
                 nodes = np.concatenate([panels, _panels(lo, hi)[0]])
                 for joined in (nodes[: len(panels)], nodes):
                     x = joined.reshape((-1,) + shape)
-                    values = integrand(x, cols).copy()
-                    assert values.shape == (len(joined) * n, len(cols))
-                    assert values.tobytes() == integrand(x)[:, cols].tobytes()  # every column by default
-                    if len(cols) == len(every):
+                    own = [
+                        np.sort(rng.choice(every, rng.integers(1, len(every) + 1), replace=False)) if cols is None else cols
+                        for _ in joined
+                    ]
+                    counts = np.array([len(c) for c in own])
+                    values = integrand(x, np.concatenate(own), counts).copy()
+                    assert values.shape == (counts.sum(), n)
+                    plain = integrand(x).copy()  # f(x): one panel of every node, every column, (N, M)
+                    assert plain.shape == (len(joined) * n, len(every))
+                    expected = np.concatenate([plain[k * n : (k + 1) * n, c].T for k, c in enumerate(own)])
+                    assert values.tobytes() == expected.tobytes()
+                    if cols is every:
                         for k, panel in enumerate(joined):
-                            assert values[k * n : (k + 1) * n].tobytes() == integrand(panel, cols).tobytes()
+                            rows = values[k * len(every) : (k + 1) * len(every)]
+                            assert rows.tobytes() == np.ascontiguousarray(integrand(panel).T).tobytes()
 
 
 class TestBoundaryIntegral:
@@ -961,7 +974,8 @@ class TestDecay:
 
 class TestComponentwiseDistances:
     """The kernel's per-component arithmetic equals the (N, M, 3) np.sum formulas bitwise:
-    G = 1 / sqrt(sum(diff**2)) and dG/dnu' = G*G*G * sum(diff * nu)."""
+    G = 1 / sqrt(sum(diff**2)) and dG/dnu' = G*G*G * sum(diff * nu), one row per
+    (panel, point) pair."""
 
     CYL = ParametricMap.cylinder(UNIT, radius=2.0)
 
@@ -971,39 +985,43 @@ class TestComponentwiseDistances:
         obs = rng.uniform(-1.0, 2.0, (37, 3))
         fr = surface_frame(self.CYL, x_p)
         rows = np.ascontiguousarray(obs.T)
-        every = np.arange(37)
-        G, dGn = _kernel(rows, normals=True)(fr.point, every, fr.normal)
+        every, one_panel = np.arange(37), np.array([37])
+        G, dGn = _kernel(rows, normals=True)(fr.point, every, one_panel, fr.normal)
         diff = obs[None, :, :] - fr.point[:, None, :]
         G_ref = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1))
-        np.testing.assert_array_equal(G, G_ref)
-        np.testing.assert_array_equal(dGn, G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1))
-        G_only, none = _kernel(rows, normals=False)(fr.point, every)
+        np.testing.assert_array_equal(G, G_ref.T)
+        np.testing.assert_array_equal(dGn, (G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1)).T)
+        G_only, none = _kernel(rows, normals=False)(fr.point, every, one_panel)
         assert none is None
         np.testing.assert_array_equal(G_only, G)
 
     @pytest.mark.parametrize("normals", [False, True])
     def test_a_column_subset_gives_those_columns_bytes(self, normals):
-        """The kernel on the ascending columns ``cols`` is bitwise those columns of the
-        kernel on every column: a single column, a few, and all of them, in one kernel
-        whose tiled rows change with the columns."""
+        """Three stacked panels of 64 nodes, each on its own ascending columns: every row
+        is bitwise that point's row of the kernel on every column at the panel's nodes,
+        for a single column, a few, all of them and a different subset per panel, in one
+        kernel whose buffer serves every call."""
         rng = np.random.default_rng(6)
         obs = rng.uniform(-1.0, 2.0, (25, 3))
         rows = np.ascontiguousarray(obs.T)
         fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (192, 2)))
         normal = fr.normal if normals else None
-        full = [a.copy() for a in _kernel(rows, normals=normals)(fr.point, np.arange(25), normal) if a is not None]
+        every = np.arange(25)
+        full = [a.copy() for a in _kernel(rows, normals=normals)(fr.point, every, [25], normal) if a is not None]
         kernel = _kernel(rows, normals=normals)
-        for cols in ([7], [0, 24], [3, 4, 5, 11, 20], list(range(25)), [7]):
-            cols = np.array(cols)
-            for n in (192, 64):  # as many nodes as the tiled rows hold, then fewer
-                got = [a for a in kernel(fr.point[:n], cols, None if normal is None else normal[:n]) if a is not None]
-                assert [a.tobytes() for a in got] == [a[:n, cols].tobytes() for a in full]
+        for own in ([[7]] * 3, [[0, 24]] * 3, [[3, 4, 5, 11, 20]] * 3, [every] * 3, [[7], every, [0, 24]], [[7]] * 3):
+            own = [np.array(c) for c in own]
+            for k in (3, 1):  # all three panels stacked, then the first alone
+                counts = np.array([len(c) for c in own[:k]])
+                got = kernel(fr.point[: 64 * k], np.concatenate(own[:k]), counts, None if normal is None else normal[: 64 * k])
+                expected = [np.concatenate([a[c, 64 * j : 64 * (j + 1)] for j, c in enumerate(own[:k])]) for a in full]
+                assert [a.tobytes() for a in got if a is not None] == [a.tobytes() for a in expected]
 
     def test_planar_points_give_the_bytes_of_embedded_ones(self):
         """Planar points (N, 2) are the points (x1, x2, 0): dz is the rows' z, so G
         is bitwise that of the embedded points for rows with z = +0.0, -0.0, < 0
-        and > 0, through one buffer shared with embedded calls and made again
-        for more nodes."""
+        and > 0, on one panel or several stacked, through one buffer shared with
+        embedded calls and made again for more pairs."""
         rng = np.random.default_rng(5)
         obs = rng.uniform(-1.0, 2.0, (16, 3))
         obs[:4, 2], obs[4:8, 2], obs[8:12, 2] = 0.0, -0.0, -rng.uniform(0.01, 1.0, 4)
@@ -1011,13 +1029,13 @@ class TestComponentwiseDistances:
         rows = np.ascontiguousarray(obs.T)
         for normals in (False, True):
             kernel = _kernel(rows, normals=normals)
-            for n, cols in ((64, range(16)), (8, range(16)), (1024, [5]), (64, [4, 9]), (2048, range(16))):
-                cols = np.array(cols)
-                x_p = rng.uniform(0.0, 1.0, (n, 2))
-                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols)
-                G, none = kernel(x_p, cols)
+            for n, panels, cols in ((64, 1, range(16)), (8, 4, range(16)), (64, 16, [5]), (64, 2, [4, 9]), (64, 32, range(16))):
+                cols, counts = np.tile(cols, panels), np.full(panels, len(cols))
+                x_p = rng.uniform(0.0, 1.0, (n * panels, 2))
+                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols, counts)
+                G, none = kernel(x_p, cols, counts)
                 assert none is None and G.tobytes() == expected.tobytes()
-                G, _ = kernel(ParametricMap._embed(x_p), cols)
+                G, _ = kernel(ParametricMap._embed(x_p), cols, counts)
                 assert G.tobytes() == expected.tobytes()
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
@@ -1031,8 +1049,8 @@ class TestComponentwiseDistances:
         for n, cols in ((64, range(9)), (8, [2]), (64, [0, 3, 5]), (1024, range(9)), (8, [1, 2]), (320, range(9))):
             cols = np.array(cols)
             fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
-            G, dGn = kernel(fr.point, cols, fr.normal)
-            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, cols, fr.normal)
+            G, dGn = kernel(fr.point, cols, [len(cols)], fr.normal)
+            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, cols, [len(cols)], fr.normal)
             assert G.flags.c_contiguous and dGn.flags.c_contiguous
             assert G.tobytes() == G_ref.tobytes() and dGn.tobytes() == dGn_ref.tobytes()
             results.append(G)

@@ -88,25 +88,40 @@ def unequal_pieces(s):
     return np.repeat([UNEQUAL_PIECES.get(box, 0.0) / (box[1] - box[0]) for box in boxes], 8)
 
 
+def pairs(f, x, cols, counts):
+    """f's values at the stacked panels x as a declared integrand returns them: row j the
+    column cols[j] at the nodes of its panel, panel k having the next counts[k] columns."""
+    n = len(x) // len(counts)
+    values = np.asarray(f(x)).reshape(len(counts), n, -1)
+    return values[np.repeat(np.arange(len(counts)), counts), :, cols]
+
+
 def declared(f, columns):
-    """f declared for stacked panels with ``columns`` values per node, called g(x, cols)
-    with the columns of f's values that it returns, and the list of its calls'
-    (nodes, cols)."""
+    """f declared for stacked panels with ``columns`` values per node, called g(x, cols,
+    counts), and the list of its calls' (nodes, cols, counts)."""
     calls = []
 
-    def g(x, cols):
-        calls.append((np.array(x), np.array(cols)))
-        values = np.asarray(f(x))
-        return values[:, cols] if values.ndim > 1 else values
+    def g(x, cols, counts):
+        calls.append((np.array(x), np.array(cols), np.array(counts)))
+        return pairs(f, x, cols, counts)
 
     g.columns = columns
     return g, calls
 
 
+def panel_columns(calls):
+    """(raw inputs, ascending columns) of every panel of declared ``calls``, in call order."""
+    out = []
+    for x, cols, counts in calls:
+        n = len(x) // len(counts)
+        ends = np.cumsum(counts)
+        out += [(x[k * n : (k + 1) * n].tobytes(), cols[e - m : e]) for k, (e, m) in enumerate(zip(ends, counts))]
+    return out
+
+
 def column_panels(calls, c):
     """The raw inputs of the panels of declared ``calls`` that were evaluated for column c."""
-    n = 8 ** calls[0][0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
-    return [x[k : k + n].tobytes() for x, cols in calls if c in cols for k in range(0, len(x), n)]
+    return [raw for raw, cols in panel_columns(calls) if c in cols]
 
 
 def column_of(f, c):
@@ -497,7 +512,7 @@ class TestOutOfReachTolerance:
         ids=["rectangle", "segment"],
     )
     def test_unreachable_tolerance_raises_at_the_cap(self, engine, f, lo, hi, d):
-        g, calls = recorded(f)
+        g, calls = declared(f, 3)
         with pytest.raises(QuadratureNotConverged) as info:
             engine(g, lo, hi, tol=1e-18, max_depth=40)
         err = info.value
@@ -506,8 +521,11 @@ class TestOutOfReachTolerance:
         assert err.error_estimate > err.tolerance
         assert f"{d}D panel [" in msg and "at depth 40 (the cap)" in msg and "largest in value column" in msg
         assert f"summed error {err.error_estimate:.3e} > {err.tolerance:.3e}" in msg
-        # breadth first would need 2^(40 d) leaves; past BEST_FIRST_LEAVES one chain goes down to the cap
-        assert live_leaves(len(calls), d) <= BEST_FIRST_LEAVES + (2**d - 1) * 41
+        # breadth first would need 2^(40 d) leaves; past BEST_FIRST_LEAVES of its own leaves
+        # each column goes down one chain to the cap, and a box split in any of the three
+        # chains adds 2^d - 1 leaves to each column live on it
+        for c in range(3):
+            assert live_leaves(len(column_panels(calls, c)), d) <= BEST_FIRST_LEAVES + 3 * (2**d - 1) * 41
 
 
 class TestDenseNearFilmGrid:
@@ -582,9 +600,10 @@ def _outcome(run, g):
 
 
 class TestStackedPanels:
-    """An integrand that declares its ``columns`` gets several panels per call, at most
-    STACK_PAIRS node x column pairs unless one panel alone is larger, on the same tree:
-    the same panels, the same bytes and the same failure as one call per panel."""
+    """An integrand that declares its ``columns`` gets a round's panels per call, each with
+    its own columns, at most STACK_PAIRS node x column pairs unless one panel alone is
+    larger, on the same tree: the same panels in the same order, the same bytes and the
+    same failure as one call per panel, at any cap."""
 
     RAISES = {
         "breaks_jump_at_cap",
@@ -597,7 +616,7 @@ class TestStackedPanels:
     }
 
     @pytest.mark.parametrize("best_first", [BEST_FIRST_LEAVES, 4], ids=["best_first", "depth_first_past_4"])
-    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
+    @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7, 2**20], ids=["cap", "cap_2^7", "cap_2^20"])
     @pytest.mark.parametrize("name", sorted(_STACK_CASES))
     def test_same_tree_bytes_and_failure_as_one_call_per_panel(self, name, cap, best_first, monkeypatch):
         monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
@@ -609,14 +628,13 @@ class TestStackedPanels:
         assert _outcome(run, g) == expected
         assert isinstance(expected, tuple) == (name in self.RAISES)
         n = 8 ** calls[0][0].ndim  # nodes per panel: 8 flat (segment) or (64, 2) (rectangle)
-        panels = [x[k : k + n].tobytes() for x, _ in calls for k in range(0, len(x), n)]
-        assert sorted(panels) == sorted(plain_calls)
-        assert all(np.array_equal(cols, np.unique(cols)) for _, cols in calls)  # ascending, distinct
-        assert np.array_equal(calls[0][1], np.arange(columns))  # the roots: every column
-        assert all(len(x) * len(cols) <= cap or len(x) == n for x, cols in calls)
-        assert all(len(x) == n for x, cols in calls if 2 * n * len(cols) > cap)  # a call of its own
+        panels = panel_columns(calls)
+        assert [raw for raw, _ in panels] == plain_calls
+        assert all(len(cols) and np.array_equal(cols, np.unique(cols)) for _, cols in panels)  # ascending, distinct
+        assert (calls[0][2] == columns).all()  # the roots: every column
+        assert all(len(cols) * n <= cap or len(counts) == 1 for _, cols, counts in calls)
         if 2 * n * columns <= cap:
-            assert max(len(x) for x, _ in calls) > n  # stacked: the 2^d children of a root are one call
+            assert max(len(counts) for *_, counts in calls) > 1  # stacked: a root's 2^d children are one call
 
 
 def observed(m, d):
@@ -635,14 +653,13 @@ def observed(m, d):
 
 
 def reducing(f, m, plain):
-    """f as the engine calls it, plain g(x) or declared g(x, cols) with max(m, 1) columns,
-    and the node counts of its calls."""
+    """f as the engine calls it, plain g(x) or declared g(x, cols, counts) with max(m, 1)
+    columns, and the (nodes, node x column pairs) of its calls."""
     calls = []
 
     def g(x, *cols):
-        calls.append(len(x))
-        values = f(x)
-        return values[:, cols[0]] if cols and m else values
+        calls.append((len(x), len(x) * max(m, 1) if not cols else len(cols[0]) * len(x) // len(cols[1])))
+        return pairs(f, x, *cols) if cols else f(x)
 
     if not plain:
         g.columns = max(m, 1)
@@ -672,40 +689,49 @@ class TestStackedReduction:
         g, calls = reducing(f, m, plain)
         estimates = quadrature._estimates(g, lo, hi)
         expected = np.stack(per_panel_estimates(f, lo, hi))
-        assert estimates.shape == expected.shape == (len(lo),) + (m,) * (m > 0)
+        assert expected.shape == (len(lo),) + (m,) * (m > 0)
+        assert estimates.shape == (expected.shape if plain else (len(lo), max(m, 1)))  # declared: (K, columns)
         assert estimates.tobytes() == expected.tobytes()
         n = 8**d
-        assert sum(calls) == len(lo) * n
+        nodes = [c for c, _ in calls]
+        assert sum(nodes) == len(lo) * n
         if plain or 2 * n * max(m, 1) > cap:
-            assert set(calls) == {n}  # one panel per call
+            assert set(nodes) == {n}  # one panel per call
         else:
-            assert max(calls) > n and all(c * max(m, 1) <= cap for c in calls)
+            assert max(nodes) > n and all(p <= cap for _, p in calls)
 
     @pytest.mark.parametrize("cap", [quadrature.STACK_PAIRS, 2**7], ids=["cap", "cap_2^7"])
     @pytest.mark.parametrize("plain", [True, False], ids=["plain", "declared"])
     @pytest.mark.parametrize("m", [1, 3, 25, 400], ids=["M=1", "M=3", "M=25", "M=400"])
     @pytest.mark.parametrize("d", [1, 2], ids=["segments", "rectangles"])
     def test_any_column_subset_has_those_columns_bytes(self, d, m, plain, cap, monkeypatch):
-        """The estimates for ascending columns ``cols`` are bitwise those columns of the
-        per-panel estimates: a single column (the first, the last), a random subset and
-        every column.  A declared integrand gets as many boxes per call as fit in the cap
-        for len(cols) columns, a plain one each box alone."""
+        """The estimates of each box for its own ascending columns are bitwise those columns
+        of the per-panel estimates: every box on a single column (the first, the last), a
+        random subset or every column, and each box on a random subset of its own.  A
+        declared integrand gets as many boxes per call as fit in the cap, a plain one each
+        box alone."""
         monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
         lo, hi = self.boxes(d, m)
         f = observed(m, d)
         expected = np.stack(per_panel_estimates(f, lo, hi))
         rng = np.random.default_rng(m)
         subsets = [[0], [m - 1], np.sort(rng.choice(m, max(1, m // 2), replace=False)), np.arange(m)]
+        per_box = [np.sort(rng.choice(m, rng.integers(1, m + 1), replace=False)) for _ in lo]
         n = 8**d
-        for cols in map(np.asarray, subsets):
+        for cols in [[np.asarray(c)] * len(lo) for c in subsets] + [per_box]:
             g, calls = reducing(f, m, plain)
-            estimates = quadrature._estimates(g, lo, hi, cols)
-            assert estimates.shape == (len(lo), len(cols))
-            assert estimates.tobytes() == expected[:, cols].tobytes()
-            if plain or 2 * n * len(cols) > cap:
-                assert set(calls) == {n}
+            counts = np.array([len(c) for c in cols])
+            estimates = quadrature._estimates(g, lo, hi, np.concatenate(cols), counts)
+            assert estimates.shape == (counts.sum(),)
+            assert estimates.tobytes() == np.concatenate([row[c] for row, c in zip(expected, cols)]).tobytes()
+            nodes = [c for c, _ in calls]
+            assert sum(nodes) == len(lo) * n
+            if plain:
+                assert set(nodes) == {n}
             else:
-                assert max(calls) > n and all(c * len(cols) <= cap for c in calls)
+                assert all(p <= cap or c == n for c, p in calls)
+                if 2 * n * counts.max() <= cap:
+                    assert max(nodes) > n
 
 
 class TestInvalidArguments:

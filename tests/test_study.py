@@ -394,21 +394,24 @@ NEAR_FILM_R2_SEED_1 = {
 
 
 class TestNearFilmTree:
-    """On stacked panels, each refined for its own live columns, the near-film study
+    """In rounds, each panel refined for its own live columns, the near-film study
     evaluates the panels of one call per panel: the panels and depth that the
-    benchmark's traced run counts, each panel once, with the same bytes."""
+    benchmark's traced run counts, each panel once, in the same order, with the same
+    bytes, in one integrand call per round."""
 
     @staticmethod
     def study(monkeypatch, stacked):
-        """The study's report and the (nodes, columns) of every bulk and edge integrand
-        call, the integrands declared for stacked panels or not (called f(x): every column)."""
+        """The study's report and the (nodes, columns, columns per panel) of every bulk and
+        edge integrand call, the integrands declared for stacked panels or not (called
+        f(x): one panel, every column)."""
         calls = {2: [], 1: []}
 
         def recording(engine, d):
             def run(f, *args, **kwargs):
-                def g(x, *cols):
-                    calls[d].append((np.array(x), np.array(cols[0]) if cols else np.arange(f.columns)))
-                    return f(x, *cols)
+                def g(x, *rest):
+                    cols, counts = rest if rest else (np.arange(f.columns), np.array([f.columns]))
+                    calls[d].append((np.array(x), np.array(cols), np.array(counts)))
+                    return f(x, *rest)
 
                 if stacked:
                     g.columns = f.columns
@@ -429,24 +432,25 @@ class TestNearFilmTree:
         default = cap == quadrature.STACK_PAIRS
         monkeypatch.setattr(quadrature, "STACK_PAIRS", cap)
         report, calls = self.study(monkeypatch, stacked=True)
-        bulk = [x[k : k + 64, 0] for x, _ in calls[2] for k in range(0, len(x), 64)]
+        bulk = [x[k : k + 64, 0] for x, *_ in calls[2] for k in range(0, len(x), 64)]
         widths = np.array([np.ptp(nodes) for nodes in bulk])
         assert len(bulk) == 2389
         assert round(float(np.log2(widths.max() / widths.min()))) == 6  # depth
-        assert sum(len(x) for x, _ in calls[1]) // 8 == 260
+        assert sum(len(x) for x, *_ in calls[1]) // 8 == 260
         # kernel evaluations, node x live column: 0.29 M, not 25 columns on every panel (3 874 400)
-        assert sum(len(x) * len(cols) for x, cols in calls[2]) == 291648  # 4 557 panel x column pairs
-        assert sum(len(x) * len(cols) for x, cols in calls[1]) == 6784
-        assert all(len(x) * len(cols) <= cap or len(x) in (8, 64) for d in (1, 2) for x, cols in calls[d])
+        assert sum(64 * len(cols) for _, cols, _ in calls[2]) == 291648  # 4 557 panel x column pairs
+        assert sum(8 * len(cols) for _, cols, _ in calls[1]) == 6784
+        assert all(len(x) // len(counts) * len(cols) <= cap or len(counts) == 1 for d in (1, 2) for x, cols, counts in calls[d])
         if default:
-            assert max(len(x) for x, _ in calls[2]) == 16 * 64  # a split's grandchildren in one call
-            assert len(calls[2]) < len(bulk) // 10
+            # the roots, then one call per round: 15 rounds of the bulk, 22 of the four edges
+            # (one call per split took 151 and 70)
+            assert (len(calls[2]), len(calls[1])) == (16, 26)
 
         plain, plain_calls = self.study(monkeypatch, stacked=False)
-        assert {len(x) for x, _ in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
+        assert {len(x) for x, *_ in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
         assert 25 * 64 * 2389 + 25 * 8 * 260 == 3874400  # the traced benchmark counts every column of a plain call
-        assert [x.tobytes() for x in bulk] == [x[:, 0].tobytes() for x, _ in plain_calls[2]]
-        edges = [x[k : k + 8].tobytes() for x, _ in calls[1] for k in range(0, len(x), 8)]
-        assert edges == [x.tobytes() for x, _ in plain_calls[1]]
+        assert [x.tobytes() for x in bulk] == [x[:, 0].tobytes() for x, *_ in plain_calls[2]]
+        edges = [x[k : k + 8].tobytes() for x, *_ in calls[1] for k in range(0, len(x), 8)]
+        assert edges == [x.tobytes() for x, *_ in plain_calls[1]]
         assert report.homogenized.values.tobytes() == plain.homogenized.values.tobytes()
 
