@@ -394,44 +394,64 @@ def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, stan
 
 
 def _kernel(rows: np.ndarray, normals: bool):
-    """The Green kernel towards observation points given as contiguous
-    component rows (3, M), over (panel, column) pairs.  It takes the nodes
-    r' (K n, 3) of K panels stacked, n per panel, the ascending indices
-    ``cols`` of the observation points wanted, panel k's being the next
-    counts[k] of them, and, with ``normals``, the unit normals nu (K n, 3)
-    of the nodes.  It returns G = 1/|r - r'| (len(cols), n), row j the
-    point cols[j] at the n nodes of its panel, and dG/dnu' = G*G*G * ((dx*nu_x
-    + dy*nu_y) + dz*nu_z) or None; the squared distance accumulates as
-    (dx*dx + dy*dy) + dz*dz.  Without normals r' may also be planar points
+    """The densities times the Green kernel towards observation points given
+    as contiguous component rows (3, M), over (panel, column) pairs.  It
+    takes the nodes r' (K n, 3) of K panels stacked, n per panel, the
+    ascending indices ``cols`` of the observation points wanted, panel k's
+    being the next counts[k] of them, a single-layer ``density`` at the
+    nodes (K n,) or None, and, with ``normals``, the unit normals nu (K n,
+    3) and a double-layer ``normal_density`` (K n,).  It returns (len(cols),
+    n), row j the point cols[j] at the n nodes of its panel: density * G +
+    normal_density * dG/dnu', or one of the two terms alone, with G = 1/|r -
+    r'| and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z); the squared
+    distance accumulates as (dx*dx + dy*dy) + dz*dz, and each product is
+    rounded before the sum.  Without normals r' may also be planar points
     (K n, 2), the film z = 0 of the identity map: dz is then the point's z,
-    exact as z - 0.0 = z for every z (-0.0 included), so dz*dz is z*z, one
-    per row.
+    exact as z - 0.0 = z for every z (-0.0 included), so dz*dz is z*z.
 
-    Each node's coordinates (and normal) are copied once into every row of
-    its panel, and each row's point is broadcast along the row's n nodes:
-    no gather per (node, point) pair.  Both results are views of one reused
-    buffer, made again only for a call with more pairs than it holds, so
-    the next call overwrites them.  Per element the arithmetic is the same
-    for any stacking and any ``cols``."""
+    The points' rows are copied across their n nodes into a reused buffer,
+    copied again only for other columns, counts or nodes per panel; each
+    node's coordinates, normal and densities are copied into every row of
+    its panel (a copy of n contiguous values per row, no gather per (node,
+    point) pair).  So every arithmetic step runs on contiguous (len(cols), n)
+    slabs.  The result is a view of a second reused buffer, made again only
+    for a call with more pairs than it holds, so the next call overwrites
+    it.  Per element the arithmetic is the same for any stacking and any
+    ``cols``."""
     slabs = 6 if normals else 3
-    store = np.empty(0)
+    store = tile_store = np.empty(0)
+    key = tiled = squared_z = panel = None
 
-    def kernel(point, cols, counts, normal=None):
-        nonlocal store
+    def kernel(point, cols, counts, density=None, normal=None, normal_density=None):
+        nonlocal store, tile_store, key, tiled, squared_z, panel
         k, p = len(counts), len(cols)
         n = len(point) // k
         if store.size < slabs * p * n:
             store = np.empty(slabs * p * n)
         out = store[: slabs * p * n].reshape(slabs, p, n)
-        panel = np.repeat(np.arange(k), counts)  # the panel of each row
+        if (n, cols.tobytes(), np.asarray(counts).tobytes()) != key:
+            if tile_store.size < 3 * p * n:
+                tile_store = np.empty(3 * p * n)
+            tiled = tile_store[: 3 * p * n].reshape(3, p, n)
+            np.copyto(tiled, rows[:, cols, None])
+            key, squared_z = (n, cols.tobytes(), np.asarray(counts).tobytes()), None
+            panel = np.repeat(np.arange(k), counts)  # the panel of each row
+
+        def per_row(node_values, into):
+            """Values at the nodes (K n, c) or (K n,), copied into every row of their panel
+            (mode "clip": the indices are in range, and "raise" would buffer the output)."""
+            if node_values.ndim == 1:
+                return np.take(node_values.reshape(k, n), panel, axis=0, out=into, mode="clip")
+            c = node_values.shape[1]
+            return np.take(np.ascontiguousarray(node_values.T).reshape(c, k, n), panel, axis=1, out=into, mode="clip")
+
         axes = point.shape[1]  # 3, or 2 for planar points
-        obs = rows[:, cols]
-        d = out[:axes]
-        np.take(point.T.reshape(axes, k, n), panel, axis=1, out=d)
-        np.subtract(obs[:axes, :, None], d, out=d)  # dx, dy (, dz)
+        if axes == 2 and squared_z is None:
+            squared_z = tiled[2] * tiled[2]
+        d = per_row(point, out[:axes])
+        np.subtract(tiled[:axes], d, out=d)  # dx, dy (, dz)
         if normal is not None:
-            terms = out[3:]
-            np.take(normal.T.reshape(3, k, n), panel, axis=1, out=terms)
+            terms = per_row(normal, out[3:])
             terms *= d
             dot = terms[0]
             dot += terms[1]
@@ -439,27 +459,24 @@ def _kernel(rows: np.ndarray, normals: bool):
         d *= d
         G = d[0]
         G += d[1]
-        if axes == 3:
-            G += d[2]
-        else:
-            G += (obs[2] * obs[2])[:, None]
+        G += d[2] if axes == 3 else squared_z
         np.sqrt(G, out=G)
         np.divide(1.0, G, out=G)
         if normal is None:
-            return G, None
+            G *= per_row(density, d[1])
+            return G
         dGn = terms[1]
         np.multiply(G, G, out=dGn)
         dGn *= G
         dGn *= dot
-        return G, dGn
+        dGn *= per_row(normal_density, terms[0])
+        if density is None:
+            return dGn
+        G *= per_row(density, d[1])
+        G += dGn
+        return G
 
     return kernel
-
-
-def _per_row(density: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """A density at the nodes of len(counts) stacked panels, one row (n,) per
-    panel, repeated for each of its counts[k] (panel, column) rows."""
-    return np.repeat(density.reshape(len(counts), -1), counts, axis=0)
 
 
 def _film_points(pmap: ParametricMap):
@@ -522,21 +539,17 @@ def homogenized_potential(
         plain = cols is None  # f(x): one panel, every point, values (n, M)
         if plain:
             cols, counts = every, one_panel
+        density = None
+        if single:
+            density = single[0](x_p)
+            if len(single) == 2:
+                density += single[1](x_p)
         if double is None:
-            G, _ = kernel(film_points(x_p), cols, counts)
+            values = kernel(film_points(x_p), cols, counts, density)
         else:
             fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, cols, counts, fr.normal)
-            dGn *= _per_row(double(x_p), counts)
-            if not single:
-                return dGn.T if plain else dGn
-        density = single[0](x_p)
-        if len(single) == 2:
-            density += single[1](x_p)
-        G *= _per_row(density, counts)
-        if double is not None:
-            G += dGn
-        return G.T if plain else G
+            values = kernel(fr.point, cols, counts, density, fr.normal, double(x_p))
+        return values.T if plain else values
 
     integrand.columns = grid.n_points
     dom = pmap.domain
@@ -553,10 +566,9 @@ def homogenized_potential(
                 if plain:
                     cols, counts = every, one_panel
                 x_p = edge.points(s)
-                G, _ = edge_kernel(film_points(x_p), cols, counts)
                 density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
-                G *= _per_row(density, counts)
-                return G.T if plain else G
+                values = edge_kernel(film_points(x_p), cols, counts, density)
+                return values.T if plain else values
 
             edge_integrand.columns = grid.n_points
             total += c_p * adaptive_segment(edge_integrand, edge.s_range, tol=tol / 8, max_depth=max_depth)

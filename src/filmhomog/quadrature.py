@@ -143,15 +143,16 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
     is called f(x, cols, counts) on the boxes' nodes stacked, as many boxes
     per call as fit in STACK_PAIRS node x column pairs (at least one), and
     returns its values in (box, column, node) order, (len(cols), n) or flat.
-    The values times the weights are summed over the nodes by
-    :func:`_halve`, so every (box, column) estimate has the same bytes for
-    any stacking and any columns beside it.
+    Nodes and weights are made per call, so a round's memory is that of its
+    largest call.  The values times the weights are summed over the nodes
+    by :func:`_halve`, so every (box, column) estimate has the same bytes
+    for any stacking and any columns beside it.
     """
-    nodes, weights = _panels(lo, hi)
-    k, n = weights.shape
-    flat = nodes.reshape((-1,) + nodes.shape[2:])
+    k, n = len(lo), len(_RULES[lo.shape[1:]][1])
     columns = getattr(f, "columns", None)
     if columns is None:
+        nodes, weights = _panels(lo, hi)
+        flat = nodes.reshape((-1,) + nodes.shape[2:])
         parts, start = [], 0
         for b in range(k):
             values = np.asarray(f(flat[b * n : (b + 1) * n]))
@@ -177,20 +178,23 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
         first = ends[b] - counts[b]
         e = max(b + 1, int(np.searchsorted(ends, first + rows, side="right")))
         wanted, per_box = cols[first : ends[e - 1]], counts[b:e]
-        values = np.asarray(f(flat[b * n : e * n], wanted, per_box)).reshape(len(wanted), n)
-        products = np.ascontiguousarray(values.T)  # (n, rows): each halving step adds contiguous halves
-        products *= np.repeat(weights[b:e].T, per_box, axis=1)
-        parts.append(_halve(products))
+        nodes, weights = _panels(lo[b:e], hi[b:e])
+        values = np.asarray(f(nodes.reshape((-1,) + nodes.shape[2:]), wanted, per_box)).reshape(len(wanted), n)
+        products = np.repeat(weights, per_box, axis=0)
+        products *= values
+        # the first halving step on the rows, the others on contiguous halves of the transpose
+        products = products[:, : n // 2] + products[:, n // 2 :]
+        parts.append(_halve(np.ascontiguousarray(products.T)))
         b = e
     estimates = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return estimates.reshape(k, columns) if every else estimates
 
 
 def _put(store: np.ndarray, at: int, block: np.ndarray) -> np.ndarray:
-    """``store`` with ``block`` written to its rows [at, at + len(block)), grown by doubling."""
+    """``store`` with ``block`` written to its rows [at, at + len(block)), grown by half when full."""
     end = at + len(block)
     if end > len(store):
-        grown = np.empty((max(end, 2 * len(store)),) + store.shape[1:])
+        grown = np.empty((max(end, 3 * len(store) // 2),) + store.shape[1:])
         grown[:at] = store[:at]
         store = grown
     store[at:end] = block
@@ -200,77 +204,73 @@ def _put(store: np.ndarray, at: int, block: np.ndarray) -> np.ndarray:
 def _adapt(f, lo, hi, tol, max_depth):
     """Integrate f over the union of root boxes [lo[i], hi[i]], unequal or not, each
     with an equal share of ``tol``, refining every value column on its own, in rounds."""
+    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
     shape = lo.shape[1:]
     masks = _RULES[shape][2]
     nkids = len(masks)
     nroots = len(lo)
-    roots = _estimates(f, lo, hi)
-    scalar = roots.ndim == 1
-    roots = roots.reshape(nroots, -1)
-    ncols = roots.shape[1]
-    # Leaves are numbered in creation order; a leaf's (leaf, column) slots are consecutive
-    leaves = []  # per leaf: (depth, its first slot, its columns, its share)
-    kid_lo = kid_hi = np.empty((0, nkids) + shape)  # per leaf: its children's bounds
-    fine = np.empty(0)  # per slot: the sum of the leaf's child estimates
+
+    def children(lo, hi, cols=None, counts=None):
+        """The estimates of the children of the boxes [lo, hi], child index outermost,
+        for the columns of each box (see :func:`_estimates`)."""
+        kid_lo, kid_hi = (b.swapaxes(0, 1).reshape((-1,) + shape) for b in _children(lo, hi, masks))
+        if cols is None:  # the roots: their own panels, then their children's, every column
+            return _estimates(f, np.concatenate([lo, kid_lo]), np.concatenate([hi, kid_hi]))
+        parts = _estimates(f, kid_lo, kid_hi, np.concatenate([cols] * nkids), np.concatenate([counts] * nkids))
+        return parts.reshape(nkids, -1)
+
+    first = children(lo, hi)
+    box_lo, box_hi = lo, hi  # per leaf: its bounds
+    scalar = first.ndim == 1
+    first = first.reshape(len(first), -1)
+    ncols = first.shape[1]
+    # leaves are numbered in creation order, and each leaf's (leaf, column) slots are consecutive
+    leaves = []  # per leaf: (depth, its first slot, its columns, its share, positions of its live columns)
     kids = np.empty((0, nkids))  # per slot: the leaf's child estimates
-    slots = 0  # slots made
-    folds = []  # per round: (split slots, their children's first slots, the children's columns)
+    slots = 0
+    folds = []  # per round: (split slots, their children's first slots, the children's column counts)
     errs = [{} for _ in range(ncols)]  # per column: leaf -> |fine - coarse| of each of its leaves
     total = [0.0] * ncols  # per column: running sum of its leaf errors
-    held = [0] * ncols  # per column: its leaves
     heaps = [[] for _ in range(ncols)]  # per column: (key, tie, leaf) of its live leaves
     retired = [False] * ncols  # per column: its re-summed error is within tol, it splits no more
 
-    def spawn(lo, hi, coarse, groups):
-        """Make the leaves of each group (columns, count, depth, share, split
-        slots): ``count`` boxes, the next of [lo, hi], each for ``columns``,
-        their one-shot estimates the next of ``coarse``, flat in (leaf,
-        column) order.  All their child panels go to the integrand together,
-        child index outermost, so each leaf's children sum, child 0 first, is
-        one add per child for the round; then each leaf in turn is made, its
-        errors added to its columns' totals and pushed on their heaps."""
-        nonlocal kid_lo, kid_hi, fine, kids, slots
-        child_lo, child_hi = _children(lo, hi, masks)
-        cols = np.array([c for names, k, *_ in groups for _ in range(k) for c in names])
-        counts = np.array([len(names) for names, k, *_ in groups for _ in range(k)])
-        parts = _estimates(
-            f,
-            child_lo.swapaxes(0, 1).reshape((-1,) + shape),
-            child_hi.swapaxes(0, 1).reshape((-1,) + shape),
-            np.concatenate([cols] * nkids),
-            np.concatenate([counts] * nkids),
-        ).reshape(nkids, -1)
+    def spawn(parts, coarse, groups):
+        """Make the leaves of each group (columns, count, depth, share, split slots):
+        ``count`` boxes for ``columns``, their one-shot estimates the next of ``coarse``
+        and their children's the next of ``parts`` (2^d, leaf x column), in (leaf,
+        column) order.  Each leaf's children sum, child 0 first, is one add per child
+        for the round; then each leaf in turn is made, its errors added to its
+        columns' totals and its live ones pushed on their heaps."""
+        nonlocal kids, slots
         sums = reduce(add, parts)  # children in order, as one leaf at a time
-        diffs = np.abs(sums - coarse).tolist()
-        first = slots
-        kid_lo, kid_hi = _put(kid_lo, len(leaves), child_lo), _put(kid_hi, len(leaves), child_hi)
-        fine, kids = _put(fine, first, sums), _put(kids, first, parts.T)
+        errors = iter(np.abs(sums - coarse).tolist())
+        kids = _put(kids, slots, parts.T)
         split_slots, child_slots, strides = [], [], []
-        slot = first
         for names, k, depth, share, parent_slots in groups:
             m = len(names)
             if parent_slots is not None:
                 split_slots += parent_slots
-                child_slots += range(slot, slot + m)
+                child_slots += range(slots, slots + m)
                 strides += [m] * m
             columns = [(c, errs[c], heaps[c]) for c in names]
             for _ in range(k):
                 leaf = len(leaves)
-                leaves.append((depth, slot, names, share))
-                for (c, own, heap), e in zip(columns, diffs[slot - first : slot - first + m]):
+                live = []
+                leaves.append((depth, slots, names, share, live))
+                for i, (c, own, heap), e in zip(range(m), columns, errors):
                     own[leaf] = e
                     total[c] += e
-                    held[c] += 1
                     if not e <= share:  # live; a NaN error is above every share
-                        if math.isfinite(e) and held[c] <= BEST_FIRST_LEAVES:
-                            heapq.heappush(heap, (-e, leaf, leaf))
+                        live.append(i)
+                        if e < inf and len(own) <= BEST_FIRST_LEAVES:
+                            heappush(heap, (-e, leaf, leaf))
                         else:  # newest first, ahead of every finite error: depth first
-                            heapq.heappush(heap, (-math.inf, -leaf, leaf))
-                slot += m
-        slots = slot
+                            heappush(heap, (-inf, -leaf, leaf))
+                slots += m
         folds.append((split_slots, child_slots, strides))
 
-    spawn(lo, hi, roots.ravel(), [(list(range(ncols)), nroots, 0, tol / nroots, None)])
+    parts = first[nroots:].reshape(nkids, -1)
+    spawn(parts, first[:nroots].ravel(), [(list(range(ncols)), nroots, 0, tol / nroots, None)])
     active = list(range(ncols))  # unretired columns that still have a live leaf
     while active:
         popped = {}  # each column's worst leaf, distinct, in the order of the lowest column popping it
@@ -278,7 +278,7 @@ def _adapt(f, lo, hi, tol, max_depth):
         for c in active:
             if retired[c]:  # at the cap, last round
                 continue
-            if not tol < total[c] < math.inf:
+            if not tol < total[c] < inf:
                 # before retiring, re-sum: no drift of the running updates, no inf - inf
                 total[c] = math.fsum(errs[c].values())
                 if total[c] <= tol:
@@ -286,19 +286,20 @@ def _adapt(f, lo, hi, tol, max_depth):
                     continue
             heap, own = heaps[c], errs[c]
             while heap and heap[0][2] not in own:  # stale: already split for c
-                heapq.heappop(heap)
+                heappop(heap)
             if heap:
-                popped[heapq.heappop(heap)[2]] = None
+                popped[heappop(heap)[2]] = None
                 still.append(c)
         active = still
         splits = []
         for leaf in popped:
-            depth, slot, names, share = leaves[leaf]
+            # each box is split once, so a popped leaf is still a leaf of all its columns
+            depth, slot, names, share, live = leaves[leaf]
             at_cap = depth >= max_depth
             split = []  # positions in names of the columns to split for: live, unretired, above tol
-            for i, c in enumerate(names):
-                e = errs[c].get(leaf)
-                if retired[c] or e is None or e <= share:
+            for i in live:
+                c = names[i]
+                if retired[c]:
                     continue
                 if at_cap:
                     # before failing at the cap, re-sum
@@ -311,12 +312,11 @@ def _adapt(f, lo, hi, tol, max_depth):
                 continue
             chosen = [names[i] for i in split]
             if at_cap:
-                box_lo, box_hi = kid_lo[leaf, 0], kid_hi[leaf, -1]  # child 0 is lower, the last upper on every axis
                 errors = [errs[c][leaf] for c in chosen]
                 worst = int(np.argmax(errors))
                 summed = max(total[c] for c in chosen)
                 raise QuadratureNotConverged(
-                    f"{np.size(box_lo)}D panel [{box_lo.tolist()}, {box_hi.tolist()}] at depth {depth} (the cap): "
+                    f"{np.size(box_lo[leaf])}D panel [{box_lo[leaf].tolist()}, {box_hi[leaf].tolist()}] at depth {depth} (the cap): "
                     f"error {errors[worst]:.3e} > its share {share:.3e}, "
                     f"largest in value column {chosen[worst]}; summed error {summed:.3e} > {tol:.3e}",
                     error_estimate=summed,
@@ -324,18 +324,28 @@ def _adapt(f, lo, hi, tol, max_depth):
                 )
             for c in chosen:  # the other columns keep this leaf's fine estimates as final
                 total[c] -= errs[c].pop(leaf)
-                held[c] -= 1
             splits.append((leaf, chosen, [slot + i for i in split], depth + 1, share / nkids))
-        if splits:
-            splits.sort()  # new leaves in the creation order of the boxes they split
-            split = [s[0] for s in splits]
-            coarse = kids.ravel()[[p * nkids + k for s in splits for k in range(nkids) for p in s[2]]]
-            groups = [(names, nkids, depth, share, slots) for _, names, slots, depth, share in splits]
-            spawn(kid_lo[split].reshape((-1,) + shape), kid_hi[split].reshape((-1,) + shape), coarse, groups)
+        if not splits:
+            continue
+        # the new leaves in the creation order of the boxes they split, child index next
+        splits.sort()
+        boxes = [s[0] for s in splits]
+        groups = [(names, nkids, depth, share, split_slots) for _, names, split_slots, depth, share in splits]
+        chosen = np.array([c for names, *_ in groups for c in names])
+        coarse = kids[[p for *_, split_slots in groups for p in split_slots]]  # (split columns, 2^d)
+        ends = np.cumsum([len(names) for names, *_ in groups]).tolist()
+        cols = np.concatenate([chosen[e - len(g[0]) : e] for g, e in zip(groups, ends) for _ in range(nkids)])
+        counts = np.repeat([len(names) for names, *_ in groups], nkids)
+        coarse = np.concatenate([coarse[e - len(g[0]) : e].T.ravel() for g, e in zip(groups, ends)])
+        new_lo, new_hi = (b.reshape((-1,) + shape) for b in _children(box_lo[boxes], box_hi[boxes], masks))
+        parts = children(new_lo, new_hi, cols, counts)
+        box_lo, box_hi = _put(box_lo, len(leaves), new_lo), _put(box_hi, len(leaves), new_hi)
+        spawn(parts, coarse, groups)
 
     # fold each column in nested order, latest round first, so every child is final before
     # its parent: the sum of a split box's children, child 0 first, replaces its fine
     # estimates of the columns it was split for
+    fine = reduce(add, [kids[:slots, k] for k in range(nkids)])  # each leaf's children sum, as in spawn
     for split_slots, child_slots, strides in reversed(folds):
         if split_slots:
             child, stride = np.array(child_slots), np.array(strides)

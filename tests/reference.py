@@ -453,9 +453,10 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     """The bulk integrand over observation ``points`` (M, 3): G (c_q q J0 -
     c_b div_p(J0 p_p)) + c_n dG/dnu' p3 J0 on (N, 2) nodes, each density
     from its field callable times the regime weight, the single layer built
-    from a zero, and a double layer added to it.  The weights are those of
-    ``regime.limit_weights()``, set to 0 for a field that ``is_zero``.
-    Returns (N, M), a view of the kernel's buffer, valid until the next call."""
+    from a zero, and the kernel adding a double layer to it.  The weights
+    are those of ``regime.limit_weights()``, set to 0 for a field that
+    ``is_zero``.  Returns (N, M), a view of the kernel's buffer, valid until
+    the next call."""
     c_q, c_p, c_n = regime.limit_weights()
     c_q = 0.0 if fields.charge_weighted.is_zero else c_q
     c_b = 0.0 if fields.div_pol_planar_weighted.is_zero else c_p
@@ -464,20 +465,15 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     every, one_panel = np.arange(len(points)), np.array([len(points)])
 
     def integrand(x_p):
-        if c_n != 0.0:
-            fr = surface_frame(pmap, x_p)
-            G, dGn = kernel(fr.point, every, one_panel, fr.normal)
-            G, dGn = G.T, dGn.T
-        else:
-            G = kernel(pmap.midsurface(x_p), every, one_panel)[0].T
-        density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(1)
-        if c_b != 0.0:
-            density = density - c_b * fields.div_pol_planar_weighted(x_p)
-        G *= density[:, None]
-        if c_n != 0.0:
-            dGn *= (c_n * fields.pol_normal_weighted(x_p))[:, None]
-            G += dGn
-        return G
+        density = None
+        if c_q != 0.0 or c_b != 0.0:
+            density = c_q * fields.charge_weighted(x_p) if c_q != 0.0 else np.zeros(len(x_p))
+            if c_b != 0.0:
+                density = density - c_b * fields.div_pol_planar_weighted(x_p)
+        if c_n == 0.0:
+            return kernel(pmap.midsurface(x_p), every, one_panel, density).T
+        fr = surface_frame(pmap, x_p)
+        return kernel(fr.point, every, one_panel, density, fr.normal, c_n * fields.pol_normal_weighted(x_p)).T
 
     return integrand
 
@@ -492,9 +488,7 @@ def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: n
 
     def integrand(s):
         x_p = edge.points(s)
-        G = kernel(pmap.midsurface(x_p), every, one_panel)[0].T
-        G *= (rho(x_p) + fields.pol_planar_weighted(x_p) @ normal)[:, None]
-        return G
+        return kernel(pmap.midsurface(x_p), every, one_panel, rho(x_p) + fields.pol_planar_weighted(x_p) @ normal).T
 
     return integrand
 

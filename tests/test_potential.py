@@ -767,10 +767,7 @@ def _term_scale(fields, regime, pmap, grid, nodes):
     terms plus |dG/dnu'| times that of the double layer."""
     c_q, c_p, c_n = regime.limit_weights()
     frame = surface_frame(pmap, nodes)
-    G, dGn = _kernel(np.ascontiguousarray(grid.points.T), normals=True)(
-        frame.point, np.arange(grid.n_points), np.array([grid.n_points]), frame.normal
-    )
-    G, dGn = G.T, dGn.T
+    G, dGn = _green(np.ascontiguousarray(grid.points.T), frame.point, np.arange(grid.n_points), frame.normal)
     single = np.zeros(len(nodes))
     if not fields.charge_weighted.is_zero:
         single += c_q * _abs_terms(fields.charge_weighted, nodes)
@@ -972,6 +969,14 @@ class TestDecay:
         assert max(vals) <= 1.5 * vals[0]
 
 
+def _green(rows, point, cols, normal):
+    """G and dG/dnu' (N, len(cols)) at one panel's nodes, from the kernel with unit densities."""
+    one, ones = [len(cols)], np.ones(len(point))
+    G = _kernel(rows, normals=False)(point, cols, one, ones)
+    dGn = _kernel(rows, normals=True)(point, cols, one, None, normal, ones)
+    return G.T.copy(), dGn.T.copy()
+
+
 class TestComponentwiseDistances:
     """The kernel's per-component arithmetic equals the (N, M, 3) np.sum formulas bitwise:
     G = 1 / sqrt(sum(diff**2)) and dG/dnu' = G*G*G * sum(diff * nu), one row per
@@ -986,14 +991,16 @@ class TestComponentwiseDistances:
         fr = surface_frame(self.CYL, x_p)
         rows = np.ascontiguousarray(obs.T)
         every, one_panel = np.arange(37), np.array([37])
-        G, dGn = _kernel(rows, normals=True)(fr.point, every, one_panel, fr.normal)
+        G, dGn = _green(rows, fr.point, every, fr.normal)
         diff = obs[None, :, :] - fr.point[:, None, :]
         G_ref = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1))
-        np.testing.assert_array_equal(G, G_ref.T)
-        np.testing.assert_array_equal(dGn, (G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1)).T)
-        G_only, none = _kernel(rows, normals=False)(fr.point, every, one_panel)
-        assert none is None
-        np.testing.assert_array_equal(G_only, G)
+        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(dGn, G_ref * G_ref * G_ref * np.sum(diff * fr.normal[:, None, :], axis=-1))
+        # densities scale each term, each product rounded before the sum
+        rng_d = np.random.default_rng(4)
+        q, p3 = rng_d.uniform(-1.0, 1.0, 200), rng_d.uniform(-1.0, 1.0, 200)
+        both = _kernel(rows, normals=True)(fr.point, every, one_panel, q, fr.normal, p3)
+        assert both.T.tobytes() == (G * q[:, None] + dGn * p3[:, None]).tobytes()
 
     @pytest.mark.parametrize("normals", [False, True])
     def test_a_column_subset_gives_those_columns_bytes(self, normals):
@@ -1005,17 +1012,23 @@ class TestComponentwiseDistances:
         obs = rng.uniform(-1.0, 2.0, (25, 3))
         rows = np.ascontiguousarray(obs.T)
         fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (192, 2)))
-        normal = fr.normal if normals else None
+        q, p3 = rng.uniform(-1.0, 1.0, (2, 192))
+
+        def call(kernel, k, cols, counts):
+            """The kernel on the first k panels of 64 nodes, with a double layer if ``normals``."""
+            if normals:
+                return kernel(fr.point[: 64 * k], cols, counts, q[: 64 * k], fr.normal[: 64 * k], p3[: 64 * k])
+            return kernel(fr.point[: 64 * k], cols, counts, q[: 64 * k])
+
         every = np.arange(25)
-        full = [a.copy() for a in _kernel(rows, normals=normals)(fr.point, every, [25], normal) if a is not None]
+        full = call(_kernel(rows, normals=normals), 3, every, [25]).copy()  # one panel of 192 nodes
         kernel = _kernel(rows, normals=normals)
         for own in ([[7]] * 3, [[0, 24]] * 3, [[3, 4, 5, 11, 20]] * 3, [every] * 3, [[7], every, [0, 24]], [[7]] * 3):
             own = [np.array(c) for c in own]
             for k in (3, 1):  # all three panels stacked, then the first alone
-                counts = np.array([len(c) for c in own[:k]])
-                got = kernel(fr.point[: 64 * k], np.concatenate(own[:k]), counts, None if normal is None else normal[: 64 * k])
-                expected = [np.concatenate([a[c, 64 * j : 64 * (j + 1)] for j, c in enumerate(own[:k])]) for a in full]
-                assert [a.tobytes() for a in got if a is not None] == [a.tobytes() for a in expected]
+                got = call(kernel, k, np.concatenate(own[:k]), np.array([len(c) for c in own[:k]]))
+                expected = np.concatenate([full[c, 64 * j : 64 * (j + 1)] for j, c in enumerate(own[:k])])
+                assert got.tobytes() == expected.tobytes()
 
     def test_planar_points_give_the_bytes_of_embedded_ones(self):
         """Planar points (N, 2) are the points (x1, x2, 0): dz is the rows' z, so G
@@ -1032,11 +1045,10 @@ class TestComponentwiseDistances:
             for n, panels, cols in ((64, 1, range(16)), (8, 4, range(16)), (64, 16, [5]), (64, 2, [4, 9]), (64, 32, range(16))):
                 cols, counts = np.tile(cols, panels), np.full(panels, len(cols))
                 x_p = rng.uniform(0.0, 1.0, (n * panels, 2))
-                expected, _ = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols, counts)
-                G, none = kernel(x_p, cols, counts)
-                assert none is None and G.tobytes() == expected.tobytes()
-                G, _ = kernel(ParametricMap._embed(x_p), cols, counts)
-                assert G.tobytes() == expected.tobytes()
+                density = rng.uniform(-1.0, 1.0, n * panels)
+                expected = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols, counts, density).copy()
+                assert kernel(x_p, cols, counts, density).tobytes() == expected.tobytes()
+                assert kernel(ParametricMap._embed(x_p), cols, counts, density).tobytes() == expected.tobytes()
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
         """One kernel over several panels, node counts and column subsets gives the bytes
@@ -1049,10 +1061,11 @@ class TestComponentwiseDistances:
         for n, cols in ((64, range(9)), (8, [2]), (64, [0, 3, 5]), (1024, range(9)), (8, [1, 2]), (320, range(9))):
             cols = np.array(cols)
             fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
-            G, dGn = kernel(fr.point, cols, [len(cols)], fr.normal)
-            G_ref, dGn_ref = _kernel(rows, normals=True)(fr.point, cols, [len(cols)], fr.normal)
-            assert G.flags.c_contiguous and dGn.flags.c_contiguous
-            assert G.tobytes() == G_ref.tobytes() and dGn.tobytes() == dGn_ref.tobytes()
+            q, p3 = rng.uniform(-1.0, 1.0, (2, n))
+            G = kernel(fr.point, cols, [len(cols)], q, fr.normal, p3)
+            G_ref = _kernel(rows, normals=True)(fr.point, cols, [len(cols)], q, fr.normal, p3)
+            assert G.flags.c_contiguous
+            assert G.tobytes() == G_ref.tobytes()
             results.append(G)
         assert all(np.shares_memory(results[0], G) for G in results[1:3])
         assert all(np.shares_memory(results[3], G) for G in results[4:])

@@ -442,9 +442,9 @@ class TestNearFilmTree:
         assert sum(8 * len(cols) for _, cols, _ in calls[1]) == 6784
         assert all(len(x) // len(counts) * len(cols) <= cap or len(counts) == 1 for d in (1, 2) for x, cols, counts in calls[d])
         if default:
-            # the roots, then one call per round: 15 rounds of the bulk, 22 of the four edges
-            # (one call per split took 151 and 70)
-            assert (len(calls[2]), len(calls[1])) == (16, 26)
+            # one call per round, the first with the roots' own panels: 15 rounds of the bulk,
+            # 22 of the four edges (one call per split took 151 and 70)
+            assert (len(calls[2]), len(calls[1])) == (15, 22)
 
         plain, plain_calls = self.study(monkeypatch, stacked=False)
         assert {len(x) for x, *_ in plain_calls[2]} == {64} and len(plain_calls[2]) == 2389
