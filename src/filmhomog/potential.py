@@ -297,9 +297,14 @@ def _row_sums(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray
     own rounding), so the exact sum lies within |delta| + b of c =
     fl(tau + s), delta its TwoSum residual.  If that is strictly below half
     the gap from c to either neighbour, all of the interval rounds to c.  The
-    other rows go to math.fsum: near a rounding boundary, c = 0 (its half gap
-    rounds to 0), non-finite, sigma overflowing or b subnormal.  ``v`` is
-    kept; ``scratch`` (allocated if None) holds |v|, then hi, then r.
+    rows this cannot decide (near a rounding boundary, c = 0, whose half gap
+    rounds to 0, non-finite, sigma overflowing or b subnormal) get one more
+    extraction of their remainders r, with sigma from r's own largest value:
+    if every second remainder is 0, the sum is exactly tau + tau2, two
+    doubles, and fl(tau + tau2) is its exact rounding (+0.0 for a zero sum,
+    as math.fsum gives; an exactly neutral row of charges ends here).  The
+    rows still undecided go to math.fsum.  ``v`` is kept; ``scratch``
+    (allocated if None) holds |v|, then hi, then r.
     """
     n = v.shape[1]
     k = (n + 1).bit_length() + 1  # ceil(log2(N + 2)) + 1
@@ -319,7 +324,16 @@ def _row_sums(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray
         half_gap = 0.5 * np.minimum(c - np.nextafter(c, -np.inf), np.nextafter(c, np.inf) - c)
         b = np.ldexp(pad, ek - 53)
         certified = (np.abs(delta) + b < half_gap) & (ek <= 1023) & (b >= _TINY)
-    for i in np.flatnonzero(~certified):
+        undecided = np.flatnonzero(~certified)
+        if len(undecided):
+            rest = r[undecided]
+            sigma = np.ldexp(1.5, np.frexp(np.abs(rest).max(axis=1))[1] + k)[:, None]
+            hi = (rest + sigma) - sigma
+            pair = tau[undecided] + hi.sum(axis=1)
+            exact = (rest == hi).all(axis=1) & np.isfinite(pair)  # no second remainder; NaN rows fail
+            c[undecided[exact]] = pair[exact]
+            undecided = undecided[~exact]
+    for i in undecided:
         c[i] = math.fsum(memoryview(v[i]))
     return c
 

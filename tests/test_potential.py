@@ -304,7 +304,8 @@ def _bits(x: float) -> str:
 
 
 class TestCertifiedRounding:
-    """Rows the extraction certifies, and rows it must leave to math.fsum."""
+    """Rows the extraction certifies, rows a second extraction of the remainders
+    decides, and rows it must leave to math.fsum."""
 
     def test_well_conditioned_row_needs_no_fsum(self, fsum_rows):
         rng = np.random.default_rng(7)
@@ -323,16 +324,23 @@ class TestCertifiedRounding:
             [0.0, -0.0],
             [1.0, 2.0**-53],  # a tie, rounded to even (down)
             [1.0 + 2.0**-52, 2.0**-53],  # a tie, rounded to even (up)
-            [2.0**60, 1.0, -(2.0**60), 2.0**-53, 0.5 * 2.0**-53],  # just above a tie: rounds up
         ],
     )
-    def test_zero_and_tied_sums_reach_fsum(self, row, fsum_rows):
+    def test_zero_and_tied_sums_are_decided_by_the_second_extraction(self, row, fsum_rows):
+        # the certificate cannot decide them; their remainders leave no second remainder
         expected = FSUM(row)
         got = _row_sums(np.array([row]))
         assert _bits(got[0]) == _bits(expected)
+        assert fsum_rows == []
+
+    def test_just_above_a_tie_reaches_fsum(self, fsum_rows):
+        # the second extraction of the remainders 1, 2^-53 and 2^-54 leaves 2^-54 over
+        row = [2.0**60, 1.0, -(2.0**60), 2.0**-53, 0.5 * 2.0**-53]
+        got = _row_sums(np.array([row]))
+        assert _bits(got[0]) == _bits(FSUM(row)) == _bits(1.0 + 2.0**-52)
         assert fsum_rows == [row]
 
-    def test_tie_among_cancelling_pairs_reaches_fsum(self, fsum_rows):
+    def test_tie_among_cancelling_pairs_needs_no_fsum(self, fsum_rows):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.0, 1.0, 500)
         row = rng.permuted(np.concatenate([[1.0, 2.0**-53], x, -x]))
@@ -340,16 +348,26 @@ class TestCertifiedRounding:
         assert expected == 1.0
         got = _row_sums(row[None, :])
         assert _bits(got[0]) == _bits(expected)
-        assert len(fsum_rows) == 1
+        assert fsum_rows == []
 
-    def test_heavy_cancellation_reaches_fsum(self, fsum_rows):
+    def test_heavy_cancellation_needs_no_fsum(self, fsum_rows):
         rng = np.random.default_rng(11)
         v = rng.uniform(0.5, 1.0, 4096)
         rows = np.stack([np.concatenate([v, -v * (1.0 + 2.0**-40)]), rng.uniform(0.5, 1.0, 8192)])
         expected = [FSUM(r) for r in rows.tolist()]
         got = _row_sums(rows)
         assert [_bits(g) for g in got] == [_bits(x) for x in expected]
-        assert len(fsum_rows) == 1 and fsum_rows[0] == rows[0].tolist()
+        assert fsum_rows == []
+
+    @pytest.mark.parametrize("l", [0.25, 0.125, 1 / 16, 1 / 32])
+    @pytest.mark.parametrize("motif", [PLANAR_DIPOLE, MIXED], ids=["planar_dipole", "mixed"])
+    def test_neutral_charge_rows_need_no_fsum(self, motif, l, fsum_rows):
+        # the total charge of a realized step, one (1, N) row summing exactly to 0
+        dist = realize(motif, tessellate(UNIT, l, SQUARE), IDENT, l, l, Regime("R2", alpha=1.0))
+        row = dist.magnitudes[None, :].copy()
+        assert FSUM(row[0].tolist()) == 0.0
+        assert _bits(_row_sums(row)[0]) == _bits(0.0)
+        assert fsum_rows == []
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -545,6 +545,25 @@ class TestDenseNearFilmGrid:
         assert len(calls) < len(ref_calls)
         assert np.max(np.abs(value - ref_value)) <= 2e-9
 
+    def test_each_column_tree_is_a_subtree_of_its_recursion(self):
+        # in rounds, a box popped by one column is split for every column live on it:
+        # still only boxes above their share for that column, so each column evaluates a
+        # subset of the panels of the recursion on that column alone
+        g = (np.arange(8) + 0.5) / 8
+        x, y = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+
+        def grid_kernel(p):
+            return 1.0 / np.sqrt((p[:, 0, None] - x) ** 2 + (p[:, 1, None] - y) ** 2 + 0.002**2)
+
+        f, calls = declared(grid_kernel, 64)
+        value = adaptive_rectangle(f, (0.0, 0.0), (1.0, 1.0))
+        for c in (0, 27, 36, 63):  # a corner, two centre points, the opposite corner
+            ref_f, ref_calls = recorded(column_of(grid_kernel, c))
+            ref_value = recursive_rectangle(ref_f, (0.0, 0.0), (1.0, 1.0))
+            panels = column_panels(calls, c)
+            assert len(set(panels)) == len(panels) and set(panels) <= set(ref_calls)
+            assert abs(value[c] - ref_value) <= 2e-9
+
 
 def _nasty_columns(p):
     return 1.0 / (np.abs(p[:, 0, None] - np.array([0.9, 0.37, 0.1])) + 1e-9)
@@ -741,6 +760,20 @@ class TestInvalidArguments:
     def test_segment_needs_two_break_points(self, points):
         with pytest.raises(ValueError, match="two break points"):
             adaptive_segment(kernel_1d, points)
+
+    @pytest.mark.parametrize(
+        "points, match",
+        [([0.0, 1.0, 0.5], "strictly increasing"), ([0.0, math.nan], "finite"), ([0.0, math.inf], "finite")],
+        ids=["decreasing", "nan", "inf"],
+    )
+    def test_segment_break_points_finite_and_increasing(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            adaptive_segment(kernel_1d, points)
+
+    @pytest.mark.parametrize("hi", [(1.0, math.nan), (math.inf, 1.0)], ids=["nan", "inf"])
+    def test_rectangle_bounds_finite(self, hi):
+        with pytest.raises(ValueError, match="finite bounds"):
+            adaptive_rectangle(kernel_2d, (0.0, 0.0), hi)
 
     @pytest.mark.parametrize("columns", [0, -3])
     @pytest.mark.parametrize("engine", ["segment", "rectangle"])
