@@ -26,12 +26,14 @@ is skipped when its weight is 0 or its field is :attr:`Catalog.is_zero` (no
 catalog row with both a non-zero weight and a non-zero coefficient), so
 only the double layer builds surface frames, and the bulk integral does not
 run at all when no bulk term is left; each weight that runs is folded into
-its field by :meth:`Catalog.scaled`.  Each integrand declares its value ``columns`` (one per observation
-point), so the quadrature hands it several panels' nodes per call and the
-observation points it still refines there, each point refined on its own.
-Each integral computes its kernel in one buffer it reuses from call to
-call, sized for the largest call, so an integrand's return value is valid
-only until its next call (the quadrature reduces it before then).  The
+its field by :meth:`Catalog.scaled`.  Each integrand declares its value
+``columns`` (one per observation point), so the quadrature hands it a
+round's panels per call, each with the observation points it still refines
+there, each point refined on its own, and takes the values back in (panel,
+point, node) rows.  Each integral computes its kernel in one buffer it
+reuses from call to call, sized for the largest call, so an integrand's
+return value is valid only until its next call (the quadrature reduces it
+before then).  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -518,17 +520,20 @@ def homogenized_potential(
     summed when both run, and c_n p3 J0.  With none the bulk integral is
     skipped (its value would be exactly 0).  Only the double layer needs the
     normal, so only then does a call build its surface frame and dG/dnu'; a
-    call with no single layer returns dG/dnu' c_n p3 J0 itself.  Each
+    call with no single layer returns dG/dnu' c_n p3 J0 alone.  Each
     integrand declares its ``columns``, one per grid point, and a call
-    f(x, cols) takes the nodes of one or more stacked panels and the
-    ascending indices of the grid points the quadrature still refines there
-    (every point when ``cols`` is left out): the mid-surface points (on the
-    identity map, without a double layer, the planar nodes themselves, see
-    :func:`_film_points`), each density once per node, and one
-    :func:`_kernel` call for those points into the integral's reused
-    buffer, scaled by them in place; every step is per node and point, so
-    each panel's rows are those of a call on it alone with every point.  The
-    returned array (N, len(cols)) is valid only until the next call.
+    f(x, cols, counts) takes the nodes of a round's panels stacked, panel k
+    for the next counts[k] of the ascending grid-point indices ``cols``.
+    Each node's own work is done once: its mid-surface point (on the
+    identity map, without a double layer, the planar node itself, see
+    :func:`_film_points`), its surface frame and each density.  One
+    :func:`_kernel` call then computes the Green kernel once per (node,
+    point) pair, scaled by the densities, into the integral's reused
+    buffer, in (panel, point, node) rows (len(cols), n); every step is per
+    node and point, so each panel's rows are those of a call on it alone
+    with every point.  A plain call f(x) is one panel with every point and
+    returns (N, M), the transpose.  The returned array is valid only until
+    the next call.
 
     The edges run only when c_p is non-zero; the bulk integral then takes
     tol/2, and each edge is one adaptive integral of c_p G (rho + (J0
@@ -575,7 +580,9 @@ def homogenized_potential(
         edge_kernel = _kernel(rows, normals=False)
         for edge in dom.edges():
 
-            def edge_integrand(s, cols=None, counts=None, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]):
+            def edge_integrand(
+                s, cols=None, counts=None, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]
+            ):
                 plain = cols is None
                 if plain:
                     cols, counts = every, one_panel

@@ -7,49 +7,55 @@ Espelid & Genz 1991).  The root boxes of a domain may differ in size.  Every
 leaf of the refinement tree holds its 2^d child panels; its error is the
 difference between its one-shot Gauss estimate and the sum of its children,
 per value column.  A leaf within its local share (``tol`` over the number of
-root boxes, over 2^d per level) is frozen for that column; its live columns
-are the others (a NaN error counts as above every share), and its heap key
-is its largest live error (ties to the older leaf).  The worst leaf is
-popped and split only for its live columns whose summed leaf error is still
+root boxes, over 2^d per level) is frozen for that column; for the others it
+is live (a NaN error counts as above every share).
+
+The engine runs in rounds.  Each unretired column keeps a heap of the leaves
+where it is live, keyed by its own error, ties to the older leaf; past
+``BEST_FIRST_LEAVES`` of that column's leaves, and for a NaN or infinite
+error, the newest leaf comes first (depth first), so a tolerance out of
+reach meets the cap after a few splits instead of refining breadth first.
+Each round, every unretired column pops its worst leaf, skipping entries of
+boxes already split for it.  Each distinct popped box is split for every
+column that is live on it, unretired and whose summed leaf error is still
 above ``tol``: each such sum is re-summed exactly before a column retires,
-and a retired column splits no more.  The leaf's other columns keep its fine
-estimates as final, and its children are evaluated for the split columns
-only, so each column's tree is a subtree of the one that splits every box
-above its share for that column alone: it converges wherever that one does,
-with no more panels, and hits the depth cap only where that one would.
-A box holds values only for the columns it was evaluated for, so memory
-grows with evaluated (box, column) pairs, not with boxes x columns.  Past
-``BEST_FIRST_LEAVES`` leaves (boxes that are a leaf of some column), and
-for a NaN or infinite error, new leaves are split newest first (depth
-first), so a tolerance out of reach meets the cap after a few splits instead
-of refining breadth first.
+and a retired column splits no more.  A box is split once; its other
+columns keep its fine estimates as final.  The round's new leaves are made
+in the creation order of the boxes they split, then child index, and all
+their child panels, each for the columns its box was split for, go to the
+integrand together.  So each column's tree is a subtree of the one that
+splits every box above its share for that column alone: it converges
+wherever that one does, with no more panels, and hits the depth cap only
+where that one would.  With one column a round pops one leaf, the worst, as
+one split at a time would.  A leaf holds values only for its own columns, so
+memory grows with evaluated (box, column) pairs, not with boxes x columns.
 
 Each column is summed back in nested order, children with axis 0 fastest:
 a split box's children, added child 0 first, replace its fine estimates of
-the columns it was split for, deepest boxes first, so results are bitwise
-reproducible.  A split makes 2^d new leaves, each with its 2^d child
-panels: those 4^d panels get their nodes and weights together, one
-broadcast each, as do the root boxes and then all their children, with the
-arithmetic of one box at a time per element.  A plain
-integrand f(x) is called once per panel, on 8 flat nodes (segment) or (64,
-2) points (rectangle), and the engine takes the split columns out of its
-values.  An integrand with an int ``columns`` attribute, its values per
-node, is called f(x, cols): the panels' nodes stacked and the ascending
-indices of the columns to evaluate, returning (N, len(cols)); each call
-stacks as many panels as fit in STACK_PAIRS node x column pairs, one panel
-when a single panel is larger; its values must be those of one call per
-panel and column, row for row; ``columns`` below 1 is a ValueError.  Each
-call's values times the weights are summed over the nodes by a fixed
-pairwise halving (first half plus second half, 6 elementwise adds for 64
-nodes, 3 for 8), so every (panel, column) estimate has the same bytes
+the columns it was split for, latest round first, so results are bitwise
+reproducible.  A plain integrand f(x) is called once per panel with every
+column, on 8 flat nodes (segment) or (64, 2) points (rectangle), and the
+engine takes the split columns out of its values.  An integrand with an int
+``columns`` attribute, its values per node, is called f(x, cols, counts):
+the nodes of a round's panels stacked, panel k evaluated for the next
+counts[k] of the ascending column indices ``cols``, returning its values in
+(panel, column, node) order, (len(cols), n) or flat; each call takes as many
+panels as fit in STACK_PAIRS node x column pairs, one panel when a single
+panel is larger, so a round is one call or more; its values must be those of
+one call per panel and column, row for row; ``columns`` below 1 is a
+ValueError.  Each call's values times the weights are summed over the nodes
+by a fixed pairwise halving (first half plus second half, 6 elementwise adds
+for 64 nodes, 3 for 8), so every (panel, column) estimate has the same bytes
 whatever the stacking and the other columns of the call: a matrix product
 would not, as BLAS sums a column differently beside other columns.  So the
-trees and the bytes are those of one call per panel, plain or declared, and
-an integrand's return value need only stay valid until its next call: it
-may return one buffer that it overwrites every time.
+trees and the bytes are those of one call per panel, plain or declared, at
+any STACK_PAIRS, and an integrand's return value need only stay valid until
+its next call: it may return one buffer that it overwrites every time.
 QuadratureNotConverged is raised only when a leaf to split sits at the depth
 cap; it names the panel, its depth and the split value column (observation
-point) with the largest error, and the largest summed error against ``tol``.
+point) with the largest error, and the largest summed error against ``tol``;
+when several columns reach the cap in one round, the box popped by the
+lowest of them is named.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ from __future__ import annotations
 import heapq
 import math
 from functools import reduce
-from itertools import count
 from operator import add
 from typing import Callable
 
@@ -315,8 +320,9 @@ def _adapt(f, lo, hi, tol, max_depth):
                 errors = [errs[c][leaf] for c in chosen]
                 worst = int(np.argmax(errors))
                 summed = max(total[c] for c in chosen)
+                a, b = box_lo[leaf], box_hi[leaf]
                 raise QuadratureNotConverged(
-                    f"{np.size(box_lo[leaf])}D panel [{box_lo[leaf].tolist()}, {box_hi[leaf].tolist()}] at depth {depth} (the cap): "
+                    f"{np.size(a)}D panel [{a.tolist()}, {b.tolist()}] at depth {depth} (the cap): "
                     f"error {errors[worst]:.3e} > its share {share:.3e}, "
                     f"largest in value column {chosen[worst]}; summed error {summed:.3e} > {tol:.3e}",
                     error_estimate=summed,
@@ -327,16 +333,18 @@ def _adapt(f, lo, hi, tol, max_depth):
             splits.append((leaf, chosen, [slot + i for i in split], depth + 1, share / nkids))
         if not splits:
             continue
-        # the new leaves in the creation order of the boxes they split, child index next
+        # the new leaves in the creation order of the boxes they split, child index next;
+        # each split's columns and its children's estimates, for each of its 2^d new leaves
         splits.sort()
         boxes = [s[0] for s in splits]
         groups = [(names, nkids, depth, share, split_slots) for _, names, split_slots, depth, share in splits]
-        chosen = np.array([c for names, *_ in groups for c in names])
-        coarse = kids[[p for *_, split_slots in groups for p in split_slots]]  # (split columns, 2^d)
-        ends = np.cumsum([len(names) for names, *_ in groups]).tolist()
-        cols = np.concatenate([chosen[e - len(g[0]) : e] for g, e in zip(groups, ends) for _ in range(nkids)])
-        counts = np.repeat([len(names) for names, *_ in groups], nkids)
-        coarse = np.concatenate([coarse[e - len(g[0]) : e].T.ravel() for g, e in zip(groups, ends)])
+        widths = [len(names) for names, *_ in groups]
+        spans = [slice(e - m, e) for e, m in zip(np.cumsum(widths).tolist(), widths)]
+        split_cols = np.array([c for names, *_ in groups for c in names])
+        split_kids = kids[[p for *_, split_slots in groups for p in split_slots]]  # (split columns, 2^d)
+        cols = np.concatenate([split_cols[span] for span in spans for _ in range(nkids)])
+        counts = np.repeat(widths, nkids)
+        coarse = np.concatenate([split_kids[span].T.ravel() for span in spans])
         new_lo, new_hi = (b.reshape((-1,) + shape) for b in _children(box_lo[boxes], box_hi[boxes], masks))
         parts = children(new_lo, new_hi, cols, counts)
         box_lo, box_hi = _put(box_lo, len(leaves), new_lo), _put(box_hi, len(leaves), new_hi)
