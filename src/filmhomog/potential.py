@@ -442,15 +442,17 @@ def _kernel(rows: np.ndarray, normals: bool):
         nonlocal store, tile_store, key, tiled, squared_z, panel
         k, p = len(counts), len(cols)
         n = len(point) // k
+        axes = point.shape[1]  # 3, or 2 for planar points
         if store.size < slabs * p * n:
             store = np.empty(slabs * p * n)
         out = store[: slabs * p * n].reshape(slabs, p, n)
-        if (n, cols.tobytes(), np.asarray(counts).tobytes()) != key:
-            if tile_store.size < 3 * p * n:
-                tile_store = np.empty(3 * p * n)
-            tiled = tile_store[: 3 * p * n].reshape(3, p, n)
-            np.copyto(tiled, rows[:, cols, None])
-            key, squared_z = (n, cols.tobytes(), np.asarray(counts).tobytes()), None
+        if (axes, n, cols.tobytes(), np.asarray(counts).tobytes()) != key:
+            if tile_store.size < axes * p * n:
+                tile_store = np.empty(axes * p * n)
+            tiled = tile_store[: axes * p * n].reshape(axes, p, n)
+            np.copyto(tiled, rows[:axes, cols, None])
+            squared_z = np.square(rows[2, cols])[:, None] if axes == 2 else None  # planar: dz*dz = z*z per row
+            key = (axes, n, cols.tobytes(), np.asarray(counts).tobytes())
             panel = np.repeat(np.arange(k), counts)  # the panel of each row
 
         def per_row(node_values, into):
@@ -461,11 +463,8 @@ def _kernel(rows: np.ndarray, normals: bool):
             c = node_values.shape[1]
             return np.take(np.ascontiguousarray(node_values.T).reshape(c, k, n), panel, axis=1, out=into, mode="clip")
 
-        axes = point.shape[1]  # 3, or 2 for planar points
-        if axes == 2 and squared_z is None:
-            squared_z = tiled[2] * tiled[2]
         d = per_row(point, out[:axes])
-        np.subtract(tiled[:axes], d, out=d)  # dx, dy (, dz)
+        np.subtract(tiled, d, out=d)  # dx, dy (, dz)
         if normal is not None:
             terms = per_row(normal, out[3:])
             terms *= d

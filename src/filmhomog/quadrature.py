@@ -338,13 +338,15 @@ def _adapt(f, lo, hi, tol, max_depth):
         splits.sort()
         boxes = [s[0] for s in splits]
         groups = [(names, nkids, depth, share, split_slots) for _, names, split_slots, depth, share in splits]
-        widths = [len(names) for names, *_ in groups]
-        spans = [slice(e - m, e) for e, m in zip(np.cumsum(widths).tolist(), widths)]
+        widths = np.array([len(names) for names, *_ in groups])
         split_cols = np.array([c for names, *_ in groups for c in names])
         split_kids = kids[[p for *_, split_slots in groups for p in split_slots]]  # (split columns, 2^d)
-        cols = np.concatenate([split_cols[span] for span in spans for _ in range(nkids)])
-        counts = np.repeat(widths, nkids)
-        coarse = np.concatenate([split_kids[span].T.ravel() for span in spans])
+        # row r of the round: child k of its split, column i, taken from split column first + i
+        first = np.repeat(np.cumsum(widths) - widths, nkids * widths)
+        width = np.repeat(widths, nkids * widths)
+        offset = np.arange(nkids * len(split_cols)) - nkids * first
+        pick = first + offset % width
+        cols, counts, coarse = split_cols[pick], np.repeat(widths, nkids), split_kids[pick, offset // width]
         new_lo, new_hi = (b.reshape((-1,) + shape) for b in _children(box_lo[boxes], box_hi[boxes], masks))
         parts = children(new_lo, new_hi, cols, counts)
         box_lo, box_hi = _put(box_lo, len(leaves), new_lo), _put(box_hi, len(leaves), new_hi)
