@@ -329,10 +329,10 @@ def _row_sums(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray
         undecided = np.flatnonzero(~certified)
         if len(undecided):
             rest = r[undecided]
-            sigma = np.ldexp(1.5, np.frexp(np.abs(rest).max(axis=1))[1] + k)[:, None]
-            hi = (rest + sigma) - sigma
-            pair = tau[undecided] + hi.sum(axis=1)
-            exact = (rest == hi).all(axis=1) & np.isfinite(pair)  # no second remainder; NaN rows fail
+            sigma2 = np.ldexp(1.5, np.frexp(np.abs(rest).max(axis=1))[1] + k)[:, None]
+            hi2 = (rest + sigma2) - sigma2
+            pair = tau[undecided] + hi2.sum(axis=1)
+            exact = (rest == hi2).all(axis=1) & np.isfinite(pair)  # no second remainder; NaN rows fail
             c[undecided[exact]] = pair[exact]
             undecided = undecided[~exact]
     for i in undecided:
@@ -430,7 +430,7 @@ def _kernel(rows: np.ndarray, normals: bool):
     node's coordinates, normal and densities are copied into every row of
     its panel (a copy of n contiguous values per row, no gather per (node,
     point) pair).  So every arithmetic step runs on contiguous (len(cols), n)
-    slabs.  The result is a view of a second reused buffer, made again only
+    slabs, but for the planar z*z, one per row, added along the row.  The result is a view of a second reused buffer, made again only
     for a call with more pairs than it holds, so the next call overwrites
     it.  Per element the arithmetic is the same for any stacking and any
     ``cols``."""

@@ -216,13 +216,19 @@ def _adapt(f, lo, hi, tol, max_depth):
     nroots = len(lo)
 
     def children(lo, hi, cols=None, counts=None):
-        """The estimates of the children of the boxes [lo, hi], child index outermost,
-        for the columns of each box (see :func:`_estimates`)."""
-        kid_lo, kid_hi = (b.swapaxes(0, 1).reshape((-1,) + shape) for b in _children(lo, hi, masks))
+        """The estimates of the children of the boxes [lo, hi], box by box, child index
+        next, for the columns of each box (see :func:`_estimates`), returned child
+        index outermost: (2^d, box x column)."""
+        kid_lo, kid_hi = (b.reshape((-1,) + shape) for b in _children(lo, hi, masks))
         if cols is None:  # the roots: their own panels, then their children's, every column
             return _estimates(f, np.concatenate([lo, kid_lo]), np.concatenate([hi, kid_hi]))
-        parts = _estimates(f, kid_lo, kid_hi, np.concatenate([cols] * nkids), np.concatenate([counts] * nkids))
-        return parts.reshape(nkids, -1)
+        # (box, column) j of width m starting at s: child k's estimate at 2^d s + k m + (j - s)
+        width = np.repeat(counts, counts)
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        at = nkids * start + (np.arange(len(cols)) - start) + np.arange(nkids)[:, None] * width
+        panel_cols = np.empty(nkids * len(cols), cols.dtype)
+        panel_cols[at] = cols
+        return _estimates(f, kid_lo, kid_hi, panel_cols, np.repeat(counts, nkids))[at]
 
     first = children(lo, hi)
     box_lo, box_hi = lo, hi  # per leaf: its bounds
@@ -274,7 +280,7 @@ def _adapt(f, lo, hi, tol, max_depth):
                 slots += m
         folds.append((split_slots, child_slots, strides))
 
-    parts = first[nroots:].reshape(nkids, -1)
+    parts = first[nroots:].reshape(nroots, nkids, ncols).swapaxes(0, 1).reshape(nkids, -1)
     spawn(parts, first[:nroots].ravel(), [(list(range(ncols)), nroots, 0, tol / nroots, None)])
     active = list(range(ncols))  # unretired columns that still have a live leaf
     while active:

@@ -431,6 +431,26 @@ class TestGlobalBudget:
         assert set(calls) < set(ref_calls)
         assert value == pytest.approx(0.45 + 0.4 + 0.4, abs=1e-12)
 
+    def test_one_column_calls_in_the_order_of_one_split_at_a_time(self):
+        # The table of test_worst_leaf_first_and_frozen_leaf_never_split: with one column a
+        # round pops one leaf, so the calls come in the order of one split at a time, each
+        # split's new leaves box by box, child index next
+        integral = {(0.5, 1.0): 2.0, (0.0, 0.25): 0.45, (0.5, 0.75): 0.7, (0.75, 1.0): 0.7}
+        integral.update({(0.5, 0.625): 0.4, (0.75, 0.875): 0.4, (0.5, 0.5625): 0.4, (0.75, 0.8125): 0.4})
+
+        def sampler(s):
+            box = segment_box(s)
+            return np.full(s.shape, integral.get(box, 0.0) / (box[1] - box[0]))
+
+        g, calls = recorded(sampler)
+        adaptive_segment(g, (0.0, 1.0), tol=1.0)
+        assert [segment_box(np.frombuffer(raw)) for raw in calls] == [
+            (0.0, 1.0), (0.0, 0.5), (0.5, 1.0),  # the root and its children, one call
+            (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0),  # the root split
+            (0.5, 0.625), (0.625, 0.75), (0.75, 0.875), (0.875, 1.0),  # [1/2, 1] split
+            (0.5, 0.5625), (0.5625, 0.625), (0.625, 0.6875), (0.6875, 0.75),  # [1/2, 3/4], the older of a tie
+        ]  # fmt: skip
+
     def test_small_leaf_error_is_not_lost_beside_a_large_one(self):
         # A constant power of two per panel makes every panel a power of two times the
         # rule's weight sum S, so each leaf error is exact: root 1024 S, [0, 1/2] 1024 S,
