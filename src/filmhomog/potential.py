@@ -425,34 +425,30 @@ def _kernel(rows: np.ndarray, normals: bool):
     (K n, 2), the film z = 0 of the identity map: dz is then the point's z,
     exact as z - 0.0 = z for every z (-0.0 included), so dz*dz is z*z.
 
-    The points' rows are copied across their n nodes into a reused buffer,
-    copied again only for other columns, counts or nodes per panel; each
-    node's coordinates, normal and densities are copied into every row of
-    its panel (a copy of n contiguous values per row, no gather per (node,
-    point) pair).  So every arithmetic step runs on contiguous (len(cols), n)
-    slabs, but for the planar z*z, one per row, added along the row.  The result is a view of a second reused buffer, made again only
-    for a call with more pairs than it holds, so the next call overwrites
-    it.  Per element the arithmetic is the same for any stacking and any
-    ``cols``."""
+    Each node's coordinates, normal and densities are copied into every row
+    of its panel (a copy of n contiguous values per row, no gather per
+    (node, point) pair), and each row's point is broadcast across its n
+    nodes (its coordinates and planar z*z gathered again only for other
+    columns or counts).  So every arithmetic step runs on (len(cols), n)
+    slabs.  The result is a view of a reused buffer, made again only for a
+    call with more pairs than it holds, so the next call overwrites it.  Per
+    element the arithmetic is the same for any stacking and any ``cols``."""
     slabs = 6 if normals else 3
-    store = tile_store = np.empty(0)
-    key = tiled = squared_z = panel = None
+    store = np.empty(0)
+    key = points = squared_z = panel = None
 
     def kernel(point, cols, counts, density=None, normal=None, normal_density=None):
-        nonlocal store, tile_store, key, tiled, squared_z, panel
+        nonlocal store, key, points, squared_z, panel
         k, p = len(counts), len(cols)
         n = len(point) // k
         axes = point.shape[1]  # 3, or 2 for planar points
         if store.size < slabs * p * n:
             store = np.empty(slabs * p * n)
         out = store[: slabs * p * n].reshape(slabs, p, n)
-        if (axes, n, cols.tobytes(), np.asarray(counts).tobytes()) != key:
-            if tile_store.size < axes * p * n:
-                tile_store = np.empty(axes * p * n)
-            tiled = tile_store[: axes * p * n].reshape(axes, p, n)
-            np.copyto(tiled, rows[:axes, cols, None])
-            squared_z = np.square(rows[2, cols])[:, None] if axes == 2 else None  # planar: dz*dz = z*z per row
-            key = (axes, n, cols.tobytes(), np.asarray(counts).tobytes())
+        if (cols.tobytes(), np.asarray(counts).tobytes()) != key:
+            points = rows[:, cols, None]  # each row's point, broadcast across its nodes
+            squared_z = np.square(points[2])  # planar: dz*dz = z*z per row
+            key = (cols.tobytes(), np.asarray(counts).tobytes())
             panel = np.repeat(np.arange(k), counts)  # the panel of each row
 
         def per_row(node_values, into):
@@ -464,7 +460,7 @@ def _kernel(rows: np.ndarray, normals: bool):
             return np.take(np.ascontiguousarray(node_values.T).reshape(c, k, n), panel, axis=1, out=into, mode="clip")
 
         d = per_row(point, out[:axes])
-        np.subtract(tiled, d, out=d)  # dx, dy (, dz)
+        np.subtract(points[:axes], d, out=d)  # dx, dy (, dz)
         if normal is not None:
             terms = per_row(normal, out[3:])
             terms *= d

@@ -97,15 +97,15 @@ _RULES = {shape: _rule(shape) for shape in [(), (2,)]}
 
 
 def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (K, n, ...) and weights (K, n) of the K boxes [lo[k], hi[k]], one broadcast each.
+    """Nodes (K, n, ...) of the K boxes [lo[k], hi[k]], one broadcast, and the
+    products (K,) of their half-widths, which scale the rule's weights.
 
     Per element the same arithmetic as one box at a time: mid = 0.5 (lo +
-    hi), half = 0.5 (hi - lo), nodes mid + half * offsets, and the rule's
-    weights times the product of the half-widths.  Rectangle nodes are made
-    one axis at a time: broadcast over a last axis of length 2, numpy's
-    inner loop would run two elements at a time.
+    hi), half = 0.5 (hi - lo), nodes mid + half * offsets.  Rectangle nodes
+    are made one axis at a time: broadcast over a last axis of length 2,
+    numpy's inner loop would run two elements at a time.
     """
-    offsets, weights, _ = _RULES[lo.shape[1:]]
+    offsets = _RULES[lo.shape[1:]][0]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     if lo.ndim == 1:
@@ -114,7 +114,7 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.empty((len(lo),) + offsets.shape)
         for a in (0, 1):
             np.add(mid[:, None, a], half[:, None, a] * offsets[:, a], out=nodes[..., a])
-    return nodes, np.multiply.reduce(half.reshape(len(half), -1), axis=1)[:, None] * weights
+    return nodes, np.multiply.reduce(half.reshape(len(half), -1), axis=1)
 
 
 def _children(lo: np.ndarray, hi: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,15 +148,17 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
     is called f(x, cols, counts) on the boxes' nodes stacked, as many boxes
     per call as fit in STACK_PAIRS node x column pairs (at least one), and
     returns its values in (box, column, node) order, (len(cols), n) or flat.
-    Nodes and weights are made per call, so a round's memory is that of its
-    largest call.  The values times the weights are summed over the nodes
+    Nodes are made per call, and the weights after it, so a round's memory
+    is that of its largest call.  The values times the weights are summed over the nodes
     by :func:`_halve`, so every (box, column) estimate has the same bytes
     for any stacking and any columns beside it.
     """
-    k, n = len(lo), len(_RULES[lo.shape[1:]][1])
+    weights = _RULES[lo.shape[1:]][1]
+    k, n = len(lo), len(weights)
     columns = getattr(f, "columns", None)
     if columns is None:
-        nodes, weights = _panels(lo, hi)
+        nodes, scales = _panels(lo, hi)
+        weights = scales[:, None] * weights
         flat = nodes.reshape((-1,) + nodes.shape[2:])
         parts, start = [], 0
         for b in range(k):
@@ -175,7 +177,7 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
         raise ValueError(f"an integrand's declared columns must be at least 1, got {columns!r}")
     every = cols is None
     if every:
-        cols, counts = np.tile(np.arange(columns), k), np.full(k, columns)
+        cols, counts = np.arange(k * columns) % columns, np.full(k, columns)
     ends = np.cumsum(counts)  # one past each box's last (box, column) row
     rows = max(1, STACK_PAIRS // n)
     parts, b = [], 0
@@ -183,9 +185,9 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
         first = ends[b] - counts[b]
         e = max(b + 1, int(np.searchsorted(ends, first + rows, side="right")))
         wanted, per_box = cols[first : ends[e - 1]], counts[b:e]
-        nodes, weights = _panels(lo[b:e], hi[b:e])
+        nodes, scales = _panels(lo[b:e], hi[b:e])
         values = np.asarray(f(nodes.reshape((-1,) + nodes.shape[2:]), wanted, per_box)).reshape(len(wanted), n)
-        products = np.repeat(weights, per_box, axis=0)
+        products = np.repeat(scales, per_box)[:, None] * weights
         products *= values
         # the first halving step on the rows, the others on contiguous halves of the transpose
         products = products[:, : n // 2] + products[:, n // 2 :]
@@ -246,23 +248,18 @@ def _adapt(f, lo, hi, tol, max_depth):
     retired = [False] * ncols  # per column: its re-summed error is within tol, it splits no more
 
     def spawn(parts, coarse, groups):
-        """Make the leaves of each group (columns, count, depth, share, split slots):
-        ``count`` boxes for ``columns``, their one-shot estimates the next of ``coarse``
-        and their children's the next of ``parts`` (2^d, leaf x column), in (leaf,
-        column) order.  Each leaf's children sum, child 0 first, is one add per child
-        for the round; then each leaf in turn is made, its errors added to its
-        columns' totals and its live ones pushed on their heaps."""
+        """Make the leaves of each group (columns, count, depth, share): ``count`` boxes
+        for ``columns``, their one-shot estimates the next of ``coarse`` and their
+        children's the next of ``parts`` (2^d, leaf x column), in (leaf, column) order.
+        Each leaf's children sum, child 0 first, is one add per child for the round;
+        then each leaf in turn is made, its errors added to its columns' totals and its
+        live ones pushed on their heaps."""
         nonlocal kids, slots
         sums = reduce(add, parts)  # children in order, as one leaf at a time
         errors = iter(np.abs(sums - coarse).tolist())
         kids = _put(kids, slots, parts.T)
-        split_slots, child_slots, strides = [], [], []
-        for names, k, depth, share, parent_slots in groups:
+        for names, k, depth, share in groups:
             m = len(names)
-            if parent_slots is not None:
-                split_slots += parent_slots
-                child_slots += range(slots, slots + m)
-                strides += [m] * m
             columns = [(c, errs[c], heaps[c]) for c in names]
             for _ in range(k):
                 leaf = len(leaves)
@@ -278,10 +275,9 @@ def _adapt(f, lo, hi, tol, max_depth):
                         else:  # newest first, ahead of every finite error: depth first
                             heappush(heap, (-inf, -leaf, leaf))
                 slots += m
-        folds.append((split_slots, child_slots, strides))
 
     parts = first[nroots:].reshape(nroots, nkids, ncols).swapaxes(0, 1).reshape(nkids, -1)
-    spawn(parts, first[:nroots].ravel(), [(list(range(ncols)), nroots, 0, tol / nroots, None)])
+    spawn(parts, first[:nroots].ravel(), [(list(range(ncols)), nroots, 0, tol / nroots)])
     active = list(range(ncols))  # unretired columns that still have a live leaf
     while active:
         popped = {}  # each column's worst leaf, distinct, in the order of the lowest column popping it
@@ -289,18 +285,19 @@ def _adapt(f, lo, hi, tol, max_depth):
         for c in active:
             if retired[c]:  # at the cap, last round
                 continue
-            if not tol < total[c] < inf:
-                # before retiring, re-sum: no drift of the running updates, no inf - inf
-                total[c] = math.fsum(errs[c].values())
-                if total[c] <= tol:
-                    retired[c] = True
-                    continue
             heap, own = heaps[c], errs[c]
             while heap and heap[0][2] not in own:  # stale: already split for c
                 heappop(heap)
-            if heap:
-                popped[heappop(heap)[2]] = None
-                still.append(c)
+            if not heap:  # no live leaf left: nothing to split, nothing to re-sum
+                continue
+            if not tol < total[c] < inf:
+                # before retiring, re-sum: no drift of the running updates, no inf - inf
+                total[c] = math.fsum(own.values())
+                if total[c] <= tol:
+                    retired[c] = True
+                    continue
+            popped[heappop(heap)[2]] = None
+            still.append(c)
         active = still
         splits = []
         for leaf in popped:
@@ -343,12 +340,17 @@ def _adapt(f, lo, hi, tol, max_depth):
         # each split's columns and its children's estimates, for each of its 2^d new leaves
         splits.sort()
         boxes = [s[0] for s in splits]
-        groups = [(names, nkids, depth, share, split_slots) for _, names, split_slots, depth, share in splits]
+        groups = [(names, nkids, depth, share) for _, names, _, depth, share in splits]
         widths = np.array([len(names) for names, *_ in groups])
+        starts = np.cumsum(widths) - widths
         split_cols = np.array([c for names, *_ in groups for c in names])
-        split_kids = kids[[p for *_, split_slots in groups for p in split_slots]]  # (split columns, 2^d)
+        split_slots = np.array([p for *_, parent_slots, _, _ in splits for p in parent_slots])
+        split_kids = kids[split_slots]  # (split columns, 2^d)
+        # split column j of split s: its first child's slot, and the stride to the next child
+        j = np.arange(len(split_cols))
+        folds.append((split_slots, slots + j + (nkids - 1) * np.repeat(starts, widths), np.repeat(widths, widths)))
         # row r of the round: child k of its split, column i, taken from split column first + i
-        first = np.repeat(np.cumsum(widths) - widths, nkids * widths)
+        first = np.repeat(starts, nkids * widths)
         width = np.repeat(widths, nkids * widths)
         offset = np.arange(nkids * len(split_cols)) - nkids * first
         pick = first + offset % width
@@ -362,10 +364,8 @@ def _adapt(f, lo, hi, tol, max_depth):
     # its parent: the sum of a split box's children, child 0 first, replaces its fine
     # estimates of the columns it was split for
     fine = reduce(add, [kids[:slots, k] for k in range(nkids)])  # each leaf's children sum, as in spawn
-    for split_slots, child_slots, strides in reversed(folds):
-        if split_slots:
-            child, stride = np.array(child_slots), np.array(strides)
-            fine[split_slots] = reduce(add, [fine[child + k * stride] for k in range(nkids)])
+    for split_slots, child, stride in reversed(folds):
+        fine[split_slots] = reduce(add, [fine[child + k * stride] for k in range(nkids)])
     value = reduce(add, [fine[i * ncols : (i + 1) * ncols] for i in range(nroots)])
     return value[0] if scalar else value
 
