@@ -149,9 +149,9 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
     per call as fit in STACK_PAIRS node x column pairs (at least one), and
     returns its values in (box, column, node) order, (len(cols), n) or flat.
     Nodes are made per call, and the weights after it, so a round's memory
-    is that of its largest call.  The values times the weights are summed over the nodes
-    by :func:`_halve`, so every (box, column) estimate has the same bytes
-    for any stacking and any columns beside it.
+    is that of its largest call.  The values times the weights are summed
+    over the nodes by :func:`_halve`, so every (box, column) estimate has
+    the same bytes for any stacking and any columns beside it.
     """
     weights = _RULES[lo.shape[1:]][1]
     k, n = len(lo), len(weights)
