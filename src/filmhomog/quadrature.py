@@ -187,11 +187,9 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
         wanted, per_box = cols[first : ends[e - 1]], counts[b:e]
         nodes, scales = _panels(lo[b:e], hi[b:e])
         values = np.asarray(f(nodes.reshape((-1,) + nodes.shape[2:]), wanted, per_box)).reshape(len(wanted), n)
-        products = np.repeat(scales, per_box)[:, None] * weights
+        products = np.repeat(scales[:, None] * weights, per_box, axis=0)
         products *= values
-        # the first halving step on the rows, the others on contiguous halves of the transpose
-        products = products[:, : n // 2] + products[:, n // 2 :]
-        parts.append(_halve(np.ascontiguousarray(products.T)))
+        parts.append(_halve(np.ascontiguousarray(products.T)))  # halves of contiguous node rows
         b = e
     estimates = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return estimates.reshape(k, columns) if every else estimates
