@@ -189,7 +189,9 @@ def _estimates(f, lo: np.ndarray, hi: np.ndarray, cols=None, counts=None) -> np.
         values = np.asarray(f(nodes.reshape((-1,) + nodes.shape[2:]), wanted, per_box)).reshape(len(wanted), n)
         products = np.repeat(scales[:, None] * weights, per_box, axis=0)
         products *= values
-        parts.append(_halve(np.ascontiguousarray(products.T)))  # halves of contiguous node rows
+        # the first halving step on the rows, the others on contiguous halves of the transpose
+        products = products[:, : n // 2] + products[:, n // 2 :]
+        parts.append(_halve(np.ascontiguousarray(products.T)))
         b = e
     estimates = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return estimates.reshape(k, columns) if every else estimates
