@@ -144,15 +144,6 @@ class Catalog:
             value += self._const
         return value
 
-    def scaled(self, factor: float) -> "Catalog":
-        """The field times ``factor``, folded into the weights, so a call is
-        still one catalog evaluation.  Its values equal the field's times
-        ``factor`` bitwise when the factor is a power of two; otherwise they
-        differ by a few ulp of the terms' scale: in the bulk integrand at
-        alpha = 0.7, 2.0 ulp measured on the tests' five fixed panels and 3.0
-        on random sub-boxes, where the tests allow 4."""
-        return Catalog(self.rows, factor * self.weights, self.trig)
-
     @property
     def is_zero(self) -> bool:
         """True when no row has both a non-zero weight and a non-zero
@@ -166,25 +157,19 @@ class MomentFields:
     """Closed-form continuum moment fields plus the boundary charge.
 
     Every field is a :class:`Catalog`.  The *_weighted fields are
-    premultiplied by J0 (exact catalog sums with no Jacobian in them);
-    :meth:`p_p` divides by J0 of the supplied map (NaN where the map has no
-    frame).  ``boundary_charge`` maps each edge name to its limit line
-    density per unit parameter length, a field on parameter points (..., 2)
-    like the bulk fields.  A field whose :attr:`Catalog.is_zero` holds (e.g. no
-    free points, constant weights for the bound-charge divergence, w z = 0
-    on every point for the normal moment) is skipped by the limit, and
-    :meth:`Catalog.scaled` folds a limit weight into a field.
+    premultiplied by J0 (exact catalog sums with no Jacobian in them).
+    ``boundary_charge`` maps each edge name to its limit line density per
+    unit parameter length, a field on parameter points (..., 2) like the
+    bulk fields.  A field whose :attr:`Catalog.is_zero` holds (e.g. no free
+    points, constant weights for the bound-charge divergence, w z = 0 on
+    every point for the normal moment) is skipped by the limit.
     """
 
-    pmap: ParametricMap
     charge_weighted: Catalog
     pol_planar_weighted: Catalog
     pol_normal_weighted: Catalog
     div_pol_planar_weighted: Catalog
     boundary_charge: dict  # edge name -> line density Catalog
-
-    def p_p(self, x_p: np.ndarray) -> np.ndarray:
-        return self.pol_planar_weighted(x_p) / _j0_at(self.pmap, x_p)[..., None]
 
 
 def _catalog(points) -> np.ndarray:
@@ -221,7 +206,6 @@ def moment_fields(motif: Motif, choice: UnitCellChoice, pmap: ParametricMap, l: 
         counts, period = edge_counts(edge, [pt.y for pt in motif.points], l, choice, tol)
         boundary_charge[edge.name] = Catalog(rows, counts * w / period)
     return MomentFields(
-        pmap=pmap,
         charge_weighted=Catalog(_catalog(motif.free_points), np.array([p.w for p in motif.free_points], float) / area),
         pol_planar_weighted=Catalog(rows, w[:, None] * arms / area),
         pol_normal_weighted=Catalog(rows, w * np.array([pt.z for pt in motif.points], float) / area),

@@ -21,19 +21,19 @@ The three limits differ only in the weights (c_q, c_p, c_n) of
     proportional (R2, h = alpha l):   (alpha, alpha, alpha^2)
     wide-over-thin (R3):              (1, 0, 1)
 
-with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  A bulk term
-is skipped when its weight is 0 or its field is :attr:`Catalog.is_zero` (no
-catalog row with both a non-zero weight and a non-zero coefficient), so
-only the double layer builds surface frames, and the bulk integral does not
-run at all when no bulk term is left; each weight that runs is folded into
-its field by :meth:`Catalog.scaled`.  Each integrand declares its value
-``columns`` (one per observation point), so the quadrature hands it a
-round's panels per call, each with the observation points it still refines
-there, each point refined on its own, and takes the values back in (panel,
-point, node) rows.  Each integral computes its kernel in one buffer it
-reuses from call to call, sized for the largest call, so an integrand's
-return value is valid only until its next call (the quadrature reduces it
-before then).  The
+with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  Each weight
+multiplies its evaluated density, as a scalar.  A bulk term is skipped when
+its weight is 0 or its field is :attr:`Catalog.is_zero` (no catalog row
+with both a non-zero weight and a non-zero coefficient), so only the double
+layer builds surface frames, and the bulk integral does not run at all when
+no bulk term is left.  Each integrand declares its value ``columns`` (one
+per observation point), so the quadrature hands it a round's panels per
+call, each with the observation points it still refines there, each point
+refined on its own, and takes the values back in (panel, point, node) rows.
+The integrals of one potential compute their kernel in one buffer, reused
+from call to call and sized for the largest call, so an integrand's return
+value is valid only until the next call (the quadrature reduces it before
+then).  The
 boundary integral runs in parameter arc length with the parameter-space
 outward normal, exactly the object the cell sums converge to; the boundary
 charge rho is each edge's closed-form line density per unit parameter length
@@ -409,15 +409,15 @@ def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, stan
 # ---------------------------------------------------------------------------
 
 
-def _kernel(rows: np.ndarray, normals: bool):
+def _kernel(rows: np.ndarray):
     """The densities times the Green kernel towards observation points given
     as contiguous component rows (3, M), over (panel, column) pairs.  It
     takes the nodes r' (K n, 3) of K panels stacked, n per panel, the
     ascending indices ``cols`` of the observation points wanted, panel k's
     being the next counts[k] of them, a single-layer ``density`` at the
-    nodes (K n,) or None, and, with ``normals``, the unit normals nu (K n,
-    3) and a double-layer ``normal_density`` (K n,).  It returns (len(cols),
-    n), row j the point cols[j] at the n nodes of its panel: density * G +
+    nodes (K n,) or None, and optionally the unit normals nu (K n, 3) with a
+    double-layer ``normal_density`` (K n,).  It returns (len(cols), n), row
+    j the point cols[j] at the n nodes of its panel: density * G +
     normal_density * dG/dnu', or one of the two terms alone, with G = 1/|r -
     r'| and dG/dnu' = G*G*G * ((dx*nu_x + dy*nu_y) + dz*nu_z); the squared
     distance accumulates as (dx*dx + dy*dy) + dz*dz, and each product is
@@ -427,29 +427,25 @@ def _kernel(rows: np.ndarray, normals: bool):
 
     Each node's coordinates, normal and densities are copied into every row
     of its panel (a copy of n contiguous values per row, no gather per
-    (node, point) pair), and each row's point is broadcast across its n
-    nodes (its coordinates and planar z*z gathered again only for other
-    columns or counts).  So every arithmetic step runs on (len(cols), n)
-    slabs.  The result is a view of a reused buffer, made again only for a
-    call with more pairs than it holds, so the next call overwrites it.  Per
+    (node, point) pair), and each call gathers its rows' points (3, len(cols))
+    and broadcasts each across its n nodes.  So every arithmetic step runs on
+    (len(cols), n) slabs, three of them, or six with normals.  The result is
+    a view of one buffer shared by every call, made again only for a call
+    with more slabs than it holds, so the next call overwrites it.  Per
     element the arithmetic is the same for any stacking and any ``cols``."""
-    slabs = 6 if normals else 3
     store = np.empty(0)
-    key = points = squared_z = panel = None
 
     def kernel(point, cols, counts, density=None, normal=None, normal_density=None):
-        nonlocal store, key, points, squared_z, panel
+        nonlocal store
         k, p = len(counts), len(cols)
         n = len(point) // k
         axes = point.shape[1]  # 3, or 2 for planar points
+        slabs = 3 if normal is None else 6
         if store.size < slabs * p * n:
             store = np.empty(slabs * p * n)
         out = store[: slabs * p * n].reshape(slabs, p, n)
-        if (cols.tobytes(), np.asarray(counts).tobytes()) != key:
-            points = rows[:, cols, None]  # each row's point, broadcast across its nodes
-            squared_z = np.square(points[2])  # planar: dz*dz = z*z per row
-            key = (cols.tobytes(), np.asarray(counts).tobytes())
-            panel = np.repeat(np.arange(k), counts)  # the panel of each row
+        points = rows[:, cols, None]  # each row's point, broadcast across its nodes
+        panel = np.repeat(np.arange(k), counts)  # the panel of each row
 
         def per_row(node_values, into):
             """Values at the nodes (K n, c) or (K n,), copied into every row of their panel
@@ -470,7 +466,7 @@ def _kernel(rows: np.ndarray, normals: bool):
         d *= d
         G = d[0]
         G += d[1]
-        G += d[2] if axes == 3 else squared_z
+        G += d[2] if axes == 3 else np.square(points[2])  # planar: dz*dz = z*z per row
         np.sqrt(G, out=G)
         np.divide(1.0, G, out=G)
         if normal is None:
@@ -490,6 +486,14 @@ def _kernel(rows: np.ndarray, normals: bool):
     return kernel
 
 
+def _weighted(field, weight: float, x_p: np.ndarray) -> np.ndarray:
+    """weight * field(x_p), bitwise, multiplied in place into the new array
+    the field returns, so a panel holds one array per density."""
+    values = field(x_p)
+    values *= weight
+    return values
+
+
 def _film_points(pmap: ParametricMap):
     """The surface points the kernel takes for planar parameter points x_p:
     on the identity map x_p themselves (the film is z = 0, so no (N, 3)
@@ -506,46 +510,46 @@ def homogenized_potential(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> FieldSample:
     """Limit potential of the regime: the weights (c_q, c_p, c_n) of
-    :meth:`Regime.limit_weights`, the bulk terms that run, the bulk
-    integral, then the edges.
+    :meth:`Regime.limit_weights`, the bulk integral, then the edges.
 
-    A bulk term runs when its weight is non-zero and its field is not
-    :attr:`Catalog.is_zero`, as one catalog evaluation with the weight
-    folded in by :meth:`Catalog.scaled`: c_q q J0 and -c_p div_p(J0 p_p),
-    summed when both run, and c_n p3 J0.  With none the bulk integral is
-    skipped (its value would be exactly 0).  Only the double layer needs the
-    normal, so only then does a call build its surface frame and dG/dnu'; a
-    call with no single layer returns dG/dnu' c_n p3 J0 alone.  Each
-    integrand declares its ``columns``, one per grid point, and a call
-    f(x, cols, counts) takes the nodes of a round's panels stacked, panel k
-    for the next counts[k] of the ascending grid-point indices ``cols``.
-    Each node's own work is done once: its mid-surface point (on the
-    identity map, without a double layer, the planar node itself, see
+    Each weight multiplies its J0-premultiplied density after the density is
+    evaluated, and is taken as 0 for a field that :attr:`Catalog.is_zero`:
+    the single layer is c_q q J0, then minus c_p div_p(J0 p_p), and the
+    double layer c_n p3 J0.  A term of weight 0 is not evaluated, and with
+    none left the bulk integral is skipped (its value would be exactly 0).
+    Only the double layer needs the normal, so only then does a call build
+    its surface frame and dG/dnu'; a call with no single layer returns
+    dG/dnu' c_n p3 J0 alone.  Each integrand
+    declares its ``columns``, one per grid point, and a call f(x, cols,
+    counts) takes the nodes of a round's panels stacked, panel k for the
+    next counts[k] of the ascending grid-point indices ``cols``.  Each
+    node's own work is done once: its mid-surface point (on the identity
+    map, without a double layer, the planar node itself, see
     :func:`_film_points`), its surface frame and each density.  One
     :func:`_kernel` call then computes the Green kernel once per (node,
-    point) pair, scaled by the densities, into the integral's reused
-    buffer, in (panel, point, node) rows (len(cols), n); every step is per
-    node and point, so each panel's rows are those of a call on it alone
-    with every point.  A plain call f(x) is one panel with every point and
-    returns (N, M), the transpose.  The returned array is valid only until
-    the next call.
+    point) pair, scaled by the densities, in (panel, point, node) rows
+    (len(cols), n); every step is per node and point, so each panel's rows
+    are those of a call on it alone with every point.  A plain call f(x) is
+    one panel with every point and returns (N, M), the transpose.  The bulk
+    and edge integrals share one kernel and its buffer, so a returned array
+    is valid only until the next call.
 
     The edges run only when c_p is non-zero; the bulk integral then takes
-    tol/2, and each edge is one adaptive integral of c_p G (rho + (J0
-    p_p).n) over the whole edge in parameter arc length at tol/8 (four
-    edges).  The outward normal is a signed coordinate axis, so (J0 p_p).n
-    is that column of the planar polarization times the sign, exactly the
-    dot product up to the sign of a zero.  Folding the normal into the
-    catalog weights would save evaluating the other column, but turns the
-    catalog's matrix product into a matrix-vector one, which numpy's BLAS
-    rounds differently.
+    tol/2, and each edge is one adaptive integral of G (rho + (J0 p_p).n)
+    over the whole edge in parameter arc length at tol/8 (four edges), its
+    value times c_p.  The outward normal is a signed coordinate axis, so
+    (J0 p_p).n is that column of the planar polarization times the sign,
+    exactly the dot product up to the sign of a zero.  Folding the normal
+    into the catalog weights would save evaluating the other column, but
+    turns the catalog's matrix product into a matrix-vector one, which
+    numpy's BLAS rounds differently.
     """
     c_q, c_p, c_n = regime.limit_weights()
     charge, div, normal = fields.charge_weighted, fields.div_pol_planar_weighted, fields.pol_normal_weighted
-    single = [f.scaled(c) for f, c in ((charge, c_q), (div, -c_p)) if c != 0.0 and not f.is_zero]
-    double = normal.scaled(c_n) if c_n != 0.0 and not normal.is_zero else None
-    rows = np.ascontiguousarray(grid.points.T)  # one contiguous row per component
-    kernel = _kernel(rows, normals=double is not None)
+    c_q = 0.0 if charge.is_zero else c_q
+    c_b = 0.0 if div.is_zero else c_p
+    c_n = 0.0 if normal.is_zero else c_n
+    kernel = _kernel(np.ascontiguousarray(grid.points.T))  # one contiguous row per component
     film_points = _film_points(pmap)
     every, one_panel = np.arange(grid.n_points), np.array([grid.n_points])
 
@@ -553,26 +557,25 @@ def homogenized_potential(
         plain = cols is None  # f(x): one panel, every point, values (n, M)
         if plain:
             cols, counts = every, one_panel
-        density = None
-        if single:
-            density = single[0](x_p)
-            if len(single) == 2:
-                density += single[1](x_p)
-        if double is None:
+        density = _weighted(charge, c_q, x_p) if c_q != 0.0 else None
+        if c_b != 0.0:
+            bound = _weighted(div, c_b, x_p)
+            # with no free charge, 0.0 - c_p div: +0.0 where the bound charge is 0
+            density = np.subtract(0.0 if density is None else density, bound, out=bound)
+        if c_n == 0.0:
             values = kernel(film_points(x_p), cols, counts, density)
         else:
             fr = surface_frame(pmap, x_p)
-            values = kernel(fr.point, cols, counts, density, fr.normal, double(x_p))
+            values = kernel(fr.point, cols, counts, density, fr.normal, _weighted(normal, c_n, x_p))
         return values.T if plain else values
 
     integrand.columns = grid.n_points
     dom = pmap.domain
     values = np.zeros(grid.n_points)
-    if single or double is not None:
+    if c_q != 0.0 or c_b != 0.0 or c_n != 0.0:
         values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=0.5 * tol if c_p else tol, max_depth=max_depth)
     if c_p != 0.0:
         total = np.zeros(grid.n_points)
-        edge_kernel = _kernel(rows, normals=False)
         for edge in dom.edges():
 
             def edge_integrand(
@@ -583,7 +586,7 @@ def homogenized_potential(
                     cols, counts = every, one_panel
                 x_p = edge.points(s)
                 density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
-                values = edge_kernel(film_points(x_p), cols, counts, density)
+                values = kernel(film_points(x_p), cols, counts, density)
                 return values.T if plain else values
 
             edge_integrand.columns = grid.n_points

@@ -255,9 +255,11 @@ def run_gauge(
 
     The physical atoms are generated once from the motif on choice A; choice
     B sees them through exact re-binning.  The report carries the largest
-    difference of the two planar polarization fields at B's full-cell
-    corners (demonstrating that the moments differ) and both limit
-    potentials on the grid (demonstrating that the potential does not).
+    difference |J0 p_p(A) - J0 p_p(B)| of the two J0-premultiplied planar
+    polarization fields at B's full-cell corners (demonstrating that the
+    moments differ; no J0 division, so a vanishing J0, as on the polar axis
+    of a disk, does not inflate it) and both limit potentials on the grid
+    (demonstrating that the potential does not).
     """
     if regime.kind == "R3":
         raise ValueError("the gauge study compares the R1/R2 limit forms")
@@ -278,8 +280,8 @@ def run_gauge(
     )
 
     corners = tess_b.corners[: tess_b.n_full]
-    diffs = np.linalg.norm(fields_a.p_p(corners) - fields_b.p_p(corners), axis=-1)
-    max_moment = float(np.max(diffs[~np.isnan(diffs)], initial=0.0))  # NaN: no frame at the corner
+    diffs = np.linalg.norm(fields_a.pol_planar_weighted(corners) - fields_b.pol_planar_weighted(corners), axis=-1)
+    max_moment = float(np.max(diffs, initial=0.0))
     max_potential = float(np.max(np.abs(field_a.values - field_b.values)))
     return GaugeReport(
         field_a=field_a,

@@ -10,7 +10,7 @@ brute-force constructions the acceptance criteria and unit tests use.
 - ``sample``: uniform random points of a parameter rectangle.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
   with the bound-charge divergence differenced centrally, each wrapped in a
-  ``RawField`` that scales its values after evaluating them.
+  ``RawField`` that states whether it is zero.
 - ``modulation_gradient``: the analytic planar gradient of a weight
   modulation.
 - ``loop_fields``: the limit moment fields as one loop over motif points,
@@ -31,8 +31,9 @@ brute-force constructions the acceptance criteria and unit tests use.
   observation point.
 - ``unfolded_bulk_integrand`` / ``unfolded_edge_integrand``: the panel
   integrands of ``homogenized_potential`` with every density evaluated from
-  the public field callables and then scaled by its regime weight, which the
-  folded catalog evaluations must reproduce.
+  the public field callables and then scaled by its regime weight, one
+  kernel per integrand, which the library's shared kernel must reproduce
+  byte for byte.
 - ``per_panel_estimates``: the one-shot Gauss estimate of each box, its
   weighted values summed over the nodes by halving, one box and one
   integrand call at a time, which the quadrature's stacked reduction must
@@ -170,18 +171,14 @@ def surface_divergence_term(
 
 
 class RawField:
-    """A field from a raw callable with the ``scaled`` and ``is_zero`` of a
-    catalog field: ``scaled(c)`` evaluates the callable, then multiplies by
-    c, and ``is_zero`` is what the caller states."""
+    """A field from a raw callable with the ``is_zero`` of a catalog field,
+    which is what the caller states."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], is_zero: bool):
         self.fn, self.is_zero = fn, is_zero
 
     def __call__(self, x_p: np.ndarray) -> np.ndarray:
         return self.fn(x_p)
-
-    def scaled(self, factor: float) -> "RawField":
-        return RawField(lambda x_p: factor * self.fn(x_p), self.is_zero)
 
 
 def prescribed_fields(
@@ -226,7 +223,6 @@ def prescribed_fields(
     lines = boundary_charge or {}
     edges = {e.name: RawField(lines.get(e.name, zero_scalar), e.name not in lines) for e in pmap.domain.edges()}
     return MomentFields(
-        pmap=pmap,
         charge_weighted=RawField(weighted_scalar(q) if q is not None else zero_scalar, q is None),
         pol_planar_weighted=RawField(pol_planar_weighted, p_p is None),
         pol_normal_weighted=RawField(weighted_scalar(p3) if p3 is not None else zero_scalar, p3 is None),
@@ -461,7 +457,7 @@ def unfolded_bulk_integrand(fields: MomentFields, regime, pmap: ParametricMap, p
     c_q = 0.0 if fields.charge_weighted.is_zero else c_q
     c_b = 0.0 if fields.div_pol_planar_weighted.is_zero else c_p
     c_n = 0.0 if fields.pol_normal_weighted.is_zero else c_n
-    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=c_n != 0.0)
+    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T))
     every, one_panel = np.arange(len(points)), np.array([len(points)])
 
     def integrand(x_p):
@@ -482,7 +478,7 @@ def unfolded_edge_integrand(fields: MomentFields, pmap: ParametricMap, points: n
     """The edge integrand G (rho + (J0 p_p).n) in arc length ``s`` (N,)
     along ``edge``, with the polarization dotted with the edge normal
     after its evaluation.  Returns (N, M), a view of the kernel's buffer."""
-    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T), normals=False)
+    kernel = _kernel(np.ascontiguousarray(np.asarray(points, float).T))
     rho, normal = fields.boundary_charge[edge.name], np.asarray(edge.normal, float)
     every, one_panel = np.arange(len(points)), np.array([len(points)])
 

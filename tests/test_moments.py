@@ -150,8 +150,8 @@ class TestMomentFields:
     def test_constant_dipole_fields(self):
         fields = moment_fields(PLANAR_DIPOLE, SQUARE, IDENT, 0.25)
         pts = np.array([[0.1, 0.2], [0.9, 0.7]])
-        np.testing.assert_allclose(fields.p_p(pts), [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
-        # identity map, J0 = 1: the weighted fields are q and p3
+        # identity map, J0 = 1: the weighted fields are p_p, q and p3
+        np.testing.assert_allclose(fields.pol_planar_weighted(pts), [[0.5, 0.0], [0.5, 0.0]], atol=1e-15)
         np.testing.assert_allclose(fields.charge_weighted(pts), [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(fields.pol_normal_weighted(pts), [0.0, 0.0], atol=1e-15)
         bulk_source = fields.charge_weighted(pts) - fields.div_pol_planar_weighted(pts)
@@ -167,8 +167,8 @@ class TestMomentFields:
         )
         fields = moment_fields(motif, SQUARE, IDENT, 0.25)
         x = np.array([[0.3, 0.5], [0.8, 0.1]])
-        np.testing.assert_allclose(fields.p_p(x)[:, 0], 0.5 * np.sin(np.pi * x[:, 0]), atol=1e-14)
-        np.testing.assert_allclose(fields.p_p(x)[:, 1], 0.0, atol=1e-14)
+        np.testing.assert_allclose(fields.pol_planar_weighted(x)[:, 0], 0.5 * np.sin(np.pi * x[:, 0]), atol=1e-14)
+        np.testing.assert_allclose(fields.pol_planar_weighted(x)[:, 1], 0.0, atol=1e-14)
         # bound charge: -div(J0 p) consistent with the analytic derivative
         np.testing.assert_allclose(
             fields.div_pol_planar_weighted(x), 0.5 * np.pi * np.cos(np.pi * x[:, 0]), atol=1e-14

@@ -711,7 +711,7 @@ _TERM_MOTIFS = {
 }
 _TERM_SETS = [terms for k in (1, 2, 3) for terms in itertools.combinations(("free", "bound", "normal"), k)]
 DISK = ParametricMap.polar_disk(1.0)
-_FOLD_MAPS = {
+_INTEGRAND_MAPS = {
     "identity": (IDENT, [[0.2, 0.7, 0.6], [1.3, 0.4, 0.2], [0.5, 0.5, -0.3]]),
     "cylinder": (CYLINDER, [[0.0, 0.5, 2.4], [0.3, 0.2, 1.5], [1.9, 0.9, 0.1]]),
     "disk": (DISK, [[0.2, 0.1, 0.5], [-0.9, 0.6, 0.3], [1.4, -0.2, 0.0]]),
@@ -751,7 +751,7 @@ def _integrand_pairs(monkeypatch, terms, map_name, regime):
     """(integrand, unfolded integrand, panel nodes) of the bulk, if it runs,
     on the domain and four sub-boxes, then of each edge on the whole edge
     and its two halves; and the fields and grid they integrate."""
-    pmap, points = _FOLD_MAPS[map_name]
+    pmap, points = _INTEGRAND_MAPS[map_name]
     fields = _term_fields(terms, pmap)
     grid = ObservationGrid.from_points(points, pmap)
     bulk, edges = _captured_integrands(monkeypatch, fields, regime, pmap, grid)
@@ -772,42 +772,17 @@ def _integrand_pairs(monkeypatch, terms, map_name, regime):
     return triples, fields, grid
 
 
-def _abs_terms(field, x):
-    """sum_k |w_k| (|a_k| + |b_k|.|x| + |v_k trig(Theta_k)|) at points x, the
-    scale of the terms that the catalog ``field`` sums, scaled or not."""
-    rows, weights, trig = field.rows, field.weights, field.trig
-    wave = np.abs(rows[:, 3] * trig(x @ rows[:, 4:6].T + rows[:, 6]))
-    return (np.abs(rows[:, 0]) + np.abs(x) @ np.abs(rows[:, 1:3]).T + wave) @ np.abs(weights)
+class TestIntegrandsAgainstReference:
+    """Each density is evaluated, then multiplied by its regime weight; per
+    panel this reproduces the integrands of ``reference.py`` bit for bit,
+    for any weights."""
 
-
-def _term_scale(fields, regime, pmap, grid, nodes):
-    """Per node and point: G times the weighted scale of the single-layer
-    terms plus |dG/dnu'| times that of the double layer."""
-    c_q, c_p, c_n = regime.limit_weights()
-    frame = surface_frame(pmap, nodes)
-    G, dGn = _green(np.ascontiguousarray(grid.points.T), frame.point, np.arange(grid.n_points), frame.normal)
-    single = np.zeros(len(nodes))
-    if not fields.charge_weighted.is_zero:
-        single += c_q * _abs_terms(fields.charge_weighted, nodes)
-    if not fields.div_pol_planar_weighted.is_zero:
-        single += c_p * _abs_terms(fields.div_pol_planar_weighted, nodes)
-    scale = G * single[:, None]
-    if not fields.pol_normal_weighted.is_zero:
-        scale += np.abs(dGn) * (c_n * _abs_terms(fields.pol_normal_weighted, nodes))[:, None]
-    return scale
-
-
-class TestFoldedIntegrands:
-    """Each density is one catalog evaluation with its regime weight folded
-    in; per panel this reproduces the unfolded integrands of
-    ``reference.py`` bit for bit when the weights are powers of two."""
-
-    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("map_name", sorted(_INTEGRAND_MAPS))
     @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
     @pytest.mark.parametrize(
         "regime",
-        [Regime("R1"), Regime("R2", alpha=1.0), Regime("R2", alpha=0.5), Regime("R3")],
-        ids=["R1", "R2-1", "R2-0.5", "R3"],
+        [Regime("R1"), Regime("R2", alpha=1.0), Regime("R2", alpha=0.5), Regime("R2", alpha=0.7), Regime("R3")],
+        ids=["R1", "R2-1", "R2-0.5", "R2-0.7", "R3"],
     )
     def test_bitwise_per_panel(self, monkeypatch, terms, map_name, regime):
         triples, _, _ = _integrand_pairs(monkeypatch, terms, map_name, regime)
@@ -815,34 +790,27 @@ class TestFoldedIntegrands:
             for nodes in panels:
                 assert integrand(nodes).tobytes() == oracle(nodes).tobytes()
 
-    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("map_name", sorted(_INTEGRAND_MAPS))
     @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
-    def test_within_two_ulps_of_the_term_scale_for_alpha_0_7(self, monkeypatch, terms, map_name):
-        # c = 0.7 and 0.49 round when folded into the weights; the largest
-        # difference measured over these panels is 2.0 ulp of the term scale
-        regime, pmap = Regime("R2", alpha=0.7), _FOLD_MAPS[map_name][0]
-        ((bulk, oracle, panels), *edges), fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
-        for nodes in panels:
-            diff = np.abs(bulk(nodes) - oracle(nodes))
-            assert np.all(diff <= 2.0 * np.spacing(_term_scale(fields, regime, pmap, grid, nodes)))
-        for integrand, oracle, panels in edges:  # the edges fold no weight
-            for nodes in panels:
-                assert integrand(nodes).tobytes() == oracle(nodes).tobytes()
-
-    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
-    @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
-    def test_within_four_ulps_of_the_term_scale_on_random_boxes_for_alpha_0_7(self, monkeypatch, terms, map_name):
-        # the README's bound: the largest difference measured on random
-        # sub-boxes is 3.0 ulp of the term scale (2 x 1000 boxes per case)
-        regime, pmap = Regime("R2", alpha=0.7), _FOLD_MAPS[map_name][0]
-        ((bulk, oracle, _), *_), fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
+    def test_bitwise_on_random_boxes_for_alpha_0_7(self, monkeypatch, terms, map_name):
+        # c = 0.7 and 0.49 are not powers of two: a weight folded into the
+        # catalog weights would round once more than one applied afterwards
+        regime, pmap = Regime("R2", alpha=0.7), _INTEGRAND_MAPS[map_name][0]
+        ((bulk, oracle, _), *_), _, _ = _integrand_pairs(monkeypatch, terms, map_name, regime)
         lo, hi = np.asarray(pmap.domain.lo, float), np.asarray(pmap.domain.hi, float)
         rng = np.random.default_rng(3)
         a = lo + (hi - lo) * rng.uniform(0.0, 0.9, (64, 2))
         b = np.minimum(a + (hi - lo) * rng.uniform(0.01, 0.5, (64, 2)), hi)
         for nodes in _panels(a, b)[0]:
-            diff = np.abs(bulk(nodes) - oracle(nodes))
-            assert np.all(diff <= 4.0 * np.spacing(_term_scale(fields, regime, pmap, grid, nodes)))
+            assert bulk(nodes).tobytes() == oracle(nodes).tobytes()
+
+    def test_bulk_and_edges_share_one_kernel_buffer(self, monkeypatch):
+        """One potential builds one kernel: its double-layer bulk and its edges write
+        into the same buffer."""
+        triples, _, _ = _integrand_pairs(monkeypatch, ("free", "bound", "normal"), "cylinder", Regime("R2", alpha=0.7))
+        (bulk, _, bulk_panels), *edges = triples
+        values = bulk(bulk_panels[0])
+        assert all(np.shares_memory(values, edge(panels[0])) for edge, _, panels in edges)
 
     @pytest.mark.parametrize("terms", [("free",), ("bound",), ("free", "bound")], ids="+".join)
     def test_identity_map_integrands_take_planar_nodes(self, monkeypatch, terms):
@@ -868,7 +836,7 @@ class TestFoldedIntegrands:
         cylinder_bulk(cylinder_panels[0])
         assert calls == [64]  # other maps still map their nodes
 
-    @pytest.mark.parametrize("map_name", sorted(_FOLD_MAPS))
+    @pytest.mark.parametrize("map_name", sorted(_INTEGRAND_MAPS))
     @pytest.mark.parametrize("terms", _TERM_SETS, ids="+".join)
     @pytest.mark.parametrize(
         "regime",
@@ -881,9 +849,6 @@ class TestFoldedIntegrands:
         # takes the values back in (panel, column, node) order: the domain's five panels,
         # then random boxes up to STACK_PAIRS node x column pairs (the bulk) or 64 panels
         # (an edge), every panel on every column, one, two, or a random subset of its own.
-        # Being the per-panel bytes of those columns, the alpha = 0.7 fold differs from the
-        # unfolded integrand as much as per panel: at most 2.0 ulp of the term scale measured
-        # on the five panels, 3.0 ulp on these random boxes.
         triples, fields, grid = _integrand_pairs(monkeypatch, terms, map_name, regime)
         rng = np.random.default_rng(11)
         every = np.arange(grid.n_points)
@@ -990,8 +955,8 @@ class TestDecay:
 def _green(rows, point, cols, normal):
     """G and dG/dnu' (N, len(cols)) at one panel's nodes, from the kernel with unit densities."""
     one, ones = [len(cols)], np.ones(len(point))
-    G = _kernel(rows, normals=False)(point, cols, one, ones)
-    dGn = _kernel(rows, normals=True)(point, cols, one, None, normal, ones)
+    G = _kernel(rows)(point, cols, one, ones)
+    dGn = _kernel(rows)(point, cols, one, None, normal, ones)
     return G.T.copy(), dGn.T.copy()
 
 
@@ -1017,7 +982,7 @@ class TestComponentwiseDistances:
         # densities scale each term, each product rounded before the sum
         rng_d = np.random.default_rng(4)
         q, p3 = rng_d.uniform(-1.0, 1.0, 200), rng_d.uniform(-1.0, 1.0, 200)
-        both = _kernel(rows, normals=True)(fr.point, every, one_panel, q, fr.normal, p3)
+        both = _kernel(rows)(fr.point, every, one_panel, q, fr.normal, p3)
         assert both.T.tobytes() == (G * q[:, None] + dGn * p3[:, None]).tobytes()
 
     @pytest.mark.parametrize("normals", [False, True])
@@ -1039,8 +1004,8 @@ class TestComponentwiseDistances:
             return kernel(fr.point[: 64 * k], cols, counts, q[: 64 * k])
 
         every = np.arange(25)
-        full = call(_kernel(rows, normals=normals), 3, every, [25]).copy()  # one panel of 192 nodes
-        kernel = _kernel(rows, normals=normals)
+        full = call(_kernel(rows), 3, every, [25]).copy()  # one panel of 192 nodes
+        kernel = _kernel(rows)
         for own in ([[7]] * 3, [[0, 24]] * 3, [[3, 4, 5, 11, 20]] * 3, [every] * 3, [[7], every, [0, 24]], [[7]] * 3):
             own = [np.array(c) for c in own]
             for k in (3, 1):  # all three panels stacked, then the first alone
@@ -1052,36 +1017,41 @@ class TestComponentwiseDistances:
         """Planar points (N, 2) are the points (x1, x2, 0): dz is the rows' z, so G
         is bitwise that of the embedded points for rows with z = +0.0, -0.0, < 0
         and > 0, on one panel or several stacked, through one buffer shared with
-        embedded calls and made again for more pairs."""
+        embedded and double-layer calls and made again for more pairs."""
         rng = np.random.default_rng(5)
         obs = rng.uniform(-1.0, 2.0, (16, 3))
         obs[:4, 2], obs[4:8, 2], obs[8:12, 2] = 0.0, -0.0, -rng.uniform(0.01, 1.0, 4)
         assert np.signbit(obs[4:8, 2]).all()
         rows = np.ascontiguousarray(obs.T)
-        for normals in (False, True):
-            kernel = _kernel(rows, normals=normals)
-            for n, panels, cols in ((64, 1, range(16)), (8, 4, range(16)), (64, 16, [5]), (64, 2, [4, 9]), (64, 32, range(16))):
-                cols, counts = np.tile(cols, panels), np.full(panels, len(cols))
-                x_p = rng.uniform(0.0, 1.0, (n * panels, 2))
-                density = rng.uniform(-1.0, 1.0, n * panels)
-                expected = _kernel(rows, normals=normals)(ParametricMap._embed(x_p), cols, counts, density).copy()
-                assert kernel(x_p, cols, counts, density).tobytes() == expected.tobytes()
-                assert kernel(ParametricMap._embed(x_p), cols, counts, density).tobytes() == expected.tobytes()
+        kernel = _kernel(rows)
+        for n, panels, cols in ((64, 1, range(16)), (8, 4, range(16)), (64, 16, [5]), (64, 2, [4, 9]), (64, 32, range(16))):
+            cols, counts = np.tile(cols, panels), np.full(panels, len(cols))
+            x_p = rng.uniform(0.0, 1.0, (n * panels, 2))
+            density = rng.uniform(-1.0, 1.0, n * panels)
+            embedded = ParametricMap._embed(x_p)
+            expected = _kernel(rows)(embedded, cols, counts, density).copy()
+            assert kernel(x_p, cols, counts, density).tobytes() == expected.tobytes()
+            kernel(embedded, cols, counts, density, np.tile([0.0, 0.0, 1.0], (len(x_p), 1)), density)  # six slabs
+            assert kernel(embedded, cols, counts, density).tobytes() == expected.tobytes()
 
     def test_reused_buffers_give_the_bytes_of_fresh_ones(self):
-        """One kernel over several panels, node counts and column subsets gives the bytes
-        of a fresh kernel per panel; every call writes into one buffer, made again only
-        for more node x column pairs than it holds."""
+        """One kernel over several panels, node counts, column subsets and calls with
+        and without a double layer (as the bulk and edge integrals of one potential
+        share it) gives the bytes of a fresh kernel per panel; every call writes into
+        one buffer, made again only for more slabs of node x column pairs than it holds."""
         rng = np.random.default_rng(4)
         rows = np.ascontiguousarray(rng.uniform(-1.0, 2.0, (9, 3)).T)
-        kernel = _kernel(rows, normals=True)
+        kernel = _kernel(rows)
         results = []
-        for n, cols in ((64, range(9)), (8, [2]), (64, [0, 3, 5]), (1024, range(9)), (8, [1, 2]), (320, range(9))):
+        # the buffer holds 6 x 64 x 9 values for the first three calls, then 3 x 1024 x 9
+        calls = [(64, range(9), 1), (8, [2], 0), (64, [0, 3, 5], 1), (1024, range(9), 0), (8, [1, 2], 1), (320, range(9), 1)]
+        for n, cols, layer in calls:
             cols = np.array(cols)
             fr = surface_frame(self.CYL, rng.uniform(0.0, 1.0, (n, 2)))
             q, p3 = rng.uniform(-1.0, 1.0, (2, n))
-            G = kernel(fr.point, cols, [len(cols)], q, fr.normal, p3)
-            G_ref = _kernel(rows, normals=True)(fr.point, cols, [len(cols)], q, fr.normal, p3)
+            double = (fr.normal, p3) if layer else ()
+            G = kernel(fr.point, cols, [len(cols)], q, *double)
+            G_ref = _kernel(rows)(fr.point, cols, [len(cols)], q, *double)
             assert G.flags.c_contiguous
             assert G.tobytes() == G_ref.tobytes()
             results.append(G)

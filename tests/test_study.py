@@ -303,7 +303,8 @@ class TestGauge:
 
 # configs/gauge_half_shift.json (planar dipole, square against half-shifted cells,
 # R2 alpha = 1, l = 1/4) with one change each; name: (entries, max_moment_diff,
-# relative tolerance).  Values through sin, cos or sqrt get 1e-14 for another libm.
+# relative tolerance).  max_moment_diff compares J0 p_p, which is constant for
+# constant weights on every map; values through sin or cos get 1e-14 for another libm.
 _GAUGE_SINUSOID = {"kind": "sinusoid", "value": 1.0, "coef": [6.28, 3.14], "phase": 0.3}
 _GAUGE_POINTS = [{"w": p.w, "y": list(p.y), "z": p.z} for p in PLANAR_DIPOLE.points]
 GAUGE_HALF_SHIFT = {
@@ -313,7 +314,7 @@ GAUGE_HALF_SHIFT = {
     "schedule": {"l": [0.25]},
 }
 GAUGE_VARIANTS = {
-    "scaled": ({"map": {"kind": "scaled", "factors": [2.0, 1.0, 1.0]}}, 0.5, 0.0),
+    "scaled": ({"map": {"kind": "scaled", "factors": [2.0, 1.0, 1.0]}}, 1.0, 0.0),
     "sheared": (
         {"cell": {"e2": [0.5, 1.0]}, "cell_b": {"e2": [0.5, 1.0], "f": [0.5, 0.5]}, "schedule": {"l": [0.125]}},
         1.0,
@@ -325,12 +326,17 @@ GAUGE_VARIANTS = {
         0.0,
     ),
     "free_point": ({"motif": {"points": _GAUGE_POINTS, "free_points": [{"w": 0.5, "y": [0.5, 0.4]}]}}, 1.0, 0.0),
-    "cylinder": ({"map": {"kind": "cylinder", "radius": 2.0}}, 1.0000000000000002, 1e-14),
-    "disk": (
-        {"map": {"kind": "disk"}, "schedule": {"l": [0.125]}, "grid": {"kind": "plane", "n": [3, 3], "height": 1.0}},
-        16.000000000000004,
-        1e-14,
-    ),
+    "cylinder": ({"map": {"kind": "cylinder", "radius": 2.0}}, 1.0, 0.0),
+    # on the polar disk J0 = x1 is l/2 at the full-cell corners nearest the axis,
+    # where |p_p(A) - p_p(B)| = |J0 dp_p| / J0 would read 2/l
+    **{
+        f"disk_l{round(1 / l)}": (
+            {"map": {"kind": "disk"}, "schedule": {"l": [l]}, "grid": {"kind": "plane", "n": [3, 3], "height": 1.0}},
+            1.0,
+            0.0,
+        )
+        for l in (1 / 8, 1 / 16, 1 / 32)
+    },
     "sinusoid": (
         {"motif": {"points": [dict(p, modulation=_GAUGE_SINUSOID) for p in _GAUGE_POINTS]}},
         1.1412809464127993,
@@ -341,7 +347,8 @@ GAUGE_VARIANTS = {
 
 @pytest.mark.parametrize("name", list(GAUGE_VARIANTS))
 def test_gauge_max_moment_diff_of_variants(name):
-    """The two choices' planar polarization fields differ by these amounts at B's full-cell corners."""
+    """The two choices' J0-premultiplied planar polarization fields differ by these
+    amounts at B's full-cell corners."""
     entries, expected, rel = GAUGE_VARIANTS[name]
     cfg = build_config({**GAUGE_HALF_SHIFT, **entries})
     l, h = cfg.schedule[0]
