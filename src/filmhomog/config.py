@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .charge import Modulation, Motif, MotifPoint, Regime
-from .errors import ParseError, UnsupportedModulation, ValidationError
+from .errors import ParseError, StandoffViolation, UnsupportedModulation, ValidationError
 from .geometry import ParametricMap, Rectangle
 from .lattice import UnitCellChoice
 from .potential import ObservationGrid
@@ -220,7 +220,7 @@ def build_config(raw: dict) -> ScenarioConfig:
         def build_grid():
             try:
                 return _build_grid(raw.get("grid", {}), pmap)
-            except Exception as exc:
+            except StandoffViolation as exc:
                 raise ValueError(
                     f"{exc} (standoff rule: observation points must keep a positive "
                     "distance from the film)"

@@ -8,7 +8,7 @@ needed downstream are:
     J0(xp) = |d1 psi0 x d2 psi0|           surface Jacobian of the mid-surface
     nu     = unit normal of the mid-surface (oriented by the parameterization)
 
-Every map carries its analytic differential.
+Every map carries the analytic tangents d1 psi0, d2 psi0 of its mid-surface.
 """
 
 from __future__ import annotations
@@ -95,20 +95,18 @@ class SurfaceFrame:
     """Mid-surface frame at one or many parameter points."""
 
     point: np.ndarray        # (..., 3) physical position on the mid-surface
-    tangent1: np.ndarray     # (..., 3) d psi0 / d x1
-    tangent2: np.ndarray     # (..., 3) d psi0 / d x2
     normal: np.ndarray       # (..., 3) unit normal
-    j0: np.ndarray           # (...,)  surface Jacobian
 
 
 class ParametricMap:
-    """Smooth parameterization of the film with its differential.
+    """Smooth parameterization of the film with its mid-surface tangents.
 
     Use the factory constructors (:meth:`identity`, :meth:`cylinder`,
-    :meth:`polar_disk`, :meth:`scaled`), or pass a mapping together with its
-    analytic differential (..., 3) -> (..., 3, 3) and ``lipschitz``, a bound
-    on the spectral norm of D psi0 over T.  The bound makes the standoff of
-    an observation grid certifiable (|psi0(x) - psi0(y)| <= lipschitz *
+    :meth:`polar_disk`, :meth:`scaled`), or pass a mapping together with the
+    analytic tangents of its mid-surface, (..., 2) -> (..., 3, 2) with
+    columns d1 psi0 and d2 psi0, and ``lipschitz``, a bound on the spectral
+    norm of D psi0 = (d1 psi0, d2 psi0) over T.  The bound makes the standoff
+    of an observation grid certifiable (|psi0(x) - psi0(y)| <= lipschitz *
     |x - y| on every parameter cell); it is never sampled, as a sampled
     bound certifies nothing.  A map whose tangents differ much in length, or
     vary over T, may also pass ``cell_lipschitz``: (lo, hi) boxes (K, 2) ->
@@ -126,7 +124,7 @@ class ParametricMap:
         self,
         domain: Rectangle,
         mapping: Callable[[np.ndarray], np.ndarray],
-        differential: Callable[[np.ndarray], np.ndarray],
+        tangents: Callable[[np.ndarray], np.ndarray],
         lipschitz: float,
         h_max: float = math.inf,
         cell_lipschitz: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
@@ -137,7 +135,7 @@ class ParametricMap:
         self.lipschitz = float(lipschitz)
         self.h_max = float(h_max)
         self._map = mapping
-        self._diff = differential
+        self._tangents = tangents
         self._cell_lipschitz = cell_lipschitz
 
     # ---------------- factories ----------------
@@ -145,14 +143,14 @@ class ParametricMap:
     @classmethod
     def identity(cls, domain: Rectangle) -> "ParametricMap":
         """Flat film: psi = id, mid-surface is T x {0}."""
-        eye = np.eye(3)
+        eye = np.eye(3)[:, :2]
 
-        def differential(x):
-            D = np.empty(np.shape(x)[:-1] + (3, 3))
-            D[...] = eye
-            return D
+        def tangents(x_p):
+            T = np.empty(x_p.shape[:-1] + (3, 2))
+            T[...] = eye
+            return T
 
-        return cls(domain, _identity, differential, lipschitz=1.0)
+        return cls(domain, _identity, tangents, lipschitz=1.0)
 
     @classmethod
     def cylinder(cls, domain: Rectangle, radius: float, h_max: Optional[float] = None) -> "ParametricMap":
@@ -180,20 +178,15 @@ class ParametricMap:
             r = R + x[..., 2]
             return np.stack([r * np.cos(ang), r * np.sin(ang), x[..., 1]], axis=-1)
 
-        def differential(x):
-            x = np.asarray(x, float)
-            ang = x[..., 0] / R
-            c, s = np.cos(ang), np.sin(ang)
-            r = R + x[..., 2]
-            D = np.zeros(x.shape[:-1] + (3, 3))
-            D[..., 0, 0] = -r / R * s
-            D[..., 1, 0] = r / R * c
-            D[..., 2, 1] = 1.0
-            D[..., 0, 2] = c
-            D[..., 1, 2] = s
-            return D
+        def tangents(x_p):
+            ang = x_p[..., 0] / R
+            T = np.zeros(x_p.shape[:-1] + (3, 2))
+            T[..., 0, 0] = -np.sin(ang)
+            T[..., 1, 0] = np.cos(ang)
+            T[..., 2, 1] = 1.0
+            return T
 
-        return cls(domain, mapping, differential, lipschitz=1.0, h_max=hm)  # orthonormal tangents
+        return cls(domain, mapping, tangents, lipschitz=1.0, h_max=hm)  # orthonormal tangents
 
     @classmethod
     def polar_disk(cls, radius: float = 1.0) -> "ParametricMap":
@@ -201,8 +194,11 @@ class ParametricMap:
 
         T = [0, radius] x [0, 2 pi]; J0 = x1 degenerates on the x1 = 0 edge
         only, which carries zero measure and is never hit by Gauss nodes.
+        ValueError unless the radius is finite and positive.
         """
         R = float(radius)
+        if not (math.isfinite(R) and R > 0):
+            raise ValueError(f"polar disk radius must be finite and positive, got {R!r}")
         domain = Rectangle((0.0, 0.0), (R, 2.0 * math.pi))
 
         def mapping(x):
@@ -212,21 +208,19 @@ class ParametricMap:
                 axis=-1,
             )
 
-        def differential(x):
-            x = np.asarray(x, float)
-            c, s = np.cos(x[..., 1]), np.sin(x[..., 1])
-            D = np.zeros(x.shape[:-1] + (3, 3))
-            D[..., 0, 0] = c
-            D[..., 1, 0] = s
-            D[..., 0, 1] = -x[..., 0] * s
-            D[..., 1, 1] = x[..., 0] * c
-            D[..., 2, 2] = 1.0
-            return D
+        def tangents(x_p):
+            c, s = np.cos(x_p[..., 1]), np.sin(x_p[..., 1])
+            T = np.zeros(x_p.shape[:-1] + (3, 2))
+            T[..., 0, 0] = c
+            T[..., 1, 0] = s
+            T[..., 0, 1] = -x_p[..., 0] * s
+            T[..., 1, 1] = x_p[..., 0] * c
+            return T
 
         def cell_lipschitz(lo, hi):  # orthogonal tangents of norms 1 and x1 >= 0
             return np.stack([np.ones(len(hi)), hi[:, 0]], axis=-1)
 
-        return cls(domain, mapping, differential, lipschitz=max(1.0, R), cell_lipschitz=cell_lipschitz)
+        return cls(domain, mapping, tangents, lipschitz=max(1.0, R), cell_lipschitz=cell_lipschitz)
 
     @classmethod
     def scaled(cls, domain: Rectangle, factors: Sequence[float]) -> "ParametricMap":
@@ -235,16 +229,15 @@ class ParametricMap:
         a = np.asarray(factors, float)
         if a.shape != (3,) or not (np.isfinite(a).all() and a.all()):
             raise ValueError(f"scaled map needs three finite, non-zero factors, got {a.tolist()!r}")
-        D0 = np.diag(a)
+        D0 = np.diag(a)[:, :2]
 
         def mapping(x):
             return np.asarray(x, float) * a
 
-        def differential(x):
-            x = np.asarray(x, float)
-            return np.broadcast_to(D0, x.shape[:-1] + (3, 3)).copy()
+        def tangents(x_p):
+            return np.broadcast_to(D0, x_p.shape[:-1] + (3, 2)).copy()
 
-        return cls(domain, mapping, differential, lipschitz=max(abs(a[0]), abs(a[1])))
+        return cls(domain, mapping, tangents, lipschitz=max(abs(a[0]), abs(a[1])))
 
     # ---------------- evaluation ----------------
 
@@ -260,12 +253,15 @@ class ParametricMap:
     def midsurface(self, x_p: np.ndarray) -> np.ndarray:
         """psi0 at planar parameter points (..., 2); on the identity map the
         embedded points (x1, x2, 0) themselves, a new array with no second copy."""
-        x = self._embed(x_p)
+        x_p = np.asarray(x_p, float)
+        x = np.zeros(x_p.shape[:-1] + (3,))
+        x[..., :2] = x_p
         return x if self.is_identity else self.evaluate(x)
 
-    def differential(self, x: np.ndarray) -> np.ndarray:
-        """D psi as (..., 3, 3) at 3D parameter points."""
-        return self._diff(np.asarray(x, float))
+    def tangents(self, x_p: np.ndarray) -> np.ndarray:
+        """Mid-surface tangents d1 psi0, d2 psi0 as the columns of (..., 3, 2)
+        at planar parameter points (..., 2)."""
+        return self._tangents(np.asarray(x_p, float))
 
     def cell_bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per-axis Lipschitz bounds (K, 2) of psi0 over parameter boxes [lo, hi] (K, 2).
@@ -277,47 +273,33 @@ class ParametricMap:
             return np.full(np.shape(lo), self.lipschitz)
         return self._cell_lipschitz(lo, hi)
 
-    @staticmethod
-    def _embed(x_p: np.ndarray) -> np.ndarray:
-        x_p = np.asarray(x_p, float)
-        out = np.zeros(x_p.shape[:-1] + (3,))
-        out[..., :2] = x_p
-        return out
-
 
 def _tangent_cross(pmap: ParametricMap, x_p: np.ndarray):
-    """Tangents t1, t2, the components of t1 x t2, J0 = |t1 x t2| of the
-    mid-surface at x_p, and the mask of points where the tangents are
+    """The components of t1 x t2 for the mid-surface tangents t1, t2 at x_p,
+    J0 = |t1 x t2|, and the mask of points where the tangents are
     (numerically) parallel, so that no frame exists.
 
     J0 = |t1 x t2| equals sqrt(det(Dpsi0^T Dpsi0)) by the Gram identity.  The
     cross product and norms are taken per component, in the operation order
     of np.cross and np.linalg.norm, so J0 and the frame are bitwise the same.
     """
-    D = pmap.differential(ParametricMap._embed(x_p))
-    t1 = D[..., :, 0]
-    t2 = D[..., :, 1]
+    T = pmap.tangents(x_p)
+    t1, t2 = T[..., :, 0], T[..., :, 1]
     a0, a1, a2 = t1[..., 0], t1[..., 1], t1[..., 2]
     b0, b1, b2 = t2[..., 0], t2[..., 1], t2[..., 2]
     cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     j0 = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
     scale = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2) * np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-    return t1, t2, cross, j0, j0 <= _FRAME_TOL * np.maximum(scale, 1.0)
+    return cross, j0, j0 <= _FRAME_TOL * np.maximum(scale, 1.0)
 
 
 def surface_frame(pmap: ParametricMap, x_p: np.ndarray) -> SurfaceFrame:
-    """Tangents, unit normal and surface Jacobian of the mid-surface at x_p;
-    raises DegenerateFrame if the tangents are parallel at any point."""
-    t1, t2, cross, j0, degenerate = _tangent_cross(pmap, x_p)
+    """Position and unit normal of the mid-surface at x_p; raises
+    DegenerateFrame if the tangents are parallel at any point."""
+    cross, j0, degenerate = _tangent_cross(pmap, x_p)
     if degenerate.any():
         raise DegenerateFrame("surface tangents are parallel within tolerance")
     normal = np.empty(j0.shape + (3,))
     for k, c in enumerate(cross):
         np.divide(c, j0, out=normal[..., k])
-    return SurfaceFrame(
-        point=pmap.midsurface(x_p),
-        tangent1=t1,
-        tangent2=t2,
-        normal=normal,
-        j0=j0 if j0.ndim else float(j0),
-    )
+    return SurfaceFrame(point=pmap.midsurface(x_p), normal=normal)

@@ -26,6 +26,7 @@ phi_k), so each field is a :class:`Catalog`, a fixed weight vector against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,10 +147,19 @@ class Catalog:
 
     @property
     def is_zero(self) -> bool:
-        """True when no row has both a non-zero weight and a non-zero
-        coefficient (a, b1, b2 or v): the field is then identically zero."""
+        """True when, among the rows with a non-zero coefficient (a, b1, b2
+        or v), the weights of each set of identical rows sum to exactly 0
+        (math.fsum, per weight column): the field is then identically zero."""
         live = np.any(self.rows[:, :4] != 0.0, axis=1)
-        return not np.any(self.weights[live] != 0.0)
+        weights = self.weights[live]
+        if not np.any(weights != 0.0):
+            return True
+        if not np.isfinite(weights).all():
+            return False
+        groups = {}  # equal rows share a key: -0.0 == 0.0, and NaN equals nothing
+        for row, w in zip(map(tuple, self.rows[live].tolist()), weights.reshape(len(weights), -1).tolist()):
+            groups.setdefault(row, []).append(w)
+        return all(math.fsum(column) == 0.0 for ws in groups.values() for column in zip(*ws))
 
 
 @dataclass(frozen=True)
@@ -162,7 +172,8 @@ class MomentFields:
     unit parameter length, a field on parameter points (..., 2) like the
     bulk fields.  A field whose :attr:`Catalog.is_zero` holds (e.g. no free
     points, constant weights for the bound-charge divergence, w z = 0 on
-    every point for the normal moment) is skipped by the limit.
+    every point, or cancelling over identical ones, for the normal moment)
+    is skipped by the limit.
     """
 
     charge_weighted: Catalog

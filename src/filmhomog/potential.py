@@ -23,8 +23,8 @@ The three limits differ only in the weights (c_q, c_p, c_n) of
 
 with dG/dnu' = G^3 nu(r') . (r - r') evaluated analytically.  Each weight
 multiplies its evaluated density, as a scalar.  A bulk term is skipped when
-its weight is 0 or its field is :attr:`Catalog.is_zero` (no catalog row
-with both a non-zero weight and a non-zero coefficient), so only the double
+its weight is 0 or its field is :attr:`Catalog.is_zero` (the weights of
+each set of identical non-zero catalog rows sum to 0), so only the double
 layer builds surface frames, and the bulk integral does not run at all when
 no bulk term is left.  Each integrand declares its value ``columns`` (one
 per observation point), so the quadrature hands it a round's panels per
@@ -117,8 +117,8 @@ def _standoff(points: np.ndarray, pmap: ParametricMap):
     live = np.arange(len(points))
     for _ in range(_FOOT_STEPS):
         x, r = foot[live], points[live]
-        J = pmap.differential(ParametricMap._embed(x))
-        t1, t2, e = J[:, :, 0], J[:, :, 1], r - pmap.midsurface(x)
+        T = pmap.tangents(x)
+        t1, t2, e = T[:, :, 0], T[:, :, 1], r - pmap.midsurface(x)
         # normal equations of J dx = e, 2x2 by Cramer's rule; the tiny shift keeps
         # a vanishing tangent (the polar axis) from dividing by zero
         a11, a12, a22 = _dot(t1, t1), _dot(t1, t2), _dot(t2, t2)

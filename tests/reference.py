@@ -5,8 +5,6 @@ brute-force constructions the acceptance criteria and unit tests use.
 
 - ``finite_t_double_layer``: two charged sheets a distance t apart, which
   converge to the double layer at first order in t.
-- ``jacobian_full``: the volume Jacobian of a map from its differential,
-  raising ``NonPositiveJacobian`` where it is not positive.
 - ``sample``: uniform random points of a parameter rectangle.
 - ``prescribed_fields``: moment fields from raw callables instead of a motif,
   with the bound-charge divergence differenced centrally, each wrapped in a
@@ -72,12 +70,7 @@ from filmhomog.moments import _j0_at
 from filmhomog.potential import _kernel
 from filmhomog.quadrature import _RULES, DEFAULT_MAX_DEPTH, DEFAULT_TOL, adaptive_rectangle
 
-_JACOBIAN_FLOOR = 1e-14
 _DIV_STEP_REL = 1e-5  # surface-divergence difference step relative to domain diameter
-
-
-class NonPositiveJacobian(ValueError):
-    """A volume Jacobian evaluated to <= 1e-14."""
 
 
 def sample(rect: Rectangle, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,7 +108,7 @@ def finite_t_double_layer(
 
     def integrand(x_p):
         fr = surface_frame(pmap, x_p)
-        sig = sigma_field(x_p) * np.asarray(fr.j0)
+        sig = sigma_field(x_p) * _j0_at(pmap, x_p)
         d0 = distances(fr.point)
         d1 = distances(fr.point - t * fr.normal)
         return (1.0 / d0 - 1.0 / d1) * (sig[:, None] / t)
@@ -123,24 +116,6 @@ def finite_t_double_layer(
     dom = pmap.domain
     values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=tol, max_depth=max_depth)
     return FieldSample(grid=grid, values=values, provenance=f"double-layer-finite-t(t={t:g})")
-
-
-def jacobian_full(pmap: ParametricMap, x: np.ndarray) -> np.ndarray:
-    """Volume Jacobian sqrt(det(Dpsi^T Dpsi)) at 3D parameter points.
-
-    Scalar in, scalar out; batches of shape (..., 3) are supported.
-    Raises NonPositiveJacobian if any value falls to <= 1e-14.
-    """
-    x = np.asarray(x, float)
-    D = pmap.differential(x)
-    G = np.einsum("...ki,...kj->...ij", D, D)
-    det = np.linalg.det(G)
-    if np.any(det <= _JACOBIAN_FLOOR**2):
-        raise NonPositiveJacobian(
-            f"Jacobian not positive at parameter point(s); min det(G) = {det.min():.3e}"
-        )
-    out = np.sqrt(det)
-    return out if out.ndim else float(out)
 
 
 def surface_divergence_term(
@@ -155,11 +130,11 @@ def surface_divergence_term(
     step of 1e-5 * diam(T).
     """
     x_p = np.asarray(x_p, float)
-    j0 = np.asarray(surface_frame(pmap, x_p).j0)
+    j0 = _j0_at(pmap, x_p)
     hstep = _DIV_STEP_REL * pmap.domain.diameter
 
     def weighted(x):
-        return np.asarray(p_field(x)) * np.asarray(surface_frame(pmap, x).j0)[..., None]
+        return np.asarray(p_field(x)) * _j0_at(pmap, x)[..., None]
 
     div = np.zeros(x_p.shape[:-1])
     for axis in range(2):

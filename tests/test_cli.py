@@ -557,6 +557,35 @@ class TestExitCodes:
         assert main(["converge", "--config", cfg]) == 2
         assert "config violation: grid: observation points must be a non-empty (M, 3) array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            ({"grid": {"kind": "nope"}}, "config violation: grid: unknown grid kind 'nope'"),
+            ({"grid": {"kind": "points", "points": []}}, "config violation: grid: observation points must be a non-empty"),
+            (
+                {"map": {"kind": "disk"}, "grid": {"kind": "offset_surface", "n": [3, 3], "distance": 1.0}},
+                "config violation: grid: surface tangents are parallel",  # the grid's first row is on the polar axis
+            ),
+        ],
+        ids=["unknown-kind", "no-points", "disk-axis"],
+    )
+    def test_grid_error_of_another_cause_carries_no_standoff_note(self, tmp_path, update, message, capsys):
+        payload = json.loads((CONFIGS / "converge_r2.json").read_text())
+        payload.update(update, output={"dir": str(tmp_path / "out")})
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "standoff rule" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_disk_radius_exit_2(self, tmp_path, radius, capsys):
+        payload = json.loads((CONFIGS / "converge_r2.json").read_text())
+        payload.update(map={"kind": "disk", "radius": radius}, output={"dir": str(tmp_path / "out")})
+        assert main(["converge", "--config", write_config(tmp_path, payload)]) == 2
+        assert "config violation: map: polar disk radius must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda c: c.__name__)
     def test_exit_code_follows_the_error_type(self, tmp_path, r2_config, error, monkeypatch):

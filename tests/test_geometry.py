@@ -12,7 +12,7 @@ from filmhomog import (
     surface_frame,
 )
 from filmhomog.moments import _j0_at
-from reference import NonPositiveJacobian, jacobian_full, prescribed_fields, sample, surface_divergence_term
+from reference import prescribed_fields, sample, surface_divergence_term
 
 UNIT = Rectangle((0.0, 0.0), (1.0, 1.0))
 
@@ -27,69 +27,67 @@ def cylinder():
     return ParametricMap.cylinder(UNIT, 2.0)
 
 
-def fd_differential(pmap, x, step=1e-6):
-    x = np.asarray(x, float)
-    D = np.empty((3, 3))
-    for j in range(3):
-        dx = np.zeros(3)
+def fd_tangents(pmap, x_p, step=1e-6):
+    """Central differences of the mid-surface, (..., 3, 2) like ``pmap.tangents``."""
+    columns = []
+    for j in range(2):
+        dx = np.zeros(2)
         dx[j] = step
-        D[:, j] = (pmap.evaluate(x + dx) - pmap.evaluate(x - dx)) / (2 * step)
-    return D
+        columns.append((pmap.midsurface(x_p + dx) - pmap.midsurface(x_p - dx)) / (2 * step))
+    return np.stack(columns, axis=-1)
 
 
-class TestJacobianFull:
-    def test_identity_is_exactly_one(self, identity):
-        assert jacobian_full(identity, [0.3, 0.7, 0.05]) == 1.0
+class TestTangents:
+    def test_identity_is_exactly_the_planar_columns_of_eye(self, identity):
+        T = identity.tangents(sample(UNIT, 50, np.random.default_rng(7)))
+        assert T.shape == (50, 3, 2)
+        assert (T == np.eye(3)[:, :2]).all()
+        assert (identity.tangents([0.3, 0.7]) == np.eye(3)[:, :2]).all()
 
-    def test_cylinder_offset(self, cylinder):
-        # symbolic: J = (R + x3)/R
-        assert jacobian_full(cylinder, [0.5, 0.5, 0.1]) == pytest.approx(1.05, rel=1e-12)
-
-    def test_cylinder_midsurface_isometric(self, cylinder):
-        assert jacobian_full(cylinder, [0.5, 0.5, 0.0]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_matches_finite_differences(self, cylinder):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            x = np.append(sample(UNIT, 1, rng)[0], rng.uniform(-0.2, 0.2))
-            D = fd_differential(cylinder, x)
-            expected = math.sqrt(np.linalg.det(D.T @ D))
-            assert jacobian_full(cylinder, x) == pytest.approx(expected, rel=1e-6)
-
-    def test_degenerate_map_raises(self):
-        flat = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
-        with pytest.raises(NonPositiveJacobian):
-            jacobian_full(flat, [0.5, 0.5, 0.0])
+    @pytest.mark.parametrize(
+        "make_map",
+        [
+            lambda: ParametricMap.scaled(UNIT, (1.7, -0.3, 1.0)),
+            lambda: ParametricMap.cylinder(UNIT, 2.0),
+            lambda: ParametricMap.polar_disk(1.5),
+            lambda: ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=SHEARED_LIPSCHITZ),
+        ],
+        ids=["scaled", "cylinder", "disk", "sheared"],
+    )
+    def test_match_central_differences_of_the_midsurface(self, make_map):
+        pmap = make_map()
+        x_p = sample(pmap.domain, 100, np.random.default_rng(7))
+        T = pmap.tangents(x_p)
+        assert T.shape == (100, 3, 2)
+        np.testing.assert_allclose(T, fd_tangents(pmap, x_p), rtol=0.0, atol=1e-8)
 
 
 class TestSurfaceFrame:
     def test_identity(self, identity):
         fr = surface_frame(identity, [0.4, 0.9])
         np.testing.assert_allclose(fr.normal, [0.0, 0.0, 1.0], atol=1e-15)
-        assert fr.j0 == 1.0
+        assert _j0_at(identity, [0.4, 0.9]) == 1.0
 
     def test_cylinder_outward_radial(self, cylinder):
         fr = surface_frame(cylinder, [0.0, 0.0])
         np.testing.assert_allclose(fr.normal, [1.0, 0.0, 0.0], atol=1e-15)
-        assert fr.j0 == pytest.approx(1.0, rel=1e-12)
+        assert _j0_at(cylinder, [0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_inplane_scaling(self):
         stretched = ParametricMap.scaled(UNIT, (2.0, 2.0, 1.0))
-        fr = surface_frame(stretched, [0.5, 0.5])
-        assert fr.j0 == pytest.approx(4.0, rel=1e-14)
+        assert _j0_at(stretched, [0.5, 0.5]) == pytest.approx(4.0, rel=1e-14)
 
     def test_orthonormality_random_points(self, cylinder):
-        rng = np.random.default_rng(3)
-        fr = surface_frame(cylinder, sample(UNIT, 100, rng))
+        x_p = sample(UNIT, 100, np.random.default_rng(3))
+        fr, T = surface_frame(cylinder, x_p), cylinder.tangents(x_p)
         norms = np.linalg.norm(fr.normal, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert np.max(np.abs(np.sum(fr.normal * fr.tangent1, axis=-1))) < 1e-10
-        assert np.max(np.abs(np.sum(fr.normal * fr.tangent2, axis=-1))) < 1e-10
+        assert np.max(np.abs(np.sum(fr.normal * T[..., 0], axis=-1))) < 1e-10
+        assert np.max(np.abs(np.sum(fr.normal * T[..., 1], axis=-1))) < 1e-10
 
     def test_cylinder_j0_identically_one(self, cylinder):
         rng = np.random.default_rng(11)
-        fr = surface_frame(cylinder, sample(UNIT, 200, rng))
-        np.testing.assert_allclose(fr.j0, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(_j0_at(cylinder, sample(UNIT, 200, rng)), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "make_map",
@@ -98,7 +96,7 @@ class TestSurfaceFrame:
             lambda: ParametricMap.scaled(UNIT, (1.7, 0.3, 1.0)),
             lambda: ParametricMap.cylinder(UNIT, 2.0),
             lambda: ParametricMap.polar_disk(1.5),
-            lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),  # all three normal components non-zero
+            lambda: ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=SHEARED_LIPSCHITZ),  # all three normal components non-zero
         ],
         ids=["identity", "scaled", "cylinder", "polar_disk", "sheared"],
     )
@@ -106,17 +104,17 @@ class TestSurfaceFrame:
         pmap = make_map()
         rng = np.random.default_rng(5)
         x_p = sample(pmap.domain, 500, rng)
-        D = pmap.differential(np.concatenate([x_p, np.zeros((500, 1))], axis=1))
-        cross = np.cross(D[..., :, 0], D[..., :, 1])
+        T = pmap.tangents(x_p)
+        cross = np.cross(T[..., 0], T[..., 1])
         j0 = np.linalg.norm(cross, axis=-1)
-        fr = surface_frame(pmap, x_p)
-        assert fr.j0.tobytes() == j0.tobytes()
-        assert fr.normal.tobytes() == (cross / j0[..., None]).tobytes()
-        assert surface_frame(pmap, x_p[7]).j0 == j0[7]
+        normal = surface_frame(pmap, x_p).normal
+        assert normal.tobytes() == (cross / j0[..., None]).tobytes()
+        assert surface_frame(pmap, x_p[7]).normal.tobytes() == normal[7].tobytes()
         assert _j0_at(pmap, x_p).tobytes() == j0.tobytes()  # the moment tables' J0, without a frame
+        assert _j0_at(pmap, x_p[7]) == j0[7]
 
     def test_parallel_tangents_raise_in_a_frame_and_leave_j0_undefined(self):
-        collapse = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
+        collapse = ParametricMap(UNIT, _collapse, _collapse_tangents, lipschitz=math.sqrt(2.0))
         with pytest.raises(DegenerateFrame, match="parallel"):
             surface_frame(collapse, np.array([[0.5, 0.5]]))
         assert np.isnan(_j0_at(collapse, np.array([[0.5, 0.5]]))).all()  # moments there are undefined
@@ -128,13 +126,11 @@ def _collapse(x):
     return np.stack([x[..., 0], x[..., 0], x[..., 2]], axis=-1)
 
 
-def _collapse_diff(x):
-    x = np.asarray(x, float)
-    D = np.zeros(x.shape[:-1] + (3, 3))
-    D[..., 0, 0] = 1.0
-    D[..., 1, 0] = 1.0
-    D[..., 2, 2] = 1.0
-    return D
+def _collapse_tangents(x_p):
+    T = np.zeros(x_p.shape[:-1] + (3, 2))
+    T[..., 0, 0] = 1.0
+    T[..., 1, 0] = 1.0
+    return T
 
 
 # Physical frame of a film edge.  The library integrates the edge term as
@@ -146,13 +142,11 @@ _FRAME_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BoundaryFrame:
-    """Edge frame: outward co-normal, line Jacobian, normal and tangents."""
+    """Edge frame: outward co-normal, line Jacobian and normal."""
 
     conormal: np.ndarray       # (..., 3) unit, tangent to the surface, outward
     line_jacobian: np.ndarray  # (...,)  |d psi0 / ds| along the boundary curve
     normal: np.ndarray         # (..., 3) surface normal at the same points
-    tangent1: np.ndarray       # (..., 3) d psi0 / d x1
-    tangent2: np.ndarray       # (..., 3) d psi0 / d x2
 
 
 def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFrame:
@@ -162,10 +156,11 @@ def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFr
     boundary curve, pointing out of the film; the line Jacobian converts
     parameter arc length to physical arc length.
     """
-    fr = surface_frame(pmap, edge.points(np.asarray(s, float)))
-    tangents = (fr.tangent1, fr.tangent2)
-    tau = tangents[1 - edge.axis]          # along the boundary curve
-    outward = tangents[edge.axis]          # crosses the boundary
+    x_p = edge.points(np.asarray(s, float))
+    normal = surface_frame(pmap, x_p).normal  # DegenerateFrame where the tangents are parallel
+    T = pmap.tangents(x_p)
+    tau = T[..., 1 - edge.axis]            # along the boundary curve
+    outward = T[..., edge.axis]            # crosses the boundary
     sign = edge.normal[edge.axis]
     line_jac = np.linalg.norm(tau, axis=-1)
     tau_hat = tau / line_jac[..., None]
@@ -173,13 +168,7 @@ def boundary_frame(pmap: ParametricMap, edge: Edge, s: np.ndarray) -> BoundaryFr
     n_norm = np.linalg.norm(n, axis=-1)
     if np.any(n_norm <= _FRAME_TOL):
         raise DegenerateFrame("boundary co-normal degenerate (tangents parallel)")
-    return BoundaryFrame(
-        conormal=n / n_norm[..., None],
-        line_jacobian=line_jac,
-        normal=fr.normal,
-        tangent1=fr.tangent1,
-        tangent2=fr.tangent2,
-    )
+    return BoundaryFrame(conormal=n / n_norm[..., None], line_jacobian=line_jac, normal=normal)
 
 
 # Frobenius norm of D psi0 at x = (1, 1), its largest on UNIT; it bounds the spectral norm
@@ -194,17 +183,15 @@ def _sheared(x):
     )
 
 
-def _sheared_diff(x):
-    x = np.asarray(x, float)
-    D = np.zeros(x.shape[:-1] + (3, 3))
-    D[..., 0, 0] = 1.0
-    D[..., 0, 1] = 0.5
-    D[..., 1, 0] = 0.2 * x[..., 0]
-    D[..., 1, 1] = 1.0
-    D[..., 2, 0] = 0.3 * x[..., 1]
-    D[..., 2, 1] = 0.3 * x[..., 0]
-    D[..., 2, 2] = 1.0
-    return D
+def _sheared_tangents(x_p):
+    T = np.zeros(x_p.shape[:-1] + (3, 2))
+    T[..., 0, 0] = 1.0
+    T[..., 0, 1] = 0.5
+    T[..., 1, 0] = 0.2 * x_p[..., 0]
+    T[..., 1, 1] = 1.0
+    T[..., 2, 0] = 0.3 * x_p[..., 1]
+    T[..., 2, 1] = 0.3 * x_p[..., 0]
+    return T
 
 
 class TestBoundaryFrame:
@@ -228,13 +215,12 @@ class TestBoundaryFrame:
         s = np.linspace(0.05, 0.95, 13)
         for edge in UNIT.edges():
             bf = boundary_frame(cylinder, edge, s)
-            fr = surface_frame(cylinder, edge.points(s))
-            tau = (fr.tangent1, fr.tangent2)[1 - edge.axis]
+            tau = cylinder.tangents(edge.points(s))[..., 1 - edge.axis]
             assert np.max(np.abs(np.sum(bf.conormal * bf.normal, axis=-1))) < 1e-10
             assert np.max(np.abs(np.sum(bf.conormal * tau, axis=-1))) < 1e-10
 
     def test_degenerate_raises(self):
-        collapse = ParametricMap(UNIT, _collapse, _collapse_diff, lipschitz=math.sqrt(2.0))
+        collapse = ParametricMap(UNIT, _collapse, _collapse_tangents, lipschitz=math.sqrt(2.0))
         with pytest.raises(DegenerateFrame):
             boundary_frame(collapse, UNIT.edges()[0], np.array([0.5]))
 
@@ -244,7 +230,7 @@ class TestBoundaryFrame:
             ParametricMap.identity(UNIT),
             ParametricMap.scaled(UNIT, (2.0, 1.0, 1.0)),
             ParametricMap.cylinder(UNIT, 2.0),
-            ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),
+            ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=SHEARED_LIPSCHITZ),
         ],
         ids=["identity", "scaled", "cylinder", "sheared"],
     )
@@ -262,8 +248,8 @@ class TestBoundaryFrame:
             x = edge.points(s)
             lhs = fields.pol_planar_weighted(x) @ np.asarray(edge.normal, float)
             bf = boundary_frame(pmap, edge, s)
-            p = p_field(x)
-            P = p[:, :1] * bf.tangent1 + p[:, 1:] * bf.tangent2
+            p, T = p_field(x), pmap.tangents(x)
+            P = p[:, :1] * T[..., 0] + p[:, 1:] * T[..., 1]
             rhs = np.sum(P * bf.conormal, axis=-1) * bf.line_jacobian
             np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-14)
 
@@ -315,6 +301,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="radius must be finite and positive"):
             ParametricMap.cylinder(UNIT, radius)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.inf, math.nan])
+    def test_polar_disk_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="polar disk radius must be finite and positive"):
+            ParametricMap.polar_disk(radius)
+
     @pytest.mark.parametrize("h_max", [0.0, -1.0, 2.5, math.inf, math.nan])
     def test_cylinder_h_max_within_the_radius(self, h_max):
         # r = R + x3 > 0 on the open slab |x3| < h_max needs 0 < h_max <= R
@@ -334,15 +325,14 @@ class TestLipschitz:
             (lambda: ParametricMap.cylinder(UNIT, 2.0), 1.0),
             (lambda: ParametricMap.polar_disk(1.5), 1.5),
             (lambda: ParametricMap.polar_disk(0.5), 1.0),
-            (lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ), None),
+            (lambda: ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=SHEARED_LIPSCHITZ), None),
         ],
         ids=["identity", "scaled", "cylinder", "disk", "small-disk", "sheared"],
     )
     def test_bound_covers_the_spectral_norm(self, make_map, expected):
         pmap = make_map()
         x_p = np.vstack([pmap.domain.corners(), sample(pmap.domain, 500, np.random.default_rng(9))])
-        D0 = pmap.differential(np.concatenate([x_p, np.zeros((len(x_p), 1))], axis=1))[..., :2]
-        largest = np.linalg.norm(D0, ord=2, axis=(-2, -1)).max()
+        largest = np.linalg.norm(pmap.tangents(x_p), ord=2, axis=(-2, -1)).max()
         assert largest <= pmap.lipschitz * (1 + 1e-15)
         if expected is not None:  # the factories' closed forms are attained, at a corner for the disk
             assert pmap.lipschitz == expected
@@ -355,7 +345,7 @@ class TestLipschitz:
             lambda: ParametricMap.scaled(UNIT, (1.7, -0.3, 1.0)),
             lambda: ParametricMap.cylinder(UNIT, 2.0),
             lambda: ParametricMap.polar_disk(1.5),
-            lambda: ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=SHEARED_LIPSCHITZ),
+            lambda: ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=SHEARED_LIPSCHITZ),
         ],
         ids=["identity", "scaled", "cylinder", "disk", "sheared"],
     )
@@ -370,16 +360,15 @@ class TestLipschitz:
         hi[:50] = lo[:50] + 1e-6 * (hi[:50] - lo[:50])
         L = pmap.cell_bounds(lo, hi)
         x_p = lo + rng.random(lo.shape) * (hi - lo)
-        D0 = pmap.differential(np.concatenate([x_p, np.zeros((len(x_p), 1))], axis=1))[..., :2]
-        largest = np.linalg.norm(D0 / L[:, None, :], ord=2, axis=(-2, -1)).max()
+        largest = np.linalg.norm(pmap.tangents(x_p) / L[:, None, :], ord=2, axis=(-2, -1)).max()
         assert L.shape == (400, 2)
         assert largest <= 1 + 1e-15
 
     def test_direct_construction_needs_a_bound(self):
         with pytest.raises(TypeError):
-            ParametricMap(UNIT, _collapse, _collapse_diff)
+            ParametricMap(UNIT, _collapse, _collapse_tangents)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_bound_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="lipschitz"):
-            ParametricMap(UNIT, _sheared, _sheared_diff, lipschitz=bad)
+            ParametricMap(UNIT, _sheared, _sheared_tangents, lipschitz=bad)

@@ -13,7 +13,6 @@ from filmhomog import (
     UnitCellChoice,
     moment_fields,
     moment_table,
-    surface_frame,
     tessellate,
 )
 from filmhomog import moments
@@ -441,7 +440,7 @@ class TestMomentTable:
             # partial cells: J0 at the centre of the cell's bounding box clipped to T
             box = corner + cell
             at = corner if k < t.n_full else 0.5 * (np.maximum(box.min(0), lo) + np.minimum(box.max(0), hi))
-            j0 = float(surface_frame(cyl, at).j0)
+            j0 = float(moments._j0_at(cyl, at))
             charge, p_p, p3 = 0.0, np.zeros(2), 0.0
             for pt, scale in entries:
                 y = HALF_SHIFT.basis @ np.asarray(pt.y)

@@ -518,6 +518,8 @@ PLANAR_FREE = Motif(
     free_points=(MotifPoint(0.5, (0.5, 0.5), 0.3),),
 )
 CYLINDER = ParametricMap.cylinder(UNIT, 2.0)
+# w z = +-0.4 on two identical rows: a normal moment that cancels exactly
+_CANCELLING = (MotifPoint(1.0, (0.5, 0.5), 0.4), MotifPoint(-1.0, (0.5, 0.5), 0.4))
 FLAT_CASES = [
     pytest.param(IDENT, Regime("R1"), [[1.2, 0.3, 0.9], [0.5, 0.5, 0.05]], id="identity-R1"),
     pytest.param(IDENT, Regime("R2", alpha=1.5), [[1.2, 0.3, 0.9], [0.5, 0.5, 0.05]], id="identity-R2"),
@@ -656,6 +658,13 @@ class TestSkippedTerms:
         frames, panels = _frames_per_panel(monkeypatch, fields, regime, pmap, grid)
         assert frames == panels > 0
 
+    def test_cancelling_normal_moment_builds_no_frame_and_moves_no_value(self, monkeypatch):
+        fields = moment_fields(Motif(points=_CANCELLING), SQUARE, IDENT, 0.25)
+        regime, grid = Regime("R2", alpha=1.0), ObservationGrid.from_points([[0.2, 0.7, 2.5], [1.3, 0.4, 2.2]], IDENT)
+        forced = _forced_values(monkeypatch, fields, regime, IDENT, grid, fields.pol_normal_weighted)
+        assert _frames_per_panel(monkeypatch, fields, regime, IDENT, grid) == (0, 0)
+        assert np.array_equal(homogenized_potential(fields, regime, IDENT, grid).values, forced)
+
     def test_parallel_tangents_fail_only_where_the_double_layer_runs(self):
         # psi(x) = (x1, 0, x3), built directly since the scaled factory rejects
         # a zero factor: the second tangent is 0, so no normal exists anywhere
@@ -663,7 +672,7 @@ class TestSkippedTerms:
         flat = ParametricMap(
             UNIT,
             lambda x: np.asarray(x, float) * a,
-            lambda x: np.broadcast_to(np.diag(a), np.shape(x)[:-1] + (3, 3)).copy(),
+            lambda x_p: np.broadcast_to(np.diag(a)[:, :2], x_p.shape[:-1] + (3, 2)).copy(),
             lipschitz=1.0,
         )
         grid = ObservationGrid.from_points([[0.5, 0.5, 1.0]], flat)
@@ -678,16 +687,17 @@ class TestSkippedTerms:
             (PLANAR_DIPOLE.points, False),
             (PLANAR_FREE.points, False),
             ((MotifPoint(0.0, (0.5, 0.5), 0.4), MotifPoint(1.0, (0.2, 0.5), 0.0)), False),  # w z = 0 per point
-            ((MotifPoint(1.0, (0.5, 0.5), 0.4), MotifPoint(-1.0, (0.5, 0.5), 0.4)), True),  # w z cancels: not 0 each
+            (_CANCELLING, False),  # w z is not 0 on each point, but cancels on identical rows
+            ((MotifPoint(1e16, (0.5, 0.5), 0.5),) + _CANCELLING[:1] + (MotifPoint(-1e16, (0.5, 0.5), 0.5),), True),
             (MIXED.points, True),
             ((MotifPoint(1.0, (0.5, 0.5), -1e-300),), True),
         ],
     )
     def test_normal_moment_is_zero(self, points, expected):
+        # the second True case sums to 0.4 exactly, where a float sum in row order reads 0.0
         motif = Motif(points=points)
         fields = moment_fields(motif, SQUARE, IDENT, 0.25)
         assert fields.pol_normal_weighted.is_zero is not expected
-        assert expected == any(pt.w * pt.z != 0.0 for pt in motif.points)
         x = np.random.default_rng(7).uniform(-1.0, 2.0, (50, 2))
         if not expected:
             assert np.all(fields.pol_normal_weighted(x) == 0.0)
@@ -1028,7 +1038,7 @@ class TestComponentwiseDistances:
             cols, counts = np.tile(cols, panels), np.full(panels, len(cols))
             x_p = rng.uniform(0.0, 1.0, (n * panels, 2))
             density = rng.uniform(-1.0, 1.0, n * panels)
-            embedded = ParametricMap._embed(x_p)
+            embedded = IDENT.midsurface(x_p)
             expected = _kernel(rows)(embedded, cols, counts, density).copy()
             assert kernel(x_p, cols, counts, density).tobytes() == expected.tobytes()
             kernel(embedded, cols, counts, density, np.tile([0.0, 0.0, 1.0], (len(x_p), 1)), density)  # six slabs
