@@ -145,6 +145,19 @@ class Catalog:
             value += self._const
         return value
 
+    def column(self, k: int) -> "Catalog":
+        """The field of weight column ``k``, e.g. one component of a planar field."""
+        return Catalog(self.rows, self.weights[:, k], self.trig)
+
+    @property
+    def evaluates_to_zero(self) -> bool:
+        """True when every value is +-0.0: each coefficient a call multiplies
+        (the constant, the linear term and the trig amplitudes) is 0.  This is
+        stronger than :attr:`is_zero`: a BLAS product may fuse the
+        multiply-adds of cancelling rows and leave one product's rounding
+        error, about 1e-17, where the field is identically zero."""
+        return not (self._has_const or self._has_lin or np.any(self._amp != 0.0))
+
     @property
     def is_zero(self) -> bool:
         """True when, among the rows with a non-zero coefficient (a, b1, b2

@@ -51,6 +51,8 @@ cell centre).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,6 +81,7 @@ _FOOT_STEPS = 32
 _ROUNDOFF = 8.0 * np.finfo(float).eps  # relative slack of a computed centre distance
 _CHILDREN = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
 _BLOCK_VALUES = 1 << 16  # charge-point pairs per block of the direct sum (fits in L2)
+_SHARE_PAIRS = 1 << 20  # least charge-point pairs per share of the direct sum
 _UNIT = 2.0**-53  # unit roundoff
 _TINY = np.finfo(float).tiny  # least normal double
 
@@ -340,28 +343,22 @@ def _row_sums(v: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray
     return c
 
 
-def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray:
-    """Exactly rounded Green's sum of all realized charges at each of ``points`` (M, 3).
-
-    Points go in blocks of about _BLOCK_VALUES charge-point pairs; each row of
-    q / |r_j - r| is reduced by :func:`_row_sums`.  The values are bitwise equal
-    to one math.fsum per point, whatever the block size or charge order.
+def _share_sums(columns: np.ndarray, magnitudes: np.ndarray, points: np.ndarray, values: np.ndarray, lo: int, hi: int):
+    """Green's sums of the points lo:hi into values[lo:hi], in blocks of about
+    _BLOCK_VALUES charge-point pairs; each row of q / |r_j - r| is reduced by
+    :func:`_row_sums`.
 
     A block holds one (B, N) buffer and one scratch buffer, both reused: the
     squared distance accumulates in place as (dx*dx + dy*dy) + dz*dz, the
     order of :func:`_kernel`, and the scratch then takes the extraction's
     slices and remainders.  At 2^16 pairs both stay in one core's L2 cache.
     """
-    values = np.zeros(len(points))
-    n = dist.n_charges
-    if n == 0:
-        return values
-    columns = np.ascontiguousarray(dist.positions.T)  # (3, N): one contiguous row per component
+    n = columns.shape[1]
     rows = max(1, _BLOCK_VALUES // n)
-    buf = np.empty((min(rows, len(points)), n))
+    buf = np.empty((min(rows, hi - lo), n))
     tmp = np.empty_like(buf)
-    for start in range(0, len(points), rows):
-        block = points[start : start + rows]
+    for start in range(lo, hi, rows):
+        block = points[start : min(start + rows, hi)]
         d, t = buf[: len(block)], tmp[: len(block)]
         np.subtract(columns[0], block[:, 0, None], out=d)
         d *= d
@@ -378,8 +375,52 @@ def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray
                 f"observation point {start + i} at ({x!r}, {y!r}, {z!r}) lies {d[i].min():.3e} "
                 f"from its nearest charge, below the singular threshold {_SINGULAR_DIST:g}"
             )
-        np.divide(dist.magnitudes, d, out=d)
-        values[start : start + rows] = _row_sums(d, t)
+        np.divide(magnitudes, d, out=d)
+        values[start : start + len(block)] = _row_sums(d, t)
+
+
+def green_sums(dist: ScaledChargeDistribution, points: np.ndarray) -> np.ndarray:
+    """Exactly rounded Green's sum of all realized charges at each of ``points`` (M, 3).
+
+    The points are split into contiguous shares, one per usable CPU
+    (``os.sched_getaffinity``), but no more than the points nor than
+    _SHARE_PAIRS charge-point pairs per share allow, so a call below
+    2 _SHARE_PAIRS pairs runs on the caller alone.  The caller runs the
+    first share, and each other share runs its :func:`_share_sums` on a
+    thread started for the call (numpy releases the GIL in its ufunc loops);
+    every thread is joined before the call returns or raises.  Each point's
+    value is exactly rounded, bitwise equal to one math.fsum per point,
+    whatever the share count, block size or charge order.  A
+    :class:`SingularEvaluation` names the lowest singular point, as one share
+    would: the shares are joined first, and the lowest failed share's error
+    is raised.
+    """
+    m, n = len(points), dist.n_charges
+    values = np.zeros(m)
+    if n == 0:
+        return values
+    columns = np.ascontiguousarray(dist.positions.T)  # (3, N): one contiguous row per component
+    shares = max(1, min(len(os.sched_getaffinity(0)), m, m * n // _SHARE_PAIRS))
+    bounds = [m * k // shares for k in range(shares + 1)]
+    errors = [None] * shares
+
+    def share(k):
+        try:
+            _share_sums(columns, dist.magnitudes, points, values, bounds[k], bounds[k + 1])
+        except Exception as exc:  # raised on the caller once every share has ended
+            errors[k] = exc
+
+    threads = [threading.Thread(target=share, args=(k,)) for k in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    try:
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return values
 
 
@@ -388,7 +429,8 @@ def direct_potential(dist: ScaledChargeDistribution, grid: ObservationGrid, stan
 
     :func:`green_sums` reduces each point by error-free extraction, so values
     are exactly rounded: bitwise equal to one math.fsum per point, and
-    independent of the block size and of the charge enumeration order.
+    independent of the share count, the block size and the charge
+    enumeration order.
     ``standoff_factor`` guards the asymptotic regime (standoff >= factor *
     max(l, h)); :data:`TAYLOR_STANDOFF` is the Taylor regime's factor, and
     convergence studies pass 0 to evaluate coarse steps on purpose.
@@ -537,7 +579,10 @@ def homogenized_potential(
     The edges run only when c_p is non-zero; the bulk integral then takes
     tol/2, and each edge is one adaptive integral of G (rho + (J0 p_p).n)
     over the whole edge in parameter arc length at tol/8 (four edges), its
-    value times c_p.  The outward normal is a signed coordinate axis, so
+    value times c_p.  An edge is skipped when its rho and its column of J0
+    p_p both :attr:`Catalog.evaluates_to_zero`: its integral would add only
+    signed zeros to a total that starts at +0.0, which leaves every value's
+    bytes.  The outward normal is a signed coordinate axis, so
     (J0 p_p).n is that column of the planar polarization times the sign,
     exactly the dot product up to the sign of a zero.  Folding the normal
     into the catalog weights would save evaluating the other column, but
@@ -576,16 +621,18 @@ def homogenized_potential(
         values = adaptive_rectangle(integrand, dom.lo, dom.hi, tol=0.5 * tol if c_p else tol, max_depth=max_depth)
     if c_p != 0.0:
         total = np.zeros(grid.n_points)
+        pol = fields.pol_planar_weighted
         for edge in dom.edges():
+            rho = fields.boundary_charge[edge.name]
+            if rho.evaluates_to_zero and pol.column(edge.axis).evaluates_to_zero:
+                continue  # its integral would add only zeros to total's +0.0
 
-            def edge_integrand(
-                s, cols=None, counts=None, edge=edge, rho=fields.boundary_charge[edge.name], sign=edge.normal[edge.axis]
-            ):
+            def edge_integrand(s, cols=None, counts=None, edge=edge, rho=rho, sign=edge.normal[edge.axis]):
                 plain = cols is None
                 if plain:
                     cols, counts = every, one_panel
                 x_p = edge.points(s)
-                density = rho(x_p) + sign * fields.pol_planar_weighted(x_p)[:, edge.axis]
+                density = rho(x_p) + sign * pol(x_p)[:, edge.axis]
                 values = kernel(film_points(x_p), cols, counts, density)
                 return values.T if plain else values
 

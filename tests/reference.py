@@ -147,13 +147,17 @@ def surface_divergence_term(
 
 class RawField:
     """A field from a raw callable with the ``is_zero`` of a catalog field,
-    which is what the caller states."""
+    which is what the caller states; a zero field's callable returns 0.0,
+    so it also ``evaluates_to_zero``."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], is_zero: bool):
-        self.fn, self.is_zero = fn, is_zero
+        self.fn, self.is_zero, self.evaluates_to_zero = fn, is_zero, is_zero
 
     def __call__(self, x_p: np.ndarray) -> np.ndarray:
         return self.fn(x_p)
+
+    def column(self, k: int) -> "RawField":
+        return RawField(lambda x_p: self.fn(x_p)[..., k], self.is_zero)
 
 
 def prescribed_fields(

@@ -9,6 +9,9 @@ flat-film formulas.
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +224,100 @@ class TestDirectPotential:
         np.testing.assert_array_equal(values, fsum_potential(d, grid))
         for a, b in zip(before, (d.positions, d.magnitudes, grid.points)):
             np.testing.assert_array_equal(a, b)
+
+
+def _shared_sums(monkeypatch, dist, points, cpus, share_pairs=1, delay=0.0):
+    """green_sums on ``cpus`` usable CPUs with ``share_pairs`` as
+    _SHARE_PAIRS, and the (lo, hi) of each share run; a share off the
+    calling thread starts ``delay`` seconds late."""
+    shares, run_share, caller = [], potential._share_sums, threading.current_thread()
+
+    def recorded(columns, magnitudes, points, values, lo, hi):
+        shares.append((lo, hi))
+        if threading.current_thread() is not caller:
+            time.sleep(delay)
+        run_share(columns, magnitudes, points, values, lo, hi)
+
+    with monkeypatch.context() as m:
+        m.setattr(potential, "_SHARE_PAIRS", share_pairs)
+        m.setattr(potential, "_share_sums", recorded)
+        m.setattr(potential.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return green_sums(dist, points), sorted(shares)
+
+
+class TestShares:
+    """The points split into one share per usable CPU; no value or error changes."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "n_points, block_values",
+        [(14, 4 * 12), (3, 1 << 16), (9, 1)],
+        ids=["boundaries-inside-blocks", "fewer-points-than-cpus", "one-row-blocks"],
+    )
+    def test_share_count_does_not_change_values(self, monkeypatch, cpus, n_points, block_values):
+        rng = np.random.default_rng(cpus)
+        dist = charges(rng.uniform(0.0, 1.0, (12, 3)), rng.uniform(-1.0, 1.0, 12))
+        xy = rng.uniform(-0.5, 1.5, (n_points, 2))
+        grid = ObservationGrid.from_points(np.column_stack([xy, rng.uniform(1.5, 2.5, n_points)]), IDENT)
+        monkeypatch.setattr(potential, "_BLOCK_VALUES", block_values)  # 4 rows, all, 1 row per block
+        one, one_share = _shared_sums(monkeypatch, dist, grid.points, 1)
+        threads = threading.active_count()
+        values, shares = _shared_sums(monkeypatch, dist, grid.points, cpus)
+        assert threading.active_count() == threads
+        assert one_share == [(0, n_points)]
+        assert len(shares) == min(cpus, n_points) and shares[0][0] == 0 and shares[-1][1] == n_points
+        assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+        assert values.tobytes() == one.tobytes() == np.array(fsum_potential(dist, grid)).tobytes()
+
+    @pytest.mark.parametrize("share_pairs, shares", [(65, 1), (64, 2), (43, 2), (42, 3), (33, 3), (32, 4), (1, 4)])
+    def test_each_share_has_share_pairs_or_more(self, monkeypatch, share_pairs, shares):
+        rng = np.random.default_rng(5)
+        dist = charges(rng.uniform(0.0, 1.0, (16, 3)), rng.uniform(-1.0, 1.0, 16))
+        points = rng.uniform(2.0, 3.0, (8, 3))  # 128 pairs
+        values, run = _shared_sums(monkeypatch, dist, points, 4, share_pairs)
+        assert len(run) == shares
+        assert values.tobytes() == green_sums(dist, points).tobytes()
+
+    def test_shares_switched_often_write_every_value(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        dist = charges(rng.uniform(0.0, 1.0, (64, 3)), rng.uniform(-1.0, 1.0, 64))
+        points = rng.uniform(2.0, 3.0, (400, 3))
+        monkeypatch.setattr(potential, "_BLOCK_VALUES", 1)  # one point per block: many switches
+        one, _ = _shared_sums(monkeypatch, dist, points, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values, shares = _shared_sums(monkeypatch, dist, points, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(shares) == 4 and values.tobytes() == one.tobytes()
+
+    def test_every_share_ends_before_the_call_returns(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        dist = charges(rng.uniform(0.0, 1.0, (12, 3)), rng.uniform(-1.0, 1.0, 12))
+        points = rng.uniform(2.0, 3.0, (8, 3))
+        threads = threading.active_count()
+        values, shares = _shared_sums(monkeypatch, dist, points, 4, delay=0.05)
+        assert threading.active_count() == threads and len(shares) == 4
+        assert values.tobytes() == green_sums(dist, points).tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("singular", [[9], [3, 9], [0, 9], [4, 5]], ids=str)
+    def test_singular_point_of_any_share_names_the_lowest_index(self, monkeypatch, cpus, singular):
+        rng = np.random.default_rng(11)
+        dist = charges(rng.uniform(0.0, 1.0, (20, 3)), rng.uniform(-1.0, 1.0, 20))
+        points = rng.uniform(2.0, 3.0, (10, 3))
+        points[singular] = dist.positions[singular]  # the last point is in the last share
+        errors = []
+        for n in (1, cpus):
+            threads = threading.active_count()
+            with pytest.raises(SingularEvaluation) as err:
+                _shared_sums(monkeypatch, dist, points, n)
+            assert threading.active_count() == threads
+            errors.append(str(err.value))
+        x, y, z = points[singular[0]].tolist()
+        assert errors[0] == errors[1]
+        assert errors[1].startswith(f"observation point {singular[0]} at ({x!r}, {y!r}, {z!r}) lies 0.000e+00 ")
 
 
 def _fsum_outcome(row):
@@ -628,6 +725,34 @@ class TestSkippedTerms:
         assert homogenized_potential(fields, regime, IDENT, grid).values.tobytes() == full.tobytes()
         assert calls == []
 
+    @pytest.mark.parametrize("pmap", [IDENT, CYLINDER], ids=["identity", "cylinder"])
+    @pytest.mark.parametrize("wave, edges", [(None, 2), (_WAVE, 4)], ids=["constant", "sinusoid"])
+    def test_edge_of_a_zero_valued_density_is_skipped_and_changes_no_bit(self, monkeypatch, pmap, wave, edges):
+        # equal y2: the column of J0 p_p normal to the bottom and top edges cancels on
+        # identical rows; its constant rows evaluate to 0.0, its sinusoid rows need not
+        w = Modulation("constant", 1.0) if wave is None else wave
+        dipole = Motif(points=(MotifPoint(1.0, (0.75, 0.5), 0.0, w), MotifPoint(-1.0, (0.25, 0.5), 0.0, w)))
+        fields = moment_fields(dipole, SQUARE, pmap, 0.25)
+        column = fields.pol_planar_weighted.column(1)
+        assert column.is_zero and column.evaluates_to_zero is (wave is None)
+        assert all(rho.evaluates_to_zero for rho in fields.boundary_charge.values())
+        grid = ObservationGrid.from_points([[0.2, 0.7, 2.5], [1.3, 0.4, 2.2]], pmap)
+        regime, segment, calls = Regime("R2", alpha=1.0), potential.adaptive_segment, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return segment(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "adaptive_segment", counted)
+        values = homogenized_potential(fields, regime, pmap, grid).values
+        assert len(calls) == edges
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Catalog, "evaluates_to_zero", property(lambda self: False))
+            forced = homogenized_potential(fields, regime, pmap, grid).values
+        assert len(calls) == 4
+        assert values.tobytes() == forced.tobytes()
+
     @pytest.mark.parametrize(
         "points, expected",
         [
@@ -739,8 +864,9 @@ def _term_fields(terms, pmap):
 
 
 def _captured_integrands(monkeypatch, fields, regime, pmap, grid):
-    """The bulk integrand (None if the bulk is skipped) and the edge
-    integrands of one homogenized_potential call, captured, not integrated."""
+    """The bulk integrand (None if the bulk is skipped) and the four edge
+    integrands of one homogenized_potential call, captured, not integrated;
+    an edge whose density evaluates to zero is captured too."""
     captured = {"bulk": None, "edges": []}
 
     def rectangle(f, lo, hi, **kwargs):
@@ -753,7 +879,9 @@ def _captured_integrands(monkeypatch, fields, regime, pmap, grid):
 
     monkeypatch.setattr(potential, "adaptive_rectangle", rectangle)
     monkeypatch.setattr(potential, "adaptive_segment", segment)
-    homogenized_potential(fields, regime, pmap, grid)
+    with monkeypatch.context() as m:
+        m.setattr(Catalog, "evaluates_to_zero", property(lambda self: False))
+        homogenized_potential(fields, regime, pmap, grid)
     return captured["bulk"], captured["edges"]
 
 
